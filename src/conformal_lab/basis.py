@@ -15,6 +15,11 @@ only achieves for a 2-sphere factor) and a uniform trapezoid rule on the
 circle.  With nq polar nodes the rule integrates zonal polynomials of
 degree <= 2*nq - 1 exactly; with N circle nodes it integrates
 wavenumbers |k| <= N - 1 exactly.
+
+The zonal polynomials and their t-derivatives are tabulated by the
+orthonormal Jacobi three-term recurrence in one routine,
+``zonal_polynomials``; the cached node tables, off-grid tabulation and
+the product degree-sum kernel all call it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_jacobi, gammaln, roots_jacobi
+from scipy.special import roots_jacobi
 
 from .errors import UnsupportedBackendError
 
@@ -52,19 +57,18 @@ def harmonic_dimension(d: int, m: int) -> int:
     return math.comb(d + m, d) - math.comb(d + m - 2, d)
 
 
-def _jacobi_norm_sq(l: int, a: float) -> float:
-    # integral over [-1, 1] of (1 - t^2)^a * P_l^{(a,a)}(t)^2
-    return math.exp(
-        (2 * a + 1) * math.log(2.0)
-        - math.log(2 * l + 2 * a + 1)
-        + 2 * gammaln(l + a + 1)
-        - gammaln(l + 2 * a + 1)
-        - gammaln(l + 1)
-    )
-
-
-def zonal_polynomials(sphere_dim: int, degree_max: int, t: np.ndarray):
+def zonal_polynomials(sphere_dim: int, degree_max: int, t: np.ndarray,
+                      order: int = 2):
     """Orthonormal zonal polynomials on S^sphere_dim and t-derivatives.
+
+    The polynomials p_l, orthonormal under the weight (1 - t^2)^a with
+    a = (d - 2)/2, follow the three-term recurrence (DLMF 18.9.1)
+
+        t p_l = alpha_{l+1} p_{l+1} + alpha_l p_{l-1},
+        alpha_l^2 = l (l + 2a) / ((2l + 2a - 1) (2l + 2a + 1)),
+
+    and the k-th t-derivative follows the same recurrence differentiated
+    k times, with the extra term k p_l^(k-1) on the left.
 
     Parameters
     ----------
@@ -74,28 +78,32 @@ def zonal_polynomials(sphere_dim: int, degree_max: int, t: np.ndarray):
         Highest harmonic degree evaluated.
     t : array
         Polar cosines in [-1, 1].
+    order : int
+        Highest t-derivative tabulated.
 
     Returns
     -------
-    (P0, P1, P2) : arrays of shape (t.size, degree_max + 1)
-        Values and first/second derivatives with respect to t of the
-        polynomials p_l orthonormal under the weight (1 - t^2)^((d-2)/2).
+    tuple of order + 1 arrays of shape (t.size, degree_max + 1)
+        Values, then the successive t-derivatives.
     """
     a = (sphere_dim - 2) / 2.0
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    nl = degree_max + 1
-    P0 = np.empty((t.size, nl))
-    P1 = np.zeros((t.size, nl))
-    P2 = np.zeros((t.size, nl))
-    for l in range(nl):
-        s = 1.0 / math.sqrt(_jacobi_norm_sq(l, a))
-        P0[:, l] = s * eval_jacobi(l, a, a, t)
-        if l >= 1:
-            P1[:, l] = s * 0.5 * (l + 2 * a + 1) * eval_jacobi(l - 1, a + 1, a + 1, t)
-        if l >= 2:
-            c2 = 0.25 * (l + 2 * a + 1) * (l + 2 * a + 2)
-            P2[:, l] = s * c2 * eval_jacobi(l - 2, a + 2, a + 2, t)
-    return P0, P1, P2
+    t = np.asarray(t, dtype=float).ravel()
+    l = np.arange(1, degree_max + 1)
+    alpha = np.sqrt(l * (l + 2 * a)
+                    / ((2 * l + 2 * a - 1) * (2 * l + 2 * a + 1)))
+    tabs = [np.zeros((degree_max + 1, t.size)) for _ in range(order + 1)]
+    # p_0 = 1 / sqrt(int (1 - t^2)^a dt)
+    tabs[0][0] = math.sqrt(math.gamma(a + 1.5) / (math.sqrt(math.pi)
+                                                   * math.gamma(a + 1.0)))
+    for l in range(degree_max):
+        for k, tab in enumerate(tabs):
+            nxt = t * tab[l]
+            if k:
+                nxt += k * tabs[k - 1][l]
+            if l:
+                nxt -= alpha[l - 1] * tab[l - 1]
+            tab[l + 1] = nxt / alpha[l]
+    return tuple(tab.T for tab in tabs)
 
 
 @dataclass(frozen=True)

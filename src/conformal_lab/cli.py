@@ -105,6 +105,7 @@ def _slug(text: str) -> str:
 def run(config: RunConfig, out_dir=None, verbose: bool = False) -> int:
     """Execute all compatible (suite, backend) jobs and write reports."""
     out = Path(out_dir or config.out_dir or "reports")
+    max_workers = _thread_cap()
     backends = _build_backends(config)
     jobs = [(suite, m) for suite in config.suites for m in backends]
     for suite in config.suites:
@@ -113,9 +114,6 @@ def run(config: RunConfig, out_dir=None, verbose: bool = False) -> int:
                 f"suites: {suite!r} is not compatible with any backend in "
                 f"the catalog (dimension gates)")
     out.mkdir(parents=True, exist_ok=True)
-
-    max_workers = int(os.environ.get("CONFORMAL_LAB_THREADS", "4") or 1)
-    max_workers = max(1, max_workers)
 
     def job(args):
         suite, m = args
@@ -157,6 +155,15 @@ def run(config: RunConfig, out_dir=None, verbose: bool = False) -> int:
         print(f"summary: {'PASS' if all_pass else 'FAIL'} "
               f"({len(summary_rows)} reports in {out})")
     return 0 if all_pass else 1
+
+
+def _thread_cap() -> int:
+    """Worker threads: CONFORMAL_LAB_THREADS, a positive integer, default 4."""
+    raw = os.environ.get("CONFORMAL_LAB_THREADS", "4")
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ConfigError(f"CONFORMAL_LAB_THREADS: must be a positive "
+                          f"integer, got {raw!r}")
+    return int(raw)
 
 
 def _is_compatible(suite: str, m) -> bool:

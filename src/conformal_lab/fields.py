@@ -11,6 +11,12 @@ direction e_theta plus the (n-1)-fold orbit directions; on a product the
 circle direction e_s, the polar direction e_chi, and the orbit.  Zonal
 symmetry makes every tensor we need diagonal except for the (s, chi)
 component on products.
+
+Values and frame jets come from one routine: the basis is tabulated by
+the Jacobi three-term recurrence of ``basis.zonal_polynomials`` (cached
+node tables on the grid, fresh tables at other points) and combined
+with the coefficients in ``frame_jets``, which ``evaluate``,
+``gradient_components`` and ``hessian`` read from.
 """
 
 from __future__ import annotations
@@ -35,12 +41,16 @@ __all__ = [
     "field_from_grid",
     "field_from_modes",
     "field_to_csv",
+    "frame_dot",
+    "frame_jets",
+    "frame_trace",
     "gradient_norm_squared",
     "gradient_components",
     "hessian",
     "integrate",
     "inner_product",
     "laplacian",
+    "mode_tables",
     "modes_to_csv",
     "random_bandlimited",
     "synthesize",
@@ -285,22 +295,7 @@ def evaluate(f: ScalarField, *points) -> np.ndarray:
     Spheres take ``evaluate(f, theta)``; products take ``evaluate(f, s, chi)``
     with broadcastable arrays (evaluated pointwise, not on a mesh).
     """
-    if f.coefficients is None:
-        raise ValueError("evaluate needs coefficients; call analyze first")
-    b = f.basis
-    if b.is_product:
-        s, chi = np.broadcast_arrays(np.asarray(points[0], float),
-                                     np.asarray(points[1], float))
-        shp = s.shape
-        U0, _, _ = b.circle_values(s.ravel())
-        P0, _, _ = b.polar_values(np.cos(chi.ravel()))
-        P0 = P0 / math.sqrt(b.polar_norm)
-        vals = np.einsum("xj,jm,xm->x", U0, f.coefficients, P0)
-        return vals.reshape(shp)
-    theta = np.asarray(points[0], dtype=float)
-    P0, _, _ = b.polar_values(np.cos(theta.ravel()))
-    P0 = P0 / math.sqrt(b.polar_norm)
-    return (P0 @ f.coefficients).reshape(theta.shape)
+    return _jets(f, points, 0)
 
 
 # -------------------------------------------------------------- integration
@@ -344,26 +339,14 @@ class SymTensorField:
             comps[name] = _freeze(np.broadcast_to(arr, self.basis.grid_shape))
         object.__setattr__(self, "components", comps)
 
-    @property
-    def orbit_multiplicity(self) -> int:
-        b = self.basis
-        return (b.sphere_dim - 1) if b.is_product else (b.n - 1)
-
     def trace_values(self) -> np.ndarray:
-        c = self.components
-        if self.basis.is_product:
-            return c["ss"] + c["xx"] + self.orbit_multiplicity * c["orb"]
-        return c["rr"] + self.orbit_multiplicity * c["orb"]
+        return frame_trace(self.basis, self.components)
 
     def trace(self) -> ScalarField:
         return field_from_grid(self.basis, self.trace_values())
 
     def norm_squared_values(self) -> np.ndarray:
-        c = self.components
-        if self.basis.is_product:
-            return (c["ss"] ** 2 + 2.0 * c["sx"] ** 2 + c["xx"] ** 2
-                    + self.orbit_multiplicity * c["orb"] ** 2)
-        return c["rr"] ** 2 + self.orbit_multiplicity * c["orb"] ** 2
+        return frame_dot(self.basis, self.components, self.components)
 
     def norm_squared(self) -> ScalarField:
         return field_from_grid(self.basis, self.norm_squared_values())
@@ -397,6 +380,28 @@ class SymTensorField:
     __rmul__ = __mul__
 
 
+def frame_dot(basis: ModeBasis, a: dict, b: dict) -> np.ndarray:
+    """Full contraction sum_ij A_ij B_ij of two symmetric 2-tensors.
+
+    ``a`` and ``b`` are frame-component dicts as returned by ``frame_jets``;
+    ``frame_dot(basis, a, a)`` is the squared norm.
+    """
+    weights = _frame_weights(basis)
+    return sum(weights[k] * a[k] * b[k] for k in a)
+
+
+def frame_trace(basis: ModeBasis, comps: dict) -> np.ndarray:
+    """Trace of a symmetric 2-tensor from its frame components."""
+    weights = _frame_weights(basis)
+    return sum(weights[k] * comps[k] for k in comps if k != "sx")
+
+
+def _frame_weights(basis: ModeBasis) -> dict:
+    # each orbit component stands for sphere_dim - 1 equal diagonal
+    # entries, the off-diagonal sx for the two entries (s, chi), (chi, s)
+    return {"rr": 1, "ss": 1, "xx": 1, "sx": 2, "orb": basis.sphere_dim - 1}
+
+
 def metric_tensor(basis: ModeBasis) -> SymTensorField:
     ones = np.ones(basis.grid_shape)
     if basis.is_product:
@@ -406,47 +411,92 @@ def metric_tensor(basis: ModeBasis) -> SymTensorField:
 
 # ----------------------------------------------------------- differentiation
 
-def _sphere_partials(f: ScalarField):
-    """theta-derivatives of a zonal field at the polar nodes."""
-    b = f.basis
-    P0, P1, P2 = b.polar_tables()
-    t, _ = b.polar_rule()
-    sin_t = np.sqrt(1.0 - t ** 2)
-    ft = P1 @ f.coefficients
-    ftt = P2 @ f.coefficients
-    f_th = -sin_t * ft
-    f_thth = (1.0 - t ** 2) * ftt - t * ft
-    return f_th, f_thth, ft
+def mode_tables(basis: ModeBasis, points=None):
+    """Normalized mode tables with the polar cosine and sine.
+
+    Returns ``(U, P, t, sin_t)``: the circle tables (``None`` on spheres)
+    and the polar tables, each a (value, first, second t-derivative)
+    triple of arrays (point, mode), and the polar cosine and sine of the
+    points.  With no points these are the cached tables at the quadrature
+    nodes; otherwise ``points`` are flat chart coordinates, ``(theta,)``
+    on spheres and ``(s, chi)`` on products.
+    """
+    if points is None:
+        t, _ = basis.polar_rule()
+        U = basis.circle_tables() if basis.is_product else None
+        return U, basis.polar_tables(), t, np.sqrt(1.0 - t ** 2)
+    t = np.cos(points[-1])
+    U = basis.circle_values(points[0]) if basis.is_product else None
+    P = basis.polar_values(t)
+    for tab in P:  # freshly tabulated, so normalized in place
+        tab /= math.sqrt(basis.polar_norm)
+    return U, P, t, np.sin(points[-1])
 
 
-def _product_partials(f: ScalarField):
-    b = f.basis
-    P0, P1, P2 = b.polar_tables()
-    U0, U1, U2 = b.circle_tables()
-    t, _ = b.polar_rule()
-    sin_t = np.sqrt(1.0 - t ** 2)
-    C = f.coefficients
-    ft = U0 @ C @ P1.T
-    ftt = U0 @ C @ P2.T
-    f_s = U1 @ C @ P0.T
-    f_ss = U2 @ C @ P0.T
-    f_st = U1 @ C @ P1.T
-    f_x = -sin_t[None, :] * ft
-    f_xx = (1.0 - t ** 2)[None, :] * ftt - t[None, :] * ft
-    f_sx = -sin_t[None, :] * f_st
-    return f_s, f_ss, f_x, f_xx, f_sx, ft
+def _jets(f: ScalarField, points, order: int):
+    """Value (order 0) or value, frame gradient and frame Hessian (order 2).
+
+    Empty ``points`` means the quadrature grid: the cached node tables are
+    combined with the coefficients as a mesh product.  Otherwise the
+    points are broadcast and the tables combined pointwise.
+    """
+    if f.coefficients is None:
+        raise ValueError("evaluation needs coefficients; call analyze first")
+    b, C = f.basis, f.coefficients
+    if points:
+        pts = np.broadcast_arrays(*(np.asarray(p, dtype=float)
+                                    for p in points))
+        shape = pts[0].shape
+        U, P, t, sin_t = mode_tables(b, [p.ravel() for p in pts])
+        t, sin_t = t.reshape(shape), sin_t.reshape(shape)
+    else:
+        shape = b.grid_shape
+        U, P, t, sin_t = mode_tables(b)
+        if b.is_product:
+            t, sin_t = t[None, :], sin_t[None, :]
+    mesh = b.is_product and not points
+
+    def mix(i, j):
+        """Coefficients against circle table i and polar table j."""
+        if mesh:
+            return U[i] @ C @ P[j].T
+        if b.is_product:
+            return np.einsum("xj,jm,xm->x", U[i], C, P[j]).reshape(shape)
+        return (P[j] @ C).reshape(shape)
+
+    val = mix(0, 0)
+    if order == 0:
+        return val
+    # chart partials in t = cos(chi) to the orthonormal frame; the orbit
+    # component (cot chi) f_chi is written as -t f_t so it stays regular
+    # on the axis
+    r = b.radius
+    ft = mix(0, 1)
+    grad = (-sin_t * ft / r,)
+    hess = {"xx" if b.is_product else "rr":
+            ((1.0 - t ** 2) * mix(0, 2) - t * ft) / r ** 2,
+            "orb": -t * ft / r ** 2}
+    if b.is_product:
+        grad = (mix(1, 0),) + grad
+        hess.update(ss=mix(2, 0), sx=-sin_t * mix(1, 1) / r)
+    return val, grad, hess
+
+
+def frame_jets(f: ScalarField, *points):
+    """Value, frame gradient, and frame Hessian of a mode field.
+
+    Returns ``(value, grad, hess)`` where ``grad`` is a tuple of frame
+    components and ``hess`` a dict keyed like the tensor components.
+    Points follow the ``evaluate`` convention and are broadcast pointwise;
+    with no points the jets are taken on the quadrature grid.
+    """
+    return _jets(f, points, 2)
 
 
 def gradient_components(f: ScalarField):
     """Orthonormal-frame gradient components on the grid."""
-    if f.coefficients is None:
-        raise ValueError("differentiation needs coefficients")
-    b = f.basis
-    if b.is_product:
-        f_s, _, f_x, _, _, _ = _product_partials(f)
-        return (f_s, f_x / b.radius)
-    f_th, _, _ = _sphere_partials(f)
-    return (f_th / b.radius,)
+    _, grad, _ = frame_jets(f)
+    return grad
 
 
 def gradient_norm_squared(f: ScalarField) -> ScalarField:
@@ -456,86 +506,9 @@ def gradient_norm_squared(f: ScalarField) -> ScalarField:
 
 
 def hessian(f: ScalarField) -> SymTensorField:
-    """Covariant Hessian of a zonal field in the adapted frame.
-
-    The orbit component of a warped sphere direction is (cot chi) f_chi,
-    written as -cos(chi) f_t so the expression stays regular at the axis.
-    """
-    if f.coefficients is None:
-        raise ValueError("differentiation needs coefficients")
-    b = f.basis
-    t, _ = b.polar_rule()
-    if b.is_product:
-        f_s, f_ss, f_x, f_xx, f_sx, ft = _product_partials(f)
-        r2 = b.radius ** 2
-        return SymTensorField(b, {
-            "ss": f_ss,
-            "sx": f_sx / b.radius,
-            "xx": f_xx / r2,
-            "orb": -t[None, :] * ft / r2,
-        })
-    f_th, f_thth, ft = _sphere_partials(f)
-    r2 = b.radius ** 2
-    return SymTensorField(b, {"rr": f_thth / r2, "orb": -t * ft / r2})
-
-
-def frame_jets(f: ScalarField, *points):
-    """Value, frame gradient, and frame Hessian at arbitrary points.
-
-    Returns ``(value, grad, hess)`` where ``grad`` is a tuple of frame
-    components and ``hess`` a dict keyed like the tensor components.
-    Points follow the ``evaluate`` convention and are broadcast pointwise.
-    """
-    if f.coefficients is None:
-        raise ValueError("differentiation needs coefficients")
-    b = f.basis
-    if b.is_product:
-        s, chi = np.broadcast_arrays(np.asarray(points[0], float),
-                                     np.asarray(points[1], float))
-        shp = s.shape
-        t = np.cos(chi.ravel())
-        sin_t = np.sin(chi.ravel())
-        U0, U1, U2 = b.circle_values(s.ravel())
-        P0, P1, P2 = b.polar_values(t)
-        norm = math.sqrt(b.polar_norm)
-        P0, P1, P2 = P0 / norm, P1 / norm, P2 / norm
-        C = f.coefficients
-
-        def mix(U, P):
-            return np.einsum("xj,jm,xm->x", U, C, P).reshape(shp)
-
-        val = mix(U0, P0)
-        ft = mix(U0, P1)
-        ftt = mix(U0, P2)
-        f_s = mix(U1, P0)
-        f_ss = mix(U2, P0)
-        f_st = mix(U1, P1)
-        sin_t = sin_t.reshape(shp)
-        t = t.reshape(shp)
-        f_x = -sin_t * ft
-        f_xx = (1.0 - t ** 2) * ftt - t * ft
-        f_sx = -sin_t * f_st
-        r = b.radius
-        grad = (f_s, f_x / r)
-        hess = {"ss": f_ss, "sx": f_sx / r, "xx": f_xx / r ** 2,
-                "orb": -t * ft / r ** 2}
-        return val, grad, hess
-    theta = np.asarray(points[0], dtype=float)
-    t = np.cos(theta.ravel())
-    P0, P1, P2 = b.polar_values(t)
-    norm = math.sqrt(b.polar_norm)
-    c = f.coefficients
-    val = (P0 @ c).reshape(theta.shape) / norm
-    ft = (P1 @ c).reshape(theta.shape) / norm
-    ftt = (P2 @ c).reshape(theta.shape) / norm
-    t = t.reshape(theta.shape)
-    sin_t = np.sin(theta)
-    f_th = -sin_t * ft
-    f_thth = (1.0 - t ** 2) * ftt - t * ft
-    r = f.basis.radius
-    grad = (f_th / r,)
-    hess = {"rr": f_thth / r ** 2, "orb": -t * ft / r ** 2}
-    return val, grad, hess
+    """Covariant Hessian of a zonal field in the adapted frame."""
+    _, _, hess = frame_jets(f)
+    return SymTensorField(f.basis, hess)
 
 
 def laplacian(f: ScalarField) -> ScalarField:

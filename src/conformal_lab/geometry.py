@@ -244,9 +244,7 @@ class FieldLogProfile:
         return self.w.bandwidth
 
     def jets(self, points=None):
-        if points is None:
-            points = self.manifold.grid_points()
-        return F.frame_jets(self.w, *points)
+        return F.frame_jets(self.w, *(points or ()))
 
 
 class MoebiusLogProfile:
@@ -442,10 +440,7 @@ def conformal_ricci(m: ManifoldModel, factor, points=None):
     w, grad, hess = prof.jets(points)
     n = m.n
     grad2 = sum(g ** 2 for g in grad)
-    if m.is_product:
-        lap = hess["ss"] + hess["xx"] + (m.sphere_dim - 1) * hess["orb"]
-    else:
-        lap = hess["rr"] + (n - 1) * hess["orb"]
+    lap = F.frame_trace(m.basis, hess)
     trace_term = lap + (n - 2) * grad2
     rc = m.ricci_eigenvalues
     comps = {}
@@ -471,10 +466,7 @@ def conformal_scalar_curvature(m: ManifoldModel, factor, points=None):
     w, grad, hess = prof.jets(points)
     n = m.n
     grad2 = sum(g ** 2 for g in grad)
-    if m.is_product:
-        lap = hess["ss"] + hess["xx"] + (m.sphere_dim - 1) * hess["orb"]
-    else:
-        lap = hess["rr"] + (n - 1) * hess["orb"]
+    lap = F.frame_trace(m.basis, hess)
     return np.exp(-2.0 * w) * (m.scalar_curvature - 2.0 * (n - 1) * lap
                                - (n - 1) * (n - 2) * grad2)
 

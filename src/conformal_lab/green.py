@@ -38,7 +38,7 @@ import numpy as np
 
 from . import fields as F
 from . import quadrature as Q
-from .basis import ball_volume, harmonic_dimension
+from .basis import ball_volume, harmonic_dimension, zonal_polynomials
 from .errors import (CutoffTooLowError, KernelError, UnsupportedBackendError)
 from .fields import ScalarField
 from .geometry import ConformalFactor, ManifoldModel, Pole
@@ -195,6 +195,8 @@ class _ProductDegreeSumP:
         self.norm = np.array([harmonic_dimension(d, int(mm))
                               for mm in range(cutoff + 1)], dtype=float) \
             / factor_volume
+        (self.pole_values,) = zonal_polynomials(d, cutoff, np.ones(1),
+                                                order=0)
 
     def _circle_kernel(self, z, u):
         rz = np.sqrt(z)
@@ -210,29 +212,11 @@ class _ProductDegreeSumP:
         return ((k1 - k2) / self.disc).real
 
     def zonal(self, chi):
-        """Unit-normalized zonal harmonics C~_m(cos chi) for all degrees."""
+        """Zonal harmonics p_m(cos chi) / p_m(1) for all degrees."""
         chi = np.asarray(chi, dtype=float)
-        x = np.cos(chi)
-        out = np.empty(chi.shape + (self.cutoff + 1,))
-        if self.m.sphere_dim == 2:
-            out[..., 0] = 1.0
-            if self.cutoff >= 1:
-                out[..., 1] = x
-            for mm in range(1, self.cutoff):
-                out[..., mm + 1] = ((2 * mm + 1) * x * out[..., mm]
-                                    - mm * out[..., mm - 1]) / (mm + 1)
-        else:
-            sx = np.sin(chi)
-            js = np.arange(1, self.cutoff + 2, dtype=float)
-            safe = np.maximum(np.abs(sx), 1e-14)
-            out[...] = np.sin(js * chi[..., None]) / (js * safe[..., None])
-            # axis limits: +1 at the pole, (-1)^m at the antipode
-            on_axis = np.abs(sx) < 1e-14
-            if np.any(on_axis):
-                signs = np.where(np.cos(chi[on_axis, None]) > 0, 1.0,
-                                 np.cos(math.pi * (js - 1.0)))
-                out[on_axis, :] = signs
-        return out
+        (p,) = zonal_polynomials(self.m.sphere_dim, self.cutoff,
+                                 np.cos(chi), order=0)
+        return (p / self.pole_values).reshape(chi.shape + (-1,))
 
     def value(self, ds, chi):
         ds, chi = np.broadcast_arrays(np.atleast_1d(np.asarray(ds, float)),
@@ -300,17 +284,9 @@ class GreenField:
         thr = 1e-8 * sym.max_abs
         if np.min(np.abs(sym.table)) < thr:
             raise KernelError(f"{self.operator} has a zero mode on {m.kind}")
-        b = m.basis
-        if m.is_product:
-            chi_p = 0.0 if self.pole.axis > 0 else math.pi
-            U0, _, _ = b.circle_values(np.array([self.pole.s0]))
-            P0, _, _ = b.polar_values(np.array([math.cos(chi_p)]))
-            P0 = P0 / math.sqrt(b.polar_norm)
-            pole_vals = U0[0][:, None] * P0[0][None, :]
-        else:
-            t_p = 1.0 if self.pole.axis > 0 else -1.0
-            P0, _, _ = b.polar_values(np.array([t_p]))
-            pole_vals = P0[0] / math.sqrt(b.polar_norm)
+        pole_pt = [np.array([c]) for c in m.pole_coordinates(self.pole)]
+        U, P, _, _ = F.mode_tables(m.basis, pole_pt)
+        pole_vals = P[0][0] if U is None else np.outer(U[0][0], P[0][0])
         return pole_vals / sym.table
 
     def log_profile(self, scale: float):
@@ -696,8 +672,7 @@ def extract_mass(m: ManifoldModel, pole: Pole | None = None,
 
     def integrand(theta):
         comps = conformal_ricci(m, profile, (theta,))
-        nsq = sum((comps[k] ** 2) * ((n - 1) if k == "orb" else 1)
-                  for k in comps)
+        nsq = F.frame_dot(m.basis, comps, comps)
         nsq_tilde = np.exp(-4.0 * w_tilde(theta)) * nsq
         vol_tilde = np.exp(n * w_tilde(theta))
         return gP.values_at(theta) * gL.values_at(theta) ** s \

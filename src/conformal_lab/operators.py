@@ -135,11 +135,7 @@ def apply_P_pointwise(m: ManifoldModel, f: ScalarField) -> ScalarField:
     bilap = F.laplacian(lap)
     hess = F.hessian(f)
     rc = m.ricci_tensor()
-    rc_dot_hess = np.sum(
-        [rc.components[k] * hess.components[k]
-         * (2.0 if k == "sx" else 1.0)
-         * (hess.orbit_multiplicity if k == "orb" else 1.0)
-         for k in hess.components], axis=0)
+    rc_dot_hess = F.frame_dot(m.basis, rc.components, hess.components)
     vals = (bilap.grid_values + (4.0 / (n - 2)) * rc_dot_hess
             - _gradient_coefficient(n) * m.scalar_curvature * lap.grid_values)
     if n != 4:

@@ -152,6 +152,18 @@ def test_thread_cap_does_not_change_results(tmp_path, monkeypatch):
         (tmp_path / "three" / "summary.json").read_bytes()
 
 
+@pytest.mark.parametrize("value", ["x", "0"])
+def test_bad_thread_cap_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                          value):
+    monkeypatch.setenv("CONFORMAL_LAB_THREADS", value)
+    path = _write(tmp_path, BASE_CONFIG)
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "CONFIG_INVALID" in err and "CONFORMAL_LAB_THREADS" in err
+    assert not (tmp_path / "out").exists()
+
+
 # ----------------------------------------------------------------- catalog
 
 def test_catalog_listing(capsys):

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import eval_jacobi, poch
 
 from conformal_lab import fields as F
-from conformal_lab.basis import ModeBasis, ball_volume, sphere_area
+from conformal_lab.basis import (ModeBasis, ball_volume, sphere_area,
+                                 zonal_polynomials)
 from conformal_lab.errors import AliasingError
 
 
@@ -160,6 +162,71 @@ def test_spectral_derivative_finite_difference_convergence(sphere5, rng):
         errs.append(np.max(np.abs(fd - spectral)))
     assert errs[0] / errs[1] > 3.0
     assert errs[1] / errs[2] > 3.0
+
+
+def _jacobi_oracle(d, degree_max, t):
+    """Orthonormal zonal polynomials and t-derivatives from scipy."""
+    a = (d - 2) / 2.0
+    out = [np.zeros((t.size, degree_max + 1)) for _ in range(3)]
+    for l in range(degree_max + 1):
+        # 1 / sqrt(int (1 - t^2)^a P_l^(a,a)(t)^2 dt), with gamma ratios
+        # taken by poch so the normalization stays exact at high degree
+        s = math.sqrt((2 * l + 2 * a + 1) * poch(l + a + 1, a)
+                      / (2.0 ** (2 * a + 1) * poch(l + 1, a)))
+        out[0][:, l] = s * eval_jacobi(l, a, a, t)
+        if l >= 1:
+            out[1][:, l] = (s * 0.5 * (l + 2 * a + 1)
+                            * eval_jacobi(l - 1, a + 1, a + 1, t))
+        if l >= 2:
+            out[2][:, l] = (s * 0.25 * (l + 2 * a + 1) * (l + 2 * a + 2)
+                            * eval_jacobi(l - 2, a + 2, a + 2, t))
+    return out
+
+
+@pytest.mark.parametrize("degree_max", [24, 240])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_zonal_recurrence_matches_jacobi(d, degree_max):
+    t = np.concatenate([[-1.0, 1.0], np.cos(np.linspace(0.0, math.pi, 61)),
+                        np.linspace(-0.99, 0.99, 37)])
+    got = zonal_polynomials(d, degree_max, t)
+    assert len(got) == 3
+    for tab, want in zip(got, _jacobi_oracle(d, degree_max, t)):
+        # error per degree against that degree's largest value; scipy's
+        # own error at t = -1 reaches 4e-13 for half-integer a at degree
+        # 240 (checked against 40-digit arithmetic)
+        scale = np.maximum(np.max(np.abs(want), axis=0), 1e-300)
+        assert np.max(np.max(np.abs(tab - want), axis=0) / scale) < 1e-12
+    (values,) = zonal_polynomials(d, degree_max, t, order=0)
+    assert_allclose(values, got[0], rtol=0, atol=0)
+
+
+def test_frame_jets_on_grid_match_jets_at_grid_points(sphere5, s1xs2, rng):
+    for m in (sphere5, s1xs2):
+        f = _random_mode_field(m.basis, rng)
+        val, grad, hess = F.frame_jets(f)
+        val_p, grad_p, hess_p = F.frame_jets(f, *m.grid_points())
+        scale = np.max(np.abs(val))
+        assert_allclose(val, val_p, rtol=0, atol=1e-13 * scale)
+        assert val.shape == m.basis.grid_shape
+        assert len(grad) == len(grad_p) == (2 if m.is_product else 1)
+        for g, g_p in zip(grad, grad_p):
+            assert_allclose(g, g_p, rtol=0, atol=1e-12 * scale)
+        assert hess.keys() == hess_p.keys()
+        for k in hess:
+            assert_allclose(hess[k], hess_p[k], rtol=0, atol=1e-11 * scale)
+
+
+def test_evaluate_is_the_value_of_frame_jets(sphere5, s1xs2, rng):
+    f = _random_mode_field(sphere5.basis, rng)
+    theta = np.linspace(0.0, math.pi, 17)
+    assert_allclose(F.evaluate(f, theta), F.frame_jets(f, theta)[0],
+                    rtol=0, atol=0)
+    g = _random_mode_field(s1xs2.basis, rng)
+    s = np.linspace(0.0, s1xs2.length, 7)[:, None]
+    chi = np.linspace(0.0, math.pi, 5)[None, :]
+    vals = F.evaluate(g, s, chi)
+    assert vals.shape == (7, 5)
+    assert_allclose(vals, F.frame_jets(g, s, chi)[0], rtol=0, atol=0)
 
 
 def test_differentiate_dispatch(sphere5, rng):

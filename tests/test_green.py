@@ -10,7 +10,8 @@ from conformal_lab import fields as F
 from conformal_lab.errors import (CutoffTooLowError, KernelError,
                                   UnsupportedBackendError)
 from conformal_lab.geometry import ConformalFactor, Pole, catalog_build
-from conformal_lab.green import (ComparisonResult, compare_green,
+from conformal_lab.green import (ComparisonResult, _ProductDegreeSumP,
+                                 compare_green,
                                  comparison_constant, extract_mass,
                                  flat_L_coefficient, green_eigen_expansion,
                                  green_field, green_pair,
@@ -166,6 +167,15 @@ def test_product_green_symmetry(s1xs2):
 def test_kernel_error_for_P_on_s1xs3(s1xs3):
     with pytest.raises(KernelError):
         green_eigen_expansion(s1xs3, "P")
+
+
+def test_degree_sum_zonal_axis_values(s1xs2, s1xs3):
+    """Unit-normalized zonal harmonics: 1 at the pole, (-1)^m opposite."""
+    for m in (s1xs2, s1xs3):
+        z = _ProductDegreeSumP(m, 240).zonal(np.array([0.0, math.pi]))
+        signs = (-1.0) ** np.arange(241)
+        assert_allclose(z[0], 1.0, rtol=1e-12)
+        assert_allclose(z[1], signs, rtol=1e-12)
 
 
 def test_cutoff_too_low(s1xs2):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conformal_lab import fields as F
-from conformal_lab.errors import (HypothesisFailError,
+from conformal_lab import verify
+from conformal_lab.errors import (HypothesisFailError, KernelError,
                                   UnsupportedDimensionError)
 from conformal_lab.geometry import ConformalFactor, ManifoldModel
 from conformal_lab.verify import (SUITES, check_4d_identity, check_covariance,
@@ -174,6 +175,26 @@ def test_sign_theorems_exploratory_on_s1xs2(s1xs2):
     assert report.passed  # exploratory records cannot fail
     assert not any(c.asserted for c in report.checks)
     assert not report.hypotheses["q_nonnegative"]
+
+
+def test_sign_theorems_record_kernel_obstruction(sphere5, monkeypatch):
+    def obstructed(*args, **kw):
+        raise KernelError("zero mode")
+
+    monkeypatch.setattr(verify, "green_field", obstructed)
+    report = check_sign_theorems(sphere5)
+    assert report.checks
+    assert not any(c.asserted for c in report.checks)
+    assert all("KernelError: zero mode" in c.detail for c in report.checks)
+
+
+def test_sign_theorems_propagate_other_errors(sphere5, monkeypatch):
+    def broken(*args, **kw):
+        raise RuntimeError("bug in transport")
+
+    monkeypatch.setattr(verify, "green_field", broken)
+    with pytest.raises(RuntimeError, match="bug in transport"):
+        check_sign_theorems(sphere5)
 
 
 # ----------------------------------------------------------------- spectrum
