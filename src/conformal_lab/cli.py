@@ -5,7 +5,9 @@ config path, the output directory, and verbosity.  One report is written
 per (suite, backend) pair plus a summary; the summary is free of timing
 so identical configs and seeds produce byte-identical summaries.  The
 exit status is 0 exactly when every hypothesis-gated assertion passed;
-exploratory records never fail a run.
+exploratory records never fail a run.  A job that raises a package
+error is reported as that job's typed error, the other jobs still run
+and report, and the exit status is 4.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import logging
 import os
 import sys
+import time
 from pathlib import Path
 
 from .basis import KIND_S1XS2, KIND_S1XS3, KIND_SPHERE
@@ -22,6 +26,8 @@ from .errors import BackendBuildError, ConfigError, ConformalLabError
 from .geometry import SPHERE_DIMENSIONS, catalog_build
 from .spectrum import lambda1_L
 from .verify import SUITES
+
+logger = logging.getLogger(__name__)
 
 
 class RunConfig:
@@ -117,33 +123,46 @@ def run(config: RunConfig, out_dir=None, verbose: bool = False) -> int:
 
     def job(args):
         suite, m = args
-        return SUITES[suite](m, config.suite_options(suite))
+        t0 = time.perf_counter()
+        try:
+            report = SUITES[suite](m, config.suite_options(suite))
+        except ConformalLabError as err:
+            report = err
+        return report, time.perf_counter() - t0
 
     results = {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as ex:
-        for (suite, m), report in zip(jobs, ex.map(job, jobs)):
+        for (suite, m), (report, secs) in zip(jobs, ex.map(job, jobs)):
             if report is not None:
-                results[(suite, m.descriptor())] = report
+                results[(suite, m.descriptor())] = report, secs
 
     # serialize report writing in a fixed aggregation order
     summary_rows = []
     all_pass = True
+    errors = 0
     for key in sorted(results):
         suite, backend = key
-        report = results[key]
-        fname = out / f"{suite}__{_slug(backend)}.json"
-        with open(fname, "w") as fh:
-            fh.write(report.to_json())
-        ok = report.passed
-        all_pass = all_pass and ok
-        summary_rows.append({
-            "suite": suite,
-            "backend": backend,
-            "pass": ok,
-            "checks": [c.to_dict() for c in report.checks],
-        })
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {suite} on {backend}")
+        report, secs = results[key]
+        row = {"suite": suite, "backend": backend}
+        if isinstance(report, ConformalLabError):
+            row.update({"pass": False, "checks": [], "error": {
+                "code": report.code, "message": str(report)}})
+            text = json.dumps(row, indent=2)
+            errors += 1
+            logger.error("[ERROR] %s on %s: %s after %.2f s: %s", suite,
+                         backend, report.code, secs, report)
+        else:
+            row.update({"pass": report.passed, "checks": [
+                c.to_dict() for c in report.checks]})
+            text = report.to_json()
+            logger.info("[%s] %s on %s: %.2f s, worst asserted "
+                        "|residual|/tol %.3g",
+                        "PASS" if report.passed else "FAIL", suite, backend,
+                        secs, _worst_margin(report))
+        with open(out / f"{suite}__{_slug(backend)}.json", "w") as fh:
+            fh.write(text)
+        all_pass = all_pass and row["pass"]
+        summary_rows.append(row)
     summary = {
         "seed": config.seed,
         "all_passed": all_pass,
@@ -154,7 +173,15 @@ def run(config: RunConfig, out_dir=None, verbose: bool = False) -> int:
     if verbose:
         print(f"summary: {'PASS' if all_pass else 'FAIL'} "
               f"({len(summary_rows)} reports in {out})")
+    if errors:
+        return 4
     return 0 if all_pass else 1
+
+
+def _worst_margin(report) -> float:
+    """Largest |residual| / tolerance over the asserted checks."""
+    return max((abs(c.residual) / c.tolerance for c in report.checks
+                if c.asserted and c.tolerance > 0), default=0.0)
 
 
 def _thread_cap() -> int:
@@ -211,6 +238,8 @@ def main(argv=None) -> int:
     runp.add_argument("--verbose", action="store_true")
     sub.add_parser("catalog", help="print the supported backends")
     args = parser.parse_args(argv)
+    if getattr(args, "verbose", False):
+        logging.basicConfig(level=logging.INFO, format="%(message)s")
     if args.command == "catalog":
         print(list_catalog())
         return 0

@@ -289,13 +289,20 @@ def analyze(f: ScalarField) -> ScalarField:
     return ScalarField(b, coeffs, f.grid_values, f.bandwidth)
 
 
-def evaluate(f: ScalarField, *points) -> np.ndarray:
+def evaluate(f, *points) -> np.ndarray:
     """Evaluate a mode-represented field at arbitrary points.
 
     Spheres take ``evaluate(f, theta)``; products take ``evaluate(f, s, chi)``
-    with broadcastable arrays (evaluated pointwise, not on a mesh).
+    with broadcastable arrays (evaluated pointwise, not on a mesh).  ``f``
+    may also be a sequence of fields on one basis: the basis is tabulated
+    once and the values gain a trailing axis, one column per field.
     """
-    return _jets(f, points, 0)
+    if isinstance(f, ScalarField):
+        return _jets(f, points, 0)
+    if any(g.basis != f[0].basis for g in f):
+        raise ValueError("evaluate takes a sequence of fields on one basis")
+    tabs = _tables(f[0].basis, points)
+    return np.stack([_mix(tabs, g, 0, 0) for g in f], axis=-1)
 
 
 # -------------------------------------------------------------- integration
@@ -433,6 +440,38 @@ def mode_tables(basis: ModeBasis, points=None):
     return U, P, t, np.sin(points[-1])
 
 
+def _tables(b: ModeBasis, points):
+    """Mode tables for ``_mix``: at broadcast ``points``, or on the grid.
+
+    Returns ``(U, P, t, sin_t, shape, mesh)``; ``mesh`` means the grid of
+    a product, where the circle and polar tables combine as a mesh
+    product.
+    """
+    if points:
+        pts = np.broadcast_arrays(*(np.asarray(p, dtype=float)
+                                    for p in points))
+        shape = pts[0].shape
+        U, P, t, sin_t = mode_tables(b, [p.ravel() for p in pts])
+        return U, P, t.reshape(shape), sin_t.reshape(shape), shape, False
+    U, P, t, sin_t = mode_tables(b)
+    if b.is_product:
+        t, sin_t = t[None, :], sin_t[None, :]
+    return U, P, t, sin_t, b.grid_shape, b.is_product
+
+
+def _mix(tabs, f: ScalarField, i: int, j: int) -> np.ndarray:
+    """Coefficients of ``f`` against circle table i and polar table j."""
+    if f.coefficients is None:
+        raise ValueError("evaluation needs coefficients; call analyze first")
+    U, P, _, _, shape, mesh = tabs
+    C = f.coefficients
+    if mesh:
+        return U[i] @ C @ P[j].T
+    if U is not None:
+        return ((U[i] @ C) * P[j]).sum(axis=1).reshape(shape)
+    return (P[j] @ C).reshape(shape)
+
+
 def _jets(f: ScalarField, points, order: int):
     """Value (order 0) or value, frame gradient and frame Hessian (order 2).
 
@@ -440,45 +479,25 @@ def _jets(f: ScalarField, points, order: int):
     combined with the coefficients as a mesh product.  Otherwise the
     points are broadcast and the tables combined pointwise.
     """
-    if f.coefficients is None:
-        raise ValueError("evaluation needs coefficients; call analyze first")
-    b, C = f.basis, f.coefficients
-    if points:
-        pts = np.broadcast_arrays(*(np.asarray(p, dtype=float)
-                                    for p in points))
-        shape = pts[0].shape
-        U, P, t, sin_t = mode_tables(b, [p.ravel() for p in pts])
-        t, sin_t = t.reshape(shape), sin_t.reshape(shape)
-    else:
-        shape = b.grid_shape
-        U, P, t, sin_t = mode_tables(b)
-        if b.is_product:
-            t, sin_t = t[None, :], sin_t[None, :]
-    mesh = b.is_product and not points
-
-    def mix(i, j):
-        """Coefficients against circle table i and polar table j."""
-        if mesh:
-            return U[i] @ C @ P[j].T
-        if b.is_product:
-            return np.einsum("xj,jm,xm->x", U[i], C, P[j]).reshape(shape)
-        return (P[j] @ C).reshape(shape)
-
-    val = mix(0, 0)
+    b = f.basis
+    tabs = _tables(b, points)
+    val = _mix(tabs, f, 0, 0)
     if order == 0:
         return val
+    t, sin_t = tabs[2], tabs[3]
     # chart partials in t = cos(chi) to the orthonormal frame; the orbit
     # component (cot chi) f_chi is written as -t f_t so it stays regular
     # on the axis
     r = b.radius
-    ft = mix(0, 1)
+    ft = _mix(tabs, f, 0, 1)
     grad = (-sin_t * ft / r,)
     hess = {"xx" if b.is_product else "rr":
-            ((1.0 - t ** 2) * mix(0, 2) - t * ft) / r ** 2,
+            ((1.0 - t ** 2) * _mix(tabs, f, 0, 2) - t * ft) / r ** 2,
             "orb": -t * ft / r ** 2}
     if b.is_product:
-        grad = (mix(1, 0),) + grad
-        hess.update(ss=mix(2, 0), sx=-sin_t * mix(1, 1) / r)
+        grad = (_mix(tabs, f, 1, 0),) + grad
+        hess.update(ss=_mix(tabs, f, 2, 0),
+                    sx=-sin_t * _mix(tabs, f, 1, 1) / r)
     return val, grad, hess
 
 

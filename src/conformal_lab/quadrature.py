@@ -7,6 +7,9 @@ integrand as a callable at arbitrary points: composite Gauss panels away
 from the pole, geometrically graded panels toward it, and on products a
 smooth partition of unity that splits the reduced (s, chi) rectangle
 into a polar patch around the pole plus a blended far region.
+
+An integrand may return a trailing column axis; each node block is then
+evaluated once and contracted with its weights, one integral per column.
 """
 
 from __future__ import annotations
@@ -52,14 +55,27 @@ def smoothstep(x: np.ndarray) -> np.ndarray:
     return x ** 5 * (126.0 + x * (-420.0 + x * (540.0 + x * (-315.0 + 70.0 * x))))
 
 
+def _contract(weights, vals):
+    """Weighted sum over the node axes: a float, or one value per column.
+
+    Every node takes part, zero weights included, so a non-finite
+    integrand value anywhere poisons the result.
+    """
+    out = np.tensordot(weights, np.asarray(vals, dtype=float),
+                       axes=weights.ndim)
+    return float(out) if out.ndim == 0 else out
+
+
 def sphere_zonal_integral(m, fn, pole=None, level: int = 1,
                           graded_depth: int | None = None,
-                          order: int = 10) -> float:
+                          order: int = 10, resolution: dict | None = None):
     """Integral over a sphere backend of a zonal integrand fn(theta).
 
     ``fn`` receives polar angles and may be singular at the pole axis
     point; panels grade geometrically toward it.  ``level`` doubles the
-    panel count per unit.
+    panel count per unit.  ``fn`` may return a trailing column axis, giving
+    one integral per column.  A ``resolution`` dict receives the node
+    count (one block) and the graded depth.
     """
     n = m.n
     a = m.radius
@@ -73,21 +89,26 @@ def sphere_zonal_integral(m, fn, pole=None, level: int = 1,
     ])
     xi, w = gauss_panels(edges, order)
     theta = xi if (pole is None or pole.axis > 0) else math.pi - xi
-    vals = np.asarray(fn(theta), dtype=float)
     surf = m.basis.orbit_area * a ** n * np.sin(xi) ** (n - 1)
-    return float(np.sum(vals * surf * w))
+    if resolution is not None:
+        resolution.update(nodes=[xi.size], graded_depth=graded_depth)
+    return _contract(surf * w, fn(theta))
 
 
 def product_singular_integral(m, fn, pole, level: int = 1,
                               order: int = 6,
-                              graded_depth: int | None = None) -> float:
+                              graded_depth: int | None = None,
+                              resolution: dict | None = None):
     """Integral over a product backend of fn(s, chi) singular at the pole.
 
     A polar patch of radius r1 around the pole is integrated in
     (r, psi) shells graded toward r = 0; the complement is integrated
     on the full (s, chi) rectangle after multiplying by a C^4 cutoff
     that vanishes inside the patch, so both pieces see a smooth
-    integrand.
+    integrand.  ``fn`` is called once per block; it may return a trailing
+    column axis, giving one integral per column.  A ``resolution`` dict
+    receives the node counts of the two blocks, [near, far], and the
+    graded depth.
     """
     d = m.sphere_dim
     b = m.radius
@@ -113,12 +134,10 @@ def product_singular_integral(m, fn, pole, level: int = 1,
     WR, WP = np.meshgrid(r_w, p_w, indexing="ij")
     ds = R * np.cos(PSI)
     chi_eff = R * np.sin(PSI) / b
-    s, chi = to_chart(ds, chi_eff)
     cut = 1.0 - smoothstep((R - r0) / (r1 - r0))
-    vals = np.asarray(fn(s, chi), dtype=float)
     # ds d(b chi) = r dr dpsi, so the jacobian is plain r
     meas = orbit * np.sin(chi_eff) ** (d - 1) * R
-    near = float(np.sum(vals * cut * meas * WR * WP))
+    near = _contract(cut * meas * WR * WP, fn(*to_chart(ds, chi_eff)))
 
     # far region on the full rectangle, integrand cut off inside the patch
     ns = 8 * 2 ** level
@@ -130,10 +149,10 @@ def product_singular_integral(m, fn, pole, level: int = 1,
     WS, WX = np.meshgrid(s_w, x_w, indexing="ij")
     rr = np.hypot(DS, b * CHI_EFF)
     cut_far = smoothstep((rr - r0) / (r1 - r0))
-    s, chi = to_chart(DS, CHI_EFF)
-    vals = np.asarray(fn(s, chi), dtype=float)
     meas = orbit * b * np.sin(CHI_EFF) ** (d - 1)
-    far = float(np.sum(vals * cut_far * meas * WS * WX))
+    far = _contract(cut_far * meas * WS * WX, fn(*to_chart(DS, CHI_EFF)))
+    if resolution is not None:
+        resolution.update(nodes=[R.size, DS.size], graded_depth=graded_depth)
     return near + far
 
 

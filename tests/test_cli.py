@@ -1,5 +1,7 @@
 import json
+import logging
 import math
+import re
 
 import pytest
 
@@ -141,6 +143,64 @@ def test_backend_build_failure_exit_code(tmp_path, capsys):
     path = _write(tmp_path, cfg)
     assert main(["run", "--config", str(path)]) == 3
     assert "BACKEND_BUILD_FAIL" in capsys.readouterr().err
+
+
+ALIASING_CONFIG = {
+    "seed": 0,
+    "suites": ["covariance", "spectrum"],
+    "catalog": [
+        {"kind": "sphere", "n": 5, "params": {}, "basis": {"degree_max": 4}},
+        {"kind": "sphere", "n": 3, "params": {}, "basis": {"degree_max": 24}},
+    ],
+    "level": 1,
+    "trials": 2,
+}
+
+
+def test_job_error_is_isolated(tmp_path, caplog):
+    path = _write(tmp_path, ALIASING_CONFIG)
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 4
+    assert [r.levelname for r in caplog.records
+            if "ALIASING" in r.getMessage()] == ["ERROR"]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["all_passed"] is False
+    rows = {(r["suite"], r["backend"]): r for r in summary["results"]}
+    assert len(rows) == 4
+    bad = rows[("covariance", "sphere:n=5:a=1")]
+    assert bad["pass"] is False and bad["checks"] == []
+    assert bad["error"]["code"] == "ALIASING"
+    assert "polar exactness" in bad["error"]["message"]
+    report = json.loads(
+        (tmp_path / "out" / "covariance__sphere_n_5_a_1.json").read_text())
+    assert report == bad
+    assert len(list((tmp_path / "out").glob("*.json"))) == 5
+    # the rows of the jobs that ran are the rows of a run without the error
+    alone = dict(ALIASING_CONFIG, catalog=ALIASING_CONFIG["catalog"][1:])
+    assert run(RunConfig(alone), tmp_path / "alone") == 0
+    ref = json.loads((tmp_path / "alone" / "summary.json").read_text())
+    for row in ref["results"]:
+        assert json.dumps(rows[(row["suite"], row["backend"])],
+                          sort_keys=True) == json.dumps(row, sort_keys=True)
+    assert all(rows[k]["pass"] for k in rows if k[1] == "sphere:n=3:a=1")
+
+
+def test_each_job_logs_duration_and_margin(tmp_path, caplog):
+    with caplog.at_level(logging.INFO, logger="conformal_lab.cli"):
+        assert run(RunConfig(BASE_CONFIG), tmp_path / "out") == 0
+    jobs = [r.getMessage() for r in caplog.records
+            if r.name == "conformal_lab.cli"]
+    assert len(jobs) == 4
+    for msg in jobs:
+        m = re.fullmatch(r"\[PASS\] (\S+) on (\S+): ([\d.]+) s, worst "
+                         r"asserted \|residual\|/tol (\S+)", msg)
+        assert m, msg
+        assert m.group(1) in ("total-q", "spectrum")
+        assert float(m.group(3)) >= 0.0
+        assert 0.0 <= float(m.group(4)) <= 1.0
+    worst = max(float(re.search(r"tol (\S+)$", msg).group(1))
+                for msg in jobs if msg.startswith("[PASS] total-q"))
+    assert worst > 0.0
 
 
 def test_thread_cap_does_not_change_results(tmp_path, monkeypatch):

@@ -229,6 +229,24 @@ def test_evaluate_is_the_value_of_frame_jets(sphere5, s1xs2, rng):
     assert_allclose(vals, F.frame_jets(g, s, chi)[0], rtol=0, atol=0)
 
 
+def test_evaluate_sequence_stacks_columns(sphere5, s1xs2, rng):
+    f, g = (_random_mode_field(sphere5.basis, rng) for _ in range(2))
+    theta = np.linspace(0.0, math.pi, 17)
+    want = np.stack([F.evaluate(f, theta), F.evaluate(g, theta)], -1)
+    got = F.evaluate([f, g], theta)
+    assert got.shape == (17, 2)
+    assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+    f, g = (_random_mode_field(s1xs2.basis, rng) for _ in range(2))
+    s = np.linspace(0.0, s1xs2.length, 7)[:, None]
+    chi = np.linspace(0.0, math.pi, 5)[None, :]
+    want = np.stack([F.evaluate(f, s, chi), F.evaluate(g, s, chi)], -1)
+    got = F.evaluate([f, g], s, chi)
+    assert got.shape == (7, 5, 2)
+    assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+    with pytest.raises(ValueError, match="one basis"):
+        F.evaluate([f, _random_mode_field(sphere5.basis, rng)], s, chi)
+
+
 def test_differentiate_dispatch(sphere5, rng):
     f = _random_mode_field(sphere5.basis, rng)
     assert isinstance(F.differentiate(f, 1), F.ScalarField)

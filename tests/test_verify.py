@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conformal_lab import fields as F
-from conformal_lab import verify
+from conformal_lab import green, verify
+from conformal_lab import quadrature as Q
 from conformal_lab.errors import (HypothesisFailError, KernelError,
                                   UnsupportedDimensionError)
 from conformal_lab.geometry import ConformalFactor, ManifoldModel
@@ -195,6 +196,67 @@ def test_sign_theorems_propagate_other_errors(sphere5, monkeypatch):
     monkeypatch.setattr(verify, "green_field", broken)
     with pytest.raises(RuntimeError, match="bug in transport"):
         check_sign_theorems(sphere5)
+
+
+# ------------------------------------------------------- quadrature passes
+
+def _count_integrals(monkeypatch, name):
+    """Record, per call of ``quadrature.<name>``, the point count of each
+    block handed to the integrand."""
+    calls = []
+    orig = getattr(Q, name)
+
+    def counting(m, fn, *args, **kw):
+        blocks = []
+        calls.append(blocks)
+
+        def counted(*pts):
+            blocks.append(int(np.broadcast(*pts).size))
+            return fn(*pts)
+
+        return orig(m, counted, *args, **kw)
+
+    monkeypatch.setattr(Q, name, counting)
+    return calls
+
+
+def test_weak_identity_takes_one_pass_on_product(s1xs2, monkeypatch):
+    calls = _count_integrals(monkeypatch, "product_singular_integral")
+    jets = []
+    orig_jets = green._ProductGreenLogProfile.jets
+
+    def counting_jets(self, points=None):
+        jets.append(int(np.broadcast(*points).size))
+        return orig_jets(self, points)
+
+    monkeypatch.setattr(green._ProductGreenLogProfile, "jets", counting_jets)
+    report = check_weak_identity(s1xs2, level=1)
+    assert report.passed
+    assert len(calls) == 1
+    assert len(calls[0]) == 2  # near patch and far rectangle
+    assert jets == calls[0]
+
+
+@pytest.mark.parametrize("suite, fixture, integral", [
+    ("weak-identity", "s1xs2", "product_singular_integral"),
+    ("4d-identity", "s1xs3", "product_singular_integral"),
+    ("total-q", "s1xs3", "product_singular_integral"),
+    ("weak-identity", "sphere5", "sphere_zonal_integral"),
+    ("total-q", "sphere4", "sphere_zonal_integral"),
+])
+def test_resolution_records_the_nodes_the_integrand_received(
+        suite, fixture, integral, request, monkeypatch):
+    m = request.getfixturevalue(fixture)
+    calls = _count_integrals(monkeypatch, integral)
+    report = run_suite(suite, m, {"level": 1})
+    assert len(calls) == 1
+    res = report.resolution
+    assert res["nodes"] == calls[0]
+    assert res["graded_depth"] == (24 if m.is_product else 32)
+    if m.is_product:
+        assert res["images"] == green.green_field(m, "L").cutoff > 0
+    else:
+        assert "images" not in res
 
 
 # ----------------------------------------------------------------- spectrum
