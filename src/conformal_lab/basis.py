@@ -14,7 +14,11 @@ absorbs the sin^(d-1) surface factor exactly, which plain Gauss-Legendre
 only achieves for a 2-sphere factor) and a uniform trapezoid rule on the
 circle.  With nq polar nodes the rule integrates zonal polynomials of
 degree <= 2*nq - 1 exactly; with N circle nodes it integrates
-wavenumbers |k| <= N - 1 exactly.
+wavenumbers |k| <= N - 1 exactly.  The Gauss-Jacobi rule is built from
+the same recurrence as the tables (Golub-Welsch): its nodes are the
+eigenvalues of the symmetric tridiagonal Jacobi matrix, refined by one
+Newton step on p_nq and symmetrized, and its weights are the Christoffel
+numbers 1 / sum_{l<nq} p_l(t_i)^2.
 
 The zonal polynomials and their t-derivatives are tabulated by the
 orthonormal Jacobi three-term recurrence in one routine,
@@ -29,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import UnsupportedBackendError
 
@@ -55,6 +58,13 @@ def harmonic_dimension(d: int, m: int) -> int:
     if m == 0:
         return 1
     return math.comb(d + m, d) - math.comb(d + m - 2, d)
+
+
+def _recurrence_alpha(a: float, degree_max: int) -> np.ndarray:
+    """alpha_l, l = 1..degree_max, of the orthonormal Jacobi recurrence."""
+    l = np.arange(1, degree_max + 1)
+    return np.sqrt(l * (l + 2 * a)
+                   / ((2 * l + 2 * a - 1) * (2 * l + 2 * a + 1)))
 
 
 def zonal_polynomials(sphere_dim: int, degree_max: int, t: np.ndarray,
@@ -88,9 +98,7 @@ def zonal_polynomials(sphere_dim: int, degree_max: int, t: np.ndarray,
     """
     a = (sphere_dim - 2) / 2.0
     t = np.asarray(t, dtype=float).ravel()
-    l = np.arange(1, degree_max + 1)
-    alpha = np.sqrt(l * (l + 2 * a)
-                    / ((2 * l + 2 * a - 1) * (2 * l + 2 * a + 1)))
+    alpha = _recurrence_alpha(a, degree_max)
     tabs = [np.zeros((degree_max + 1, t.size)) for _ in range(order + 1)]
     # p_0 = 1 / sqrt(int (1 - t^2)^a dt)
     tabs[0][0] = math.sqrt(math.gamma(a + 1.5) / (math.sqrt(math.pi)
@@ -308,8 +316,18 @@ class ModeBasis:
 
 @lru_cache(maxsize=64)
 def _polar_rule(basis: ModeBasis):
-    t, w = roots_jacobi(basis.sphere_nodes, basis.jacobi_alpha,
-                        basis.jacobi_alpha)
+    d, nq = basis.sphere_dim, basis.sphere_nodes
+    # Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix,
+    # whose off-diagonal is the recurrence's alpha (its diagonal is zero)
+    t = np.linalg.eigvalsh(np.diag(_recurrence_alpha(basis.jacobi_alpha,
+                                                     nq - 1), 1), UPLO="U")
+    p, dp = zonal_polynomials(d, nq, t, order=1)
+    t = t - p[:, nq] / dp[:, nq]
+    # the weight (1 - t^2)^a is even, so the nodes are symmetric
+    t = 0.5 * (t - t[::-1])
+    # Christoffel numbers: orthonormal p_l make sum(w) = int (1 - t^2)^a
+    (p,) = zonal_polynomials(d, nq - 1, t, order=0)
+    w = 1.0 / np.sum(p * p, axis=1)
     t.setflags(write=False)
     w.setflags(write=False)
     return t, w

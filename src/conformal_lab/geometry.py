@@ -47,6 +47,7 @@ __all__ = [
     "conformal_scalar_curvature",
     "q_curvature",
     "q_from_data",
+    "ricci_from_jets",
 ]
 
 SPHERE_DIMENSIONS = (3, 4, 5, 6, 7)
@@ -437,7 +438,16 @@ def conformal_ricci(m: ManifoldModel, factor, points=None):
                 f"conformal curvature of a degree-{bw[1]} factor needs polar "
                 f"exactness {need}, quadrature provides "
                 f"{m.basis.polar_exactness}")
-    w, grad, hess = prof.jets(points)
+    _, grad, hess = prof.jets(points)
+    comps = ricci_from_jets(m, grad, hess)
+    if points is None:
+        return SymTensorField(m.basis, comps)
+    return comps
+
+
+def ricci_from_jets(m: ManifoldModel, grad, hess) -> dict:
+    """Ricci components of e^{2w} g in the base frame from the frame
+    gradient and Hessian of w, as returned by a profile's ``jets``."""
     n = m.n
     grad2 = sum(g ** 2 for g in grad)
     lap = F.frame_trace(m.basis, hess)
@@ -455,8 +465,6 @@ def conformal_ricci(m: ManifoldModel, factor, points=None):
     for key in outer:
         comps[key] = (rc[key] - (n - 2) * (hess[key] - outer[key])
                       - trace_term * gmat[key])
-    if points is None:
-        return SymTensorField(m.basis, comps)
     return comps
 
 

@@ -29,7 +29,8 @@ from . import quadrature as Q
 from .errors import (CutoffTooLowError, HypothesisFailError, KernelError,
                      UnsupportedDimensionError)
 from .geometry import (ConformalFactor, ManifoldModel, Pole, conformal_q,
-                       conformal_q_from_curvature, conformal_ricci)
+                       conformal_q_from_curvature, conformal_ricci,
+                       ricci_from_jets)
 from .green import (comparison_constant, compare_green, extract_mass,
                     green_field, green_sphere_closed_form, sign_scan,
                     transport_green)
@@ -165,14 +166,18 @@ def _paired_integrals(m, pole, level, gL, profile, fns, weights):
 
     ``weights(G_L, |Ric_blowup|^2)`` gives the node weights (a, c).  All
     test functions share one graded pass: the integrand evaluates the node
-    data once per block and returns the columns [P(phi)..., phi...].
+    data once per block and returns the columns [P(phi)..., phi...].  The
+    profile w = scale * log G_L of the blow-up metric also gives G_L, so
+    the kernel is summed once per block.
     """
     p_fns = [apply_P(m, phi) for phi in fns]
     k = len(fns)
 
     def integrand(*pts):
-        comps = conformal_ricci(m, profile, pts)
-        a, c = weights(gL.values_at(*pts), F.frame_dot(m.basis, comps, comps))
+        w, grad, hess = profile.jets(pts)
+        comps = ricci_from_jets(m, grad, hess)
+        a, c = weights(np.exp(w / profile.scale),
+                       F.frame_dot(m.basis, comps, comps))
         vals = F.evaluate(p_fns + fns, *pts)
         vals[..., :k] *= a[..., None]
         vals[..., k:] *= c[..., None]
@@ -302,23 +307,18 @@ def check_total_q(m: ManifoldModel, pole: Pole | None = None,
 
     if factor is None:
         total_q = m.q_value * m.volume
-
-        def fn(*pts):
-            comps = conformal_ricci(m, profile, pts)
-            return 0.5 * F.frame_dot(m.basis, comps, comps)
     else:
         q_tilde = conformal_q_from_curvature(m, factor)
         w = factor.w_grid.grid_values
         total_q = float(np.sum(q_tilde.grid_values * np.exp(4.0 * w)
                                * m.basis.quadrature_weights()))
-        w_fn = factor.w_at
 
-        def fn(*pts):
-            comps = conformal_ricci(m, profile, pts)
-            # norm in the changed frame times its volume element: the
-            # conformal weights cancel in dimension four
-            return 0.5 * F.frame_dot(m.basis, comps, comps) \
-                * np.exp(-4.0 * w_fn(*pts)) * np.exp(4.0 * w_fn(*pts))
+    def fn(*pts):
+        comps = conformal_ricci(m, profile, pts)
+        # in dimension four the norm in a changed frame (e^{-4w}) times its
+        # volume element (e^{4w}) is the base integrand, so the defect
+        # needs no conformal weight
+        return 0.5 * F.frame_dot(m.basis, comps, comps)
 
     defect, resolution = _manifold_integral(m, fn, pole, level, gL)
     total = total_q + defect

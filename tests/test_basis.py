@@ -1,0 +1,64 @@
+"""The polar Gauss-Jacobi rule built from the zonal recurrence."""
+
+import math
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+from scipy.special import roots_jacobi
+
+from conformal_lab.basis import ModeBasis, zonal_polynomials
+
+NODE_COUNTS = (1, 2, 3, 16, 25, 37)
+
+
+def _rule(d, nq):
+    return ModeBasis.for_sphere(d, 0, nodes=nq).polar_rule()
+
+
+@pytest.mark.parametrize("nq", NODE_COUNTS)
+def test_rule_on_the_three_sphere_is_chebyshev(nq):
+    # weight (1 - t^2)^(1/2): Gauss-Chebyshev of the second kind
+    t, w = _rule(3, nq)
+    theta = np.arange(nq, 0, -1) * math.pi / (nq + 1)
+    assert_allclose(t, np.cos(theta), rtol=2e-14, atol=2e-14)
+    assert_allclose(w, math.pi / (nq + 1) * np.sin(theta) ** 2, rtol=2e-14)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+@pytest.mark.parametrize("nq", NODE_COUNTS)
+def test_rule_gram_matrix_is_identity(d, nq):
+    # p_k p_l has degree <= 2 nq - 2, so the rule integrates it exactly
+    t, w = _rule(d, nq)
+    (p,) = zonal_polynomials(d, nq - 1, t, order=0)
+    gram = p.T @ (w[:, None] * p)
+    assert np.max(np.abs(gram - np.eye(nq))) < 2e-14
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+@pytest.mark.parametrize("nq", NODE_COUNTS)
+def test_rule_matches_scipy(d, nq):
+    t, w = _rule(d, nq)
+    a = (d - 2) / 2.0
+    t_ref, w_ref = roots_jacobi(nq, a, a)
+    assert_allclose(t, t_ref, rtol=0, atol=2e-12)
+    assert_allclose(w, w_ref, rtol=2e-12)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+@pytest.mark.parametrize("nq", NODE_COUNTS)
+def test_rule_nodes_are_symmetric_and_read_only(d, nq):
+    t, w = _rule(d, nq)
+    assert np.array_equal(t, -t[::-1])
+    assert np.all(np.diff(t) > 0)
+    assert not t.flags.writeable and not w.flags.writeable
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+@pytest.mark.parametrize("nq", NODE_COUNTS)
+def test_rule_nodes_are_roots_to_rounding(d, nq):
+    # the Newton step on p_nq takes the eigenvalues (a few ulp off) to
+    # the roots within rounding
+    t, _ = _rule(d, nq)
+    p, dp = zonal_polynomials(d, nq, t, order=1)
+    assert np.max(np.abs(p[:, nq] / dp[:, nq])) < 2e-16

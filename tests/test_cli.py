@@ -1,7 +1,11 @@
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,3 +250,31 @@ def test_catalog_constants():
     line3 = next(l for l in text.splitlines()
                  if l.startswith("sphere") and l.split()[1] == "3")
     assert math.isclose(float(line3.split()[-2]), 1.875)
+
+
+# ------------------------------------------------------------ dependencies
+
+_SCIPY_GUARD = """
+import json, sys
+from conformal_lab.cli import RunConfig, run
+code = run(RunConfig(json.loads(sys.argv[1])), sys.argv[2])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m == "scipy" or m.startswith("scipy."))]))
+"""
+
+
+def test_run_does_not_import_scipy(tmp_path):
+    """numpy is the only runtime dependency; scipy is a test oracle.  The
+    run happens in a fresh interpreter because this one imports scipy."""
+    cfg = dict(BASE_CONFIG, suites=["total-q"])
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src),
+               CONFORMAL_LAB_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_GUARD, json.dumps(cfg),
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, scipy_modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert scipy_modules == []

@@ -114,6 +114,39 @@ def test_total_q_conformally_perturbed_sphere(sphere4, rng):
         assert abs(total - target) < 1e-3 * target
 
 
+
+def test_total_q_integrand_takes_no_conformal_weight(sphere4, rng,
+                                                      monkeypatch):
+    """The conformal weights cancel in dimension four, so the defect
+    integrand never evaluates the factor."""
+    w = F.random_bandlimited(sphere4.basis, rng, degree=3, amplitude=0.1)
+    factor = ConformalFactor.from_w(sphere4, w)
+    state = {"inside": False, "blocks": 0, "w_at_inside": 0}
+    orig_w_at = ConformalFactor.w_at
+    orig_integral = Q.sphere_zonal_integral
+
+    def counting_w_at(self, *points):
+        state["w_at_inside"] += state["inside"]
+        return orig_w_at(self, *points)
+
+    def marking(m, fn, *args, **kw):
+        def marked(*pts):
+            state["inside"] = True
+            state["blocks"] += 1
+            try:
+                return fn(*pts)
+            finally:
+                state["inside"] = False
+
+        return orig_integral(m, marked, *args, **kw)
+
+    monkeypatch.setattr(ConformalFactor, "w_at", counting_w_at)
+    monkeypatch.setattr(Q, "sphere_zonal_integral", marking)
+    report = check_total_q(sphere4, factor=factor, tolerance=1e-3)
+    assert report.passed
+    assert state["blocks"] > 0
+    assert state["w_at_inside"] == 0
+
 # -------------------------------------------------------------- covariance
 
 @pytest.mark.parametrize("fixture,laws", [
