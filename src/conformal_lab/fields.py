@@ -14,16 +14,17 @@ component on products.
 
 Values and frame jets come from one routine: the basis is tabulated by
 the Jacobi three-term recurrence of ``basis.zonal_polynomials`` (cached
-node tables on the grid, fresh tables at other points) and combined
-with the coefficients in ``frame_jets``, which ``evaluate``,
-``gradient_components`` and ``hessian`` read from.
+node tables on the grid; at other points fresh tables, only up to the
+highest mode the coefficients carry) and combined with the coefficients
+in ``frame_jets``, which ``evaluate``, ``gradient_components`` and
+``hessian`` read from.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -295,14 +296,18 @@ def evaluate(f, *points) -> np.ndarray:
     Spheres take ``evaluate(f, theta)``; products take ``evaluate(f, s, chi)``
     with broadcastable arrays (evaluated pointwise, not on a mesh).  ``f``
     may also be a sequence of fields on one basis: the basis is tabulated
-    once and the values gain a trailing axis, one column per field.
+    once, up to the highest mode any of them carries, and the values gain
+    a trailing axis, one column per field.
     """
     if isinstance(f, ScalarField):
         return _jets(f, points, 0)
     if any(g.basis != f[0].basis for g in f):
         raise ValueError("evaluate takes a sequence of fields on one basis")
-    tabs = _tables(f[0].basis, points)
-    return np.stack([_mix(tabs, g, 0, 0) for g in f], axis=-1)
+    if not points:  # the grid tables are cached: one mesh product per field
+        return np.stack([_jets(g, points, 0) for g in f], axis=-1)
+    b, C = _band(f[0].basis,
+                 np.stack([_coefficients(g) for g in f], axis=-1))
+    return _mix(_tables(b, points), C, 0, 0)
 
 
 # -------------------------------------------------------------- integration
@@ -440,6 +445,30 @@ def mode_tables(basis: ModeBasis, points=None):
     return U, P, t, np.sin(points[-1])
 
 
+def _coefficients(f: ScalarField) -> np.ndarray:
+    if f.coefficients is None:
+        raise ValueError("evaluation needs coefficients; call analyze first")
+    return f.coefficients
+
+
+def _band(b: ModeBasis, C: np.ndarray):
+    """``b`` cut to the modes where ``C`` is nonzero, and ``C`` cut to match.
+
+    ``C`` is a coefficient table with a trailing field axis.  The cut keeps
+    every circle row and degree column up to the last one holding a
+    coefficient with ``C != 0``, so a NaN coefficient still counts.
+    """
+    nz = (C != 0).any(axis=-1)
+    cols = np.flatnonzero(nz.any(axis=0) if b.is_product else nz)
+    degree = int(cols[-1]) if cols.size else 0
+    if not b.is_product:
+        return replace(b, degree_max=degree), C[:degree + 1]
+    rows = np.flatnonzero(nz.any(axis=1))
+    k = b.circle_wavenumber(int(rows[-1])) if rows.size else 0
+    return (replace(b, degree_max=degree, fourier_max=k),
+            C[:2 * k + 1, :degree + 1])
+
+
 def _tables(b: ModeBasis, points):
     """Mode tables for ``_mix``: at broadcast ``points``, or on the grid.
 
@@ -459,17 +488,21 @@ def _tables(b: ModeBasis, points):
     return U, P, t, sin_t, b.grid_shape, b.is_product
 
 
-def _mix(tabs, f: ScalarField, i: int, j: int) -> np.ndarray:
-    """Coefficients of ``f`` against circle table i and polar table j."""
-    if f.coefficients is None:
-        raise ValueError("evaluation needs coefficients; call analyze first")
+def _mix(tabs, C: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Coefficients ``C`` against circle table i and polar table j.
+
+    On the grid ``C`` is one field's table; at points it has a trailing
+    field axis, kept in the result.
+    """
     U, P, _, _, shape, mesh = tabs
-    C = f.coefficients
     if mesh:
         return U[i] @ C @ P[j].T
-    if U is not None:
-        return ((U[i] @ C) * P[j]).sum(axis=1).reshape(shape)
-    return (P[j] @ C).reshape(shape)
+    if U is None:
+        out = P[j] @ C
+    else:
+        # per point, the polar row against (circle row @ C)
+        out = np.matmul(P[j][:, None, :], np.tensordot(U[i], C, 1))[:, 0]
+    return out.reshape(shape + out.shape[1:])
 
 
 def _jets(f: ScalarField, points, order: int):
@@ -477,11 +510,19 @@ def _jets(f: ScalarField, points, order: int):
 
     Empty ``points`` means the quadrature grid: the cached node tables are
     combined with the coefficients as a mesh product.  Otherwise the
-    points are broadcast and the tables combined pointwise.
+    points are broadcast, the basis is tabulated over the band of ``f``
+    (``_band``) and the tables are combined pointwise.
     """
-    b = f.basis
+    b, C = f.basis, _coefficients(f)
+    if points:
+        b, C = _band(b, C[..., None])
     tabs = _tables(b, points)
-    val = _mix(tabs, f, 0, 0)
+
+    def mix(i, j):
+        out = _mix(tabs, C, i, j)
+        return out[..., 0] if points else out
+
+    val = mix(0, 0)
     if order == 0:
         return val
     t, sin_t = tabs[2], tabs[3]
@@ -489,15 +530,14 @@ def _jets(f: ScalarField, points, order: int):
     # component (cot chi) f_chi is written as -t f_t so it stays regular
     # on the axis
     r = b.radius
-    ft = _mix(tabs, f, 0, 1)
+    ft = mix(0, 1)
     grad = (-sin_t * ft / r,)
     hess = {"xx" if b.is_product else "rr":
-            ((1.0 - t ** 2) * _mix(tabs, f, 0, 2) - t * ft) / r ** 2,
+            ((1.0 - t ** 2) * mix(0, 2) - t * ft) / r ** 2,
             "orb": -t * ft / r ** 2}
     if b.is_product:
-        grad = (_mix(tabs, f, 1, 0),) + grad
-        hess.update(ss=_mix(tabs, f, 2, 0),
-                    sx=-sin_t * _mix(tabs, f, 1, 1) / r)
+        grad = (mix(1, 0),) + grad
+        hess.update(ss=mix(2, 0), sx=-sin_t * mix(1, 1) / r)
     return val, grad, hess
 
 

@@ -110,7 +110,12 @@ class _SphereKernel:
 
 
 class _ProductImageKernelL:
-    """Image sum of the cylinder kernel for the conformal Laplacian."""
+    """Image sum of the cylinder kernel for the conformal Laplacian.
+
+    ``value`` and ``jets`` share one loop over the images (``_sums``),
+    which keeps running sums over the points instead of a
+    (points x images) table.
+    """
 
     def __init__(self, m: ManifoldModel, images: int):
         self.m = m
@@ -121,51 +126,71 @@ class _ProductImageKernelL:
         self.cL = flat_L_coefficient(self.n)
         self.images = images
 
-    def _terms(self, ds, chi):
+    def _sums(self, ds, chi, jets: bool):
+        """Image sums of D^-q and, for jets, of its derivative terms.
+
+        D = 2 cosh u - 2 cos chi = 4 (sinh^2(u/2) + sin^2(chi/2)), written
+        to survive u, chi -> 0.  The images are added one at a time into
+        running sums over the points, with one sinh and one power each:
+        S0 = sum D^-q, and for jets S1 = sum D^(-q-1), S2 = sum D^(-q-2),
+        H1 = sum D^(-q-1) sinh^2(u/2), T1 = sum D^(-q-1) sinh u,
+        T2 = sum D^(-q-2) sinh u, Q2 = sum D^(-q-2) sinh^2 u.
+        """
         u0 = np.asarray(ds, dtype=float) / self.b
-        chi = np.asarray(chi, dtype=float)
+        sin2 = np.sin(0.5 * np.asarray(chi, dtype=float)) ** 2
+        u0, sin2 = np.broadcast_arrays(u0, sin2)
         per = self.ell / self.b
-        js = np.arange(-self.images, self.images + 1)
-        u = u0[..., None] + per * js
-        # 2 cosh u - 2 cos chi, written to survive u, chi -> 0
-        D = 4.0 * (np.sinh(0.5 * u) ** 2 + np.sin(0.5 * chi)[..., None] ** 2)
-        return u, D
+        sums = [np.zeros(u0.shape) for _ in range(7 if jets else 1)]
+        for j in range(-self.images, self.images + 1):
+            h = np.sinh(0.5 * (u0 + per * j))
+            h2 = h * h
+            D = h2 + sin2
+            D *= 4.0
+            d = D ** -self.q
+            sums[0] += d
+            if not jets:
+                continue
+            _, S1, S2, H1, T1, T2, Q2 = sums
+            d /= D                       # D^(-q-1)
+            S1 += d
+            H1 += d * h2
+            d /= D                       # D^(-q-2)
+            S2 += d
+            sh = np.sqrt(np.add(h2, 1.0, out=h2), out=h2)  # h2 is spent
+            sh *= h
+            sh *= 2.0                    # sinh u = 2 sinh(u/2) cosh(u/2)
+            d *= sh                      # D^(-q-2) sinh u
+            T2 += d
+            T1 += d * D
+            d *= sh
+            Q2 += d
+        return sums
 
     def value(self, ds, chi):
-        u, D = self._terms(ds, chi)
-        scale = self.cL * self.b ** (2 - self.n)
-        return scale * np.sum(D ** (-self.q), axis=-1)
+        (S0,) = self._sums(ds, chi, jets=False)
+        return self.cL * self.b ** (2 - self.n) * S0
 
     def jets(self, ds, chi):
         """G and its chart partials (s, s s, chi, chi chi, s chi, chi/sin)."""
-        u, D = self._terms(ds, chi)
-        q = self.q
-        chi = np.asarray(chi, dtype=float)[..., None]
+        S0, S1, S2, H1, T1, T2, Q2 = self._sums(ds, chi, jets=True)
+        q, b = self.q, self.b
+        chi = np.asarray(chi, dtype=float)
         s_chi = np.sin(chi)
-        c_chi = np.cos(chi)
-        base = D ** (-q - 1)
-        base2 = D ** (-q - 2)
-        sh, ch = np.sinh(u), np.cosh(u)
-        scale = self.cL * self.b ** (2 - self.n)
-        val = scale * np.sum(D ** (-q), axis=-1)
-        g_u = scale * np.sum(-q * base * 2.0 * sh, axis=-1)
-        g_uu = scale * np.sum(q * (q + 1) * base2 * 4.0 * sh ** 2
-                              - q * base * 2.0 * ch, axis=-1)
+        scale = self.cL * b ** (2 - self.n)
+        # sum D^(-q-1) cosh u, with cosh u = 1 + 2 sinh^2(u/2)
+        C1 = S1 + 2.0 * H1
         # chi-derivative carries a factor sin(chi); keep it split off so the
         # orbit Hessian component stays regular on the axis
-        g_x_over_sin = scale * np.sum(-q * base * 2.0, axis=-1)
-        g_xx = scale * np.sum(q * (q + 1) * base2 * 4.0 * s_chi ** 2
-                              - q * base * 2.0 * c_chi, axis=-1)
-        g_ux = scale * np.sum(q * (q + 1) * base2 * 4.0 * sh * s_chi, axis=-1)
-        b = self.b
+        x_over_sin = -2.0 * q * scale * S1
         return {
-            "val": val,
-            "s": g_u / b,
-            "ss": g_uu / b ** 2,
-            "x": g_x_over_sin * np.squeeze(s_chi, -1),
-            "x_over_sin": g_x_over_sin,
-            "xx": g_xx,
-            "sx": g_ux / b,
+            "val": scale * S0,
+            "s": -2.0 * q * scale / b * T1,
+            "ss": scale / b ** 2 * (4.0 * q * (q + 1) * Q2 - 2.0 * q * C1),
+            "x": x_over_sin * s_chi,
+            "x_over_sin": x_over_sin,
+            "xx": scale * (4.0 * q * (q + 1) * s_chi ** 2 * S2
+                           - 2.0 * q * np.cos(chi) * S1),
+            "sx": 4.0 * q * (q + 1) * scale / b * s_chi * T2,
         }
 
 
@@ -553,7 +578,8 @@ class ComparisonResult:
     The margin field is c_n G_P - G_L^{(n-4)/(n-2)} for n > 4 and
     -(G_L^{-1} + 256 pi^2 G_P) for n = 3; nonnegative margins are the
     comparison statement, and a vanishing extremum is the round-sphere
-    equality case.
+    equality case.  ``cutoff`` and ``tail_estimate`` are those of the
+    G_P degree sum (``None`` and 0 for closed forms).
     """
 
     backend: str
@@ -562,8 +588,9 @@ class ComparisonResult:
     argmin: tuple
     argmax: tuple
     equality: bool
-    hypotheses: dict
     tolerance: float
+    cutoff: int | None
+    tail_estimate: float
 
 
 def compare_green(m: ManifoldModel, poles=None,
@@ -574,14 +601,6 @@ def compare_green(m: ManifoldModel, poles=None,
     if m.n == 4:
         raise UnsupportedBackendError("the comparison needs n != 4")
     poles = poles or [Pole()]
-    lam1 = float(np.min(build_symbol(m, "L").table))
-    hyp = {
-        "lambda1_L": lam1,
-        "q_min": m.q_value,
-        "q_max": m.q_value,
-        "yamabe_positive": lam1 > 0,
-        "q_nonnegative": m.q_value >= 0,
-    }
     out = []
     n = m.n
     s = (n - 4.0) / (n - 2.0)
@@ -620,8 +639,9 @@ def compare_green(m: ManifoldModel, poles=None,
             argmin=tuple(float(c[imin]) for c in coords),
             argmax=tuple(float(c[imax]) for c in coords),
             equality=bool(abs(margin[imin]) <= tolerance * scale),
-            hypotheses=hyp,
             tolerance=tolerance * scale,
+            cutoff=gP.cutoff,
+            tail_estimate=gP.tail_estimate,
         ))
     return out
 

@@ -144,6 +144,19 @@ def default_test_functions(m: ManifoldModel, seed: int = 0):
     return fns
 
 
+def _theorems_asserted(m: ManifoldModel, hyp: dict) -> bool:
+    """The hypotheses of the sign and comparison theorems: a positive
+    Yamabe sign, Q >= 0 not identically zero, and n != 4."""
+    return bool(hyp["yamabe_positive"] and hyp["q_nonnegative"]
+                and hyp["q_not_identically_zero"] and m.n != 4)
+
+
+def _degree_sum_record(pole: Pole, cutoff, tail_estimate) -> dict:
+    """Resolution entry of one pole's G_P degree sum on a product."""
+    return {"pole": pole.label(), "cutoff": cutoff,
+            "tail_estimate": tail_estimate}
+
+
 def _require_positive_yamabe(m: ManifoldModel, hyp: dict):
     if not hyp["yamabe_positive"]:
         raise HypothesisFailError(
@@ -520,13 +533,13 @@ def check_sign_theorems(m: ManifoldModel, poles=None,
     """
     t0 = time.perf_counter()
     hyp = hypotheses_for(m)
-    asserted = bool(hyp["yamabe_positive"] and hyp["q_nonnegative"]
-                    and hyp["q_not_identically_zero"] and m.n != 4)
+    asserted = _theorems_asserted(m, hyp)
     expected = "POSITIVE" if m.n > 4 else "NEGATIVE"
     if poles is None:
         poles = [Pole(1), Pole(-1)] if not m.is_product else \
             [Pole(1, 0.0), Pole(1, m.length / 3.0)]
     checks = []
+    resolution = {"poles": [p.label() for p in poles], "asserted": asserted}
     variants = [("base", None)]
     if with_transport and not m.is_product:
         rng = np.random.default_rng(seed)
@@ -540,6 +553,10 @@ def check_sign_theorems(m: ManifoldModel, poles=None,
             checks.append(_record(f"sign-{tag}", 1.0, 0.5, asserted=False,
                                   detail=f"{type(exc).__name__}: {exc}"))
             continue
+        if m.is_product:
+            resolution.setdefault("degree_sum", []).extend(
+                _degree_sum_record(gf.pole, gf.cutoff, gf.tail_estimate)
+                for gf in gfs)
         scan = sign_scan(gfs)
         ok = scan["verdict"] == expected
         detail = json.dumps(scan["poles"])
@@ -547,18 +564,15 @@ def check_sign_theorems(m: ManifoldModel, poles=None,
                                   ok if asserted else True, asserted,
                                   detail=f"verdict={scan['verdict']} "
                                          f"expected={expected} {detail}"))
-    return VerificationReport(
-        "signs", m.descriptor(), checks, hyp,
-        {"poles": [p.label() for p in poles], "asserted": asserted},
-        time.perf_counter() - t0)
+    return VerificationReport("signs", m.descriptor(), checks, hyp,
+                              resolution, time.perf_counter() - t0)
 
 
 def check_spectrum_claims(m: ManifoldModel) -> VerificationReport:
     """Spectral side of the sign theorems plus the kernel statement."""
     t0 = time.perf_counter()
     hyp = hypotheses_for(m)
-    asserted = bool(hyp["yamabe_positive"] and hyp["q_nonnegative"]
-                    and hyp["q_not_identically_zero"] and m.n != 4)
+    asserted = _theorems_asserted(m, hyp)
     verdict = "POSITIVE" if m.n > 4 else ("NEGATIVE" if m.n == 3 else "")
     summary = paneitz_spectrum_check(m, verdict if asserted else None)
     checks = [
@@ -605,8 +619,7 @@ def check_green_compare(m: ManifoldModel, poles=None,
     hyp = hypotheses_for(m)
     if m.n == 4:
         raise UnsupportedDimensionError("the comparison needs n != 4")
-    asserted = bool(hyp["yamabe_positive"] and hyp["q_nonnegative"]
-                    and hyp["q_not_identically_zero"])
+    asserted = _theorems_asserted(m, hyp)
     poles = poles or ([Pole(1), Pole(-1)] if not m.is_product
                       else [Pole(1, 0.0)])
     results = compare_green(m, poles, tolerance=tolerance)
@@ -619,10 +632,13 @@ def check_green_compare(m: ManifoldModel, poles=None,
             viol <= res.tolerance if asserted else True, asserted,
             detail=f"min {res.margin_min:.3e}, max {res.margin_max:.3e}, "
                    f"equality={res.equality}"))
-    return VerificationReport(
-        "green-compare", m.descriptor(), checks, hyp,
-        {"poles": [p.label() for p in poles]},
-        time.perf_counter() - t0)
+    resolution = {"poles": [p.label() for p in poles]}
+    if m.is_product:
+        resolution["degree_sum"] = [
+            _degree_sum_record(pole, res.cutoff, res.tail_estimate)
+            for pole, res in zip(poles, results)]
+    return VerificationReport("green-compare", m.descriptor(), checks, hyp,
+                              resolution, time.perf_counter() - t0)
 
 
 def check_mass(m: ManifoldModel, poles=None, with_transport: bool = True,

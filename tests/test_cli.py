@@ -95,6 +95,19 @@ def test_run_byte_identical_summaries(tmp_path):
         (tmp_path / "b" / "summary.json").read_bytes()
 
 
+def test_degree_sum_resolution_stays_out_of_the_summary(tmp_path):
+    cfg = dict(BASE_CONFIG, suites=["signs", "green-compare"], catalog=[
+        {"kind": "product-S1xS2", "params": {},
+         "basis": {"degree_max": 12, "fourier_max": 6}}])
+    assert run(RunConfig(cfg), tmp_path / "out") == 0
+    for suite in ("signs", "green-compare"):
+        report = json.loads(next(
+            (tmp_path / "out").glob(f"{suite}__*.json")).read_text())
+        assert report["resolution"]["degree_sum"][0]["cutoff"] == 240
+    summary = (tmp_path / "out" / "summary.json").read_text()
+    assert "degree_sum" not in summary and "tail_estimate" not in summary
+
+
 def test_main_run_and_exit_codes(tmp_path, capsys):
     path = _write(tmp_path, BASE_CONFIG)
     assert main(["run", "--config", str(path), "--out",

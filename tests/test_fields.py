@@ -247,6 +247,96 @@ def test_evaluate_sequence_stacks_columns(sphere5, s1xs2, rng):
         F.evaluate([f, _random_mode_field(sphere5.basis, rng)], s, chi)
 
 
+def _mode_field(basis, j, m):
+    c = np.zeros((basis.circle_mode_count, basis.sphere_mode_count)
+                 if basis.is_product else basis.sphere_mode_count)
+    c[(j, m) if basis.is_product else m] = 1.0
+    return F.field_from_modes(basis, c)
+
+
+def _band_mix(m, rng):
+    """Fields of mixed bands, one of full band, and the zero field."""
+    b = m.basis
+    zero = F.field_from_modes(b, np.zeros(
+        (b.circle_mode_count, b.sphere_mode_count) if b.is_product
+        else b.sphere_mode_count))
+    fields = [_mode_field(b, 0, 2),
+              _random_mode_field(b, rng, degree=4, fourier=3),
+              F.random_bandlimited(b, rng, degree=b.degree_max,
+                                   fourier=b.fourier_max),
+              zero]
+    if b.is_product:
+        # a top row of a cosine mode (wavenumber 3) and of a sine mode
+        fields += [_mode_field(b, 5, 3), _mode_field(b, 2 * b.fourier_max, 1)]
+    return fields
+
+
+def _off_grid_points(m, rng):
+    chi = np.concatenate([[0.0, math.pi], rng.uniform(0, math.pi, 40)])
+    if not m.is_product:
+        return (chi,)
+    return rng.uniform(-m.length, 2 * m.length, chi.size), chi
+
+
+def _close(got, want):
+    scale = np.max(np.abs(want))
+    assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("name", ["sphere5", "s1xs2"])
+def test_band_limited_evaluation_equals_full_band(name, request, rng,
+                                                  monkeypatch):
+    m = request.getfixturevalue(name)
+    fields = _band_mix(m, rng)
+    pts = _off_grid_points(m, rng)
+
+    def results():
+        jets = [F.frame_jets(f, *pts) for f in fields]
+        return (F.evaluate(fields, *pts),
+                [F.evaluate(f, *pts) for f in fields],
+                [(val, *grad, *hess.values()) for val, grad, hess in jets])
+
+    seq, single, jets = results()
+    # tabulate every mode, whatever the coefficients carry
+    monkeypatch.setattr(F, "_band", lambda b, C: (b, C))
+    seq_full, single_full, jets_full = results()
+    for k in range(len(fields)):
+        _close(seq[..., k], seq_full[..., k])
+        _close(single[k], single_full[k])
+        for got, want in zip(jets[k], jets_full[k]):
+            _close(got, want)
+    assert not np.any(seq[..., 3]) and not np.any(single[3])
+
+
+def test_band_follows_the_nonzero_coefficients(s1xs2, sphere5):
+    b = s1xs2.basis
+    f = _mode_field(b, 2 * 3, 4)  # sine mode of wavenumber 3, degree 4
+    band, C = F._band(b, f.coefficients[..., None])
+    assert (band.fourier_max, band.degree_max) == (3, 4)
+    assert C.shape == (7, 5, 1)
+    band, C = F._band(sphere5.basis,
+                      np.zeros((sphere5.basis.sphere_mode_count, 2)))
+    assert band.degree_max == 0 and C.shape == (1, 2)
+
+
+@pytest.mark.parametrize("name", ["sphere5", "s1xs2"])
+def test_nan_coefficient_poisons_band_limited_evaluation(name, request, rng):
+    m = request.getfixturevalue(name)
+    b = m.basis
+    low = _mode_field(b, 0, 1)
+    c = np.array(low.coefficients)
+    c[(-1, -1) if b.is_product else -1] = np.nan  # beyond the band of low
+    bad = F.field_from_modes(b, c)
+    pts = _off_grid_points(m, rng)
+    assert np.all(np.isnan(F.evaluate(bad, *pts)))
+    val, grad, hess = F.frame_jets(bad, *pts)
+    assert np.all(np.isnan(val))
+    assert all(np.all(np.isnan(h)) for h in hess.values())
+    vals = F.evaluate([low, bad], *pts)
+    assert np.all(np.isfinite(vals[..., 0]))
+    assert np.all(np.isnan(vals[..., 1]))
+
+
 def test_differentiate_dispatch(sphere5, rng):
     f = _random_mode_field(sphere5.basis, rng)
     assert isinstance(F.differentiate(f, 1), F.ScalarField)

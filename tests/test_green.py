@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,56 @@ def test_product_image_kernel_matches_mode_sum(s1xs2):
     gf = green_eigen_expansion(s1xs2, "L")
     got = float(gf.values_at(np.array([ds]), np.array([chi]))[0])
     assert abs(got - series) < 1e-5
+
+
+@pytest.mark.parametrize("name", ["s1xs2", "s1xs3"])
+def test_image_kernel_jets_match_value_and_differences(name, request):
+    m = request.getfixturevalue(name)
+    kern = green_eigen_expansion(m, "L")._kernel
+    rng = np.random.default_rng(5)
+    ds = rng.uniform(-3.0, 3.0, 30)
+    chi = rng.uniform(0.4, 2.7, 30)
+    j = kern.jets(ds, chi)
+    assert np.array_equal(j["val"], kern.value(ds, chi))
+    assert_allclose(j["x"], j["x_over_sin"] * np.sin(chi), rtol=1e-15)
+
+    def d1(f, h, *shift):
+        return (f(ds + h * shift[0], chi + h * shift[1])
+                - f(ds - h * shift[0], chi - h * shift[1])) / (2 * h)
+
+    def d2(h, *shift):
+        v = kern.value
+        return (v(ds + h * shift[0], chi + h * shift[1]) - 2 * v(ds, chi)
+                + v(ds - h * shift[0], chi - h * shift[1])) / h ** 2
+
+    h = 1e-4
+    want = {
+        "s": d1(kern.value, 1e-5, 1, 0),
+        "x": d1(kern.value, 1e-5, 0, 1),
+        "ss": d2(h, 1, 0),
+        "xx": d2(h, 0, 1),
+        # d_s d_chi from the second differences along the diagonals
+        "sx": (d2(h, 1, 1) - d2(h, 1, -1)) / 4,
+    }
+    for key, fd in want.items():
+        scale = np.max(np.abs(j[key]))
+        assert_allclose(j[key], fd, rtol=0, atol=1e-6 * scale, err_msg=key)
+
+
+def test_image_kernel_jets_take_a_few_point_vectors(s1xs2):
+    """Images are added one at a time: no (points x images) arrays."""
+    kern = green_eigen_expansion(s1xs2, "L")._kernel
+    n = 50_000
+    rng = np.random.default_rng(6)
+    ds = rng.uniform(-math.pi, math.pi, n)
+    chi = rng.uniform(0.0, math.pi, n)
+    tracemalloc.start()
+    try:
+        kern.jets(ds, chi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 8 * n, f"peak {peak / (8 * n):.0f} point vectors"
 
 
 def test_product_green_symmetry(s1xs2):

@@ -318,6 +318,32 @@ def test_green_compare_suite(sphere5, sphere3):
         assert all("equality=True" in c.detail for c in report.checks)
 
 
+def test_degree_sum_cutoff_and_tail_in_resolution(s1xs2, sphere5):
+    tail = green.green_eigen_expansion(s1xs2, "P").tail_estimate
+    assert tail > 0
+    for report in (check_sign_theorems(s1xs2), check_green_compare(s1xs2)):
+        records = report.resolution["degree_sum"]
+        assert [r["pole"] for r in records] == report.resolution["poles"]
+        for r in records:
+            assert r["cutoff"] == 240
+            assert r["tail_estimate"] == tail
+    for report in (check_sign_theorems(sphere5), check_green_compare(sphere5)):
+        assert "degree_sum" not in report.resolution
+
+
+def test_theorem_hypotheses_gate_all_three_suites(sphere4, sphere5, s1xs2):
+    hyp = hypotheses_for(sphere4)
+    assert hyp["yamabe_positive"] and hyp["q_not_identically_zero"]
+    # n = 4 alone makes the theorem checks exploratory
+    assert not verify._theorems_asserted(sphere4, hyp)
+    assert any(c.law == "spectrum-exploratory"
+               for c in check_spectrum_claims(sphere4).checks)
+    assert verify._theorems_asserted(sphere5, hypotheses_for(sphere5))
+    assert not verify._theorems_asserted(s1xs2, hypotheses_for(s1xs2))
+    assert not any(c.asserted for c in check_green_compare(s1xs2).checks)
+    assert all(c.asserted for c in check_green_compare(sphere5).checks)
+
+
 # --------------------------------------------------------------------- mass
 
 def test_mass_suite(sphere5):
