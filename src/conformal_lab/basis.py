@@ -209,17 +209,6 @@ class ModeBasis:
     def circle_wavenumber(self, j: int) -> int:
         return (j + 1) // 2
 
-    def mode_ids(self) -> list[str]:
-        if not self.is_product:
-            return [f"l{l}" for l in range(self.sphere_mode_count)]
-        ids = []
-        for j in range(self.circle_mode_count):
-            k = self.circle_wavenumber(j)
-            tag = "c" if (j == 0 or j % 2 == 1) else "s"
-            for m in range(self.sphere_mode_count):
-                ids.append(f"k{k}{tag}-m{m}")
-        return ids
-
     # ----------------------------------------------------------- quadrature
     @property
     def jacobi_alpha(self) -> float:

@@ -25,7 +25,7 @@ from .basis import KIND_S1XS2, KIND_S1XS3, KIND_SPHERE
 from .errors import BackendBuildError, ConfigError, ConformalLabError
 from .geometry import SPHERE_DIMENSIONS, catalog_build
 from .spectrum import lambda1_L
-from .verify import SUITES
+from .verify import SUITES, applies
 
 logger = logging.getLogger(__name__)
 
@@ -115,7 +115,7 @@ def run(config: RunConfig, out_dir=None, verbose: bool = False) -> int:
     backends = _build_backends(config)
     jobs = [(suite, m) for suite in config.suites for m in backends]
     for suite in config.suites:
-        if not any(_is_compatible(suite, m) for m in backends):
+        if not any(applies(suite, m) for m in backends):
             raise ConfigError(
                 f"suites: {suite!r} is not compatible with any backend in "
                 f"the catalog (dimension gates)")
@@ -155,10 +155,9 @@ def run(config: RunConfig, out_dir=None, verbose: bool = False) -> int:
             row.update({"pass": report.passed, "checks": [
                 c.to_dict() for c in report.checks]})
             text = report.to_json()
-            logger.info("[%s] %s on %s: %.2f s, worst asserted "
-                        "|residual|/tol %.3g",
+            logger.info("[%s] %s on %s: %.2f s, %s",
                         "PASS" if report.passed else "FAIL", suite, backend,
-                        secs, _worst_margin(report))
+                        secs, _margin_text(report))
         with open(out / f"{suite}__{_slug(backend)}.json", "w") as fh:
             fh.write(text)
         all_pass = all_pass and row["pass"]
@@ -178,10 +177,14 @@ def run(config: RunConfig, out_dir=None, verbose: bool = False) -> int:
     return 0 if all_pass else 1
 
 
-def _worst_margin(report) -> float:
-    """Largest |residual| / tolerance over the asserted checks."""
-    return max((abs(c.residual) / c.tolerance for c in report.checks
-                if c.asserted and c.tolerance > 0), default=0.0)
+def _margin_text(report) -> str:
+    """Largest |residual| / tolerance over the asserted checks, if any."""
+    asserted = [c for c in report.checks if c.asserted]
+    if not asserted:
+        return "no asserted check"
+    worst = max((abs(c.residual) / c.tolerance for c in asserted
+                 if c.tolerance > 0), default=0.0)
+    return f"worst asserted |residual|/tol {worst:.3g}"
 
 
 def _thread_cap() -> int:
@@ -191,16 +194,6 @@ def _thread_cap() -> int:
         raise ConfigError(f"CONFORMAL_LAB_THREADS: must be a positive "
                           f"integer, got {raw!r}")
     return int(raw)
-
-
-def _is_compatible(suite: str, m) -> bool:
-    if suite in ("4d-identity", "total-q"):
-        return m.n == 4
-    if suite in ("weak-identity", "signs", "green-compare"):
-        return m.n != 4
-    if suite == "mass":
-        return (not m.is_product) and m.n in (5, 6, 7)
-    return True
 
 
 CATALOG_ROWS = (

@@ -22,7 +22,6 @@ in ``frame_jets``, which ``evaluate``, ``gradient_components`` and
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field as dc_field, replace
 
@@ -38,10 +37,8 @@ __all__ = [
     "constant_field",
     "differentiate",
     "evaluate",
-    "field_from_function",
     "field_from_grid",
     "field_from_modes",
-    "field_to_csv",
     "frame_dot",
     "frame_jets",
     "frame_trace",
@@ -49,10 +46,8 @@ __all__ = [
     "gradient_components",
     "hessian",
     "integrate",
-    "inner_product",
     "laplacian",
     "mode_tables",
-    "modes_to_csv",
     "random_bandlimited",
     "synthesize",
 ]
@@ -201,18 +196,6 @@ def constant_field(basis: ModeBasis, value: float) -> ScalarField:
     return synthesize(f)
 
 
-def field_from_function(basis: ModeBasis, fn, bandwidth=None) -> ScalarField:
-    """Sample ``fn`` on the grid.  fn(theta) on spheres, fn(s, chi) on products."""
-    if basis.is_product:
-        s = basis.circle_points()
-        chi = basis.polar_angles()
-        vals = fn(s[:, None], chi[None, :])
-        vals = np.broadcast_to(vals, basis.grid_shape).astype(float)
-    else:
-        vals = np.asarray(fn(basis.polar_angles()), dtype=float)
-    return field_from_grid(basis, vals, bandwidth)
-
-
 def random_bandlimited(basis: ModeBasis, rng, degree: int, fourier: int = 0,
                        amplitude: float = 1.0, decay: float = 1.0) -> ScalarField:
     """A reproducible random field supported on low modes.
@@ -318,10 +301,6 @@ def integrate(f: ScalarField) -> float:
     return float(np.sum(g * f.basis.quadrature_weights()))
 
 
-def inner_product(f: ScalarField, g: ScalarField) -> float:
-    return integrate(f * g)
-
-
 # ------------------------------------------------------------------ tensors
 
 SPHERE_COMPONENTS = ("rr", "orb")
@@ -354,14 +333,8 @@ class SymTensorField:
     def trace_values(self) -> np.ndarray:
         return frame_trace(self.basis, self.components)
 
-    def trace(self) -> ScalarField:
-        return field_from_grid(self.basis, self.trace_values())
-
     def norm_squared_values(self) -> np.ndarray:
         return frame_dot(self.basis, self.components, self.components)
-
-    def norm_squared(self) -> ScalarField:
-        return field_from_grid(self.basis, self.norm_squared_values())
 
     def bilinear(self, grad_u: tuple, grad_v: tuple) -> np.ndarray:
         """T(X, Y) for frame vectors X, Y given as component tuples."""
@@ -412,13 +385,6 @@ def _frame_weights(basis: ModeBasis) -> dict:
     # each orbit component stands for sphere_dim - 1 equal diagonal
     # entries, the off-diagonal sx for the two entries (s, chi), (chi, s)
     return {"rr": 1, "ss": 1, "xx": 1, "sx": 2, "orb": basis.sphere_dim - 1}
-
-
-def metric_tensor(basis: ModeBasis) -> SymTensorField:
-    ones = np.ones(basis.grid_shape)
-    if basis.is_product:
-        return SymTensorField(basis, {"ss": ones, "xx": ones, "orb": ones})
-    return SymTensorField(basis, {"rr": ones, "orb": ones})
 
 
 # ----------------------------------------------------------- differentiation
@@ -585,43 +551,3 @@ def differentiate(f: ScalarField, order: int):
     if order == 2:
         return hessian(f)
     raise ValueError("order must be 1 or 2")
-
-
-# ------------------------------------------------------------------- dumps
-
-def field_to_csv(f: ScalarField, path):
-    """Grid dump: node_index, chart coordinates, value."""
-    b = f.basis
-    g = f.grid_values if f.grid_values is not None else synthesize(f).grid_values
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if b.is_product:
-            writer.writerow(["node_index", "coord_1", "coord_2", "value"])
-            s = b.circle_points()
-            chi = b.polar_angles()
-            idx = 0
-            for i in range(b.circle_nodes):
-                for j in range(b.sphere_nodes):
-                    writer.writerow([idx, repr(float(s[i])),
-                                     repr(float(chi[j])),
-                                     repr(float(g[i, j]))])
-                    idx += 1
-        else:
-            writer.writerow(["node_index", "coord_1", "value"])
-            theta = b.polar_angles()
-            for j in range(b.sphere_nodes):
-                writer.writerow([j, repr(float(theta[j])),
-                                 repr(float(g[j]))])
-
-
-def modes_to_csv(f: ScalarField, path):
-    """Mode dump: mode_id, coefficient."""
-    if f.coefficients is None:
-        raise ValueError("mode dump needs coefficients")
-    ids = f.basis.mode_ids()
-    flat = f.coefficients.ravel()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode_id", "coefficient"])
-        for mid, c in zip(ids, flat):
-            writer.writerow([mid, repr(float(c))])

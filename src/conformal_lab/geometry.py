@@ -126,9 +126,6 @@ class ManifoldModel:
                  for k, v in self.ricci_eigenvalues.items()}
         return SymTensorField(self.basis, comps)
 
-    def scalar_curvature_field(self) -> ScalarField:
-        return F.constant_field(self.basis, self.scalar_curvature)
-
     def constant(self, value: float) -> ScalarField:
         return F.constant_field(self.basis, value)
 
@@ -405,12 +402,6 @@ class ConformalFactor:
     def rho_at(self, convention: str, *points):
         e = _CONVENTION_EXPONENTS[convention](self.manifold.n)
         return np.exp(2.0 * self.w_at(*points) / e)
-
-    def conformal_volume(self) -> float:
-        n = self.manifold.n
-        w = self.w_grid.grid_values
-        return float(np.sum(np.exp(n * w)
-                            * self.manifold.basis.quadrature_weights()))
 
 
 def _as_profile(factor_or_profile, manifold):

@@ -29,8 +29,6 @@ partial-fraction circle kernel per degree and a monitored tail.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -55,8 +53,6 @@ __all__ = [
     "green_eigen_expansion",
     "green_pair",
     "green_sphere_closed_form",
-    "green_to_csv",
-    "mass_report_json",
     "sign_scan",
     "transport_green",
 ]
@@ -711,30 +707,3 @@ def extract_mass(m: ManifoldModel, pole: Pole | None = None,
         "A_integral": float(a_int),
         "normalization": norm,
     }
-
-
-def mass_report_json(results, tolerance: float) -> str:
-    records = []
-    for res in results:
-        for route in ("expansion", "integral"):
-            records.append({
-                "pole": res["pole"],
-                "A": res[f"A_{route}"],
-                "route": route,
-                "tolerance": tolerance,
-            })
-    return json.dumps(records, indent=2)
-
-
-# -------------------------------------------------------------------- dump
-
-def green_to_csv(green_fields, path, mask_spacings: float = 3.0):
-    """CSV dump: pole_id, node_index, value, masked_flag."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pole_id", "node_index", "value", "masked_flag"])
-        for pid, gf in enumerate(green_fields):
-            vals = gf.grid_values().ravel()
-            masked = gf.mask(mask_spacings).ravel()
-            for idx, (v, mk) in enumerate(zip(vals, masked)):
-                writer.writerow([pid, idx, repr(float(v)), int(mk)])

@@ -22,7 +22,6 @@ branch is explicit but the value agrees).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
     "conformal_quadratic_form_E",
     "laplacian_coefficient",
     "quadratic_form_E",
-    "symbol_to_csv",
 ]
 
 
@@ -211,31 +209,3 @@ def conformal_quadratic_form_E(m: ManifoldModel, factor: ConformalFactor,
         vals = vals + 0.5 * (n - 4) * q_tilde * u.grid_values * v.grid_values
     weights = m.basis.quadrature_weights() * np.exp(n * w_vals)
     return float(np.sum(vals * weights))
-
-
-def symbol_to_csv(symbols, path):
-    """Dump one or two symbols: mode_id, factor_indices, eigenvalue columns."""
-    if isinstance(symbols, SpectralSymbol):
-        symbols = [symbols]
-    basis = symbols[0].manifold.basis
-    ids = basis.mode_ids()
-    cols = {s.operator: s.table.ravel() for s in symbols}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["mode_id", "factor_indices"]
-        for tag in ("L", "P"):
-            if tag in cols:
-                header.append(f"eigenvalue_{tag}")
-        writer.writerow(header)
-        if basis.is_product:
-            indices = [f"{basis.circle_wavenumber(j)}|{mm}"
-                       for j in range(basis.circle_mode_count)
-                       for mm in range(basis.sphere_mode_count)]
-        else:
-            indices = [str(l) for l in range(basis.sphere_mode_count)]
-        for i, (mid, fidx) in enumerate(zip(ids, indices)):
-            row = [mid, fidx]
-            for tag in ("L", "P"):
-                if tag in cols:
-                    row.append(repr(float(cols[tag][i])))
-            writer.writerow(row)

@@ -12,7 +12,6 @@ eigenvalue of opposite sign is strictly dominated in modulus.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -26,10 +25,10 @@ from .operators import SpectralSymbol, apply_L, build_symbol
 
 __all__ = [
     "SpectrumSummary",
+    "expected_sign",
     "lambda1_L",
     "minimize_quotient_subspace",
     "paneitz_spectrum_check",
-    "spectrum_to_csv",
     "yamabe_quotient",
 ]
 
@@ -155,6 +154,12 @@ def minimize_quotient_subspace(m: ManifoldModel, n_modes: int = 20,
             "coefficients": c}
 
 
+def expected_sign(n: int) -> str:
+    """Sign of G_P the theorems predict: POSITIVE for n > 4, NEGATIVE for
+    n = 3, none in dimension four."""
+    return "POSITIVE" if n > 4 else ("NEGATIVE" if n == 3 else "")
+
+
 def paneitz_spectrum_check(m: ManifoldModel,
                            sign_verdict: str | None = None) -> SpectrumSummary:
     """Spectrum summary of the fourth-order operator with the sign claims.
@@ -174,9 +179,8 @@ def paneitz_spectrum_check(m: ManifoldModel,
     smallest_pos = positives[0] if positives else None
     largest_neg = negatives[-1] if negatives else None
 
-    n = m.n
     if sign_verdict is None:
-        sign_verdict = "POSITIVE" if n > 4 else ("NEGATIVE" if n == 3 else "")
+        sign_verdict = expected_sign(m.n)
     extremal = smallest_pos if sign_verdict == "POSITIVE" else largest_neg
     simple = extremal is not None and extremal[1] == 1
     sign_definite = False
@@ -223,16 +227,3 @@ def paneitz_spectrum_check(m: ManifoldModel,
         details={"sign_verdict": sign_verdict,
                  "kernel_threshold": thr},
     )
-
-
-def spectrum_to_csv(summary: SpectrumSummary, path):
-    """CSV dump: rank, eigenvalue, multiplicity, extremal_flag."""
-    extremal_vals = set()
-    for entry in (summary.smallest_positive, summary.largest_negative):
-        if entry is not None:
-            extremal_vals.add(entry[0])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "eigenvalue", "multiplicity", "extremal_flag"])
-        for rank, (v, mu) in enumerate(summary.eigenvalues):
-            writer.writerow([rank, repr(v), mu, int(v in extremal_vals)])

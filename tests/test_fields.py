@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -343,29 +342,6 @@ def test_differentiate_dispatch(sphere5, rng):
     assert isinstance(F.differentiate(f, 2), F.SymTensorField)
     with pytest.raises(ValueError):
         F.differentiate(f, 3)
-
-
-# ------------------------------------------------------------------ dumps
-
-def test_field_csv_dump(tmp_path, s1xs2, rng):
-    f = _random_mode_field(s1xs2.basis, rng)
-    path = tmp_path / "field.csv"
-    F.field_to_csv(f, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["node_index", "coord_1", "coord_2", "value"]
-    assert len(rows) - 1 == f.grid_values.size
-    assert float(rows[1][3]) == f.grid_values.ravel()[0]
-
-
-def test_modes_csv_dump(tmp_path, sphere3, rng):
-    f = _random_mode_field(sphere3.basis, rng)
-    path = tmp_path / "modes.csv"
-    F.modes_to_csv(f, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["mode_id", "coefficient"]
-    assert len(rows) - 1 == sphere3.basis.mode_count
 
 
 # -------------------------------------------------------------- invariants

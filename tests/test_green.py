@@ -1,5 +1,3 @@
-import csv
-import json
 import math
 import tracemalloc
 
@@ -16,8 +14,8 @@ from conformal_lab.green import (ComparisonResult, _ProductDegreeSumP,
                                  comparison_constant, extract_mass,
                                  flat_L_coefficient, green_eigen_expansion,
                                  green_field, green_pair,
-                                 green_sphere_closed_form, green_to_csv,
-                                 mass_report_json, sign_scan, transport_green)
+                                 green_sphere_closed_form, sign_scan,
+                                 transport_green)
 from conformal_lab.operators import apply_L, build_symbol
 
 
@@ -343,27 +341,6 @@ def test_mass_vanishes_after_moebius_transport(sphere5):
 def test_mass_rejects_products(s1xs2):
     with pytest.raises(UnsupportedBackendError):
         extract_mass(s1xs2, Pole())
-
-
-def test_mass_report_json(sphere5):
-    res = extract_mass(sphere5, Pole(1))
-    records = json.loads(mass_report_json([res], tolerance=1e-6))
-    assert {r["route"] for r in records} == {"expansion", "integral"}
-    assert all(set(r) == {"pole", "A", "route", "tolerance"} for r in records)
-
-
-# -------------------------------------------------------------------- dumps
-
-def test_green_csv(tmp_path, sphere5):
-    gfs = [green_sphere_closed_form(sphere5, "P", p)
-           for p in (Pole(1), Pole(-1))]
-    path = tmp_path / "green.csv"
-    green_to_csv(gfs, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["pole_id", "node_index", "value", "masked_flag"]
-    assert len(rows) - 1 == 2 * sphere5.basis.sphere_nodes
-    assert {r[0] for r in rows[1:]} == {"0", "1"}
 
 
 def test_green_field_helper_builds_and_transports(sphere5, rng):

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -9,7 +8,7 @@ from conformal_lab import fields as F
 from conformal_lab.geometry import ConformalFactor, catalog_build
 from conformal_lab.operators import (apply_L, apply_P, apply_P_pointwise,
                                      build_symbol, conformal_quadratic_form_E,
-                                     quadratic_form_E, symbol_to_csv)
+                                     quadratic_form_E)
 
 
 def _single_mode(basis, *index):
@@ -156,16 +155,3 @@ def test_p1_and_q_vanish_together_on_s1xs3(s1xs3):
     assert_allclose(apply_P(s1xs3, s1xs3.constant(1.0)).grid_values, 0.0,
                     atol=1e-12)
     assert s1xs3.q_value == 0.0
-
-
-# ------------------------------------------------------------------- dumps
-
-def test_symbol_csv(tmp_path, s1xs2):
-    path = tmp_path / "symbol.csv"
-    symbol_to_csv([build_symbol(s1xs2, "L"), build_symbol(s1xs2, "P")], path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["mode_id", "factor_indices", "eigenvalue_L",
-                       "eigenvalue_P"]
-    assert len(rows) - 1 == s1xs2.basis.mode_count
-    assert float(rows[1][2]) == 2.0  # L at the constant mode equals R

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -9,8 +8,7 @@ from conformal_lab import fields as F
 from conformal_lab.errors import ZeroFunctionError
 from conformal_lab.geometry import catalog_build
 from conformal_lab.spectrum import (lambda1_L, minimize_quotient_subspace,
-                                    paneitz_spectrum_check, spectrum_to_csv,
-                                    yamabe_quotient)
+                                    paneitz_spectrum_check, yamabe_quotient)
 
 
 def test_lambda1_values(sphere5, s1xs2):
@@ -89,14 +87,3 @@ def test_summary_independent_of_grid_resolution():
     sa = paneitz_spectrum_check(a)
     sb = paneitz_spectrum_check(b)
     assert sa.eigenvalues == sb.eigenvalues
-
-
-def test_spectrum_csv(tmp_path, sphere3):
-    s = paneitz_spectrum_check(sphere3)
-    path = tmp_path / "spectrum.csv"
-    spectrum_to_csv(s, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["rank", "eigenvalue", "multiplicity", "extremal_flag"]
-    flags = [r[3] for r in rows[1:]]
-    assert "1" in flags

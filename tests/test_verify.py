@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from conformal_lab import green, verify
 from conformal_lab import quadrature as Q
 from conformal_lab.errors import (HypothesisFailError, KernelError,
                                   UnsupportedDimensionError)
-from conformal_lab.geometry import ConformalFactor, ManifoldModel
+from conformal_lab.geometry import (ConformalFactor, ManifoldModel,
+                                    catalog_build)
 from conformal_lab.verify import (SUITES, check_4d_identity, check_covariance,
                                   check_green_compare, check_mass,
                                   check_sign_theorems, check_spectrum_claims,
@@ -211,13 +213,20 @@ def test_sign_theorems_exploratory_on_s1xs2(s1xs2):
     assert not report.hypotheses["q_nonnegative"]
 
 
-def test_sign_theorems_record_kernel_obstruction(sphere5, monkeypatch):
+def test_sign_theorems_record_kernel_obstruction(sphere5, s1xs2,
+                                                 monkeypatch):
     def obstructed(*args, **kw):
         raise KernelError("zero mode")
 
     monkeypatch.setattr(verify, "green_field", obstructed)
+    # under the theorems' hypotheses a kernel that cannot be built fails
     report = check_sign_theorems(sphere5)
-    assert report.checks
+    assert report.checks and not report.passed
+    assert all(c.asserted and not c.passed for c in report.checks)
+    assert all("KernelError: zero mode" in c.detail for c in report.checks)
+    # where the hypotheses fail it stays an exploratory record
+    report = check_sign_theorems(s1xs2)
+    assert report.checks and report.passed
     assert not any(c.asserted for c in report.checks)
     assert all("KernelError: zero mode" in c.detail for c in report.checks)
 
@@ -381,6 +390,53 @@ def test_suite_registry_compatibility(sphere4, sphere5):
     assert set(SUITES) == {"weak-identity", "4d-identity", "total-q",
                            "covariance", "signs", "spectrum",
                            "green-compare", "mass"}
+
+
+# the backends of configs/full.json, in catalog order
+FULL_BACKENDS = ("S3", "S4", "S5", "S6", "S7", "S1xS2", "S1xS3")
+
+# where each suite runs on them: 36 (suite, backend) pairs of the 56
+RUNS_ON = {
+    "weak-identity": {"S3", "S5", "S6", "S7", "S1xS2"},
+    "4d-identity": {"S4", "S1xS3"},
+    "total-q": {"S4", "S1xS3"},
+    "covariance": set(FULL_BACKENDS),
+    "signs": {"S3", "S5", "S6", "S7", "S1xS2"},
+    "spectrum": set(FULL_BACKENDS),
+    "green-compare": {"S3", "S5", "S6", "S7", "S1xS2"},
+    "mass": {"S5", "S6", "S7"},
+}
+
+GATED_CHECKS = {
+    "weak-identity": check_weak_identity,
+    "4d-identity": check_4d_identity,
+    "total-q": check_total_q,
+    "signs": check_sign_theorems,
+    "green-compare": check_green_compare,
+    "mass": check_mass,
+}
+
+
+def test_suite_table_is_the_only_gate():
+    config = Path(__file__).resolve().parent.parent / "configs" / "full.json"
+    catalog = json.loads(config.read_text())["catalog"]
+    backends = dict(zip(FULL_BACKENDS, (
+        catalog_build(r["kind"], r.get("n"), r.get("params"), r.get("basis"))
+        for r in catalog)))
+    assert len(backends) == len(catalog)
+    assert sum(len(on) for on in RUNS_ON.values()) == 36
+    assert set(RUNS_ON) == set(SUITES)
+    assert set(GATED_CHECKS) == {s for s, on in RUNS_ON.items()
+                                 if on != set(FULL_BACKENDS)}
+    for suite, runs_on in RUNS_ON.items():
+        for label, m in backends.items():
+            on = label in runs_on
+            assert verify.applies(suite, m) == on, (suite, label)
+            report = run_suite(suite, m, {"level": 1, "trials": 2})
+            assert (report is not None) == on, (suite, label)
+            if suite in GATED_CHECKS and not on:
+                with pytest.raises(UnsupportedDimensionError):
+                    GATED_CHECKS[suite](m)
 
 
 def test_weak_identity_determinism(sphere5):
