@@ -37,10 +37,8 @@ import numpy as np
 from .errors import UnsupportedBackendError
 
 KIND_SPHERE = "sphere"
-KIND_S1XS2 = "product-S1xS2"
-KIND_S1XS3 = "product-S1xS3"
-PRODUCT_KINDS = (KIND_S1XS2, KIND_S1XS3)
-ALL_KINDS = (KIND_SPHERE,) + PRODUCT_KINDS
+# the circle products S^1(l) x S^d: kind -> sphere-factor dimension d
+PRODUCT_KINDS = {"product-S1xS2": 2, "product-S1xS3": 3}
 
 
 def sphere_area(d: int) -> float:
@@ -151,7 +149,7 @@ class ModeBasis:
                     circle_nodes: int | None = None) -> "ModeBasis":
         if kind not in PRODUCT_KINDS:
             raise UnsupportedBackendError(f"unknown product kind {kind!r}")
-        d = 2 if kind == KIND_S1XS2 else 3
+        d = PRODUCT_KINDS[kind]
         if sphere_nodes is None:
             sphere_nodes = max(degree_max + 1, (3 * (degree_max + 1)) // 2)
         if circle_nodes is None:
@@ -177,9 +175,7 @@ class ModeBasis:
     @property
     def polar_norm(self) -> float:
         """Measure carried by one unit of the polar weight (1-t^2)^a."""
-        if self.is_product:
-            return self.orbit_area * self.radius ** self.sphere_dim
-        return self.orbit_area * self.radius ** self.n
+        return self.orbit_area * self.radius ** self.sphere_dim
 
     @property
     def volume(self) -> float:
@@ -199,6 +195,14 @@ class ModeBasis:
     @property
     def mode_count(self) -> int:
         return self.circle_mode_count * self.sphere_mode_count
+
+    @property
+    def mode_shape(self) -> tuple:
+        """Shape of a coefficient table: (circle modes, degrees) on a
+        product, (degrees,) on a sphere."""
+        if self.is_product:
+            return (self.circle_mode_count, self.sphere_mode_count)
+        return (self.sphere_mode_count,)
 
     @property
     def grid_shape(self) -> tuple:

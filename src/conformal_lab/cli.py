@@ -21,7 +21,7 @@ import sys
 import time
 from pathlib import Path
 
-from .basis import KIND_S1XS2, KIND_S1XS3, KIND_SPHERE
+from .basis import KIND_SPHERE, PRODUCT_KINDS
 from .errors import BackendBuildError, ConfigError, ConformalLabError
 from .geometry import SPHERE_DIMENSIONS, catalog_build
 from .spectrum import lambda1_L
@@ -196,17 +196,17 @@ def _thread_cap() -> int:
     return int(raw)
 
 
-CATALOG_ROWS = (
-    [(KIND_SPHERE, n) for n in SPHERE_DIMENSIONS]
-    + [(KIND_S1XS2, 3), (KIND_S1XS3, 4)]
-)
-
-
 def list_catalog() -> str:
-    """Text table of supported backends with their derived constants."""
+    """Text table of supported backends with their derived constants.
+
+    The rows are the sphere dimensions and the product kinds of
+    ``basis.PRODUCT_KINDS`` (S^1 x S^d has n = d + 1), read when printed.
+    """
     lines = [f"{'kind':<16}{'n':>3}  {'params':<22}{'R':>10}{'Q':>12}"
              f"{'lambda1(L)':>14}"]
-    for kind, n in CATALOG_ROWS:
+    rows = ([(KIND_SPHERE, n) for n in SPHERE_DIMENSIONS]
+            + [(kind, d + 1) for kind, d in PRODUCT_KINDS.items()])
+    for kind, n in rows:
         basis = {"degree_max": 4}
         if kind != KIND_SPHERE:
             basis["fourier_max"] = 2

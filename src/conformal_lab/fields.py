@@ -1,9 +1,9 @@
 """Scalar and symmetric-tensor fields on catalog manifolds.
 
 A ``ScalarField`` keeps a dual representation: coefficients against the
-orthonormal zonal/Fourier modes, and values on the quadrature grid.  The
-``authoritative`` property records which side is trustworthy; transforms
-never mutate a field, they return a new one with both sides populated.
+orthonormal zonal/Fourier modes, and values on the quadrature grid.
+Transforms never mutate a field, they return a new one with both sides
+populated.
 
 Tensor fields are stored as grid values of their components in the
 adapted orthonormal frame of the backend: on a sphere the radial
@@ -35,14 +35,12 @@ __all__ = [
     "SymTensorField",
     "analyze",
     "constant_field",
-    "differentiate",
     "evaluate",
     "field_from_grid",
     "field_from_modes",
     "frame_dot",
     "frame_jets",
     "frame_trace",
-    "gradient_norm_squared",
     "gradient_components",
     "hessian",
     "integrate",
@@ -81,8 +79,7 @@ class ScalarField:
         object.__setattr__(self, "coefficients", _freeze(self.coefficients))
         object.__setattr__(self, "grid_values", _freeze(self.grid_values))
         if self.coefficients is not None:
-            want = ((self.basis.circle_mode_count, self.basis.sphere_mode_count)
-                    if self.basis.is_product else (self.basis.sphere_mode_count,))
+            want = self.basis.mode_shape
             if self.coefficients.shape != want:
                 raise ValueError(
                     f"coefficient shape {self.coefficients.shape} != {want}")
@@ -92,35 +89,11 @@ class ScalarField:
                     f"grid shape {self.grid_values.shape} "
                     f"!= {self.basis.grid_shape}")
 
-    @property
-    def authoritative(self) -> str:
-        if self.coefficients is not None and self.grid_values is not None:
-            return "both"
-        return "modes" if self.coefficients is not None else "grid"
-
     # ------------------------------------------------------------- algebra
     def _grid(self):
         if self.grid_values is not None:
             return self.grid_values
         return synthesize(self).grid_values
-
-    def __add__(self, other):
-        if isinstance(other, ScalarField):
-            bw = _bw_max(self.bandwidth, other.bandwidth)
-            return ScalarField(self.basis, None, self._grid() + other._grid(), bw)
-        return ScalarField(self.basis, None, self._grid() + other, None
-                           if self.bandwidth is None else self.bandwidth)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, ScalarField):
-            bw = _bw_max(self.bandwidth, other.bandwidth)
-            return ScalarField(self.basis, None, self._grid() - other._grid(), bw)
-        return ScalarField(self.basis, None, self._grid() - other, self.bandwidth)
-
-    def __rsub__(self, other):
-        return ScalarField(self.basis, None, other - self._grid(), self.bandwidth)
 
     def __mul__(self, other):
         if isinstance(other, ScalarField):
@@ -134,15 +107,6 @@ class ScalarField:
 
     __rmul__ = __mul__
 
-    def __pow__(self, p):
-        return ScalarField(self.basis, None, self._grid() ** p, None)
-
-    def exp(self):
-        return ScalarField(self.basis, None, np.exp(self._grid()), None)
-
-    def log(self):
-        return ScalarField(self.basis, None, np.log(self._grid()), None)
-
     def min(self):
         return float(np.min(self._grid()))
 
@@ -154,12 +118,6 @@ def _bw_sum(a, b):
     if a is None or b is None:
         return None
     return (a[0] + b[0], a[1] + b[1])
-
-
-def _bw_max(a, b):
-    if a is None or b is None:
-        return None
-    return (max(a[0], b[0]), max(a[1], b[1]))
 
 
 # ------------------------------------------------------------ constructors
@@ -186,12 +144,8 @@ def field_from_grid(basis: ModeBasis, values, bandwidth=None) -> ScalarField:
 
 
 def constant_field(basis: ModeBasis, value: float) -> ScalarField:
-    if basis.is_product:
-        c = np.zeros((basis.circle_mode_count, basis.sphere_mode_count))
-        c[0, 0] = value * math.sqrt(basis.volume)
-    else:
-        c = np.zeros(basis.sphere_mode_count)
-        c[0] = value * math.sqrt(basis.volume)
+    c = np.zeros(basis.mode_shape)
+    c.flat[0] = value * math.sqrt(basis.volume)
     f = field_from_modes(basis, c)
     return synthesize(f)
 
@@ -347,22 +301,6 @@ class SymTensorField:
         (ur,) = grad_u
         (vr,) = grad_v
         return c["rr"] * ur * vr
-
-    def __add__(self, other):
-        return SymTensorField(self.basis, {
-            k: self.components[k] + other.components[k] for k in self.components})
-
-    def __sub__(self, other):
-        return SymTensorField(self.basis, {
-            k: self.components[k] - other.components[k] for k in self.components})
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, ScalarField):
-            scalar = scalar._grid()
-        return SymTensorField(self.basis, {
-            k: self.components[k] * scalar for k in self.components})
-
-    __rmul__ = __mul__
 
 
 def frame_dot(basis: ModeBasis, a: dict, b: dict) -> np.ndarray:
@@ -524,12 +462,6 @@ def gradient_components(f: ScalarField):
     return grad
 
 
-def gradient_norm_squared(f: ScalarField) -> ScalarField:
-    comps = gradient_components(f)
-    vals = sum(c ** 2 for c in comps)
-    return field_from_grid(f.basis, vals)
-
-
 def hessian(f: ScalarField) -> SymTensorField:
     """Covariant Hessian of a zonal field in the adapted frame."""
     _, _, hess = frame_jets(f)
@@ -543,11 +475,3 @@ def laplacian(f: ScalarField) -> ScalarField:
     lam = f.basis.neg_laplacian_eigenvalues()
     return synthesize(field_from_modes(f.basis, -lam * f.coefficients))
 
-
-def differentiate(f: ScalarField, order: int):
-    """Spectral differentiation: order 1 gives |grad f|^2, order 2 the Hessian."""
-    if order == 1:
-        return gradient_norm_squared(f)
-    if order == 2:
-        return hessian(f)
-    raise ValueError("order must be 1 or 2")

@@ -27,14 +27,13 @@ from functools import cached_property
 import numpy as np
 
 from . import fields as F
-from .basis import (KIND_S1XS2, KIND_SPHERE, ModeBasis, PRODUCT_KINDS)
+from .basis import KIND_SPHERE, ModeBasis, PRODUCT_KINDS
 from .errors import (AliasingError, NonpositiveFactorError,
                      UnsupportedBackendError)
 from .fields import ScalarField, SymTensorField
 
 __all__ = [
     "ConformalFactor",
-    "ConstantLogProfile",
     "FieldLogProfile",
     "ManifoldModel",
     "MoebiusLogProfile",
@@ -45,7 +44,6 @@ __all__ = [
     "conformal_q_from_curvature",
     "conformal_ricci",
     "conformal_scalar_curvature",
-    "q_curvature",
     "q_from_data",
     "ricci_from_jets",
 ]
@@ -82,7 +80,7 @@ class ManifoldModel:
     # ------------------------------------------------------------- geometry
     @property
     def is_product(self) -> bool:
-        return self.kind in PRODUCT_KINDS
+        return self.basis.is_product
 
     @property
     def sphere_dim(self) -> int:
@@ -94,18 +92,16 @@ class ManifoldModel:
 
     @property
     def scalar_curvature(self) -> float:
-        if self.is_product:
-            d = self.sphere_dim
-            return d * (d - 1) / self.radius ** 2
-        return self.n * (self.n - 1) / self.radius ** 2
+        d = self.sphere_dim
+        return d * (d - 1) / self.radius ** 2
 
     @property
     def ricci_eigenvalues(self) -> dict:
-        """Constant frame components of the Ricci tensor."""
+        """Constant frame components of the Ricci tensor: (d-1)/r^2 along
+        the sphere (factor), 0 along the circle."""
+        lam = (self.sphere_dim - 1) / self.radius ** 2
         if self.is_product:
-            lam = (self.sphere_dim - 1) / self.radius ** 2
             return {"ss": 0.0, "sx": 0.0, "xx": lam, "orb": lam}
-        lam = (self.n - 1) / self.radius ** 2
         return {"rr": lam, "orb": lam}
 
     @cached_property
@@ -181,8 +177,9 @@ def catalog_build(kind: str, n: int | None = None, params: dict | None = None,
                   basis: dict | None = None) -> ManifoldModel:
     """Construct a catalog backend from a manifest-style record.
 
-    Supported: ``sphere`` with n in 3..7, ``product-S1xS2`` (n = 3) and
-    ``product-S1xS3`` (n = 4).  ``params`` carries the geometric scales,
+    Supported: ``sphere`` with n in 3..7 and the circle products of
+    ``basis.PRODUCT_KINDS``, S^1 x S^d with n = d + 1 (``product-S1xS2``,
+    ``product-S1xS3``).  ``params`` carries the geometric scales,
     ``basis`` the cutoffs and node counts.
     """
     params = dict(params or {})
@@ -202,7 +199,7 @@ def catalog_build(kind: str, n: int | None = None, params: dict | None = None,
         _reject_unknown(params, basis)
         return ManifoldModel(kind, n, radius, 0.0, mb)
     if kind in PRODUCT_KINDS:
-        want_n = 3 if kind == KIND_S1XS2 else 4
+        want_n = PRODUCT_KINDS[kind] + 1
         if n is not None and n != want_n:
             raise UnsupportedBackendError(
                 f"{kind} has dimension {want_n}, got n={n}")
@@ -296,32 +293,6 @@ class MoebiusLogProfile:
         return w, grad, hess
 
 
-class ConstantLogProfile:
-    """w identically constant (pure rescaling)."""
-
-    def __init__(self, manifold: ManifoldModel, value: float):
-        self.manifold = manifold
-        self.value = float(value)
-
-    bandwidth = (0, 0)
-
-    def jets(self, points=None):
-        m = self.manifold
-        if points is None:
-            points = m.grid_points()
-        shape = np.broadcast(*points).shape if len(points) > 1 else \
-            np.asarray(points[0], dtype=float).shape
-        w = np.full(shape, self.value)
-        zeros = np.zeros(shape)
-        if m.is_product:
-            grad = (zeros, zeros)
-            hess = {"ss": zeros, "sx": zeros, "xx": zeros, "orb": zeros}
-        else:
-            grad = (zeros,)
-            hess = {"rr": zeros, "orb": zeros}
-        return w, grad, hess
-
-
 # --------------------------------------------------------- conformal factor
 
 _CONVENTION_EXPONENTS = {"metric": lambda n: 4.0 / (n - 2),
@@ -348,24 +319,6 @@ class ConformalFactor:
         return ConformalFactor(manifold, FieldLogProfile(manifold, w))
 
     @staticmethod
-    def from_rho(manifold: ManifoldModel, rho: ScalarField,
-                 convention: str = "metric") -> "ConformalFactor":
-        if convention not in _CONVENTION_EXPONENTS:
-            raise ValueError(f"unknown convention {convention!r}")
-        if convention == "paneitz" and manifold.n == 4:
-            raise NonpositiveFactorError(
-                "the 4/(n-4) weight is undefined in dimension 4")
-        grid = rho.grid_values if rho.grid_values is not None \
-            else F.synthesize(rho).grid_values
-        if np.min(grid) <= 0.0:
-            raise NonpositiveFactorError(
-                f"conformal factor must be positive, min={np.min(grid):.3g}")
-        e = _CONVENTION_EXPONENTS[convention](manifold.n)
-        w_vals = 0.5 * e * np.log(grid)
-        w = F.analyze(F.field_from_grid(manifold.basis, w_vals))
-        return ConformalFactor.from_w(manifold, w)
-
-    @staticmethod
     def moebius(manifold: ManifoldModel, lam: float,
                 axis: int = 1) -> "ConformalFactor":
         return ConformalFactor(manifold, MoebiusLogProfile(manifold, lam, axis))
@@ -376,12 +329,12 @@ class ConformalFactor:
         if rho <= 0:
             raise NonpositiveFactorError("constant factor must be positive")
         e = _CONVENTION_EXPONENTS[convention](manifold.n)
-        return ConformalFactor(manifold,
-                               ConstantLogProfile(manifold, 0.5 * e * math.log(rho)))
+        return ConformalFactor.from_w(manifold,
+                                      manifold.constant(0.5 * e * math.log(rho)))
 
     @staticmethod
     def identity(manifold: ManifoldModel) -> "ConformalFactor":
-        return ConformalFactor(manifold, ConstantLogProfile(manifold, 0.0))
+        return ConformalFactor.from_w(manifold, manifold.constant(0.0))
 
     # -- views
     @cached_property
@@ -477,11 +430,6 @@ def q_from_data(n: int, lap_R, rc_norm_sq, R_sq):
     c2 = (n ** 3 - 4 * n ** 2 + 16 * n - 16) / (8.0 * (n - 1) ** 2 * (n - 2) ** 2)
     return (-lap_R / (2.0 * (n - 1)) - 2.0 * rc_norm_sq / (n - 2) ** 2
             + c2 * R_sq)
-
-
-def q_curvature(m: ManifoldModel) -> ScalarField:
-    """Q curvature of the base metric (constant on catalog backends)."""
-    return m.constant(m.q_value)
 
 
 def conformal_q(m: ManifoldModel, factor: ConformalFactor) -> ScalarField:

@@ -298,18 +298,6 @@ class GreenField:
             return 0.0
         return None
 
-    def delta_coefficients(self) -> np.ndarray:
-        """Mode table of the expansion: basisfn(pole) / eigenvalue."""
-        m = self.manifold
-        sym = build_symbol(m, self.operator)
-        thr = 1e-8 * sym.max_abs
-        if np.min(np.abs(sym.table)) < thr:
-            raise KernelError(f"{self.operator} has a zero mode on {m.kind}")
-        pole_pt = [np.array([c]) for c in m.pole_coordinates(self.pole)]
-        U, P, _, _ = F.mode_tables(m.basis, pole_pt)
-        pole_vals = P[0][0] if U is None else np.outer(U[0][0], P[0][0])
-        return pole_vals / sym.table
-
     def log_profile(self, scale: float):
         """Conformal logarithm w = scale * log G with exact derivatives."""
         if self.operator != "L" or self._kernel is None:

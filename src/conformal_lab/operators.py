@@ -12,12 +12,13 @@ With Lam = eigenvalue of -Laplace per mode and lam_sph its sphere-factor
 part, the tables are
 
     L = (4(n-1)/(n-2)) Lam + R
-    P = Lam^2 - (4/(n-2)) rc lam_sph_term + c2 R Lam + ((n-4)/2) Q
+    P = Lam^2 - (4/(n-2)) ((d-1)/r^2) lam_sph + c2 R Lam + ((n-4)/2) Q
 
-where the middle term is (n-1)/a^2 * Lam on spheres, (d-1)/b^2 * lam_sph
-on products, and c2 = (n^2-4n+8)/(2(n-1)(n-2)).  In dimension four the
-zero-order term is dropped (its coefficient vanishes with n-4, so the
-branch is explicit but the value agrees).
+with d and r the dimension and radius of the sphere (factor), so that
+on a round sphere (d = n) lam_sph is Lam, and with
+c2 = (n^2-4n+8)/(2(n-1)(n-2)).  In dimension four the zero-order term is
+dropped (its coefficient vanishes with n-4, so the branch is explicit
+but the value agrees).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields as F
-from .errors import UnsupportedBackendError
 from .fields import ScalarField
 from .geometry import ConformalFactor, ManifoldModel, conformal_ricci, \
     conformal_scalar_curvature, conformal_q_from_curvature
@@ -89,11 +89,8 @@ def _symbol_table(m: ManifoldModel, operator: str) -> np.ndarray:
         return laplacian_coefficient(n) * lam + m.scalar_curvature
     if operator != "P":
         raise ValueError(f"unknown operator tag {operator!r}")
-    if m.is_product:
-        rc_term = ((m.sphere_dim - 1) / m.radius ** 2) \
-            * b.sphere_part_eigenvalues()
-    else:
-        rc_term = ((n - 1) / m.radius ** 2) * lam
+    rc_term = ((m.sphere_dim - 1) / m.radius ** 2) \
+        * b.sphere_part_eigenvalues()
     table = (lam ** 2 - (4.0 / (n - 2)) * rc_term
              + _gradient_coefficient(n) * m.scalar_curvature * lam)
     if n != 4:
@@ -103,8 +100,6 @@ def _symbol_table(m: ManifoldModel, operator: str) -> np.ndarray:
 
 def build_symbol(m: ManifoldModel, operator: str) -> SpectralSymbol:
     """Eigenvalue table of L or P on a catalog backend."""
-    if m.kind not in ("sphere", "product-S1xS2", "product-S1xS3"):
-        raise UnsupportedBackendError(f"no symbol for backend {m.kind!r}")
     return SpectralSymbol(m, operator, _symbol_table(m, operator))
 
 

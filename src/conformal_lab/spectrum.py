@@ -18,18 +18,14 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import fields as F
-from .errors import ZeroFunctionError
-from .fields import ScalarField
 from .geometry import ManifoldModel
-from .operators import SpectralSymbol, apply_L, build_symbol
+from .operators import SpectralSymbol, build_symbol
 
 __all__ = [
     "SpectrumSummary",
     "expected_sign",
     "lambda1_L",
-    "minimize_quotient_subspace",
     "paneitz_spectrum_check",
-    "yamabe_quotient",
 ]
 
 SIMPLICITY_TIE = 1e-10
@@ -44,6 +40,7 @@ class SpectrumSummary:
     lambda1: float
     smallest_positive: tuple | None       # (value, multiplicity)
     largest_negative: tuple | None
+    extremal: tuple | None     # the one the expected sign picks
     kernel_dimension: int
     kernel_is_constants: bool
     extremal_simple: bool
@@ -51,10 +48,6 @@ class SpectrumSummary:
     eigenfunction_range: tuple | None
     ordering_holds: bool
     details: dict = dc_field(default_factory=dict)
-
-    @property
-    def mode_count(self) -> int:
-        return int(sum(mult for _, mult in self.eigenvalues))
 
 
 def _grouped_eigenvalues(sym: SpectralSymbol):
@@ -75,99 +68,19 @@ def lambda1_L(m: ManifoldModel) -> float:
     return float(np.min(build_symbol(m, "L").table))
 
 
-def yamabe_quotient(m: ManifoldModel, phi: ScalarField) -> float:
-    """int L(phi) phi dmu divided by the critical Lebesgue norm squared."""
-    if phi.coefficients is None:
-        phi = F.analyze(phi)
-    num = F.integrate(apply_L(m, phi) * phi)
-    p = 2.0 * m.n / (m.n - 2.0)
-    grid = phi.grid_values if phi.grid_values is not None \
-        else F.synthesize(phi).grid_values
-    norm_p = float(np.sum(np.abs(grid) ** p * m.basis.quadrature_weights()))
-    if norm_p <= 0.0:
-        raise ZeroFunctionError("the quotient needs a nonzero function")
-    return num / norm_p ** (2.0 / p)
-
-
-def minimize_quotient_subspace(m: ManifoldModel, n_modes: int = 20,
-                               steps: int = 400, step_size: float = 0.02,
-                               seed: int = 0) -> dict:
-    """Projected gradient descent of the quotient over the first modes.
-
-    Returns the final value together with the computable sandwich bounds:
-    lambda1 * |phi|_2^2 / |phi|_crit^2 from below (the numerator dominates
-    lambda1 |phi|_2^2 mode-wise) and the constant-function value from
-    above.
-    """
-    rng = np.random.default_rng(seed)
-    b = m.basis
-    lam = build_symbol(m, "L").table.ravel()[:n_modes]
-    p = 2.0 * m.n / (m.n - 2.0)
-    w = b.quadrature_weights()
-
-    def unpack(c):
-        full = np.zeros(b.mode_count)
-        full[:n_modes] = c
-        shape = ((b.circle_mode_count, b.sphere_mode_count)
-                 if b.is_product else (b.sphere_mode_count,))
-        return F.synthesize(F.field_from_modes(b, full.reshape(shape)))
-
-    def value_grad(c):
-        phi = unpack(c)
-        g = phi.grid_values
-        num = float(np.sum(lam * c * c))
-        norm_p = float(np.sum(np.abs(g) ** p * w))
-        den = norm_p ** (2.0 / p)
-        # d(den)/dc_l = 2 norm_p^{2/p - 1} int |phi|^{p-1} sgn(phi) e_l dmu
-        P0, _, _ = b.polar_tables()
-        integ = np.abs(g) ** (p - 1) * np.sign(g) * w
-        if b.is_product:
-            U0, _, _ = b.circle_tables()
-            dnorm = (U0.T @ integ @ P0).ravel()[:n_modes]
-        else:
-            dnorm = (P0.T @ integ)[:n_modes]
-        dden = 2.0 * norm_p ** (2.0 / p - 1.0) * dnorm
-        grad = (2.0 * lam * c * den - num * dden) / den ** 2
-        return num / den, grad
-
-    c = rng.normal(size=n_modes)
-    c /= np.linalg.norm(c)
-    val, grad = value_grad(c)
-    for _ in range(steps):
-        c_new = c - step_size * grad
-        c_new /= np.linalg.norm(c_new)
-        val_new, grad_new = value_grad(c_new)
-        if val_new > val - 1e-14:
-            step_size *= 0.5
-            if step_size < 1e-10:
-                break
-            continue
-        c, val, grad = c_new, val_new, grad_new
-        step_size *= 1.25
-    phi = unpack(c)
-    g = phi.grid_values
-    l2 = float(np.sum(g * g * w))
-    norm_crit = float(np.sum(np.abs(g) ** p * w)) ** (2.0 / p)
-    lower = lambda1_L(m) * l2 / norm_crit
-    upper = yamabe_quotient(m, m.constant(1.0))
-    return {"value": val, "lower_bound": lower, "upper_bound": upper,
-            "coefficients": c}
-
-
 def expected_sign(n: int) -> str:
     """Sign of G_P the theorems predict: POSITIVE for n > 4, NEGATIVE for
     n = 3, none in dimension four."""
     return "POSITIVE" if n > 4 else ("NEGATIVE" if n == 3 else "")
 
 
-def paneitz_spectrum_check(m: ManifoldModel,
-                           sign_verdict: str | None = None) -> SpectrumSummary:
+def paneitz_spectrum_check(m: ManifoldModel) -> SpectrumSummary:
     """Spectrum summary of the fourth-order operator with the sign claims.
 
     The claims (simplicity and sign-definiteness of the extremal
     eigenvalue, modulus ordering against the opposite-sign spectrum) are
-    evaluated unconditionally; callers gate their assertion on the
-    Green's function sign verdict.
+    evaluated unconditionally against the sign the theorems predict
+    (``expected_sign``); callers gate their assertion on the hypotheses.
     """
     sym = build_symbol(m, "P")
     grouped = _grouped_eigenvalues(sym)
@@ -179,19 +92,16 @@ def paneitz_spectrum_check(m: ManifoldModel,
     smallest_pos = positives[0] if positives else None
     largest_neg = negatives[-1] if negatives else None
 
-    if sign_verdict is None:
-        sign_verdict = expected_sign(m.n)
+    sign_verdict = expected_sign(m.n)
     extremal = smallest_pos if sign_verdict == "POSITIVE" else largest_neg
     simple = extremal is not None and extremal[1] == 1
     sign_definite = False
     eig_range = None
     if extremal is not None:
         idx = int(np.argmin(np.abs(sym.table.ravel() - extremal[0])))
-        coeffs = np.zeros(m.basis.mode_count)
-        coeffs[idx] = 1.0
-        shape = ((m.basis.circle_mode_count, m.basis.sphere_mode_count)
-                 if m.basis.is_product else (m.basis.sphere_mode_count,))
-        eigfn = F.synthesize(F.field_from_modes(m.basis, coeffs.reshape(shape)))
+        coeffs = np.zeros(m.basis.mode_shape)
+        coeffs.flat[idx] = 1.0
+        eigfn = F.synthesize(F.field_from_modes(m.basis, coeffs))
         lo, hi = eigfn.min(), eigfn.max()
         eig_range = (lo, hi)
         sign_definite = lo * hi > 0
@@ -218,6 +128,7 @@ def paneitz_spectrum_check(m: ManifoldModel,
         lambda1=lambda1_L(m),
         smallest_positive=smallest_pos,
         largest_negative=largest_neg,
+        extremal=extremal,
         kernel_dimension=kernel_dim,
         kernel_is_constants=kernel_is_constants,
         extremal_simple=simple,

@@ -589,7 +589,7 @@ def check_spectrum_claims(m: ManifoldModel) -> VerificationReport:
         checks.append(CheckRecord(
             "extremal-simple", 0.0 if summary.extremal_simple else 1.0, 0.5,
             summary.extremal_simple, True,
-            detail=f"extremal {summary.smallest_positive if m.n > 4 else summary.largest_negative}"))
+            detail=f"extremal {summary.extremal}"))
         checks.append(CheckRecord(
             "extremal-sign-definite",
             0.0 if summary.extremal_sign_definite else 1.0, 0.5,
@@ -673,13 +673,17 @@ def check_mass(m: ManifoldModel, poles=None, with_transport: bool = True,
 
 @dataclass(frozen=True)
 class Suite:
-    """Where a suite runs (``applies``) and how a job's options call it."""
+    """Where a suite runs (``applies``), its check, and the job options
+    the check takes."""
 
     applies: Callable
-    run: Callable
+    check: Callable
+    options: tuple = ()
 
     def __call__(self, m: ManifoldModel, cfg: dict):
-        return self.run(m, cfg) if self.applies(m) else None
+        if not self.applies(m):
+            return None
+        return self.check(m, **{k: cfg[k] for k in self.options if k in cfg})
 
 
 # The paper's identities are conditional on the dimension: the weak
@@ -687,40 +691,20 @@ class Suite:
 # identity and the 16 pi^2 balance n = 4, and the vanishing mass a round
 # sphere of dimension 5..7.  This table is the only place that says so.
 _SUITES = {
-    "weak-identity": Suite(
-        lambda m: m.n != 4,
-        lambda m, cfg: check_weak_identity(
-            m, level=cfg.get("level", 2), tolerance=cfg.get("tolerance"),
-            seed=cfg.get("seed", 0))),
-    "4d-identity": Suite(
-        lambda m: m.n == 4,
-        lambda m, cfg: check_4d_identity(
-            m, level=cfg.get("level", 2), tolerance=cfg.get("tolerance"),
-            seed=cfg.get("seed", 0))),
-    "total-q": Suite(
-        lambda m: m.n == 4,
-        lambda m, cfg: check_total_q(m, level=cfg.get("level", 2),
-                                     tolerance=cfg.get("tolerance"))),
-    "covariance": Suite(
-        lambda m: True,
-        lambda m, cfg: check_covariance(
-            m, trials=cfg.get("trials", 10), seed=cfg.get("seed", 0),
-            level=cfg.get("level", 1), tolerance=cfg.get("tolerance"))),
-    "signs": Suite(
-        lambda m: m.n != 4,
-        lambda m, cfg: check_sign_theorems(m, seed=cfg.get("seed", 0))),
-    "spectrum": Suite(
-        lambda m: True,
-        lambda m, cfg: check_spectrum_claims(m)),
-    "green-compare": Suite(
-        lambda m: m.n != 4,
-        lambda m, cfg: check_green_compare(
-            m, tolerance=cfg.get("tolerance", 1e-8))),
-    "mass": Suite(
-        lambda m: not m.is_product and m.n in (5, 6, 7),
-        lambda m, cfg: check_mass(
-            m, tolerance=cfg.get("tolerance", 1e-6),
-            level=cfg.get("level", 2), seed=cfg.get("seed", 0))),
+    "weak-identity": Suite(lambda m: m.n != 4, check_weak_identity,
+                           ("level", "tolerance", "seed")),
+    "4d-identity": Suite(lambda m: m.n == 4, check_4d_identity,
+                         ("level", "tolerance", "seed")),
+    "total-q": Suite(lambda m: m.n == 4, check_total_q,
+                     ("level", "tolerance")),
+    "covariance": Suite(lambda m: True, check_covariance,
+                        ("trials", "seed", "level", "tolerance")),
+    "signs": Suite(lambda m: m.n != 4, check_sign_theorems, ("seed",)),
+    "spectrum": Suite(lambda m: True, check_spectrum_claims),
+    "green-compare": Suite(lambda m: m.n != 4, check_green_compare,
+                           ("tolerance",)),
+    "mass": Suite(lambda m: not m.is_product and m.n in (5, 6, 7),
+                  check_mass, ("tolerance", "level", "seed")),
 }
 
 # the job entry points; a profiler may wrap these, never the gates above

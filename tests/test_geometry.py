@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conformal_lab import basis
 from conformal_lab import fields as F
-from conformal_lab.errors import (AliasingError, NonpositiveFactorError,
-                                  UnsupportedBackendError)
+from conformal_lab.cli import list_catalog
+from conformal_lab.errors import AliasingError, UnsupportedBackendError
 from conformal_lab.geometry import (ConformalFactor, ManifoldModel, Pole,
                                     catalog_build, conformal_q,
                                     conformal_q_from_curvature,
                                     conformal_ricci,
-                                    conformal_scalar_curvature, q_curvature)
+                                    conformal_scalar_curvature)
+from conformal_lab.spectrum import lambda1_L
 
 
 # ----------------------------------------------------------------- catalog
@@ -49,6 +51,22 @@ def test_unsupported_backends(kind, n):
         catalog_build(kind, n, {}, {"degree_max": 4})
 
 
+def test_a_product_kind_is_one_table_row(monkeypatch):
+    """S^1 x S^4 needs only its row in the kind table: the dimension, the
+    curvature, the symbols and the printed catalog all follow from d."""
+    monkeypatch.setitem(basis.PRODUCT_KINDS, "product-S1xS4", 4)
+    m = catalog_build("product-S1xS4", None, {},
+                      {"degree_max": 4, "fourier_max": 2})
+    assert m.n == 5 and m.is_product
+    assert m.scalar_curvature == 12.0
+    assert m.ricci_eigenvalues["xx"] == 3.0
+    assert lambda1_L(m) == 12.0
+    assert_allclose(m.q_value, 3.125, rtol=1e-13)
+    assert m.descriptor().startswith("product-S1xS4:n=5:")
+    rows = {tuple(line.split()[:2]) for line in list_catalog().splitlines()}
+    assert ("product-S1xS4", "5") in rows
+
+
 def test_radius_two_sphere_curvature():
     m = catalog_build("sphere", 5, {"radius": 2.0}, {"degree_max": 6})
     assert_allclose(m.scalar_curvature, 5.0)
@@ -66,7 +84,7 @@ def test_radius_two_sphere_curvature():
 ])
 def test_q_values(fixture, value, request):
     m = request.getfixturevalue(fixture)
-    q = q_curvature(m)
+    q = m.constant(m.q_value)
     assert_allclose(q.grid_values, value, atol=1e-12)
     # cross-check the round-sphere family against n (n^2 - 4) / 8
     if fixture.startswith("sphere"):
@@ -74,8 +92,8 @@ def test_q_values(fixture, value, request):
 
 
 def test_total_q_on_round_sphere4(sphere4):
-    assert_allclose(F.integrate(q_curvature(sphere4)), 16.0 * math.pi ** 2,
-                    rtol=1e-10)
+    assert_allclose(F.integrate(sphere4.constant(sphere4.q_value)),
+                    16.0 * math.pi ** 2, rtol=1e-10)
 
 
 # --------------------------------------------------------- conformal ricci
@@ -205,14 +223,6 @@ def test_conformal_q_two_routes_agree(sphere5, s1xs3, rng):
 
 # ----------------------------------------------------------------- factors
 
-def test_nonpositive_factor_rejected(sphere5):
-    bad = F.field_from_grid(sphere5.basis,
-                            np.linspace(-0.5, 2.0,
-                                        sphere5.basis.sphere_nodes))
-    with pytest.raises(NonpositiveFactorError):
-        ConformalFactor.from_rho(sphere5, bad)
-
-
 def test_factor_convention_consistency(sphere5, rng):
     w = F.random_bandlimited(sphere5.basis, rng, degree=4, amplitude=0.2)
     factor = ConformalFactor.from_w(sphere5, w)
@@ -224,16 +234,6 @@ def test_factor_convention_consistency(sphere5, rng):
     assert_allclose(rho_l ** (4.0 / (n - 2)), target, rtol=1e-12)
     assert_allclose(rho_p ** (4.0 / (n - 4)), target, rtol=1e-12)
     assert_allclose(rho_s ** 2, target, rtol=1e-12)
-
-
-def test_from_rho_round_trip(s1xs2, rng):
-    w = F.random_bandlimited(s1xs2.basis, rng, degree=3, fourier=2,
-                             amplitude=0.2)
-    factor = ConformalFactor.from_w(s1xs2, w)
-    rho = factor.rho("metric")
-    rebuilt = ConformalFactor.from_rho(s1xs2, rho, "metric")
-    assert_allclose(rebuilt.w_grid.grid_values, factor.w_grid.grid_values,
-                    atol=1e-10)
 
 
 def test_pole_geometry(s1xs2):

@@ -124,19 +124,6 @@ def test_delta_normalization_product(s1xs2, rng):
         assert abs(got - want) < 1e-6 * max(1.0, abs(want))
 
 
-def test_symbol_on_expansion_reproduces_discrete_delta(s1xs2):
-    """Multiplying the expansion coefficients by the symbol gives the
-    basis projection of the point mass."""
-    gf = green_eigen_expansion(s1xs2, "L")
-    coeffs = gf.delta_coefficients()
-    sym = build_symbol(s1xs2, "L")
-    b = s1xs2.basis
-    U0, _, _ = b.circle_values(np.array([0.0]))
-    P0, _, _ = b.polar_values(np.array([1.0]))
-    delta_proj = U0[0][:, None] * (P0[0] / math.sqrt(b.polar_norm))[None, :]
-    assert_allclose(sym.table * coeffs, delta_proj, rtol=1e-12)
-
-
 def test_product_image_kernel_matches_mode_sum(s1xs2):
     """The closed image sum equals the raw truncated eigen-expansion."""
     big = catalog_build("product-S1xS2", None, {"length": 2 * math.pi},

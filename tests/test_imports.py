@@ -1,8 +1,11 @@
-"""Import hygiene of the package: every imported name is used or exported.
+"""Import hygiene of the package: every imported name is used or exported,
+and every exported name is used.
 
 There is no linter among the package's dependencies, so this reads each
 module's syntax tree: a name bound by an import statement must appear as
-a name in the module, or in its ``__all__``.
+a name in the module, or in its ``__all__``; and a name in a module's
+``__all__`` must be referenced somewhere in the package, apart from the
+few reference routes that only the tests compare against.
 """
 
 import ast
@@ -11,20 +14,47 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "conformal_lab"
 
 
+# independent routes kept for the tests to compare the package against
+TEST_REFERENCES = {"apply_P_pointwise", "green_pair", "apply_L", "run_suite"}
+
+
+def exported(tree) -> set[str]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def referenced(tree) -> set[str]:
+    """Names read as ``name`` or as ``obj.name``; imports, definitions and
+    assignments do not count."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+
+
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
-    imported, exported = set(), set()
+    imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported |= {a.asname or a.name.split(".")[0] for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {a.asname or a.name for a in node.names}
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            exported = set(ast.literal_eval(node.value))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted(imported - used - exported)
+    return sorted(imported - used - exported(tree))
+
+
+def unused_exports(sources: dict) -> dict:
+    """Per module, the ``__all__`` names no module of ``sources`` reads."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = set().union(*(referenced(t) for t in trees.values()))
+    out = {name: sorted(exported(t) - used - TEST_REFERENCES)
+           for name, t in trees.items()}
+    return {name: names for name, names in out.items() if names}
 
 
 def test_every_package_import_is_used():
@@ -38,3 +68,17 @@ def test_an_unused_import_is_caught():
     source = ("from . import fields as F\nimport csv, json\n"
               "__all__ = ['F']\njson.dumps(1)\n")
     assert unused_imports(source) == ["csv"]
+
+
+def test_every_exported_name_is_used_in_the_package():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unused_exports(sources) == {}
+
+
+def test_an_unused_export_is_caught():
+    # g is imported but never read, h is only defined, apply_L is exempt
+    sources = {"a.py": "__all__ = ['f', 'g', 'apply_L']\ndef f(): pass\n"
+                       "def g(): pass\ndef apply_L(): pass\n",
+               "b.py": "from .a import f, g\n__all__ = ['h']\n"
+                       "def h(): return f()\n"}
+    assert unused_exports(sources) == {"a.py": ["g"], "b.py": ["h"]}

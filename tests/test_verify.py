@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conformal_lab import fields as F
-from conformal_lab import green, verify
+from conformal_lab import green, operators, verify
 from conformal_lab import quadrature as Q
 from conformal_lab.errors import (HypothesisFailError, KernelError,
                                   UnsupportedDimensionError)
@@ -44,6 +44,32 @@ def test_weak_identity_product_converges(s1xs2):
                          if c.law == "weak-identity"))
     assert worst[0] > worst[1] > worst[2]
     assert worst[0] < 1e-2
+
+
+def _weak_residuals(report):
+    return [abs(c.residual) for c in report.checks if c.law == "weak-identity"]
+
+
+def test_weak_identity_sees_a_one_entry_symbol_mutation(sphere5, s1xs2,
+                                                        monkeypatch):
+    """Scaling one entry of the P table by 1 + 1e-6 must show: it fails the
+    sphere identity (worst margin 2.3e-7 -> 100) and, inside the product
+    bound, multiplies the worst product residual by about 2,900."""
+    clean = max(_weak_residuals(check_weak_identity(s1xs2)))
+    table = operators._symbol_table
+
+    def mutated(m, operator):
+        out = table(m, operator)
+        if operator == "P":
+            out = out.copy()
+            out.flat[2] *= 1.0 + 1e-6
+        return out
+
+    monkeypatch.setattr(operators, "_symbol_table", mutated)
+    assert not check_weak_identity(sphere5).passed
+    report = check_weak_identity(s1xs2)
+    assert report.passed
+    assert max(_weak_residuals(report)) >= 100.0 * clean
 
 
 def test_weak_identity_rejects_dimension4(sphere4):
