@@ -193,10 +193,6 @@ class ModeBasis:
         return self.degree_max + 1
 
     @property
-    def mode_count(self) -> int:
-        return self.circle_mode_count * self.sphere_mode_count
-
-    @property
     def mode_shape(self) -> tuple:
         """Shape of a coefficient table: (circle modes, degrees) on a
         product, (degrees,) on a sphere."""

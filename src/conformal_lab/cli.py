@@ -36,9 +36,7 @@ class RunConfig:
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
             raise ConfigError("config: top level must be a JSON object")
-        self.seed = raw.get("seed", 0)
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed: must be an integer")
+        self.seed = _integer(raw, "seed", 0, 0)
         suites = raw.get("suites")
         if not suites or not isinstance(suites, list):
             raise ConfigError("suites: a non-empty list is required")
@@ -55,18 +53,18 @@ class RunConfig:
             if not isinstance(rec, dict) or "kind" not in rec:
                 raise ConfigError(f"catalog[{i}]: needs a 'kind' field")
         self.catalog = catalog
-        self.level = raw.get("level", 2)
-        if not isinstance(self.level, int) or self.level < 0:
-            raise ConfigError("level: must be a nonnegative integer")
-        self.trials = raw.get("trials", 10)
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ConfigError("trials: must be a positive integer")
+        self.level = _integer(raw, "level", 2, 0)
+        self.trials = _integer(raw, "trials", 10, 1)
         self.tolerances = raw.get("tolerances", {})
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances: must map suite name to number")
-        for k in self.tolerances:
+        for k, tol in self.tolerances.items():
             if k not in SUITES:
                 raise ConfigError(f"tolerances: unknown suite {k!r}")
+            if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
+                    or not 0 < tol <= sys.float_info.max:
+                raise ConfigError(f"tolerances: {k!r} must be a positive "
+                                  f"finite number, got {tol!r}")
         self.out_dir = raw.get("out_dir")
         extra = set(raw) - {"seed", "suites", "catalog", "level", "trials",
                             "tolerances", "out_dir"}
@@ -89,6 +87,15 @@ class RunConfig:
         if suite in self.tolerances:
             opts["tolerance"] = self.tolerances[suite]
         return opts
+
+
+def _integer(raw: dict, key: str, default: int, least: int) -> int:
+    """``raw[key]``, an integer (not a boolean) of at least ``least``."""
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise ConfigError(f"{key}: must be a {kind} integer, got {value!r}")
+    return value
 
 
 def _build_backends(config: RunConfig):

@@ -45,7 +45,6 @@ __all__ = [
     "hessian",
     "integrate",
     "laplacian",
-    "mode_tables",
     "random_bandlimited",
     "synthesize",
 ]
@@ -151,11 +150,11 @@ def constant_field(basis: ModeBasis, value: float) -> ScalarField:
 
 
 def random_bandlimited(basis: ModeBasis, rng, degree: int, fourier: int = 0,
-                       amplitude: float = 1.0, decay: float = 1.0) -> ScalarField:
+                       amplitude: float = 1.0) -> ScalarField:
     """A reproducible random field supported on low modes.
 
-    Coefficients decay like exp(-decay * degree) and the field is scaled
-    so its sup norm is ``amplitude``.
+    Coefficients decay like exp(-(wavenumber + degree)) and the field is
+    scaled so its sup norm is ``amplitude``.
     """
     degree = min(degree, basis.degree_max)
     if basis.is_product:
@@ -164,9 +163,9 @@ def random_bandlimited(basis: ModeBasis, rng, degree: int, fourier: int = 0,
         for j in range(2 * fourier + 1):
             k = basis.circle_wavenumber(j)
             for m in range(degree + 1):
-                c[j, m] = rng.normal() * math.exp(-decay * (k + m))
+                c[j, m] = rng.normal() * math.exp(-(k + m))
     else:
-        c = np.array([rng.normal() * math.exp(-decay * l) if l <= degree else 0.0
+        c = np.array([rng.normal() * math.exp(-l) if l <= degree else 0.0
                       for l in range(basis.sphere_mode_count)])
     f = synthesize(field_from_modes(basis, c))
     top = float(np.max(np.abs(f.grid_values)))
@@ -284,9 +283,6 @@ class SymTensorField:
             comps[name] = _freeze(np.broadcast_to(arr, self.basis.grid_shape))
         object.__setattr__(self, "components", comps)
 
-    def trace_values(self) -> np.ndarray:
-        return frame_trace(self.basis, self.components)
-
     def norm_squared_values(self) -> np.ndarray:
         return frame_dot(self.basis, self.components, self.components)
 
@@ -327,7 +323,7 @@ def _frame_weights(basis: ModeBasis) -> dict:
 
 # ----------------------------------------------------------- differentiation
 
-def mode_tables(basis: ModeBasis, points=None):
+def _mode_tables(basis: ModeBasis, points=None):
     """Normalized mode tables with the polar cosine and sine.
 
     Returns ``(U, P, t, sin_t)``: the circle tables (``None`` on spheres)
@@ -384,9 +380,9 @@ def _tables(b: ModeBasis, points):
         pts = np.broadcast_arrays(*(np.asarray(p, dtype=float)
                                     for p in points))
         shape = pts[0].shape
-        U, P, t, sin_t = mode_tables(b, [p.ravel() for p in pts])
+        U, P, t, sin_t = _mode_tables(b, [p.ravel() for p in pts])
         return U, P, t.reshape(shape), sin_t.reshape(shape), shape, False
-    U, P, t, sin_t = mode_tables(b)
+    U, P, t, sin_t = _mode_tables(b)
     if b.is_product:
         t, sin_t = t[None, :], sin_t[None, :]
     return U, P, t, sin_t, b.grid_shape, b.is_product

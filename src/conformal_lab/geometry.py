@@ -250,33 +250,27 @@ class MoebiusLogProfile:
     e^{2w} g with e^w = lam (1 + t^2) / (1 + lam^2 t^2).
     """
 
-    def __init__(self, manifold: ManifoldModel, lam: float, axis: int = 1):
+    def __init__(self, manifold: ManifoldModel, lam: float):
         if manifold.is_product:
             raise UnsupportedBackendError("Moebius factors live on spheres")
         if lam <= 0:
             raise NonpositiveFactorError("dilation parameter must be positive")
         self.manifold = manifold
         self.lam = float(lam)
-        self.axis = axis
 
     bandwidth = None
 
-    def _angle(self, theta):
-        th = np.asarray(theta, dtype=float)
-        return th if self.axis > 0 else math.pi - th
-
     def mapped_angle(self, theta):
         """Polar angle of the image point under the dilation."""
-        xi = self._angle(theta)
+        xi = np.asarray(theta, dtype=float)
         mapped = 2.0 * np.arctan(self.lam * np.tan(0.5 * xi))
-        mapped = np.where(np.isclose(xi, math.pi), math.pi, mapped)
-        return mapped if self.axis > 0 else math.pi - mapped
+        return np.where(np.isclose(xi, math.pi), math.pi, mapped)
 
     def jets(self, points=None):
         m = self.manifold
         if points is None:
             points = m.grid_points()
-        xi = self._angle(points[0])
+        xi = np.asarray(points[0], dtype=float)
         t = np.tan(0.5 * xi)
         lam = self.lam
         d = 1.0 + lam ** 2 * t ** 2
@@ -286,9 +280,8 @@ class MoebiusLogProfile:
             / (2.0 * d ** 2)
         # cot(xi) w_xi written without the axis singularity
         orb_xi = np.cos(xi) * (1.0 + t ** 2) * (1.0 - lam ** 2) / (2.0 * d)
-        sgn = 1.0 if self.axis > 0 else -1.0
         a = m.radius
-        grad = (sgn * w_xi / a,)
+        grad = (w_xi / a,)
         hess = {"rr": w_xixi / a ** 2, "orb": orb_xi / a ** 2}
         return w, grad, hess
 
@@ -319,9 +312,8 @@ class ConformalFactor:
         return ConformalFactor(manifold, FieldLogProfile(manifold, w))
 
     @staticmethod
-    def moebius(manifold: ManifoldModel, lam: float,
-                axis: int = 1) -> "ConformalFactor":
-        return ConformalFactor(manifold, MoebiusLogProfile(manifold, lam, axis))
+    def moebius(manifold: ManifoldModel, lam: float) -> "ConformalFactor":
+        return ConformalFactor(manifold, MoebiusLogProfile(manifold, lam))
 
     @staticmethod
     def constant(manifold: ManifoldModel, rho: float,
@@ -357,11 +349,9 @@ class ConformalFactor:
         return np.exp(2.0 * self.w_at(*points) / e)
 
 
-def _as_profile(factor_or_profile, manifold):
+def _as_profile(factor_or_profile):
     if isinstance(factor_or_profile, ConformalFactor):
         return factor_or_profile.profile
-    if isinstance(factor_or_profile, ScalarField):
-        return FieldLogProfile(manifold, factor_or_profile)
     return factor_or_profile
 
 
@@ -373,7 +363,7 @@ def conformal_ricci(m: ManifoldModel, factor, points=None):
     With ``points=None`` the result is a SymTensorField on the grid;
     otherwise a dict of component arrays at the given points.
     """
-    prof = _as_profile(factor, m)
+    prof = _as_profile(factor)
     bw = getattr(prof, "bandwidth", None)
     if bw is not None and bw != (0, 0):
         need = 4 * (bw[1] + 2)
@@ -414,7 +404,7 @@ def ricci_from_jets(m: ManifoldModel, grad, hess) -> dict:
 
 def conformal_scalar_curvature(m: ManifoldModel, factor, points=None):
     """Scalar curvature of e^{2w} g (values array)."""
-    prof = _as_profile(factor, m)
+    prof = _as_profile(factor)
     w, grad, hess = prof.jets(points)
     n = m.n
     grad2 = sum(g ** 2 for g in grad)

@@ -272,11 +272,9 @@ class GreenField:
     pole: Pole
     representation: str
     evaluator: object
-    singular_coefficient: float
     singular_exponent: float
     cutoff: int | None = None
     tail_estimate: float = 0.0
-    normalization: str = "basis-projected point mass"
     _kernel: object = None
     _grid_cache: np.ndarray | None = dc_field(default=None, repr=False)
 
@@ -293,10 +291,13 @@ class GreenField:
         return self._grid_cache
 
     def diagonal_value(self):
-        """Limit at the pole, when the kernel is continuous there (3d P)."""
-        if self.singular_exponent > 0:
-            return 0.0
-        return None
+        """Value at the pole when the kernel is continuous there (3d P),
+        else None."""
+        if self.singular_exponent <= 0:
+            return None
+        at = self.manifold.pole_coordinates(self.pole)
+        # + 0.0 writes a kernel that vanishes at the pole as 0.0, not -0.0
+        return float(self.values_at(*map(np.atleast_1d, at))[0]) + 0.0
 
     def log_profile(self, scale: float):
         """Conformal logarithm w = scale * log G with exact derivatives."""
@@ -309,11 +310,12 @@ class GreenField:
         return _SphereGreenLogProfile(self.manifold, self.pole,
                                       self._kernel, scale)
 
-    def mask(self, spacings: float = 3.0) -> np.ndarray:
-        """Grid mask: True where the singular part dominates (near pole)."""
+    def mask(self) -> np.ndarray:
+        """Grid mask: True within three grid spacings of the pole, where
+        the singular part dominates."""
         pts = self.manifold.grid_points()
         r = self.manifold.geodesic_from_pole(self.pole, *pts)
-        return r < spacings * self.manifold.grid_spacing()
+        return r < 3.0 * self.manifold.grid_spacing()
 
 
 class _SphereGreenLogProfile:
@@ -395,8 +397,8 @@ def green_sphere_closed_form(m: ManifoldModel, operator: str,
         kern = _SphereKernel(flat_P_coefficient(n), a, 4.0 - n)
     else:
         raise ValueError(f"unknown operator {operator!r}")
-    return GreenField(m, operator, pole, "closed-form", kern.value,
-                      kern.c, kern.p, _kernel=kern)
+    return GreenField(m, operator, pole, "closed-form", kern.value, kern.p,
+                      _kernel=kern)
 
 
 def green_eigen_expansion(m: ManifoldModel, operator: str,
@@ -427,8 +429,7 @@ def green_eigen_expansion(m: ManifoldModel, operator: str,
                                       / ((n - 2) * m.length))) + 2)
         kern = _ProductImageKernelL(m, images)
         return GreenField(m, "L", pole, "eigen-expansion", kern.value,
-                          flat_L_coefficient(n), 2.0 - n,
-                          cutoff=images, _kernel=kern)
+                          2.0 - n, cutoff=images, _kernel=kern)
     if operator != "P":
         raise ValueError(f"unknown operator {operator!r}")
     cutoff = cutoff or 240
@@ -440,8 +441,7 @@ def green_eigen_expansion(m: ManifoldModel, operator: str,
         raise CutoffTooLowError(
             f"degree cutoff {cutoff} leaves tail ~{tail:.2e} "
             f"(tolerance {tolerance * scale:.2e})")
-    return GreenField(m, "P", pole, "eigen-expansion", kern.value,
-                      flat_P_coefficient(n), 4.0 - n,
+    return GreenField(m, "P", pole, "eigen-expansion", kern.value, 4.0 - n,
                       cutoff=cutoff, tail_estimate=tail, _kernel=kern)
 
 
@@ -478,15 +478,14 @@ def transport_green(gf: GreenField, factor: ConformalFactor) -> GreenField:
             return vals / (rho_p * rho_q)
 
     return GreenField(m, gf.operator, pole, gf.representation + "+transport",
-                      evaluator, gf.singular_coefficient / rho_p ** 2,
-                      gf.singular_exponent, cutoff=gf.cutoff,
+                      evaluator, gf.singular_exponent, cutoff=gf.cutoff,
                       tail_estimate=gf.tail_estimate)
 
 
 def green_field(m: ManifoldModel, operator: str, pole: Pole | None = None,
-                factor: ConformalFactor | None = None, **kw) -> GreenField:
+                factor: ConformalFactor | None = None) -> GreenField:
     """Closed form on spheres, eigen-expansion on products, then transport."""
-    gf = (green_eigen_expansion(m, operator, pole, **kw) if m.is_product
+    gf = (green_eigen_expansion(m, operator, pole) if m.is_product
           else green_sphere_closed_form(m, operator, pole))
     if factor is not None:
         gf = transport_green(gf, factor)
@@ -512,7 +511,7 @@ def green_pair(gf: GreenField, f: ScalarField, level: int = 2) -> float:
 
 # --------------------------------------------------------------- sign scan
 
-def sign_scan(green_fields, mask_spacings: float = 3.0) -> dict:
+def sign_scan(green_fields) -> dict:
     """Extremal off-pole values and a global sign verdict.
 
     For each pole the scan reports min G over the unmasked grid in
@@ -524,7 +523,7 @@ def sign_scan(green_fields, mask_spacings: float = 3.0) -> dict:
     for gf in green_fields:
         n = gf.manifold.n
         vals = gf.grid_values()
-        keep = ~gf.mask(mask_spacings)
+        keep = ~gf.mask()
         kept = vals[keep]
         if n == 3:
             worst = float(np.max(kept))
@@ -566,11 +565,8 @@ class ComparisonResult:
     G_P degree sum (``None`` and 0 for closed forms).
     """
 
-    backend: str
     margin_min: float
     margin_max: float
-    argmin: tuple
-    argmax: tuple
     equality: bool
     tolerance: float
     cutoff: int | None
@@ -579,7 +575,6 @@ class ComparisonResult:
 
 def compare_green(m: ManifoldModel, poles=None,
                   factor: ConformalFactor | None = None,
-                  mask_spacings: float = 3.0,
                   tolerance: float = 1e-8) -> list[ComparisonResult]:
     """Margins of the kernel comparison for each pole."""
     if m.n == 4:
@@ -593,10 +588,9 @@ def compare_green(m: ManifoldModel, poles=None,
         gL = green_field(m, "L", pole, factor)
         gP = green_field(m, "P", pole, factor)
         pts = m.grid_points()
-        keep = ~gL.mask(mask_spacings)
+        keep = ~gL.mask()
         vL = gL.values_at(*pts)[keep]
         vP = gP.values_at(*pts)[keep]
-        coords = [np.broadcast_to(p, keep.shape)[keep] for p in pts]
         if n == 3:
             margin = -(1.0 / vL + 256.0 * math.pi ** 2 * vP)
             if not m.is_product:
@@ -607,22 +601,15 @@ def compare_green(m: ManifoldModel, poles=None,
                              + 256.0 * math.pi ** 2
                              * gP.evaluator(np.zeros(1)))
                 margin = np.concatenate([margin, diag])
-                pole_pt = m.pole_coordinates(pole)
-                coords = [np.concatenate([c, [pc]])
-                          for c, pc in zip(coords, pole_pt)]
             scale = float(np.max(np.abs(1.0 / vL)))
         else:
             margin = cn * vP - vL ** s
             scale = float(np.max(np.abs(vL ** s)))
-        imin = int(np.argmin(margin))
-        imax = int(np.argmax(margin))
+        margin_min = float(np.min(margin))
         out.append(ComparisonResult(
-            backend=m.descriptor(),
-            margin_min=float(margin[imin]),
-            margin_max=float(margin[imax]),
-            argmin=tuple(float(c[imin]) for c in coords),
-            argmax=tuple(float(c[imax]) for c in coords),
-            equality=bool(abs(margin[imin]) <= tolerance * scale),
+            margin_min=margin_min,
+            margin_max=float(np.max(margin)),
+            equality=bool(abs(margin_min) <= tolerance * scale),
             tolerance=tolerance * scale,
             cutoff=gP.cutoff,
             tail_estimate=gP.tail_estimate,

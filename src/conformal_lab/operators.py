@@ -60,7 +60,6 @@ class SpectralSymbol:
     manifold: ManifoldModel
     operator: str              # "L" | "P"
     table: np.ndarray          # shaped like the mode table
-    metric_tag: str = "base"
 
     def __post_init__(self):
         t = np.array(self.table, dtype=float)

@@ -20,22 +20,15 @@ import numpy as np
 
 __all__ = [
     "extrapolate_to_zero",
-    "gauss_panels",
-    "graded_edges",
     "product_singular_integral",
     "sphere_zonal_integral",
 ]
 
 
-def _gauss_rule(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-def gauss_panels(edges: np.ndarray, order: int):
+def _gauss_panels(edges: np.ndarray, order: int):
     """Composite Gauss-Legendre nodes/weights over consecutive edges."""
     edges = np.asarray(edges, dtype=float)
-    x, w = _gauss_rule(order)
+    x, w = np.polynomial.legendre.leggauss(order)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -43,9 +36,9 @@ def gauss_panels(edges: np.ndarray, order: int):
     return nodes, weights
 
 
-def graded_edges(outer: float, depth: int, ratio: float = 0.5) -> np.ndarray:
-    """Edges [0, outer*ratio^depth, ..., outer] grading toward zero."""
-    e = [0.0] + [outer * ratio ** j for j in range(depth, -1, -1)]
+def _graded_edges(outer: float, depth: int) -> np.ndarray:
+    """Edges [0, outer/2^depth, ..., outer/2, outer] grading toward zero."""
+    e = [0.0] + [outer * 0.5 ** j for j in range(depth, -1, -1)]
     return np.asarray(e)
 
 
@@ -68,14 +61,14 @@ def _contract(weights, vals):
 
 def sphere_zonal_integral(m, fn, pole=None, level: int = 1,
                           graded_depth: int | None = None,
-                          order: int = 10, resolution: dict | None = None):
+                          resolution: dict | None = None):
     """Integral over a sphere backend of a zonal integrand fn(theta).
 
     ``fn`` receives polar angles and may be singular at the pole axis
-    point; panels grade geometrically toward it.  ``level`` doubles the
-    panel count per unit.  ``fn`` may return a trailing column axis, giving
-    one integral per column.  A ``resolution`` dict receives the node
-    count (one block) and the graded depth.
+    point; 10-point Gauss panels grade geometrically toward it.  ``level``
+    doubles the panel count per unit.  ``fn`` may return a trailing column
+    axis, giving one integral per column.  A ``resolution`` dict receives
+    the node count (one block) and the graded depth.
     """
     n = m.n
     a = m.radius
@@ -84,10 +77,10 @@ def sphere_zonal_integral(m, fn, pole=None, level: int = 1,
     npan = 8 * 2 ** level
     xi0 = math.pi / 8
     edges = np.concatenate([
-        graded_edges(xi0, graded_depth)[:-1],
+        _graded_edges(xi0, graded_depth)[:-1],
         np.linspace(xi0, math.pi, npan + 1),
     ])
-    xi, w = gauss_panels(edges, order)
+    xi, w = _gauss_panels(edges, 10)
     theta = xi if (pole is None or pole.axis > 0) else math.pi - xi
     surf = m.basis.orbit_area * a ** n * np.sin(xi) ** (n - 1)
     if resolution is not None:
@@ -96,8 +89,6 @@ def sphere_zonal_integral(m, fn, pole=None, level: int = 1,
 
 
 def product_singular_integral(m, fn, pole, level: int = 1,
-                              order: int = 6,
-                              graded_depth: int | None = None,
                               resolution: dict | None = None):
     """Integral over a product backend of fn(s, chi) singular at the pole.
 
@@ -105,16 +96,16 @@ def product_singular_integral(m, fn, pole, level: int = 1,
     (r, psi) shells graded toward r = 0; the complement is integrated
     on the full (s, chi) rectangle after multiplying by a C^4 cutoff
     that vanishes inside the patch, so both pieces see a smooth
-    integrand.  ``fn`` is called once per block; it may return a trailing
-    column axis, giving one integral per column.  A ``resolution`` dict
-    receives the node counts of the two blocks, [near, far], and the
-    graded depth.
+    integrand.  Both use 6-point Gauss panels; the shells grade toward
+    the pole by halves, 18 + 6 * level times.  ``fn`` is called once per
+    block; it may return a trailing column axis, giving one integral per
+    column.  A ``resolution`` dict receives the node counts of the two
+    blocks, [near, far], and the graded depth.
     """
     d = m.sphere_dim
     b = m.radius
     ell = m.length
-    if graded_depth is None:
-        graded_depth = 18 + 6 * level
+    graded_depth = 18 + 6 * level
     r1 = 0.25 * min(0.5 * ell, b * math.pi)
     r0 = 0.5 * r1
     orbit = m.basis.orbit_area * b ** (d - 1)
@@ -125,11 +116,11 @@ def product_singular_integral(m, fn, pole, level: int = 1,
         return s, chi
 
     # polar patch: ds = r cos(psi), b*chi = r sin(psi)
-    redges = np.concatenate([graded_edges(r0, graded_depth)[:-1],
+    redges = np.concatenate([_graded_edges(r0, graded_depth)[:-1],
                              np.linspace(r0, r1, 4 * 2 ** level + 1)])
-    r_nodes, r_w = gauss_panels(redges, order)
-    p_nodes, p_w = gauss_panels(np.linspace(0.0, math.pi, 8 * 2 ** level + 1),
-                                order)
+    r_nodes, r_w = _gauss_panels(redges, 6)
+    p_nodes, p_w = _gauss_panels(np.linspace(0.0, math.pi, 8 * 2 ** level + 1),
+                                 6)
     R, PSI = np.meshgrid(r_nodes, p_nodes, indexing="ij")
     WR, WP = np.meshgrid(r_w, p_w, indexing="ij")
     ds = R * np.cos(PSI)
@@ -142,9 +133,9 @@ def product_singular_integral(m, fn, pole, level: int = 1,
     # far region on the full rectangle, integrand cut off inside the patch
     ns = 8 * 2 ** level
     nx = 8 * 2 ** level
-    s_nodes, s_w = gauss_panels(np.linspace(-0.5 * ell, 0.5 * ell, ns + 1),
-                                order)
-    x_nodes, x_w = gauss_panels(np.linspace(0.0, math.pi, nx + 1), order)
+    s_nodes, s_w = _gauss_panels(np.linspace(-0.5 * ell, 0.5 * ell, ns + 1),
+                                 6)
+    x_nodes, x_w = _gauss_panels(np.linspace(0.0, math.pi, nx + 1), 6)
     DS, CHI_EFF = np.meshgrid(s_nodes, x_nodes, indexing="ij")
     WS, WX = np.meshgrid(s_w, x_w, indexing="ij")
     rr = np.hypot(DS, b * CHI_EFF)

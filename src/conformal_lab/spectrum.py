@@ -13,7 +13,7 @@ eigenvalue of opposite sign is strictly dominated in modulus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class SpectrumSummary:
 
     operator: str
     eigenvalues: list          # (value, multiplicity) sorted ascending
-    lambda1: float
     smallest_positive: tuple | None       # (value, multiplicity)
     largest_negative: tuple | None
     extremal: tuple | None     # the one the expected sign picks
@@ -47,7 +46,6 @@ class SpectrumSummary:
     extremal_sign_definite: bool
     eigenfunction_range: tuple | None
     ordering_holds: bool
-    details: dict = dc_field(default_factory=dict)
 
 
 def _grouped_eigenvalues(sym: SpectralSymbol):
@@ -125,7 +123,6 @@ def paneitz_spectrum_check(m: ManifoldModel) -> SpectrumSummary:
     return SpectrumSummary(
         operator="P",
         eigenvalues=grouped,
-        lambda1=lambda1_L(m),
         smallest_positive=smallest_pos,
         largest_negative=largest_neg,
         extremal=extremal,
@@ -135,6 +132,4 @@ def paneitz_spectrum_check(m: ManifoldModel) -> SpectrumSummary:
         extremal_sign_definite=sign_definite,
         eigenfunction_range=eig_range,
         ordering_holds=ordering,
-        details={"sign_verdict": sign_verdict,
-                 "kernel_threshold": thr},
     )

@@ -16,6 +16,8 @@ eigen-expansion (product) backends, where truncation dominates.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import math
 import time
@@ -44,11 +46,6 @@ __all__ = [
     "Suite",
     "VerificationReport",
     "applies",
-    "check_4d_identity",
-    "check_covariance",
-    "check_sign_theorems",
-    "check_total_q",
-    "check_weak_identity",
     "default_test_functions",
     "hypotheses_for",
     "run_suite",
@@ -111,6 +108,13 @@ def _record(law, residual, tol, asserted=True, detail=""):
                        bool(abs(residual) <= tol), asserted, detail)
 
 
+def _verdict(law, ok, asserted=True, detail=""):
+    """A yes/no record: residual 0 or 1 against 0.5; an exploratory one
+    always passes."""
+    return CheckRecord(law, 0.0 if ok else 1.0, 0.5, bool(ok) or not asserted,
+                       asserted, detail)
+
+
 def hypotheses_for(m: ManifoldModel) -> dict:
     """The gating ledger: Yamabe sign via lambda_1, Q-sign status."""
     lam1 = lambda1_L(m)
@@ -124,6 +128,95 @@ def hypotheses_for(m: ManifoldModel) -> dict:
         "q_not_identically_zero": bool(abs(q) > 1e-12),
     }
 
+
+# ------------------------------------------------------------------ suites
+
+_SUITES = {}
+# the job entry points, (m, cfg) -> report or None; a profiler may wrap
+# these, never the declarations above
+SUITES = {}
+
+
+@dataclass(frozen=True)
+class Suite:
+    """The declaration of one suite, written as the decorator of its body.
+
+    ``applies(m)`` is the dimension gate and ``positive_yamabe`` whether
+    the suite needs lambda1(L) > 0.  The body takes the backend, its
+    hypothesis ledger and keyword options, and returns (checks,
+    resolution).  The decorated name is the suite's check: outside the
+    gate it raises ``UnsupportedDimensionError``, on a required Yamabe
+    sign that fails ``HypothesisFailError``, and otherwise it returns the
+    timed ``VerificationReport``.  The suite's job, ``SUITES[name]``,
+    returns None outside the gate and passes the check the run options
+    its signature names.
+    """
+
+    name: str
+    applies: Callable = lambda m: True
+    positive_yamabe: bool = False
+
+    def __call__(self, body):
+        sig = inspect.signature(body)
+        params = list(sig.parameters.values())
+        options = [p.name for p in params[2:]]
+
+        @functools.wraps(body)
+        def check(m: ManifoldModel, **opts) -> VerificationReport:
+            t0 = time.perf_counter()
+            if not self.applies(m):
+                raise UnsupportedDimensionError(
+                    f"{self.name} does not apply to {m.descriptor()}")
+            hyp = hypotheses_for(m)
+            if self.positive_yamabe and not hyp["yamabe_positive"]:
+                raise HypothesisFailError(
+                    f"lambda1(L) = {hyp['lambda1_L']:.3g} <= 0 on "
+                    f"{m.descriptor()}")
+            checks, resolution = body(m, hyp, **opts)
+            return VerificationReport(self.name, m.descriptor(), checks, hyp,
+                                      resolution, time.perf_counter() - t0)
+
+        check.__signature__ = sig.replace(parameters=params[:1] + params[2:])
+
+        def job(m: ManifoldModel, cfg: dict):
+            if not self.applies(m):
+                return None
+            return check(m, **{k: cfg[k] for k in options if k in cfg})
+
+        _SUITES[self.name] = self
+        SUITES[self.name] = job
+        return check
+
+
+def applies(name: str, m: ManifoldModel) -> bool:
+    """Whether suite ``name`` runs on the backend ``m``."""
+    return _SUITES[name].applies(m)
+
+
+def run_suite(name: str, m: ManifoldModel, cfg: dict | None = None):
+    """Run one suite; returns None when the backend is incompatible."""
+    return SUITES[name](m, cfg or {})
+
+
+def _theorems_asserted(m: ManifoldModel, hyp: dict) -> bool:
+    """The hypotheses of the sign and comparison theorems: a positive
+    Yamabe sign, Q >= 0 not identically zero, and n != 4."""
+    return bool(hyp["yamabe_positive"] and hyp["q_nonnegative"]
+                and hyp["q_not_identically_zero"] and m.n != 4)
+
+
+def _degree_sum_record(pole: Pole, cutoff, tail_estimate) -> dict:
+    """Resolution entry of one pole's G_P degree sum on a product."""
+    return {"pole": pole.label(), "cutoff": cutoff,
+            "tail_estimate": tail_estimate}
+
+
+def _pole_point(m: ManifoldModel):
+    """Chart coordinates of the north pole, as one-point arrays."""
+    return [np.array([c]) for c in m.pole_coordinates(Pole())]
+
+
+# ----------------------------------------------------- pole identities
 
 def default_test_functions(m: ManifoldModel, seed: int = 0):
     """Constants, the first low modes, and one seeded random field."""
@@ -147,37 +240,18 @@ def default_test_functions(m: ManifoldModel, seed: int = 0):
     return fns
 
 
-def _theorems_asserted(m: ManifoldModel, hyp: dict) -> bool:
-    """The hypotheses of the sign and comparison theorems: a positive
-    Yamabe sign, Q >= 0 not identically zero, and n != 4."""
-    return bool(hyp["yamabe_positive"] and hyp["q_nonnegative"]
-                and hyp["q_not_identically_zero"] and m.n != 4)
-
-
-def _degree_sum_record(pole: Pole, cutoff, tail_estimate) -> dict:
-    """Resolution entry of one pole's G_P degree sum on a product."""
-    return {"pole": pole.label(), "cutoff": cutoff,
-            "tail_estimate": tail_estimate}
-
-
-def _require_positive_yamabe(m: ManifoldModel, hyp: dict):
-    if not hyp["yamabe_positive"]:
-        raise HypothesisFailError(
-            f"lambda1(L) = {hyp['lambda1_L']:.3g} <= 0 on {m.descriptor()}")
-
-
-def _manifold_integral(m, fn, pole, level, gL):
+def _manifold_integral(m, fn, level, gL):
     """Graded integral around the pole of ``gL`` and its resolution."""
     resolution = {}
     integral = (Q.product_singular_integral if m.is_product
                 else Q.sphere_zonal_integral)
-    value = integral(m, fn, pole, level=level, resolution=resolution)
+    value = integral(m, fn, gL.pole, level=level, resolution=resolution)
     if m.is_product:
         resolution["images"] = gL.cutoff
     return value, resolution
 
 
-def _paired_integrals(m, pole, level, gL, profile, fns, weights):
+def _paired_integrals(m, level, gL, profile, fns, weights):
     """int a P(phi) dmu and int c phi dmu for every test function phi.
 
     ``weights(G_L, |Ric_blowup|^2)`` gives the node weights (a, c).  All
@@ -199,16 +273,49 @@ def _paired_integrals(m, pole, level, gL, profile, fns, weights):
         vals[..., k:] *= c[..., None]
         return vals
 
-    totals, resolution = _manifold_integral(m, integrand, pole, level, gL)
+    totals, resolution = _manifold_integral(m, integrand, level, gL)
     return totals[:k], totals[k:], resolution
 
 
-# ----------------------------------------------------------- weak identity
+def _pole_identity(m, law, level, tolerance, seed):
+    """The identity of ``check_weak_identity`` (n != 4) or of
+    ``check_4d_identity`` (n = 4), one residual per default test function,
+    each measured against the scale of its largest term."""
+    n = m.n
+    four = n == 4
+    s = (n - 4.0) / (n - 2.0)
+    target = 16.0 * math.pi ** 2 if four else comparison_constant(n)
+    gL = green_field(m, "L", Pole())
+    fns = default_test_functions(m, seed)
+    t_mains, t_riccis, resolution = _paired_integrals(
+        m, level, gL, gL.log_profile(1.0 if four else 2.0 / (n - 2.0)), fns,
+        (lambda g, ricci_sq: (np.log(g), ricci_sq)) if four
+        else (lambda g, ricci_sq: (g ** s, g ** s * ricci_sq)))
+    checks = []
+    for i, phi_p in enumerate(F.evaluate(fns, *_pole_point(m))[0]):
+        t_main, t_point, t_ricci = t_mains[i], target * phi_p, t_riccis[i]
+        if four:
+            t_q = F.integrate(fns[i] * m.q_value)
+            residual = t_main - t_point + 0.5 * t_ricci + t_q
+            scale = max(abs(t_main), abs(t_point), abs(t_ricci), abs(t_q),
+                        target)
+        else:
+            residual = t_main - t_point + (n - 4.0) / (n - 2.0) ** 2 * t_ricci
+            scale = max(abs(t_main), abs(t_point), abs(t_ricci), 1e-30)
+        checks.append(_record(law, residual / scale, tolerance,
+                              detail=f"phi[{i}]"))
+    if not four:
+        integrability = abs(t_riccis[0])
+        checks.append(_verdict(
+            "blowup-integrability", math.isfinite(integrability),
+            detail=f"L1 mass of the singular density: {integrability:.6g}"))
+    return checks, {"level": level, "pole": gL.pole.label(),
+                    "test_functions": len(fns), **resolution}
 
-def check_weak_identity(m: ManifoldModel, pole: Pole | None = None,
-                        test_functions=None, level: int = 2,
-                        tolerance: float | None = None,
-                        seed: int = 0) -> VerificationReport:
+
+@Suite("weak-identity", lambda m: m.n != 4, positive_yamabe=True)
+def check_weak_identity(m: ManifoldModel, hyp: dict, level: int = 2,
+                        tolerance: float | None = None, seed: int = 0):
     """Distributional identity for the fourth-order operator, n != 4.
 
     For each test function phi the residual of
@@ -219,47 +326,14 @@ def check_weak_identity(m: ManifoldModel, pole: Pole | None = None,
     with s = (n-4)/(n-2) and the blow-up metric G_L^{4/(n-2)} g, is
     measured against the scale of its largest term.
     """
-    t0 = time.perf_counter()
-    _require_applies("weak-identity", m)
-    n = m.n
-    hyp = hypotheses_for(m)
-    _require_positive_yamabe(m, hyp)
-    pole = pole or Pole()
     if tolerance is None:
         tolerance = PRODUCT_TOL if m.is_product else SPHERE_TOL
-    s = (n - 4.0) / (n - 2.0)
-    cn = comparison_constant(n)
-    gL = green_field(m, "L", pole)
-    fns = test_functions or default_test_functions(m, seed)
-    pole_pt = [np.array([c]) for c in m.pole_coordinates(pole)]
-
-    t_mains, t_riccis, resolution = _paired_integrals(
-        m, pole, level, gL, gL.log_profile(2.0 / (n - 2.0)), fns,
-        lambda g, ricci_sq: (g ** s, g ** s * ricci_sq))
-    checks = []
-    for i, phi_p in enumerate(F.evaluate(fns, *pole_pt)[0]):
-        t_main, t_point, t_ricci = t_mains[i], cn * phi_p, t_riccis[i]
-        residual = t_main - t_point + (n - 4.0) / (n - 2.0) ** 2 * t_ricci
-        scale = max(abs(t_main), abs(t_point), abs(t_ricci), 1e-30)
-        checks.append(_record("weak-identity", residual / scale, tolerance,
-                              detail=f"phi[{i}]"))
-    integrability = abs(t_riccis[0])
-    checks.append(_record(
-        "blowup-integrability", 0.0 if math.isfinite(integrability) else 1.0,
-        0.5, detail=f"L1 mass of the singular density: {integrability:.6g}"))
-    return VerificationReport(
-        "weak-identity", m.descriptor(), checks, hyp,
-        {"level": level, "pole": pole.label(),
-         "test_functions": len(fns), **resolution},
-        time.perf_counter() - t0)
+    return _pole_identity(m, "weak-identity", level, tolerance, seed)
 
 
-# ------------------------------------------------------------- 4d identity
-
-def check_4d_identity(m: ManifoldModel, pole: Pole | None = None,
-                      test_functions=None, level: int = 2,
-                      tolerance: float | None = None,
-                      seed: int = 0) -> VerificationReport:
+@Suite("4d-identity", lambda m: m.n == 4, positive_yamabe=True)
+def check_4d_identity(m: ManifoldModel, hyp: dict, level: int = 2,
+                      tolerance: float | None = None, seed: int = 0):
     """Log-kernel identity in dimension four.
 
     Residual per test function of
@@ -267,55 +341,26 @@ def check_4d_identity(m: ManifoldModel, pole: Pole | None = None,
       int log G_L P(phi) dmu = 16 pi^2 phi(p)
           - 1/2 int |Ric_blowup|^2 phi dmu - int Q phi dmu.
     """
-    t0 = time.perf_counter()
-    _require_applies("4d-identity", m)
-    hyp = hypotheses_for(m)
-    _require_positive_yamabe(m, hyp)
-    pole = pole or Pole()
     if tolerance is None:
         tolerance = 2e-2 if m.is_product else 1e-6
-    gL = green_field(m, "L", pole)
-    fns = test_functions or default_test_functions(m, seed)
-    pole_pt = [np.array([c]) for c in m.pole_coordinates(pole)]
-    target = 16.0 * math.pi ** 2
-
-    t_mains, t_riccis, resolution = _paired_integrals(
-        m, pole, level, gL, gL.log_profile(1.0), fns,
-        lambda g, ricci_sq: (np.log(g), ricci_sq))
-    checks = []
-    for i, phi_p in enumerate(F.evaluate(fns, *pole_pt)[0]):
-        t_main, t_point, t_ricci = t_mains[i], target * phi_p, t_riccis[i]
-        t_q = F.integrate(fns[i] * m.q_value)
-        residual = t_main - t_point + 0.5 * t_ricci + t_q
-        scale = max(abs(t_main), abs(t_point), abs(t_ricci), abs(t_q), target)
-        checks.append(_record("log-identity-4d", residual / scale, tolerance,
-                              detail=f"phi[{i}]"))
-    return VerificationReport(
-        "4d-identity", m.descriptor(), checks, hyp,
-        {"level": level, "pole": pole.label(), "test_functions": len(fns),
-         **resolution},
-        time.perf_counter() - t0)
+    return _pole_identity(m, "log-identity-4d", level, tolerance, seed)
 
 
 # ----------------------------------------------------------------- total Q
 
-def check_total_q(m: ManifoldModel, pole: Pole | None = None,
+@Suite("total-q", lambda m: m.n == 4, positive_yamabe=True)
+def check_total_q(m: ManifoldModel, hyp: dict,
                   factor: ConformalFactor | None = None, level: int = 2,
-                  tolerance: float | None = None) -> VerificationReport:
+                  tolerance: float | None = None):
     """Total Q plus the Ricci defect against 16 pi^2 (dimension four).
 
     Reports (int Q dmu, defect, sum, verdict); EQUALITY means the defect
     vanishes, which happens exactly in the round conformal class.
     """
-    t0 = time.perf_counter()
-    _require_applies("total-q", m)
-    hyp = hypotheses_for(m)
-    _require_positive_yamabe(m, hyp)
-    pole = pole or Pole()
     if tolerance is None:
         tolerance = PRODUCT_TOL if m.is_product else SPHERE_TOL
     target = 16.0 * math.pi ** 2
-    gL = green_field(m, "L", pole)
+    gL = green_field(m, "L", Pole())
     profile = gL.log_profile(1.0)
 
     if factor is None:
@@ -333,7 +378,7 @@ def check_total_q(m: ManifoldModel, pole: Pole | None = None,
         # needs no conformal weight
         return 0.5 * F.frame_dot(m.basis, comps, comps)
 
-    defect, resolution = _manifold_integral(m, fn, pole, level, gL)
+    defect, resolution = _manifold_integral(m, fn, level, gL)
     total = total_q + defect
     verdict = "EQUALITY" if abs(defect) <= max(tolerance, 1e-6) * target \
         else "STRICT"
@@ -342,13 +387,9 @@ def check_total_q(m: ManifoldModel, pole: Pole | None = None,
                 detail=f"int Q = {total_q:.8g}, defect = {defect:.8g}, "
                        f"verdict = {verdict}"),
     ]
-    return VerificationReport(
-        "total-q", m.descriptor(), checks, hyp,
-        {"level": level, "pole": pole.label(),
-         "conformal": factor is not None,
-         "total_q": total_q, "defect": defect, "verdict": verdict,
-         **resolution},
-        time.perf_counter() - t0)
+    return checks, {"level": level, "pole": gL.pole.label(),
+                    "conformal": factor is not None, "total_q": total_q,
+                    "defect": defect, "verdict": verdict, **resolution}
 
 
 # -------------------------------------------------------------- covariance
@@ -360,120 +401,111 @@ def _random_factor(m: ManifoldModel, rng) -> ConformalFactor:
     return ConformalFactor.from_w(m, w)
 
 
-def _law_bilinear(m, rng, level, fixed=None):
+def _draw(m, rng, fixed):
+    """The factor (``fixed``, or a random one) and two random test
+    functions of one bilinear trial."""
     factor = fixed or _random_factor(m, rng)
     deg = min(6, m.basis.degree_max // 3)
     four = min(3, m.basis.fourier_max) if m.is_product else 0
     phi = F.random_bandlimited(m.basis, rng, degree=deg, fourier=four)
     psi = F.random_bandlimited(m.basis, rng, degree=deg, fourier=four)
+    return factor, phi, psi
+
+
+def _off_pole(m, factor):
+    """G_L at the north pole, the grid points, the mask of the grid nodes
+    away from the pole, and w at those nodes and at the pole."""
+    gL = green_field(m, "L", Pole())
+    pts = m.grid_points()
+    keep = ~gL.mask()
+    return (gL, pts, keep, factor.w_at(*pts)[keep],
+            factor.w_at(*_pole_point(m)))
+
+
+def _sup_ratio(diff, ref) -> float:
+    """sup |diff| / sup |ref|: the relative defect of a pointwise law."""
+    return (float(np.max(np.abs(diff)))
+            / max(float(np.max(np.abs(ref))), 1e-30))
+
+
+def _law_bilinear(m, rng, fixed=None):
+    factor, phi, psi = _draw(m, rng, fixed)
     lhs = conformal_quadratic_form_E(m, factor, phi, psi)
     rho = factor.rho("paneitz")
     rhs = F.integrate(apply_P(m, F.analyze(rho * phi)) * (rho * psi))
-    scale = max(abs(lhs), abs(rhs), 1e-30)
-    return (lhs - rhs) / scale
+    return (lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
 
 
-def _law_pointwise_4d(m, rng, level, fixed=None):
-    factor = fixed or _random_factor(m, rng)
-    deg = min(6, m.basis.degree_max // 3)
-    four = min(3, m.basis.fourier_max) if m.is_product else 0
-    phi = F.random_bandlimited(m.basis, rng, degree=deg, fourier=four)
-    psi = F.random_bandlimited(m.basis, rng, degree=deg, fourier=four)
+def _law_pointwise_4d(m, rng, fixed=None):
+    factor, phi, psi = _draw(m, rng, fixed)
     lhs = conformal_quadratic_form_E(m, factor, phi, psi)
     rhs = quadratic_form_E(m, phi, psi)
-    scale = max(abs(lhs), abs(rhs), 1e-30)
-    return (lhs - rhs) / scale
+    return (lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
 
 
-def _law_green_transport(m, rng, level, fixed=None):
+def _law_green_transport(m, rng, fixed=None):
     # needs the dilation family: the changed metric is an isometric
     # pullback there, giving an independent expression for the kernel
     lam = math.exp(rng.uniform(-0.35, 0.35))
     factor = ConformalFactor.moebius(m, lam)
-    profile = factor.profile
     theta = m.basis.polar_angles()
     worst = 0.0
-    ops = ["L"] if m.n == 4 else ["L", "P"]
-    for op in ops:
+    for op in ["L"] if m.n == 4 else ["L", "P"]:
         gf = green_sphere_closed_form(m, op)
-        gt = transport_green(gf, factor)
-        keep = ~gf.mask(3.0)
-        got = gt.values_at(theta)[keep]
-        truth = gf.evaluator(profile.mapped_angle(theta)[keep])
-        scale = float(np.max(np.abs(truth)))
-        worst = max(worst, float(np.max(np.abs(got - truth))) / scale)
+        keep = ~gf.mask()
+        got = transport_green(gf, factor).values_at(theta)[keep]
+        truth = gf.evaluator(factor.profile.mapped_angle(theta)[keep])
+        worst = max(worst, _sup_ratio(got - truth, truth))
     return worst
 
 
-def _law_blowup_measure(m, rng, level, fixed=None):
+def _law_blowup_measure(m, rng, fixed=None):
     factor = fixed or _random_factor(m, rng)
     n = m.n
     s = (n - 4.0) / (n - 2.0)
-    pole = Pole()
-    gL = green_field(m, "L", pole)
-    gLt = transport_green(gL, factor)
-    profile = gL.log_profile(2.0 / (n - 2.0))
-    pts = m.grid_points()
-    keep = ~gL.mask(3.0)
-    comps = conformal_ricci(m, profile, pts)
+    gL, pts, keep, w, w_pole = _off_pole(m, factor)
+    comps = conformal_ricci(m, gL.log_profile(2.0 / (n - 2.0)), pts)
     nsq = F.frame_dot(m.basis, comps, comps)[keep]
-    w = factor.w_at(*pts)[keep]
     rho_l = np.exp(0.5 * (n - 2.0) * w)
-    pole_pt = [np.array([c]) for c in m.pole_coordinates(pole)]
-    rho_l_p = float(np.exp(0.5 * (n - 2.0) * factor.w_at(*pole_pt))[0])
+    rho_l_p = float(np.exp(0.5 * (n - 2.0) * w_pole)[0])
     g_vals = gL.values_at(*pts)[keep]
-    gt_vals = gLt.values_at(*pts)[keep]
+    gt_vals = transport_green(gL, factor).values_at(*pts)[keep]
     lhs = gt_vals ** s * np.exp(-4.0 * w) * nsq * np.exp(n * w)
     rhs = rho_l_p ** (-s) * rho_l ** s * g_vals ** s * nsq
-    scale = max(float(np.max(np.abs(rhs))), 1e-30)
-    return float(np.max(np.abs(lhs - rhs))) / scale
+    return _sup_ratio(lhs - rhs, rhs)
 
 
-def _law_defect_measure_4d(m, rng, level, fixed=None):
+def _law_defect_measure_4d(m, rng, fixed=None):
     factor = fixed or _random_factor(m, rng)
-    pole = Pole()
-    gL = green_field(m, "L", pole)
-    profile = gL.log_profile(1.0)
-    pts = m.grid_points()
-    keep = ~gL.mask(3.0)
-    comps = conformal_ricci(m, profile, pts)
+    gL, pts, keep, w, _ = _off_pole(m, factor)
+    comps = conformal_ricci(m, gL.log_profile(1.0), pts)
     nsq = F.frame_dot(m.basis, comps, comps)[keep]
-    w = factor.w_at(*pts)[keep]
     lhs = np.exp(-4.0 * w) * nsq * np.exp(4.0 * w)
-    rhs = nsq
-    scale = max(float(np.max(np.abs(rhs))), 1e-30)
-    return float(np.max(np.abs(lhs - rhs))) / scale
+    return _sup_ratio(lhs - nsq, nsq)
 
 
-def _law_q_transform_4d(m, rng, level, fixed=None):
+def _law_q_transform_4d(m, rng, fixed=None):
     factor = fixed or _random_factor(m, rng)
     lhs = conformal_q_from_curvature(m, factor).grid_values
     rhs = conformal_q(m, factor).grid_values
-    scale = max(float(np.max(np.abs(rhs))), 1e-30)
-    return float(np.max(np.abs(lhs - rhs))) / scale
+    return _sup_ratio(lhs - rhs, rhs)
 
 
-def _law_difference_transport(m, rng, level, fixed=None):
+def _law_difference_transport(m, rng, fixed=None):
     factor = fixed or _random_factor(m, rng)
     n = m.n
     s = (n - 4.0) / (n - 2.0)
     cn = comparison_constant(n)
-    pole = Pole()
-    gL = green_sphere_closed_form(m, "L", pole)
-    gP = green_sphere_closed_form(m, "P", pole)
+    gL, pts, keep, w, w_pole = _off_pole(m, factor)
+    gP = green_sphere_closed_form(m, "P", gL.pole)
     gLt = transport_green(gL, factor)
     gPt = transport_green(gP, factor)
-    pts = m.grid_points()
-    keep = ~gL.mask(3.0)
-    w = factor.w_at(*pts)[keep]
-    pole_pt = [np.array([c]) for c in m.pole_coordinates(pole)]
     rho_p = np.exp(0.5 * (n - 4.0) * w)
-    rho_p_pole = float(np.exp(0.5 * (n - 4.0) * factor.w_at(*pole_pt))[0])
+    rho_p_pole = float(np.exp(0.5 * (n - 4.0) * w_pole)[0])
     lhs = cn * gPt.values_at(*pts)[keep] - gLt.values_at(*pts)[keep] ** s
     base = cn * gP.values_at(*pts)[keep] - gL.values_at(*pts)[keep] ** s
     rhs = base / (rho_p_pole * rho_p)
-    scale = max(float(np.max(np.abs(gLt.values_at(*pts)[keep] ** s))), 1e-30)
-    return float(np.max(np.abs(lhs - rhs))) / scale
+    return _sup_ratio(lhs - rhs, gLt.values_at(*pts)[keep] ** s)
 
 
 _COVARIANCE_LAWS = {
@@ -488,9 +520,10 @@ _COVARIANCE_LAWS = {
 }
 
 
-def check_covariance(m: ManifoldModel, factor: ConformalFactor | None = None,
-                     trials: int = 10, seed: int = 0, level: int = 1,
-                     tolerance: float | None = None) -> VerificationReport:
+@Suite("covariance")
+def check_covariance(m: ManifoldModel, hyp: dict,
+                     factor: ConformalFactor | None = None, trials: int = 10,
+                     seed: int = 0, tolerance: float | None = None):
     """Conformal covariance laws over seeded random trials.
 
     Each applicable law reports its worst residual over ``trials`` draws
@@ -499,50 +532,40 @@ def check_covariance(m: ManifoldModel, factor: ConformalFactor | None = None,
     always draws round-to-round dilations, where the changed metric has
     an exact independent description.
     """
-    t0 = time.perf_counter()
-    hyp = hypotheses_for(m)
     if tolerance is None:
         # products pay spectral reprojection error in the curvature routes
         tolerance = SPHERE_TOL if not m.is_product else 1e-4
     checks = []
-    for name, (law, applies) in _COVARIANCE_LAWS.items():
-        if not applies(m):
+    for name, (law, law_applies) in _COVARIANCE_LAWS.items():
+        if not law_applies(m):
             continue
         rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
         worst = 0.0
         for _ in range(trials):
-            worst = max(worst, abs(law(m, rng, level, factor)))
+            worst = max(worst, abs(law(m, rng, factor)))
         checks.append(_record(name, worst, tolerance,
                               detail=f"worst of {trials} trials"))
-    return VerificationReport(
-        "covariance", m.descriptor(), checks, hyp,
-        {"trials": trials, "seed": seed, "level": level},
-        time.perf_counter() - t0)
+    return checks, {"trials": trials, "seed": seed}
 
 
 # ---------------------------------------------------------------- theorems
 
-def check_sign_theorems(m: ManifoldModel, poles=None,
-                        with_transport: bool = True,
-                        seed: int = 0) -> VerificationReport:
+@Suite("signs", lambda m: m.n != 4)
+def check_sign_theorems(m: ManifoldModel, hyp: dict, seed: int = 0):
     """Sign of the fourth-order Green's function over a pole set.
 
     The theorem verdict (positive for n > 4, negative for n = 3) is
     asserted only when the ledger shows a positive Yamabe sign and
     Q >= 0 not identically zero; otherwise the scan is exploratory.
     """
-    t0 = time.perf_counter()
-    _require_applies("signs", m)
-    hyp = hypotheses_for(m)
     asserted = _theorems_asserted(m, hyp)
     expected = expected_sign(m.n)
-    if poles is None:
-        poles = [Pole(1), Pole(-1)] if not m.is_product else \
-            [Pole(1, 0.0), Pole(1, m.length / 3.0)]
+    poles = [Pole(1), Pole(-1)] if not m.is_product else \
+        [Pole(1, 0.0), Pole(1, m.length / 3.0)]
     checks = []
     resolution = {"poles": [p.label() for p in poles], "asserted": asserted}
     variants = [("base", None)]
-    if with_transport and not m.is_product:
+    if not m.is_product:
         rng = np.random.default_rng(seed)
         variants.append(("moebius", ConformalFactor.moebius(
             m, math.exp(rng.uniform(0.15, 0.4)))))
@@ -553,76 +576,58 @@ def check_sign_theorems(m: ManifoldModel, poles=None,
         except (KernelError, CutoffTooLowError) as exc:
             # under the theorems' hypotheses a kernel that cannot be built
             # fails the check; elsewhere it is an exploratory record
-            checks.append(_record(f"sign-{tag}", 1.0, 0.5, asserted=asserted,
-                                  detail=f"{type(exc).__name__}: {exc}"))
+            checks.append(_verdict(f"sign-{tag}", False, asserted,
+                                   f"{type(exc).__name__}: {exc}"))
             continue
         if m.is_product:
             resolution.setdefault("degree_sum", []).extend(
                 _degree_sum_record(gf.pole, gf.cutoff, gf.tail_estimate)
                 for gf in gfs)
         scan = sign_scan(gfs)
-        ok = scan["verdict"] == expected
-        detail = json.dumps(scan["poles"])
-        checks.append(CheckRecord(f"sign-{tag}", 0.0 if ok else 1.0, 0.5,
-                                  ok if asserted else True, asserted,
-                                  detail=f"verdict={scan['verdict']} "
-                                         f"expected={expected} {detail}"))
-    return VerificationReport("signs", m.descriptor(), checks, hyp,
-                              resolution, time.perf_counter() - t0)
+        checks.append(_verdict(
+            f"sign-{tag}", scan["verdict"] == expected, asserted,
+            f"verdict={scan['verdict']} expected={expected} "
+            f"{json.dumps(scan['poles'])}"))
+    return checks, resolution
 
 
-def check_spectrum_claims(m: ManifoldModel) -> VerificationReport:
+@Suite("spectrum")
+def check_spectrum_claims(m: ManifoldModel, hyp: dict):
     """Spectral side of the sign theorems plus the kernel statement."""
-    t0 = time.perf_counter()
-    hyp = hypotheses_for(m)
-    asserted = _theorems_asserted(m, hyp)
     summary = paneitz_spectrum_check(m)
     checks = [
-        _record("lambda1-positive", 0.0 if hyp["yamabe_positive"] else 1.0,
-                0.5, detail=f"lambda1 = {hyp['lambda1_L']:.6g}"),
-        CheckRecord("kernel-vs-constants",
-                    0.0 if summary.kernel_is_constants else 1.0, 0.5,
-                    summary.kernel_is_constants, True,
-                    detail=f"kernel dimension {summary.kernel_dimension}"),
+        _verdict("lambda1-positive", hyp["yamabe_positive"],
+                 detail=f"lambda1 = {hyp['lambda1_L']:.6g}"),
+        _verdict("kernel-vs-constants", summary.kernel_is_constants,
+                 detail=f"kernel dimension {summary.kernel_dimension}"),
     ]
-    if asserted:
-        checks.append(CheckRecord(
-            "extremal-simple", 0.0 if summary.extremal_simple else 1.0, 0.5,
-            summary.extremal_simple, True,
-            detail=f"extremal {summary.extremal}"))
-        checks.append(CheckRecord(
-            "extremal-sign-definite",
-            0.0 if summary.extremal_sign_definite else 1.0, 0.5,
-            summary.extremal_sign_definite, True,
-            detail=f"eigenfunction range {summary.eigenfunction_range}"))
-        checks.append(CheckRecord(
-            "modulus-ordering", 0.0 if summary.ordering_holds else 1.0, 0.5,
-            summary.ordering_holds, True))
+    if _theorems_asserted(m, hyp):
+        checks += [
+            _verdict("extremal-simple", summary.extremal_simple,
+                     detail=f"extremal {summary.extremal}"),
+            _verdict("extremal-sign-definite",
+                     summary.extremal_sign_definite,
+                     detail=f"eigenfunction range "
+                            f"{summary.eigenfunction_range}"),
+            _verdict("modulus-ordering", summary.ordering_holds)]
         if hyp["q_not_identically_zero"]:
-            checks.append(CheckRecord(
-                "kernel-trivial", 0.0 if summary.kernel_dimension == 0 else 1.0,
-                0.5, summary.kernel_dimension == 0, True))
+            checks.append(_verdict("kernel-trivial",
+                                   summary.kernel_dimension == 0))
     else:
-        checks.append(CheckRecord(
-            "spectrum-exploratory", 0.0, 0.5, True, False,
-            detail=f"smallest positive {summary.smallest_positive}, "
-                   f"largest negative {summary.largest_negative}, "
-                   f"kernel {summary.kernel_dimension}"))
-    return VerificationReport(
-        "spectrum", m.descriptor(), checks, hyp,
-        {"modes": int(np.sum(m.basis.multiplicities()))},
-        time.perf_counter() - t0)
+        checks.append(_verdict(
+            "spectrum-exploratory", True, False,
+            f"smallest positive {summary.smallest_positive}, "
+            f"largest negative {summary.largest_negative}, "
+            f"kernel {summary.kernel_dimension}"))
+    return checks, {"modes": int(np.sum(m.basis.multiplicities()))}
 
 
-def check_green_compare(m: ManifoldModel, poles=None,
-                        tolerance: float = 1e-8) -> VerificationReport:
+@Suite("green-compare", lambda m: m.n != 4)
+def check_green_compare(m: ManifoldModel, hyp: dict,
+                        tolerance: float = 1e-8):
     """Kernel comparison margins and the equality-case verdict."""
-    t0 = time.perf_counter()
-    _require_applies("green-compare", m)
-    hyp = hypotheses_for(m)
     asserted = _theorems_asserted(m, hyp)
-    poles = poles or ([Pole(1), Pole(-1)] if not m.is_product
-                      else [Pole(1, 0.0)])
+    poles = [Pole(1), Pole(-1)] if not m.is_product else [Pole(1, 0.0)]
     results = compare_green(m, poles, tolerance=tolerance)
     checks = []
     for res in results:
@@ -638,90 +643,22 @@ def check_green_compare(m: ManifoldModel, poles=None,
         resolution["degree_sum"] = [
             _degree_sum_record(pole, res.cutoff, res.tail_estimate)
             for pole, res in zip(poles, results)]
-    return VerificationReport("green-compare", m.descriptor(), checks, hyp,
-                              resolution, time.perf_counter() - t0)
+    return checks, resolution
 
 
-def check_mass(m: ManifoldModel, poles=None, with_transport: bool = True,
-               tolerance: float = 1e-6, level: int = 2,
-               seed: int = 0) -> VerificationReport:
-    """Vanishing of the kernel-difference mass on round-conformal backends."""
-    t0 = time.perf_counter()
-    _require_applies("mass", m)
-    hyp = hypotheses_for(m)
-    poles = poles or [Pole(1)]
-    variants = [("base", None)]
-    if with_transport:
-        rng = np.random.default_rng(seed)
-        variants.append(("moebius", ConformalFactor.moebius(
-            m, math.exp(rng.uniform(0.15, 0.4)))))
+@Suite("mass", lambda m: not m.is_product and m.n in (5, 6, 7))
+def check_mass(m: ManifoldModel, hyp: dict, tolerance: float = 1e-6,
+               level: int = 2, seed: int = 0):
+    """Vanishing of the kernel-difference mass on round-conformal backends,
+    at the north pole of the base metric and of a Moebius change of it."""
+    pole = Pole(1)
+    rng = np.random.default_rng(seed)
+    moebius = ConformalFactor.moebius(m, math.exp(rng.uniform(0.15, 0.4)))
     checks = []
-    for tag, factor in variants:
-        for pole in poles:
-            res = extract_mass(m, pole, factor, level=level)
-            for route in ("expansion", "integral"):
-                checks.append(_record(
-                    f"mass-{route}-{tag}", res[f"A_{route}"], tolerance,
-                    detail=f"pole {res['pole']}"))
-    return VerificationReport(
-        "mass", m.descriptor(), checks, hyp,
-        {"poles": [p.label() for p in poles], "level": level},
-        time.perf_counter() - t0)
-
-
-# ---------------------------------------------------------------- registry
-
-@dataclass(frozen=True)
-class Suite:
-    """Where a suite runs (``applies``), its check, and the job options
-    the check takes."""
-
-    applies: Callable
-    check: Callable
-    options: tuple = ()
-
-    def __call__(self, m: ManifoldModel, cfg: dict):
-        if not self.applies(m):
-            return None
-        return self.check(m, **{k: cfg[k] for k in self.options if k in cfg})
-
-
-# The paper's identities are conditional on the dimension: the weak
-# identity, the sign and the comparison theorems need n != 4, the log
-# identity and the 16 pi^2 balance n = 4, and the vanishing mass a round
-# sphere of dimension 5..7.  This table is the only place that says so.
-_SUITES = {
-    "weak-identity": Suite(lambda m: m.n != 4, check_weak_identity,
-                           ("level", "tolerance", "seed")),
-    "4d-identity": Suite(lambda m: m.n == 4, check_4d_identity,
-                         ("level", "tolerance", "seed")),
-    "total-q": Suite(lambda m: m.n == 4, check_total_q,
-                     ("level", "tolerance")),
-    "covariance": Suite(lambda m: True, check_covariance,
-                        ("trials", "seed", "level", "tolerance")),
-    "signs": Suite(lambda m: m.n != 4, check_sign_theorems, ("seed",)),
-    "spectrum": Suite(lambda m: True, check_spectrum_claims),
-    "green-compare": Suite(lambda m: m.n != 4, check_green_compare,
-                           ("tolerance",)),
-    "mass": Suite(lambda m: not m.is_product and m.n in (5, 6, 7),
-                  check_mass, ("tolerance", "level", "seed")),
-}
-
-# the job entry points; a profiler may wrap these, never the gates above
-SUITES = dict(_SUITES)
-
-
-def applies(name: str, m: ManifoldModel) -> bool:
-    """Whether suite ``name`` runs on the backend ``m``."""
-    return _SUITES[name].applies(m)
-
-
-def _require_applies(name: str, m: ManifoldModel):
-    if not applies(name, m):
-        raise UnsupportedDimensionError(
-            f"{name} does not apply to {m.descriptor()}")
-
-
-def run_suite(name: str, m: ManifoldModel, cfg: dict | None = None):
-    """Run one suite; returns None when the backend is incompatible."""
-    return SUITES[name](m, cfg or {})
+    for tag, factor in (("base", None), ("moebius", moebius)):
+        res = extract_mass(m, pole, factor, level=level)
+        for route in ("expansion", "integral"):
+            checks.append(_record(
+                f"mass-{route}-{tag}", res[f"A_{route}"], tolerance,
+                detail=f"pole {res['pole']}"))
+    return checks, {"poles": [pole.label()], "level": level}

@@ -66,7 +66,7 @@ def test_criterion_3_s1xs3_defect_identity(s1xs3):
 def test_criterion_4_sphere5_proportionality(sphere5):
     gL = green_sphere_closed_form(sphere5, "L")
     gP = green_sphere_closed_form(sphere5, "P")
-    keep = ~gL.mask(3.0)
+    keep = ~gL.mask()
     theta = sphere5.basis.polar_angles()[keep]
     vL = gL.values_at(theta) ** (1.0 / 3.0)
     vP = gP.values_at(theta)

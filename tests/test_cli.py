@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from conformal_lab.cli import RunConfig, list_catalog, main, run
 from conformal_lab.errors import ConfigError
 
+REPO = Path(__file__).resolve().parent.parent
 
 BASE_CONFIG = {
     "seed": 0,
@@ -63,6 +65,35 @@ def test_bad_tolerance_key_rejected():
     cfg = dict(BASE_CONFIG, tolerances={"nope": 1e-3})
     with pytest.raises(ConfigError, match="nope"):
         RunConfig(cfg)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tolerances", {"green-compare": "tight"}),
+    ("tolerances", {"total-q": True}),
+    ("tolerances", {"total-q": None}),
+    ("tolerances", {"total-q": 0}),
+    ("tolerances", {"total-q": -1e-3}),
+    ("tolerances", {"total-q": float("nan")}),
+    ("tolerances", {"total-q": float("inf")}),
+    ("seed", True),
+    ("seed", -1),
+    ("level", True),
+    ("trials", True),
+])
+def test_bad_config_value_exits_2(tmp_path, capsys, field, value):
+    path = _write(tmp_path, dict(BASE_CONFIG, **{field: value}))
+    with pytest.raises(ConfigError, match=field):
+        RunConfig.from_path(path)
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert "CONFIG_INVALID" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_and_float_tolerances_accepted():
+    config = RunConfig(dict(BASE_CONFIG,
+                            tolerances={"total-q": 1, "spectrum": 1e-3}))
+    assert config.suite_options("total-q")["tolerance"] == 1
 
 
 def test_incompatible_suite_rejected(tmp_path):
@@ -218,6 +249,24 @@ def test_each_job_logs_duration_and_margin(tmp_path, caplog):
     worst = max(float(re.search(r"tol (\S+)$", msg).group(1))
                 for msg in jobs if msg.startswith("[PASS] total-q"))
     assert worst > 0.0
+
+
+def test_full_config_jobs_match_the_benchmark_reference(tmp_path):
+    """Every job of configs/full.json keeps the multiset of (law, asserted)
+    records of the benchmark reference, which this only reads, and its
+    verdict: the reference is made from passing runs only."""
+    reference = json.loads((REPO / "perfbench" / "reference.json").read_text())
+    jobs = reference["workloads"]["full-catalog-2t"]["jobs"]
+    assert run(RunConfig.from_path(REPO / "configs" / "full.json"),
+               tmp_path) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    rows = {f"{r['suite']}|{r['backend']}": r for r in summary["results"]}
+    assert sorted(rows) == sorted(jobs)
+    for key, records in jobs.items():
+        got = Counter((c["eq"], c["asserted"]) for c in rows[key]["checks"])
+        assert got == Counter((law, asserted)
+                              for law, asserted, _, _ in records), key
+        assert rows[key]["pass"] is True, key
 
 
 def test_job_without_asserted_check_says_so(tmp_path, caplog):

@@ -22,7 +22,7 @@ from conformal_lab.spectrum import lambda1_L
 def test_catalog_sphere_invariants(sphere4):
     assert sphere4.scalar_curvature == 12.0
     rc = sphere4.ricci_tensor()
-    assert_allclose(rc.trace_values(), 12.0)
+    assert_allclose(F.frame_trace(rc.basis, rc.components), 12.0)
     assert_allclose(rc.norm_squared_values(), 36.0)
 
 
@@ -38,8 +38,9 @@ def test_catalog_product_invariants(s1xs2, s1xs3):
 
 def test_ricci_trace_matches_scalar_everywhere(sphere5, s1xs3):
     for m in (sphere5, s1xs3):
-        assert_allclose(m.ricci_tensor().trace_values(), m.scalar_curvature,
-                        rtol=1e-12)
+        rc = m.ricci_tensor()
+        assert_allclose(F.frame_trace(rc.basis, rc.components),
+                        m.scalar_curvature, rtol=1e-12)
 
 
 @pytest.mark.parametrize("kind,n", [("sphere", 2), ("sphere", 8),

@@ -291,6 +291,20 @@ def test_sign_scan_product_is_reported_not_asserted(s1xs2):
     assert scan["verdict"] in ("POSITIVE", "NEGATIVE", "MIXED")
 
 
+def test_diagonal_value_is_the_kernel_at_the_pole(sphere3, s1xs2):
+    """The 3d G_P is continuous at its pole: the S1xS2 degree sum is
+    about 0.0866 there, the S^3 closed form vanishes there."""
+    gp = green_eigen_expansion(s1xs2, "P", Pole(1, 1.0))
+    diag = gp.diagonal_value()
+    assert abs(diag - 0.0866) < 1e-4
+    # the limit along the circle, where G_P = diag + O(r)
+    near = gp.values_at(np.array([1.0 + 1e-7]), np.zeros(1))[0]
+    assert abs(near - diag) < 1e-6
+    assert sign_scan([gp])["poles"][0]["diagonal_value"] == diag
+    assert green_sphere_closed_form(sphere3, "P").diagonal_value() == 0.0
+    assert green_sphere_closed_form(sphere3, "L").diagonal_value() is None
+
+
 # --------------------------------------------------------------- comparison
 
 def test_compare_green_equality_on_spheres(sphere3, sphere5):

@@ -1,11 +1,14 @@
 """Import hygiene of the package: every imported name is used or exported,
-and every exported name is used.
+every exported name is used, and every class member is read.
 
 There is no linter among the package's dependencies, so this reads each
 module's syntax tree: a name bound by an import statement must appear as
-a name in the module, or in its ``__all__``; and a name in a module's
+a name in the module, or in its ``__all__``; a name in a module's
 ``__all__`` must be referenced somewhere in the package, apart from the
-few reference routes that only the tests compare against.
+few reference routes that only the tests compare against; and so must
+every method, property and dataclass field a class defines.  Members are
+matched by name, so a member shares the reads of any other member or
+variable of the same name.
 """
 
 import ast
@@ -16,6 +19,10 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "conformal_lab"
 
 # independent routes kept for the tests to compare the package against
 TEST_REFERENCES = {"apply_P_pointwise", "green_pair", "apply_L", "run_suite"}
+
+# class members only the tests read: the trivial conformal factor and the
+# grouped spectrum a summary is computed from
+TEST_MEMBERS = {"identity", "eigenvalues"}
 
 
 def exported(tree) -> set[str]:
@@ -82,3 +89,53 @@ def test_an_unused_export_is_caught():
                "b.py": "from .a import f, g\n__all__ = ['h']\n"
                        "def h(): return f()\n"}
     assert unused_exports(sources) == {"a.py": ["g"], "b.py": ["h"]}
+
+
+def members(tree) -> set[str]:
+    """Methods, properties and dataclass fields of the classes in ``tree``;
+    dunder methods are left out, Python itself calls them."""
+    out = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        is_dataclass = any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+            == "dataclass" for d in cls.decorator_list)
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and not (
+                    node.name.startswith("__") and node.name.endswith("__")):
+                out.add(node.name)
+            elif is_dataclass and isinstance(node, ast.AnnAssign):
+                out.add(node.target.id)
+    return out
+
+
+def unused_members(sources: dict) -> dict:
+    """Per module, the class members no module of ``sources`` reads."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = set().union(*(referenced(t) for t in trees.values()))
+    out = {name: sorted(members(t) - used - TEST_MEMBERS)
+           for name, t in trees.items()}
+    return {name: names for name, names in out.items() if names}
+
+
+def test_every_class_member_is_read_in_the_package():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unused_members(sources) == {}
+
+
+def test_an_unused_member_is_caught():
+    # only b.f, c.value and the dunder are read; identity is exempt, and a
+    # plain class's annotations are not fields
+    sources = {"a.py": "from dataclasses import dataclass\n"
+                       "@dataclass(frozen=True)\nclass A:\n"
+                       "    value: int\n    spare: int = 0\n"
+                       "    def f(self): return self.value\n"
+                       "    @property\n    def g(self): return 1\n"
+                       "    def __len__(self): return 0\n"
+                       "    @staticmethod\n    def identity(): pass\n",
+               "b.py": "@dataclass\nclass B:\n    kept: int\n"
+                       "class C:\n    hint: int\n"
+                       "def h(b, c): return b.f() + c.value\n"}
+    assert unused_members(sources) == {"a.py": ["g", "spare"],
+                                       "b.py": ["kept"]}
