@@ -137,8 +137,6 @@ class ModeBasis:
                    nodes: int | None = None) -> "ModeBasis":
         if nodes is None:
             nodes = max(degree_max + 1, (3 * (degree_max + 1)) // 2)
-        if nodes < 1:
-            raise UnsupportedBackendError("sphere_nodes must be positive")
         return ModeBasis(KIND_SPHERE, n, degree_max, 0, float(radius), 0.0,
                          int(nodes), 0)
 

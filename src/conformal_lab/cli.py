@@ -22,7 +22,8 @@ import time
 from pathlib import Path
 
 from .basis import KIND_SPHERE, PRODUCT_KINDS
-from .errors import BackendBuildError, ConfigError, ConformalLabError
+from .errors import (BackendBuildError, ConfigError, ConformalLabError,
+                     checked_integer)
 from .geometry import SPHERE_DIMENSIONS, catalog_build
 from .spectrum import lambda1_L
 from .verify import SUITES, applies
@@ -36,7 +37,7 @@ class RunConfig:
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
             raise ConfigError("config: top level must be a JSON object")
-        self.seed = _integer(raw, "seed", 0, 0)
+        self.seed = checked_integer("seed", raw.get("seed", 0), 0, ConfigError)
         suites = raw.get("suites")
         if not suites or not isinstance(suites, list):
             raise ConfigError("suites: a non-empty list is required")
@@ -53,8 +54,10 @@ class RunConfig:
             if not isinstance(rec, dict) or "kind" not in rec:
                 raise ConfigError(f"catalog[{i}]: needs a 'kind' field")
         self.catalog = catalog
-        self.level = _integer(raw, "level", 2, 0)
-        self.trials = _integer(raw, "trials", 10, 1)
+        self.level = checked_integer("level", raw.get("level", 2), 0,
+                                     ConfigError)
+        self.trials = checked_integer("trials", raw.get("trials", 10), 1,
+                                      ConfigError)
         self.tolerances = raw.get("tolerances", {})
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances: must map suite name to number")
@@ -87,15 +90,6 @@ class RunConfig:
         if suite in self.tolerances:
             opts["tolerance"] = self.tolerances[suite]
         return opts
-
-
-def _integer(raw: dict, key: str, default: int, least: int) -> int:
-    """``raw[key]``, an integer (not a boolean) of at least ``least``."""
-    value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        kind = "positive" if least else "nonnegative"
-        raise ConfigError(f"{key}: must be a {kind} integer, got {value!r}")
-    return value
 
 
 def _build_backends(config: RunConfig):

@@ -2,6 +2,7 @@
 
 Every exception carries a short machine-readable ``code`` so batch
 reports and the CLI can classify failures without parsing messages.
+``checked_integer`` is the one reader of integer-valued record fields.
 """
 
 
@@ -69,3 +70,11 @@ class BackendBuildError(ConformalLabError):
     """A catalog backend could not be constructed from its manifest record."""
 
     code = "BACKEND_BUILD_FAIL"
+
+
+def checked_integer(key: str, value, least: int, error: type) -> int:
+    """``value`` if it is an integer, not a boolean, of at least ``least``;
+    otherwise ``error`` with a message naming the field ``key``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise error(f"{key}: must be an integer >= {least}, got {value!r}")
+    return value

@@ -5,25 +5,26 @@ orthonormal zonal/Fourier modes, and values on the quadrature grid.
 Transforms never mutate a field, they return a new one with both sides
 populated.
 
-Tensor fields are stored as grid values of their components in the
-adapted orthonormal frame of the backend: on a sphere the radial
-direction e_theta plus the (n-1)-fold orbit directions; on a product the
-circle direction e_s, the polar direction e_chi, and the orbit.  Zonal
-symmetry makes every tensor we need diagonal except for the (s, chi)
-component on products.
+A symmetric 2-tensor is a dict of its components in the adapted
+orthonormal frame of the backend: on a sphere ``rr`` along e_theta and
+``orb`` along each of the (n-1) orbit directions; on a product ``ss``,
+``sx``, ``xx`` in the (e_s, e_chi) block and ``orb`` along the (d-1)
+orbit directions.  Zonal symmetry makes every tensor we need diagonal
+except for the (s, chi) component on products.  A component is an array
+of values, or a number where it is constant.
 
 Values and frame jets come from one routine: the basis is tabulated by
 the Jacobi three-term recurrence of ``basis.zonal_polynomials`` (cached
 node tables on the grid; at other points fresh tables, only up to the
 highest mode the coefficients carry) and combined with the coefficients
-in ``frame_jets``, which ``evaluate``, ``gradient_components`` and
-``hessian`` read from.
+in ``frame_jets``, which ``evaluate`` and ``gradient_components`` read
+from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,17 +33,16 @@ from .errors import AliasingError, ZeroFunctionError
 
 __all__ = [
     "ScalarField",
-    "SymTensorField",
     "analyze",
     "constant_field",
     "evaluate",
     "field_from_grid",
     "field_from_modes",
+    "frame_bilinear",
     "frame_dot",
     "frame_jets",
     "frame_trace",
     "gradient_components",
-    "hessian",
     "integrate",
     "laplacian",
     "random_bandlimited",
@@ -256,47 +256,17 @@ def integrate(f: ScalarField) -> float:
 
 # ------------------------------------------------------------------ tensors
 
-SPHERE_COMPONENTS = ("rr", "orb")
-PRODUCT_COMPONENTS = ("ss", "sx", "xx", "orb")
-
-
-@dataclass(frozen=True)
-class SymTensorField:
-    """Symmetric 2-tensor as orthonormal-frame component grids.
-
-    Components on a sphere: ``rr`` along e_theta and ``orb`` along each of
-    the (n-1) orbit directions.  On a product: ``ss``, ``sx``, ``xx`` in
-    the (e_s, e_chi) block and ``orb`` along the (d-1) orbit directions.
-    Off-diagonal components other than ``sx`` vanish for zonal data.
-    """
-
-    basis: ModeBasis
-    components: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        want = PRODUCT_COMPONENTS if self.basis.is_product else SPHERE_COMPONENTS
-        comps = {}
-        for name in want:
-            arr = self.components.get(name)
-            if arr is None:
-                arr = np.zeros(self.basis.grid_shape)
-            comps[name] = _freeze(np.broadcast_to(arr, self.basis.grid_shape))
-        object.__setattr__(self, "components", comps)
-
-    def norm_squared_values(self) -> np.ndarray:
-        return frame_dot(self.basis, self.components, self.components)
-
-    def bilinear(self, grad_u: tuple, grad_v: tuple) -> np.ndarray:
-        """T(X, Y) for frame vectors X, Y given as component tuples."""
-        c = self.components
-        if self.basis.is_product:
-            us, ux = grad_u
-            vs, vx = grad_v
-            return (c["ss"] * us * vs + c["sx"] * (us * vx + ux * vs)
-                    + c["xx"] * ux * vx)
-        (ur,) = grad_u
-        (vr,) = grad_v
-        return c["rr"] * ur * vr
+def frame_bilinear(basis: ModeBasis, t: dict, u: tuple, v: tuple):
+    """T(X, Y) of a symmetric 2-tensor for frame vectors X, Y given as
+    component tuples, as ``grad`` of ``frame_jets``."""
+    if basis.is_product:
+        us, ux = u
+        vs, vx = v
+        return (t["ss"] * us * vs + t["sx"] * (us * vx + ux * vs)
+                + t["xx"] * ux * vx)
+    (ur,) = u
+    (vr,) = v
+    return t["rr"] * ur * vr
 
 
 def frame_dot(basis: ModeBasis, a: dict, b: dict) -> np.ndarray:
@@ -456,12 +426,6 @@ def gradient_components(f: ScalarField):
     """Orthonormal-frame gradient components on the grid."""
     _, grad, _ = frame_jets(f)
     return grad
-
-
-def hessian(f: ScalarField) -> SymTensorField:
-    """Covariant Hessian of a zonal field in the adapted frame."""
-    _, _, hess = frame_jets(f)
-    return SymTensorField(f.basis, hess)
 
 
 def laplacian(f: ScalarField) -> ScalarField:

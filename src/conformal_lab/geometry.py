@@ -29,14 +29,14 @@ import numpy as np
 from . import fields as F
 from .basis import KIND_SPHERE, ModeBasis, PRODUCT_KINDS
 from .errors import (AliasingError, NonpositiveFactorError,
-                     UnsupportedBackendError)
-from .fields import ScalarField, SymTensorField
+                     UnsupportedBackendError, checked_integer)
+from .fields import ScalarField
 
 __all__ = [
     "ConformalFactor",
-    "FieldLogProfile",
+    "FieldFactor",
     "ManifoldModel",
-    "MoebiusLogProfile",
+    "MoebiusFactor",
     "Pole",
     "SPHERE_DIMENSIONS",
     "catalog_build",
@@ -97,30 +97,19 @@ class ManifoldModel:
 
     @property
     def ricci_eigenvalues(self) -> dict:
-        """Constant frame components of the Ricci tensor: (d-1)/r^2 along
-        the sphere (factor), 0 along the circle."""
+        """The Ricci tensor, whose frame components are constant: (d-1)/r^2
+        along the sphere (factor), 0 along the circle."""
         lam = (self.sphere_dim - 1) / self.radius ** 2
         if self.is_product:
             return {"ss": 0.0, "sx": 0.0, "xx": lam, "orb": lam}
         return {"rr": lam, "orb": lam}
 
     @cached_property
-    def ricci_norm_squared(self) -> float:
-        rc = self.ricci_tensor()
-        return float(rc.norm_squared_values().flat[0])
-
-    @cached_property
     def q_value(self) -> float:
         """Constant Q curvature of the backend."""
-        n = self.n
-        r2 = self.ricci_norm_squared
-        rr = self.scalar_curvature ** 2
-        return q_from_data(n, 0.0, r2, rr)
-
-    def ricci_tensor(self) -> SymTensorField:
-        comps = {k: np.full(self.basis.grid_shape, v)
-                 for k, v in self.ricci_eigenvalues.items()}
-        return SymTensorField(self.basis, comps)
+        rc = self.ricci_eigenvalues
+        return q_from_data(self.n, 0.0, float(F.frame_dot(self.basis, rc, rc)),
+                           self.scalar_curvature ** 2)
 
     def constant(self, value: float) -> ScalarField:
         return F.constant_field(self.basis, value)
@@ -134,30 +123,38 @@ class ManifoldModel:
             return np.broadcast_arrays(s, chi)
         return (self.basis.polar_angles(),)
 
-    def pole_coordinates(self, pole: Pole):
-        if self.is_product:
-            chi = 0.0 if pole.axis > 0 else math.pi
-            return (pole.s0, chi)
-        return (0.0 if pole.axis > 0 else math.pi,)
+    def pole_point(self, pole: Pole) -> tuple:
+        """Chart coordinates of the pole, as one-point arrays."""
+        zeros = (np.zeros(1),) * (2 if self.is_product else 1)
+        return self.chart_from_pole(pole, *zeros)
 
-    def pole_separation(self, pole: Pole, *points):
-        """Pole-adapted coordinates: angle xi on spheres, (ds, chi) on products."""
-        if self.is_product:
-            s, chi = points
-            ds = np.asarray(s, dtype=float) - pole.s0
-            ds = (ds + 0.5 * self.length) % self.length - 0.5 * self.length
-            chi_eff = np.asarray(chi, dtype=float)
-            if pole.axis < 0:
-                chi_eff = math.pi - chi_eff
-            return ds, chi_eff
-        theta = np.asarray(points[0], dtype=float)
-        return theta if pole.axis > 0 else math.pi - theta
+    def pole_separation(self, pole: Pole, *points) -> tuple:
+        """Pole coordinates of chart points: (xi,) on spheres, (ds, xi) on
+        products, with xi the polar angle from the pole's end of the axis
+        and ds the circle offset, reduced to [-l/2, l/2)."""
+        xi = np.asarray(points[-1], dtype=float)
+        if pole.axis < 0:
+            xi = math.pi - xi
+        if not self.is_product:
+            return (xi,)
+        ds = np.asarray(points[0], dtype=float) - pole.s0
+        ds = (ds + 0.5 * self.length) % self.length - 0.5 * self.length
+        return ds, xi
+
+    def chart_from_pole(self, pole: Pole, *sep) -> tuple:
+        """Chart coordinates of the points with pole coordinates ``sep``;
+        the inverse of ``pole_separation``."""
+        xi = np.asarray(sep[-1], dtype=float)
+        polar = xi if pole.axis > 0 else math.pi - xi
+        if not self.is_product:
+            return (polar,)
+        return pole.s0 + np.asarray(sep[0], dtype=float), polar
 
     def geodesic_from_pole(self, pole: Pole, *points):
+        sep = self.pole_separation(pole, *points)
         if self.is_product:
-            ds, chi = self.pole_separation(pole, *points)
-            return np.hypot(ds, self.radius * chi)
-        return self.radius * self.pole_separation(pole, *points)
+            return np.hypot(sep[0], self.radius * sep[1])
+        return self.radius * sep[0]
 
     def grid_spacing(self) -> float:
         """Coarse geodesic spacing of the quadrature grid."""
@@ -179,23 +176,25 @@ def catalog_build(kind: str, n: int | None = None, params: dict | None = None,
 
     Supported: ``sphere`` with n in 3..7 and the circle products of
     ``basis.PRODUCT_KINDS``, S^1 x S^d with n = d + 1 (``product-S1xS2``,
-    ``product-S1xS3``).  ``params`` carries the geometric scales,
-    ``basis`` the cutoffs and node counts.
+    ``product-S1xS3``).  ``params`` carries the geometric scales, finite
+    positive numbers, ``basis`` the cutoffs and node counts, integers:
+    ``degree_max`` at least 4 and ``fourier_max`` at least 1, the modes
+    the default test functions use, and node counts at least 1.
     """
     params = dict(params or {})
     basis = dict(basis or {})
-    degree_max = int(basis.pop("degree_max", 16))
+    if n is not None:
+        n = checked_integer("n", n, 1, UnsupportedBackendError)
+    degree_max = _count(basis, "degree_max", 16, 4)
     if kind == KIND_SPHERE:
         if n is None:
             raise UnsupportedBackendError("sphere requires a dimension n")
         if n not in SPHERE_DIMENSIONS:
             raise UnsupportedBackendError(
                 f"sphere dimension n={n} is outside the catalog (3..7)")
-        radius = float(params.pop("radius", 1.0))
-        if radius <= 0:
-            raise UnsupportedBackendError("sphere radius must be positive")
+        radius = _scale(params, "radius", 1.0)
         mb = ModeBasis.for_sphere(n, degree_max, radius,
-                                  basis.pop("sphere_nodes", None))
+                                  _count(basis, "sphere_nodes", None, 1))
         _reject_unknown(params, basis)
         return ManifoldModel(kind, n, radius, 0.0, mb)
     if kind in PRODUCT_KINDS:
@@ -203,17 +202,35 @@ def catalog_build(kind: str, n: int | None = None, params: dict | None = None,
         if n is not None and n != want_n:
             raise UnsupportedBackendError(
                 f"{kind} has dimension {want_n}, got n={n}")
-        length = float(params.pop("length", 2.0 * math.pi))
-        radius = float(params.pop("radius", 1.0))
-        if length <= 0 or radius <= 0:
-            raise UnsupportedBackendError("product scales must be positive")
-        fourier_max = int(basis.pop("fourier_max", max(8, degree_max // 2)))
-        mb = ModeBasis.for_product(kind, degree_max, fourier_max, length,
-                                   radius, basis.pop("sphere_nodes", None),
-                                   basis.pop("circle_nodes", None))
+        length = _scale(params, "length", 2.0 * math.pi)
+        radius = _scale(params, "radius", 1.0)
+        fourier_max = _count(basis, "fourier_max", max(8, degree_max // 2), 1)
+        mb = ModeBasis.for_product(
+            kind, degree_max, fourier_max, length, radius,
+            _count(basis, "sphere_nodes", None, 1),
+            _count(basis, "circle_nodes", None, 1))
         _reject_unknown(params, basis)
         return ManifoldModel(kind, want_n, radius, length, mb)
     raise UnsupportedBackendError(f"unknown backend kind {kind!r}")
+
+
+def _count(basis: dict, key: str, default, least: int):
+    """``basis[key]``, popped, as an integer of at least ``least``; an
+    absent key gives ``default``."""
+    if key not in basis:
+        return default
+    return checked_integer(key, basis.pop(key), least,
+                           UnsupportedBackendError)
+
+
+def _scale(params: dict, key: str, default: float) -> float:
+    """``params[key]``, popped, as a finite positive number."""
+    value = params.pop(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0 < value < math.inf:
+        raise UnsupportedBackendError(
+            f"{key}: must be a finite positive number, got {value!r}")
+    return float(value)
 
 
 def _reject_unknown(params, basis):
@@ -223,15 +240,67 @@ def _reject_unknown(params, basis):
         raise UnsupportedBackendError(f"unknown basis options {sorted(basis)}")
 
 
-# ------------------------------------------------------------- log profiles
+# --------------------------------------------------------- conformal factor
 
-class FieldLogProfile:
+_CONVENTION_EXPONENTS = {"metric": lambda n: 4.0 / (n - 2),
+                         "paneitz": lambda n: 4.0 / (n - 4)}
+
+
+class ConformalFactor:
+    """A positive conformal change of metric, stored via its logarithm.
+
+    A subclass gives w = log of the factor of g~ = e^{2w} g through
+    ``jets(points=None)``: the value, frame gradient and frame Hessian of
+    w at chart points, or on the quadrature grid; ``bandwidth`` is the
+    mode content of w, ``None`` when w is not band-limited.  The same
+    metric is described in two weight conventions, rho^{4/(n-2)}
+    (second-order covariance) and rho^{4/(n-4)} (fourth-order
+    covariance, n != 4); ``rho`` converts w to either, so the
+    conventions agree by construction.
+    """
+
+    bandwidth = None
+
+    def __init__(self, manifold: ManifoldModel):
+        self.manifold = manifold
+
+    # -- constructors
+    @staticmethod
+    def from_w(manifold: ManifoldModel, w: ScalarField) -> "FieldFactor":
+        return FieldFactor(manifold, w)
+
+    @staticmethod
+    def moebius(manifold: ManifoldModel, lam: float) -> "MoebiusFactor":
+        return MoebiusFactor(manifold, lam)
+
+    # -- views
+    @cached_property
+    def w_grid(self) -> ScalarField:
+        """w sampled on the quadrature grid, with projected coefficients."""
+        w, _, _ = self.jets()
+        return F.analyze(F.field_from_grid(self.manifold.basis, w))
+
+    def w_at(self, *points):
+        w, _, _ = self.jets(points)
+        return w
+
+    def rho(self, convention: str = "metric") -> ScalarField:
+        e = _CONVENTION_EXPONENTS[convention](self.manifold.n)
+        return F.field_from_grid(self.manifold.basis,
+                                 np.exp(2.0 * self.w_grid.grid_values / e))
+
+    def rho_at(self, convention: str, *points):
+        e = _CONVENTION_EXPONENTS[convention](self.manifold.n)
+        return np.exp(2.0 * self.w_at(*points) / e)
+
+
+class FieldFactor(ConformalFactor):
     """Conformal logarithm given as a band-limited scalar field."""
 
     def __init__(self, manifold: ManifoldModel, w: ScalarField):
+        super().__init__(manifold)
         if w.coefficients is None:
             w = F.analyze(w)
-        self.manifold = manifold
         self.w = F.synthesize(w)
 
     @property
@@ -242,7 +311,7 @@ class FieldLogProfile:
         return F.frame_jets(self.w, *(points or ()))
 
 
-class MoebiusLogProfile:
+class MoebiusFactor(ConformalFactor):
     """Logarithm of the round-to-round dilation factor on a sphere.
 
     In the stereographic coordinate t = tan(theta/2) the dilation by
@@ -255,10 +324,8 @@ class MoebiusLogProfile:
             raise UnsupportedBackendError("Moebius factors live on spheres")
         if lam <= 0:
             raise NonpositiveFactorError("dilation parameter must be positive")
-        self.manifold = manifold
+        super().__init__(manifold)
         self.lam = float(lam)
-
-    bandwidth = None
 
     def mapped_angle(self, theta):
         """Polar angle of the image point under the dilation."""
@@ -286,85 +353,12 @@ class MoebiusLogProfile:
         return w, grad, hess
 
 
-# --------------------------------------------------------- conformal factor
-
-_CONVENTION_EXPONENTS = {"metric": lambda n: 4.0 / (n - 2),
-                         "paneitz": lambda n: 4.0 / (n - 4),
-                         "squared": lambda n: 2.0}
-
-
-class ConformalFactor:
-    """A positive conformal change of metric, stored via its logarithm.
-
-    The same metric g~ = e^{2w} g is described in three weight
-    conventions, rho^{4/(n-2)} (second-order covariance), rho^{4/(n-4)}
-    (fourth-order covariance, n != 4), and rho^2; ``rho`` converts w to
-    any of them, so the conventions agree by construction.
-    """
-
-    def __init__(self, manifold: ManifoldModel, profile):
-        self.manifold = manifold
-        self.profile = profile
-
-    # -- constructors
-    @staticmethod
-    def from_w(manifold: ManifoldModel, w: ScalarField) -> "ConformalFactor":
-        return ConformalFactor(manifold, FieldLogProfile(manifold, w))
-
-    @staticmethod
-    def moebius(manifold: ManifoldModel, lam: float) -> "ConformalFactor":
-        return ConformalFactor(manifold, MoebiusLogProfile(manifold, lam))
-
-    @staticmethod
-    def constant(manifold: ManifoldModel, rho: float,
-                 convention: str = "metric") -> "ConformalFactor":
-        if rho <= 0:
-            raise NonpositiveFactorError("constant factor must be positive")
-        e = _CONVENTION_EXPONENTS[convention](manifold.n)
-        return ConformalFactor.from_w(manifold,
-                                      manifold.constant(0.5 * e * math.log(rho)))
-
-    @staticmethod
-    def identity(manifold: ManifoldModel) -> "ConformalFactor":
-        return ConformalFactor.from_w(manifold, manifold.constant(0.0))
-
-    # -- views
-    @cached_property
-    def w_grid(self) -> ScalarField:
-        """w sampled on the quadrature grid, with projected coefficients."""
-        w, _, _ = self.profile.jets()
-        return F.analyze(F.field_from_grid(self.manifold.basis, w))
-
-    def w_at(self, *points):
-        w, _, _ = self.profile.jets(points)
-        return w
-
-    def rho(self, convention: str = "metric") -> ScalarField:
-        e = _CONVENTION_EXPONENTS[convention](self.manifold.n)
-        return F.field_from_grid(self.manifold.basis,
-                                 np.exp(2.0 * self.w_grid.grid_values / e))
-
-    def rho_at(self, convention: str, *points):
-        e = _CONVENTION_EXPONENTS[convention](self.manifold.n)
-        return np.exp(2.0 * self.w_at(*points) / e)
-
-
-def _as_profile(factor_or_profile):
-    if isinstance(factor_or_profile, ConformalFactor):
-        return factor_or_profile.profile
-    return factor_or_profile
-
-
 # ----------------------------------------------------- curvature transforms
 
-def conformal_ricci(m: ManifoldModel, factor, points=None):
-    """Ricci tensor of e^{2w} g, components in the base orthonormal frame.
-
-    With ``points=None`` the result is a SymTensorField on the grid;
-    otherwise a dict of component arrays at the given points.
-    """
-    prof = _as_profile(factor)
-    bw = getattr(prof, "bandwidth", None)
+def conformal_ricci(m: ManifoldModel, factor: ConformalFactor, points=None):
+    """Ricci tensor of e^{2w} g, components in the base orthonormal frame,
+    on the grid (``points=None``) or at the given points."""
+    bw = factor.bandwidth
     if bw is not None and bw != (0, 0):
         need = 4 * (bw[1] + 2)
         if need > m.basis.polar_exactness:
@@ -372,16 +366,13 @@ def conformal_ricci(m: ManifoldModel, factor, points=None):
                 f"conformal curvature of a degree-{bw[1]} factor needs polar "
                 f"exactness {need}, quadrature provides "
                 f"{m.basis.polar_exactness}")
-    _, grad, hess = prof.jets(points)
-    comps = ricci_from_jets(m, grad, hess)
-    if points is None:
-        return SymTensorField(m.basis, comps)
-    return comps
+    _, grad, hess = factor.jets(points)
+    return ricci_from_jets(m, grad, hess)
 
 
 def ricci_from_jets(m: ManifoldModel, grad, hess) -> dict:
     """Ricci components of e^{2w} g in the base frame from the frame
-    gradient and Hessian of w, as returned by a profile's ``jets``."""
+    gradient and Hessian of w, as returned by a factor's ``jets``."""
     n = m.n
     grad2 = sum(g ** 2 for g in grad)
     lap = F.frame_trace(m.basis, hess)
@@ -402,10 +393,10 @@ def ricci_from_jets(m: ManifoldModel, grad, hess) -> dict:
     return comps
 
 
-def conformal_scalar_curvature(m: ManifoldModel, factor, points=None):
+def conformal_scalar_curvature(m: ManifoldModel, factor: ConformalFactor,
+                               points=None):
     """Scalar curvature of e^{2w} g (values array)."""
-    prof = _as_profile(factor)
-    w, grad, hess = prof.jets(points)
+    w, grad, hess = factor.jets(points)
     n = m.n
     grad2 = sum(g ** 2 for g in grad)
     lap = F.frame_trace(m.basis, hess)
@@ -455,7 +446,7 @@ def conformal_q_from_curvature(m: ManifoldModel,
     w = factor.w_grid
     w_vals = w.grid_values
     rc = conformal_ricci(m, factor)
-    rc_nsq_tilde = np.exp(-4.0 * w_vals) * rc.norm_squared_values()
+    rc_nsq_tilde = np.exp(-4.0 * w_vals) * F.frame_dot(m.basis, rc, rc)
     R_t = conformal_scalar_curvature(m, factor)
     R_field = F.analyze(F.field_from_grid(m.basis, R_t))
     lap_R = F.laplacian(R_field).grid_values

@@ -30,7 +30,8 @@ partial-fraction circle kernel per degree and a monitored tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from . import quadrature as Q
 from .basis import ball_volume, harmonic_dimension, zonal_polynomials
 from .errors import (CutoffTooLowError, KernelError, UnsupportedBackendError)
 from .fields import ScalarField
-from .geometry import ConformalFactor, ManifoldModel, Pole
+from .geometry import ConformalFactor, ManifoldModel, Pole, conformal_ricci
 from .operators import build_symbol
 
 __all__ = [
@@ -76,10 +77,19 @@ def flat_P_coefficient(n: int) -> float:
     return 1.0 / (2.0 * n * (n - 2) * (n - 4) * ball_volume(n))
 
 
-# --------------------------------------------------------------- evaluators
+# ------------------------------------------------------------------ kernels
+#
+# A kernel maps pole coordinates (``ManifoldModel.pole_separation``) to
+# values and names its representation, its cutoff and its tail estimate;
+# a kernel of G_L also gives ``log_jets(scale, *sep)``, the value, frame
+# gradient and frame Hessian of w = scale * log G_L for a north pole.
 
 class _SphereKernel:
     """Closed-form kernel c * (2 a sin(xi/2))^p as a function of pole angle."""
+
+    representation = "closed-form"
+    cutoff = None
+    tail_estimate = 0.0
 
     def __init__(self, coefficient: float, a: float, power: float):
         self.c = coefficient
@@ -93,8 +103,7 @@ class _SphereKernel:
         with np.errstate(divide="ignore"):
             return self.c * self.chord(xi) ** self.p
 
-    def log_jets(self, xi, scale: float):
-        """(w, dw/dxi, d2w/dxi2, cot(xi) dw/dxi) for w = scale*log(kernel)."""
+    def log_jets(self, scale: float, xi):
         xi = np.asarray(xi, dtype=float)
         w = scale * (math.log(abs(self.c)) + self.p * np.log(self.chord(xi)))
         half = 0.5 * xi
@@ -102,16 +111,20 @@ class _SphereKernel:
         w2 = -scale * self.p * 0.25 / np.sin(half) ** 2
         # cot(xi) * w1 without the axis blowup at xi = pi
         cot_w1 = scale * self.p * np.cos(xi) / (4.0 * np.sin(half) ** 2)
-        return w, w1, w2, cot_w1
+        a = self.a
+        return w, (w1 / a,), {"rr": w2 / a ** 2, "orb": cot_w1 / a ** 2}
 
 
 class _ProductImageKernelL:
     """Image sum of the cylinder kernel for the conformal Laplacian.
 
-    ``value`` and ``jets`` share one loop over the images (``_sums``),
+    ``value`` and ``log_jets`` share one loop over the images (``_sums``),
     which keeps running sums over the points instead of a
-    (points x images) table.
+    (points x images) table.  The image count is the cutoff.
     """
+
+    representation = "eigen-expansion"
+    tail_estimate = 0.0
 
     def __init__(self, m: ManifoldModel, images: int):
         self.m = m
@@ -120,7 +133,7 @@ class _ProductImageKernelL:
         self.ell = m.length
         self.q = 0.5 * (self.n - 2)
         self.cL = flat_L_coefficient(self.n)
-        self.images = images
+        self.cutoff = images
 
     def _sums(self, ds, chi, jets: bool):
         """Image sums of D^-q and, for jets, of its derivative terms.
@@ -137,7 +150,7 @@ class _ProductImageKernelL:
         u0, sin2 = np.broadcast_arrays(u0, sin2)
         per = self.ell / self.b
         sums = [np.zeros(u0.shape) for _ in range(7 if jets else 1)]
-        for j in range(-self.images, self.images + 1):
+        for j in range(-self.cutoff, self.cutoff + 1):
             h = np.sinh(0.5 * (u0 + per * j))
             h2 = h * h
             D = h2 + sin2
@@ -166,32 +179,43 @@ class _ProductImageKernelL:
         (S0,) = self._sums(ds, chi, jets=False)
         return self.cL * self.b ** (2 - self.n) * S0
 
-    def jets(self, ds, chi):
-        """G and its chart partials (s, s s, chi, chi chi, s chi, chi/sin)."""
+    def log_jets(self, scale: float, ds, chi):
+        ds, chi = np.broadcast_arrays(np.asarray(ds, float),
+                                      np.asarray(chi, float))
         S0, S1, S2, H1, T1, T2, Q2 = self._sums(ds, chi, jets=True)
         q, b = self.q, self.b
-        chi = np.asarray(chi, dtype=float)
         s_chi = np.sin(chi)
-        scale = self.cL * b ** (2 - self.n)
-        # sum D^(-q-1) cosh u, with cosh u = 1 + 2 sinh^2(u/2)
-        C1 = S1 + 2.0 * H1
-        # chi-derivative carries a factor sin(chi); keep it split off so the
-        # orbit Hessian component stays regular on the axis
-        x_over_sin = -2.0 * q * scale * S1
-        return {
-            "val": scale * S0,
-            "s": -2.0 * q * scale / b * T1,
-            "ss": scale / b ** 2 * (4.0 * q * (q + 1) * Q2 - 2.0 * q * C1),
-            "x": x_over_sin * s_chi,
-            "x_over_sin": x_over_sin,
-            "xx": scale * (4.0 * q * (q + 1) * s_chi ** 2 * S2
-                           - 2.0 * q * np.cos(chi) * S1),
-            "sx": 4.0 * q * (q + 1) * scale / b * s_chi * T2,
-        }
+        c = self.cL * b ** (2 - self.n)
+        # G and its chart partials in (s, chi); the chi-derivative carries
+        # a factor sin(chi), kept split off (x_over_sin) so the orbit
+        # Hessian component stays regular on the axis.  sum D^(-q-1) cosh u
+        # is S1 + 2 H1, with cosh u = 1 + 2 sinh^2(u/2)
+        g = c * S0
+        g_s = -2.0 * q * c / b * T1
+        g_ss = c / b ** 2 * (4.0 * q * (q + 1) * Q2
+                             - 2.0 * q * (S1 + 2.0 * H1))
+        x_over_sin = -2.0 * q * c * S1
+        g_x = x_over_sin * s_chi
+        g_xx = c * (4.0 * q * (q + 1) * s_chi ** 2 * S2
+                    - 2.0 * q * np.cos(chi) * S1)
+        g_sx = 4.0 * q * (q + 1) * c / b * s_chi * T2
+        del S0, S1, S2, H1, T1, T2, Q2  # spent: keep the peak to ~20 vectors
+        w = scale * np.log(g)
+        w_s = scale * g_s / g
+        w_x = scale * g_x / g
+        w_ss = scale * (g_ss / g - (g_s / g) ** 2)
+        w_xx = scale * (g_xx / g - (g_x / g) ** 2)
+        w_sx = scale * (g_sx / g - g_s * g_x / g ** 2)
+        cot_w_x = scale * np.cos(chi) * x_over_sin / g
+        return w, (w_s, w_x / b), {"ss": w_ss, "sx": w_sx / b,
+                                   "xx": w_xx / b ** 2,
+                                   "orb": cot_w_x / b ** 2}
 
 
 class _ProductDegreeSumP:
     """Sphere-degree sum with closed-form circle kernels for the P operator."""
+
+    representation = "eigen-expansion"
 
     def __init__(self, m: ManifoldModel, cutoff: int):
         self.m = m
@@ -246,6 +270,7 @@ class _ProductDegreeSumP:
         z = self.zonal(chi)
         return np.sum(self.norm * k * z, axis=-1)
 
+    @cached_property
     def tail_estimate(self) -> float:
         """Magnitude bound for the dropped degrees at the worst offset."""
         m_top = self.cutoff
@@ -255,60 +280,69 @@ class _ProductDegreeSumP:
 
 # -------------------------------------------------------------- GreenField
 
+_WEIGHT = {"L": "metric", "P": "paneitz"}
+
+
 @dataclass
 class GreenField:
-    """A Green's function with pole metadata and singular-part model.
+    """A Green's function: a kernel with pole metadata, and the conformal
+    factor it was transported by, if any.
 
-    ``evaluator`` maps pole-separated coordinates (xi on spheres,
-    (ds, chi_eff) on products) to values; ``values_at`` takes manifold
-    chart coordinates.  The distributional normalization is the
-    basis-projected point mass: pairing the eigen-expansion against
-    (operator applied to an in-basis field) returns the field value at
-    the pole exactly.
+    ``at`` evaluates in pole coordinates (``ManifoldModel.pole_separation``:
+    (xi,) on spheres, (ds, xi) on products), ``values_at`` at chart
+    coordinates.  A transported kernel is divided by the factor's weight
+    at the pole, ``rho_pole``, and at the point.  The distributional
+    normalization is the basis-projected point mass: pairing the
+    eigen-expansion against (operator applied to an in-basis field)
+    returns the field value at the pole exactly.
     """
 
     manifold: ManifoldModel
     operator: str
     pole: Pole
-    representation: str
-    evaluator: object
-    singular_exponent: float
-    cutoff: int | None = None
-    tail_estimate: float = 0.0
-    _kernel: object = None
-    _grid_cache: np.ndarray | None = dc_field(default=None, repr=False)
+    kernel: object
+    factor: ConformalFactor | None = None
+    rho_pole: float = 1.0
+
+    @property
+    def representation(self) -> str:
+        suffix = "" if self.factor is None else "+transport"
+        return self.kernel.representation + suffix
+
+    @property
+    def cutoff(self):
+        return self.kernel.cutoff
+
+    @property
+    def tail_estimate(self) -> float:
+        return self.kernel.tail_estimate
+
+    def at(self, *sep) -> np.ndarray:
+        vals = self.kernel.value(*sep)
+        if self.factor is None:
+            return vals
+        q = self.manifold.chart_from_pole(self.pole, *sep)
+        rho_q = self.factor.rho_at(_WEIGHT[self.operator], *q)
+        return vals / (self.rho_pole * rho_q)
 
     def values_at(self, *points) -> np.ndarray:
-        sep = self.manifold.pole_separation(self.pole, *points)
-        if self.manifold.is_product:
-            return self.evaluator(*sep)
-        return self.evaluator(sep)
-
-    def grid_values(self) -> np.ndarray:
-        if self._grid_cache is None:
-            pts = self.manifold.grid_points()
-            self._grid_cache = self.values_at(*pts)
-        return self._grid_cache
+        return self.at(*self.manifold.pole_separation(self.pole, *points))
 
     def diagonal_value(self):
-        """Value at the pole when the kernel is continuous there (3d P),
-        else None."""
-        if self.singular_exponent <= 0:
+        """Value at the pole when the kernel is continuous there (P in
+        dimension three), else None."""
+        if (self.operator, self.manifold.n) != ("P", 3):
             return None
-        at = self.manifold.pole_coordinates(self.pole)
+        at = self.manifold.pole_point(self.pole)
         # + 0.0 writes a kernel that vanishes at the pole as 0.0, not -0.0
-        return float(self.values_at(*map(np.atleast_1d, at))[0]) + 0.0
+        return float(self.values_at(*at)[0]) + 0.0
 
-    def log_profile(self, scale: float):
+    def log_profile(self, scale: float) -> "_GreenLogProfile":
         """Conformal logarithm w = scale * log G with exact derivatives."""
-        if self.operator != "L" or self._kernel is None:
+        if self.operator != "L" or self.factor is not None:
             raise UnsupportedBackendError(
                 "log profiles exist only for closed-form L kernels")
-        if self.manifold.is_product:
-            return _ProductGreenLogProfile(self.manifold, self.pole,
-                                           self._kernel, scale)
-        return _SphereGreenLogProfile(self.manifold, self.pole,
-                                      self._kernel, scale)
+        return _GreenLogProfile(self, scale)
 
     def mask(self) -> np.ndarray:
         """Grid mask: True within three grid spacings of the pole, where
@@ -318,63 +352,26 @@ class GreenField:
         return r < 3.0 * self.manifold.grid_spacing()
 
 
-class _SphereGreenLogProfile:
-    """w = scale * log G_L on a sphere, with closed-form frame jets."""
+class _GreenLogProfile(ConformalFactor):
+    """w = scale * log G_L of an untransported kernel, with the kernel's
+    closed-form frame jets.  A south pole reverses the polar direction,
+    which flips the sign of the polar gradient component and of the
+    ``sx`` Hessian component."""
 
-    def __init__(self, m, pole, kernel: _SphereKernel, scale: float):
-        self.manifold = m
-        self.pole = pole
-        self.kernel = kernel
+    def __init__(self, gf: GreenField, scale: float):
+        super().__init__(gf.manifold)
+        self.pole = gf.pole
+        self.kernel = gf.kernel
         self.scale = scale
-
-    bandwidth = None
 
     def jets(self, points=None):
         m = self.manifold
-        if points is None:
-            points = m.grid_points()
-        xi = m.pole_separation(self.pole, *points)
-        w, w1, w2, cot_w1 = self.kernel.log_jets(xi, self.scale)
-        sgn = 1.0 if self.pole.axis > 0 else -1.0
-        a = m.radius
-        grad = (sgn * w1 / a,)
-        hess = {"rr": w2 / a ** 2, "orb": cot_w1 / a ** 2}
-        return w, grad, hess
-
-
-class _ProductGreenLogProfile:
-    """w = scale * log G_L on a product, with closed-form frame jets."""
-
-    def __init__(self, m, pole, kernel: _ProductImageKernelL, scale: float):
-        self.manifold = m
-        self.pole = pole
-        self.kernel = kernel
-        self.scale = scale
-
-    bandwidth = None
-
-    def jets(self, points=None):
-        m = self.manifold
-        if points is None:
-            points = m.grid_points()
-        ds, chi = m.pole_separation(self.pole, *points)
-        ds, chi = np.broadcast_arrays(np.asarray(ds, float),
-                                      np.asarray(chi, float))
-        j = self.kernel.jets(ds, chi)
-        g = j["val"]
-        s = self.scale
-        w = s * np.log(g)
-        w_s = s * j["s"] / g
-        w_x = s * j["x"] / g
-        w_ss = s * (j["ss"] / g - (j["s"] / g) ** 2)
-        w_xx = s * (j["xx"] / g - (j["x"] / g) ** 2)
-        w_sx = s * (j["sx"] / g - j["s"] * j["x"] / g ** 2)
-        cot_w_x = s * np.cos(chi) * j["x_over_sin"] / g
-        sgn = 1.0 if self.pole.axis > 0 else -1.0
-        b = m.radius
-        grad = (w_s, sgn * w_x / b)
-        hess = {"ss": w_ss, "sx": sgn * w_sx / b, "xx": w_xx / b ** 2,
-                "orb": cot_w_x / b ** 2}
+        sep = m.pole_separation(self.pole, *(points or m.grid_points()))
+        w, grad, hess = self.kernel.log_jets(self.scale, *sep)
+        if self.pole.axis < 0:
+            grad = grad[:-1] + (-grad[-1],)
+            if "sx" in hess:
+                hess["sx"] = -hess["sx"]
         return w, grad, hess
 
 
@@ -397,8 +394,7 @@ def green_sphere_closed_form(m: ManifoldModel, operator: str,
         kern = _SphereKernel(flat_P_coefficient(n), a, 4.0 - n)
     else:
         raise ValueError(f"unknown operator {operator!r}")
-    return GreenField(m, operator, pole, "closed-form", kern.value, kern.p,
-                      _kernel=kern)
+    return GreenField(m, operator, pole, kern)
 
 
 def green_eigen_expansion(m: ManifoldModel, operator: str,
@@ -423,30 +419,27 @@ def green_eigen_expansion(m: ManifoldModel, operator: str,
         raise KernelError(
             f"{operator} has a zero mode on {m.kind} "
             f"(|eigenvalue| {lam_min:.3e} < threshold {thr:.3e})")
-    n = m.n
     if operator == "L":
         images = max(4, int(math.ceil(40.0 * m.radius
-                                      / ((n - 2) * m.length))) + 2)
-        kern = _ProductImageKernelL(m, images)
-        return GreenField(m, "L", pole, "eigen-expansion", kern.value,
-                          2.0 - n, cutoff=images, _kernel=kern)
+                                      / ((m.n - 2) * m.length))) + 2)
+        return GreenField(m, "L", pole, _ProductImageKernelL(m, images))
     if operator != "P":
         raise ValueError(f"unknown operator {operator!r}")
     cutoff = cutoff or 240
     kern = _ProductDegreeSumP(m, cutoff)
-    tail = kern.tail_estimate()
+    tail = kern.tail_estimate
     # reference scale: the constant-mode contribution to the kernel
     scale = abs(1.0 / float(sym.table.ravel()[0]))
     if tail > tolerance * scale:
         raise CutoffTooLowError(
             f"degree cutoff {cutoff} leaves tail ~{tail:.2e} "
             f"(tolerance {tolerance * scale:.2e})")
-    return GreenField(m, "P", pole, "eigen-expansion", kern.value, 4.0 - n,
-                      cutoff=cutoff, tail_estimate=tail, _kernel=kern)
+    return GreenField(m, "P", pole, kern)
 
 
 def transport_green(gf: GreenField, factor: ConformalFactor) -> GreenField:
-    """Green's function of the conformally changed metric.
+    """Green's function of the conformally changed metric, from an
+    untransported one.
 
     Both operators obey G~(p, q) = rho(p)^{-1} rho(q)^{-1} G(p, q) in
     their own weight convention (second order: rho^{4/(n-2)}, fourth
@@ -454,32 +447,10 @@ def transport_green(gf: GreenField, factor: ConformalFactor) -> GreenField:
     conformally invariant, handled by the vanishing weight exponent.
     """
     m = gf.manifold
-    convention = "metric" if gf.operator == "L" else "paneitz"
     if gf.operator == "P" and m.n == 4:
         return gf
-    pole_pt = m.pole_coordinates(gf.pole)
-    rho_p = float(np.atleast_1d(
-        factor.rho_at(convention, *[np.array([c]) for c in pole_pt]))[0])
-    base_eval = gf.evaluator
-    pole = gf.pole
-
-    if m.is_product:
-        def evaluator(ds, chi_eff):
-            vals = base_eval(ds, chi_eff)
-            s = pole.s0 + np.asarray(ds, dtype=float)
-            chi = chi_eff if pole.axis > 0 else math.pi - np.asarray(chi_eff)
-            rho_q = factor.rho_at(convention, s, chi)
-            return vals / (rho_p * rho_q)
-    else:
-        def evaluator(xi):
-            vals = base_eval(xi)
-            theta = xi if pole.axis > 0 else math.pi - np.asarray(xi)
-            rho_q = factor.rho_at(convention, theta)
-            return vals / (rho_p * rho_q)
-
-    return GreenField(m, gf.operator, pole, gf.representation + "+transport",
-                      evaluator, gf.singular_exponent, cutoff=gf.cutoff,
-                      tail_estimate=gf.tail_estimate)
+    rho_p = factor.rho_at(_WEIGHT[gf.operator], *m.pole_point(gf.pole))
+    return replace(gf, factor=factor, rho_pole=float(rho_p[0]))
 
 
 def green_field(m: ManifoldModel, operator: str, pole: Pole | None = None,
@@ -499,14 +470,10 @@ def green_pair(gf: GreenField, f: ScalarField, level: int = 2) -> float:
     m = gf.manifold
     if f.coefficients is None:
         f = F.analyze(f)
-    if m.is_product:
-        def fn(s, chi):
-            return gf.values_at(s, chi) * F.evaluate(f, s, chi)
-        return Q.product_singular_integral(m, fn, gf.pole, level=level)
-
-    def fn(theta):
-        return gf.values_at(theta) * F.evaluate(f, theta)
-    return Q.sphere_zonal_integral(m, fn, gf.pole, level=level)
+    integral = (Q.product_singular_integral if m.is_product
+                else Q.sphere_zonal_integral)
+    return integral(m, lambda *pts: gf.values_at(*pts) * F.evaluate(f, *pts),
+                    gf.pole, level=level)
 
 
 # --------------------------------------------------------------- sign scan
@@ -522,7 +489,7 @@ def sign_scan(green_fields) -> dict:
     signs = []
     for gf in green_fields:
         n = gf.manifold.n
-        vals = gf.grid_values()
+        vals = gf.values_at(*gf.manifold.grid_points())
         keep = ~gf.mask()
         kept = vals[keep]
         if n == 3:
@@ -573,13 +540,12 @@ class ComparisonResult:
     tail_estimate: float
 
 
-def compare_green(m: ManifoldModel, poles=None,
+def compare_green(m: ManifoldModel, poles,
                   factor: ConformalFactor | None = None,
                   tolerance: float = 1e-8) -> list[ComparisonResult]:
     """Margins of the kernel comparison for each pole."""
     if m.n == 4:
         raise UnsupportedBackendError("the comparison needs n != 4")
-    poles = poles or [Pole()]
     out = []
     n = m.n
     s = (n - 4.0) / (n - 2.0)
@@ -597,9 +563,8 @@ def compare_green(m: ManifoldModel, poles=None,
                 # the three-dimensional closed forms are continuous up to
                 # the pole, so the comparison includes the diagonal itself
                 with np.errstate(divide="ignore"):
-                    diag = -(1.0 / gL.evaluator(np.zeros(1))
-                             + 256.0 * math.pi ** 2
-                             * gP.evaluator(np.zeros(1)))
+                    diag = -(1.0 / gL.at(np.zeros(1))
+                             + 256.0 * math.pi ** 2 * gP.at(np.zeros(1)))
                 margin = np.concatenate([margin, diag])
             scale = float(np.max(np.abs(1.0 / vL)))
         else:
@@ -645,29 +610,20 @@ def extract_mass(m: ManifoldModel, pole: Pole | None = None,
     # expansion route: sample along a ray through the pole
     xi = 0.4 * 0.6 ** np.arange(8)
     r = m.radius * xi
-    diff = cn * gP.evaluator(xi) - gL.evaluator(xi) ** s
+    diff = cn * gP.at(xi) - gL.at(xi) ** s
     a_exp = Q.extrapolate_to_zero(r, diff) * norm
 
     # integral route: the blow-up Ricci of the (transported) metric is the
     # base blow-up Ricci up to a constant factor that Ricci ignores
     base_L = green_sphere_closed_form(m, "L", pole)
     profile = base_L.log_profile(2.0 / (n - 2.0))
-    from .geometry import conformal_ricci
-
-    if factor is not None:
-        def w_tilde(theta):
-            return factor.w_at(theta)
-    else:
-        def w_tilde(theta):
-            return np.zeros_like(np.asarray(theta, dtype=float))
 
     def integrand(theta):
         comps = conformal_ricci(m, profile, (theta,))
         nsq = F.frame_dot(m.basis, comps, comps)
-        nsq_tilde = np.exp(-4.0 * w_tilde(theta)) * nsq
-        vol_tilde = np.exp(n * w_tilde(theta))
+        w = 0.0 if factor is None else factor.w_at(theta)
         return gP.values_at(theta) * gL.values_at(theta) ** s \
-            * nsq_tilde * vol_tilde
+            * (np.exp(-4.0 * w) * nsq) * np.exp(n * w)
 
     # the integrand is O(1) dr near the pole after the measure, so a
     # moderate graded depth resolves it; descending further only picks up

@@ -125,9 +125,8 @@ def apply_P_pointwise(m: ManifoldModel, f: ScalarField) -> ScalarField:
     n = m.n
     lap = F.laplacian(f)
     bilap = F.laplacian(lap)
-    hess = F.hessian(f)
-    rc = m.ricci_tensor()
-    rc_dot_hess = F.frame_dot(m.basis, rc.components, hess.components)
+    _, _, hess = F.frame_jets(f)
+    rc_dot_hess = F.frame_dot(m.basis, m.ricci_eigenvalues, hess)
     vals = (bilap.grid_values + (4.0 / (n - 2)) * rc_dot_hess
             - _gradient_coefficient(n) * m.scalar_curvature * lap.grid_values)
     if n != 4:
@@ -152,8 +151,7 @@ def quadratic_form_E(m: ManifoldModel, u: ScalarField, v: ScalarField) -> float:
     lap_v = F.laplacian(v).grid_values
     gu = F.gradient_components(u)
     gv = F.gradient_components(v)
-    rc = m.ricci_tensor()
-    rc_grad = rc.bilinear(gu, gv)
+    rc_grad = F.frame_bilinear(m.basis, m.ricci_eigenvalues, gu, gv)
     grad_dot = sum(a * b for a, b in zip(gu, gv))
     vals = (lap_u * lap_v - (4.0 / (n - 2)) * rc_grad
             + _gradient_coefficient(n) * m.scalar_curvature * grad_dot)
@@ -164,8 +162,7 @@ def quadratic_form_E(m: ManifoldModel, u: ScalarField, v: ScalarField) -> float:
 
 
 def conformal_quadratic_form_E(m: ManifoldModel, factor: ConformalFactor,
-                               u: ScalarField, v: ScalarField,
-                               q_tilde: np.ndarray | None = None) -> float:
+                               u: ScalarField, v: ScalarField) -> float:
     """The quadratic form of the changed metric e^{2w} g, assembled directly.
 
     Every ingredient (changed Laplacian, Ricci, scalar and Q curvature,
@@ -192,14 +189,13 @@ def conformal_quadratic_form_E(m: ManifoldModel, factor: ConformalFactor,
     gu = F.gradient_components(u)
     gv = F.gradient_components(v)
     rc = conformal_ricci(m, factor)
-    rc_grad = rc.bilinear(gu, gv) / e2w ** 2
+    rc_grad = F.frame_bilinear(m.basis, rc, gu, gv) / e2w ** 2
     grad_dot = sum(a * b for a, b in zip(gu, gv)) / e2w
     vals = (lap_tilde(u) * lap_tilde(v) - (4.0 / (n - 2)) * rc_grad
             + _gradient_coefficient(n)
             * conformal_scalar_curvature(m, factor) * grad_dot)
     if n != 4:
-        if q_tilde is None:
-            q_tilde = conformal_q_from_curvature(m, factor).grid_values
+        q_tilde = conformal_q_from_curvature(m, factor).grid_values
         vals = vals + 0.5 * (n - 4) * q_tilde * u.grid_values * v.grid_values
     weights = m.basis.quadrature_weights() * np.exp(n * w_vals)
     return float(np.sum(vals * weights))

@@ -59,16 +59,16 @@ def _contract(weights, vals):
     return float(out) if out.ndim == 0 else out
 
 
-def sphere_zonal_integral(m, fn, pole=None, level: int = 1,
+def sphere_zonal_integral(m, fn, pole, level: int = 1,
                           graded_depth: int | None = None,
                           resolution: dict | None = None):
     """Integral over a sphere backend of a zonal integrand fn(theta).
 
-    ``fn`` receives polar angles and may be singular at the pole axis
-    point; 10-point Gauss panels grade geometrically toward it.  ``level``
-    doubles the panel count per unit.  ``fn`` may return a trailing column
-    axis, giving one integral per column.  A ``resolution`` dict receives
-    the node count (one block) and the graded depth.
+    ``fn`` receives polar angles and may be singular at ``pole``; 10-point
+    Gauss panels grade geometrically toward it.  ``level`` doubles the
+    panel count per unit.  ``fn`` may return a trailing column axis,
+    giving one integral per column.  A ``resolution`` dict receives the
+    node count (one block) and the graded depth.
     """
     n = m.n
     a = m.radius
@@ -81,11 +81,10 @@ def sphere_zonal_integral(m, fn, pole=None, level: int = 1,
         np.linspace(xi0, math.pi, npan + 1),
     ])
     xi, w = _gauss_panels(edges, 10)
-    theta = xi if (pole is None or pole.axis > 0) else math.pi - xi
     surf = m.basis.orbit_area * a ** n * np.sin(xi) ** (n - 1)
     if resolution is not None:
         resolution.update(nodes=[xi.size], graded_depth=graded_depth)
-    return _contract(surf * w, fn(theta))
+    return _contract(surf * w, fn(*m.chart_from_pole(pole, xi)))
 
 
 def product_singular_integral(m, fn, pole, level: int = 1,
@@ -110,11 +109,6 @@ def product_singular_integral(m, fn, pole, level: int = 1,
     r0 = 0.5 * r1
     orbit = m.basis.orbit_area * b ** (d - 1)
 
-    def to_chart(ds, chi_eff):
-        s = pole.s0 + ds
-        chi = chi_eff if pole.axis > 0 else math.pi - chi_eff
-        return s, chi
-
     # polar patch: ds = r cos(psi), b*chi = r sin(psi)
     redges = np.concatenate([_graded_edges(r0, graded_depth)[:-1],
                              np.linspace(r0, r1, 4 * 2 ** level + 1)])
@@ -128,7 +122,8 @@ def product_singular_integral(m, fn, pole, level: int = 1,
     cut = 1.0 - smoothstep((R - r0) / (r1 - r0))
     # ds d(b chi) = r dr dpsi, so the jacobian is plain r
     meas = orbit * np.sin(chi_eff) ** (d - 1) * R
-    near = _contract(cut * meas * WR * WP, fn(*to_chart(ds, chi_eff)))
+    near = _contract(cut * meas * WR * WP,
+                     fn(*m.chart_from_pole(pole, ds, chi_eff)))
 
     # far region on the full rectangle, integrand cut off inside the patch
     ns = 8 * 2 ** level
@@ -141,18 +136,19 @@ def product_singular_integral(m, fn, pole, level: int = 1,
     rr = np.hypot(DS, b * CHI_EFF)
     cut_far = smoothstep((rr - r0) / (r1 - r0))
     meas = orbit * b * np.sin(CHI_EFF) ** (d - 1)
-    far = _contract(cut_far * meas * WS * WX, fn(*to_chart(DS, CHI_EFF)))
+    far = _contract(cut_far * meas * WS * WX,
+                    fn(*m.chart_from_pole(pole, DS, CHI_EFF)))
     if resolution is not None:
         resolution.update(nodes=[R.size, DS.size], graded_depth=graded_depth)
     return near + far
 
 
-def extrapolate_to_zero(radii, values, degree: int = 2) -> float:
-    """Limit at r = 0 of samples values(r) = a + b r + ..., smallest radii first."""
+def extrapolate_to_zero(radii, values) -> float:
+    """Limit at r = 0 of samples values(r) = a + b r + c r^2 + ...: the
+    constant of the quadratic fitted to the four smallest radii."""
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
     order = np.argsort(radii)
-    radii, values = radii[order], values[order]
-    k = min(len(radii), degree + 2)
-    coef = np.polynomial.polynomial.polyfit(radii[:k], values[:k], degree)
+    coef = np.polynomial.polynomial.polyfit(radii[order][:4],
+                                            values[order][:4], 2)
     return float(coef[0])

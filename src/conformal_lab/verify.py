@@ -211,11 +211,6 @@ def _degree_sum_record(pole: Pole, cutoff, tail_estimate) -> dict:
             "tail_estimate": tail_estimate}
 
 
-def _pole_point(m: ManifoldModel):
-    """Chart coordinates of the north pole, as one-point arrays."""
-    return [np.array([c]) for c in m.pole_coordinates(Pole())]
-
-
 # ----------------------------------------------------- pole identities
 
 def default_test_functions(m: ManifoldModel, seed: int = 0):
@@ -292,7 +287,7 @@ def _pole_identity(m, law, level, tolerance, seed):
         (lambda g, ricci_sq: (np.log(g), ricci_sq)) if four
         else (lambda g, ricci_sq: (g ** s, g ** s * ricci_sq)))
     checks = []
-    for i, phi_p in enumerate(F.evaluate(fns, *_pole_point(m))[0]):
+    for i, phi_p in enumerate(F.evaluate(fns, *m.pole_point(Pole()))[0]):
         t_main, t_point, t_ricci = t_mains[i], target * phi_p, t_riccis[i]
         if four:
             t_q = F.integrate(fns[i] * m.q_value)
@@ -419,7 +414,7 @@ def _off_pole(m, factor):
     pts = m.grid_points()
     keep = ~gL.mask()
     return (gL, pts, keep, factor.w_at(*pts)[keep],
-            factor.w_at(*_pole_point(m)))
+            factor.w_at(*m.pole_point(Pole())))
 
 
 def _sup_ratio(diff, ref) -> float:
@@ -454,7 +449,7 @@ def _law_green_transport(m, rng, fixed=None):
         gf = green_sphere_closed_form(m, op)
         keep = ~gf.mask()
         got = transport_green(gf, factor).values_at(theta)[keep]
-        truth = gf.evaluator(factor.profile.mapped_angle(theta)[keep])
+        truth = gf.at(factor.mapped_angle(theta)[keep])
         worst = max(worst, _sup_ratio(got - truth, truth))
     return worst
 

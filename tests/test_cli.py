@@ -193,6 +193,32 @@ def test_backend_build_failure_exit_code(tmp_path, capsys):
     assert "BACKEND_BUILD_FAIL" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("record, field", [
+    ({"kind": "sphere", "n": 5.0}, "n"),
+    ({"kind": "product-S1xS2", "basis": {"sphere_nodes": 0}}, "sphere_nodes"),
+    ({"kind": "product-S1xS2", "basis": {"circle_nodes": 0}}, "circle_nodes"),
+    ({"kind": "product-S1xS2", "basis": {"fourier_max": -2}}, "fourier_max"),
+    ({"kind": "product-S1xS2", "basis": {"fourier_max": 0}}, "fourier_max"),
+    ({"kind": "sphere", "n": 5, "params": {"radius": float("nan")}},
+     "radius"),
+    ({"kind": "product-S1xS3", "params": {"length": float("inf")}}, "length"),
+    ({"kind": "sphere", "n": 5, "basis": {"degree_max": 2.7}}, "degree_max"),
+    ({"kind": "sphere", "n": 5, "basis": {"degree_max": True}}, "degree_max"),
+    ({"kind": "sphere", "n": 5, "basis": {"degree_max": 3}}, "degree_max"),
+])
+def test_bad_catalog_record_exits_3(tmp_path, capsys, record, field):
+    """Counts are integers with the least value the default test functions
+    need, scales finite and positive; a bad record fails the build."""
+    cfg = dict(BASE_CONFIG, suites=["weak-identity", "spectrum"],
+               catalog=[record])
+    path = _write(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "BACKEND_BUILD_FAIL" in err and f"{field}:" in err, err
+    assert "Traceback" not in err
+
+
 ALIASING_CONFIG = {
     "seed": 0,
     "suites": ["covariance", "spectrum"],
@@ -254,7 +280,10 @@ def test_each_job_logs_duration_and_margin(tmp_path, caplog):
 def test_full_config_jobs_match_the_benchmark_reference(tmp_path):
     """Every job of configs/full.json keeps the multiset of (law, asserted)
     records of the benchmark reference, which this only reads, and its
-    verdict: the reference is made from passing runs only."""
+    verdict: the reference is made from passing runs only.  Paired in
+    order with its reference record, no |residual| grows more than 2x,
+    both floored at 1e-3 x the check's tolerance (the benchmark's drift
+    floor), below which a residual is rounding."""
     reference = json.loads((REPO / "perfbench" / "reference.json").read_text())
     jobs = reference["workloads"]["full-catalog-2t"]["jobs"]
     assert run(RunConfig.from_path(REPO / "configs" / "full.json"),
@@ -267,6 +296,11 @@ def test_full_config_jobs_match_the_benchmark_reference(tmp_path):
         assert got == Counter((law, asserted)
                               for law, asserted, _, _ in records), key
         assert rows[key]["pass"] is True, key
+        for check, (law, _, ref, _) in zip(rows[key]["checks"], records):
+            assert check["eq"] == law, key
+            floor = 1e-3 * check["tol"]
+            assert max(abs(check["residual"]), floor) \
+                <= 2.0 * max(abs(ref), floor), (key, law, check["residual"])
 
 
 def test_job_without_asserted_check_says_so(tmp_path, caplog):

@@ -21,25 +21,26 @@ from conformal_lab.spectrum import lambda1_L
 
 def test_catalog_sphere_invariants(sphere4):
     assert sphere4.scalar_curvature == 12.0
-    rc = sphere4.ricci_tensor()
-    assert_allclose(F.frame_trace(rc.basis, rc.components), 12.0)
-    assert_allclose(rc.norm_squared_values(), 36.0)
+    rc = sphere4.ricci_eigenvalues
+    assert_allclose(F.frame_trace(sphere4.basis, rc), 12.0)
+    assert_allclose(F.frame_dot(sphere4.basis, rc, rc), 36.0)
 
 
 def test_catalog_product_invariants(s1xs2, s1xs3):
     assert s1xs2.scalar_curvature == 2.0
     assert s1xs2.ricci_eigenvalues["ss"] == 0.0
     assert s1xs2.ricci_eigenvalues["xx"] == 1.0
-    assert_allclose(s1xs2.ricci_tensor().norm_squared_values(), 2.0)
+    rc = s1xs2.ricci_eigenvalues
+    assert_allclose(F.frame_dot(s1xs2.basis, rc, rc), 2.0)
     assert s1xs3.scalar_curvature == 6.0
     assert s1xs3.ricci_eigenvalues["xx"] == 2.0
-    assert_allclose(s1xs3.ricci_tensor().norm_squared_values(), 12.0)
+    rc = s1xs3.ricci_eigenvalues
+    assert_allclose(F.frame_dot(s1xs3.basis, rc, rc), 12.0)
 
 
 def test_ricci_trace_matches_scalar_everywhere(sphere5, s1xs3):
     for m in (sphere5, s1xs3):
-        rc = m.ricci_tensor()
-        assert_allclose(F.frame_trace(rc.basis, rc.components),
+        assert_allclose(F.frame_trace(m.basis, m.ricci_eigenvalues),
                         m.scalar_curvature, rtol=1e-12)
 
 
@@ -101,10 +102,11 @@ def test_total_q_on_round_sphere4(sphere4):
 
 def test_identity_factor_returns_base_ricci(sphere5, s1xs2):
     for m in (sphere5, s1xs2):
-        rc = conformal_ricci(m, ConformalFactor.identity(m))
-        base = m.ricci_tensor()
-        for k in rc.components:
-            assert_allclose(rc.components[k], base.components[k], atol=1e-12)
+        rc = conformal_ricci(m, ConformalFactor.from_w(m, m.constant(0.0)))
+        base = m.ricci_eigenvalues
+        assert rc.keys() == base.keys()
+        for k in rc:
+            assert_allclose(rc[k], base[k], atol=1e-12)
 
 
 def test_stereographic_factor_flattens_the_sphere(sphere5):
@@ -199,13 +201,14 @@ def test_conformal_ricci_aliasing_guard():
 # ------------------------------------------------------------ conformal Q
 
 def test_conformal_q_identity_factor(sphere5):
-    q = conformal_q(sphere5, ConformalFactor.identity(sphere5))
+    q = conformal_q(sphere5,
+                    ConformalFactor.from_w(sphere5, sphere5.constant(0.0)))
     assert_allclose(q.grid_values, sphere5.q_value, rtol=1e-8)
 
 
 def test_conformal_q_constant_shift_dimension4(sphere4):
     c = 0.3
-    factor = ConformalFactor.constant(sphere4, math.exp(c), "squared")
+    factor = ConformalFactor.from_w(sphere4, sphere4.constant(c))
     q = conformal_q(sphere4, factor)
     assert_allclose(q.grid_values, math.exp(-4 * c) * 6.0, rtol=1e-8)
 
@@ -230,11 +233,9 @@ def test_factor_convention_consistency(sphere5, rng):
     n = sphere5.n
     rho_l = factor.rho("metric").grid_values
     rho_p = factor.rho("paneitz").grid_values
-    rho_s = factor.rho("squared").grid_values
     target = np.exp(2.0 * factor.w_grid.grid_values)
     assert_allclose(rho_l ** (4.0 / (n - 2)), target, rtol=1e-12)
     assert_allclose(rho_p ** (4.0 / (n - 4)), target, rtol=1e-12)
-    assert_allclose(rho_s ** 2, target, rtol=1e-12)
 
 
 def test_pole_geometry(s1xs2):
@@ -247,6 +248,28 @@ def test_pole_geometry(s1xs2):
     south = Pole(axis=-1)
     assert_allclose(s1xs2.pole_separation(south, np.array([0.0]),
                                           np.array([math.pi]))[1], 0.0)
+
+
+@pytest.mark.parametrize("name", ["sphere5", "s1xs2"])
+def test_chart_from_pole_inverts_pole_separation(name, request):
+    m = request.getfixturevalue(name)
+    rng = np.random.default_rng(3)
+    chi = rng.uniform(0.0, math.pi, 12)
+    for axis in (1, -1):
+        pole = Pole(axis, 0.9 if m.is_product else 0.0)
+        # circle points within half a period of the pole, where the
+        # separation needs no reduction
+        pts = ((pole.s0 + rng.uniform(-0.49, 0.49, 12) * m.length, chi)
+               if m.is_product else (chi,))
+        sep = m.pole_separation(pole, *pts)
+        assert isinstance(sep, tuple) and len(sep) == len(pts)
+        back = m.chart_from_pole(pole, *sep)
+        for got, want in zip(back, pts):
+            assert_allclose(got, want, rtol=0, atol=1e-14)
+        # the pole itself sits at separation zero
+        at_pole = m.pole_separation(pole, *m.pole_point(pole))
+        for c in at_pole:
+            assert_allclose(c, 0.0, rtol=0, atol=1e-15)
 
 
 def test_descriptor_and_manifest_fields(sphere4):

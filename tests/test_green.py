@@ -145,27 +145,33 @@ def test_product_image_kernel_matches_mode_sum(s1xs2):
 @pytest.mark.parametrize("name", ["s1xs2", "s1xs3"])
 def test_image_kernel_jets_match_value_and_differences(name, request):
     m = request.getfixturevalue(name)
-    kern = green_eigen_expansion(m, "L")._kernel
+    kern = green_eigen_expansion(m, "L").kernel
     rng = np.random.default_rng(5)
     ds = rng.uniform(-3.0, 3.0, 30)
     chi = rng.uniform(0.4, 2.7, 30)
-    j = kern.jets(ds, chi)
-    assert np.array_equal(j["val"], kern.value(ds, chi))
-    assert_allclose(j["x"], j["x_over_sin"] * np.sin(chi), rtol=1e-15)
+    w, (w_s, w_x), hess = kern.log_jets(1.0, ds, chi)
+    assert_allclose(np.exp(w), kern.value(ds, chi), rtol=1e-14)
+    # frame jets to chart partials of w = log G_L in (s, chi)
+    b = m.radius
+    j = {"s": w_s, "x": b * w_x, "ss": hess["ss"], "xx": b ** 2 * hess["xx"],
+         "sx": b * hess["sx"]}
+    assert_allclose(b ** 2 * hess["orb"], j["x"] / np.tan(chi), rtol=1e-12)
 
-    def d1(f, h, *shift):
-        return (f(ds + h * shift[0], chi + h * shift[1])
-                - f(ds - h * shift[0], chi - h * shift[1])) / (2 * h)
+    def logv(s, x):
+        return np.log(kern.value(s, x))
+
+    def d1(h, *shift):
+        return (logv(ds + h * shift[0], chi + h * shift[1])
+                - logv(ds - h * shift[0], chi - h * shift[1])) / (2 * h)
 
     def d2(h, *shift):
-        v = kern.value
-        return (v(ds + h * shift[0], chi + h * shift[1]) - 2 * v(ds, chi)
-                + v(ds - h * shift[0], chi - h * shift[1])) / h ** 2
+        return (logv(ds + h * shift[0], chi + h * shift[1]) - 2 * logv(ds, chi)
+                + logv(ds - h * shift[0], chi - h * shift[1])) / h ** 2
 
     h = 1e-4
     want = {
-        "s": d1(kern.value, 1e-5, 1, 0),
-        "x": d1(kern.value, 1e-5, 0, 1),
+        "s": d1(1e-5, 1, 0),
+        "x": d1(1e-5, 0, 1),
         "ss": d2(h, 1, 0),
         "xx": d2(h, 0, 1),
         # d_s d_chi from the second differences along the diagonals
@@ -178,18 +184,44 @@ def test_image_kernel_jets_match_value_and_differences(name, request):
 
 def test_image_kernel_jets_take_a_few_point_vectors(s1xs2):
     """Images are added one at a time: no (points x images) arrays."""
-    kern = green_eigen_expansion(s1xs2, "L")._kernel
+    kern = green_eigen_expansion(s1xs2, "L").kernel
     n = 50_000
     rng = np.random.default_rng(6)
     ds = rng.uniform(-math.pi, math.pi, n)
     chi = rng.uniform(0.0, math.pi, n)
     tracemalloc.start()
     try:
-        kern.jets(ds, chi)
+        kern.log_jets(1.0, ds, chi)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 40 * 8 * n, f"peak {peak / (8 * n):.0f} point vectors"
+
+
+def test_south_pole_log_profile_matches_differences_of_its_w(s1xs2):
+    """A south pole reverses the polar direction: the profile's polar
+    gradient component and its sx Hessian component change sign, and
+    central differences of its own w in chart coordinates agree."""
+    prof = green_eigen_expansion(s1xs2, "L", Pole(-1, 0.7)).log_profile(2.0)
+    rng = np.random.default_rng(7)
+    s = rng.uniform(-3.0, 3.0, 20)
+    chi = rng.uniform(0.3, 2.8, 20)
+    _, (g_s, g_x), hess = prof.jets((s, chi))
+    b = s1xs2.radius
+
+    def d(h, ks, kx):
+        return prof.w_at(s + ks * h, chi + kx * h)
+
+    h = 1e-5
+    fd_s = (d(h, 1, 0) - d(h, -1, 0)) / (2 * h)
+    fd_x = (d(h, 0, 1) - d(h, 0, -1)) / (2 * h * b)
+    h = 1e-4
+    fd_sx = (d(h, 1, 1) - d(h, 1, -1) - d(h, -1, 1) + d(h, -1, -1)) \
+        / (4 * h * h * b)
+    # measured 8e-11, 7e-11 and 5e-8 of the largest component
+    for got, fd, rel in ((g_s, fd_s, 1e-9), (g_x, fd_x, 1e-9),
+                         (hess["sx"], fd_sx, 1e-6)):
+        assert_allclose(got, fd, rtol=0, atol=rel * np.max(np.abs(got)))
 
 
 def test_product_green_symmetry(s1xs2):
@@ -241,19 +273,26 @@ def test_eigen_expansion_rejects_spheres(sphere5):
 
 def test_transport_identity_factor(sphere5):
     gf = green_sphere_closed_form(sphere5, "L")
-    gt = transport_green(gf, ConformalFactor.identity(sphere5))
+    gt = transport_green(gf, ConformalFactor.from_w(sphere5,
+                                                    sphere5.constant(0.0)))
     th = np.linspace(0.2, 3.0, 7)
     assert_allclose(gt.values_at(th), gf.values_at(th), rtol=1e-12)
 
 
 def test_transport_constant_factor_scales(sphere5):
-    c = 1.7
+    c, n = 1.7, sphere5.n
+
+    def constant(rho, exponent):
+        # the factor whose weight rho^exponent multiplies the metric
+        w = 0.5 * exponent * math.log(rho)
+        return ConformalFactor.from_w(sphere5, sphere5.constant(w))
+
     gf = green_sphere_closed_form(sphere5, "L")
-    gt = transport_green(gf, ConformalFactor.constant(sphere5, c, "metric"))
+    gt = transport_green(gf, constant(c, 4.0 / (n - 2)))
     th = np.linspace(0.2, 3.0, 7)
     assert_allclose(gt.values_at(th), gf.values_at(th) / c ** 2, rtol=1e-12)
     gp = green_sphere_closed_form(sphere5, "P")
-    gpt = transport_green(gp, ConformalFactor.constant(sphere5, c, "paneitz"))
+    gpt = transport_green(gp, constant(c, 4.0 / (n - 4)))
     assert_allclose(gpt.values_at(th), gp.values_at(th) / c ** 2, rtol=1e-12)
 
 

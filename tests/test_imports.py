@@ -20,9 +20,9 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "conformal_lab"
 # independent routes kept for the tests to compare the package against
 TEST_REFERENCES = {"apply_P_pointwise", "green_pair", "apply_L", "run_suite"}
 
-# class members only the tests read: the trivial conformal factor and the
-# grouped spectrum a summary is computed from
-TEST_MEMBERS = {"identity", "eigenvalues"}
+# class members only the tests read: the grouped spectrum a summary is
+# computed from
+TEST_MEMBERS = {"eigenvalues"}
 
 
 def exported(tree) -> set[str]:
@@ -125,15 +125,15 @@ def test_every_class_member_is_read_in_the_package():
 
 
 def test_an_unused_member_is_caught():
-    # only b.f, c.value and the dunder are read; identity is exempt, and a
-    # plain class's annotations are not fields
+    # only b.f, c.value and the dunder are read; eigenvalues is exempt, and
+    # a plain class's annotations are not fields
     sources = {"a.py": "from dataclasses import dataclass\n"
                        "@dataclass(frozen=True)\nclass A:\n"
                        "    value: int\n    spare: int = 0\n"
                        "    def f(self): return self.value\n"
                        "    @property\n    def g(self): return 1\n"
                        "    def __len__(self): return 0\n"
-                       "    @staticmethod\n    def identity(): pass\n",
+                       "    def eigenvalues(self): pass\n",
                "b.py": "@dataclass\nclass B:\n    kept: int\n"
                        "class C:\n    hint: int\n"
                        "def h(b, c): return b.f() + c.value\n"}

@@ -201,8 +201,8 @@ def test_covariance_identity_factor_is_exact(sphere5):
     rng = np.random.default_rng(0)
     phi = F.random_bandlimited(sphere5.basis, rng, degree=6)
     psi = F.random_bandlimited(sphere5.basis, rng, degree=6)
-    lhs = conformal_quadratic_form_E(sphere5, ConformalFactor.identity(sphere5),
-                                     phi, psi)
+    identity = ConformalFactor.from_w(sphere5, sphere5.constant(0.0))
+    lhs = conformal_quadratic_form_E(sphere5, identity, phi, psi)
     rhs = quadratic_form_E(sphere5, phi, psi)
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
@@ -291,13 +291,13 @@ def _count_integrals(monkeypatch, name):
 def test_weak_identity_takes_one_pass_on_product(s1xs2, monkeypatch):
     calls = _count_integrals(monkeypatch, "product_singular_integral")
     jets = []
-    orig_jets = green._ProductGreenLogProfile.jets
+    orig_jets = green._GreenLogProfile.jets
 
     def counting_jets(self, points=None):
         jets.append(int(np.broadcast(*points).size))
         return orig_jets(self, points)
 
-    monkeypatch.setattr(green._ProductGreenLogProfile, "jets", counting_jets)
+    monkeypatch.setattr(green._GreenLogProfile, "jets", counting_jets)
     report = check_weak_identity(s1xs2, level=1)
     assert report.passed
     assert len(calls) == 1
