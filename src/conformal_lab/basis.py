@@ -22,8 +22,9 @@ numbers 1 / sum_{l<nq} p_l(t_i)^2.
 
 The zonal polynomials and their t-derivatives are tabulated by the
 orthonormal Jacobi three-term recurrence in one routine,
-``zonal_polynomials``; the cached node tables, off-grid tabulation and
-the product degree-sum kernel all call it.
+``zonal_polynomials``, which the product degree-sum kernel also calls.
+``ModeBasis.polar_values`` normalizes its tables on the sphere (factor);
+the cached node tables are its frozen value at the quadrature nodes.
 """
 
 from __future__ import annotations
@@ -252,8 +253,12 @@ class ModeBasis:
         return _circle_tables(self)
 
     def polar_values(self, t: np.ndarray):
-        """(P0, P1, P2) at arbitrary polar cosines t."""
-        return zonal_polynomials(self.sphere_dim, self.degree_max, t)
+        """(P0, P1, P2) of the normalized zonal modes at polar cosines t."""
+        tabs = zonal_polynomials(self.sphere_dim, self.degree_max, t)
+        norm = math.sqrt(self.polar_norm)
+        for tab in tabs:  # freshly tabulated, so normalized in place
+            tab /= norm
+        return tabs
 
     def circle_values(self, s: np.ndarray):
         """(U0, U1, U2) of the normalized real Fourier modes at points s."""
@@ -314,21 +319,19 @@ def _polar_rule(basis: ModeBasis):
     t = 0.5 * (t - t[::-1])
     # Christoffel numbers: orthonormal p_l make sum(w) = int (1 - t^2)^a
     (p,) = zonal_polynomials(d, nq - 1, t, order=0)
-    w = 1.0 / np.sum(p * p, axis=1)
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
+    return _frozen((t, 1.0 / np.sum(p * p, axis=1)))
+
+
+def _frozen(arrays: tuple) -> tuple:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 @lru_cache(maxsize=64)
 def _polar_tables(basis: ModeBasis):
     t, _ = basis.polar_rule()
-    norm = math.sqrt(basis.polar_norm)
-    tables = zonal_polynomials(basis.sphere_dim, basis.degree_max, t)
-    out = tuple(tab / norm for tab in tables)
-    for tab in out:
-        tab.setflags(write=False)
-    return out
+    return _frozen(basis.polar_values(t))
 
 
 def _circle_values(fourier_max: int, length: float, s: np.ndarray):
@@ -353,8 +356,5 @@ def _circle_values(fourier_max: int, length: float, s: np.ndarray):
 
 @lru_cache(maxsize=64)
 def _circle_tables(basis: ModeBasis):
-    s = basis.circle_points()
-    out = _circle_values(basis.fourier_max, basis.length, s)
-    for tab in out:
-        tab.setflags(write=False)
-    return out
+    return _frozen(_circle_values(basis.fourier_max, basis.length,
+                                  basis.circle_points()))

@@ -39,8 +39,11 @@ class RunConfig:
             raise ConfigError("config: top level must be a JSON object")
         self.seed = checked_integer("seed", raw.get("seed", 0), 0, ConfigError)
         suites = raw.get("suites")
-        if not suites or not isinstance(suites, list):
-            raise ConfigError("suites: a non-empty list is required")
+        if not suites or not isinstance(suites, list) or not all(
+                isinstance(s, str) for s in suites) \
+                or len(set(suites)) < len(suites):
+            raise ConfigError(f"suites: a non-empty list of distinct names "
+                              f"is required, got {suites!r}")
         unknown = [s for s in suites if s not in SUITES]
         if unknown:
             raise ConfigError(f"suites: unknown suite names {unknown}; "
@@ -69,6 +72,8 @@ class RunConfig:
                 raise ConfigError(f"tolerances: {k!r} must be a positive "
                                   f"finite number, got {tol!r}")
         self.out_dir = raw.get("out_dir")
+        if not isinstance(self.out_dir, (str, type(None))):
+            raise ConfigError(f"out_dir: must be a string, got {self.out_dir!r}")
         extra = set(raw) - {"seed", "suites", "catalog", "level", "trials",
                             "tolerances", "out_dir"}
         if extra:
@@ -102,6 +107,11 @@ def _build_backends(config: RunConfig):
             raise BackendBuildError(
                 f"catalog[{i}] ({rec.get('kind')}): {exc}") from exc
         backends.append(m)
+    names = [m.descriptor() for m in backends]
+    for i, name in enumerate(names):
+        if name in names[:i]:  # their reports would overwrite each other
+            raise ConfigError(f"catalog[{names.index(name)}] and catalog[{i}]:"
+                              f" both build {name}")
     return backends
 
 

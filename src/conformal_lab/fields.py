@@ -13,12 +13,13 @@ orbit directions.  Zonal symmetry makes every tensor we need diagonal
 except for the (s, chi) component on products.  A component is an array
 of values, or a number where it is constant.
 
-Values and frame jets come from one routine: the basis is tabulated by
-the Jacobi three-term recurrence of ``basis.zonal_polynomials`` (cached
-node tables on the grid; at other points fresh tables, only up to the
-highest mode the coefficients carry) and combined with the coefficients
-in ``frame_jets``, which ``evaluate`` and ``gradient_components`` read
-from.
+Synthesis on the grid, values at points and frame jets share one table
+preparation: the coefficients of one or more fields are stacked along a
+trailing field axis and the basis is tabulated once, from the cached
+node tables on the grid or, at other points, by ``ModeBasis.polar_values``
+and ``circle_values`` only up to the highest mode the coefficients carry.
+``polar_values`` returns the zonal tables of ``basis.zonal_polynomials``
+already normalized; one contraction combines them with the coefficients.
 """
 
 from __future__ import annotations
@@ -123,30 +124,18 @@ def _bw_sum(a, b):
 
 def field_from_modes(basis: ModeBasis, coefficients) -> ScalarField:
     coefficients = np.asarray(coefficients, dtype=float)
-    if not basis.is_product:
-        bw = (0, _top_degree(coefficients))
-    else:
-        nz = np.nonzero(np.any(np.abs(coefficients) > 0, axis=1))[0]
-        kmax = basis.circle_wavenumber(int(nz[-1])) if nz.size else 0
-        mz = np.nonzero(np.any(np.abs(coefficients) > 0, axis=0))[0]
-        bw = (kmax, int(mz[-1]) if mz.size else 0)
-    return ScalarField(basis, coefficients, None, bw)
+    return ScalarField(basis, coefficients, None,
+                       _support(basis, np.abs(coefficients) > 0))
 
 
-def _top_degree(c):
-    nz = np.nonzero(np.abs(c) > 0)[0]
-    return int(nz[-1]) if nz.size else 0
-
-
-def field_from_grid(basis: ModeBasis, values, bandwidth=None) -> ScalarField:
-    return ScalarField(basis, None, np.asarray(values, dtype=float), bandwidth)
+def field_from_grid(basis: ModeBasis, values) -> ScalarField:
+    return ScalarField(basis, None, np.asarray(values, dtype=float))
 
 
 def constant_field(basis: ModeBasis, value: float) -> ScalarField:
     c = np.zeros(basis.mode_shape)
     c.flat[0] = value * math.sqrt(basis.volume)
-    f = field_from_modes(basis, c)
-    return synthesize(f)
+    return synthesize(field_from_modes(basis, c))
 
 
 def random_bandlimited(basis: ModeBasis, rng, degree: int, fourier: int = 0,
@@ -178,17 +167,11 @@ def random_bandlimited(basis: ModeBasis, rng, degree: int, fourier: int = 0,
 
 def synthesize(f: ScalarField) -> ScalarField:
     """Populate grid values from coefficients (coefficients unchanged)."""
-    if f.coefficients is None:
-        raise ValueError("synthesize needs authoritative coefficients")
     if f.grid_values is not None:
         return f
-    P0, _, _ = f.basis.polar_tables()
-    if f.basis.is_product:
-        U0, _, _ = f.basis.circle_tables()
-        grid = U0 @ f.coefficients @ P0.T
-    else:
-        grid = P0 @ f.coefficients
-    return ScalarField(f.basis, f.coefficients, grid, f.bandwidth)
+    C, tabs = _prepare(f.basis, [f])
+    return ScalarField(f.basis, f.coefficients, _mix(tabs, C, 0, 0)[..., 0],
+                       f.bandwidth)
 
 
 def _check_projection_exactness(f: ScalarField):
@@ -214,15 +197,14 @@ def analyze(f: ScalarField) -> ScalarField:
         raise ValueError("analyze needs authoritative grid values")
     _check_projection_exactness(f)
     b = f.basis
-    P0, _, _ = b.polar_tables()
-    _, w_pol = b.polar_rule()
-    w_pol = w_pol * b.polar_norm
+    _, (U, P, *_) = _prepare(b)
+    w_pol = b.polar_rule()[1] * b.polar_norm
     if b.is_product:
-        U0, _, _ = b.circle_tables()
         w_circ = np.full(b.circle_nodes, b.length / b.circle_nodes)
-        coeffs = (U0 * w_circ[:, None]).T @ f.grid_values @ (P0 * w_pol[:, None])
+        coeffs = ((U[0] * w_circ[:, None]).T @ f.grid_values
+                  @ (P[0] * w_pol[:, None]))
     else:
-        coeffs = (P0 * w_pol[:, None]).T @ f.grid_values
+        coeffs = (P[0] * w_pol[:, None]).T @ f.grid_values
     return ScalarField(b, coeffs, f.grid_values, f.bandwidth)
 
 
@@ -235,23 +217,19 @@ def evaluate(f, *points) -> np.ndarray:
     once, up to the highest mode any of them carries, and the values gain
     a trailing axis, one column per field.
     """
-    if isinstance(f, ScalarField):
-        return _jets(f, points, 0)
-    if any(g.basis != f[0].basis for g in f):
+    fields = [f] if isinstance(f, ScalarField) else list(f)
+    if any(g.basis != fields[0].basis for g in fields):
         raise ValueError("evaluate takes a sequence of fields on one basis")
-    if not points:  # the grid tables are cached: one mesh product per field
-        return np.stack([_jets(g, points, 0) for g in f], axis=-1)
-    b, C = _band(f[0].basis,
-                 np.stack([_coefficients(g) for g in f], axis=-1))
-    return _mix(_tables(b, points), C, 0, 0)
+    C, tabs = _prepare(fields[0].basis, fields, points)
+    out = _mix(tabs, C, 0, 0)
+    return out[..., 0] if isinstance(f, ScalarField) else out
 
 
 # -------------------------------------------------------------- integration
 
 def integrate(f: ScalarField) -> float:
     """Integral of the field against the manifold volume measure."""
-    g = f.grid_values if f.grid_values is not None else synthesize(f).grid_values
-    return float(np.sum(g * f.basis.quadrature_weights()))
+    return float(np.sum(f._grid() * f.basis.quadrature_weights()))
 
 
 # ------------------------------------------------------------------ tensors
@@ -291,34 +269,23 @@ def _frame_weights(basis: ModeBasis) -> dict:
     return {"rr": 1, "ss": 1, "xx": 1, "sx": 2, "orb": basis.sphere_dim - 1}
 
 
-# ----------------------------------------------------------- differentiation
-
-def _mode_tables(basis: ModeBasis, points=None):
-    """Normalized mode tables with the polar cosine and sine.
-
-    Returns ``(U, P, t, sin_t)``: the circle tables (``None`` on spheres)
-    and the polar tables, each a (value, first, second t-derivative)
-    triple of arrays (point, mode), and the polar cosine and sine of the
-    points.  With no points these are the cached tables at the quadrature
-    nodes; otherwise ``points`` are flat chart coordinates, ``(theta,)``
-    on spheres and ``(s, chi)`` on products.
-    """
-    if points is None:
-        t, _ = basis.polar_rule()
-        U = basis.circle_tables() if basis.is_product else None
-        return U, basis.polar_tables(), t, np.sqrt(1.0 - t ** 2)
-    t = np.cos(points[-1])
-    U = basis.circle_values(points[0]) if basis.is_product else None
-    P = basis.polar_values(t)
-    for tab in P:  # freshly tabulated, so normalized in place
-        tab /= math.sqrt(basis.polar_norm)
-    return U, P, t, np.sin(points[-1])
-
+# --------------------------------------------------------------- tabulation
 
 def _coefficients(f: ScalarField) -> np.ndarray:
     if f.coefficients is None:
         raise ValueError("evaluation needs coefficients; call analyze first")
     return f.coefficients
+
+
+def _support(b: ModeBasis, nz: np.ndarray) -> tuple:
+    """(wavenumber, degree) of the last circle row and degree column of the
+    mode-shaped mask ``nz`` holding a true entry, 0 where there is none."""
+    cols = np.nonzero(nz.any(axis=0) if b.is_product else nz)[0]
+    degree = int(cols[-1]) if cols.size else 0
+    if not b.is_product:
+        return 0, degree
+    rows = np.nonzero(nz.any(axis=1))[0]
+    return (b.circle_wavenumber(int(rows[-1])) if rows.size else 0), degree
 
 
 def _band(b: ModeBasis, C: np.ndarray):
@@ -328,45 +295,50 @@ def _band(b: ModeBasis, C: np.ndarray):
     every circle row and degree column up to the last one holding a
     coefficient with ``C != 0``, so a NaN coefficient still counts.
     """
-    nz = (C != 0).any(axis=-1)
-    cols = np.flatnonzero(nz.any(axis=0) if b.is_product else nz)
-    degree = int(cols[-1]) if cols.size else 0
-    if not b.is_product:
-        return replace(b, degree_max=degree), C[:degree + 1]
-    rows = np.flatnonzero(nz.any(axis=1))
-    k = b.circle_wavenumber(int(rows[-1])) if rows.size else 0
-    return (replace(b, degree_max=degree, fourier_max=k),
-            C[:2 * k + 1, :degree + 1])
+    k, degree = _support(b, (C != 0).any(axis=-1))
+    band = replace(b, degree_max=degree, fourier_max=k)
+    return band, C[tuple(slice(size) for size in band.mode_shape)]
 
 
-def _tables(b: ModeBasis, points):
-    """Mode tables for ``_mix``: at broadcast ``points``, or on the grid.
+def _prepare(b: ModeBasis, fields=(), points=()):
+    """The coefficients and mode tables ``_mix`` contracts.
 
-    Returns ``(U, P, t, sin_t, shape, mesh)``; ``mesh`` means the grid of
-    a product, where the circle and polar tables combine as a mesh
-    product.
+    ``C`` stacks the coefficient tables of ``fields``, all on ``b``, along
+    a trailing field axis (``None`` with no fields).  With no ``points``
+    the tables are the cached ones at the quadrature nodes, combined as a
+    mesh product on a product grid.  Otherwise ``points`` are broadcast
+    chart coordinates, ``(theta,)`` on spheres and ``(s, chi)`` on
+    products, and the basis is cut to the band of ``C`` (``_band``) and
+    tabulated there.  Returns ``(C, (U, P, t, sin_t, shape, mesh))``:
+    the circle tables (``None`` on spheres) and the polar tables, each a
+    (value, first, second derivative) triple of (point, mode) arrays, the
+    polar cosine and sine broadcast against the output, and its shape.
     """
-    if points:
-        pts = np.broadcast_arrays(*(np.asarray(p, dtype=float)
-                                    for p in points))
-        shape = pts[0].shape
-        U, P, t, sin_t = _mode_tables(b, [p.ravel() for p in pts])
-        return U, P, t.reshape(shape), sin_t.reshape(shape), shape, False
-    U, P, t, sin_t = _mode_tables(b)
-    if b.is_product:
-        t, sin_t = t[None, :], sin_t[None, :]
-    return U, P, t, sin_t, b.grid_shape, b.is_product
+    C = np.concatenate([_coefficients(g)[..., None] for g in fields],
+                       axis=-1) if fields else None
+    if not points:
+        t, _ = b.polar_rule()
+        sin_t = np.sqrt(1.0 - t ** 2)
+        U = b.circle_tables() if b.is_product else None
+        if U is not None:  # the polar nodes run along the second grid axis
+            t, sin_t = t[None, :], sin_t[None, :]
+        return C, (U, b.polar_tables(), t, sin_t, b.grid_shape, U is not None)
+    b, C = _band(b, C)
+    pts = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in points))
+    shape = pts[0].shape
+    chi = pts[-1].ravel()
+    t = np.cos(chi)
+    U = b.circle_values(pts[0].ravel()) if b.is_product else None
+    return C, (U, b.polar_values(t), t.reshape(shape),
+               np.sin(chi).reshape(shape), shape, False)
 
 
 def _mix(tabs, C: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Coefficients ``C`` against circle table i and polar table j.
-
-    On the grid ``C`` is one field's table; at points it has a trailing
-    field axis, kept in the result.
-    """
+    """Coefficients ``C`` against circle table i and polar table j, with
+    the trailing field axis of ``C`` kept in the result."""
     U, P, _, _, shape, mesh = tabs
-    if mesh:
-        return U[i] @ C @ P[j].T
+    if mesh:  # on a product grid, a mesh product batched over the fields
+        return (U[i] @ C.transpose(2, 0, 1) @ P[j].T).transpose(1, 2, 0)
     if U is None:
         out = P[j] @ C
     else:
@@ -375,27 +347,20 @@ def _mix(tabs, C: np.ndarray, i: int, j: int) -> np.ndarray:
     return out.reshape(shape + out.shape[1:])
 
 
-def _jets(f: ScalarField, points, order: int):
-    """Value (order 0) or value, frame gradient and frame Hessian (order 2).
+def frame_jets(f: ScalarField, *points):
+    """Value, frame gradient, and frame Hessian of a mode field.
 
-    Empty ``points`` means the quadrature grid: the cached node tables are
-    combined with the coefficients as a mesh product.  Otherwise the
-    points are broadcast, the basis is tabulated over the band of ``f``
-    (``_band``) and the tables are combined pointwise.
+    Returns ``(value, grad, hess)`` where ``grad`` is a tuple of frame
+    components and ``hess`` a dict keyed like the tensor components.
+    Points follow the ``evaluate`` convention and are broadcast pointwise;
+    with no points the jets are taken on the quadrature grid.
     """
-    b, C = f.basis, _coefficients(f)
-    if points:
-        b, C = _band(b, C[..., None])
-    tabs = _tables(b, points)
+    C, tabs = _prepare(f.basis, [f], points)
+    b, t, sin_t = f.basis, tabs[2], tabs[3]
 
     def mix(i, j):
-        out = _mix(tabs, C, i, j)
-        return out[..., 0] if points else out
+        return _mix(tabs, C, i, j)[..., 0]
 
-    val = mix(0, 0)
-    if order == 0:
-        return val
-    t, sin_t = tabs[2], tabs[3]
     # chart partials in t = cos(chi) to the orthonormal frame; the orbit
     # component (cot chi) f_chi is written as -t f_t so it stays regular
     # on the axis
@@ -408,18 +373,7 @@ def _jets(f: ScalarField, points, order: int):
     if b.is_product:
         grad = (mix(1, 0),) + grad
         hess.update(ss=mix(2, 0), sx=-sin_t * mix(1, 1) / r)
-    return val, grad, hess
-
-
-def frame_jets(f: ScalarField, *points):
-    """Value, frame gradient, and frame Hessian of a mode field.
-
-    Returns ``(value, grad, hess)`` where ``grad`` is a tuple of frame
-    components and ``hess`` a dict keyed like the tensor components.
-    Points follow the ``evaluate`` convention and are broadcast pointwise;
-    with no points the jets are taken on the quadrature grid.
-    """
-    return _jets(f, points, 2)
+    return mix(0, 0), grad, hess
 
 
 def gradient_components(f: ScalarField):

@@ -227,7 +227,7 @@ class _ProductDegreeSumP:
         c2 = (n * n - 4 * n + 8) / (2.0 * (n - 1) * (n - 2))
         a4 = (4.0 / (n - 2)) * (d - 1) / b ** 2
         R = m.scalar_curvature
-        q0 = 0.0 if n == 4 else 0.5 * (n - 4) * m.q_value
+        q0 = 0.5 * (n - 4) * m.q_value
         p = 2.0 * lam_s + c2 * R
         qq = lam_s ** 2 + (c2 * R - a4) * lam_s + q0
         disc = np.sqrt(p.astype(complex) ** 2 - 4.0 * qq)
@@ -510,12 +510,7 @@ def sign_scan(green_fields) -> dict:
         if diag is not None:
             rec["diagonal_value"] = diag
         per_pole.append(rec)
-    if all(s == "POSITIVE" for s in signs):
-        overall = "POSITIVE"
-    elif all(s == "NEGATIVE" for s in signs):
-        overall = "NEGATIVE"
-    else:
-        overall = "MIXED"
+    overall = signs[0] if len(set(signs)) == 1 else "MIXED"
     return {"poles": per_pole, "verdict": overall}
 
 

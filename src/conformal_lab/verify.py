@@ -497,10 +497,11 @@ def _law_difference_transport(m, rng, fixed=None):
     gPt = transport_green(gP, factor)
     rho_p = np.exp(0.5 * (n - 4.0) * w)
     rho_p_pole = float(np.exp(0.5 * (n - 4.0) * w_pole)[0])
-    lhs = cn * gPt.values_at(*pts)[keep] - gLt.values_at(*pts)[keep] ** s
+    gLt_s = gLt.values_at(*pts)[keep] ** s
+    lhs = cn * gPt.values_at(*pts)[keep] - gLt_s
     base = cn * gP.values_at(*pts)[keep] - gL.values_at(*pts)[keep] ** s
     rhs = base / (rho_p_pole * rho_p)
-    return _sup_ratio(lhs - rhs, gLt.values_at(*pts)[keep] ** s)
+    return _sup_ratio(lhs - rhs, gLt_s)
 
 
 _COVARIANCE_LAWS = {

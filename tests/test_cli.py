@@ -90,6 +90,31 @@ def test_bad_config_value_exits_2(tmp_path, capsys, field, value):
     assert not (tmp_path / "out").exists()
 
 
+_SPHERE5 = {"kind": "sphere", "n": 5, "params": {"radius": 1.0},
+            "basis": {"degree_max": 8}}
+
+
+@pytest.mark.parametrize("change, named", [
+    # both records build sphere:n=5:a=1, and one report would overwrite
+    # the other
+    ({"suites": ["spectrum"], "catalog": [
+        _SPHERE5, dict(_SPHERE5, basis={"degree_max": 24})]},
+     "catalog[0] and catalog[1]"),
+    ({"suites": ["spectrum", "spectrum"]}, "suites"),
+    ({"suites": [["spectrum"]]}, "suites"),
+    ({"out_dir": 5}, "out_dir"),
+], ids=["same-descriptor", "repeated-suite", "list-suite", "int-out-dir"])
+def test_colliding_or_mistyped_run_config_exits_2(tmp_path, capsys, change,
+                                                  named):
+    path = _write(tmp_path, dict(BASE_CONFIG, **change))
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("CONFIG_INVALID: ") and named in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_integer_and_float_tolerances_accepted():
     config = RunConfig(dict(BASE_CONFIG,
                             tolerances={"total-q": 1, "spectrum": 1e-3}))
@@ -282,8 +307,8 @@ def test_full_config_jobs_match_the_benchmark_reference(tmp_path):
     records of the benchmark reference, which this only reads, and its
     verdict: the reference is made from passing runs only.  Paired in
     order with its reference record, no |residual| grows more than 2x,
-    both floored at 1e-3 x the check's tolerance (the benchmark's drift
-    floor), below which a residual is rounding."""
+    both floored at 1e-10 x the check's tolerance and at 1e-12, below
+    which a residual is rounding."""
     reference = json.loads((REPO / "perfbench" / "reference.json").read_text())
     jobs = reference["workloads"]["full-catalog-2t"]["jobs"]
     assert run(RunConfig.from_path(REPO / "configs" / "full.json"),
@@ -298,7 +323,7 @@ def test_full_config_jobs_match_the_benchmark_reference(tmp_path):
         assert rows[key]["pass"] is True, key
         for check, (law, _, ref, _) in zip(rows[key]["checks"], records):
             assert check["eq"] == law, key
-            floor = 1e-3 * check["tol"]
+            floor = max(1e-10 * check["tol"], 1e-12)
             assert max(abs(check["residual"]), floor) \
                 <= 2.0 * max(abs(ref), floor), (key, law, check["residual"])
 

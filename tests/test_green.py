@@ -134,7 +134,6 @@ def test_product_image_kernel_matches_mode_sum(s1xs2):
     ds, chi = 1.1, 1.9
     U0, _, _ = b.circle_values(np.array([0.0, ds]))
     P0, _, _ = b.polar_values(np.array([1.0, math.cos(chi)]))
-    P0 = P0 / math.sqrt(b.polar_norm)
     series = float(np.sum(U0[0][:, None] * P0[0][None, :]
                           * U0[1][:, None] * P0[1][None, :] / lam))
     gf = green_eigen_expansion(s1xs2, "L")

@@ -1,5 +1,6 @@
 """Import hygiene of the package: every imported name is used or exported,
-every exported name is used, and every class member is read.
+every exported name is used, every class member is read, and the basis
+is tabulated in one place.
 
 There is no linter among the package's dependencies, so this reads each
 module's syntax tree: a name bound by an import statement must appear as
@@ -8,7 +9,8 @@ a name in the module, or in its ``__all__``; a name in a module's
 few reference routes that only the tests compare against; and so must
 every method, property and dataclass field a class defines.  Members are
 matched by name, so a member shares the reads of any other member or
-variable of the same name.
+variable of the same name.  The tabulation routines of ``basis`` are
+called only from ``basis`` itself and from their one caller elsewhere.
 """
 
 import ast
@@ -139,3 +141,55 @@ def test_an_unused_member_is_caught():
                        "def h(b, c): return b.f() + c.value\n"}
     assert unused_members(sources) == {"a.py": ["g", "spare"],
                                        "b.py": ["kept"]}
+
+
+# the one caller outside ``basis`` of each tabulation routine, as
+# ``module.top-level definition``: fields prepares every table it
+# contracts in one place, and the P degree sum tabulates its own zonals
+TABULATION = {
+    "polar_values": "fields._prepare",
+    "circle_values": "fields._prepare",
+    "polar_tables": "fields._prepare",
+    "circle_tables": "fields._prepare",
+    "zonal_polynomials": "green._ProductDegreeSumP",
+}
+
+
+def stray_tabulations(sources: dict) -> list[str]:
+    """``module.definition: name`` for every call of a ``TABULATION`` name
+    outside ``basis.py`` and outside its one allowed caller."""
+    out = []
+    for name, src in sources.items():
+        if name == "basis.py":
+            continue
+        module = name.removesuffix(".py")
+        for top in ast.parse(src).body:
+            scope = module + "." + getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                called = getattr(node.func, "attr",
+                                 getattr(node.func, "id", None))
+                if called in TABULATION and TABULATION[called] != scope:
+                    out.append(f"{scope}: {called}")
+    return sorted(out)
+
+
+def test_the_basis_is_tabulated_in_one_place():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert stray_tabulations(sources) == []
+
+
+def test_a_second_tabulation_is_caught():
+    sources = {"basis.py": "def _polar_tables(b): return b.polar_values(0)\n",
+               "fields.py": "def _prepare(b, t):\n"
+                            "    return b.polar_values(t), b.circle_tables()\n"
+                            "def analyze(b): return b.polar_tables()\n",
+               "green.py": "from .basis import zonal_polynomials\n"
+                           "class _ProductDegreeSumP:\n"
+                           "    def f(self): return zonal_polynomials(2, 3, 0)\n"
+                           "def sign_scan(t): return zonal_polynomials(2, 3, t)\n"
+                           "zonal_polynomials(2, 3, 1.0)\n"}
+    assert stray_tabulations(sources) == [
+        "fields.analyze: polar_tables", "green.<module>: zonal_polynomials",
+        "green.sign_scan: zonal_polynomials"]
