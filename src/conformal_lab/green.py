@@ -42,6 +42,7 @@ from .errors import (CutoffTooLowError, KernelError, UnsupportedBackendError)
 from .fields import ScalarField
 from .geometry import ConformalFactor, ManifoldModel, Pole, conformal_ricci
 from .operators import build_symbol
+from .spectrum import zero_threshold
 
 __all__ = [
     "ComparisonResult",
@@ -413,7 +414,7 @@ def green_eigen_expansion(m: ManifoldModel, operator: str,
         raise UnsupportedBackendError("eigen expansions are for products")
     pole = pole or Pole()
     sym = build_symbol(m, operator)
-    thr = 1e-8 * sym.max_abs
+    thr = zero_threshold(m)
     lam_min = float(np.min(np.abs(sym.table)))
     if lam_min < thr:
         raise KernelError(

@@ -75,10 +75,6 @@ class SpectralSymbol:
     def multiplicities(self) -> np.ndarray:
         return self.manifold.basis.multiplicities()
 
-    @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.table)))
-
 
 def _symbol_table(m: ManifoldModel, operator: str) -> np.ndarray:
     b = m.basis

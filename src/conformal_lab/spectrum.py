@@ -1,4 +1,4 @@
-"""Eigenvalue analysis of the two operators and the Yamabe sign test.
+"""Eigenvalue analysis of the two operators and the hypothesis ledger.
 
 On constant-coefficient backends the Rayleigh minimum of the conformal
 Laplacian is a symbol minimum, so the first eigenvalue (whose sign
@@ -8,6 +8,12 @@ and the largest negative one, govern the sign structure of its inverse:
 when the Green's function has a definite sign, the extremal eigenvalue
 of the inverse is simple with a sign-definite eigenfunction, and any
 eigenvalue of opposite sign is strictly dominated in modulus.
+
+The summary is the backend's hypothesis ledger: the conformally
+invariant data the theorems are stated in (the sign of lambda1(L),
+ker P, the sign of Q, the predicted sign of G_P).  Its zero tests, and
+that of the eigen expansions, read one ``zero_threshold`` set by the
+curvature, so neither the band nor the size of the metric moves them.
 """
 
 from __future__ import annotations
@@ -23,23 +29,26 @@ from .operators import SpectralSymbol, build_symbol
 
 __all__ = [
     "SpectrumSummary",
-    "expected_sign",
     "lambda1_L",
     "paneitz_spectrum_check",
+    "zero_threshold",
 ]
 
 SIMPLICITY_TIE = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectrumSummary:
-    """Aggregated eigenvalue data read from a symbol table."""
+    """The hypothesis ledger of a backend and the P spectrum behind it."""
 
-    operator: str
+    lambda1: float             # smallest eigenvalue of L
+    q: float                   # the constant Q curvature
+    threshold: float           # zero_threshold
+    g_p_sign: str              # the predicted sign of G_P, "" for n = 4
     eigenvalues: list          # (value, multiplicity) sorted ascending
     smallest_positive: tuple | None       # (value, multiplicity)
     largest_negative: tuple | None
-    extremal: tuple | None     # the one the expected sign picks
+    extremal: tuple | None     # the one the predicted sign picks
     kernel_dimension: int
     kernel_is_constants: bool
     extremal_simple: bool
@@ -47,14 +56,40 @@ class SpectrumSummary:
     eigenfunction_range: tuple | None
     ordering_holds: bool
 
+    @property
+    def yamabe_positive(self) -> bool:
+        return self.lambda1 > 0
 
-def _grouped_eigenvalues(sym: SpectralSymbol):
+    @property
+    def theorems_hold(self) -> bool:
+        """The hypotheses of the sign and comparison theorems: lambda1 > 0,
+        Q > 0 and n != 4 (the one dimension with no predicted sign)."""
+        return bool(self.yamabe_positive and self.q > self.threshold
+                    and self.g_p_sign)
+
+    def hypotheses(self) -> dict:
+        """The ledger as reports print it."""
+        q, thr = self.q, self.threshold
+        return {"lambda1_L": self.lambda1,
+                "yamabe_positive": self.yamabe_positive, "q_min": q,
+                "q_max": q, "q_nonnegative": bool(q >= -thr),
+                "q_not_identically_zero": bool(abs(q) > thr)}
+
+
+def zero_threshold(m: ManifoldModel) -> float:
+    """Below it an eigenvalue of P, a gap between two, or Q is zero:
+    1e-8 max(R^2, radius^-4), in the units of P's eigenvalues and of Q."""
+    return 1e-8 * max(m.scalar_curvature ** 2, m.radius ** -4)
+
+
+def _grouped_eigenvalues(sym: SpectralSymbol, thr: float):
     vals = sym.table.ravel()
     mults = sym.multiplicities().ravel()
     order = np.argsort(vals)
     grouped = []
     for v, mu in zip(vals[order], mults[order]):
-        if grouped and abs(v - grouped[-1][0]) <= SIMPLICITY_TIE * max(1.0, abs(v)):
+        if grouped and abs(v - grouped[-1][0]) \
+                <= max(thr, SIMPLICITY_TIE * abs(v)):
             grouped[-1][1] += int(mu)
         else:
             grouped.append([float(v), int(mu)])
@@ -66,70 +101,51 @@ def lambda1_L(m: ManifoldModel) -> float:
     return float(np.min(build_symbol(m, "L").table))
 
 
-def expected_sign(n: int) -> str:
-    """Sign of G_P the theorems predict: POSITIVE for n > 4, NEGATIVE for
-    n = 3, none in dimension four."""
-    return "POSITIVE" if n > 4 else ("NEGATIVE" if n == 3 else "")
-
-
 def paneitz_spectrum_check(m: ManifoldModel) -> SpectrumSummary:
-    """Spectrum summary of the fourth-order operator with the sign claims.
+    """The ledger of ``m``: lambda1(L), Q and the P spectrum with its claims.
 
     The claims (simplicity and sign-definiteness of the extremal
     eigenvalue, modulus ordering against the opposite-sign spectrum) are
-    evaluated unconditionally against the sign the theorems predict
-    (``expected_sign``); callers gate their assertion on the hypotheses.
+    read against the predicted sign, POSITIVE for n > 4 and NEGATIVE for
+    n = 3, whatever the hypotheses; callers gate on ``theorems_hold``.
     """
     sym = build_symbol(m, "P")
-    grouped = _grouped_eigenvalues(sym)
-    thr = 1e-8 * sym.max_abs
-    kernel = [(v, mu) for v, mu in grouped if abs(v) < thr]
-    kernel_dim = sum(mu for _, mu in kernel)
+    thr = zero_threshold(m)
+    grouped = _grouped_eigenvalues(sym, thr)
+    kernel_dim = sum(mu for v, mu in grouped if abs(v) < thr)
     positives = [(v, mu) for v, mu in grouped if v >= thr]
     negatives = [(v, mu) for v, mu in grouped if v <= -thr]
     smallest_pos = positives[0] if positives else None
     largest_neg = negatives[-1] if negatives else None
 
-    sign_verdict = expected_sign(m.n)
-    extremal = smallest_pos if sign_verdict == "POSITIVE" else largest_neg
-    simple = extremal is not None and extremal[1] == 1
-    sign_definite = False
+    sign = "POSITIVE" if m.n > 4 else ("NEGATIVE" if m.n == 3 else "")
+    extremal, opposite = ((smallest_pos, negatives) if sign == "POSITIVE"
+                          else (largest_neg, positives))
     eig_range = None
     if extremal is not None:
         idx = int(np.argmin(np.abs(sym.table.ravel() - extremal[0])))
         coeffs = np.zeros(m.basis.mode_shape)
         coeffs.flat[idx] = 1.0
         eigfn = F.synthesize(F.field_from_modes(m.basis, coeffs))
-        lo, hi = eigfn.min(), eigfn.max()
-        eig_range = (lo, hi)
-        sign_definite = lo * hi > 0
-    if sign_verdict == "POSITIVE":
-        bound = smallest_pos[0] if smallest_pos else math.inf
-        ordering = all(abs(v) > bound for v, _ in negatives)
-    elif sign_verdict == "NEGATIVE":
-        bound = abs(largest_neg[0]) if largest_neg else math.inf
-        ordering = all(v > bound for v, _ in positives)
-    else:
-        ordering = True
-
-    # kernel containment: any zero mode must be the constant mode
-    kernel_is_constants = True
-    if kernel_dim:
-        flat = np.abs(sym.table.ravel())
-        zero_idx = np.nonzero(flat < thr)[0]
-        kernel_is_constants = (len(zero_idx) == 1 and zero_idx[0] == 0
-                               and kernel_dim == 1)
+        eig_range = (eigfn.min(), eigfn.max())
+    bound = abs(extremal[0]) if extremal else math.inf
 
     return SpectrumSummary(
-        operator="P",
+        lambda1=lambda1_L(m),
+        q=m.q_value,
+        threshold=thr,
+        g_p_sign=sign,
         eigenvalues=grouped,
         smallest_positive=smallest_pos,
         largest_negative=largest_neg,
         extremal=extremal,
         kernel_dimension=kernel_dim,
-        kernel_is_constants=kernel_is_constants,
-        extremal_simple=simple,
-        extremal_sign_definite=sign_definite,
+        # the constant mode is the first of the table, of multiplicity one
+        kernel_is_constants=kernel_dim == 0 or (
+            kernel_dim == 1 and abs(sym.table.flat[0]) < thr),
+        extremal_simple=extremal is not None and extremal[1] == 1,
+        extremal_sign_definite=bool(eig_range
+                                    and eig_range[0] * eig_range[1] > 0),
         eigenfunction_range=eig_range,
-        ordering_holds=ordering,
+        ordering_holds=not sign or all(abs(v) > bound for v, _ in opposite),
     )

@@ -2,16 +2,18 @@
 
 Each suite produces a ``VerificationReport`` whose check records carry a
 law tag, a residual, a tolerance, and whether the check is asserted.
-Assertions are gated on the hypothesis ledger (sign of the first
-conformal-Laplacian eigenvalue, sign of Q): when a hypothesis fails the
-check is still run and reported, but marked exploratory and never counted
-as a failure.
+Assertions are gated on the backend's hypothesis ledger
+(``spectrum.SpectrumSummary``, built once per backend on first use):
+when a hypothesis fails the check is still run and reported, but marked
+exploratory and never counted as a failure.
 
 All identities are tested in weak form, paired against smooth test
 functions; singular integrands are handled by the graded quadrature of
-:mod:`conformal_lab.quadrature`.  Tolerances default to 1e-8 times the
-check scale on closed-form (sphere) backends and 1-2 percent on
-eigen-expansion (product) backends, where truncation dominates.
+:mod:`conformal_lab.quadrature`.  Tolerances, relative to the check
+scale, default to 1e-8 on closed-form (sphere) backends (1e-6 for the
+4d identity and the mass) and, where truncation dominates, on
+eigen-expansion (product) backends to 1e-2 for the weak identity and
+total Q, 2e-2 for the 4d identity and 1e-4 for covariance.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import functools
 import inspect
 import json
 import math
+import threading
 import time
 import zlib
 from collections.abc import Callable
@@ -29,6 +32,7 @@ import numpy as np
 
 from . import fields as F
 from . import quadrature as Q
+from . import spectrum
 from .errors import (CutoffTooLowError, HypothesisFailError, KernelError,
                      UnsupportedDimensionError)
 from .geometry import (ConformalFactor, ManifoldModel, Pole, conformal_q,
@@ -39,7 +43,6 @@ from .green import (comparison_constant, compare_green, extract_mass,
                     transport_green)
 from .operators import (apply_P, conformal_quadratic_form_E,
                         quadratic_form_E)
-from .spectrum import expected_sign, lambda1_L, paneitz_spectrum_check
 
 __all__ = [
     "CheckRecord",
@@ -47,7 +50,6 @@ __all__ = [
     "VerificationReport",
     "applies",
     "default_test_functions",
-    "hypotheses_for",
     "run_suite",
     "SUITES",
 ]
@@ -115,18 +117,16 @@ def _verdict(law, ok, asserted=True, detail=""):
                        asserted, detail)
 
 
-def hypotheses_for(m: ManifoldModel) -> dict:
-    """The gating ledger: Yamabe sign via lambda_1, Q-sign status."""
-    lam1 = lambda1_L(m)
-    q = m.q_value
-    return {
-        "lambda1_L": lam1,
-        "yamabe_positive": bool(lam1 > 0),
-        "q_min": q,
-        "q_max": q,
-        "q_nonnegative": bool(q >= -1e-12),
-        "q_not_identically_zero": bool(abs(q) > 1e-12),
-    }
+_LEDGERS = {}
+_LEDGER_LOCK = threading.Lock()
+
+
+def _ledger(m: ManifoldModel) -> spectrum.SpectrumSummary:
+    """The hypothesis ledger of ``m``, built on first use and then kept."""
+    with _LEDGER_LOCK:
+        if m not in _LEDGERS:
+            _LEDGERS[m] = spectrum.paneitz_spectrum_check(m)
+        return _LEDGERS[m]
 
 
 # ------------------------------------------------------------------ suites
@@ -142,14 +142,14 @@ class Suite:
     """The declaration of one suite, written as the decorator of its body.
 
     ``applies(m)`` is the dimension gate and ``positive_yamabe`` whether
-    the suite needs lambda1(L) > 0.  The body takes the backend, its
-    hypothesis ledger and keyword options, and returns (checks,
-    resolution).  The decorated name is the suite's check: outside the
-    gate it raises ``UnsupportedDimensionError``, on a required Yamabe
-    sign that fails ``HypothesisFailError``, and otherwise it returns the
-    timed ``VerificationReport``.  The suite's job, ``SUITES[name]``,
-    returns None outside the gate and passes the check the run options
-    its signature names.
+    the suite needs lambda1(L) > 0.  The body takes the backend and
+    keyword options, and returns (checks, resolution).  The decorated
+    name is the suite's check: outside the gate it raises
+    ``UnsupportedDimensionError``, on a required Yamabe sign that fails
+    ``HypothesisFailError``, and otherwise it returns the timed
+    ``VerificationReport`` with the backend's ledger.  The suite's job,
+    ``SUITES[name]``, returns None outside the gate and passes the check
+    the run options its signature names.
     """
 
     name: str
@@ -157,9 +157,7 @@ class Suite:
     positive_yamabe: bool = False
 
     def __call__(self, body):
-        sig = inspect.signature(body)
-        params = list(sig.parameters.values())
-        options = [p.name for p in params[2:]]
+        options = list(inspect.signature(body).parameters)[1:]
 
         @functools.wraps(body)
         def check(m: ManifoldModel, **opts) -> VerificationReport:
@@ -167,16 +165,15 @@ class Suite:
             if not self.applies(m):
                 raise UnsupportedDimensionError(
                     f"{self.name} does not apply to {m.descriptor()}")
-            hyp = hypotheses_for(m)
-            if self.positive_yamabe and not hyp["yamabe_positive"]:
+            ledger = _ledger(m)
+            if self.positive_yamabe and not ledger.yamabe_positive:
                 raise HypothesisFailError(
-                    f"lambda1(L) = {hyp['lambda1_L']:.3g} <= 0 on "
+                    f"lambda1(L) = {ledger.lambda1:.3g} <= 0 on "
                     f"{m.descriptor()}")
-            checks, resolution = body(m, hyp, **opts)
-            return VerificationReport(self.name, m.descriptor(), checks, hyp,
-                                      resolution, time.perf_counter() - t0)
-
-        check.__signature__ = sig.replace(parameters=params[:1] + params[2:])
+            checks, resolution = body(m, **opts)
+            return VerificationReport(self.name, m.descriptor(), checks,
+                                      ledger.hypotheses(), resolution,
+                                      time.perf_counter() - t0)
 
         def job(m: ManifoldModel, cfg: dict):
             if not self.applies(m):
@@ -196,13 +193,6 @@ def applies(name: str, m: ManifoldModel) -> bool:
 def run_suite(name: str, m: ManifoldModel, cfg: dict | None = None):
     """Run one suite; returns None when the backend is incompatible."""
     return SUITES[name](m, cfg or {})
-
-
-def _theorems_asserted(m: ManifoldModel, hyp: dict) -> bool:
-    """The hypotheses of the sign and comparison theorems: a positive
-    Yamabe sign, Q >= 0 not identically zero, and n != 4."""
-    return bool(hyp["yamabe_positive"] and hyp["q_nonnegative"]
-                and hyp["q_not_identically_zero"] and m.n != 4)
 
 
 def _degree_sum_record(pole: Pole, cutoff, tail_estimate) -> dict:
@@ -309,7 +299,7 @@ def _pole_identity(m, law, level, tolerance, seed):
 
 
 @Suite("weak-identity", lambda m: m.n != 4, positive_yamabe=True)
-def check_weak_identity(m: ManifoldModel, hyp: dict, level: int = 2,
+def check_weak_identity(m: ManifoldModel, level: int = 2,
                         tolerance: float | None = None, seed: int = 0):
     """Distributional identity for the fourth-order operator, n != 4.
 
@@ -327,7 +317,7 @@ def check_weak_identity(m: ManifoldModel, hyp: dict, level: int = 2,
 
 
 @Suite("4d-identity", lambda m: m.n == 4, positive_yamabe=True)
-def check_4d_identity(m: ManifoldModel, hyp: dict, level: int = 2,
+def check_4d_identity(m: ManifoldModel, level: int = 2,
                       tolerance: float | None = None, seed: int = 0):
     """Log-kernel identity in dimension four.
 
@@ -344,9 +334,8 @@ def check_4d_identity(m: ManifoldModel, hyp: dict, level: int = 2,
 # ----------------------------------------------------------------- total Q
 
 @Suite("total-q", lambda m: m.n == 4, positive_yamabe=True)
-def check_total_q(m: ManifoldModel, hyp: dict,
-                  factor: ConformalFactor | None = None, level: int = 2,
-                  tolerance: float | None = None):
+def check_total_q(m: ManifoldModel, factor: ConformalFactor | None = None,
+                  level: int = 2, tolerance: float | None = None):
     """Total Q plus the Ricci defect against 16 pi^2 (dimension four).
 
     Reports (int Q dmu, defect, sum, verdict); EQUALITY means the defect
@@ -517,9 +506,9 @@ _COVARIANCE_LAWS = {
 
 
 @Suite("covariance")
-def check_covariance(m: ManifoldModel, hyp: dict,
-                     factor: ConformalFactor | None = None, trials: int = 10,
-                     seed: int = 0, tolerance: float | None = None):
+def check_covariance(m: ManifoldModel, factor: ConformalFactor | None = None,
+                     trials: int = 10, seed: int = 0,
+                     tolerance: float | None = None):
     """Conformal covariance laws over seeded random trials.
 
     Each applicable law reports its worst residual over ``trials`` draws
@@ -547,15 +536,15 @@ def check_covariance(m: ManifoldModel, hyp: dict,
 # ---------------------------------------------------------------- theorems
 
 @Suite("signs", lambda m: m.n != 4)
-def check_sign_theorems(m: ManifoldModel, hyp: dict, seed: int = 0):
+def check_sign_theorems(m: ManifoldModel, seed: int = 0):
     """Sign of the fourth-order Green's function over a pole set.
 
     The theorem verdict (positive for n > 4, negative for n = 3) is
-    asserted only when the ledger shows a positive Yamabe sign and
-    Q >= 0 not identically zero; otherwise the scan is exploratory.
+    asserted only when the ledger's ``theorems_hold`` is true (lambda1(L)
+    > 0 and Q > 0); otherwise the scan is exploratory.
     """
-    asserted = _theorems_asserted(m, hyp)
-    expected = expected_sign(m.n)
+    ledger = _ledger(m)
+    asserted, expected = ledger.theorems_hold, ledger.g_p_sign
     poles = [Pole(1), Pole(-1)] if not m.is_product else \
         [Pole(1, 0.0), Pole(1, m.length / 3.0)]
     checks = []
@@ -588,41 +577,38 @@ def check_sign_theorems(m: ManifoldModel, hyp: dict, seed: int = 0):
 
 
 @Suite("spectrum")
-def check_spectrum_claims(m: ManifoldModel, hyp: dict):
+def check_spectrum_claims(m: ManifoldModel):
     """Spectral side of the sign theorems plus the kernel statement."""
-    summary = paneitz_spectrum_check(m)
+    ledger = _ledger(m)
     checks = [
-        _verdict("lambda1-positive", hyp["yamabe_positive"],
-                 detail=f"lambda1 = {hyp['lambda1_L']:.6g}"),
-        _verdict("kernel-vs-constants", summary.kernel_is_constants,
-                 detail=f"kernel dimension {summary.kernel_dimension}"),
+        _verdict("lambda1-positive", ledger.yamabe_positive,
+                 detail=f"lambda1 = {ledger.lambda1:.6g}"),
+        _verdict("kernel-vs-constants", ledger.kernel_is_constants,
+                 detail=f"kernel dimension {ledger.kernel_dimension}"),
     ]
-    if _theorems_asserted(m, hyp):
+    if ledger.theorems_hold:
         checks += [
-            _verdict("extremal-simple", summary.extremal_simple,
-                     detail=f"extremal {summary.extremal}"),
+            _verdict("extremal-simple", ledger.extremal_simple,
+                     detail=f"extremal {ledger.extremal}"),
             _verdict("extremal-sign-definite",
-                     summary.extremal_sign_definite,
+                     ledger.extremal_sign_definite,
                      detail=f"eigenfunction range "
-                            f"{summary.eigenfunction_range}"),
-            _verdict("modulus-ordering", summary.ordering_holds)]
-        if hyp["q_not_identically_zero"]:
-            checks.append(_verdict("kernel-trivial",
-                                   summary.kernel_dimension == 0))
+                            f"{ledger.eigenfunction_range}"),
+            _verdict("modulus-ordering", ledger.ordering_holds),
+            _verdict("kernel-trivial", ledger.kernel_dimension == 0)]
     else:
         checks.append(_verdict(
             "spectrum-exploratory", True, False,
-            f"smallest positive {summary.smallest_positive}, "
-            f"largest negative {summary.largest_negative}, "
-            f"kernel {summary.kernel_dimension}"))
+            f"smallest positive {ledger.smallest_positive}, "
+            f"largest negative {ledger.largest_negative}, "
+            f"kernel {ledger.kernel_dimension}"))
     return checks, {"modes": int(np.sum(m.basis.multiplicities()))}
 
 
 @Suite("green-compare", lambda m: m.n != 4)
-def check_green_compare(m: ManifoldModel, hyp: dict,
-                        tolerance: float = 1e-8):
+def check_green_compare(m: ManifoldModel, tolerance: float = 1e-8):
     """Kernel comparison margins and the equality-case verdict."""
-    asserted = _theorems_asserted(m, hyp)
+    asserted = _ledger(m).theorems_hold
     poles = [Pole(1), Pole(-1)] if not m.is_product else [Pole(1, 0.0)]
     results = compare_green(m, poles, tolerance=tolerance)
     checks = []
@@ -643,7 +629,7 @@ def check_green_compare(m: ManifoldModel, hyp: dict,
 
 
 @Suite("mass", lambda m: not m.is_product and m.n in (5, 6, 7))
-def check_mass(m: ManifoldModel, hyp: dict, tolerance: float = 1e-6,
+def check_mass(m: ManifoldModel, tolerance: float = 1e-6,
                level: int = 2, seed: int = 0):
     """Vanishing of the kernel-difference mass on round-conformal backends,
     at the north pole of the base metric and of a Moebius change of it."""

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from conformal_lab.cli import RunConfig, list_catalog, main, run
+from conformal_lab.cli import (RunConfig, _build_backends, list_catalog,
+                               main, run)
 from conformal_lab.errors import ConfigError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -162,6 +163,29 @@ def test_degree_sum_resolution_stays_out_of_the_summary(tmp_path):
         assert report["resolution"]["degree_sum"][0]["cutoff"] == 240
     summary = (tmp_path / "out" / "summary.json").read_text()
     assert "degree_sum" not in summary and "tail_estimate" not in summary
+
+
+def test_the_ledger_is_built_once_per_backend(tmp_path, monkeypatch):
+    from conformal_lab import spectrum, verify
+
+    calls = []
+    lambda1 = spectrum.lambda1_L
+
+    def counted(m):
+        calls.append(m.descriptor())
+        return lambda1(m)
+
+    monkeypatch.setattr(spectrum, "lambda1_L", counted)
+    monkeypatch.setattr(verify, "_LEDGERS", {})
+    config = RunConfig(BASE_CONFIG)
+    assert run(config, tmp_path) == 0
+    backends = {m.descriptor(): m for m in _build_backends(config)}
+    assert sorted(calls) == sorted(backends)  # 4 jobs, 2 backends
+    reports = [json.loads(p.read_text()) for p in tmp_path.glob("*__*.json")]
+    assert len(reports) == 4
+    for report in reports:
+        ledger = spectrum.paneitz_spectrum_check(backends[report["backend"]])
+        assert report["hypotheses"] == ledger.hypotheses()
 
 
 def test_main_run_and_exit_codes(tmp_path, capsys):

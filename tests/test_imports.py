@@ -1,6 +1,6 @@
 """Import hygiene of the package: every imported name is used or exported,
 every exported name is used, every class member is read, and the basis
-is tabulated in one place.
+is tabulated, and the hypothesis ledger read, in one place.
 
 There is no linter among the package's dependencies, so this reads each
 module's syntax tree: a name bound by an import statement must appear as
@@ -9,8 +9,9 @@ a name in the module, or in its ``__all__``; a name in a module's
 few reference routes that only the tests compare against; and so must
 every method, property and dataclass field a class defines.  Members are
 matched by name, so a member shares the reads of any other member or
-variable of the same name.  The tabulation routines of ``basis`` are
-called only from ``basis`` itself and from their one caller elsewhere.
+variable of the same name.  The tabulation routines of ``basis`` and
+the ledger routines of ``spectrum`` are called only from their own
+module and from the few callers listed in ``SINGLE_PLACE``.
 """
 
 import ast
@@ -143,25 +144,29 @@ def test_an_unused_member_is_caught():
                                        "b.py": ["kept"]}
 
 
-# the one caller outside ``basis`` of each tabulation routine, as
+# where each single-place routine may be called, as ``module`` or
 # ``module.top-level definition``: fields prepares every table it
-# contracts in one place, and the P degree sum tabulates its own zonals
-TABULATION = {
-    "polar_values": "fields._prepare",
-    "circle_values": "fields._prepare",
-    "polar_tables": "fields._prepare",
-    "circle_tables": "fields._prepare",
-    "zonal_polynomials": "green._ProductDegreeSumP",
+# contracts in one place and the P degree sum tabulates its own zonals;
+# spectrum builds the hypothesis ledger and verify._ledger keeps one per
+# backend, the catalog listing prints lambda1(L), and the eigen
+# expansions test for a zero mode against the ledger's curvature scale
+SINGLE_PLACE = {
+    "polar_values": {"basis", "fields._prepare"},
+    "circle_values": {"basis", "fields._prepare"},
+    "polar_tables": {"basis", "fields._prepare"},
+    "circle_tables": {"basis", "fields._prepare"},
+    "zonal_polynomials": {"basis", "green._ProductDegreeSumP"},
+    "lambda1_L": {"spectrum", "cli.list_catalog"},
+    "zero_threshold": {"spectrum", "green.green_eigen_expansion"},
+    "paneitz_spectrum_check": {"verify._ledger"},
 }
 
 
-def stray_tabulations(sources: dict) -> list[str]:
-    """``module.definition: name`` for every call of a ``TABULATION`` name
-    outside ``basis.py`` and outside its one allowed caller."""
+def stray_calls(sources: dict) -> list[str]:
+    """``module.definition: name`` for every call of a ``SINGLE_PLACE``
+    name outside the places allowed for it."""
     out = []
     for name, src in sources.items():
-        if name == "basis.py":
-            continue
         module = name.removesuffix(".py")
         for top in ast.parse(src).body:
             scope = module + "." + getattr(top, "name", "<module>")
@@ -170,14 +175,16 @@ def stray_tabulations(sources: dict) -> list[str]:
                     continue
                 called = getattr(node.func, "attr",
                                  getattr(node.func, "id", None))
-                if called in TABULATION and TABULATION[called] != scope:
+                if called in SINGLE_PLACE \
+                        and not SINGLE_PLACE[called] & {module, scope}:
                     out.append(f"{scope}: {called}")
     return sorted(out)
 
 
 def test_the_basis_is_tabulated_in_one_place():
+    """And the ledger is built, kept and read where SINGLE_PLACE says."""
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert stray_tabulations(sources) == []
+    assert stray_calls(sources) == []
 
 
 def test_a_second_tabulation_is_caught():
@@ -190,6 +197,25 @@ def test_a_second_tabulation_is_caught():
                            "    def f(self): return zonal_polynomials(2, 3, 0)\n"
                            "def sign_scan(t): return zonal_polynomials(2, 3, t)\n"
                            "zonal_polynomials(2, 3, 1.0)\n"}
-    assert stray_tabulations(sources) == [
+    assert stray_calls(sources) == [
         "fields.analyze: polar_tables", "green.<module>: zonal_polynomials",
         "green.sign_scan: zonal_polynomials"]
+
+
+def test_a_stray_ledger_call_is_caught():
+    sources = {"spectrum.py": "def lambda1_L(m): pass\n"
+                              "def zero_threshold(m): pass\n"
+                              "def paneitz_spectrum_check(m):\n"
+                              "    return lambda1_L(m), zero_threshold(m)\n",
+               "verify.py": "from . import spectrum\n"
+                            "def _ledger(m):\n"
+                            "    return spectrum.paneitz_spectrum_check(m)\n"
+                            "def check(m): return spectrum.lambda1_L(m)\n",
+               "cli.py": "def list_catalog(m): return lambda1_L(m)\n"
+                         "def run(m): return paneitz_spectrum_check(m)\n",
+               "green.py": "def green_eigen_expansion(m):\n"
+                           "    return zero_threshold(m)\n"
+                           "def sign_scan(m): return zero_threshold(m)\n"}
+    assert stray_calls(sources) == [
+        "cli.run: paneitz_spectrum_check", "green.sign_scan: zero_threshold",
+        "verify.check: lambda1_L"]

@@ -1,6 +1,8 @@
 import numpy as np
 
 from conformal_lab.geometry import catalog_build
+from conformal_lab.green import green_eigen_expansion
+from conformal_lab.operators import build_symbol
 from conformal_lab.spectrum import lambda1_L, paneitz_spectrum_check
 
 
@@ -54,3 +56,14 @@ def test_summary_independent_of_grid_resolution():
     sa = paneitz_spectrum_check(a)
     sb = paneitz_spectrum_check(b)
     assert sa.eigenvalues == sb.eigenvalues
+
+
+def test_zero_modes_are_read_against_the_curvature_not_the_band():
+    """On S1(0.5) x S2 the band top makes max|P| about 1e8, so a threshold
+    of 1e-8 max|P| called the constant mode 0.5625 a zero mode; against
+    the curvature scale it is not, and G_P exists."""
+    m = catalog_build("product-S1xS2", None, {"length": 0.5},
+                      {"degree_max": 16, "fourier_max": 8})
+    assert build_symbol(m, "P").table.flat[0] == 0.5625
+    assert paneitz_spectrum_check(m).kernel_dimension == 0
+    assert green_eigen_expansion(m, "P").operator == "P"

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +14,12 @@ from conformal_lab.errors import (HypothesisFailError, KernelError,
                                   UnsupportedDimensionError)
 from conformal_lab.geometry import (ConformalFactor, ManifoldModel,
                                     catalog_build)
+from conformal_lab.spectrum import paneitz_spectrum_check
 from conformal_lab.verify import (SUITES, check_4d_identity, check_covariance,
                                   check_green_compare, check_mass,
                                   check_sign_theorems, check_spectrum_claims,
                                   check_total_q, check_weak_identity,
-                                  default_test_functions, hypotheses_for,
-                                  run_suite)
+                                  default_test_functions, run_suite)
 
 
 # ------------------------------------------------------------ weak identity
@@ -72,6 +74,28 @@ def test_weak_identity_sees_a_one_entry_symbol_mutation(sphere5, s1xs2,
     assert max(_weak_residuals(report)) >= 100.0 * clean
 
 
+def test_weak_identity_sees_a_dropped_image(s1xs2, monkeypatch):
+    """Without its j = +1 image the product G_L leaves a weak-identity
+    residual of 2.45 against the bound 1e-2 (3.2e-10 with it)."""
+    sums = green._ProductImageKernelL._sums
+
+    def without_first_image(self, ds, chi, jets):
+        full = sums(self, ds, chi, jets)
+        cutoff, self.cutoff = self.cutoff, 0
+        try:  # the j = +1 image alone is the j = 0 term one circle on
+            image = sums(self, np.asarray(ds, dtype=float) + self.ell, chi,
+                         jets)
+        finally:
+            self.cutoff = cutoff
+        return [f - i for f, i in zip(full, image)]
+
+    monkeypatch.setattr(green._ProductImageKernelL, "_sums",
+                        without_first_image)
+    report = check_weak_identity(s1xs2)
+    assert not report.passed
+    assert max(_weak_residuals(report)) > 100.0 * report.checks[0].tolerance
+
+
 def test_weak_identity_rejects_dimension4(sphere4):
     with pytest.raises(UnsupportedDimensionError):
         check_weak_identity(sphere4)
@@ -88,7 +112,7 @@ class _IndefiniteModel(ManifoldModel):
 def test_hypothesis_gate_raises(sphere5):
     bad = _IndefiniteModel(sphere5.kind, sphere5.n, sphere5.radius,
                            sphere5.length, sphere5.basis)
-    assert not hypotheses_for(bad)["yamabe_positive"]
+    assert not paneitz_spectrum_check(bad).yamabe_positive
     with pytest.raises(HypothesisFailError):
         check_weak_identity(bad)
 
@@ -367,16 +391,68 @@ def test_degree_sum_cutoff_and_tail_in_resolution(s1xs2, sphere5):
 
 
 def test_theorem_hypotheses_gate_all_three_suites(sphere4, sphere5, s1xs2):
-    hyp = hypotheses_for(sphere4)
-    assert hyp["yamabe_positive"] and hyp["q_not_identically_zero"]
+    ledger = paneitz_spectrum_check(sphere4)
+    assert ledger.yamabe_positive and ledger.q > ledger.threshold
     # n = 4 alone makes the theorem checks exploratory
-    assert not verify._theorems_asserted(sphere4, hyp)
+    assert not ledger.theorems_hold
     assert any(c.law == "spectrum-exploratory"
                for c in check_spectrum_claims(sphere4).checks)
-    assert verify._theorems_asserted(sphere5, hypotheses_for(sphere5))
-    assert not verify._theorems_asserted(s1xs2, hypotheses_for(s1xs2))
+    assert paneitz_spectrum_check(sphere5).theorems_hold
+    assert not paneitz_spectrum_check(s1xs2).theorems_hold
     assert not any(c.asserted for c in check_green_compare(s1xs2).checks)
     assert all(c.asserted for c in check_green_compare(sphere5).checks)
+
+
+def test_theorem_gate_does_not_depend_on_the_size_of_the_metric():
+    """Q = 13.125 / a^4 on S^5(a) is 8.2e-13 at a = 2000, and eigenvalues
+    there are about 1e-11 apart: Q > 0 and the simple extremal eigenvalue
+    must still read so, with every theorem check asserted."""
+    laws = {}
+    for radius in (1.0, 1000.0, 2000.0):
+        m = catalog_build("sphere", 5, {"radius": radius}, {"degree_max": 24})
+        assert paneitz_spectrum_check(m).theorems_hold
+        laws[radius] = {suite: [(c.law, c.asserted, c.passed)
+                                for c in run_suite(suite, m).checks]
+                        for suite in ("signs", "spectrum", "green-compare")}
+    assert laws[1000.0] == laws[1.0] and laws[2000.0] == laws[1.0]
+    assert all(asserted and passed for records in laws[1.0].values()
+               for _, asserted, passed in records)
+
+
+def test_concurrent_jobs_build_one_ledger(sphere5, monkeypatch):
+    """Eight threads asking at once for a backend's ledger build it once
+    and all receive that one object."""
+    from conformal_lab import spectrum
+
+    calls = []
+    lambda1 = spectrum.lambda1_L
+
+    def counted(m):
+        calls.append(m)
+        return lambda1(m)
+
+    monkeypatch.setattr(spectrum, "lambda1_L", counted)
+    monkeypatch.setattr(verify, "_LEDGERS", {})
+    ledgers = []
+    start = threading.Barrier(8)
+
+    def job():
+        start.wait(timeout=10)
+        ledgers.append(verify._ledger(sphere5))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=job) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1 and len(ledgers) == 8
+    assert all(ledger is ledgers[0] for ledger in ledgers)
 
 
 # --------------------------------------------------------------------- mass
