@@ -286,15 +286,6 @@ class ModeBasis:
         lam_c = self.circle_factor_eigenvalues()
         return lam_c[:, None] + lam_s[None, :]
 
-    def sphere_part_eigenvalues(self) -> np.ndarray:
-        """Sphere-factor part of -Laplace per mode (mode-table shaped)."""
-        lam_s = self.sphere_factor_eigenvalues()
-        if not self.is_product:
-            return lam_s
-        return np.broadcast_to(lam_s[None, :],
-                               (self.circle_mode_count,
-                                self.sphere_mode_count)).copy()
-
     def multiplicities(self) -> np.ndarray:
         """True eigenspace dimensions carried by each reduced mode."""
         mult_s = np.array(

@@ -26,7 +26,7 @@ from .errors import (BackendBuildError, ConfigError, ConformalLabError,
                      checked_integer)
 from .geometry import SPHERE_DIMENSIONS, catalog_build
 from .spectrum import lambda1_L
-from .verify import SUITES, applies
+from .verify import DECLARATIONS, SUITES
 
 logger = logging.getLogger(__name__)
 
@@ -67,6 +67,9 @@ class RunConfig:
         for k, tol in self.tolerances.items():
             if k not in SUITES:
                 raise ConfigError(f"tolerances: unknown suite {k!r}")
+            if DECLARATIONS[k].tolerance is None:
+                raise ConfigError(f"tolerances: suite {k!r} takes no "
+                                  f"tolerance")
             if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
                     or not 0 < tol <= sys.float_info.max:
                 raise ConfigError(f"tolerances: {k!r} must be a positive "
@@ -126,7 +129,7 @@ def run(config: RunConfig, out_dir=None, verbose: bool = False) -> int:
     backends = _build_backends(config)
     jobs = [(suite, m) for suite in config.suites for m in backends]
     for suite in config.suites:
-        if not any(applies(suite, m) for m in backends):
+        if not any(DECLARATIONS[suite].applies(m) for m in backends):
             raise ConfigError(
                 f"suites: {suite!r} is not compatible with any backend in "
                 f"the catalog (dimension gates)")

@@ -57,8 +57,6 @@ def _gradient_coefficient(n: int) -> float:
 class SpectralSymbol:
     """Per-mode eigenvalue table of a diagonalizable operator."""
 
-    manifold: ManifoldModel
-    operator: str              # "L" | "P"
     table: np.ndarray          # shaped like the mode table
 
     def __post_init__(self):
@@ -72,9 +70,6 @@ class SpectralSymbol:
         return F.synthesize(
             F.field_from_modes(f.basis, self.table * f.coefficients))
 
-    def multiplicities(self) -> np.ndarray:
-        return self.manifold.basis.multiplicities()
-
 
 def _symbol_table(m: ManifoldModel, operator: str) -> np.ndarray:
     b = m.basis
@@ -84,8 +79,9 @@ def _symbol_table(m: ManifoldModel, operator: str) -> np.ndarray:
         return laplacian_coefficient(n) * lam + m.scalar_curvature
     if operator != "P":
         raise ValueError(f"unknown operator tag {operator!r}")
+    # the sphere-factor part of -Laplace, constant along the circle modes
     rc_term = ((m.sphere_dim - 1) / m.radius ** 2) \
-        * b.sphere_part_eigenvalues()
+        * b.sphere_factor_eigenvalues()
     table = (lam ** 2 - (4.0 / (n - 2)) * rc_term
              + _gradient_coefficient(n) * m.scalar_curvature * lam)
     if n != 4:
@@ -95,7 +91,7 @@ def _symbol_table(m: ManifoldModel, operator: str) -> np.ndarray:
 
 def build_symbol(m: ManifoldModel, operator: str) -> SpectralSymbol:
     """Eigenvalue table of L or P on a catalog backend."""
-    return SpectralSymbol(m, operator, _symbol_table(m, operator))
+    return SpectralSymbol(_symbol_table(m, operator))
 
 
 def apply_L(m: ManifoldModel, f: ScalarField) -> ScalarField:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fields as F
 from .geometry import ManifoldModel
-from .operators import SpectralSymbol, build_symbol
+from .operators import build_symbol
 
 __all__ = [
     "SpectrumSummary",
@@ -82,9 +82,9 @@ def zero_threshold(m: ManifoldModel) -> float:
     return 1e-8 * max(m.scalar_curvature ** 2, m.radius ** -4)
 
 
-def _grouped_eigenvalues(sym: SpectralSymbol, thr: float):
-    vals = sym.table.ravel()
-    mults = sym.multiplicities().ravel()
+def _grouped_eigenvalues(m: ManifoldModel, table: np.ndarray, thr: float):
+    vals = table.ravel()
+    mults = m.basis.multiplicities().ravel()
     order = np.argsort(vals)
     grouped = []
     for v, mu in zip(vals[order], mults[order]):
@@ -111,7 +111,7 @@ def paneitz_spectrum_check(m: ManifoldModel) -> SpectrumSummary:
     """
     sym = build_symbol(m, "P")
     thr = zero_threshold(m)
-    grouped = _grouped_eigenvalues(sym, thr)
+    grouped = _grouped_eigenvalues(m, sym.table, thr)
     kernel_dim = sum(mu for v, mu in grouped if abs(v) < thr)
     positives = [(v, mu) for v, mu in grouped if v >= thr]
     negatives = [(v, mu) for v, mu in grouped if v <= -thr]

@@ -9,11 +9,10 @@ exploratory and never counted as a failure.
 
 All identities are tested in weak form, paired against smooth test
 functions; singular integrands are handled by the graded quadrature of
-:mod:`conformal_lab.quadrature`.  Tolerances, relative to the check
-scale, default to 1e-8 on closed-form (sphere) backends (1e-6 for the
-4d identity and the mass) and, where truncation dominates, on
-eigen-expansion (product) backends to 1e-2 for the weak identity and
-total Q, 2e-2 for the 4d identity and 1e-4 for covariance.
+:mod:`conformal_lab.quadrature`.  Each suite's gate, hypotheses,
+assertion rule and default tolerances (relative to the check scale, on
+closed-form sphere and on eigen-expansion product backends) are stated
+once, in its ``@Suite`` declaration.
 """
 
 from __future__ import annotations
@@ -46,17 +45,13 @@ from .operators import (apply_P, conformal_quadratic_form_E,
 
 __all__ = [
     "CheckRecord",
+    "DECLARATIONS",
     "Suite",
     "VerificationReport",
-    "applies",
     "default_test_functions",
     "run_suite",
     "SUITES",
 ]
-
-SPHERE_TOL = 1e-8
-PRODUCT_TOL = 1e-2
-
 
 # ------------------------------------------------------------------ reports
 
@@ -105,16 +100,14 @@ class VerificationReport:
         return json.dumps(self.to_dict(include_runtime), indent=2)
 
 
-def _record(law, residual, tol, asserted=True, detail=""):
+def _record(law, residual, tol, detail=""):
     return CheckRecord(law, float(residual), float(tol),
-                       bool(abs(residual) <= tol), asserted, detail)
+                       bool(abs(residual) <= tol), detail=detail)
 
 
-def _verdict(law, ok, asserted=True, detail=""):
-    """A yes/no record: residual 0 or 1 against 0.5; an exploratory one
-    always passes."""
-    return CheckRecord(law, 0.0 if ok else 1.0, 0.5, bool(ok) or not asserted,
-                       asserted, detail)
+def _verdict(law, ok, detail=""):
+    """A yes/no record: residual 0 or 1 against 0.5."""
+    return _record(law, 0.0 if ok else 1.0, 0.5, detail)
 
 
 _LEDGERS = {}
@@ -131,7 +124,8 @@ def _ledger(m: ManifoldModel) -> spectrum.SpectrumSummary:
 
 # ------------------------------------------------------------------ suites
 
-_SUITES = {}
+# the declaration of every suite by name, which also gates the run
+DECLARATIONS = {}
 # the job entry points, (m, cfg) -> report or None; a profiler may wrap
 # these, never the declarations above
 SUITES = {}
@@ -141,20 +135,29 @@ SUITES = {}
 class Suite:
     """The declaration of one suite, written as the decorator of its body.
 
-    ``applies(m)`` is the dimension gate and ``positive_yamabe`` whether
-    the suite needs lambda1(L) > 0.  The body takes the backend and
-    keyword options, and returns (checks, resolution).  The decorated
-    name is the suite's check: outside the gate it raises
-    ``UnsupportedDimensionError``, on a required Yamabe sign that fails
-    ``HypothesisFailError``, and otherwise it returns the timed
-    ``VerificationReport`` with the backend's ledger.  The suite's job,
-    ``SUITES[name]``, returns None outside the gate and passes the check
-    the run options its signature names.
+    ``applies(m)`` is the dimension gate, ``positive_yamabe`` whether
+    the suite needs lambda1(L) > 0, ``tolerance`` the default tolerance
+    on (sphere, product) backends, None for a suite that takes none, and
+    ``theorems`` whether the records state the sign and comparison
+    theorems, asserted only where the ledger's ``theorems_hold``.
+
+    The body takes the backend and keyword options, and returns (checks,
+    resolution).  The decorated name is the suite's check: outside the
+    gate it raises ``UnsupportedDimensionError``, on a required Yamabe
+    sign that fails ``HypothesisFailError``, and otherwise it returns
+    the timed ``VerificationReport`` with the backend's ledger.  In a
+    theorems suite a Green's function that cannot be built
+    (``KernelError``, ``CutoffTooLowError``) is one failed record, and
+    where the theorems' hypotheses fail every record is exploratory.
+    The suite's job, ``SUITES[name]``, returns None outside the gate and
+    passes the check the run options its signature names.
     """
 
     name: str
     applies: Callable = lambda m: True
     positive_yamabe: bool = False
+    tolerance: tuple | None = None
+    theorems: bool = False
 
     def __call__(self, body):
         options = list(inspect.signature(body).parameters)[1:]
@@ -170,7 +173,19 @@ class Suite:
                 raise HypothesisFailError(
                     f"lambda1(L) = {ledger.lambda1:.3g} <= 0 on "
                     f"{m.descriptor()}")
-            checks, resolution = body(m, **opts)
+            if self.tolerance:
+                opts.setdefault("tolerance", self.tolerance[m.is_product])
+            try:
+                checks, resolution = body(m, **opts)
+            except (KernelError, CutoffTooLowError) as exc:
+                if not self.theorems:
+                    raise
+                checks, resolution = [_verdict(
+                    "kernel-obstruction", False,
+                    f"{type(exc).__name__}: {exc}")], {}
+            if self.theorems and not ledger.theorems_hold:
+                for c in checks:
+                    c.passed, c.asserted = True, False
             return VerificationReport(self.name, m.descriptor(), checks,
                                       ledger.hypotheses(), resolution,
                                       time.perf_counter() - t0)
@@ -180,14 +195,9 @@ class Suite:
                 return None
             return check(m, **{k: cfg[k] for k in options if k in cfg})
 
-        _SUITES[self.name] = self
+        DECLARATIONS[self.name] = self
         SUITES[self.name] = job
         return check
-
-
-def applies(name: str, m: ManifoldModel) -> bool:
-    """Whether suite ``name`` runs on the backend ``m``."""
-    return _SUITES[name].applies(m)
 
 
 def run_suite(name: str, m: ManifoldModel, cfg: dict | None = None):
@@ -298,9 +308,10 @@ def _pole_identity(m, law, level, tolerance, seed):
                     "test_functions": len(fns), **resolution}
 
 
-@Suite("weak-identity", lambda m: m.n != 4, positive_yamabe=True)
-def check_weak_identity(m: ManifoldModel, level: int = 2,
-                        tolerance: float | None = None, seed: int = 0):
+@Suite("weak-identity", lambda m: m.n != 4, positive_yamabe=True,
+       tolerance=(1e-8, 1e-2))
+def check_weak_identity(m: ManifoldModel, tolerance: float, level: int = 2,
+                        seed: int = 0):
     """Distributional identity for the fourth-order operator, n != 4.
 
     For each test function phi the residual of
@@ -311,14 +322,13 @@ def check_weak_identity(m: ManifoldModel, level: int = 2,
     with s = (n-4)/(n-2) and the blow-up metric G_L^{4/(n-2)} g, is
     measured against the scale of its largest term.
     """
-    if tolerance is None:
-        tolerance = PRODUCT_TOL if m.is_product else SPHERE_TOL
     return _pole_identity(m, "weak-identity", level, tolerance, seed)
 
 
-@Suite("4d-identity", lambda m: m.n == 4, positive_yamabe=True)
-def check_4d_identity(m: ManifoldModel, level: int = 2,
-                      tolerance: float | None = None, seed: int = 0):
+@Suite("4d-identity", lambda m: m.n == 4, positive_yamabe=True,
+       tolerance=(1e-6, 2e-2))
+def check_4d_identity(m: ManifoldModel, tolerance: float, level: int = 2,
+                      seed: int = 0):
     """Log-kernel identity in dimension four.
 
     Residual per test function of
@@ -326,23 +336,20 @@ def check_4d_identity(m: ManifoldModel, level: int = 2,
       int log G_L P(phi) dmu = 16 pi^2 phi(p)
           - 1/2 int |Ric_blowup|^2 phi dmu - int Q phi dmu.
     """
-    if tolerance is None:
-        tolerance = 2e-2 if m.is_product else 1e-6
     return _pole_identity(m, "log-identity-4d", level, tolerance, seed)
 
 
 # ----------------------------------------------------------------- total Q
 
-@Suite("total-q", lambda m: m.n == 4, positive_yamabe=True)
-def check_total_q(m: ManifoldModel, factor: ConformalFactor | None = None,
-                  level: int = 2, tolerance: float | None = None):
+@Suite("total-q", lambda m: m.n == 4, positive_yamabe=True,
+       tolerance=(1e-8, 1e-2))
+def check_total_q(m: ManifoldModel, tolerance: float,
+                  factor: ConformalFactor | None = None, level: int = 2):
     """Total Q plus the Ricci defect against 16 pi^2 (dimension four).
 
     Reports (int Q dmu, defect, sum, verdict); EQUALITY means the defect
     vanishes, which happens exactly in the round conformal class.
     """
-    if tolerance is None:
-        tolerance = PRODUCT_TOL if m.is_product else SPHERE_TOL
     target = 16.0 * math.pi ** 2
     gL = green_field(m, "L", Pole())
     profile = gL.log_profile(1.0)
@@ -505,10 +512,11 @@ _COVARIANCE_LAWS = {
 }
 
 
-@Suite("covariance")
-def check_covariance(m: ManifoldModel, factor: ConformalFactor | None = None,
-                     trials: int = 10, seed: int = 0,
-                     tolerance: float | None = None):
+# products pay spectral reprojection error in the curvature routes
+@Suite("covariance", tolerance=(1e-8, 1e-4))
+def check_covariance(m: ManifoldModel, tolerance: float,
+                     factor: ConformalFactor | None = None,
+                     trials: int = 10, seed: int = 0):
     """Conformal covariance laws over seeded random trials.
 
     Each applicable law reports its worst residual over ``trials`` draws
@@ -517,9 +525,6 @@ def check_covariance(m: ManifoldModel, factor: ConformalFactor | None = None,
     always draws round-to-round dilations, where the changed metric has
     an exact independent description.
     """
-    if tolerance is None:
-        # products pay spectral reprojection error in the curvature routes
-        tolerance = SPHERE_TOL if not m.is_product else 1e-4
     checks = []
     for name, (law, law_applies) in _COVARIANCE_LAWS.items():
         if not law_applies(m):
@@ -535,20 +540,19 @@ def check_covariance(m: ManifoldModel, factor: ConformalFactor | None = None,
 
 # ---------------------------------------------------------------- theorems
 
-@Suite("signs", lambda m: m.n != 4)
+@Suite("signs", lambda m: m.n != 4, theorems=True)
 def check_sign_theorems(m: ManifoldModel, seed: int = 0):
-    """Sign of the fourth-order Green's function over a pole set.
-
-    The theorem verdict (positive for n > 4, negative for n = 3) is
-    asserted only when the ledger's ``theorems_hold`` is true (lambda1(L)
-    > 0 and Q > 0); otherwise the scan is exploratory.
+    """Sign of the fourth-order Green's function over a pole set, against
+    the ledger's predicted sign (positive for n > 4, negative for n = 3).
     """
     ledger = _ledger(m)
-    asserted, expected = ledger.theorems_hold, ledger.g_p_sign
+    expected = ledger.g_p_sign
     poles = [Pole(1), Pole(-1)] if not m.is_product else \
         [Pole(1, 0.0), Pole(1, m.length / 3.0)]
     checks = []
-    resolution = {"poles": [p.label() for p in poles], "asserted": asserted}
+    # whether the wrapper asserts the scan, recorded in the report
+    resolution = {"poles": [p.label() for p in poles],
+                  "asserted": ledger.theorems_hold}
     variants = [("base", None)]
     if not m.is_product:
         rng = np.random.default_rng(seed)
@@ -556,21 +560,14 @@ def check_sign_theorems(m: ManifoldModel, seed: int = 0):
             m, math.exp(rng.uniform(0.15, 0.4)))))
         variants.append(("random", _random_factor(m, rng)))
     for tag, factor in variants:
-        try:
-            gfs = [green_field(m, "P", pole, factor) for pole in poles]
-        except (KernelError, CutoffTooLowError) as exc:
-            # under the theorems' hypotheses a kernel that cannot be built
-            # fails the check; elsewhere it is an exploratory record
-            checks.append(_verdict(f"sign-{tag}", False, asserted,
-                                   f"{type(exc).__name__}: {exc}"))
-            continue
+        gfs = [green_field(m, "P", pole, factor) for pole in poles]
         if m.is_product:
             resolution.setdefault("degree_sum", []).extend(
                 _degree_sum_record(gf.pole, gf.cutoff, gf.tail_estimate)
                 for gf in gfs)
         scan = sign_scan(gfs)
         checks.append(_verdict(
-            f"sign-{tag}", scan["verdict"] == expected, asserted,
+            f"sign-{tag}", scan["verdict"] == expected,
             f"verdict={scan['verdict']} expected={expected} "
             f"{json.dumps(scan['poles'])}"))
     return checks, resolution
@@ -597,27 +594,25 @@ def check_spectrum_claims(m: ManifoldModel):
             _verdict("modulus-ordering", ledger.ordering_holds),
             _verdict("kernel-trivial", ledger.kernel_dimension == 0)]
     else:
-        checks.append(_verdict(
-            "spectrum-exploratory", True, False,
-            f"smallest positive {ledger.smallest_positive}, "
-            f"largest negative {ledger.largest_negative}, "
-            f"kernel {ledger.kernel_dimension}"))
+        checks.append(CheckRecord(
+            "spectrum-exploratory", 0.0, 0.5, passed=True, asserted=False,
+            detail=f"smallest positive {ledger.smallest_positive}, "
+                   f"largest negative {ledger.largest_negative}, "
+                   f"kernel {ledger.kernel_dimension}"))
     return checks, {"modes": int(np.sum(m.basis.multiplicities()))}
 
 
-@Suite("green-compare", lambda m: m.n != 4)
-def check_green_compare(m: ManifoldModel, tolerance: float = 1e-8):
+@Suite("green-compare", lambda m: m.n != 4, tolerance=(1e-8, 1e-8),
+       theorems=True)
+def check_green_compare(m: ManifoldModel, tolerance: float):
     """Kernel comparison margins and the equality-case verdict."""
-    asserted = _ledger(m).theorems_hold
     poles = [Pole(1), Pole(-1)] if not m.is_product else [Pole(1, 0.0)]
     results = compare_green(m, poles, tolerance=tolerance)
     checks = []
     for res in results:
-        # margins must be nonnegative (up to tolerance) under the hypotheses
-        viol = max(0.0, -res.margin_min)
-        checks.append(CheckRecord(
-            "comparison-margin", viol, res.tolerance,
-            viol <= res.tolerance if asserted else True, asserted,
+        # margins must be nonnegative, up to tolerance
+        checks.append(_record(
+            "comparison-margin", max(0.0, -res.margin_min), res.tolerance,
             detail=f"min {res.margin_min:.3e}, max {res.margin_max:.3e}, "
                    f"equality={res.equality}"))
     resolution = {"poles": [p.label() for p in poles]}
@@ -628,9 +623,10 @@ def check_green_compare(m: ManifoldModel, tolerance: float = 1e-8):
     return checks, resolution
 
 
-@Suite("mass", lambda m: not m.is_product and m.n in (5, 6, 7))
-def check_mass(m: ManifoldModel, tolerance: float = 1e-6,
-               level: int = 2, seed: int = 0):
+@Suite("mass", lambda m: not m.is_product and m.n in (5, 6, 7),
+       tolerance=(1e-6, 1e-6))
+def check_mass(m: ManifoldModel, tolerance: float, level: int = 2,
+               seed: int = 0):
     """Vanishing of the kernel-difference mass on round-conformal backends,
     at the north pole of the base metric and of a Moebius change of it."""
     pole = Pole(1)

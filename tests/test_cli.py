@@ -118,8 +118,20 @@ def test_colliding_or_mistyped_run_config_exits_2(tmp_path, capsys, change,
 
 def test_integer_and_float_tolerances_accepted():
     config = RunConfig(dict(BASE_CONFIG,
-                            tolerances={"total-q": 1, "spectrum": 1e-3}))
+                            tolerances={"total-q": 1, "covariance": 1e-3}))
     assert config.suite_options("total-q")["tolerance"] == 1
+
+
+@pytest.mark.parametrize("suite", ["signs", "spectrum"])
+def test_a_tolerance_for_a_suite_that_takes_none_exits_2(tmp_path, capsys,
+                                                         suite):
+    """Such a tolerance would be dropped unread, so it is a config error."""
+    path = _write(tmp_path, dict(BASE_CONFIG, tolerances={suite: 1e-300}))
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("CONFIG_INVALID: ") and repr(suite) in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_incompatible_suite_rejected(tmp_path):

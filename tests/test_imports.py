@@ -148,8 +148,10 @@ def test_an_unused_member_is_caught():
 # ``module.top-level definition``: fields prepares every table it
 # contracts in one place and the P degree sum tabulates its own zonals;
 # spectrum builds the hypothesis ledger and verify._ledger keeps one per
-# backend, the catalog listing prints lambda1(L), and the eigen
-# expansions test for a zero mode against the ledger's curvature scale
+# backend, which the suite wrapper reads for every report and assertion
+# rule, and two suite bodies only for the data they check; the catalog
+# listing prints lambda1(L), and the eigen expansions test for a zero
+# mode against the ledger's curvature scale
 SINGLE_PLACE = {
     "polar_values": {"basis", "fields._prepare"},
     "circle_values": {"basis", "fields._prepare"},
@@ -159,6 +161,8 @@ SINGLE_PLACE = {
     "lambda1_L": {"spectrum", "cli.list_catalog"},
     "zero_threshold": {"spectrum", "green.green_eigen_expansion"},
     "paneitz_spectrum_check": {"verify._ledger"},
+    "_ledger": {"verify.Suite", "verify.check_sign_theorems",
+                "verify.check_spectrum_claims"},
 }
 
 
@@ -210,7 +214,11 @@ def test_a_stray_ledger_call_is_caught():
                "verify.py": "from . import spectrum\n"
                             "def _ledger(m):\n"
                             "    return spectrum.paneitz_spectrum_check(m)\n"
-                            "def check(m): return spectrum.lambda1_L(m)\n",
+                            "def check(m): return spectrum.lambda1_L(m)\n"
+                            "class Suite:\n"
+                            "    def f(self, m): return _ledger(m)\n"
+                            "def check_green_compare(m):\n"
+                            "    return _ledger(m).theorems_hold\n",
                "cli.py": "def list_catalog(m): return lambda1_L(m)\n"
                          "def run(m): return paneitz_spectrum_check(m)\n",
                "green.py": "def green_eigen_expansion(m):\n"
@@ -218,4 +226,4 @@ def test_a_stray_ledger_call_is_caught():
                            "def sign_scan(m): return zero_threshold(m)\n"}
     assert stray_calls(sources) == [
         "cli.run: paneitz_spectrum_check", "green.sign_scan: zero_threshold",
-        "verify.check: lambda1_L"]
+        "verify.check: lambda1_L", "verify.check_green_compare: _ledger"]

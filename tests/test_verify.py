@@ -533,7 +533,7 @@ def test_suite_table_is_the_only_gate():
     for suite, runs_on in RUNS_ON.items():
         for label, m in backends.items():
             on = label in runs_on
-            assert verify.applies(suite, m) == on, (suite, label)
+            assert verify.DECLARATIONS[suite].applies(m) == on, (suite, label)
             report = run_suite(suite, m, {"level": 1, "trials": 2})
             assert (report is not None) == on, (suite, label)
             if suite in GATED_CHECKS and not on:
