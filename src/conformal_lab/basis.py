@@ -30,8 +30,8 @@ the cached node tables are its frozen value at the quadrature nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import astuple, dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -132,6 +132,15 @@ class ModeBasis:
     sphere_nodes: int
     circle_nodes: int
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash, taken once: every grid transform looks its node
+        tables up by basis."""
+        return hash(astuple(self))
+
     # ---------------------------------------------------------------- setup
     @staticmethod
     def for_sphere(n: int, degree_max: int, radius: float = 1.0,
@@ -215,7 +224,13 @@ class ModeBasis:
 
     def polar_rule(self):
         """Gauss-Jacobi nodes t (ascending) and weights for the polar factor."""
-        return _polar_rule(self)
+        t, w, _ = _polar_rule(self)
+        return t, w
+
+    def polar_nodes(self):
+        """Cosines t and sines sqrt(1 - t^2) of the polar node angles."""
+        t, _, sin_t = _polar_rule(self)
+        return t, sin_t
 
     def polar_angles(self) -> np.ndarray:
         t, _ = self.polar_rule()
@@ -310,7 +325,7 @@ def _polar_rule(basis: ModeBasis):
     t = 0.5 * (t - t[::-1])
     # Christoffel numbers: orthonormal p_l make sum(w) = int (1 - t^2)^a
     (p,) = zonal_polynomials(d, nq - 1, t, order=0)
-    return _frozen((t, 1.0 / np.sum(p * p, axis=1)))
+    return _frozen((t, 1.0 / np.sum(p * p, axis=1), np.sqrt(1.0 - t ** 2)))
 
 
 def _frozen(arrays: tuple) -> tuple:

@@ -3,7 +3,10 @@
 A ``ScalarField`` keeps a dual representation: coefficients against the
 orthonormal zonal/Fourier modes, and values on the quadrature grid.
 Transforms never mutate a field, they return a new one with both sides
-populated.
+populated.  A field may carry a leading trial axis: a stack of fields
+on one basis, each transform mapping over it, and each value, jet or
+integral gaining the same leading axis.  A single field is a
+field with no leading axis.
 
 A symmetric 2-tensor is a dict of its components in the adapted
 orthonormal frame of the backend: on a sphere ``rr`` along e_theta and
@@ -15,7 +18,8 @@ of values, or a number where it is constant.
 
 Synthesis on the grid, values at points and frame jets share one table
 preparation: the coefficients of one or more fields are stacked along a
-trailing field axis and the basis is tabulated once, from the cached
+trailing field axis, behind any trial axis, and the basis is tabulated
+once, for every field and trial, from the cached
 node tables on the grid or, at other points, by ``ModeBasis.polar_values``
 and ``circle_values`` only up to the highest mode the coefficients carry.
 ``polar_values`` returns the zonal tables of ``basis.zonal_polynomials``
@@ -44,10 +48,14 @@ __all__ = [
     "frame_jets",
     "frame_trace",
     "gradient_components",
+    "grid_sum",
     "integrate",
     "laplacian",
     "random_bandlimited",
+    "random_modes",
+    "sup_normalized",
     "synthesize",
+    "trial_axes",
 ]
 
 
@@ -65,7 +73,8 @@ class ScalarField:
 
     ``bandwidth`` is the effective harmonic degree content
     (circle, sphere); ``None`` means unknown, treated as full-band when
-    checking projection exactness.
+    checking projection exactness.  Coefficients and grid values may
+    share one leading trial axis in front of the mode and grid shapes.
     """
 
     basis: ModeBasis
@@ -78,16 +87,19 @@ class ScalarField:
             raise ValueError("a field needs coefficients or grid values")
         object.__setattr__(self, "coefficients", _freeze(self.coefficients))
         object.__setattr__(self, "grid_values", _freeze(self.grid_values))
-        if self.coefficients is not None:
-            want = self.basis.mode_shape
-            if self.coefficients.shape != want:
-                raise ValueError(
-                    f"coefficient shape {self.coefficients.shape} != {want}")
-        if self.grid_values is not None:
-            if self.grid_values.shape != self.basis.grid_shape:
-                raise ValueError(
-                    f"grid shape {self.grid_values.shape} "
-                    f"!= {self.basis.grid_shape}")
+        leads = set()
+        for side, arr, want in (
+                ("coefficient", self.coefficients, self.basis.mode_shape),
+                ("grid", self.grid_values, self.basis.grid_shape)):
+            if arr is None:
+                continue
+            lead = arr.shape[:arr.ndim - len(want)]
+            if arr.shape != lead + want or len(lead) > 1:
+                raise ValueError(f"{side} shape {arr.shape} != {want}")
+            leads.add(lead)
+        if len(leads) > 1:
+            raise ValueError("coefficients and grid values stack different "
+                             "trial counts")
 
     # ------------------------------------------------------------- algebra
     def _grid(self):
@@ -138,13 +150,10 @@ def constant_field(basis: ModeBasis, value: float) -> ScalarField:
     return synthesize(field_from_modes(basis, c))
 
 
-def random_bandlimited(basis: ModeBasis, rng, degree: int, fourier: int = 0,
-                       amplitude: float = 1.0) -> ScalarField:
-    """A reproducible random field supported on low modes.
-
-    Coefficients decay like exp(-(wavenumber + degree)) and the field is
-    scaled so its sup norm is ``amplitude``.
-    """
+def random_modes(basis: ModeBasis, rng, degree: int,
+                 fourier: int = 0) -> np.ndarray:
+    """A reproducible random coefficient table supported on low modes,
+    decaying like exp(-(wavenumber + degree))."""
     degree = min(degree, basis.degree_max)
     if basis.is_product:
         fourier = min(fourier, basis.fourier_max)
@@ -153,14 +162,38 @@ def random_bandlimited(basis: ModeBasis, rng, degree: int, fourier: int = 0,
             k = basis.circle_wavenumber(j)
             for m in range(degree + 1):
                 c[j, m] = rng.normal() * math.exp(-(k + m))
-    else:
-        c = np.array([rng.normal() * math.exp(-l) if l <= degree else 0.0
-                      for l in range(basis.sphere_mode_count)])
-    f = synthesize(field_from_modes(basis, c))
-    top = float(np.max(np.abs(f.grid_values)))
-    if top == 0.0:
+        return c
+    return np.array([rng.normal() * math.exp(-l) if l <= degree else 0.0
+                     for l in range(basis.sphere_mode_count)])
+
+
+def sup_normalized(basis: ModeBasis, coefficients,
+                   amplitude: float = 1.0) -> ScalarField:
+    """The field of a coefficient table, or of a stack of them, scaled so
+    that each trial's sup norm on the grid is ``amplitude``."""
+    f = synthesize(field_from_modes(basis, coefficients))
+    top = np.max(np.abs(f.grid_values), axis=_grid_axes(basis))
+    if np.any(top == 0.0):
         raise ZeroFunctionError("random draw produced the zero field")
-    return f * (amplitude / top)
+    scale = amplitude / top
+    return ScalarField(
+        basis, f.coefficients * trial_axes(scale, len(basis.mode_shape)),
+        f.grid_values * trial_axes(scale, len(basis.grid_shape)), f.bandwidth)
+
+
+def random_bandlimited(basis: ModeBasis, rng, degree: int, fourier: int = 0,
+                       amplitude: float = 1.0) -> ScalarField:
+    """A reproducible random field supported on low modes (``random_modes``)
+    and scaled so its sup norm is ``amplitude``."""
+    return sup_normalized(basis, random_modes(basis, rng, degree, fourier),
+                          amplitude)
+
+
+def trial_axes(a, ndim: int):
+    """``a``, one value per trial (or one value), with ``ndim`` unit axes
+    appended so that it broadcasts against values at points."""
+    a = np.asarray(a, dtype=float)
+    return a.reshape(a.shape + (1,) * ndim)
 
 
 # --------------------------------------------------------------- transforms
@@ -203,8 +236,8 @@ def analyze(f: ScalarField) -> ScalarField:
         w_circ = np.full(b.circle_nodes, b.length / b.circle_nodes)
         coeffs = ((U[0] * w_circ[:, None]).T @ f.grid_values
                   @ (P[0] * w_pol[:, None]))
-    else:
-        coeffs = (P[0] * w_pol[:, None]).T @ f.grid_values
+    else:  # a matrix-vector product per trial, as for a single field
+        coeffs = ((P[0] * w_pol[:, None]).T @ f.grid_values[..., None])[..., 0]
     return ScalarField(b, coeffs, f.grid_values, f.bandwidth)
 
 
@@ -215,7 +248,8 @@ def evaluate(f, *points) -> np.ndarray:
     with broadcastable arrays (evaluated pointwise, not on a mesh).  ``f``
     may also be a sequence of fields on one basis: the basis is tabulated
     once, up to the highest mode any of them carries, and the values gain
-    a trailing axis, one column per field.
+    a trailing axis, one column per field.  A trial axis of the fields
+    leads the values.
     """
     fields = [f] if isinstance(f, ScalarField) else list(f)
     if any(g.basis != fields[0].basis for g in fields):
@@ -227,9 +261,20 @@ def evaluate(f, *points) -> np.ndarray:
 
 # -------------------------------------------------------------- integration
 
-def integrate(f: ScalarField) -> float:
-    """Integral of the field against the manifold volume measure."""
-    return float(np.sum(f._grid() * f.basis.quadrature_weights()))
+def _grid_axes(basis: ModeBasis) -> tuple:
+    return tuple(range(-len(basis.grid_shape), 0))
+
+
+def grid_sum(basis: ModeBasis, values):
+    """Sum of grid values over the grid axes: a number, or one per trial
+    when ``values`` lead with a trial axis."""
+    return np.sum(values, axis=_grid_axes(basis))
+
+
+def integrate(f: ScalarField):
+    """Integral of the field against the manifold volume measure, one
+    per trial for a stack."""
+    return grid_sum(f.basis, f._grid() * f.basis.quadrature_weights())
 
 
 # ------------------------------------------------------------------ tensors
@@ -279,7 +324,9 @@ def _coefficients(f: ScalarField) -> np.ndarray:
 
 def _support(b: ModeBasis, nz: np.ndarray) -> tuple:
     """(wavenumber, degree) of the last circle row and degree column of the
-    mode-shaped mask ``nz`` holding a true entry, 0 where there is none."""
+    mode-shaped mask ``nz``, or of any trial of a stack of them, holding a
+    true entry, 0 where there is none."""
+    nz = nz.reshape((-1,) + b.mode_shape).any(axis=0)
     cols = np.nonzero(nz.any(axis=0) if b.is_product else nz)[0]
     degree = int(cols[-1]) if cols.size else 0
     if not b.is_product:
@@ -291,34 +338,36 @@ def _support(b: ModeBasis, nz: np.ndarray) -> tuple:
 def _band(b: ModeBasis, C: np.ndarray):
     """``b`` cut to the modes where ``C`` is nonzero, and ``C`` cut to match.
 
-    ``C`` is a coefficient table with a trailing field axis.  The cut keeps
-    every circle row and degree column up to the last one holding a
-    coefficient with ``C != 0``, so a NaN coefficient still counts.
+    ``C`` is a coefficient table with a trailing field axis, behind any
+    trial axis.  The cut keeps every circle row and degree column up to
+    the last one holding a coefficient with ``C != 0`` in any field or
+    trial, so a NaN coefficient still counts.
     """
     k, degree = _support(b, (C != 0).any(axis=-1))
     band = replace(b, degree_max=degree, fourier_max=k)
-    return band, C[tuple(slice(size) for size in band.mode_shape)]
+    cut = tuple(slice(size) for size in band.mode_shape)
+    return band, C[(Ellipsis,) + cut + (slice(None),)]
 
 
 def _prepare(b: ModeBasis, fields=(), points=()):
     """The coefficients and mode tables ``_mix`` contracts.
 
-    ``C`` stacks the coefficient tables of ``fields``, all on ``b``, along
-    a trailing field axis (``None`` with no fields).  With no ``points``
-    the tables are the cached ones at the quadrature nodes, combined as a
-    mesh product on a product grid.  Otherwise ``points`` are broadcast
-    chart coordinates, ``(theta,)`` on spheres and ``(s, chi)`` on
-    products, and the basis is cut to the band of ``C`` (``_band``) and
-    tabulated there.  Returns ``(C, (U, P, t, sin_t, shape, mesh))``:
-    the circle tables (``None`` on spheres) and the polar tables, each a
-    (value, first, second derivative) triple of (point, mode) arrays, the
-    polar cosine and sine broadcast against the output, and its shape.
+    ``C`` stacks the coefficient tables of ``fields``, all on ``b`` and
+    with one trial shape, along a trailing field axis (``None`` with no
+    fields); a trial axis stays in front.  With no ``points`` the tables
+    are the cached ones at the quadrature nodes, combined as a mesh
+    product on a product grid.  Otherwise ``points`` are broadcast chart
+    coordinates, ``(theta,)`` on spheres and ``(s, chi)`` on products,
+    and the basis is cut to the band of ``C`` (``_band``) and tabulated
+    there.  Returns ``(C, (U, P, t, sin_t, shape, mesh))``: the circle
+    tables (``None`` on spheres) and the polar tables, each a (value,
+    first, second derivative) triple of (point, mode) arrays, the polar
+    cosine and sine broadcast against the output, and its point shape.
     """
     C = np.concatenate([_coefficients(g)[..., None] for g in fields],
                        axis=-1) if fields else None
     if not points:
-        t, _ = b.polar_rule()
-        sin_t = np.sqrt(1.0 - t ** 2)
+        t, sin_t = b.polar_nodes()
         U = b.circle_tables() if b.is_product else None
         if U is not None:  # the polar nodes run along the second grid axis
             t, sin_t = t[None, :], sin_t[None, :]
@@ -335,16 +384,20 @@ def _prepare(b: ModeBasis, fields=(), points=()):
 
 def _mix(tabs, C: np.ndarray, i: int, j: int) -> np.ndarray:
     """Coefficients ``C`` against circle table i and polar table j, with
-    the trailing field axis of ``C`` kept in the result."""
+    the trial axis of ``C`` leading and its field axis trailing the
+    result; each trial is one batch of the same products."""
     U, P, _, _, shape, mesh = tabs
     if mesh:  # on a product grid, a mesh product batched over the fields
-        return (U[i] @ C.transpose(2, 0, 1) @ P[j].T).transpose(1, 2, 0)
+        return np.moveaxis(U[i] @ np.moveaxis(C, -1, -3) @ P[j].T, -3, -1)
     if U is None:
         out = P[j] @ C
     else:
         # per point, the polar row against (circle row @ C)
-        out = np.matmul(P[j][:, None, :], np.tensordot(U[i], C, 1))[:, 0]
-    return out.reshape(shape + out.shape[1:])
+        lead, (cm, sm, nf) = C.shape[:-3], C.shape[-3:]
+        rows = U[i] @ C.reshape(lead + (cm, sm * nf))
+        out = np.matmul(P[j][:, None, :],
+                        rows.reshape(lead + (-1, sm, nf)))[..., 0, :]
+    return out.reshape(out.shape[:-2] + shape + out.shape[-1:])
 
 
 def frame_jets(f: ScalarField, *points):

@@ -256,7 +256,8 @@ class ConformalFactor:
     metric is described in two weight conventions, rho^{4/(n-2)}
     (second-order covariance) and rho^{4/(n-4)} (fourth-order
     covariance, n != 4); ``rho`` converts w to either, so the
-    conventions agree by construction.
+    conventions agree by construction.  A factor may stack one w per
+    trial; its jets, weights and curvature then lead with the trial axis.
     """
 
     bandwidth = None
@@ -270,7 +271,7 @@ class ConformalFactor:
         return FieldFactor(manifold, w)
 
     @staticmethod
-    def moebius(manifold: ManifoldModel, lam: float) -> "MoebiusFactor":
+    def moebius(manifold: ManifoldModel, lam) -> "MoebiusFactor":
         return MoebiusFactor(manifold, lam)
 
     # -- views
@@ -295,20 +296,32 @@ class ConformalFactor:
 
 
 class FieldFactor(ConformalFactor):
-    """Conformal logarithm given as a band-limited scalar field."""
+    """Conformal logarithm given as a band-limited scalar field, or a
+    stack of them.  The factor is immutable, so its jets are kept per
+    point set (keyed on the points' shapes and bytes) and returned
+    read-only."""
 
     def __init__(self, manifold: ManifoldModel, w: ScalarField):
         super().__init__(manifold)
         if w.coefficients is None:
             w = F.analyze(w)
         self.w = F.synthesize(w)
+        self._jets = {}
 
     @property
     def bandwidth(self):
         return self.w.bandwidth
 
     def jets(self, points=None):
-        return F.frame_jets(self.w, *(points or ()))
+        pts = [np.asarray(p, dtype=float) for p in points or ()]
+        key = tuple((p.shape, p.tobytes()) for p in pts)
+        if key not in self._jets:
+            w, grad, hess = F.frame_jets(self.w, *pts)
+            for arr in (w, *grad, *hess.values()):
+                arr.setflags(write=False)
+            self._jets[key] = w, grad, hess
+        w, grad, hess = self._jets[key]
+        return w, grad, dict(hess)
 
 
 class MoebiusFactor(ConformalFactor):
@@ -316,21 +329,26 @@ class MoebiusFactor(ConformalFactor):
 
     In the stereographic coordinate t = tan(theta/2) the dilation by
     ``lam`` sends t to lam * t; the pulled-back round metric is
-    e^{2w} g with e^w = lam (1 + t^2) / (1 + lam^2 t^2).
+    e^{2w} g with e^w = lam (1 + t^2) / (1 + lam^2 t^2).  ``lam`` is a
+    number, or one number per trial.
     """
 
-    def __init__(self, manifold: ManifoldModel, lam: float):
+    def __init__(self, manifold: ManifoldModel, lam):
         if manifold.is_product:
             raise UnsupportedBackendError("Moebius factors live on spheres")
-        if lam <= 0:
+        lam = np.asarray(lam, dtype=float)
+        if np.any(lam <= 0):
             raise NonpositiveFactorError("dilation parameter must be positive")
         super().__init__(manifold)
-        self.lam = float(lam)
+        self.lam = lam
+        # math.log per value: numpy's log may differ from it in the last bit
+        self._log_lam = np.vectorize(math.log, otypes=[float])(lam)
 
     def mapped_angle(self, theta):
         """Polar angle of the image point under the dilation."""
         xi = np.asarray(theta, dtype=float)
-        mapped = 2.0 * np.arctan(self.lam * np.tan(0.5 * xi))
+        lam = F.trial_axes(self.lam, xi.ndim)
+        mapped = 2.0 * np.arctan(lam * np.tan(0.5 * xi))
         return np.where(np.isclose(xi, math.pi), math.pi, mapped)
 
     def jets(self, points=None):
@@ -339,9 +357,9 @@ class MoebiusFactor(ConformalFactor):
             points = m.grid_points()
         xi = np.asarray(points[0], dtype=float)
         t = np.tan(0.5 * xi)
-        lam = self.lam
+        lam = F.trial_axes(self.lam, xi.ndim)
         d = 1.0 + lam ** 2 * t ** 2
-        w = math.log(lam) + np.log1p(t ** 2) - np.log(d)
+        w = F.trial_axes(self._log_lam, xi.ndim) + np.log1p(t ** 2) - np.log(d)
         w_xi = (1.0 - lam ** 2) * t / d
         w_xixi = (1.0 - lam ** 2) * (1.0 - lam ** 2 * t ** 2) * (1.0 + t ** 2) \
             / (2.0 * d ** 2)

@@ -292,10 +292,11 @@ class GreenField:
     ``at`` evaluates in pole coordinates (``ManifoldModel.pole_separation``:
     (xi,) on spheres, (ds, xi) on products), ``values_at`` at chart
     coordinates.  A transported kernel is divided by the factor's weight
-    at the pole, ``rho_pole``, and at the point.  The distributional
-    normalization is the basis-projected point mass: pairing the
-    eigen-expansion against (operator applied to an in-basis field)
-    returns the field value at the pole exactly.
+    at the pole, ``rho_pole``, and at the point; a factor that stacks
+    trials gives one ``rho_pole`` and one set of values per trial.  The
+    distributional normalization is the basis-projected point mass:
+    pairing the eigen-expansion against (operator applied to an in-basis
+    field) returns the field value at the pole exactly.
     """
 
     manifold: ManifoldModel
@@ -303,7 +304,7 @@ class GreenField:
     pole: Pole
     kernel: object
     factor: ConformalFactor | None = None
-    rho_pole: float = 1.0
+    rho_pole: float | np.ndarray = 1.0
 
     @property
     def representation(self) -> str:
@@ -324,7 +325,7 @@ class GreenField:
             return vals
         q = self.manifold.chart_from_pole(self.pole, *sep)
         rho_q = self.factor.rho_at(_WEIGHT[self.operator], *q)
-        return vals / (self.rho_pole * rho_q)
+        return vals / (F.trial_axes(self.rho_pole, np.ndim(vals)) * rho_q)
 
     def values_at(self, *points) -> np.ndarray:
         return self.at(*self.manifold.pole_separation(self.pole, *points))
@@ -451,7 +452,7 @@ def transport_green(gf: GreenField, factor: ConformalFactor) -> GreenField:
     if gf.operator == "P" and m.n == 4:
         return gf
     rho_p = factor.rho_at(_WEIGHT[gf.operator], *m.pole_point(gf.pole))
-    return replace(gf, factor=factor, rho_pole=float(rho_p[0]))
+    return replace(gf, factor=factor, rho_pole=rho_p[..., 0])
 
 
 def green_field(m: ManifoldModel, operator: str, pole: Pole | None = None,

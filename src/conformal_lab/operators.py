@@ -126,13 +126,13 @@ def apply_P_pointwise(m: ManifoldModel, f: ScalarField) -> ScalarField:
     return F.field_from_grid(m.basis, vals)
 
 
-def quadratic_form_E(m: ManifoldModel, u: ScalarField, v: ScalarField) -> float:
+def quadratic_form_E(m: ManifoldModel, u: ScalarField, v: ScalarField):
     """Second-derivative form of the operator pairing.
 
     E(u, v) = int ( Lap u Lap v - (4/(n-2)) Ric(grad u, grad v)
               + c2 R grad u . grad v + ((n-4)/2) Q u v ) dmu,
     which equals int (P u) v dmu after integration by parts on a closed
-    manifold.
+    manifold.  Stacked fields give one value per trial.
     """
     if u.coefficients is None:
         u = F.analyze(u)
@@ -150,17 +150,18 @@ def quadratic_form_E(m: ManifoldModel, u: ScalarField, v: ScalarField) -> float:
     if n != 4:
         vals = vals + 0.5 * (n - 4) * m.q_value \
             * u.grid_values * v.grid_values
-    return float(np.sum(vals * m.basis.quadrature_weights()))
+    return F.grid_sum(m.basis, vals * m.basis.quadrature_weights())
 
 
 def conformal_quadratic_form_E(m: ManifoldModel, factor: ConformalFactor,
-                               u: ScalarField, v: ScalarField) -> float:
+                               u: ScalarField, v: ScalarField):
     """The quadratic form of the changed metric e^{2w} g, assembled directly.
 
     Every ingredient (changed Laplacian, Ricci, scalar and Q curvature,
     volume element) is produced from the base curvature and derivatives
     of w, not from the covariance law, so comparing this value with
-    int P(rho u) rho v dmu is a genuine two-route test.
+    int P(rho u) rho v dmu is a genuine two-route test.  A stacked
+    factor or stacked fields give one value per trial.
     """
     if u.coefficients is None:
         u = F.analyze(u)
@@ -190,4 +191,4 @@ def conformal_quadratic_form_E(m: ManifoldModel, factor: ConformalFactor,
         q_tilde = conformal_q_from_curvature(m, factor).grid_values
         vals = vals + 0.5 * (n - 4) * q_tilde * u.grid_values * v.grid_values
     weights = m.basis.quadrature_weights() * np.exp(n * w_vals)
-    return float(np.sum(vals * weights))
+    return F.grid_sum(m.basis, vals * weights)

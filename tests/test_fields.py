@@ -346,3 +346,73 @@ def test_basis_constants():
         assert_allclose(sphere_area(n),
                         2.0 * math.pi * sphere_area(n - 2) / (n - 1),
                         rtol=1e-13)
+
+
+# ------------------------------------------------------------ trial stacks
+
+def _stack(fields):
+    """One field with a leading trial axis, from single fields."""
+    return F.ScalarField(fields[0].basis,
+                         np.stack([f.coefficients for f in fields]),
+                         np.stack([f.grid_values for f in fields]))
+
+
+@pytest.mark.parametrize("name", ["sphere5", "s1xs2"])
+def test_every_transform_maps_over_the_trial_axis(name, request, rng):
+    """A stack of three fields gives, trial by trial, exactly what each
+    field gives alone."""
+    b = request.getfixturevalue(name).basis
+    singles = [_random_mode_field(b, rng) for _ in range(3)]
+    stacked = _stack(singles)
+    pts = ((np.array([0.1, 1.3, 2.9]), np.array([0.2, 1.0, 3.0]))
+           if b.is_product else (np.array([0.2, 1.0, 3.0]),))
+
+    def grid(f):
+        return F.field_from_grid(b, f.grid_values)
+
+    def jets(f, *points):
+        value, grad, hess = F.frame_jets(f, *points)
+        return np.stack([value, *grad, *hess.values()])
+
+    transforms = {
+        "synthesize": lambda f: F.synthesize(
+            F.field_from_modes(b, f.coefficients)).grid_values,
+        "analyze": lambda f: F.analyze(grid(f)).coefficients,
+        "laplacian": lambda f: F.laplacian(f).grid_values,
+        "integrate": F.integrate,
+        "product": lambda f: (f * f).grid_values,
+        "evaluate": lambda f: F.evaluate(f, *pts),
+        "evaluate-sequence": lambda f: F.evaluate([f, 2.0 * f], *pts),
+        "jets-at-points": lambda f: jets(f, *pts),
+        "jets-on-grid": jets,
+    }
+    for label, transform in transforms.items():
+        got = np.asarray(transform(stacked))
+        want = [transform(f) for f in singles]
+        if label.startswith("jets"):  # components lead, then trials
+            got = np.moveaxis(got, 1, 0)
+        assert got.shape[0] == 3, label
+        for k in range(3):
+            np.testing.assert_array_equal(got[k], want[k], err_msg=label)
+
+
+def test_a_stack_needs_one_trial_count(sphere5):
+    b = sphere5.basis
+    with pytest.raises(ValueError, match="different trial counts"):
+        F.ScalarField(b, np.zeros((2,) + b.mode_shape),
+                      np.zeros((3,) + b.grid_shape))
+    with pytest.raises(ValueError, match="coefficient shape"):
+        F.ScalarField(b, np.zeros((2, 2) + b.mode_shape))
+
+
+def test_sup_normalized_scales_each_trial(s1xs2, rng):
+    b = s1xs2.basis
+    tables = [F.random_modes(b, rng, degree=4, fourier=2) for _ in range(3)]
+    stacked = F.sup_normalized(b, tables, 0.5)
+    assert_allclose(np.max(np.abs(stacked.grid_values), axis=(1, 2)), 0.5,
+                    rtol=1e-15)
+    for k, table in enumerate(tables):
+        one = F.sup_normalized(b, table, 0.5)
+        np.testing.assert_array_equal(stacked.coefficients[k],
+                                      one.coefficients)
+        assert one.bandwidth == stacked.bandwidth == (2, 4)
