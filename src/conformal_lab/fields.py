@@ -1,11 +1,16 @@
 """Scalar and symmetric-tensor fields on catalog manifolds.
 
-A ``ScalarField`` keeps a dual representation: coefficients against the
-orthonormal zonal/Fourier modes, and values on the quadrature grid.
-Transforms never mutate a field, they return a new one with both sides
-populated.  A field may carry a leading trial axis: a stack of fields
-on one basis, each transform mapping over it, and each value, jet or
-integral gaining the same leading axis.  A single field is a
+A ``ScalarField`` always carries its values on the quadrature grid, and
+has one of two states: a mode field also carries its coefficients
+against the orthonormal zonal/Fourier modes, a grid-only field does not.
+There are two constructors, ``synthesize`` from coefficients and
+``field_from_grid`` from grid values; ``analyze`` turns a grid-only
+field into a mode field, and only where a caller asks for it.  Every
+route that needs coefficients (values at points, jets, the Laplacian,
+the operators) raises ``ValueError`` on a grid-only field.  Transforms
+never mutate a field.  A field may carry a leading trial axis: a stack
+of fields on one basis, each transform mapping over it, and each value,
+jet or integral gaining the same leading axis.  A single field is a
 field with no leading axis.
 
 A symmetric 2-tensor is a dict of its components in the adapted
@@ -39,10 +44,10 @@ from .errors import AliasingError, ZeroFunctionError
 __all__ = [
     "ScalarField",
     "analyze",
+    "coefficients_of",
     "constant_field",
     "evaluate",
     "field_from_grid",
-    "field_from_modes",
     "frame_bilinear",
     "frame_dot",
     "frame_jets",
@@ -69,7 +74,7 @@ def _freeze(arr):
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A scalar field in dual (modes + grid) representation.
+    """A scalar field: grid values, and coefficients for a mode field.
 
     ``bandwidth`` is the effective harmonic degree content
     (circle, sphere); ``None`` means unknown, treated as full-band when
@@ -83,8 +88,6 @@ class ScalarField:
     bandwidth: tuple | None = None
 
     def __post_init__(self):
-        if self.coefficients is None and self.grid_values is None:
-            raise ValueError("a field needs coefficients or grid values")
         object.__setattr__(self, "coefficients", _freeze(self.coefficients))
         object.__setattr__(self, "grid_values", _freeze(self.grid_values))
         leads = set()
@@ -100,30 +103,29 @@ class ScalarField:
         if len(leads) > 1:
             raise ValueError("coefficients and grid values stack different "
                              "trial counts")
+        if self.grid_values is None:
+            raise ValueError("a field needs grid values; build it with "
+                             "synthesize or field_from_grid")
 
     # ------------------------------------------------------------- algebra
-    def _grid(self):
-        if self.grid_values is not None:
-            return self.grid_values
-        return synthesize(self).grid_values
-
     def __mul__(self, other):
         if isinstance(other, ScalarField):
-            return ScalarField(self.basis, None, self._grid() * other._grid(),
+            return ScalarField(self.basis, None,
+                               self.grid_values * other.grid_values,
                                _bw_sum(self.bandwidth, other.bandwidth))
         if np.isscalar(other):
             coeffs = None if self.coefficients is None else self.coefficients * other
-            grid = None if self.grid_values is None else self.grid_values * other
-            return ScalarField(self.basis, coeffs, grid, self.bandwidth)
+            return ScalarField(self.basis, coeffs, self.grid_values * other,
+                               self.bandwidth)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def min(self):
-        return float(np.min(self._grid()))
+        return float(np.min(self.grid_values))
 
     def max(self):
-        return float(np.max(self._grid()))
+        return float(np.max(self.grid_values))
 
 
 def _bw_sum(a, b):
@@ -134,9 +136,13 @@ def _bw_sum(a, b):
 
 # ------------------------------------------------------------ constructors
 
-def field_from_modes(basis: ModeBasis, coefficients) -> ScalarField:
+def synthesize(basis: ModeBasis, coefficients) -> ScalarField:
+    """The mode field of a coefficient table, or of a stack of them, with
+    its grid values synthesized and its bandwidth read off the nonzero
+    coefficients."""
     coefficients = np.asarray(coefficients, dtype=float)
-    return ScalarField(basis, coefficients, None,
+    C, tabs = _prepare(basis, [coefficients])
+    return ScalarField(basis, coefficients, _mix(tabs, C, 0, 0)[..., 0],
                        _support(basis, np.abs(coefficients) > 0))
 
 
@@ -147,7 +153,7 @@ def field_from_grid(basis: ModeBasis, values) -> ScalarField:
 def constant_field(basis: ModeBasis, value: float) -> ScalarField:
     c = np.zeros(basis.mode_shape)
     c.flat[0] = value * math.sqrt(basis.volume)
-    return synthesize(field_from_modes(basis, c))
+    return synthesize(basis, c)
 
 
 def random_modes(basis: ModeBasis, rng, degree: int,
@@ -171,7 +177,7 @@ def sup_normalized(basis: ModeBasis, coefficients,
                    amplitude: float = 1.0) -> ScalarField:
     """The field of a coefficient table, or of a stack of them, scaled so
     that each trial's sup norm on the grid is ``amplitude``."""
-    f = synthesize(field_from_modes(basis, coefficients))
+    f = synthesize(basis, coefficients)
     top = np.max(np.abs(f.grid_values), axis=_grid_axes(basis))
     if np.any(top == 0.0):
         raise ZeroFunctionError("random draw produced the zero field")
@@ -198,15 +204,6 @@ def trial_axes(a, ndim: int):
 
 # --------------------------------------------------------------- transforms
 
-def synthesize(f: ScalarField) -> ScalarField:
-    """Populate grid values from coefficients (coefficients unchanged)."""
-    if f.grid_values is not None:
-        return f
-    C, tabs = _prepare(f.basis, [f])
-    return ScalarField(f.basis, f.coefficients, _mix(tabs, C, 0, 0)[..., 0],
-                       f.bandwidth)
-
-
 def _check_projection_exactness(f: ScalarField):
     b = f.basis
     bw = f.bandwidth
@@ -226,8 +223,6 @@ def _check_projection_exactness(f: ScalarField):
 
 def analyze(f: ScalarField) -> ScalarField:
     """Project grid values onto the mode basis by quadrature."""
-    if f.grid_values is None:
-        raise ValueError("analyze needs authoritative grid values")
     _check_projection_exactness(f)
     b = f.basis
     _, (U, P, *_) = _prepare(b)
@@ -254,7 +249,8 @@ def evaluate(f, *points) -> np.ndarray:
     fields = [f] if isinstance(f, ScalarField) else list(f)
     if any(g.basis != fields[0].basis for g in fields):
         raise ValueError("evaluate takes a sequence of fields on one basis")
-    C, tabs = _prepare(fields[0].basis, fields, points)
+    C, tabs = _prepare(fields[0].basis,
+                       [coefficients_of(g) for g in fields], points)
     out = _mix(tabs, C, 0, 0)
     return out[..., 0] if isinstance(f, ScalarField) else out
 
@@ -274,7 +270,7 @@ def grid_sum(basis: ModeBasis, values):
 def integrate(f: ScalarField):
     """Integral of the field against the manifold volume measure, one
     per trial for a stack."""
-    return grid_sum(f.basis, f._grid() * f.basis.quadrature_weights())
+    return grid_sum(f.basis, f.grid_values * f.basis.quadrature_weights())
 
 
 # ------------------------------------------------------------------ tensors
@@ -316,9 +312,11 @@ def _frame_weights(basis: ModeBasis) -> dict:
 
 # --------------------------------------------------------------- tabulation
 
-def _coefficients(f: ScalarField) -> np.ndarray:
+def coefficients_of(f: ScalarField) -> np.ndarray:
+    """The coefficients of a mode field; a grid-only field raises."""
     if f.coefficients is None:
-        raise ValueError("evaluation needs coefficients; call analyze first")
+        raise ValueError("a grid-only field has no coefficients; call "
+                         "analyze first")
     return f.coefficients
 
 
@@ -349,12 +347,12 @@ def _band(b: ModeBasis, C: np.ndarray):
     return band, C[(Ellipsis,) + cut + (slice(None),)]
 
 
-def _prepare(b: ModeBasis, fields=(), points=()):
+def _prepare(b: ModeBasis, coeffs=(), points=()):
     """The coefficients and mode tables ``_mix`` contracts.
 
-    ``C`` stacks the coefficient tables of ``fields``, all on ``b`` and
-    with one trial shape, along a trailing field axis (``None`` with no
-    fields); a trial axis stays in front.  With no ``points`` the tables
+    ``C`` stacks the coefficient tables ``coeffs``, all on ``b`` and with
+    one trial shape, along a trailing field axis (``None`` with none); a
+    trial axis stays in front.  With no ``points`` the tables
     are the cached ones at the quadrature nodes, combined as a mesh
     product on a product grid.  Otherwise ``points`` are broadcast chart
     coordinates, ``(theta,)`` on spheres and ``(s, chi)`` on products,
@@ -364,8 +362,8 @@ def _prepare(b: ModeBasis, fields=(), points=()):
     first, second derivative) triple of (point, mode) arrays, the polar
     cosine and sine broadcast against the output, and its point shape.
     """
-    C = np.concatenate([_coefficients(g)[..., None] for g in fields],
-                       axis=-1) if fields else None
+    C = np.concatenate([c[..., None] for c in coeffs],
+                       axis=-1) if coeffs else None
     if not points:
         t, sin_t = b.polar_nodes()
         U = b.circle_tables() if b.is_product else None
@@ -408,7 +406,7 @@ def frame_jets(f: ScalarField, *points):
     Points follow the ``evaluate`` convention and are broadcast pointwise;
     with no points the jets are taken on the quadrature grid.
     """
-    C, tabs = _prepare(f.basis, [f], points)
+    C, tabs = _prepare(f.basis, [coefficients_of(f)], points)
     b, t, sin_t = f.basis, tabs[2], tabs[3]
 
     def mix(i, j):
@@ -437,8 +435,6 @@ def gradient_components(f: ScalarField):
 
 def laplacian(f: ScalarField) -> ScalarField:
     """Laplace-Beltrami operator applied mode-wise (exact in the basis)."""
-    if f.coefficients is None:
-        raise ValueError("laplacian needs coefficients")
     lam = f.basis.neg_laplacian_eigenvalues()
-    return synthesize(field_from_modes(f.basis, -lam * f.coefficients))
+    return synthesize(f.basis, -lam * coefficients_of(f))
 

@@ -258,6 +258,7 @@ class ConformalFactor:
     covariance, n != 4); ``rho`` converts w to either, so the
     conventions agree by construction.  A factor may stack one w per
     trial; its jets, weights and curvature then lead with the trial axis.
+    A factor is built as ``FieldFactor(m, w)`` or ``MoebiusFactor(m, lam)``.
     """
 
     bandwidth = None
@@ -265,19 +266,10 @@ class ConformalFactor:
     def __init__(self, manifold: ManifoldModel):
         self.manifold = manifold
 
-    # -- constructors
-    @staticmethod
-    def from_w(manifold: ManifoldModel, w: ScalarField) -> "FieldFactor":
-        return FieldFactor(manifold, w)
-
-    @staticmethod
-    def moebius(manifold: ManifoldModel, lam) -> "MoebiusFactor":
-        return MoebiusFactor(manifold, lam)
-
-    # -- views
     @cached_property
     def w_grid(self) -> ScalarField:
-        """w sampled on the quadrature grid, with projected coefficients."""
+        """w on the quadrature grid as a mode field: sampled and projected,
+        unless a subclass holds w as a field."""
         w, _, _ = self.jets()
         return F.analyze(F.field_from_grid(self.manifold.basis, w))
 
@@ -296,21 +288,24 @@ class ConformalFactor:
 
 
 class FieldFactor(ConformalFactor):
-    """Conformal logarithm given as a band-limited scalar field, or a
-    stack of them.  The factor is immutable, so its jets are kept per
-    point set (keyed on the points' shapes and bytes) and returned
-    read-only."""
+    """Conformal logarithm given as a band-limited mode field, or a stack
+    of them; a grid-only field raises ``ValueError``.  The factor is
+    immutable, so its jets are kept per point set (keyed on the points'
+    shapes and bytes) and returned read-only."""
 
     def __init__(self, manifold: ManifoldModel, w: ScalarField):
         super().__init__(manifold)
-        if w.coefficients is None:
-            w = F.analyze(w)
-        self.w = F.synthesize(w)
+        F.coefficients_of(w)  # a grid-only w raises here, not at its jets
+        self.w = w
         self._jets = {}
 
     @property
     def bandwidth(self):
         return self.w.bandwidth
+
+    @property
+    def w_grid(self) -> ScalarField:
+        return self.w
 
     def jets(self, points=None):
         pts = [np.asarray(p, dtype=float) for p in points or ()]

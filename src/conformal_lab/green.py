@@ -414,9 +414,9 @@ def green_eigen_expansion(m: ManifoldModel, operator: str,
     if not m.is_product:
         raise UnsupportedBackendError("eigen expansions are for products")
     pole = pole or Pole()
-    sym = build_symbol(m, operator)
+    table = build_symbol(m, operator)
     thr = zero_threshold(m)
-    lam_min = float(np.min(np.abs(sym.table)))
+    lam_min = float(np.min(np.abs(table)))
     if lam_min < thr:
         raise KernelError(
             f"{operator} has a zero mode on {m.kind} "
@@ -431,7 +431,7 @@ def green_eigen_expansion(m: ManifoldModel, operator: str,
     kern = _ProductDegreeSumP(m, cutoff)
     tail = kern.tail_estimate
     # reference scale: the constant-mode contribution to the kernel
-    scale = abs(1.0 / float(sym.table.ravel()[0]))
+    scale = abs(1.0 / float(table.ravel()[0]))
     if tail > tolerance * scale:
         raise CutoffTooLowError(
             f"degree cutoff {cutoff} leaves tail ~{tail:.2e} "
@@ -468,10 +468,9 @@ def green_field(m: ManifoldModel, operator: str, pole: Pole | None = None,
 # ----------------------------------------------------------------- pairing
 
 def green_pair(gf: GreenField, f: ScalarField, level: int = 2) -> float:
-    """Quadrature of int G(pole, q) f(q) dmu(q) with pole grading."""
+    """Quadrature of int G(pole, q) f(q) dmu(q) with pole grading, for a
+    mode field ``f``."""
     m = gf.manifold
-    if f.coefficients is None:
-        f = F.analyze(f)
     integral = (Q.product_singular_integral if m.is_product
                 else Q.sphere_zonal_integral)
     return integral(m, lambda *pts: gf.values_at(*pts) * F.evaluate(f, *pts),

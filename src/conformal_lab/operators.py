@@ -4,9 +4,12 @@ On the catalog backends both operators diagonalize over the mode basis
 because the curvature is parallel: the Ricci contraction term splits
 through the sphere-factor Laplacian on products and reduces to a
 multiple of the full Laplacian on round spheres.  ``build_symbol``
-tabulates the per-mode eigenvalues; ``apply_*`` default to the symbol
-route and expose an independent pointwise route (spectral derivatives,
-frame contraction with the Ricci grid values) used for cross-checks.
+tabulates the per-mode eigenvalues as a read-only array shaped like the
+mode table; ``apply_*`` multiply a mode field's coefficients by it, and
+an independent pointwise route (spectral derivatives, frame contraction
+with the Ricci grid values) serves as the cross-check.  Every route
+takes mode fields: a grid-only field raises ``ValueError`` and must be
+projected by ``fields.analyze`` first.
 
 With Lam = eigenvalue of -Laplace per mode and lam_sph its sphere-factor
 part, the tables are
@@ -23,8 +26,6 @@ but the value agrees).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import fields as F
@@ -33,7 +34,6 @@ from .geometry import ConformalFactor, ManifoldModel, conformal_ricci, \
     conformal_scalar_curvature, conformal_q_from_curvature
 
 __all__ = [
-    "SpectralSymbol",
     "apply_L",
     "apply_P",
     "apply_P_pointwise",
@@ -51,24 +51,6 @@ def laplacian_coefficient(n: int) -> float:
 
 def _gradient_coefficient(n: int) -> float:
     return (n * n - 4 * n + 8) / (2.0 * (n - 1) * (n - 2))
-
-
-@dataclass(frozen=True)
-class SpectralSymbol:
-    """Per-mode eigenvalue table of a diagonalizable operator."""
-
-    table: np.ndarray          # shaped like the mode table
-
-    def __post_init__(self):
-        t = np.array(self.table, dtype=float)
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
-
-    def apply(self, f: ScalarField) -> ScalarField:
-        if f.coefficients is None:
-            f = F.analyze(f)
-        return F.synthesize(
-            F.field_from_modes(f.basis, self.table * f.coefficients))
 
 
 def _symbol_table(m: ManifoldModel, operator: str) -> np.ndarray:
@@ -89,19 +71,21 @@ def _symbol_table(m: ManifoldModel, operator: str) -> np.ndarray:
     return table
 
 
-def build_symbol(m: ManifoldModel, operator: str) -> SpectralSymbol:
-    """Eigenvalue table of L or P on a catalog backend."""
-    return SpectralSymbol(_symbol_table(m, operator))
+def build_symbol(m: ManifoldModel, operator: str) -> np.ndarray:
+    """Eigenvalue table of L or P on a catalog backend, read-only."""
+    table = _symbol_table(m, operator)
+    table.setflags(write=False)
+    return table
 
 
 def apply_L(m: ManifoldModel, f: ScalarField) -> ScalarField:
     """-(4(n-1)/(n-2)) Lap f + R f."""
-    return build_symbol(m, "L").apply(f)
+    return F.synthesize(f.basis, build_symbol(m, "L") * F.coefficients_of(f))
 
 
 def apply_P(m: ManifoldModel, f: ScalarField) -> ScalarField:
     """Fourth-order operator, applied mode-wise."""
-    return build_symbol(m, "P").apply(f)
+    return F.synthesize(f.basis, build_symbol(m, "P") * F.coefficients_of(f))
 
 
 def apply_P_pointwise(m: ManifoldModel, f: ScalarField) -> ScalarField:
@@ -112,8 +96,6 @@ def apply_P_pointwise(m: ManifoldModel, f: ScalarField) -> ScalarField:
     parallel on every backend), so this route shares no code with the
     symbol table and serves as its cross-check.
     """
-    if f.coefficients is None:
-        f = F.analyze(f)
     n = m.n
     lap = F.laplacian(f)
     bilap = F.laplacian(lap)
@@ -134,10 +116,6 @@ def quadratic_form_E(m: ManifoldModel, u: ScalarField, v: ScalarField):
     which equals int (P u) v dmu after integration by parts on a closed
     manifold.  Stacked fields give one value per trial.
     """
-    if u.coefficients is None:
-        u = F.analyze(u)
-    if v.coefficients is None:
-        v = F.analyze(v)
     n = m.n
     lap_u = F.laplacian(u).grid_values
     lap_v = F.laplacian(v).grid_values
@@ -163,10 +141,6 @@ def conformal_quadratic_form_E(m: ManifoldModel, factor: ConformalFactor,
     int P(rho u) rho v dmu is a genuine two-route test.  A stacked
     factor or stacked fields give one value per trial.
     """
-    if u.coefficients is None:
-        u = F.analyze(u)
-    if v.coefficients is None:
-        v = F.analyze(v)
     n = m.n
     w = factor.w_grid
     w_vals = w.grid_values

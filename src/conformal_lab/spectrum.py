@@ -98,7 +98,7 @@ def _grouped_eigenvalues(m: ManifoldModel, table: np.ndarray, thr: float):
 
 def lambda1_L(m: ManifoldModel) -> float:
     """Smallest eigenvalue of the conformal Laplacian (the Yamabe sign)."""
-    return float(np.min(build_symbol(m, "L").table))
+    return float(np.min(build_symbol(m, "L")))
 
 
 def paneitz_spectrum_check(m: ManifoldModel) -> SpectrumSummary:
@@ -109,9 +109,9 @@ def paneitz_spectrum_check(m: ManifoldModel) -> SpectrumSummary:
     read against the predicted sign, POSITIVE for n > 4 and NEGATIVE for
     n = 3, whatever the hypotheses; callers gate on ``theorems_hold``.
     """
-    sym = build_symbol(m, "P")
+    table = build_symbol(m, "P")
     thr = zero_threshold(m)
-    grouped = _grouped_eigenvalues(m, sym.table, thr)
+    grouped = _grouped_eigenvalues(m, table, thr)
     kernel_dim = sum(mu for v, mu in grouped if abs(v) < thr)
     positives = [(v, mu) for v, mu in grouped if v >= thr]
     negatives = [(v, mu) for v, mu in grouped if v <= -thr]
@@ -123,10 +123,10 @@ def paneitz_spectrum_check(m: ManifoldModel) -> SpectrumSummary:
                           else (largest_neg, positives))
     eig_range = None
     if extremal is not None:
-        idx = int(np.argmin(np.abs(sym.table.ravel() - extremal[0])))
+        idx = int(np.argmin(np.abs(table.ravel() - extremal[0])))
         coeffs = np.zeros(m.basis.mode_shape)
         coeffs.flat[idx] = 1.0
-        eigfn = F.synthesize(F.field_from_modes(m.basis, coeffs))
+        eigfn = F.synthesize(m.basis, coeffs)
         eig_range = (eigfn.min(), eigfn.max())
     bound = abs(extremal[0]) if extremal else math.inf
 
@@ -142,7 +142,7 @@ def paneitz_spectrum_check(m: ManifoldModel) -> SpectrumSummary:
         kernel_dimension=kernel_dim,
         # the constant mode is the first of the table, of multiplicity one
         kernel_is_constants=kernel_dim == 0 or (
-            kernel_dim == 1 and abs(sym.table.flat[0]) < thr),
+            kernel_dim == 1 and abs(table.flat[0]) < thr),
         extremal_simple=extremal is not None and extremal[1] == 1,
         extremal_sign_definite=bool(eig_range
                                     and eig_range[0] * eig_range[1] > 0),

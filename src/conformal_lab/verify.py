@@ -34,7 +34,8 @@ from . import quadrature as Q
 from . import spectrum
 from .errors import (CutoffTooLowError, HypothesisFailError, KernelError,
                      UnsupportedDimensionError)
-from .geometry import (ConformalFactor, ManifoldModel, Pole, conformal_q,
+from .geometry import (ConformalFactor, FieldFactor, ManifoldModel,
+                       MoebiusFactor, Pole, conformal_q,
                        conformal_q_from_curvature, conformal_ricci,
                        ricci_from_jets)
 from .green import (comparison_constant, compare_green, extract_mass,
@@ -222,14 +223,14 @@ def default_test_functions(m: ManifoldModel, seed: int = 0):
         for j, mm in picks:
             c = np.zeros((b.circle_mode_count, b.sphere_mode_count))
             c[j, mm] = 1.0
-            fns.append(F.synthesize(F.field_from_modes(b, c)))
+            fns.append(F.synthesize(b, c))
         rng = np.random.default_rng(seed)
         fns.append(F.random_bandlimited(b, rng, degree=4, fourier=3))
     else:
         for l in range(1, 5):
             c = np.zeros(b.sphere_mode_count)
             c[l] = 1.0
-            fns.append(F.synthesize(F.field_from_modes(b, c)))
+            fns.append(F.synthesize(b, c))
         rng = np.random.default_rng(seed)
         fns.append(F.random_bandlimited(b, rng, degree=6))
     return fns
@@ -393,7 +394,7 @@ def _random_w(m: ManifoldModel, rng) -> np.ndarray:
 
 def _factor(m: ManifoldModel, tables) -> ConformalFactor:
     """The factor of a table, or a stack of tables, of ``_random_w``."""
-    return ConformalFactor.from_w(m, F.sup_normalized(m.basis, tables, 0.1))
+    return FieldFactor(m, F.sup_normalized(m.basis, tables, 0.1))
 
 
 def _random_factors(m: ManifoldModel, rng, trials: int) -> ConformalFactor:
@@ -463,7 +464,7 @@ def _law_pointwise_4d(m, rng, fixed=None, trials=1):
 def _law_green_transport(m, rng, fixed=None, trials=1):
     # needs the dilation family: the changed metric is an isometric
     # pullback there, giving an independent expression for the kernel
-    factor = ConformalFactor.moebius(
+    factor = MoebiusFactor(
         m, [math.exp(rng.uniform(-0.35, 0.35)) for _ in range(trials)])
     theta = m.basis.polar_angles()
     worst = 0.0
@@ -579,7 +580,7 @@ def check_sign_theorems(m: ManifoldModel, seed: int = 0):
     variants = [("base", None)]
     if not m.is_product:
         rng = np.random.default_rng(seed)
-        variants.append(("moebius", ConformalFactor.moebius(
+        variants.append(("moebius", MoebiusFactor(
             m, math.exp(rng.uniform(0.15, 0.4)))))
         variants.append(("random", _factor(m, _random_w(m, rng))))
     for tag, factor in variants:
@@ -654,7 +655,7 @@ def check_mass(m: ManifoldModel, tolerance: float, level: int = 2,
     at the north pole of the base metric and of a Moebius change of it."""
     pole = Pole(1)
     rng = np.random.default_rng(seed)
-    moebius = ConformalFactor.moebius(m, math.exp(rng.uniform(0.15, 0.4)))
+    moebius = MoebiusFactor(m, math.exp(rng.uniform(0.15, 0.4)))
     checks = []
     for tag, factor in (("base", None), ("moebius", moebius)):
         res = extract_mass(m, pole, factor, level=level)

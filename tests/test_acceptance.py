@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conformal_lab.geometry import ConformalFactor, Pole, catalog_build
+from conformal_lab.geometry import MoebiusFactor, Pole, catalog_build
 from conformal_lab.green import (comparison_constant, extract_mass,
                                  green_sphere_closed_form)
 from conformal_lab.spectrum import paneitz_spectrum_check
@@ -159,7 +159,7 @@ def test_criterion_9_spectral_claims(sphere5, s1xs3):
 
 def test_criterion_10_mass_vanishes(sphere5):
     res_base = extract_mass(sphere5, Pole(1))
-    factor = ConformalFactor.moebius(sphere5, 1.3)
+    factor = MoebiusFactor(sphere5, 1.3)
     res_t = extract_mass(sphere5, Pole(1), factor)
     vals = [res_base["A_expansion"], res_base["A_integral"],
             res_t["A_expansion"], res_t["A_integral"]]

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conformal_lab import fields as F
-from conformal_lab.geometry import ConformalFactor
+from conformal_lab.geometry import FieldFactor
 from conformal_lab.verify import (_law_bilinear, _law_pointwise_4d,
                                   _law_q_transform_4d)
 
@@ -26,13 +26,13 @@ factors = st.tuples(
 seeds = st.integers(0, 2 ** 32 - 1)
 
 
-def drawn_factor(m, coefficients, amplitude) -> ConformalFactor:
+def drawn_factor(m, coefficients, amplitude) -> FieldFactor:
     c = np.zeros(m.basis.sphere_mode_count)
     c[:len(coefficients)] = coefficients
-    w = F.synthesize(F.field_from_modes(m.basis, c))
+    w = F.synthesize(m.basis, c)
     top = float(np.max(np.abs(w.grid_values)))
     assume(top > 1e-6)
-    return ConformalFactor.from_w(m, w * (amplitude / top))
+    return FieldFactor(m, w * (amplitude / top))
 
 
 @pytest.mark.parametrize("backend", ["sphere3", "sphere5"])

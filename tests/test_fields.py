@@ -31,7 +31,7 @@ def test_single_degree_one_mode_matches_legendre(s1xs2):
     b = s1xs2.basis
     c = np.zeros((b.circle_mode_count, b.sphere_mode_count))
     c[0, 1] = 1.0
-    f = F.synthesize(F.field_from_modes(b, c))
+    f = F.synthesize(b, c)
     chi = b.polar_angles()
     want = math.sqrt(3.0 / b.volume) * np.cos(chi)
     assert_allclose(f.grid_values, np.broadcast_to(want, f.grid_values.shape),
@@ -44,7 +44,7 @@ def test_single_degree_one_mode_matches_legendre(s1xs2):
 def test_round_trip(fixture, request, rng):
     m = request.getfixturevalue(fixture)
     f = _random_mode_field(m.basis, rng)
-    back = F.analyze(F.synthesize(f))
+    back = F.analyze(f)
     assert_allclose(back.coefficients, f.coefficients, atol=1e-10)
 
 
@@ -57,7 +57,7 @@ def test_analyze_single_basis_function_orthonormality(s1xs3):
     b = s1xs3.basis
     c = np.zeros((b.circle_mode_count, b.sphere_mode_count))
     c[3, 2] = 1.0
-    f = F.synthesize(F.field_from_modes(b, c))
+    f = F.synthesize(b, c)
     got = F.analyze(F.field_from_grid(b, f.grid_values)).coefficients.copy()
     assert abs(got[3, 2] - 1.0) < 1e-10
     got[3, 2] = 0.0
@@ -68,7 +68,7 @@ def test_aliasing_error_on_products_of_top_modes():
     b = ModeBasis.for_sphere(4, 12, nodes=13)
     c = np.zeros(13)
     c[12] = 1.0
-    f = F.synthesize(F.field_from_modes(b, c))
+    f = F.synthesize(b, c)
     with pytest.raises(AliasingError):
         F.analyze(f * f)
 
@@ -90,7 +90,7 @@ def test_nonconstant_mode_integrates_to_zero(sphere5):
     b = sphere5.basis
     c = np.zeros(b.sphere_mode_count)
     c[3] = 1.0
-    f = F.synthesize(F.field_from_modes(b, c))
+    f = F.synthesize(b, c)
     assert abs(F.integrate(f)) < 1e-12
 
 
@@ -115,7 +115,7 @@ def test_sphere_factor_laplacian_eigenvalue(s1xs2):
     b = s1xs2.basis
     c = np.zeros((b.circle_mode_count, b.sphere_mode_count))
     c[0, 3] = 1.0
-    f = F.synthesize(F.field_from_modes(b, c))
+    f = F.synthesize(b, c)
     lap = F.laplacian(f)
     assert_allclose(lap.grid_values, -12.0 * f.grid_values, rtol=1e-10)
 
@@ -125,7 +125,7 @@ def test_circle_laplacian_eigenvalue():
     b = ModeBasis.for_product("product-S1xS2", 8, 5, length=ell)
     c = np.zeros((b.circle_mode_count, b.sphere_mode_count))
     c[2 * 2 - 1, 0] = 1.0  # cos(2 * 2 pi s / ell)
-    f = F.synthesize(F.field_from_modes(b, c))
+    f = F.synthesize(b, c)
     lap = F.laplacian(f)
     want = -(2.0 * math.pi * 2.0 / ell) ** 2
     assert_allclose(lap.grid_values, want * f.grid_values, rtol=1e-10)
@@ -250,13 +250,13 @@ def _mode_field(basis, j, m):
     c = np.zeros((basis.circle_mode_count, basis.sphere_mode_count)
                  if basis.is_product else basis.sphere_mode_count)
     c[(j, m) if basis.is_product else m] = 1.0
-    return F.field_from_modes(basis, c)
+    return F.synthesize(basis, c)
 
 
 def _band_mix(m, rng):
     """Fields of mixed bands, one of full band, and the zero field."""
     b = m.basis
-    zero = F.field_from_modes(b, np.zeros(
+    zero = F.synthesize(b, np.zeros(
         (b.circle_mode_count, b.sphere_mode_count) if b.is_product
         else b.sphere_mode_count))
     fields = [_mode_field(b, 0, 2),
@@ -325,7 +325,7 @@ def test_nan_coefficient_poisons_band_limited_evaluation(name, request, rng):
     low = _mode_field(b, 0, 1)
     c = np.array(low.coefficients)
     c[(-1, -1) if b.is_product else -1] = np.nan  # beyond the band of low
-    bad = F.field_from_modes(b, c)
+    bad = F.synthesize(b, c)
     pts = _off_grid_points(m, rng)
     assert np.all(np.isnan(F.evaluate(bad, *pts)))
     val, grad, hess = F.frame_jets(bad, *pts)
@@ -375,8 +375,7 @@ def test_every_transform_maps_over_the_trial_axis(name, request, rng):
         return np.stack([value, *grad, *hess.values()])
 
     transforms = {
-        "synthesize": lambda f: F.synthesize(
-            F.field_from_modes(b, f.coefficients)).grid_values,
+        "synthesize": lambda f: F.synthesize(b, f.coefficients).grid_values,
         "analyze": lambda f: F.analyze(grid(f)).coefficients,
         "laplacian": lambda f: F.laplacian(f).grid_values,
         "integrate": F.integrate,
@@ -403,6 +402,12 @@ def test_a_stack_needs_one_trial_count(sphere5):
                       np.zeros((3,) + b.grid_shape))
     with pytest.raises(ValueError, match="coefficient shape"):
         F.ScalarField(b, np.zeros((2, 2) + b.mode_shape))
+
+
+def test_a_field_needs_grid_values(sphere5):
+    b = sphere5.basis
+    with pytest.raises(ValueError, match="needs grid values"):
+        F.ScalarField(b, np.zeros(b.mode_shape))
 
 
 def test_sup_normalized_scales_each_trial(s1xs2, rng):

@@ -9,8 +9,9 @@ from conformal_lab import basis
 from conformal_lab import fields as F
 from conformal_lab.cli import list_catalog
 from conformal_lab.errors import AliasingError, UnsupportedBackendError
-from conformal_lab.geometry import (ConformalFactor, ManifoldModel, Pole,
-                                    catalog_build, conformal_q,
+from conformal_lab.geometry import (FieldFactor, ManifoldModel,
+                                    MoebiusFactor, Pole, catalog_build,
+                                    conformal_q,
                                     conformal_q_from_curvature,
                                     conformal_ricci,
                                     conformal_scalar_curvature)
@@ -102,7 +103,7 @@ def test_total_q_on_round_sphere4(sphere4):
 
 def test_identity_factor_returns_base_ricci(sphere5, s1xs2):
     for m in (sphere5, s1xs2):
-        rc = conformal_ricci(m, ConformalFactor.from_w(m, m.constant(0.0)))
+        rc = conformal_ricci(m, FieldFactor(m, m.constant(0.0)))
         base = m.ricci_eigenvalues
         assert rc.keys() == base.keys()
         for k in rc:
@@ -151,7 +152,7 @@ def test_warped_oracle_reproduces_round_sphere(sphere5):
 def test_conformal_ricci_against_finite_differences(sphere5, rng):
     """Transformed Ricci matches the second-order FD curvature oracle."""
     w = F.random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.15)
-    factor = ConformalFactor.from_w(sphere5, w)
+    factor = FieldFactor(sphere5, w)
     theta = np.linspace(0.4, 2.7, 9)
 
     def conf(t):
@@ -173,7 +174,7 @@ def test_conformal_ricci_against_finite_differences(sphere5, rng):
 
 def test_conformal_scalar_is_trace(sphere5, rng):
     w = F.random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.1)
-    factor = ConformalFactor.from_w(sphere5, w)
+    factor = FieldFactor(sphere5, w)
     theta = sphere5.basis.polar_angles()
     comps = conformal_ricci(sphere5, factor, (theta,))
     trace = comps["rr"] + (sphere5.n - 1) * comps["orb"]
@@ -183,7 +184,7 @@ def test_conformal_scalar_is_trace(sphere5, rng):
 
 
 def test_moebius_factor_keeps_the_sphere_round(sphere5):
-    factor = ConformalFactor.moebius(sphere5, 1.3)
+    factor = MoebiusFactor(sphere5, 1.3)
     assert_allclose(conformal_scalar_curvature(sphere5, factor), 20.0,
                     rtol=1e-10)
     q = conformal_q(sphere5, factor)
@@ -195,20 +196,19 @@ def test_conformal_ricci_aliasing_guard():
     rng = np.random.default_rng(0)
     w = F.random_bandlimited(m.basis, rng, degree=12, amplitude=0.05)
     with pytest.raises(AliasingError):
-        conformal_ricci(m, ConformalFactor.from_w(m, w))
+        conformal_ricci(m, FieldFactor(m, w))
 
 
 # ------------------------------------------------------------ conformal Q
 
 def test_conformal_q_identity_factor(sphere5):
-    q = conformal_q(sphere5,
-                    ConformalFactor.from_w(sphere5, sphere5.constant(0.0)))
+    q = conformal_q(sphere5, FieldFactor(sphere5, sphere5.constant(0.0)))
     assert_allclose(q.grid_values, sphere5.q_value, rtol=1e-8)
 
 
 def test_conformal_q_constant_shift_dimension4(sphere4):
     c = 0.3
-    factor = ConformalFactor.from_w(sphere4, sphere4.constant(c))
+    factor = FieldFactor(sphere4, sphere4.constant(c))
     q = conformal_q(sphere4, factor)
     assert_allclose(q.grid_values, math.exp(-4 * c) * 6.0, rtol=1e-8)
 
@@ -218,7 +218,7 @@ def test_conformal_q_two_routes_agree(sphere5, s1xs3, rng):
         w = F.random_bandlimited(m.basis, rng, degree=3,
                                  fourier=2 if m.is_product else 0,
                                  amplitude=0.1)
-        factor = ConformalFactor.from_w(m, w)
+        factor = FieldFactor(m, w)
         q1 = conformal_q(m, factor).grid_values
         q2 = conformal_q_from_curvature(m, factor).grid_values
         scale = np.max(np.abs(q1))
@@ -229,7 +229,7 @@ def test_conformal_q_two_routes_agree(sphere5, s1xs3, rng):
 
 def test_factor_convention_consistency(sphere5, rng):
     w = F.random_bandlimited(sphere5.basis, rng, degree=4, amplitude=0.2)
-    factor = ConformalFactor.from_w(sphere5, w)
+    factor = FieldFactor(sphere5, w)
     n = sphere5.n
     rho_l = factor.rho("metric").grid_values
     rho_p = factor.rho("paneitz").grid_values

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 from conformal_lab import fields as F
 from conformal_lab.errors import (CutoffTooLowError, KernelError,
                                   UnsupportedBackendError)
-from conformal_lab.geometry import ConformalFactor, Pole, catalog_build
+from conformal_lab.geometry import (FieldFactor, MoebiusFactor, Pole,
+                                    catalog_build)
 from conformal_lab.green import (ComparisonResult, _ProductDegreeSumP,
                                  compare_green,
                                  comparison_constant, extract_mass,
@@ -130,7 +131,7 @@ def test_product_image_kernel_matches_mode_sum(s1xs2):
                         {"degree_max": 120, "fourier_max": 80,
                          "sphere_nodes": 130, "circle_nodes": 170})
     b = big.basis
-    lam = build_symbol(big, "L").table
+    lam = build_symbol(big, "L")
     ds, chi = 1.1, 1.9
     U0, _, _ = b.circle_values(np.array([0.0, ds]))
     P0, _, _ = b.polar_values(np.array([1.0, math.cos(chi)]))
@@ -272,8 +273,7 @@ def test_eigen_expansion_rejects_spheres(sphere5):
 
 def test_transport_identity_factor(sphere5):
     gf = green_sphere_closed_form(sphere5, "L")
-    gt = transport_green(gf, ConformalFactor.from_w(sphere5,
-                                                    sphere5.constant(0.0)))
+    gt = transport_green(gf, FieldFactor(sphere5, sphere5.constant(0.0)))
     th = np.linspace(0.2, 3.0, 7)
     assert_allclose(gt.values_at(th), gf.values_at(th), rtol=1e-12)
 
@@ -284,7 +284,7 @@ def test_transport_constant_factor_scales(sphere5):
     def constant(rho, exponent):
         # the factor whose weight rho^exponent multiplies the metric
         w = 0.5 * exponent * math.log(rho)
-        return ConformalFactor.from_w(sphere5, sphere5.constant(w))
+        return FieldFactor(sphere5, sphere5.constant(w))
 
     gf = green_sphere_closed_form(sphere5, "L")
     gt = transport_green(gf, constant(c, 4.0 / (n - 2)))
@@ -297,7 +297,7 @@ def test_transport_constant_factor_scales(sphere5):
 
 def test_transport_preserves_sign(sphere5, rng):
     w = F.random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.3)
-    factor = ConformalFactor.from_w(sphere5, w)
+    factor = FieldFactor(sphere5, w)
     gp = green_sphere_closed_form(sphere5, "P")
     scan0 = sign_scan([gp])
     scan1 = sign_scan([transport_green(gp, factor)])
@@ -357,7 +357,7 @@ def test_compare_green_equality_on_spheres(sphere3, sphere5):
 
 def test_compare_green_transported(sphere5, rng):
     w = F.random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.2)
-    factor = ConformalFactor.from_w(sphere5, w)
+    factor = FieldFactor(sphere5, w)
     res = compare_green(sphere5, [Pole(1)], factor=factor)[0]
     assert res.equality
 
@@ -371,7 +371,7 @@ def test_mass_vanishes_on_round_sphere(sphere5):
 
 
 def test_mass_vanishes_after_moebius_transport(sphere5):
-    factor = ConformalFactor.moebius(sphere5, 1.35)
+    factor = MoebiusFactor(sphere5, 1.35)
     res = extract_mass(sphere5, Pole(1), factor)
     assert abs(res["A_expansion"]) < 1e-6
     assert abs(res["A_integral"]) < 1e-6
@@ -384,6 +384,6 @@ def test_mass_rejects_products(s1xs2):
 
 def test_green_field_helper_builds_and_transports(sphere5, rng):
     w = F.random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.1)
-    factor = ConformalFactor.from_w(sphere5, w)
+    factor = FieldFactor(sphere5, w)
     gf = green_field(sphere5, "L", Pole(1), factor)
     assert "transport" in gf.representation

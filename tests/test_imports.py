@@ -1,6 +1,7 @@
 """Import hygiene of the package: every imported name is used or exported,
 every exported name is used, every class member is read, and the basis
-is tabulated, and the hypothesis ledger read, in one place.
+is tabulated, the hypothesis ledger read and a field constructed in one
+place.
 
 There is no linter among the package's dependencies, so this reads each
 module's syntax tree: a name bound by an import statement must appear as
@@ -9,9 +10,10 @@ a name in the module, or in its ``__all__``; a name in a module's
 few reference routes that only the tests compare against; and so must
 every method, property and dataclass field a class defines.  Members are
 matched by name, so a member shares the reads of any other member or
-variable of the same name.  The tabulation routines of ``basis`` and
-the ledger routines of ``spectrum`` are called only from their own
-module and from the few callers listed in ``SINGLE_PLACE``.
+variable of the same name.  The tabulation routines of ``basis``, the
+ledger routines of ``spectrum`` and the ``ScalarField`` constructor are
+called only from their own module and from the few callers listed in
+``SINGLE_PLACE``.
 """
 
 import ast
@@ -151,7 +153,8 @@ def test_an_unused_member_is_caught():
 # backend, which the suite wrapper reads for every report and assertion
 # rule, and two suite bodies only for the data they check; the catalog
 # listing prints lambda1(L), and the eigen expansions test for a zero
-# mode against the ledger's curvature scale
+# mode against the ledger's curvature scale; a field is built only by
+# the constructors and transforms of fields
 SINGLE_PLACE = {
     "polar_values": {"basis", "fields._prepare"},
     "circle_values": {"basis", "fields._prepare"},
@@ -163,6 +166,7 @@ SINGLE_PLACE = {
     "paneitz_spectrum_check": {"verify._ledger"},
     "_ledger": {"verify.Suite", "verify.check_sign_theorems",
                 "verify.check_spectrum_claims"},
+    "ScalarField": {"fields"},
 }
 
 
@@ -227,3 +231,12 @@ def test_a_stray_ledger_call_is_caught():
     assert stray_calls(sources) == [
         "cli.run: paneitz_spectrum_check", "green.sign_scan: zero_threshold",
         "verify.check: lambda1_L", "verify.check_green_compare: _ledger"]
+
+
+def test_a_stray_field_construction_is_caught():
+    sources = {"fields.py": "class ScalarField: pass\n"
+                            "def synthesize(b, c): return ScalarField(b, c)\n",
+               "operators.py": "from . import fields as F\n"
+                               "def apply_P(m, f):\n"
+                               "    return F.ScalarField(m.basis, None, f)\n"}
+    assert stray_calls(sources) == ["operators.apply_P: ScalarField"]

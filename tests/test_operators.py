@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conformal_lab import fields as F
-from conformal_lab.geometry import ConformalFactor, catalog_build
+from conformal_lab.geometry import FieldFactor, catalog_build
+from conformal_lab.green import green_pair, green_sphere_closed_form
 from conformal_lab.operators import (apply_L, apply_P, apply_P_pointwise,
                                      build_symbol, conformal_quadratic_form_E,
                                      quadratic_form_E)
@@ -17,7 +18,7 @@ def _single_mode(basis, *index):
     else:
         c = np.zeros(basis.sphere_mode_count)
     c[index] = 1.0
-    return F.synthesize(F.field_from_modes(basis, c))
+    return F.synthesize(basis, c)
 
 
 # ------------------------------------------------------------ second order
@@ -36,15 +37,24 @@ def test_L_eigenvalue_degree_one_sphere3(sphere3):
 
 
 def test_L_symbol_on_product(s1xs2):
-    sym = build_symbol(s1xs2, "L")
+    table = build_symbol(s1xs2, "L")
     k = np.array([(j + 1) // 2 for j in range(s1xs2.basis.circle_mode_count)])
     l = np.arange(s1xs2.basis.sphere_mode_count)
     want = 8.0 * (k[:, None] ** 2 + (l * (l + 1))[None, :]) + 2.0
-    assert_allclose(sym.table, want, rtol=1e-13)
-    assert sym.table[0, 0] == 2.0
+    assert_allclose(table, want, rtol=1e-13)
+    assert table[0, 0] == 2.0
 
 
 # ------------------------------------------------------------ fourth order
+
+@pytest.mark.parametrize("name", ["sphere5", "s1xs2"])
+def test_symbol_table_is_read_only(name, request):
+    m = request.getfixturevalue(name)
+    for operator in ("L", "P"):
+        table = build_symbol(m, operator)
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0.0
+
 
 def test_P_on_constants(sphere5, sphere3, s1xs3):
     out5 = apply_P(sphere5, sphere5.constant(1.0))
@@ -62,13 +72,13 @@ def test_P_symbol_factorizes_on_spheres(n):
     m = catalog_build("sphere", n, {}, {"degree_max": 12})
     lam = np.arange(13.0) * (np.arange(13.0) + n - 1)
     want = (lam + n * (n - 2) / 4.0) * (lam + (n + 2) * (n - 4) / 4.0)
-    assert_allclose(build_symbol(m, "P").table, want, rtol=1e-12)
+    assert_allclose(build_symbol(m, "P"), want, rtol=1e-12)
 
 
 def test_P_constant_mode_value_formula():
     for n in (3, 5, 6, 7):
         m = catalog_build("sphere", n, {}, {"degree_max": 4})
-        got = build_symbol(m, "P").table[0]
+        got = build_symbol(m, "P")[0]
         assert_allclose(got, n * (n ** 2 - 4) * (n - 4) / 16.0, rtol=1e-12)
 
 
@@ -76,7 +86,7 @@ def test_symbol_vs_pointwise_on_random_modes(s1xs2, s1xs3, sphere5, rng):
     """The factor-split table agrees with the grid-side contraction route."""
     for m in (s1xs2, s1xs3, sphere5):
         b = m.basis
-        sym = build_symbol(m, "P")
+        table = build_symbol(m, "P")
         for _ in range(20):
             if b.is_product:
                 idx = (rng.integers(0, b.circle_mode_count),
@@ -85,15 +95,9 @@ def test_symbol_vs_pointwise_on_random_modes(s1xs2, s1xs3, sphere5, rng):
                 idx = (rng.integers(0, b.sphere_mode_count),)
             phi = _single_mode(b, *idx)
             direct = apply_P_pointwise(m, phi).grid_values
-            tabled = sym.table[idx] * phi.grid_values
+            tabled = table[idx] * phi.grid_values
             scale = max(1.0, np.max(np.abs(tabled)))
             assert np.max(np.abs(direct - tabled)) < 1e-8 * scale
-
-
-def test_symbol_apply_matches_apply(s1xs3, rng):
-    f = F.random_bandlimited(s1xs3.basis, rng, degree=6, fourier=4)
-    assert_allclose(build_symbol(s1xs3, "P").apply(f).grid_values,
-                    apply_P(s1xs3, f).grid_values, atol=1e-12)
 
 
 # ---------------------------------------------------------- quadratic form
@@ -127,7 +131,7 @@ def test_E_symmetry(sphere3, rng):
 
 def test_bilinear_covariance_sphere(sphere5, rng):
     w = F.random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.1)
-    factor = ConformalFactor.from_w(sphere5, w)
+    factor = FieldFactor(sphere5, w)
     phi = F.random_bandlimited(sphere5.basis, rng, degree=6)
     psi = F.random_bandlimited(sphere5.basis, rng, degree=6)
     lhs = conformal_quadratic_form_E(sphere5, factor, phi, psi)
@@ -141,7 +145,7 @@ def test_dimension4_form_invariance(sphere4, s1xs3, rng):
         w = F.random_bandlimited(m.basis, rng, degree=3,
                                  fourier=2 if m.is_product else 0,
                                  amplitude=0.1)
-        factor = ConformalFactor.from_w(m, w)
+        factor = FieldFactor(m, w)
         phi = F.random_bandlimited(m.basis, rng, degree=5,
                                    fourier=3 if m.is_product else 0)
         psi = F.random_bandlimited(m.basis, rng, degree=5,
@@ -149,6 +153,28 @@ def test_dimension4_form_invariance(sphere4, s1xs3, rng):
         lhs = conformal_quadratic_form_E(m, factor, phi, psi)
         rhs = quadratic_form_E(m, phi, psi)
         assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
+
+
+def test_a_grid_only_field_is_never_projected(sphere5, rng):
+    """Every route that needs coefficients refuses a grid-only field and
+    accepts the same field once analyzed."""
+    f = F.random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.1)
+    grid_only = F.field_from_grid(sphere5.basis, f.grid_values)
+    factor = FieldFactor(sphere5, f)
+    gf = green_sphere_closed_form(sphere5, "L")
+    routes = [
+        lambda g: apply_L(sphere5, g),
+        lambda g: apply_P(sphere5, g),
+        lambda g: apply_P_pointwise(sphere5, g),
+        lambda g: quadratic_form_E(sphere5, g, g),
+        lambda g: conformal_quadratic_form_E(sphere5, factor, g, g),
+        lambda g: green_pair(gf, g),
+        lambda g: FieldFactor(sphere5, g),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError, match="call analyze first"):
+            route(grid_only)
+        route(F.analyze(grid_only))
 
 
 def test_p1_and_q_vanish_together_on_s1xs3(s1xs3):

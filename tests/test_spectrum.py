@@ -64,6 +64,6 @@ def test_zero_modes_are_read_against_the_curvature_not_the_band():
     the curvature scale it is not, and G_P exists."""
     m = catalog_build("product-S1xS2", None, {"length": 0.5},
                       {"degree_max": 16, "fourier_max": 8})
-    assert build_symbol(m, "P").table.flat[0] == 0.5625
+    assert build_symbol(m, "P").flat[0] == 0.5625
     assert paneitz_spectrum_check(m).kernel_dimension == 0
     assert green_eigen_expansion(m, "P").operator == "P"

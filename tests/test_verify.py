@@ -12,8 +12,8 @@ from conformal_lab import green, operators, verify
 from conformal_lab import quadrature as Q
 from conformal_lab.errors import (HypothesisFailError, KernelError,
                                   UnsupportedDimensionError)
-from conformal_lab.geometry import (ConformalFactor, ManifoldModel,
-                                    catalog_build)
+from conformal_lab.geometry import (ConformalFactor, FieldFactor,
+                                    ManifoldModel, catalog_build)
 from conformal_lab.spectrum import paneitz_spectrum_check
 from conformal_lab.verify import (SUITES, check_4d_identity, check_covariance,
                                   check_green_compare, check_mass,
@@ -159,7 +159,7 @@ def test_total_q_conformally_perturbed_sphere(sphere4, rng):
     target = 16 * math.pi ** 2
     for _ in range(5):
         w = F.random_bandlimited(sphere4.basis, rng, degree=3, amplitude=0.1)
-        factor = ConformalFactor.from_w(sphere4, w)
+        factor = FieldFactor(sphere4, w)
         report = check_total_q(sphere4, factor=factor, tolerance=1e-3)
         assert report.passed
         total = report.resolution["total_q"] + report.resolution["defect"]
@@ -172,7 +172,7 @@ def test_total_q_integrand_takes_no_conformal_weight(sphere4, rng,
     """The conformal weights cancel in dimension four, so the defect
     integrand never evaluates the factor."""
     w = F.random_bandlimited(sphere4.basis, rng, degree=3, amplitude=0.1)
-    factor = ConformalFactor.from_w(sphere4, w)
+    factor = FieldFactor(sphere4, w)
     state = {"inside": False, "blocks": 0, "w_at_inside": 0}
     orig_w_at = ConformalFactor.w_at
     orig_integral = Q.sphere_zonal_integral
@@ -225,7 +225,7 @@ def test_covariance_identity_factor_is_exact(sphere5):
     rng = np.random.default_rng(0)
     phi = F.random_bandlimited(sphere5.basis, rng, degree=6)
     psi = F.random_bandlimited(sphere5.basis, rng, degree=6)
-    identity = ConformalFactor.from_w(sphere5, sphere5.constant(0.0))
+    identity = FieldFactor(sphere5, sphere5.constant(0.0))
     lhs = conformal_quadratic_form_E(sphere5, identity, phi, psi)
     rhs = quadratic_form_E(sphere5, phi, psi)
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
@@ -240,7 +240,7 @@ def test_covariance_on_product(s1xs3, s1xs2):
 
 def test_covariance_with_pinned_factor(sphere5, rng):
     w = F.random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.08)
-    factor = ConformalFactor.from_w(sphere5, w)
+    factor = FieldFactor(sphere5, w)
     report = check_covariance(sphere5, factor=factor, trials=3, seed=1)
     assert report.passed
 
