@@ -29,6 +29,10 @@ node tables on the grid or, at other points, by ``ModeBasis.polar_values``
 and ``circle_values`` only up to the highest mode the coefficients carry.
 ``polar_values`` returns the zonal tables of ``basis.zonal_polynomials``
 already normalized; one contraction combines them with the coefficients.
+Points on a product come either pointwise, broadcast to one shape and
+tabulated per point, or as an open mesh, an s column of shape (Ns, 1)
+and a chi row of shape (1, Nx): then each axis is tabulated once per
+distinct coordinate and the tables meet in the mesh product of the grid.
 """
 
 from __future__ import annotations
@@ -90,16 +94,10 @@ class ScalarField:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", _freeze(self.coefficients))
         object.__setattr__(self, "grid_values", _freeze(self.grid_values))
-        leads = set()
-        for side, arr, want in (
-                ("coefficient", self.coefficients, self.basis.mode_shape),
-                ("grid", self.grid_values, self.basis.grid_shape)):
-            if arr is None:
-                continue
-            lead = arr.shape[:arr.ndim - len(want)]
-            if arr.shape != lead + want or len(lead) > 1:
-                raise ValueError(f"{side} shape {arr.shape} != {want}")
-            leads.add(lead)
+        leads = {_trial_shape(side, arr, want) for side, arr, want in (
+            ("coefficient", self.coefficients, self.basis.mode_shape),
+            ("grid", self.grid_values, self.basis.grid_shape))
+            if arr is not None}
         if len(leads) > 1:
             raise ValueError("coefficients and grid values stack different "
                              "trial counts")
@@ -128,6 +126,15 @@ class ScalarField:
         return float(np.max(self.grid_values))
 
 
+def _trial_shape(side: str, arr: np.ndarray, want: tuple) -> tuple:
+    """The trial shape of ``arr`` in front of the ``side`` shape ``want``,
+    () or one axis; any other shape raises ``ValueError``."""
+    lead = arr.shape[:arr.ndim - len(want)]
+    if arr.shape != lead + want or len(lead) > 1:
+        raise ValueError(f"{side} shape {arr.shape} != {want}")
+    return lead
+
+
 def _bw_sum(a, b):
     if a is None or b is None:
         return None
@@ -141,6 +148,7 @@ def synthesize(basis: ModeBasis, coefficients) -> ScalarField:
     its grid values synthesized and its bandwidth read off the nonzero
     coefficients."""
     coefficients = np.asarray(coefficients, dtype=float)
+    _trial_shape("coefficient", coefficients, basis.mode_shape)
     C, tabs = _prepare(basis, [coefficients])
     return ScalarField(basis, coefficients, _mix(tabs, C, 0, 0)[..., 0],
                        _support(basis, np.abs(coefficients) > 0))
@@ -240,7 +248,9 @@ def evaluate(f, *points) -> np.ndarray:
     """Evaluate a mode-represented field at arbitrary points.
 
     Spheres take ``evaluate(f, theta)``; products take ``evaluate(f, s, chi)``
-    with broadcastable arrays (evaluated pointwise, not on a mesh).  ``f``
+    with broadcastable arrays, the values having their broadcast shape; an
+    open mesh, an s column (Ns, 1) against a chi row (1, Nx), is tabulated
+    once per distinct s and chi, any other points once per point.  ``f``
     may also be a sequence of fields on one basis: the basis is tabulated
     once, up to the highest mode any of them carries, and the values gain
     a trailing axis, one column per field.  A trial axis of the fields
@@ -354,13 +364,17 @@ def _prepare(b: ModeBasis, coeffs=(), points=()):
     one trial shape, along a trailing field axis (``None`` with none); a
     trial axis stays in front.  With no ``points`` the tables
     are the cached ones at the quadrature nodes, combined as a mesh
-    product on a product grid.  Otherwise ``points`` are broadcast chart
-    coordinates, ``(theta,)`` on spheres and ``(s, chi)`` on products,
-    and the basis is cut to the band of ``C`` (``_band``) and tabulated
-    there.  Returns ``(C, (U, P, t, sin_t, shape, mesh))``: the circle
-    tables (``None`` on spheres) and the polar tables, each a (value,
-    first, second derivative) triple of (point, mode) arrays, the polar
-    cosine and sine broadcast against the output, and its point shape.
+    product on a product grid.  Otherwise ``points`` are broadcastable
+    chart coordinates, ``(theta,)`` on spheres and ``(s, chi)`` on
+    products, and the basis is cut to the band of ``C`` (``_band``) and
+    tabulated there: on an open mesh, an s column of shape (Ns, 1) and a
+    chi row of shape (1, Nx), once per distinct coordinate and combined
+    as a mesh product like the grid, otherwise once per broadcast point.
+    Returns ``(C, (U, P, t, sin_t, shape, mesh))``: the circle tables
+    (``None`` on spheres) and the polar tables, each a (value, first,
+    second derivative) triple of (coordinate, mode) arrays, the polar
+    cosine and sine broadcast against the output, its point shape and
+    whether the tables combine as a mesh product.
     """
     C = np.concatenate([c[..., None] for c in coeffs],
                        axis=-1) if coeffs else None
@@ -371,13 +385,17 @@ def _prepare(b: ModeBasis, coeffs=(), points=()):
             t, sin_t = t[None, :], sin_t[None, :]
         return C, (U, b.polar_tables(), t, sin_t, b.grid_shape, U is not None)
     b, C = _band(b, C)
-    pts = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in points))
-    shape = pts[0].shape
+    pts = [np.asarray(p, dtype=float) for p in points]
+    mesh = (len(pts) == 2 and all(p.ndim == 2 for p in pts)
+            and pts[0].shape[1] == 1 and pts[1].shape[0] == 1)
+    if not mesh:
+        pts = np.broadcast_arrays(*pts)
+    shape = np.broadcast_shapes(*(p.shape for p in pts))
     chi = pts[-1].ravel()
     t = np.cos(chi)
     U = b.circle_values(pts[0].ravel()) if b.is_product else None
-    return C, (U, b.polar_values(t), t.reshape(shape),
-               np.sin(chi).reshape(shape), shape, False)
+    return C, (U, b.polar_values(t), t.reshape(pts[-1].shape),
+               np.sin(chi).reshape(pts[-1].shape), shape, mesh)
 
 
 def _mix(tabs, C: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -403,7 +421,7 @@ def frame_jets(f: ScalarField, *points):
 
     Returns ``(value, grad, hess)`` where ``grad`` is a tuple of frame
     components and ``hess`` a dict keyed like the tensor components.
-    Points follow the ``evaluate`` convention and are broadcast pointwise;
+    Points follow the ``evaluate`` convention, pointwise or an open mesh;
     with no points the jets are taken on the quadrature grid.
     """
     C, tabs = _prepare(f.basis, [coefficients_of(f)], points)

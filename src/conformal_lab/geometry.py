@@ -116,11 +116,12 @@ class ManifoldModel:
 
     # ------------------------------------------------------------- sampling
     def grid_points(self):
-        """Chart coordinates of the quadrature grid, broadcast to its shape."""
+        """Chart coordinates of the quadrature grid: (theta,) on spheres,
+        and on products an open mesh, an s column and a chi row that
+        broadcast to the grid shape."""
         if self.is_product:
-            s = self.basis.circle_points()[:, None]
-            chi = self.basis.polar_angles()[None, :]
-            return np.broadcast_arrays(s, chi)
+            return (self.basis.circle_points()[:, None],
+                    self.basis.polar_angles()[None, :])
         return (self.basis.polar_angles(),)
 
     def pole_point(self, pole: Pole) -> tuple:

@@ -144,13 +144,16 @@ class _ProductImageKernelL:
         running sums over the points, with one sinh and one power each:
         S0 = sum D^-q, and for jets S1 = sum D^(-q-1), S2 = sum D^(-q-2),
         H1 = sum D^(-q-1) sinh^2(u/2), T1 = sum D^(-q-1) sinh u,
-        T2 = sum D^(-q-2) sinh u, Q2 = sum D^(-q-2) sinh^2 u.
+        T2 = sum D^(-q-2) sinh u, Q2 = sum D^(-q-2) sinh^2 u.  The
+        sinh terms are taken on ``ds`` and sin^2(chi/2) on ``chi`` as
+        given, so on an open mesh they run along one axis each; only D,
+        its powers and the sums take the broadcast shape.
         """
         u0 = np.asarray(ds, dtype=float) / self.b
         sin2 = np.sin(0.5 * np.asarray(chi, dtype=float)) ** 2
-        u0, sin2 = np.broadcast_arrays(u0, sin2)
         per = self.ell / self.b
-        sums = [np.zeros(u0.shape) for _ in range(7 if jets else 1)]
+        shape = np.broadcast_shapes(u0.shape, sin2.shape)
+        sums = [np.zeros(shape) for _ in range(7 if jets else 1)]
         for j in range(-self.cutoff, self.cutoff + 1):
             h = np.sinh(0.5 * (u0 + per * j))
             h2 = h * h
@@ -181,8 +184,7 @@ class _ProductImageKernelL:
         return self.cL * self.b ** (2 - self.n) * S0
 
     def log_jets(self, scale: float, ds, chi):
-        ds, chi = np.broadcast_arrays(np.asarray(ds, float),
-                                      np.asarray(chi, float))
+        chi = np.asarray(chi, dtype=float)
         S0, S1, S2, H1, T1, T2, Q2 = self._sums(ds, chi, jets=True)
         q, b = self.q, self.b
         s_chi = np.sin(chi)
@@ -265,11 +267,12 @@ class _ProductDegreeSumP:
         return (p / self.pole_values).reshape(chi.shape + (-1,))
 
     def value(self, ds, chi):
-        ds, chi = np.broadcast_arrays(np.atleast_1d(np.asarray(ds, float)),
-                                      np.atleast_1d(np.asarray(chi, float)))
-        k = self.kernel_1d(ds)
-        z = self.zonal(chi)
-        return np.sum(self.norm * k * z, axis=-1)
+        """The degree sum at broadcastable offsets: ``kernel_1d`` runs on
+        ``ds`` and ``zonal`` on ``chi`` as given, so an open mesh
+        tabulates them once per distinct offset and angle."""
+        k = self.norm * self.kernel_1d(ds)
+        z = self.zonal(np.atleast_1d(np.asarray(chi, dtype=float)))
+        return np.sum(k * z, axis=-1)
 
     @cached_property
     def tail_estimate(self) -> float:

@@ -8,8 +8,12 @@ from the pole, geometrically graded panels toward it, and on products a
 smooth partition of unity that splits the reduced (s, chi) rectangle
 into a polar patch around the pole plus a blended far region.
 
-An integrand may return a trailing column axis; each node block is then
-evaluated once and contracted with its weights, one integral per column.
+An integrand receives broadcastable coordinate arrays and returns values
+of their broadcast shape, plus any trailing column axis; each node block
+is then evaluated once and contracted with its weights, one integral per
+column.  The far rectangle on products arrives as an open mesh, an s
+column of shape (Ns, 1) and a chi row of shape (1, Nx), so the layers
+below can tabulate along each axis before they broadcast.
 """
 
 from __future__ import annotations
@@ -97,9 +101,12 @@ def product_singular_integral(m, fn, pole, level: int = 1,
     that vanishes inside the patch, so both pieces see a smooth
     integrand.  Both use 6-point Gauss panels; the shells grade toward
     the pole by halves, 18 + 6 * level times.  ``fn`` is called once per
-    block; it may return a trailing column axis, giving one integral per
-    column.  A ``resolution`` dict receives the node counts of the two
-    blocks, [near, far], and the graded depth.
+    block with broadcastable (s, chi) arrays and returns values of their
+    broadcast shape, plus any trailing column axis, giving one integral
+    per column.  The polar patch is not separable and arrives pointwise;
+    the far rectangle arrives as an open mesh, an s column and a chi row.
+    A ``resolution`` dict receives the node counts of the two blocks,
+    [near, far], and the graded depth.
     """
     d = m.sphere_dim
     b = m.radius
@@ -131,15 +138,16 @@ def product_singular_integral(m, fn, pole, level: int = 1,
     s_nodes, s_w = _gauss_panels(np.linspace(-0.5 * ell, 0.5 * ell, ns + 1),
                                  6)
     x_nodes, x_w = _gauss_panels(np.linspace(0.0, math.pi, nx + 1), 6)
-    DS, CHI_EFF = np.meshgrid(s_nodes, x_nodes, indexing="ij")
-    WS, WX = np.meshgrid(s_w, x_w, indexing="ij")
+    DS, CHI_EFF = np.meshgrid(s_nodes, x_nodes, indexing="ij", sparse=True)
+    WS, WX = np.meshgrid(s_w, x_w, indexing="ij", sparse=True)
     rr = np.hypot(DS, b * CHI_EFF)
     cut_far = smoothstep((rr - r0) / (r1 - r0))
     meas = orbit * b * np.sin(CHI_EFF) ** (d - 1)
-    far = _contract(cut_far * meas * WS * WX,
-                    fn(*m.chart_from_pole(pole, DS, CHI_EFF)))
+    weights = cut_far * meas * WS * WX
+    far = _contract(weights, fn(*m.chart_from_pole(pole, DS, CHI_EFF)))
     if resolution is not None:
-        resolution.update(nodes=[R.size, DS.size], graded_depth=graded_depth)
+        resolution.update(nodes=[R.size, weights.size],
+                          graded_depth=graded_depth)
     return near + far
 
 

@@ -92,6 +92,7 @@ class VerificationReport:
             "checks": [c.to_dict() for c in self.checks],
             "hypotheses": self.hypotheses,
             "resolution": self.resolution,
+            "asserted_checks": sum(c.asserted for c in self.checks),
         }
         if include_runtime:
             out["runtime_s"] = self.runtime_s

@@ -404,6 +404,16 @@ def test_a_stack_needs_one_trial_count(sphere5):
         F.ScalarField(b, np.zeros((2, 2) + b.mode_shape))
 
 
+@pytest.mark.parametrize("name", ["sphere5", "s1xs2"])
+@pytest.mark.parametrize("shape", [(3,), (4, 9)])
+def test_synthesize_checks_the_mode_shape_first(name, shape, request):
+    """A table of the wrong mode shape raises the constructor's message,
+    not a numpy error from inside the synthesis."""
+    b = request.getfixturevalue(name).basis
+    with pytest.raises(ValueError, match=r"coefficient shape \(.*\) != "):
+        F.synthesize(b, np.zeros(shape))
+
+
 def test_a_field_needs_grid_values(sphere5):
     b = sphere5.basis
     with pytest.raises(ValueError, match="needs grid values"):

@@ -167,6 +167,7 @@ SINGLE_PLACE = {
     "_ledger": {"verify.Suite", "verify.check_sign_theorems",
                 "verify.check_spectrum_claims"},
     "ScalarField": {"fields"},
+    "broadcast_arrays": {"fields._prepare"},
 }
 
 

@@ -1,0 +1,135 @@
+"""Tensor point sets stay open meshes.
+
+Points on a product given as an s column (Ns, 1) and a chi row (1, Nx)
+are tabulated once per distinct coordinate and summed per axis.  Every
+layer must give what the same points give materialized to the full
+shape, and the far quadrature block must reach the basis tables at
+Ns + Nx points, not Ns * Nx.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from conformal_lab import basis
+from conformal_lab import fields as F
+from conformal_lab import quadrature as Q
+from conformal_lab.green import green_eigen_expansion
+from conformal_lab.verify import run_suite
+
+PRODUCTS = ["s1xs2", "s1xs3"]
+RTOL = 1e-13
+
+
+def _mesh(m):
+    """An open mesh off the grid: an s column and a chi row."""
+    s = np.linspace(-0.6 * m.length, 0.9 * m.length, 23)[:, None]
+    chi = np.linspace(0.05, math.pi - 0.05, 19)[None, :]
+    return s, chi
+
+
+def _close(got, want):
+    """Equal shapes, and values within RTOL of the largest one."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=RTOL * np.max(np.abs(want)))
+
+
+def _close_jets(got, want):
+    for a, b in zip((got[0], *got[1]), (want[0], *want[1])):
+        _close(a, b)
+    assert got[2].keys() == want[2].keys()
+    for k in want[2]:
+        _close(got[2][k], want[2][k])
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_evaluate_of_a_stacked_sequence(name, request, rng):
+    m = request.getfixturevalue(name)
+    b = m.basis
+    stacks = [F.sup_normalized(b, [F.random_modes(b, rng, 5, 3)
+                                   for _ in range(3)]) for _ in range(2)]
+    mesh = _mesh(m)
+    got = F.evaluate(stacks, *mesh)
+    assert got.shape == (3, 23, 19, 2)
+    _close(got, F.evaluate(stacks, *np.broadcast_arrays(*mesh)))
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_frame_jets(name, request, rng):
+    m = request.getfixturevalue(name)
+    f = F.random_bandlimited(m.basis, rng, degree=6, fourier=4)
+    mesh = _mesh(m)
+    _close_jets(F.frame_jets(f, *mesh),
+                F.frame_jets(f, *np.broadcast_arrays(*mesh)))
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_image_kernel_value_and_log_jets(name, request):
+    m = request.getfixturevalue(name)
+    kernel = green_eigen_expansion(m, "L").kernel
+    ds, chi = _mesh(m)
+    ds = ds - 0.2 * m.length  # a mesh in pole coordinates
+    full = np.broadcast_arrays(ds, chi)
+    _close(kernel.value(ds, chi), kernel.value(*full))
+    _close_jets(kernel.log_jets(0.5, ds, chi), kernel.log_jets(0.5, *full))
+
+
+def test_degree_sum_value(s1xs2):
+    """S1xS3 (n = 4) has no G_P: P annihilates the constants there."""
+    kernel = green_eigen_expansion(s1xs2, "P").kernel
+    ds, chi = _mesh(s1xs2)
+    ds = ds - 0.2 * s1xs2.length
+    _close(kernel.value(ds, chi), kernel.value(*np.broadcast_arrays(ds, chi)))
+
+
+@pytest.mark.parametrize("name, suite", [("s1xs2", "weak-identity"),
+                                         ("s1xs3", "4d-identity")])
+def test_identity_integrals(name, suite, request, monkeypatch):
+    """The weak (n = 3) and log-kernel (n = 4) identity integrals of the
+    graded pass, with the points handed over as given or materialized."""
+    m = request.getfixturevalue(name)
+    integral = Q.product_singular_integral
+
+    def run(materialize):
+        got = []
+
+        def recorded(m, fn, *args, **kw):
+            def given(*pts):
+                return fn(*(np.broadcast_arrays(*pts) if materialize else pts))
+
+            got.append(integral(m, given, *args, **kw))
+            return got[-1]
+
+        monkeypatch.setattr(Q, "product_singular_integral", recorded)
+        run_suite(suite, m)
+        (columns,) = got
+        return columns
+
+    _close(run(False), run(True))
+
+
+def test_the_far_block_is_tabulated_per_axis(s1xs2, monkeypatch):
+    """One weak-identity pass tabulates the 192 x 192 far rectangle at
+    192 s and 192 chi values: no table reaches 36,864 points."""
+    sizes = {"polar_values": [], "circle_values": []}
+    polar_values = basis.ModeBasis.polar_values
+    circle_values = basis.ModeBasis.circle_values
+
+    def count_polar(self, t):
+        sizes["polar_values"].append(np.size(t))
+        return polar_values(self, t)
+
+    def count_circle(self, s):
+        sizes["circle_values"].append(np.size(s))
+        return circle_values(self, s)
+
+    monkeypatch.setattr(basis.ModeBasis, "polar_values", count_polar)
+    monkeypatch.setattr(basis.ModeBasis, "circle_values", count_circle)
+    report = run_suite("weak-identity", s1xs2)
+    near, far = report.resolution["nodes"]
+    assert far == 192 * 192
+    for name, counted in sizes.items():
+        assert sorted(counted) == [1, 192, near], name

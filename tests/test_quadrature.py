@@ -39,9 +39,9 @@ def test_nan_at_a_zero_weight_node_poisons_the_integral(s1xs2):
     r0 = 0.125 * min(0.5 * m.length, m.radius * math.pi)
     blocks = []
 
-    def fn(s, chi):
-        vals = np.ones_like(s)
-        blocks.append(s.size)
+    def fn(s, chi):  # the far rectangle arrives as an open mesh
+        vals = np.ones(np.broadcast(s, chi).shape)
+        blocks.append(vals.size)
         if len(blocks) == 2:  # the far rectangle: its cut-off is 0 for r < r0
             rr = np.hypot(s - pole.s0, m.radius * chi)
             i = np.unravel_index(np.argmin(rr), rr.shape)

@@ -471,11 +471,19 @@ def test_report_json_schema(sphere4):
     report = check_total_q(sphere4)
     data = json.loads(report.to_json())
     assert set(data) == {"suite", "backend", "checks", "hypotheses",
-                         "resolution", "runtime_s"}
+                         "resolution", "asserted_checks", "runtime_s"}
     for c in data["checks"]:
         assert {"eq", "residual", "tol", "pass", "asserted"} <= set(c)
     data = report.to_dict(include_runtime=False)
     assert "runtime_s" not in data
+
+
+def test_reports_count_their_asserted_checks(sphere4, s1xs2):
+    """S1xS2 has Q < 0, so its theorem suites assert nothing."""
+    assert check_total_q(sphere4).to_dict()["asserted_checks"] == 1
+    for suite in ("signs", "green-compare"):
+        report = run_suite(suite, s1xs2).to_dict()
+        assert report["checks"] and report["asserted_checks"] == 0, suite
 
 
 def test_default_test_functions(sphere5, s1xs2):
