@@ -23,8 +23,10 @@ numbers 1 / sum_{l<nq} p_l(t_i)^2.
 The zonal polynomials and their t-derivatives are tabulated by the
 orthonormal Jacobi three-term recurrence in one routine,
 ``zonal_polynomials``, which the product degree-sum kernel also calls.
-``ModeBasis.polar_values`` normalizes its tables on the sphere (factor);
-the cached node tables are its frozen value at the quadrature nodes.
+``ModeBasis.polar_values`` and ``circle_values`` tabulate the normalized
+modes at points, values only; ``polar_jets`` and ``circle_jets`` add the
+first two derivatives, and the cached node tables are their frozen value
+at the quadrature nodes.
 """
 
 from __future__ import annotations
@@ -267,17 +269,32 @@ class ModeBasis:
         """(U0, U1, U2) for all circle modes at the circle nodes."""
         return _circle_tables(self)
 
-    def polar_values(self, t: np.ndarray):
-        """(P0, P1, P2) of the normalized zonal modes at polar cosines t."""
-        tabs = zonal_polynomials(self.sphere_dim, self.degree_max, t)
+    def polar_values(self, t: np.ndarray) -> np.ndarray:
+        """P0, the normalized zonal modes at polar cosines t."""
+        (P0,) = self._polar(t, 0)
+        return P0
+
+    def polar_jets(self, t: np.ndarray):
+        """(P0, P1, P2), the normalized zonal modes at polar cosines t and
+        their first two t-derivatives."""
+        return self._polar(t, 2)
+
+    def _polar(self, t, order: int):
+        tabs = zonal_polynomials(self.sphere_dim, self.degree_max, t, order)
         norm = math.sqrt(self.polar_norm)
         for tab in tabs:  # freshly tabulated, so normalized in place
             tab /= norm
         return tabs
 
-    def circle_values(self, s: np.ndarray):
-        """(U0, U1, U2) of the normalized real Fourier modes at points s."""
-        return _circle_values(self.fourier_max, self.length, s)
+    def circle_values(self, s: np.ndarray) -> np.ndarray:
+        """U0, the normalized real Fourier modes at points s."""
+        (U0,) = _circle_values(self.fourier_max, self.length, s, 0)
+        return U0
+
+    def circle_jets(self, s: np.ndarray):
+        """(U0, U1, U2), the normalized real Fourier modes at points s and
+        their first two s-derivatives."""
+        return _circle_values(self.fourier_max, self.length, s, 2)
 
     # ---------------------------------------------------------- eigenvalues
     def sphere_factor_eigenvalues(self) -> np.ndarray:
@@ -337,15 +354,18 @@ def _frozen(arrays: tuple) -> tuple:
 @lru_cache(maxsize=64)
 def _polar_tables(basis: ModeBasis):
     t, _ = basis.polar_rule()
-    return _frozen(basis.polar_values(t))
+    return _frozen(basis.polar_jets(t))
 
 
-def _circle_values(fourier_max: int, length: float, s: np.ndarray):
+def _circle_values(fourier_max: int, length: float, s: np.ndarray,
+                   order: int):
+    """The real Fourier modes at points s and their s-derivatives up to
+    ``order``, 0 or 2."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     nm = 2 * fourier_max + 1
     U0 = np.empty((s.size, nm))
-    U1 = np.zeros((s.size, nm))
-    U2 = np.zeros((s.size, nm))
+    U1 = np.zeros((s.size, nm)) if order else None
+    U2 = np.zeros((s.size, nm)) if order else None
     U0[:, 0] = 1.0 / math.sqrt(length)
     amp = math.sqrt(2.0 / length)
     for k in range(1, fourier_max + 1):
@@ -353,14 +373,15 @@ def _circle_values(fourier_max: int, length: float, s: np.ndarray):
         c, sn = np.cos(om * s), np.sin(om * s)
         U0[:, 2 * k - 1] = amp * c
         U0[:, 2 * k] = amp * sn
+        if not order:
+            continue
         U1[:, 2 * k - 1] = -amp * om * sn
         U1[:, 2 * k] = amp * om * c
         U2[:, 2 * k - 1] = -amp * om * om * c
         U2[:, 2 * k] = -amp * om * om * sn
-    return U0, U1, U2
+    return (U0, U1, U2) if order else (U0,)
 
 
 @lru_cache(maxsize=64)
 def _circle_tables(basis: ModeBasis):
-    return _frozen(_circle_values(basis.fourier_max, basis.length,
-                                  basis.circle_points()))
+    return _frozen(basis.circle_jets(basis.circle_points()))

@@ -21,14 +21,18 @@ orbit directions.  Zonal symmetry makes every tensor we need diagonal
 except for the (s, chi) component on products.  A component is an array
 of values, or a number where it is constant.
 
-Synthesis on the grid, values at points and frame jets share one table
-preparation: the coefficients of one or more fields are stacked along a
-trailing field axis, behind any trial axis, and the basis is tabulated
-once, for every field and trial, from the cached
-node tables on the grid or, at other points, by ``ModeBasis.polar_values``
-and ``circle_values`` only up to the highest mode the coefficients carry.
-``polar_values`` returns the zonal tables of ``basis.zonal_polynomials``
-already normalized; one contraction combines them with the coefficients.
+Synthesis on the grid, values at points, pairings at points and frame
+jets share one table preparation: the coefficients of one or more fields
+are stacked along a trailing field axis, behind any trial axis, and the
+basis is tabulated once, for every field and trial, from the cached
+node tables on the grid or, at other points, only up to the highest mode
+the coefficients carry: by ``ModeBasis.polar_values`` and
+``circle_values``, value tables only, for values and pairings, and by
+``polar_jets`` and ``circle_jets``, with the first two derivatives, for
+frame jets.  The tables come normalized; one contraction combines them
+with the coefficients.  A pairing ``sum_p v_p f(p)`` is the adjoint of
+evaluation: the density meets the tables first, in mode moments, and
+no value of a field at a point is formed.
 Points on a product come either pointwise, broadcast to one shape and
 tabulated per point, or as an open mesh, an s column of shape (Ns, 1)
 and a chi row of shape (1, Nx): then each axis is tabulated once per
@@ -60,6 +64,7 @@ __all__ = [
     "grid_sum",
     "integrate",
     "laplacian",
+    "pair",
     "random_bandlimited",
     "random_modes",
     "sup_normalized",
@@ -256,13 +261,57 @@ def evaluate(f, *points) -> np.ndarray:
     a trailing axis, one column per field.  A trial axis of the fields
     leads the values.
     """
-    fields = [f] if isinstance(f, ScalarField) else list(f)
-    if any(g.basis != fields[0].basis for g in fields):
-        raise ValueError("evaluate takes a sequence of fields on one basis")
+    fields = _on_one_basis(f)
     C, tabs = _prepare(fields[0].basis,
                        [coefficients_of(g) for g in fields], points)
     out = _mix(tabs, C, 0, 0)
     return out[..., 0] if isinstance(f, ScalarField) else out
+
+
+def pair(f, density, *points) -> np.ndarray:
+    """sum_p density_p f(p) over the points: the adjoint of ``evaluate``.
+
+    ``f`` and the points follow the ``evaluate`` convention, and
+    ``density`` has the points' broadcast shape, or one trailing axis
+    more, one density per column.  Per column the density meets the
+    value tables in mode moments, U^T diag(v) P at points on a product,
+    U^T V P on an open mesh and P^T v on a sphere, and the moments meet
+    the coefficients, so no value of a field at a point is formed.
+    Every point takes part, so a non-finite density anywhere poisons the
+    result.  Returns one number per field (a trailing field axis for a
+    sequence), behind the column axis of a density that has one and
+    behind the trial axis of the fields.
+    """
+    fields = _on_one_basis(f)
+    C, (U, P, _, _, shape, mesh) = _prepare(
+        fields[0].basis, [coefficients_of(g) for g in fields], points)
+    v = np.asarray(density, dtype=float)
+    columns = v.ndim > len(shape)
+    if v.shape[:len(shape)] != shape or v.ndim > len(shape) + 1:
+        raise ValueError(f"density shape {v.shape} does not match the "
+                         f"points' shape {shape}")
+    v = v.reshape(shape + (-1,))
+    # the moments M, one (circle mode, degree) table per column
+    if mesh:
+        M = U[0].T @ np.moveaxis(v, -1, 0) @ P[0]
+    elif U is None:
+        M = (P[0].T @ v).T[:, None, :]
+        C = C[..., None, :, :]  # one circle mode, so both read (k, 1, sm)
+    else:  # per point, the density weighs the polar row first
+        vp = v.reshape(-1, v.shape[-1], 1) * P[0][:, None, :]
+        M = np.tensordot(U[0], vp, axes=(0, 0)).transpose(1, 0, 2)
+    out = np.moveaxis(np.tensordot(C, M, axes=([-3, -2], [1, 2])), -1, -2)
+    if not columns:
+        out = out[..., 0, :]
+    return out[..., 0] if isinstance(f, ScalarField) else out
+
+
+def _on_one_basis(f) -> list:
+    """The fields of ``f``, a field or a sequence of fields on one basis."""
+    fields = [f] if isinstance(f, ScalarField) else list(f)
+    if any(g.basis != fields[0].basis for g in fields):
+        raise ValueError("a sequence of fields must lie on one basis")
+    return fields
 
 
 # -------------------------------------------------------------- integration
@@ -357,8 +406,8 @@ def _band(b: ModeBasis, C: np.ndarray):
     return band, C[(Ellipsis,) + cut + (slice(None),)]
 
 
-def _prepare(b: ModeBasis, coeffs=(), points=()):
-    """The coefficients and mode tables ``_mix`` contracts.
+def _prepare(b: ModeBasis, coeffs=(), points=(), jets: bool = False):
+    """The coefficients and mode tables ``_mix`` and ``pair`` contract.
 
     ``C`` stacks the coefficient tables ``coeffs``, all on ``b`` and with
     one trial shape, along a trailing field axis (``None`` with none); a
@@ -367,14 +416,16 @@ def _prepare(b: ModeBasis, coeffs=(), points=()):
     product on a product grid.  Otherwise ``points`` are broadcastable
     chart coordinates, ``(theta,)`` on spheres and ``(s, chi)`` on
     products, and the basis is cut to the band of ``C`` (``_band``) and
-    tabulated there: on an open mesh, an s column of shape (Ns, 1) and a
+    tabulated there, values only unless ``jets`` asks for the first two
+    derivatives too: on an open mesh, an s column of shape (Ns, 1) and a
     chi row of shape (1, Nx), once per distinct coordinate and combined
     as a mesh product like the grid, otherwise once per broadcast point.
     Returns ``(C, (U, P, t, sin_t, shape, mesh))``: the circle tables
-    (``None`` on spheres) and the polar tables, each a (value, first,
-    second derivative) triple of (coordinate, mode) arrays, the polar
-    cosine and sine broadcast against the output, its point shape and
-    whether the tables combine as a mesh product.
+    (``None`` on spheres) and the polar tables, each a tuple of
+    (coordinate, mode) arrays, the value table first and then, on the
+    grid or for ``jets``, the first and second derivative tables; the
+    polar cosine and sine broadcast against the output, its point shape
+    and whether the tables combine as a mesh product.
     """
     C = np.concatenate([c[..., None] for c in coeffs],
                        axis=-1) if coeffs else None
@@ -393,8 +444,12 @@ def _prepare(b: ModeBasis, coeffs=(), points=()):
     shape = np.broadcast_shapes(*(p.shape for p in pts))
     chi = pts[-1].ravel()
     t = np.cos(chi)
-    U = b.circle_values(pts[0].ravel()) if b.is_product else None
-    return C, (U, b.polar_values(t), t.reshape(pts[-1].shape),
+    U = None
+    if b.is_product:
+        s = pts[0].ravel()
+        U = b.circle_jets(s) if jets else (b.circle_values(s),)
+    P = b.polar_jets(t) if jets else (b.polar_values(t),)
+    return C, (U, P, t.reshape(pts[-1].shape),
                np.sin(chi).reshape(pts[-1].shape), shape, mesh)
 
 
@@ -424,7 +479,7 @@ def frame_jets(f: ScalarField, *points):
     Points follow the ``evaluate`` convention, pointwise or an open mesh;
     with no points the jets are taken on the quadrature grid.
     """
-    C, tabs = _prepare(f.basis, [coefficients_of(f)], points)
+    C, tabs = _prepare(f.basis, [coefficients_of(f)], points, jets=True)
     b, t, sin_t = f.basis, tabs[2], tabs[3]
 
     def mix(i, j):

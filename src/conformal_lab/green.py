@@ -216,7 +216,14 @@ class _ProductImageKernelL:
 
 
 class _ProductDegreeSumP:
-    """Sphere-degree sum with closed-form circle kernels for the P operator."""
+    """Sphere-degree sum with closed-form circle kernels for the P operator.
+
+    Per sphere degree m the Paneitz operator of S^1 x S^d(b) factors
+    into two circle operators -d^2/ds^2 + z, with the real roots
+    sqrt(z1) = |m + (n-4)/2| / b and sqrt(z2) = (m + n/2) / b, so
+    z2 - z1 = 2 (2m + n - 2) / b^2 > 0 and the circle kernel of the
+    degree is the partial fraction (k(z1) - k(z2)) / (z2 - z1).
+    """
 
     representation = "eigen-expansion"
 
@@ -226,19 +233,9 @@ class _ProductDegreeSumP:
         n, d, b = m.n, m.sphere_dim, m.radius
         self.ell = m.length
         ms = np.arange(cutoff + 1, dtype=float)
-        lam_s = ms * (ms + d - 1) / b ** 2
-        c2 = (n * n - 4 * n + 8) / (2.0 * (n - 1) * (n - 2))
-        a4 = (4.0 / (n - 2)) * (d - 1) / b ** 2
-        R = m.scalar_curvature
-        q0 = 0.5 * (n - 4) * m.q_value
-        p = 2.0 * lam_s + c2 * R
-        qq = lam_s ** 2 + (c2 * R - a4) * lam_s + q0
-        disc = np.sqrt(p.astype(complex) ** 2 - 4.0 * qq)
-        small = np.abs(disc) < 1e-9
-        disc = np.where(small, disc + 1e-9, disc)
-        self.z1 = 0.5 * (p - disc)
-        self.z2 = 0.5 * (p + disc)
-        self.disc = disc
+        self.r1 = np.abs(ms + 0.5 * (n - 4)) / b
+        self.r2 = (ms + 0.5 * n) / b
+        self.disc = 2.0 * (2.0 * ms + n - 2) / b ** 2
         factor_volume = m.volume / self.ell
         self.norm = np.array([harmonic_dimension(d, int(mm))
                               for mm in range(cutoff + 1)], dtype=float) \
@@ -246,8 +243,8 @@ class _ProductDegreeSumP:
         (self.pole_values,) = zonal_polynomials(d, cutoff, np.ones(1),
                                                 order=0)
 
-    def _circle_kernel(self, z, u):
-        rz = np.sqrt(z)
+    def _circle_kernel(self, rz, u):
+        """Kernel of -d^2/ds^2 + rz^2 on the circle at offsets u >= 0."""
         eu = np.exp(-rz * u[..., None])
         el = np.exp(-rz * (self.ell - u[..., None]))
         return (eu + el) / (2.0 * rz * (1.0 - np.exp(-rz * self.ell)))
@@ -255,9 +252,9 @@ class _ProductDegreeSumP:
     def kernel_1d(self, ds):
         """Per-degree circle kernels at offsets ds (shape ds x modes)."""
         u = np.abs(np.atleast_1d(np.asarray(ds, dtype=float)))
-        k1 = self._circle_kernel(self.z1, u)
-        k2 = self._circle_kernel(self.z2, u)
-        return ((k1 - k2) / self.disc).real
+        k1 = self._circle_kernel(self.r1, u)
+        k2 = self._circle_kernel(self.r2, u)
+        return (k1 - k2) / self.disc
 
     def zonal(self, chi):
         """Zonal harmonics p_m(cos chi) / p_m(1) for all degrees."""

@@ -8,12 +8,14 @@ from the pole, geometrically graded panels toward it, and on products a
 smooth partition of unity that splits the reduced (s, chi) rectangle
 into a polar patch around the pole plus a blended far region.
 
-An integrand receives broadcastable coordinate arrays and returns values
-of their broadcast shape, plus any trailing column axis; each node block
-is then evaluated once and contracted with its weights, one integral per
-column.  The far rectangle on products arrives as an open mesh, an s
-column of shape (Ns, 1) and a chi row of shape (1, Nx), so the layers
-below can tabulate along each axis before they broadcast.
+Each rule is a list of node blocks ``[(points, weights)]``
+(``sphere_blocks``, ``product_blocks``), which a caller may evaluate
+itself.  An integrand receives broadcastable coordinate arrays and
+returns values of their broadcast shape, plus any trailing column axis;
+each node block is then evaluated once and contracted with its weights,
+one integral per column.  The far rectangle on products arrives as an
+open mesh, an s column of shape (Ns, 1) and a chi row of shape (1, Nx),
+so the layers below can tabulate along each axis before they broadcast.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ import numpy as np
 
 __all__ = [
     "extrapolate_to_zero",
+    "product_blocks",
     "product_singular_integral",
+    "sphere_blocks",
     "sphere_zonal_integral",
 ]
 
@@ -63,16 +67,20 @@ def _contract(weights, vals):
     return float(out) if out.ndim == 0 else out
 
 
-def sphere_zonal_integral(m, fn, pole, level: int = 1,
-                          graded_depth: int | None = None,
-                          resolution: dict | None = None):
-    """Integral over a sphere backend of a zonal integrand fn(theta).
+def _integrate(blocks, fn):
+    """The integral of ``fn`` over the node blocks of a rule, each block
+    evaluated once and contracted with its weights."""
+    return sum(_contract(weights, fn(*points)) for points, weights in blocks)
 
-    ``fn`` receives polar angles and may be singular at ``pole``; 10-point
-    Gauss panels grade geometrically toward it.  ``level`` doubles the
-    panel count per unit.  ``fn`` may return a trailing column axis,
-    giving one integral per column.  A ``resolution`` dict receives the
-    node count (one block) and the graded depth.
+
+def sphere_blocks(m, pole, level: int = 1, graded_depth: int | None = None,
+                  resolution: dict | None = None) -> list:
+    """The rule of ``sphere_zonal_integral`` as one pointwise node block,
+    ``[((theta,), weights)]``.
+
+    10-point Gauss panels grade geometrically toward ``pole``;
+    ``level`` doubles the panel count per unit.  A ``resolution`` dict
+    receives the node count (one block) and the graded depth.
     """
     n = m.n
     a = m.radius
@@ -88,25 +96,39 @@ def sphere_zonal_integral(m, fn, pole, level: int = 1,
     surf = m.basis.orbit_area * a ** n * np.sin(xi) ** (n - 1)
     if resolution is not None:
         resolution.update(nodes=[xi.size], graded_depth=graded_depth)
-    return _contract(surf * w, fn(*m.chart_from_pole(pole, xi)))
+    return [(m.chart_from_pole(pole, xi), surf * w)]
 
 
-def product_singular_integral(m, fn, pole, level: int = 1,
-                              resolution: dict | None = None):
-    """Integral over a product backend of fn(s, chi) singular at the pole.
+def sphere_zonal_integral(m, fn, pole, level: int = 1,
+                          graded_depth: int | None = None,
+                          resolution: dict | None = None):
+    """Integral over a sphere backend of a zonal integrand fn(theta),
+    which may be singular at ``pole``, on the rule of ``sphere_blocks``.
+
+    ``fn`` receives polar angles and may return a trailing column axis,
+    giving one integral per column.
+    """
+    return _integrate(sphere_blocks(m, pole, level, graded_depth,
+                                    resolution), fn)
+
+
+def product_blocks(m, pole, level: int = 1,
+                   resolution: dict | None = None) -> list:
+    """The rule of ``product_singular_integral`` as node blocks,
+    ``[((s, chi), weights)]``.
 
     A polar patch of radius r1 around the pole is integrated in
     (r, psi) shells graded toward r = 0; the complement is integrated
     on the full (s, chi) rectangle after multiplying by a C^4 cutoff
     that vanishes inside the patch, so both pieces see a smooth
     integrand.  Both use 6-point Gauss panels; the shells grade toward
-    the pole by halves, 18 + 6 * level times.  ``fn`` is called once per
-    block with broadcastable (s, chi) arrays and returns values of their
-    broadcast shape, plus any trailing column axis, giving one integral
-    per column.  The polar patch is not separable and arrives pointwise;
-    the far rectangle arrives as an open mesh, an s column and a chi row.
-    A ``resolution`` dict receives the node counts of the two blocks,
-    [near, far], and the graded depth.
+    the pole by halves, 18 + 6 * level times, and the rectangle takes
+    8 * 2**level panels per axis, more where the cut-off band
+    (r1 - r0 = r1 / 2) would be narrower than 2**(level - 1) panels.
+    The polar patch is not separable and comes pointwise; the far
+    rectangle comes as an open mesh, an s column and a chi row, with
+    full weights.  A ``resolution`` dict receives the node counts of
+    the two blocks, [near, far], and the graded depth.
     """
     d = m.sphere_dim
     b = m.radius
@@ -129,12 +151,14 @@ def product_singular_integral(m, fn, pole, level: int = 1,
     cut = 1.0 - smoothstep((R - r0) / (r1 - r0))
     # ds d(b chi) = r dr dpsi, so the jacobian is plain r
     meas = orbit * np.sin(chi_eff) ** (d - 1) * R
-    near = _contract(cut * meas * WR * WP,
-                     fn(*m.chart_from_pole(pole, ds, chi_eff)))
+    near = (m.chart_from_pole(pole, ds, chi_eff), cut * meas * WR * WP)
 
-    # far region on the full rectangle, integrand cut off inside the patch
-    ns = 8 * 2 ** level
-    nx = 8 * 2 ** level
+    # far region on the full rectangle, integrand cut off inside the
+    # patch; panels no wider than h keep the band resolved at every
+    # circle length
+    h = (r1 - r0) / 2 ** (level - 1)
+    ns = max(8 * 2 ** level, math.ceil(ell / h))
+    nx = max(8 * 2 ** level, math.ceil(math.pi * b / h))
     s_nodes, s_w = _gauss_panels(np.linspace(-0.5 * ell, 0.5 * ell, ns + 1),
                                  6)
     x_nodes, x_w = _gauss_panels(np.linspace(0.0, math.pi, nx + 1), 6)
@@ -143,12 +167,23 @@ def product_singular_integral(m, fn, pole, level: int = 1,
     rr = np.hypot(DS, b * CHI_EFF)
     cut_far = smoothstep((rr - r0) / (r1 - r0))
     meas = orbit * b * np.sin(CHI_EFF) ** (d - 1)
-    weights = cut_far * meas * WS * WX
-    far = _contract(weights, fn(*m.chart_from_pole(pole, DS, CHI_EFF)))
+    far = (m.chart_from_pole(pole, DS, CHI_EFF), cut_far * meas * WS * WX)
     if resolution is not None:
-        resolution.update(nodes=[R.size, weights.size],
+        resolution.update(nodes=[R.size, far[1].size],
                           graded_depth=graded_depth)
-    return near + far
+    return [near, far]
+
+
+def product_singular_integral(m, fn, pole, level: int = 1,
+                              resolution: dict | None = None):
+    """Integral over a product backend of fn(s, chi), which may be
+    singular at ``pole``, on the rule of ``product_blocks``.
+
+    ``fn`` is called once per block with broadcastable (s, chi) arrays
+    and returns values of their broadcast shape, plus any trailing
+    column axis, giving one integral per column.
+    """
+    return _integrate(product_blocks(m, pole, level, resolution), fn)
 
 
 def extrapolate_to_zero(radii, values) -> float:

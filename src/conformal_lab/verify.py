@@ -26,6 +26,7 @@ import time
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -237,41 +238,61 @@ def default_test_functions(m: ManifoldModel, seed: int = 0):
     return fns
 
 
-def _manifold_integral(m, fn, level, gL):
-    """Graded integral around the pole of ``gL`` and its resolution."""
-    resolution = {}
-    integral = (Q.product_singular_integral if m.is_product
-                else Q.sphere_zonal_integral)
-    value = integral(m, fn, gL.pole, level=level, resolution=resolution)
-    if m.is_product:
-        resolution["images"] = gL.cutoff
-    return value, resolution
+_DENSITIES = {}
 
 
-def _paired_integrals(m, level, gL, profile, fns, weights):
+def _blowup_density(m: ManifoldModel, level: int):
+    """The graded rule around the north pole of ``m`` at ``level``, with
+    G_L and |Ric_blowup|^2 of the blow-up metric G_L^{4/(n-2)} g at its
+    nodes, and the resolution of the rule.
+
+    Returns ``(blocks, resolution)``: per node block of the rule a tuple
+    ``(points, weights, G_L, |Ric_blowup|^2)`` of read-only arrays, and a
+    read-only resolution.  The profile w = (2/(n-2)) log G_L of the
+    blow-up metric gives G_L too, so the kernel is summed once per
+    block.  It is built on first use per (backend, level) and then kept,
+    so the identities and the total Q of a backend read one density.  No
+    lock is held while it is built: two jobs that build it at once build
+    equal densities, and the first one stored is kept.
+    """
+    key = (m, level)
+    if key not in _DENSITIES:
+        gL = green_field(m, "L", Pole())
+        profile = gL.log_profile(2.0 / (m.n - 2.0))
+        resolution = {}
+        rule = Q.product_blocks if m.is_product else Q.sphere_blocks
+        blocks = []
+        for points, weights in rule(m, gL.pole, level=level,
+                                    resolution=resolution):
+            w, grad, hess = profile.jets(points)
+            comps = ricci_from_jets(m, grad, hess)
+            block = (points, weights, np.exp(w / profile.scale),
+                     F.frame_dot(m.basis, comps, comps))
+            for arr in (*points, *block[1:]):
+                arr.setflags(write=False)
+            blocks.append(block)
+        if m.is_product:
+            resolution["images"] = gL.cutoff
+        _DENSITIES.setdefault(key, (tuple(blocks),
+                                    MappingProxyType(resolution)))
+    return _DENSITIES[key]
+
+
+def _paired_integrals(m, level, fns, densities):
     """int a P(phi) dmu and int c phi dmu for every test function phi.
 
-    ``weights(G_L, |Ric_blowup|^2)`` gives the node weights (a, c).  All
-    test functions share one graded pass: the integrand evaluates the node
-    data once per block and returns the columns [P(phi)..., phi...].  The
-    profile w = scale * log G_L of the blow-up metric also gives G_L, so
-    the kernel is summed once per block.
+    ``densities(G_L, |Ric_blowup|^2)`` gives (a, c) at the nodes of the
+    blow-up density of ``m``.  Both are paired with all test functions
+    in one call per node block, by mode moments, so no value of a test
+    function at a node is formed.
     """
     p_fns = [apply_P(m, phi) for phi in fns]
     k = len(fns)
-
-    def integrand(*pts):
-        w, grad, hess = profile.jets(pts)
-        comps = ricci_from_jets(m, grad, hess)
-        a, c = weights(np.exp(w / profile.scale),
-                       F.frame_dot(m.basis, comps, comps))
-        vals = F.evaluate(p_fns + fns, *pts)
-        vals[..., :k] *= a[..., None]
-        vals[..., k:] *= c[..., None]
-        return vals
-
-    totals, resolution = _manifold_integral(m, integrand, level, gL)
-    return totals[:k], totals[k:], resolution
+    blocks, resolution = _blowup_density(m, level)
+    totals = sum(F.pair(p_fns + fns, np.stack(
+        [wq * d for d in densities(g, ricci_sq)], axis=-1), *points)
+        for points, wq, g, ricci_sq in blocks)
+    return totals[0, :k], totals[1, k:], resolution
 
 
 def _pole_identity(m, law, level, tolerance, seed):
@@ -282,10 +303,9 @@ def _pole_identity(m, law, level, tolerance, seed):
     four = n == 4
     s = (n - 4.0) / (n - 2.0)
     target = 16.0 * math.pi ** 2 if four else comparison_constant(n)
-    gL = green_field(m, "L", Pole())
     fns = default_test_functions(m, seed)
     t_mains, t_riccis, resolution = _paired_integrals(
-        m, level, gL, gL.log_profile(1.0 if four else 2.0 / (n - 2.0)), fns,
+        m, level, fns,
         (lambda g, ricci_sq: (np.log(g), ricci_sq)) if four
         else (lambda g, ricci_sq: (g ** s, g ** s * ricci_sq)))
     checks = []
@@ -306,7 +326,7 @@ def _pole_identity(m, law, level, tolerance, seed):
         checks.append(_verdict(
             "blowup-integrability", math.isfinite(integrability),
             detail=f"L1 mass of the singular density: {integrability:.6g}"))
-    return checks, {"level": level, "pole": gL.pole.label(),
+    return checks, {"level": level, "pole": Pole().label(),
                     "test_functions": len(fns), **resolution}
 
 
@@ -353,9 +373,6 @@ def check_total_q(m: ManifoldModel, tolerance: float,
     vanishes, which happens exactly in the round conformal class.
     """
     target = 16.0 * math.pi ** 2
-    gL = green_field(m, "L", Pole())
-    profile = gL.log_profile(1.0)
-
     if factor is None:
         total_q = m.q_value * m.volume
     else:
@@ -363,15 +380,12 @@ def check_total_q(m: ManifoldModel, tolerance: float,
         w = factor.w_grid.grid_values
         total_q = float(np.sum(q_tilde.grid_values * np.exp(4.0 * w)
                                * m.basis.quadrature_weights()))
-
-    def fn(*pts):
-        comps = conformal_ricci(m, profile, pts)
-        # in dimension four the norm in a changed frame (e^{-4w}) times its
-        # volume element (e^{4w}) is the base integrand, so the defect
-        # needs no conformal weight
-        return 0.5 * F.frame_dot(m.basis, comps, comps)
-
-    defect, resolution = _manifold_integral(m, fn, level, gL)
+    # in dimension four the norm in a changed frame (e^{-4w}) times its
+    # volume element (e^{4w}) is the base integrand, so the defect needs
+    # no conformal weight and reads the blow-up density of the identity
+    blocks, resolution = _blowup_density(m, level)
+    defect = sum(0.5 * float(np.tensordot(wq, ricci_sq, wq.ndim))
+                 for _, wq, _, ricci_sq in blocks)
     total = total_q + defect
     verdict = "EQUALITY" if abs(defect) <= max(tolerance, 1e-6) * target \
         else "STRICT"
@@ -380,7 +394,7 @@ def check_total_q(m: ManifoldModel, tolerance: float,
                 detail=f"int Q = {total_q:.8g}, defect = {defect:.8g}, "
                        f"verdict = {verdict}"),
     ]
-    return checks, {"level": level, "pole": gL.pole.label(),
+    return checks, {"level": level, "pole": Pole().label(),
                     "conformal": factor is not None, "total_q": total_q,
                     "defect": defect, "verdict": verdict, **resolution}
 

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
+from conformal_lab import verify
 from conformal_lab.geometry import catalog_build
+
+
+@pytest.fixture(autouse=True)
+def fresh_blowup_densities(monkeypatch):
+    """Every test builds the blow-up densities it reads: one kept from an
+    earlier test would hide a kernel the test mutates."""
+    monkeypatch.setattr(verify, "_DENSITIES", {})
 
 
 @pytest.fixture(scope="session")

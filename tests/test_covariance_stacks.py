@@ -65,19 +65,26 @@ def test_a_slipped_trial_axis_fails_the_bilinear_law(request, monkeypatch,
 
 
 def _counted(monkeypatch):
-    counts = {"polar_values": 0, "frame_jets": 0}
-    polar_values = basis.ModeBasis.polar_values
+    """Count the polar tabulations at points, values (``polar_values``)
+    and jets (``polar_jets``) alike, and the ``frame_jets`` calls."""
+    counts = {"polar": 0, "frame_jets": 0}
     frame_jets = fields.frame_jets
 
-    def count_polar(self, t):
-        counts["polar_values"] += 1
-        return polar_values(self, t)
+    def counting(name):
+        orig = getattr(basis.ModeBasis, name)
+
+        def count_polar(self, t):
+            counts["polar"] += 1
+            return orig(self, t)
+
+        monkeypatch.setattr(basis.ModeBasis, name, count_polar)
 
     def count_jets(f, *points):
         counts["frame_jets"] += 1
         return frame_jets(f, *points)
 
-    monkeypatch.setattr(basis.ModeBasis, "polar_values", count_polar)
+    counting("polar_values")
+    counting("polar_jets")
     monkeypatch.setattr(fields, "frame_jets", count_jets)
     return counts
 
@@ -87,9 +94,9 @@ def test_tabulation_does_not_grow_with_trials(sphere5, monkeypatch):
     counts = _counted(monkeypatch)
     check_covariance(sphere5, trials=1)
     one = dict(counts)
-    counts.update(polar_values=0, frame_jets=0)
+    counts.update(polar=0, frame_jets=0)
     check_covariance(sphere5, trials=10)
-    assert one["polar_values"] > 0 and one["frame_jets"] > 0
+    assert one["polar"] > 0 and one["frame_jets"] > 0
     assert counts == one
 
 

@@ -336,6 +336,58 @@ def test_nan_coefficient_poisons_band_limited_evaluation(name, request, rng):
     assert np.all(np.isnan(vals[..., 1]))
 
 
+# ----------------------------------------------------------------- pairing
+
+def _pairing_points(m, rng):
+    """Points off the grid, pointwise, and on a product an open mesh too."""
+    cases = [_off_grid_points(m, rng)]
+    if m.is_product:
+        cases.append((rng.uniform(-m.length, 2 * m.length, 23)[:, None],
+                      rng.uniform(0, math.pi, 19)[None, :]))
+    return cases
+
+
+@pytest.mark.parametrize("name", ["sphere5", "s1xs2"])
+def test_pairing_is_evaluate_then_contract(name, request, rng):
+    """sum_p v_p f(p) by mode moments equals it summed from the values,
+    within 1e-13 of the largest term, for a sequence against two density
+    columns, one field against one density, and a stack of fields."""
+    m = request.getfixturevalue(name)
+    fields = _band_mix(m, rng)
+    stack = F.sup_normalized(m.basis, [_random_mode_field(
+        m.basis, rng, degree=4, fourier=3).coefficients for _ in range(3)])
+    for pts in _pairing_points(m, rng):
+        shape = np.broadcast_shapes(*(np.shape(p) for p in pts))
+        axes = tuple(range(len(shape)))
+        v = rng.normal(size=shape + (2,))
+        vals = F.evaluate(fields, *pts)
+        terms = v[..., :, None] * vals[..., None, :]
+        got = F.pair(fields, v, *pts)
+        assert got.shape == (2, len(fields))
+        assert_allclose(got, terms.sum(axis=axes), rtol=0,
+                        atol=1e-13 * np.max(np.abs(terms)))
+        one = F.pair(fields[1], v[..., 0], *pts)
+        assert one.shape == ()
+        assert abs(one - got[0, 1]) <= 1e-13 * np.max(np.abs(terms))
+        terms = F.evaluate(stack, *pts)[..., None] * v
+        got = F.pair(stack, v, *pts)
+        assert got.shape == (3, 2)
+        assert_allclose(got, terms.sum(axis=tuple(a + 1 for a in axes)),
+                        rtol=0, atol=1e-13 * np.max(np.abs(terms)))
+
+
+@pytest.mark.parametrize("name", ["sphere5", "s1xs2"])
+def test_nan_density_at_a_zero_weight_node_poisons_the_pairing(name, request,
+                                                               rng):
+    m = request.getfixturevalue(name)
+    fields = _band_mix(m, rng)[:2]
+    for pts in _pairing_points(m, rng):
+        shape = np.broadcast_shapes(*(np.shape(p) for p in pts))
+        weights, density = np.ones(shape), np.ones(shape)
+        weights.flat[3], density.flat[3] = 0.0, np.nan
+        assert np.all(np.isnan(F.pair(fields, weights * density, *pts)))
+
+
 # -------------------------------------------------------------- invariants
 
 def test_basis_constants():

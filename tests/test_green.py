@@ -133,8 +133,8 @@ def test_product_image_kernel_matches_mode_sum(s1xs2):
     b = big.basis
     lam = build_symbol(big, "L")
     ds, chi = 1.1, 1.9
-    U0, _, _ = b.circle_values(np.array([0.0, ds]))
-    P0, _, _ = b.polar_values(np.array([1.0, math.cos(chi)]))
+    U0 = b.circle_values(np.array([0.0, ds]))
+    P0 = b.polar_values(np.array([1.0, math.cos(chi)]))
     series = float(np.sum(U0[0][:, None] * P0[0][None, :]
                           * U0[1][:, None] * P0[1][None, :] / lam))
     gf = green_eigen_expansion(s1xs2, "L")
@@ -249,6 +249,22 @@ def test_degree_sum_zonal_axis_values(s1xs2, s1xs3):
 def test_cutoff_too_low(s1xs2):
     with pytest.raises(CutoffTooLowError):
         green_eigen_expansion(s1xs2, "P", cutoff=3, tolerance=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["product-S1xS2", "product-S1xS3"])
+@pytest.mark.parametrize("radius, length", [(1.0, 2 * math.pi), (1.3, 0.7)])
+def test_degree_sum_roots_factor_the_P_symbol(kind, radius, length):
+    """The closed-form real roots of the degree sum factor the P symbol
+    of every (circle mode, degree): (w + z1)(w + z2), w = (2 pi k / l)^2,
+    with disc = z2 - z1."""
+    m = catalog_build(kind, None, {"length": length, "radius": radius},
+                      {"degree_max": 16, "fourier_max": 8})
+    kern = _ProductDegreeSumP(m, 16)
+    w = m.basis.circle_factor_eigenvalues()[:, None]
+    table = build_symbol(m, "P")
+    assert_allclose((w + kern.r1 ** 2) * (w + kern.r2 ** 2), table,
+                    rtol=0, atol=1e-14 * np.max(np.abs(table)))
+    assert_allclose(kern.disc, kern.r2 ** 2 - kern.r1 ** 2, rtol=1e-14)
 
 
 def test_p_expansion_cutoff_convergence(s1xs2):

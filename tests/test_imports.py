@@ -158,6 +158,8 @@ def test_an_unused_member_is_caught():
 SINGLE_PLACE = {
     "polar_values": {"basis", "fields._prepare"},
     "circle_values": {"basis", "fields._prepare"},
+    "polar_jets": {"basis", "fields._prepare"},
+    "circle_jets": {"basis", "fields._prepare"},
     "polar_tables": {"basis", "fields._prepare"},
     "circle_tables": {"basis", "fields._prepare"},
     "zonal_polynomials": {"basis", "green._ProductDegreeSumP"},
@@ -200,14 +202,16 @@ def test_a_second_tabulation_is_caught():
     sources = {"basis.py": "def _polar_tables(b): return b.polar_values(0)\n",
                "fields.py": "def _prepare(b, t):\n"
                             "    return b.polar_values(t), b.circle_tables()\n"
-                            "def analyze(b): return b.polar_tables()\n",
+                            "def analyze(b): return b.polar_tables()\n"
+                            "def frame_jets(f, s): return f.circle_jets(s)\n",
                "green.py": "from .basis import zonal_polynomials\n"
                            "class _ProductDegreeSumP:\n"
                            "    def f(self): return zonal_polynomials(2, 3, 0)\n"
                            "def sign_scan(t): return zonal_polynomials(2, 3, t)\n"
                            "zonal_polynomials(2, 3, 1.0)\n"}
     assert stray_calls(sources) == [
-        "fields.analyze: polar_tables", "green.<module>: zonal_polynomials",
+        "fields.analyze: polar_tables", "fields.frame_jets: circle_jets",
+        "green.<module>: zonal_polynomials",
         "green.sign_scan: zonal_polynomials"]
 
 

@@ -4,7 +4,7 @@ Points on a product given as an s column (Ns, 1) and a chi row (1, Nx)
 are tabulated once per distinct coordinate and summed per axis.  Every
 layer must give what the same points give materialized to the full
 shape, and the far quadrature block must reach the basis tables at
-Ns + Nx points, not Ns * Nx.
+Ns + Nx points, not Ns * Nx, and there as value tables only.
 """
 
 import math
@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conformal_lab import basis
+from conformal_lab import basis, verify
 from conformal_lab import fields as F
 from conformal_lab import quadrature as Q
 from conformal_lab.green import green_eigen_expansion
@@ -89,47 +89,62 @@ def test_degree_sum_value(s1xs2):
                                          ("s1xs3", "4d-identity")])
 def test_identity_integrals(name, suite, request, monkeypatch):
     """The weak (n = 3) and log-kernel (n = 4) identity integrals of the
-    graded pass, with the points handed over as given or materialized."""
+    graded pass, block by block, with the far block's points as given or
+    materialized."""
     m = request.getfixturevalue(name)
-    integral = Q.product_singular_integral
+    blocks = Q.product_blocks
+    pair = F.pair
 
     def run(materialize):
         got = []
 
-        def recorded(m, fn, *args, **kw):
-            def given(*pts):
-                return fn(*(np.broadcast_arrays(*pts) if materialize else pts))
+        def given(*args, **kw):
+            rule = blocks(*args, **kw)
+            if materialize:
+                rule = [(np.broadcast_arrays(*pts), w) for pts, w in rule]
+            return rule
 
-            got.append(integral(m, given, *args, **kw))
+        def recorded(*args):
+            got.append(pair(*args))
             return got[-1]
 
-        monkeypatch.setattr(Q, "product_singular_integral", recorded)
+        monkeypatch.setattr(verify, "_DENSITIES", {})
+        monkeypatch.setattr(Q, "product_blocks", given)
+        monkeypatch.setattr(F, "pair", recorded)
         run_suite(suite, m)
-        (columns,) = got
-        return columns
+        assert len(got) == 2  # the near patch and the far rectangle
+        return np.array(got)
 
     _close(run(False), run(True))
 
 
+def _sizes(monkeypatch, names):
+    """The point count of every call of the ``ModeBasis`` methods
+    ``names``, by name."""
+    sizes = {}
+    for name in names:
+        orig = getattr(basis.ModeBasis, name)
+
+        def count(self, x, name=name, orig=orig):
+            sizes[name].append(np.size(x))
+            return orig(self, x)
+
+        sizes[name] = []
+        monkeypatch.setattr(basis.ModeBasis, name, count)
+    return sizes
+
+
 def test_the_far_block_is_tabulated_per_axis(s1xs2, monkeypatch):
     """One weak-identity pass tabulates the 192 x 192 far rectangle at
-    192 s and 192 chi values: no table reaches 36,864 points."""
-    sizes = {"polar_values": [], "circle_values": []}
-    polar_values = basis.ModeBasis.polar_values
-    circle_values = basis.ModeBasis.circle_values
-
-    def count_polar(self, t):
-        sizes["polar_values"].append(np.size(t))
-        return polar_values(self, t)
-
-    def count_circle(self, s):
-        sizes["circle_values"].append(np.size(s))
-        return circle_values(self, s)
-
-    monkeypatch.setattr(basis.ModeBasis, "polar_values", count_polar)
-    monkeypatch.setattr(basis.ModeBasis, "circle_values", count_circle)
+    192 s and 192 chi values: no table reaches 36,864 points.  The
+    pairing needs values only, so no derivative table is built at the
+    quadrature nodes."""
+    sizes = _sizes(monkeypatch, ("polar_values", "circle_values",
+                                 "polar_jets", "circle_jets"))
     report = run_suite("weak-identity", s1xs2)
     near, far = report.resolution["nodes"]
     assert far == 192 * 192
-    for name, counted in sizes.items():
-        assert sorted(counted) == [1, 192, near], name
+    for name in ("polar_values", "circle_values"):
+        assert sorted(sizes[name]) == [1, 192, near], name
+    for name in ("polar_jets", "circle_jets"):
+        assert not {near, 192} & set(sizes[name]), name

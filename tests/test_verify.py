@@ -48,6 +48,19 @@ def test_weak_identity_product_converges(s1xs2):
     assert worst[0] < 1e-2
 
 
+@pytest.mark.parametrize("length", [0.5, 40.0])
+def test_weak_identity_follows_the_circle_length(length):
+    """The far rectangle's panels follow the cut-off band at every circle
+    length: at level 2 the worst residual reads 4.0e-9 (l = 0.5) and
+    2.4e-10 (l = 40); with 32 panels per axis whatever the length it
+    read 1.7e-2 and 1.0e-2, failing the bound 1e-2."""
+    m = catalog_build("product-S1xS2", None, {"length": length},
+                      {"degree_max": 16, "fourier_max": 8})
+    report = check_weak_identity(m)
+    assert report.passed
+    assert max(_weak_residuals(report)) < 1e-7
+
+
 def _weak_residuals(report):
     return [abs(c.residual) for c in report.checks if c.law == "weak-identity"]
 
@@ -170,30 +183,28 @@ def test_total_q_conformally_perturbed_sphere(sphere4, rng):
 def test_total_q_integrand_takes_no_conformal_weight(sphere4, rng,
                                                       monkeypatch):
     """The conformal weights cancel in dimension four, so the defect
-    integrand never evaluates the factor."""
+    density is built without evaluating the factor."""
     w = F.random_bandlimited(sphere4.basis, rng, degree=3, amplitude=0.1)
     factor = FieldFactor(sphere4, w)
     state = {"inside": False, "blocks": 0, "w_at_inside": 0}
     orig_w_at = ConformalFactor.w_at
-    orig_integral = Q.sphere_zonal_integral
+    orig_density = verify._blowup_density
 
     def counting_w_at(self, *points):
         state["w_at_inside"] += state["inside"]
         return orig_w_at(self, *points)
 
-    def marking(m, fn, *args, **kw):
-        def marked(*pts):
-            state["inside"] = True
-            state["blocks"] += 1
-            try:
-                return fn(*pts)
-            finally:
-                state["inside"] = False
-
-        return orig_integral(m, marked, *args, **kw)
+    def marking(m, level):
+        state["inside"] = True
+        try:
+            blocks, resolution = orig_density(m, level)
+        finally:
+            state["inside"] = False
+        state["blocks"] += len(blocks)
+        return blocks, resolution
 
     monkeypatch.setattr(ConformalFactor, "w_at", counting_w_at)
-    monkeypatch.setattr(Q, "sphere_zonal_integral", marking)
+    monkeypatch.setattr(verify, "_blowup_density", marking)
     report = check_total_q(sphere4, factor=factor, tolerance=1e-3)
     assert report.passed
     assert state["blocks"] > 0
@@ -292,28 +303,23 @@ def test_sign_theorems_propagate_other_errors(sphere5, monkeypatch):
 
 # ------------------------------------------------------- quadrature passes
 
-def _count_integrals(monkeypatch, name):
+def _count_blocks(monkeypatch, name):
     """Record, per call of ``quadrature.<name>``, the point count of each
-    block handed to the integrand."""
+    node block of the rule it returns."""
     calls = []
     orig = getattr(Q, name)
 
-    def counting(m, fn, *args, **kw):
-        blocks = []
-        calls.append(blocks)
-
-        def counted(*pts):
-            blocks.append(int(np.broadcast(*pts).size))
-            return fn(*pts)
-
-        return orig(m, counted, *args, **kw)
+    def counting(*args, **kw):
+        rule = orig(*args, **kw)
+        calls.append([int(np.broadcast(*pts).size) for pts, _ in rule])
+        return rule
 
     monkeypatch.setattr(Q, name, counting)
     return calls
 
 
 def test_weak_identity_takes_one_pass_on_product(s1xs2, monkeypatch):
-    calls = _count_integrals(monkeypatch, "product_singular_integral")
+    calls = _count_blocks(monkeypatch, "product_blocks")
     jets = []
     orig_jets = green._GreenLogProfile.jets
 
@@ -338,8 +344,10 @@ def test_weak_identity_takes_one_pass_on_product(s1xs2, monkeypatch):
 ])
 def test_resolution_records_the_nodes_the_integrand_received(
         suite, fixture, integral, request, monkeypatch):
+    """The nodes of the graded rule of ``integral``, whose blocks the
+    blow-up density of the suite is built on."""
     m = request.getfixturevalue(fixture)
-    calls = _count_integrals(monkeypatch, integral)
+    calls = _count_blocks(monkeypatch, integral.split("_")[0] + "_blocks")
     report = run_suite(suite, m, {"level": 1})
     assert len(calls) == 1
     res = report.resolution
@@ -349,6 +357,27 @@ def test_resolution_records_the_nodes_the_integrand_received(
         assert res["images"] == green.green_field(m, "L").cutoff > 0
     else:
         assert "images" not in res
+
+
+def test_4d_and_total_q_share_one_density(s1xs3, monkeypatch):
+    """4d-identity then total-q on S1xS3 sum the image kernel once per
+    node block, two calls and not four, and the defect total-q reads
+    from the shared density is the one it finds alone, bit for bit."""
+    alone = check_total_q(s1xs3).resolution["defect"]
+    monkeypatch.setattr(verify, "_DENSITIES", {})
+    calls = []
+    sums = green._ProductImageKernelL._sums
+
+    def counted(self, ds, chi, jets):
+        calls.append(jets)
+        return sums(self, ds, chi, jets)
+
+    monkeypatch.setattr(green._ProductImageKernelL, "_sums", counted)
+    assert check_4d_identity(s1xs3).passed
+    report = check_total_q(s1xs3)
+    assert report.passed
+    assert calls == [True, True]
+    assert report.resolution["defect"] == alone
 
 
 # ----------------------------------------------------------------- spectrum
@@ -453,6 +482,34 @@ def test_concurrent_jobs_build_one_ledger(sphere5, monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(calls) == 1 and len(ledgers) == 8
     assert all(ledger is ledgers[0] for ledger in ledgers)
+
+
+def test_concurrent_jobs_read_one_density(sphere5):
+    """Eight threads asking at once for a blow-up density may each build
+    one, unlocked, but all receive the one stored first, read-only."""
+    densities = []
+    start = threading.Barrier(8)
+
+    def job():
+        start.wait(timeout=10)
+        densities.append(verify._blowup_density(sphere5, 1))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=job) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(densities) == 8
+    assert all(d is densities[0] for d in densities)
+    assert densities[0] is verify._DENSITIES[(sphere5, 1)]
+    (block,) = densities[0][0]
+    assert not any(arr.flags.writeable for arr in (*block[0], *block[1:]))
 
 
 # --------------------------------------------------------------------- mass
