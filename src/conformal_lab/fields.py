@@ -55,6 +55,7 @@ __all__ = [
     "coefficients_of",
     "constant_field",
     "evaluate",
+    "even_part",
     "field_from_grid",
     "frame_bilinear",
     "frame_dot",
@@ -167,6 +168,18 @@ def constant_field(basis: ModeBasis, value: float) -> ScalarField:
     c = np.zeros(basis.mode_shape)
     c.flat[0] = value * math.sqrt(basis.volume)
     return synthesize(basis, c)
+
+
+def even_part(f: ScalarField) -> ScalarField:
+    """The part of a mode field even under the circle reflection s -> -s:
+    on a product the field of its coefficients with the sine rows
+    zeroed, on a sphere ``f`` itself."""
+    b = f.basis
+    if not b.is_product:
+        return f
+    c = np.array(coefficients_of(f))
+    c[..., 2::2, :] = 0.0  # row 2k carries sin(2 pi k s / l)
+    return synthesize(b, c)
 
 
 def random_modes(basis: ModeBasis, rng, degree: int,

@@ -13,7 +13,12 @@ Each rule is a list of node blocks ``[(points, weights)]``
 itself.  An integrand receives broadcastable coordinate arrays and
 returns values of their broadcast shape, plus any trailing column axis;
 each node block is then evaluated once and contracted with its weights,
-one integral per column.  The far rectangle on products arrives as an
+one integral per column.  The product rule is mirror-symmetric under
+the circle offset ds -> -ds and has no node on ds = 0, so
+``product_blocks`` returns its ds > 0 half with doubled weights, a rule
+for integrands even about the pole; ``product_singular_integral``
+integrates any integrand on the mirror completion of that half, which
+is the full rule.  The far rectangle on products arrives as an
 open mesh, an s column of shape (Ns, 1) and a chi row of shape (1, Nx),
 so the layers below can tabulate along each axis before they broadcast.
 """
@@ -112,23 +117,12 @@ def sphere_zonal_integral(m, fn, pole, level: int = 1,
                                     resolution), fn)
 
 
-def product_blocks(m, pole, level: int = 1,
-                   resolution: dict | None = None) -> list:
-    """The rule of ``product_singular_integral`` as node blocks,
-    ``[((s, chi), weights)]``.
+def _product_half(m, level: int):
+    """The ds > 0 half of the graded product rule in pole coordinates,
+    ``[((ds, chi), weights)]`` with doubled weights, and its graded depth.
 
-    A polar patch of radius r1 around the pole is integrated in
-    (r, psi) shells graded toward r = 0; the complement is integrated
-    on the full (s, chi) rectangle after multiplying by a C^4 cutoff
-    that vanishes inside the patch, so both pieces see a smooth
-    integrand.  Both use 6-point Gauss panels; the shells grade toward
-    the pole by halves, 18 + 6 * level times, and the rectangle takes
-    8 * 2**level panels per axis, more where the cut-off band
-    (r1 - r0 = r1 / 2) would be narrower than 2**(level - 1) panels.
-    The polar patch is not separable and comes pointwise; the far
-    rectangle comes as an open mesh, an s column and a chi row, with
-    full weights.  A ``resolution`` dict receives the node counts of
-    the two blocks, [near, far], and the graded depth.
+    The half is selected from the full panelization: the near-patch
+    columns with psi < pi/2 and the far-rectangle rows with ds > 0.
     """
     d = m.sphere_dim
     b = m.radius
@@ -144,14 +138,15 @@ def product_blocks(m, pole, level: int = 1,
     r_nodes, r_w = _gauss_panels(redges, 6)
     p_nodes, p_w = _gauss_panels(np.linspace(0.0, math.pi, 8 * 2 ** level + 1),
                                  6)
-    R, PSI = np.meshgrid(r_nodes, p_nodes, indexing="ij")
-    WR, WP = np.meshgrid(r_w, p_w, indexing="ij")
+    half = p_nodes < 0.5 * math.pi
+    R, PSI = np.meshgrid(r_nodes, p_nodes[half], indexing="ij")
+    WR, WP = np.meshgrid(r_w, 2.0 * p_w[half], indexing="ij")
     ds = R * np.cos(PSI)
     chi_eff = R * np.sin(PSI) / b
     cut = 1.0 - smoothstep((R - r0) / (r1 - r0))
     # ds d(b chi) = r dr dpsi, so the jacobian is plain r
     meas = orbit * np.sin(chi_eff) ** (d - 1) * R
-    near = (m.chart_from_pole(pole, ds, chi_eff), cut * meas * WR * WP)
+    near = ((ds, chi_eff), cut * meas * WR * WP)
 
     # far region on the full rectangle, integrand cut off inside the
     # patch; panels no wider than h keep the band resolved at every
@@ -161,29 +156,86 @@ def product_blocks(m, pole, level: int = 1,
     nx = max(8 * 2 ** level, math.ceil(math.pi * b / h))
     s_nodes, s_w = _gauss_panels(np.linspace(-0.5 * ell, 0.5 * ell, ns + 1),
                                  6)
+    half = s_nodes > 0.0
     x_nodes, x_w = _gauss_panels(np.linspace(0.0, math.pi, nx + 1), 6)
-    DS, CHI_EFF = np.meshgrid(s_nodes, x_nodes, indexing="ij", sparse=True)
-    WS, WX = np.meshgrid(s_w, x_w, indexing="ij", sparse=True)
+    DS, CHI_EFF = np.meshgrid(s_nodes[half], x_nodes, indexing="ij",
+                              sparse=True)
+    WS, WX = np.meshgrid(2.0 * s_w[half], x_w, indexing="ij", sparse=True)
     rr = np.hypot(DS, b * CHI_EFF)
     cut_far = smoothstep((rr - r0) / (r1 - r0))
     meas = orbit * b * np.sin(CHI_EFF) ** (d - 1)
-    far = (m.chart_from_pole(pole, DS, CHI_EFF), cut_far * meas * WS * WX)
+    far = ((DS, CHI_EFF), cut_far * meas * WS * WX)
+    return [near, far], graded_depth
+
+
+def _charted(m, pole, blocks, graded_depth, resolution, **record):
+    """Node blocks in pole coordinates moved to chart coordinates, with
+    their node counts, the graded depth and ``record`` written to a
+    ``resolution`` dict."""
     if resolution is not None:
-        resolution.update(nodes=[R.size, far[1].size],
-                          graded_depth=graded_depth)
-    return [near, far]
+        resolution.update(nodes=[w.size for _, w in blocks],
+                          graded_depth=graded_depth, **record)
+    return [(m.chart_from_pole(pole, *sep), w) for sep, w in blocks]
+
+
+def product_blocks(m, pole, level: int = 1,
+                   resolution: dict | None = None) -> list:
+    """The ds > 0 half of the graded product rule, as node blocks
+    ``[((s, chi), weights)]`` with doubled weights: a rule for
+    integrands that are even about ``pole`` under ds -> -ds.
+
+    A polar patch of radius r1 around the pole is integrated in
+    (r, psi) shells graded toward r = 0; the complement is integrated
+    on the full (s, chi) rectangle after multiplying by a C^4 cutoff
+    that vanishes inside the patch, so both pieces see a smooth
+    integrand.  Both use 6-point Gauss panels; the shells grade toward
+    the pole by halves, 18 + 6 * level times, and the rectangle takes
+    8 * 2**level panels per axis, more where the cut-off band
+    (r1 - r0 = r1 / 2) would be narrower than 2**(level - 1) panels.
+
+    The whole rule is mirror-symmetric under ds -> -ds, and no node lies
+    on the mirror line ds = 0: the psi panels split [0, pi] at pi/2 and
+    the s panels split [-l/2, l/2] symmetrically, and a Gauss panel has
+    no node on its edges nor, with an even order, at its middle, where
+    an odd s panel count puts ds = 0.  So the half keeps the near-patch
+    columns with psi < pi/2 and the far-rectangle rows with ds > 0,
+    selected from the full panelization, and its weights double.
+    The polar patch is not separable and comes pointwise; the far
+    rectangle comes as an open mesh, an s column and a chi row.  A
+    ``resolution`` dict receives the node counts of the two half blocks,
+    [near, far], the graded depth and ``mirror="s"``.
+    """
+    blocks, graded_depth = _product_half(m, level)
+    return _charted(m, pole, blocks, graded_depth, resolution, mirror="s")
+
+
+def _mirror_completion(block):
+    """A half block in pole coordinates completed to the full rule: its
+    nodes at ds and -ds, stacked along the first axis, with halved
+    weights."""
+    (ds, chi), w = block
+    if chi.shape[0] > 1:  # pointwise; an open mesh's chi row is shared
+        chi = np.concatenate([chi, chi])
+    return (np.concatenate([ds, -ds]), chi), 0.5 * np.concatenate([w, w])
 
 
 def product_singular_integral(m, fn, pole, level: int = 1,
                               resolution: dict | None = None):
     """Integral over a product backend of fn(s, chi), which may be
-    singular at ``pole``, on the rule of ``product_blocks``.
+    singular at ``pole`` and need not be even about it, on the mirror
+    completion of ``product_blocks``: each half block's nodes at
+    s0 + ds and s0 - ds with halved weights, which is the full graded
+    rule.
 
     ``fn`` is called once per block with broadcastable (s, chi) arrays
     and returns values of their broadcast shape, plus any trailing
-    column axis, giving one integral per column.
+    column axis, giving one integral per column.  A ``resolution`` dict
+    receives the node counts of the completed blocks and the graded
+    depth.
     """
-    return _integrate(product_blocks(m, pole, level, resolution), fn)
+    blocks, graded_depth = _product_half(m, level)
+    full = [_mirror_completion(block) for block in blocks]
+    return _integrate(_charted(m, pole, full, graded_depth, resolution), fn)
 
 
 def extrapolate_to_zero(radii, values) -> float:

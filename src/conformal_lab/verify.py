@@ -246,6 +246,11 @@ def _blowup_density(m: ManifoldModel, level: int):
     G_L and |Ric_blowup|^2 of the blow-up metric G_L^{4/(n-2)} g at its
     nodes, and the resolution of the rule.
 
+    On a product the reflection s -> -s fixes the pole at s = 0 and is an
+    isometry, so the density is even in s, and the rule is the ds > 0
+    half of ``quadrature.product_blocks``, with doubled weights: a field
+    pairs with it through its ``fields.even_part``.
+
     Returns ``(blocks, resolution)``: per node block of the rule a tuple
     ``(points, weights, G_L, |Ric_blowup|^2)`` of read-only arrays, and a
     read-only resolution.  The profile w = (2/(n-2)) log G_L of the
@@ -284,12 +289,15 @@ def _paired_integrals(m, level, fns, densities):
     ``densities(G_L, |Ric_blowup|^2)`` gives (a, c) at the nodes of the
     blow-up density of ``m``.  Both are paired with all test functions
     in one call per node block, by mode moments, so no value of a test
-    function at a node is formed.
+    function at a node is formed.  The density is even in s, so only the
+    even part of each test function meets it; P commutes with the
+    reflection, so P of that part is the even part of P(phi).
     """
-    p_fns = [apply_P(m, phi) for phi in fns]
+    evens = [F.even_part(phi) for phi in fns]
+    p_evens = [apply_P(m, phi) for phi in evens]
     k = len(fns)
     blocks, resolution = _blowup_density(m, level)
-    totals = sum(F.pair(p_fns + fns, np.stack(
+    totals = sum(F.pair(p_evens + evens, np.stack(
         [wq * d for d in densities(g, ricci_sq)], axis=-1), *points)
         for points, wq, g, ricci_sq in blocks)
     return totals[0, :k], totals[1, k:], resolution

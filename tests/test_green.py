@@ -11,6 +11,7 @@ from conformal_lab.errors import (CutoffTooLowError, KernelError,
 from conformal_lab.geometry import (FieldFactor, MoebiusFactor, Pole,
                                     catalog_build)
 from conformal_lab.green import (ComparisonResult, _ProductDegreeSumP,
+                                 _ProductImageKernelL,
                                  compare_green,
                                  comparison_constant, extract_mass,
                                  flat_L_coefficient, green_eigen_expansion,
@@ -180,6 +181,64 @@ def test_image_kernel_jets_match_value_and_differences(name, request):
     for key, fd in want.items():
         scale = np.max(np.abs(j[key]))
         assert_allclose(j[key], fd, rtol=0, atol=1e-6 * scale, err_msg=key)
+
+
+def _mirror_defects(kern):
+    """Per component of the image kernel's value and log jets, the
+    largest defect of its parity under ds -> -ds over a mesh off the
+    pole, relative to the component's largest value: w_s and sx must
+    be odd, every other component even."""
+    ell = kern.ell
+    ds = np.linspace(0.0, 0.5 * ell, 24)[1:, None]
+    chi = np.linspace(0.0, math.pi, 20)[None, 1:]
+
+    def components(sign):
+        w, (w_s, w_x), hess = kern.log_jets(0.5, sign * ds, chi)
+        return {"value": kern.value(sign * ds, chi), "w": w, "w_s": w_s,
+                "w_x": w_x, **hess}
+
+    plus, minus = components(1.0), components(-1.0)
+    odd = {"w_s", "sx"}
+    return {k: float(np.max(np.abs(plus[k] - (-1.0 if k in odd else 1.0)
+                                   * minus[k])) / np.max(np.abs(plus[k])))
+            for k in plus}
+
+
+@pytest.mark.parametrize("kind", ["product-S1xS2", "product-S1xS3"])
+@pytest.mark.parametrize("length", [0.5, 2 * math.pi, 40.0])
+def test_parity_of_the_image_kernel(kind, length, monkeypatch):
+    """The reflection ds -> -ds fixes the pole and is an isometry, so G_L
+    and its log jets keep their parity to 6e-15 (at l = 2 pi), which
+    the half rule of the identities relies on.  Dropping only the
+    j = +1 image breaks the parity of every component by more than
+    1e3 times that bound (5e-10 for orb at l = 40, where the image is
+    far from the mesh's largest values) and of some component by more
+    than 0.1."""
+    m = catalog_build(kind, None, {"length": length},
+                      {"degree_max": 4, "fourier_max": 2})
+    kern = green_eigen_expansion(m, "L").kernel
+    defects = _mirror_defects(kern)
+    assert set(defects) == {"value", "w", "w_s", "w_x", "ss", "sx", "xx",
+                            "orb"}
+    for k, defect in defects.items():
+        assert defect <= 1e-14, (k, defect)
+
+    sums = _ProductImageKernelL._sums
+
+    def without_plus_one(self, ds, chi, jets):
+        full = sums(self, ds, chi, jets)
+        cutoff, self.cutoff = self.cutoff, 0
+        try:  # the j = +1 image alone is the j = 0 term one circle on
+            image = sums(self, np.asarray(ds, dtype=float) + self.ell, chi,
+                         jets)
+        finally:
+            self.cutoff = cutoff
+        return [f - i for f, i in zip(full, image)]
+
+    monkeypatch.setattr(_ProductImageKernelL, "_sums", without_plus_one)
+    broken = _mirror_defects(kern)
+    assert min(broken.values()) > 1e3 * 1e-14, broken
+    assert max(broken.values()) > 0.1, broken
 
 
 def test_image_kernel_jets_take_a_few_point_vectors(s1xs2):
