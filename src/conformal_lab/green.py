@@ -469,12 +469,23 @@ def green_field(m: ManifoldModel, operator: str, pole: Pole | None = None,
 
 def green_pair(gf: GreenField, f: ScalarField, level: int = 2) -> float:
     """Quadrature of int G(pole, q) f(q) dmu(q) with pole grading, for a
-    mode field ``f``."""
+    mode field ``f``: ``f`` paired by ``fields.pair`` with w G at the
+    nodes of the graded rule around the pole.
+
+    On a product each half block of ``quadrature.product_blocks`` is
+    paired at s and at its mirror 2 s0 - s, each side with weights
+    w / 2 and G evaluated there: the full rule, so a transported kernel
+    need not be even about its pole.
+    """
     m = gf.manifold
-    integral = (Q.product_singular_integral if m.is_product
-                else Q.sphere_zonal_integral)
-    return integral(m, lambda *pts: gf.values_at(*pts) * F.evaluate(f, *pts),
-                    gf.pole, level=level)
+    if not m.is_product:
+        [(points, w)] = Q.sphere_blocks(m, gf.pole, level=level)
+        return float(F.pair(f, w * gf.values_at(*points), *points))
+    total = 0.0
+    for (s, chi), w in Q.product_blocks(m, gf.pole, level=level):
+        for side in (s, 2.0 * gf.pole.s0 - s):
+            total += F.pair(f, 0.5 * w * gf.values_at(side, chi), side, chi)
+    return float(total)
 
 
 # --------------------------------------------------------------- sign scan
@@ -614,19 +625,17 @@ def extract_mass(m: ManifoldModel, pole: Pole | None = None,
     base_L = green_sphere_closed_form(m, "L", pole)
     profile = base_L.log_profile(2.0 / (n - 2.0))
 
-    def integrand(theta):
-        comps = conformal_ricci(m, profile, (theta,))
-        nsq = F.frame_dot(m.basis, comps, comps)
-        w = 0.0 if factor is None else factor.w_at(theta)
-        return gP.values_at(theta) * gL.values_at(theta) ** s \
-            * (np.exp(-4.0 * w) * nsq) * np.exp(n * w)
-
     # the integrand is O(1) dr near the pole after the measure, so a
     # moderate graded depth resolves it; descending further only picks up
     # the squared rounding noise of the curvature cancellation against
     # the r^(2(4-n)) kernel weight
-    integral = Q.sphere_zonal_integral(m, integrand, pole, level=level,
-                                       graded_depth=12)
+    [((theta,), w_q)] = Q.sphere_blocks(m, pole, level=level, graded_depth=12)
+    comps = conformal_ricci(m, profile, (theta,))
+    nsq = F.frame_dot(m.basis, comps, comps)
+    w = 0.0 if factor is None else factor.w_at(theta)
+    vals = gP.values_at(theta) * gL.values_at(theta) ** s \
+        * (np.exp(-4.0 * w) * nsq) * np.exp(n * w)
+    integral = float(np.tensordot(w_q, vals, w_q.ndim))
     a_int = norm * (n - 4.0) / (n - 2.0) ** 2 * integral
     return {
         "pole": pole.label(),

@@ -2,25 +2,24 @@
 
 Green's functions and their powers behave like r^(2-n) (or log r) at the
 pole, which is integrable against the volume measure but defeats the
-spectral quadrature of the basis.  The integrators here evaluate the
-integrand as a callable at arbitrary points: composite Gauss panels away
-from the pole, geometrically graded panels toward it, and on products a
-smooth partition of unity that splits the reduced (s, chi) rectangle
-into a polar patch around the pole plus a blended far region.
+spectral quadrature of the basis.  The rules here are composite Gauss
+panels away from the pole, geometrically graded panels toward it, and
+on products a smooth partition of unity that splits the reduced
+(s, chi) rectangle into a polar patch around the pole plus a blended
+far region.
 
-Each rule is a list of node blocks ``[(points, weights)]``
-(``sphere_blocks``, ``product_blocks``), which a caller may evaluate
-itself.  An integrand receives broadcastable coordinate arrays and
-returns values of their broadcast shape, plus any trailing column axis;
-each node block is then evaluated once and contracted with its weights,
-one integral per column.  The product rule is mirror-symmetric under
-the circle offset ds -> -ds and has no node on ds = 0, so
-``product_blocks`` returns its ds > 0 half with doubled weights, a rule
-for integrands even about the pole; ``product_singular_integral``
-integrates any integrand on the mirror completion of that half, which
-is the full rule.  The far rectangle on products arrives as an
-open mesh, an s column of shape (Ns, 1) and a chi row of shape (1, Nx),
-so the layers below can tabulate along each axis before they broadcast.
+A rule is its node blocks ``[(points, weights)]`` (``sphere_blocks``,
+``product_blocks``), in chart coordinates: a caller computes a density
+at the nodes of each block, weights included, and pairs it with fields
+by ``fields.pair``, or sums it where no field takes part.  The product
+rule is mirror-symmetric under the circle offset ds -> -ds and has no
+node on ds = 0, so ``product_blocks`` returns its ds > 0 half with
+doubled weights, a rule for densities even about the pole; a density
+that is not even is summed on both sides, each half block at s and at
+its mirror 2 s0 - s with halved weights, which is the full rule.  The
+far rectangle on products arrives as an open mesh, an s column of shape
+(Ns, 1) and a chi row of shape (1, Nx), so the layers below can
+tabulate along each axis before they broadcast.
 """
 
 from __future__ import annotations
@@ -29,13 +28,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "extrapolate_to_zero",
-    "product_blocks",
-    "product_singular_integral",
-    "sphere_blocks",
-    "sphere_zonal_integral",
-]
+__all__ = ["extrapolate_to_zero", "product_blocks", "sphere_blocks"]
 
 
 def _gauss_panels(edges: np.ndarray, order: int):
@@ -61,27 +54,20 @@ def smoothstep(x: np.ndarray) -> np.ndarray:
     return x ** 5 * (126.0 + x * (-420.0 + x * (540.0 + x * (-315.0 + 70.0 * x))))
 
 
-def _contract(weights, vals):
-    """Weighted sum over the node axes: a float, or one value per column.
-
-    Every node takes part, zero weights included, so a non-finite
-    integrand value anywhere poisons the result.
-    """
-    out = np.tensordot(weights, np.asarray(vals, dtype=float),
-                       axes=weights.ndim)
-    return float(out) if out.ndim == 0 else out
-
-
-def _integrate(blocks, fn):
-    """The integral of ``fn`` over the node blocks of a rule, each block
-    evaluated once and contracted with its weights."""
-    return sum(_contract(weights, fn(*points)) for points, weights in blocks)
+def _charted(m, pole, blocks, graded_depth, resolution, **record):
+    """Node blocks in pole coordinates moved to chart coordinates, with
+    their node counts, the graded depth and ``record`` written to a
+    ``resolution`` dict."""
+    if resolution is not None:
+        resolution.update(nodes=[w.size for _, w in blocks],
+                          graded_depth=graded_depth, **record)
+    return [(m.chart_from_pole(pole, *sep), w) for sep, w in blocks]
 
 
 def sphere_blocks(m, pole, level: int = 1, graded_depth: int | None = None,
                   resolution: dict | None = None) -> list:
-    """The rule of ``sphere_zonal_integral`` as one pointwise node block,
-    ``[((theta,), weights)]``.
+    """The graded rule of a sphere backend around ``pole`` as one
+    pointwise node block, ``[((theta,), weights)]``.
 
     10-point Gauss panels grade geometrically toward ``pole``;
     ``level`` doubles the panel count per unit.  A ``resolution`` dict
@@ -99,30 +85,37 @@ def sphere_blocks(m, pole, level: int = 1, graded_depth: int | None = None,
     ])
     xi, w = _gauss_panels(edges, 10)
     surf = m.basis.orbit_area * a ** n * np.sin(xi) ** (n - 1)
-    if resolution is not None:
-        resolution.update(nodes=[xi.size], graded_depth=graded_depth)
-    return [(m.chart_from_pole(pole, xi), surf * w)]
+    return _charted(m, pole, [((xi,), surf * w)], graded_depth, resolution)
 
 
-def sphere_zonal_integral(m, fn, pole, level: int = 1,
-                          graded_depth: int | None = None,
-                          resolution: dict | None = None):
-    """Integral over a sphere backend of a zonal integrand fn(theta),
-    which may be singular at ``pole``, on the rule of ``sphere_blocks``.
+def product_blocks(m, pole, level: int = 1,
+                   resolution: dict | None = None) -> list:
+    """The ds > 0 half of the graded product rule, as node blocks
+    ``[((s, chi), weights)]`` with doubled weights: a rule for
+    integrands that are even about ``pole`` under ds -> -ds.  Any other
+    integrand is summed at s and at 2 s0 - s with halved weights, which
+    is the full rule.
 
-    ``fn`` receives polar angles and may return a trailing column axis,
-    giving one integral per column.
-    """
-    return _integrate(sphere_blocks(m, pole, level, graded_depth,
-                                    resolution), fn)
+    A polar patch of radius r1 around the pole is integrated in
+    (r, psi) shells graded toward r = 0; the complement is integrated
+    on the full (s, chi) rectangle after multiplying by a C^4 cutoff
+    that vanishes inside the patch, so both pieces see a smooth
+    integrand.  Both use 6-point Gauss panels; the shells grade toward
+    the pole by halves, 18 + 6 * level times, and the rectangle takes
+    8 * 2**level panels per axis, more where the cut-off band
+    (r1 - r0 = r1 / 2) would be narrower than 2**(level - 1) panels.
 
-
-def _product_half(m, level: int):
-    """The ds > 0 half of the graded product rule in pole coordinates,
-    ``[((ds, chi), weights)]`` with doubled weights, and its graded depth.
-
-    The half is selected from the full panelization: the near-patch
-    columns with psi < pi/2 and the far-rectangle rows with ds > 0.
+    The whole rule is mirror-symmetric under ds -> -ds, and no node lies
+    on the mirror line ds = 0: the psi panels split [0, pi] at pi/2 and
+    the s panels split [-l/2, l/2] symmetrically, and a Gauss panel has
+    no node on its edges nor, with an even order, at its middle, where
+    an odd s panel count puts ds = 0.  So the half keeps the near-patch
+    columns with psi < pi/2 and the far-rectangle rows with ds > 0,
+    selected from the full panelization, and its weights double.
+    The polar patch is not separable and comes pointwise; the far
+    rectangle comes as an open mesh, an s column and a chi row.  A
+    ``resolution`` dict receives the node counts of the two half blocks,
+    [near, far], the graded depth and ``mirror="s"``.
     """
     d = m.sphere_dim
     b = m.radius
@@ -165,77 +158,8 @@ def _product_half(m, level: int):
     cut_far = smoothstep((rr - r0) / (r1 - r0))
     meas = orbit * b * np.sin(CHI_EFF) ** (d - 1)
     far = ((DS, CHI_EFF), cut_far * meas * WS * WX)
-    return [near, far], graded_depth
-
-
-def _charted(m, pole, blocks, graded_depth, resolution, **record):
-    """Node blocks in pole coordinates moved to chart coordinates, with
-    their node counts, the graded depth and ``record`` written to a
-    ``resolution`` dict."""
-    if resolution is not None:
-        resolution.update(nodes=[w.size for _, w in blocks],
-                          graded_depth=graded_depth, **record)
-    return [(m.chart_from_pole(pole, *sep), w) for sep, w in blocks]
-
-
-def product_blocks(m, pole, level: int = 1,
-                   resolution: dict | None = None) -> list:
-    """The ds > 0 half of the graded product rule, as node blocks
-    ``[((s, chi), weights)]`` with doubled weights: a rule for
-    integrands that are even about ``pole`` under ds -> -ds.
-
-    A polar patch of radius r1 around the pole is integrated in
-    (r, psi) shells graded toward r = 0; the complement is integrated
-    on the full (s, chi) rectangle after multiplying by a C^4 cutoff
-    that vanishes inside the patch, so both pieces see a smooth
-    integrand.  Both use 6-point Gauss panels; the shells grade toward
-    the pole by halves, 18 + 6 * level times, and the rectangle takes
-    8 * 2**level panels per axis, more where the cut-off band
-    (r1 - r0 = r1 / 2) would be narrower than 2**(level - 1) panels.
-
-    The whole rule is mirror-symmetric under ds -> -ds, and no node lies
-    on the mirror line ds = 0: the psi panels split [0, pi] at pi/2 and
-    the s panels split [-l/2, l/2] symmetrically, and a Gauss panel has
-    no node on its edges nor, with an even order, at its middle, where
-    an odd s panel count puts ds = 0.  So the half keeps the near-patch
-    columns with psi < pi/2 and the far-rectangle rows with ds > 0,
-    selected from the full panelization, and its weights double.
-    The polar patch is not separable and comes pointwise; the far
-    rectangle comes as an open mesh, an s column and a chi row.  A
-    ``resolution`` dict receives the node counts of the two half blocks,
-    [near, far], the graded depth and ``mirror="s"``.
-    """
-    blocks, graded_depth = _product_half(m, level)
-    return _charted(m, pole, blocks, graded_depth, resolution, mirror="s")
-
-
-def _mirror_completion(block):
-    """A half block in pole coordinates completed to the full rule: its
-    nodes at ds and -ds, stacked along the first axis, with halved
-    weights."""
-    (ds, chi), w = block
-    if chi.shape[0] > 1:  # pointwise; an open mesh's chi row is shared
-        chi = np.concatenate([chi, chi])
-    return (np.concatenate([ds, -ds]), chi), 0.5 * np.concatenate([w, w])
-
-
-def product_singular_integral(m, fn, pole, level: int = 1,
-                              resolution: dict | None = None):
-    """Integral over a product backend of fn(s, chi), which may be
-    singular at ``pole`` and need not be even about it, on the mirror
-    completion of ``product_blocks``: each half block's nodes at
-    s0 + ds and s0 - ds with halved weights, which is the full graded
-    rule.
-
-    ``fn`` is called once per block with broadcastable (s, chi) arrays
-    and returns values of their broadcast shape, plus any trailing
-    column axis, giving one integral per column.  A ``resolution`` dict
-    receives the node counts of the completed blocks and the graded
-    depth.
-    """
-    blocks, graded_depth = _product_half(m, level)
-    full = [_mirror_completion(block) for block in blocks]
-    return _integrate(_charted(m, pole, full, graded_depth, resolution), fn)
+    return _charted(m, pole, [near, far], graded_depth, resolution,
+                    mirror="s")
 
 
 def extrapolate_to_zero(radii, values) -> float:

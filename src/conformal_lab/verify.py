@@ -622,7 +622,15 @@ def check_sign_theorems(m: ManifoldModel, seed: int = 0):
 
 @Suite("spectrum")
 def check_spectrum_claims(m: ManifoldModel):
-    """Spectral side of the sign theorems plus the kernel statement."""
+    """Spectral side of the sign theorems plus the kernel statement.
+
+    This body, and not the ``@Suite`` declaration, reads the ledger's
+    ``theorems_hold``: where it fails, the four extremal claims give way
+    to one exploratory ``spectrum-exploratory`` record, while
+    ``lambda1-positive`` and ``kernel-vs-constants`` stay asserted, since
+    they state the hypotheses themselves.  The ``theorems`` flag would
+    mark every record of the suite exploratory, those two as well.
+    """
     ledger = _ledger(m)
     checks = [
         _verdict("lambda1-positive", ledger.yamabe_positive,

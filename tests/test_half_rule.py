@@ -3,10 +3,11 @@
 ``quadrature.product_blocks`` holds the ds > 0 half of the graded rule
 with doubled weights.  Pairing an even density with the even part of a
 field on it must give what the mirror-completed full rule gives with the
-whole field, and ``product_singular_integral``, which completes the
-half, must integrate integrands that are not even as the full rule does.
-At l = 6.4 the far rectangle has 33 s panels, so its middle panel
-straddles ds = 0 and the half is selected from inside it.
+whole field, and ``green.green_pair``, which pairs each half block at s
+and at its mirror 2 s0 - s, must pair a kernel and a field that are not
+even as the full rule does.  At l = 6.4 the far rectangle has 33 s
+panels, so its middle panel straddles ds = 0 and the half is selected
+from inside it.
 """
 
 import math
@@ -17,7 +18,8 @@ import pytest
 from conformal_lab import fields as F
 from conformal_lab import quadrature as Q
 from conformal_lab import verify
-from conformal_lab.geometry import Pole, catalog_build
+from conformal_lab.geometry import FieldFactor, Pole, catalog_build
+from conformal_lab.green import green_field, green_pair
 from conformal_lab.operators import apply_P
 
 CASES = [(kind, length) for kind in ("product-S1xS2", "product-S1xS3")
@@ -87,25 +89,27 @@ def test_half_rule_pairing_equals_the_full_rule(kind, length):
 @pytest.mark.parametrize("kind, length", CASES)
 @pytest.mark.parametrize("s0", [0.0, 1.0])
 def test_integrand_odd_in_s_sees_the_full_rule(kind, length, s0):
-    """2 + sin(k ds) (1 + cos(chi)), with ds = s - s0 and k = 2 pi / l,
-    is odd about the pole: its integral is twice the volume, which the
-    completed rule gives (the level-2 rule's error reads at most 8.2e-10,
-    on S1xS2 at l = 6.4) and the half rule alone misses by the odd
-    part."""
+    """``green_pair`` of G_L transported by a factor odd in s, with a field
+    that carries sine modes, equals the completed full-rule sum of
+    w G f to 1e-13; the half rule alone misses by more than 1e-3, so a
+    dropped mirror side, or G taken from one side for both, shows."""
     m = _product(kind, length)
     pole = Pole(1, s0)
+    shape = m.basis.mode_shape
+    w = np.zeros(shape)
+    w[2, :2] = (0.2, 0.1)  # row 2 carries sin(2 pi s / l)
+    gf = green_field(m, "L", pole, FieldFactor(m, F.synthesize(m.basis, w)))
+    c = np.zeros(shape)
+    c[0, 0], c[1, 1], c[2, 0], c[2, 1], c[4, 2] = 1.0, 0.3, 0.5, 0.4, 0.2
+    f = F.synthesize(m.basis, c)
 
-    def fn(s, chi):
-        return 2.0 + np.sin(2.0 * math.pi * (s - s0) / length) * (
-            1.0 + np.cos(chi))
-
-    got = Q.product_singular_integral(m, fn, pole, level=2)
+    got = green_pair(gf, f)
     want = 0.0
     half = 0.0
-    for points, w in Q.product_blocks(m, pole, level=2):
-        full, (w2,) = _completed(pole, points, 0.5 * w)
-        want += float(np.sum(w2 * fn(*full)))
-        half += float(np.sum(w * fn(*points)))
+    for points, wq in Q.product_blocks(m, pole, level=2):
+        full, (w2,) = _completed(pole, points, 0.5 * wq)
+        want += float(np.sum(w2 * gf.values_at(*full) * F.evaluate(f, *full)))
+        half += float(np.sum(wq * gf.values_at(*points)
+                             * F.evaluate(f, *points)))
     assert abs(got - want) <= 1e-13 * abs(want)
-    assert math.isclose(got, 2.0 * m.volume, rel_tol=2e-9)
-    assert abs(half - 2.0 * m.volume) > 1e-2 * m.volume
+    assert abs(half - want) > 1e-3 * abs(want)

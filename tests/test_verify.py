@@ -340,19 +340,19 @@ def test_weak_identity_takes_one_pass_on_product(s1xs2, monkeypatch):
     assert jets == calls[0]
 
 
-@pytest.mark.parametrize("suite, fixture, integral", [
-    ("weak-identity", "s1xs2", "product_singular_integral"),
-    ("4d-identity", "s1xs3", "product_singular_integral"),
-    ("total-q", "s1xs3", "product_singular_integral"),
-    ("weak-identity", "sphere5", "sphere_zonal_integral"),
-    ("total-q", "sphere4", "sphere_zonal_integral"),
+@pytest.mark.parametrize("suite, fixture, rule", [
+    ("weak-identity", "s1xs2", "product_blocks"),
+    ("4d-identity", "s1xs3", "product_blocks"),
+    ("total-q", "s1xs3", "product_blocks"),
+    ("weak-identity", "sphere5", "sphere_blocks"),
+    ("total-q", "sphere4", "sphere_blocks"),
 ])
 def test_resolution_records_the_nodes_the_integrand_received(
-        suite, fixture, integral, request, monkeypatch):
-    """The nodes of the graded rule of ``integral``, whose blocks the
-    blow-up density of the suite is built on."""
+        suite, fixture, rule, request, monkeypatch):
+    """The nodes of the graded ``rule``, whose blocks the blow-up density
+    of the suite is built on."""
     m = request.getfixturevalue(fixture)
-    calls = _count_blocks(monkeypatch, integral.split("_")[0] + "_blocks")
+    calls = _count_blocks(monkeypatch, rule)
     report = run_suite(suite, m, {"level": 1})
     assert len(calls) == 1
     res = report.resolution
