@@ -220,18 +220,14 @@ class ModeBasis:
         return (j + 1) // 2
 
     # ----------------------------------------------------------- quadrature
-    @property
-    def jacobi_alpha(self) -> float:
-        return (self.sphere_dim - 2) / 2.0
-
     def polar_rule(self):
         """Gauss-Jacobi nodes t (ascending) and weights for the polar factor."""
-        t, w, _ = _polar_rule(self)
+        t, w, _ = gauss_jacobi(self.sphere_dim, self.sphere_nodes)
         return t, w
 
     def polar_nodes(self):
         """Cosines t and sines sqrt(1 - t^2) of the polar node angles."""
-        t, _, sin_t = _polar_rule(self)
+        t, _, sin_t = gauss_jacobi(self.sphere_dim, self.sphere_nodes)
         return t, sin_t
 
     def polar_angles(self) -> np.ndarray:
@@ -330,11 +326,14 @@ class ModeBasis:
 
 
 @lru_cache(maxsize=64)
-def _polar_rule(basis: ModeBasis):
-    d, nq = basis.sphere_dim, basis.sphere_nodes
+def gauss_jacobi(sphere_dim: int, nodes: int):
+    """Gauss-Jacobi nodes t (ascending), weights and sqrt(1 - t^2) for the
+    weight (1 - t^2)^a, a = (sphere_dim - 2)/2, read-only; sphere_dim 2
+    gives Gauss-Legendre."""
+    d, nq = sphere_dim, nodes
     # Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix,
     # whose off-diagonal is the recurrence's alpha (its diagonal is zero)
-    t = np.linalg.eigvalsh(np.diag(_recurrence_alpha(basis.jacobi_alpha,
+    t = np.linalg.eigvalsh(np.diag(_recurrence_alpha((d - 2) / 2.0,
                                                      nq - 1), 1), UPLO="U")
     p, dp = zonal_polynomials(d, nq, t, order=1)
     t = t - p[:, nq] / dp[:, nq]
@@ -360,26 +359,37 @@ def _polar_tables(basis: ModeBasis):
 def _circle_values(fourier_max: int, length: float, s: np.ndarray,
                    order: int):
     """The real Fourier modes at points s and their s-derivatives up to
-    ``order``, 0 or 2."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    nm = 2 * fourier_max + 1
-    U0 = np.empty((s.size, nm))
-    U1 = np.zeros((s.size, nm)) if order else None
-    U2 = np.zeros((s.size, nm)) if order else None
-    U0[:, 0] = 1.0 / math.sqrt(length)
-    amp = math.sqrt(2.0 / length)
-    for k in range(1, fourier_max + 1):
-        om = 2.0 * math.pi * k / length
-        c, sn = np.cos(om * s), np.sin(om * s)
-        U0[:, 2 * k - 1] = amp * c
-        U0[:, 2 * k] = amp * sn
-        if not order:
-            continue
-        U1[:, 2 * k - 1] = -amp * om * sn
-        U1[:, 2 * k] = amp * om * c
-        U2[:, 2 * k - 1] = -amp * om * om * c
-        U2[:, 2 * k] = -amp * om * om * sn
-    return (U0, U1, U2) if order else (U0,)
+    ``order``, 0 or 2.
+
+    cos(k w s) and sin(k w s) follow the Chebyshev recurrence
+    f_k = 2 cos(w s) f_(k-1) - f_(k-2) from one cos and one sin per
+    point; a derivative swaps each (cos, sin) pair and scales it by
+    (-k w, k w).  Each table is filled mode by mode, in rows over the
+    points, and returned transposed, (point, mode).
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=float)).ravel()
+    om = 2.0 * math.pi / length
+    U0 = np.empty((2 * fourier_max + 1, s.size))
+    U0[0] = 1.0 / math.sqrt(length)
+    pairs = U0[1:].reshape(fourier_max, 2, s.size)  # (k - 1, cos | sin)
+    if fourier_max:
+        amp = math.sqrt(2.0 / length)
+        pairs[0] = np.cos(om * s), np.sin(om * s)
+        two_c = 2.0 * pairs[0, 0]
+        pairs[0] *= amp
+        prev = np.array([[amp], [0.0]])    # k = 0
+        for k in range(1, fourier_max):
+            np.multiply(two_c, pairs[k - 1], out=pairs[k])
+            pairs[k] -= prev
+            prev = pairs[k - 1]
+    if not order:
+        return (U0.T,)
+    k_om = om * np.arange(1.0, fourier_max + 1)[:, None, None]
+    U1, U2 = np.zeros_like(U0), np.zeros_like(U0)
+    np.multiply(pairs[:, ::-1], k_om * np.array([[-1.0], [1.0]]),
+                out=U1[1:].reshape(pairs.shape))
+    np.multiply(pairs, -k_om ** 2, out=U2[1:].reshape(pairs.shape))
+    return U0.T, U1.T, U2.T
 
 
 @lru_cache(maxsize=64)

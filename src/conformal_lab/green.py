@@ -139,44 +139,83 @@ class _ProductImageKernelL:
     def _sums(self, ds, chi, jets: bool):
         """Image sums of D^-q and, for jets, of its derivative terms.
 
-        D = 2 cosh u - 2 cos chi = 4 (sinh^2(u/2) + sin^2(chi/2)), written
-        to survive u, chi -> 0.  The images are added one at a time into
-        running sums over the points, with one sinh and one power each:
-        S0 = sum D^-q, and for jets S1 = sum D^(-q-1), S2 = sum D^(-q-2),
-        H1 = sum D^(-q-1) sinh^2(u/2), T1 = sum D^(-q-1) sinh u,
-        T2 = sum D^(-q-2) sinh u, Q2 = sum D^(-q-2) sinh^2 u.  The
-        sinh terms are taken on ``ds`` and sin^2(chi/2) on ``chi`` as
-        given, so on an open mesh they run along one axis each; only D,
-        its powers and the sums take the broadcast shape.
+        D = 2 cosh u - 2 cos chi = 4 (sinh^2(u/2) + sin^2(chi/2)) at
+        u = (ds + j l) / b.  The images are added one at a time into
+        running sums over the points: S0 = sum D^-q, and for jets
+        S1 = sum D^(-q-1), S2 = sum D^(-q-2), T1 = sum D^(-q-1) sinh u and
+        T2 = sum D^(-q-2) sinh u.  Every power comes from r = 1/D, with
+        one square root for half-integer q.
+
+        The j = 0 image takes sinh(u/2), exact at the pole.  An image
+        j != 0 lies at |u| >= l / 2b for ``ds`` in [-l/2, l/2), so it is
+        written in E = exp(-|u|) = exp(-|j| l / b) exp(-+u0), from one
+        exp per point for all images:
+        E D = (1 - E)^2 + 4 E sin^2(chi/2) and
+        2 D^-1 sinh u = +-(1 - E^2) / (E D), so an image beyond double
+        range underflows to 0 instead of overflowing (up to
+        l = 1400 b, beyond which exp(-u0) and sinh(u/2)^2 at the pole's
+        own image overflow).  ``ds`` terms run along ``ds`` and
+        sin^2(chi/2) along ``chi`` as given, so on an open mesh only the
+        quotients and sums take the broadcast shape; those reuse a few
+        work arrays, written in place.
         """
         u0 = np.asarray(ds, dtype=float) / self.b
         sin2 = np.sin(0.5 * np.asarray(chi, dtype=float)) ** 2
-        per = self.ell / self.b
         shape = np.broadcast_shapes(u0.shape, sin2.shape)
-        sums = [np.zeros(shape) for _ in range(7 if jets else 1)]
-        for j in range(-self.cutoff, self.cutoff + 1):
-            h = np.sinh(0.5 * (u0 + per * j))
-            h2 = h * h
-            D = h2 + sin2
-            D *= 4.0
-            d = D ** -self.q
+        sums = [np.zeros(shape) for _ in range(5 if jets else 1)]
+        # work arrays: 1/(E D), r = 1/D, 2 D^-1 sinh u, the power, a term
+        inv, r, sinh_r, d, term = (np.empty(shape) for _ in range(5))
+        # D^-q = r^q: a square root for half-integer q, then products
+        root = self.q % 1.0 != 0.0
+        products = int(self.q) - (0 if root else 1)
+
+        def add(accumulate):
+            """Add the image in r and sinh_r to the sums; ``accumulate``
+            adds or, for sinh u < 0, subtracts the sinh terms."""
+            if root:
+                np.sqrt(r, out=d)
+            else:
+                np.copyto(d, r)
+            for _ in range(products):
+                np.multiply(d, r, out=d)             # D^-q
             sums[0] += d
             if not jets:
-                continue
-            _, S1, S2, H1, T1, T2, Q2 = sums
-            d /= D                       # D^(-q-1)
-            S1 += d
-            H1 += d * h2
-            d /= D                       # D^(-q-2)
-            S2 += d
-            sh = np.sqrt(np.add(h2, 1.0, out=h2), out=h2)  # h2 is spent
-            sh *= h
-            sh *= 2.0                    # sinh u = 2 sinh(u/2) cosh(u/2)
-            d *= sh                      # D^(-q-2) sinh u
-            T2 += d
-            T1 += d * D
-            d *= sh
-            Q2 += d
+                return
+            _, S1, S2, T1, T2 = sums
+            accumulate(T1, np.multiply(d, sinh_r, out=term), out=T1)
+            S1 += np.multiply(d, r, out=d)          # D^(-q-1)
+            accumulate(T2, np.multiply(d, sinh_r, out=term), out=T2)
+            S2 += np.multiply(d, r, out=d)          # D^(-q-2)
+
+        h = np.sinh(0.5 * u0)
+        h2 = h * h
+        np.add(h2, sin2, out=r)
+        np.divide(0.25, r, out=r)
+        if jets:
+            np.multiply(4.0 * h * np.sqrt(1.0 + h2), r, out=sinh_r)
+        add(np.add)
+        sin2 *= 4.0
+        per = self.ell / self.b
+        e_plus = np.exp(-u0)             # j > 0: E = exp(-j l / b) e_plus
+        e_minus = 1.0 / e_plus
+        E, gap = np.empty_like(e_plus), np.empty_like(e_plus)
+        for k in range(1, self.cutoff + 1):
+            far = math.exp(-k * per)
+            for accumulate, e_side in ((np.add, e_plus),
+                                       (np.subtract, e_minus)):
+                np.multiply(far, e_side, out=E)
+                np.subtract(1.0, E, out=gap)
+                np.multiply(sin2, E, out=inv)
+                inv += np.multiply(gap, gap, out=gap)
+                np.divide(1.0, inv, out=inv)
+                np.multiply(E, inv, out=r)
+                if jets:  # (1 - E^2) / (E D) = 1/(E D) - E r
+                    np.multiply(E, r, out=sinh_r)
+                    np.subtract(inv, sinh_r, out=sinh_r)
+                add(accumulate)
+        if jets:
+            sums[3] *= 0.5
+            sums[4] *= 0.5
         return sums
 
     def value(self, ds, chi):
@@ -185,34 +224,37 @@ class _ProductImageKernelL:
 
     def log_jets(self, scale: float, ds, chi):
         chi = np.asarray(chi, dtype=float)
-        S0, S1, S2, H1, T1, T2, Q2 = self._sums(ds, chi, jets=True)
+        S0, S1, S2, T1, T2 = self._sums(ds, chi, jets=True)
         q, b = self.q, self.b
-        s_chi = np.sin(chi)
-        c = self.cL * b ** (2 - self.n)
-        # G and its chart partials in (s, chi); the chi-derivative carries
-        # a factor sin(chi), kept split off (x_over_sin) so the orbit
-        # Hessian component stays regular on the axis.  sum D^(-q-1) cosh u
-        # is S1 + 2 H1, with cosh u = 1 + 2 sinh^2(u/2)
-        g = c * S0
-        g_s = -2.0 * q * c / b * T1
-        g_ss = c / b ** 2 * (4.0 * q * (q + 1) * Q2
-                             - 2.0 * q * (S1 + 2.0 * H1))
-        x_over_sin = -2.0 * q * c * S1
+        s_chi, cos_chi = np.sin(chi), np.cos(chi)
+        w = np.log(self.cL * b ** (2 - self.n) * S0)
+        # chart partials of G in (s, chi) over G.  The chi-derivative
+        # carries a factor sin(chi), kept split off (x_over_sin) so the
+        # orbit Hessian component stays regular on the axis.  The
+        # s-Hessian takes sum D^(-q-1) cosh u and sum D^(-q-2) sinh^2 u
+        # from cosh u = D/2 + cos chi and
+        # sinh^2 u = D^2/4 + cos chi D - sin^2 chi
+        over = 1.0 / S0
+        g_s = T1 * over
+        g_s *= -2.0 * q / b
+        x_over_sin = S1 * over
+        x_over_sin *= -2.0 * q
+        cos_x = cos_chi * x_over_sin
+        sin2_x = S2 * over
+        sin2_x *= 4.0 * q * (q + 1) * s_chi ** 2
+        g_ss = (q * q - (2.0 * q + 1.0) * cos_x - sin2_x) / b ** 2
         g_x = x_over_sin * s_chi
-        g_xx = c * (4.0 * q * (q + 1) * s_chi ** 2 * S2
-                    - 2.0 * q * np.cos(chi) * S1)
-        g_sx = 4.0 * q * (q + 1) * c / b * s_chi * T2
-        del S0, S1, S2, H1, T1, T2, Q2  # spent: keep the peak to ~20 vectors
-        w = scale * np.log(g)
-        w_s = scale * g_s / g
-        w_x = scale * g_x / g
-        w_ss = scale * (g_ss / g - (g_s / g) ** 2)
-        w_xx = scale * (g_xx / g - (g_x / g) ** 2)
-        w_sx = scale * (g_sx / g - g_s * g_x / g ** 2)
-        cot_w_x = scale * np.cos(chi) * x_over_sin / g
-        return w, (w_s, w_x / b), {"ss": w_ss, "sx": w_sx / b,
-                                   "xx": w_xx / b ** 2,
-                                   "orb": cot_w_x / b ** 2}
+        g_xx = sin2_x + cos_x
+        g_sx = T2 * over
+        g_sx *= 4.0 * q * (q + 1) / b * s_chi
+        del S0, S1, S2, T1, T2, over  # spent: keep the peak to ~20 vectors
+        # the log jets: (log G)'' = G''/G - (G'/G)^2
+        g_ss -= g_s * g_s
+        g_xx -= g_x * g_x
+        g_sx -= g_s * g_x
+        return scale * w, (scale * g_s, (scale / b) * g_x), {
+            "ss": scale * g_ss, "sx": (scale / b) * g_sx,
+            "xx": (scale / b ** 2) * g_xx, "orb": (scale / b ** 2) * cos_x}
 
 
 class _ProductDegreeSumP:
@@ -474,8 +516,10 @@ def green_pair(gf: GreenField, f: ScalarField, level: int = 2) -> float:
 
     On a product each half block of ``quadrature.product_blocks`` is
     paired at s and at its mirror 2 s0 - s, each side with weights
-    w / 2 and G evaluated there: the full rule, so a transported kernel
-    need not be even about its pole.
+    w / 2: the full rule, so ``f`` need not be even about the pole.  A
+    transported kernel need not be even either and is evaluated on each
+    side; an untransported one is even about its pole, so its values at
+    s serve the mirror too.
     """
     m = gf.manifold
     if not m.is_product:
@@ -483,8 +527,12 @@ def green_pair(gf: GreenField, f: ScalarField, level: int = 2) -> float:
         return float(F.pair(f, w * gf.values_at(*points), *points))
     total = 0.0
     for (s, chi), w in Q.product_blocks(m, gf.pole, level=level):
-        for side in (s, 2.0 * gf.pole.s0 - s):
-            total += F.pair(f, 0.5 * w * gf.values_at(side, chi), side, chi)
+        mirror = 2.0 * gf.pole.s0 - s
+        vals = gf.values_at(s, chi)
+        total += F.pair(f, 0.5 * w * vals, s, chi)
+        if gf.factor is not None:
+            vals = gf.values_at(mirror, chi)
+        total += F.pair(f, 0.5 * w * vals, mirror, chi)
     return float(total)
 
 

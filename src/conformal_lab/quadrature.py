@@ -28,13 +28,16 @@ import math
 
 import numpy as np
 
+from .basis import gauss_jacobi
+
 __all__ = ["extrapolate_to_zero", "product_blocks", "sphere_blocks"]
 
 
 def _gauss_panels(edges: np.ndarray, order: int):
-    """Composite Gauss-Legendre nodes/weights over consecutive edges."""
+    """Composite Gauss-Legendre nodes/weights over consecutive edges; the
+    Legendre rule is the Gauss-Jacobi rule of weight 1 (a 2-sphere's)."""
     edges = np.asarray(edges, dtype=float)
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w, _ = gauss_jacobi(2, order)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -164,10 +167,12 @@ def product_blocks(m, pole, level: int = 1,
 
 def extrapolate_to_zero(radii, values) -> float:
     """Limit at r = 0 of samples values(r) = a + b r + c r^2 + ...: the
-    constant of the quadratic fitted to the four smallest radii."""
+    constant of the quadratic fitted to the four smallest radii, by least
+    squares."""
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
-    order = np.argsort(radii)
-    coef = np.polynomial.polynomial.polyfit(radii[order][:4],
-                                            values[order][:4], 2)
+    order = np.argsort(radii)[:4]
+    r = radii[order]
+    vander = r[:, None] ** np.arange(3)
+    coef, *_ = np.linalg.lstsq(vander, values[order], rcond=None)
     return float(coef[0])

@@ -62,3 +62,27 @@ def test_rule_nodes_are_roots_to_rounding(d, nq):
     t, _ = _rule(d, nq)
     p, dp = zonal_polynomials(d, nq, t, order=1)
     assert np.max(np.abs(p[:, nq] / dp[:, nq])) < 2e-16
+
+
+@pytest.mark.parametrize("fourier_max", [0, 1, 3, 8])
+def test_circle_jets_match_cos_and_sin(fourier_max):
+    """The recurrence tables equal amp cos(k w s) and amp sin(k w s) and
+    their first two derivatives, taken directly, to 4e-14 of each
+    table's scale (amp (k w)^i for the i-th derivative)."""
+    length = 2.0 * math.pi * 1.3
+    b = ModeBasis.for_product("product-S1xS2", 2, fourier_max, length)
+    s = np.linspace(-length, length, 41)
+    om = 2.0 * math.pi / length
+    amp = math.sqrt(2.0 / length)
+    k = np.arange(1, fourier_max + 1)
+    th = om * k * s[:, None]
+    # d/ds turns cos into -sin and sin into cos: a quarter turn back
+    waves = (np.cos(th), np.sin(th), -np.cos(th), -np.sin(th))
+    for i, got in enumerate(b.circle_jets(s)):
+        want = np.zeros_like(got)
+        want[:, 0] = 1.0 / math.sqrt(length) if i == 0 else 0.0
+        want[:, 1::2] = amp * (om * k) ** i * waves[-i % 4]
+        want[:, 2::2] = amp * (om * k) ** i * waves[(1 - i) % 4]
+        scale = amp * max(1.0, om * fourier_max) ** i
+        np.testing.assert_allclose(got, want, rtol=0, atol=4e-14 * scale)
+    np.testing.assert_array_equal(b.circle_values(s), b.circle_jets(s)[0])

@@ -446,14 +446,19 @@ import json, sys
 from conformal_lab.cli import RunConfig, run
 code = run(RunConfig(json.loads(sys.argv[1])), sys.argv[2])
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m == "scipy" or m.startswith("scipy."))]))
+                               if m.split(".")[0] == "scipy"
+                               or m.startswith("numpy.polynomial"))]))
 """
 
 
 def test_run_does_not_import_scipy(tmp_path):
-    """numpy is the only runtime dependency; scipy is a test oracle.  The
-    run happens in a fresh interpreter because this one imports scipy."""
-    cfg = dict(BASE_CONFIG, suites=["total-q"])
+    """numpy is the only runtime dependency; scipy is a test oracle.  Nor
+    does a run import ``numpy.polynomial``: the Gauss-Legendre panels
+    come from the basis's own rule.  The run happens in a fresh
+    interpreter because this one imports both."""
+    sphere5 = {"kind": "sphere", "n": 5, "basis": {"degree_max": 12}}
+    cfg = dict(BASE_CONFIG, suites=["total-q", "mass"],
+               catalog=BASE_CONFIG["catalog"] + [sphere5])
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src),
                CONFORMAL_LAB_THREADS="1")
@@ -462,6 +467,6 @@ def test_run_does_not_import_scipy(tmp_path):
          str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    code, scipy_modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    code, modules = json.loads(proc.stdout.strip().splitlines()[-1])
     assert code == 0
-    assert scipy_modules == []
+    assert modules == []

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conformal_lab import fields as F
+from conformal_lab import green
 from conformal_lab import quadrature as Q
 from conformal_lab import verify
 from conformal_lab.geometry import FieldFactor, Pole, catalog_build
@@ -123,3 +124,41 @@ def test_integrand_odd_in_s_sees_the_full_rule(kind, length, s0):
                              * F.evaluate(f, *points)))
     assert abs(got - want) <= 1e-13 * abs(want)
     assert abs(half - want) > 1e-3 * abs(want)
+
+
+@pytest.mark.parametrize("kind, length", CASES)
+def test_untransported_kernel_is_summed_once_per_half_block(kind, length,
+                                                           monkeypatch):
+    """An untransported G_L is even about its pole, so ``green_pair``
+    sums its images once per half block, two ``_sums`` calls, and pairs
+    those values on both mirror sides: with a field that carries sine
+    modes it still equals the completed full-rule sum to 1e-13.  A
+    transported kernel is evaluated on each side, four calls."""
+    m = _product(kind, length)
+    pole = Pole(1, 1.0)
+    c = np.zeros(m.basis.mode_shape)
+    c[0, 0], c[2, 1], c[4, 2] = 1.0, 0.4, 0.2  # rows 2 and 4 are sines
+    f = F.synthesize(m.basis, c)
+    calls = []
+    sums = green._ProductImageKernelL._sums
+
+    def counted(self, ds, chi, jets):
+        calls.append(np.size(ds))
+        return sums(self, ds, chi, jets)
+
+    monkeypatch.setattr(green._ProductImageKernelL, "_sums", counted)
+    gf = green_field(m, "L", pole)
+    got = green_pair(gf, f)
+    assert len(calls) == 2
+    want = 0.0
+    for points, wq in Q.product_blocks(m, pole, level=2):
+        full, (w2,) = _completed(pole, points, 0.5 * wq)
+        want += float(np.sum(w2 * gf.values_at(*full) * F.evaluate(f, *full)))
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+    w = np.zeros(m.basis.mode_shape)
+    w[0, 0] = 0.1
+    calls.clear()
+    green_pair(green_field(m, "L", pole, FieldFactor(
+        m, F.synthesize(m.basis, w))), f)
+    assert len(calls) == 4
