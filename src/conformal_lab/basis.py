@@ -61,11 +61,15 @@ def harmonic_dimension(d: int, m: int) -> int:
     return math.comb(d + m, d) - math.comb(d + m - 2, d)
 
 
+@lru_cache(maxsize=64)
 def _recurrence_alpha(a: float, degree_max: int) -> np.ndarray:
-    """alpha_l, l = 1..degree_max, of the orthonormal Jacobi recurrence."""
+    """alpha_l, l = 1..degree_max, of the orthonormal Jacobi recurrence,
+    read-only."""
     l = np.arange(1, degree_max + 1)
-    return np.sqrt(l * (l + 2 * a)
-                   / ((2 * l + 2 * a - 1) * (2 * l + 2 * a + 1)))
+    alpha = np.sqrt(l * (l + 2 * a)
+                    / ((2 * l + 2 * a - 1) * (2 * l + 2 * a + 1)))
+    alpha.setflags(write=False)
+    return alpha
 
 
 def zonal_polynomials(sphere_dim: int, degree_max: int, t: np.ndarray,
@@ -79,7 +83,8 @@ def zonal_polynomials(sphere_dim: int, degree_max: int, t: np.ndarray,
         alpha_l^2 = l (l + 2a) / ((2l + 2a - 1) (2l + 2a + 1)),
 
     and the k-th t-derivative follows the same recurrence differentiated
-    k times, with the extra term k p_l^(k-1) on the left.
+    k times, with the extra term k p_l^(k-1) on the left.  All orders
+    advance together, a degree at a time, in one table.
 
     Parameters
     ----------
@@ -95,24 +100,26 @@ def zonal_polynomials(sphere_dim: int, degree_max: int, t: np.ndarray,
     Returns
     -------
     tuple of order + 1 arrays of shape (t.size, degree_max + 1)
-        Values, then the successive t-derivatives.
+        Values, then the successive t-derivatives, each the transpose of
+        a contiguous table: the callers' matrix products round by it.
     """
     a = (sphere_dim - 2) / 2.0
     t = np.asarray(t, dtype=float).ravel()
     alpha = _recurrence_alpha(a, degree_max)
-    tabs = [np.zeros((degree_max + 1, t.size)) for _ in range(order + 1)]
+    tab = np.zeros((degree_max + 1, order + 1, t.size))
     # p_0 = 1 / sqrt(int (1 - t^2)^a dt)
-    tabs[0][0] = math.sqrt(math.gamma(a + 1.5) / (math.sqrt(math.pi)
-                                                   * math.gamma(a + 1.0)))
+    tab[0, 0] = math.sqrt(math.gamma(a + 1.5) / (math.sqrt(math.pi)
+                                                  * math.gamma(a + 1.0)))
+    ks = np.arange(1.0, order + 1)[:, None]
+    term = np.empty((order + 1, t.size))
     for l in range(degree_max):
-        for k, tab in enumerate(tabs):
-            nxt = t * tab[l]
-            if k:
-                nxt += k * tabs[k - 1][l]
-            if l:
-                nxt -= alpha[l - 1] * tab[l - 1]
-            tab[l + 1] = nxt / alpha[l]
-    return tuple(tab.T for tab in tabs)
+        nxt = np.multiply(t, tab[l], out=tab[l + 1])
+        if order:
+            nxt[1:] += np.multiply(ks, tab[l, :-1], out=term[1:])
+        if l:
+            nxt -= np.multiply(alpha[l - 1], tab[l - 1], out=term)
+        nxt /= alpha[l]
+    return tuple(np.ascontiguousarray(tab[:, k]).T for k in range(order + 1))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,8 @@ and report, and the exit status is 4.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
-import os
 import sys
 import time
 from pathlib import Path
@@ -123,11 +121,12 @@ def _slug(text: str) -> str:
 
 
 def run(config: RunConfig, out_dir=None, verbose: bool = False) -> int:
-    """Execute all compatible (suite, backend) jobs and write reports."""
+    """Execute all compatible (suite, backend) jobs and write reports.
+
+    The jobs run one at a time, backend by backend, suites in config
+    order, so a backend's suites share one blow-up density."""
     out = Path(out_dir or config.out_dir or "reports")
-    max_workers = _thread_cap()
     backends = _build_backends(config)
-    jobs = [(suite, m) for suite in config.suites for m in backends]
     for suite in config.suites:
         if not any(DECLARATIONS[suite].applies(m) for m in backends):
             raise ConfigError(
@@ -135,34 +134,26 @@ def run(config: RunConfig, out_dir=None, verbose: bool = False) -> int:
                 f"the catalog (dimension gates)")
     out.mkdir(parents=True, exist_ok=True)
 
-    def job(args):
-        suite, m = args
-        t0 = time.perf_counter()
-        try:
-            report = SUITES[suite](m, config.suite_options(suite))
-        except ConformalLabError as err:
-            report = err
-        return report, time.perf_counter() - t0
-
     results = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as ex:
-        for (suite, m), (report, secs) in zip(jobs, ex.map(job, jobs)):
+    for m in backends:
+        for suite in config.suites:
+            t0 = time.perf_counter()
+            try:
+                report = SUITES[suite](m, config.suite_options(suite))
+            except ConformalLabError as err:
+                report = err
             if report is not None:
-                results[(suite, m.descriptor())] = report, secs
+                results[(suite, m.descriptor())] = (
+                    report, time.perf_counter() - t0)
 
-    # serialize report writing in a fixed aggregation order
+    # write the reports in a fixed aggregation order
     summary_rows = []
-    all_pass = True
-    errors = 0
-    for key in sorted(results):
-        suite, backend = key
-        report, secs = results[key]
+    for (suite, backend), (report, secs) in sorted(results.items()):
         row = {"suite": suite, "backend": backend}
         if isinstance(report, ConformalLabError):
             row.update({"pass": False, "checks": [], "error": {
                 "code": report.code, "message": str(report)}})
             text = json.dumps(row, indent=2)
-            errors += 1
             logger.error("[ERROR] %s on %s: %s after %.2f s: %s", suite,
                          backend, report.code, secs, report)
         else:
@@ -174,19 +165,16 @@ def run(config: RunConfig, out_dir=None, verbose: bool = False) -> int:
                         secs, _margin_text(report))
         with open(out / f"{suite}__{_slug(backend)}.json", "w") as fh:
             fh.write(text)
-        all_pass = all_pass and row["pass"]
         summary_rows.append(row)
-    summary = {
-        "seed": config.seed,
-        "all_passed": all_pass,
-        "results": summary_rows,
-    }
+    all_pass = all(row["pass"] for row in summary_rows)
+    summary = {"seed": config.seed, "all_passed": all_pass,
+               "results": summary_rows}
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     if verbose:
         print(f"summary: {'PASS' if all_pass else 'FAIL'} "
               f"({len(summary_rows)} reports in {out})")
-    if errors:
+    if any("error" in row for row in summary_rows):
         return 4
     return 0 if all_pass else 1
 
@@ -199,15 +187,6 @@ def _margin_text(report) -> str:
     worst = max((abs(c.residual) / c.tolerance for c in asserted
                  if c.tolerance > 0), default=0.0)
     return f"worst asserted |residual|/tol {worst:.3g}"
-
-
-def _thread_cap() -> int:
-    """Worker threads: CONFORMAL_LAB_THREADS, a positive integer, default 4."""
-    raw = os.environ.get("CONFORMAL_LAB_THREADS", "4")
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ConfigError(f"CONFORMAL_LAB_THREADS: must be a positive "
-                          f"integer, got {raw!r}")
-    return int(raw)
 
 
 def list_catalog() -> str:

@@ -154,10 +154,10 @@ class _ProductImageKernelL:
         2 D^-1 sinh u = +-(1 - E^2) / (E D), so an image beyond double
         range underflows to 0 instead of overflowing (up to
         l = 1400 b, beyond which exp(-u0) and sinh(u/2)^2 at the pole's
-        own image overflow).  ``ds`` terms run along ``ds`` and
-        sin^2(chi/2) along ``chi`` as given, so on an open mesh only the
-        quotients and sums take the broadcast shape; those reuse a few
-        work arrays, written in place.
+        own image overflow, so ``green_eigen_expansion`` refuses them).
+        ``ds`` terms run along ``ds`` and sin^2(chi/2) along ``chi`` as
+        given, so on an open mesh only the quotients and sums take the
+        broadcast shape; those reuse a few work arrays, written in place.
         """
         u0 = np.asarray(ds, dtype=float) / self.b
         sin2 = np.sin(0.5 * np.asarray(chi, dtype=float)) ** 2
@@ -464,6 +464,10 @@ def green_eigen_expansion(m: ManifoldModel, operator: str,
             f"{operator} has a zero mode on {m.kind} "
             f"(|eigenvalue| {lam_min:.3e} < threshold {thr:.3e})")
     if operator == "L":
+        if m.length > 1400.0 * m.radius:  # see _ProductImageKernelL._sums
+            raise UnsupportedBackendError(
+                f"the G_L image sum overflows on a circle longer than 1400 "
+                f"sphere radii (length {m.length:g}, radius {m.radius:g})")
         images = max(4, int(math.ceil(40.0 * m.radius
                                       / ((m.n - 2) * m.length))) + 2)
         return GreenField(m, "L", pole, _ProductImageKernelL(m, images))

@@ -239,6 +239,7 @@ def default_test_functions(m: ManifoldModel, seed: int = 0):
 
 
 _DENSITIES = {}
+_DENSITY_LOCK = threading.Lock()
 
 
 def _blowup_density(m: ManifoldModel, level: int):
@@ -255,13 +256,15 @@ def _blowup_density(m: ManifoldModel, level: int):
     ``(points, weights, G_L, |Ric_blowup|^2)`` of read-only arrays, and a
     read-only resolution.  The profile w = (2/(n-2)) log G_L of the
     blow-up metric gives G_L too, so the kernel is summed once per
-    block.  It is built on first use per (backend, level) and then kept,
-    so the identities and the total Q of a backend read one density.  No
-    lock is held while it is built: two jobs that build it at once build
-    equal densities, and the first one stored is kept.
+    block.  Only the (backend, level) built last is kept, so the
+    identities and the total Q of a backend, run one after the other,
+    read one density, and a run holds one at a time.  It is built
+    unlocked; a lock covers the check-and-store, which drops any other
+    key.  Threads that build one key at once all receive the first.
     """
     key = (m, level)
-    if key not in _DENSITIES:
+    density = _DENSITIES.get(key)
+    if density is None:
         gL = green_field(m, "L", Pole())
         profile = gL.log_profile(2.0 / (m.n - 2.0))
         resolution = {}
@@ -278,9 +281,13 @@ def _blowup_density(m: ManifoldModel, level: int):
             blocks.append(block)
         if m.is_product:
             resolution["images"] = gL.cutoff
-        _DENSITIES.setdefault(key, (tuple(blocks),
-                                    MappingProxyType(resolution)))
-    return _DENSITIES[key]
+        with _DENSITY_LOCK:
+            if key not in _DENSITIES:
+                _DENSITIES.clear()
+                _DENSITIES[key] = (tuple(blocks),
+                                   MappingProxyType(resolution))
+            density = _DENSITIES[key]
+    return density
 
 
 def _paired_integrals(m, level, fns, densities):

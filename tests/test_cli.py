@@ -320,6 +320,18 @@ def test_job_error_is_isolated(tmp_path, caplog):
     assert all(rows[k]["pass"] for k in rows if k[1] == "sphere:n=3:a=1")
 
 
+def test_too_long_circle_is_a_job_error(tmp_path):
+    """A circle beyond the image sum's range is reported as the job's
+    typed error, not as NaN residuals."""
+    cfg = dict(BASE_CONFIG, suites=["weak-identity"], catalog=[
+        {"kind": "product-S1xS2", "params": {"length": 1450.0},
+         "basis": {"degree_max": 8, "fourier_max": 4}}])
+    assert run(RunConfig(cfg), tmp_path) == 4
+    (row,) = json.loads((tmp_path / "summary.json").read_text())["results"]
+    assert row["checks"] == []
+    assert row["error"]["code"] == "UNSUPPORTED_BACKEND"
+
+
 def test_each_job_logs_duration_and_margin(tmp_path, caplog):
     with caplog.at_level(logging.INFO, logger="conformal_lab.cli"):
         assert run(RunConfig(BASE_CONFIG), tmp_path / "out") == 0
@@ -394,25 +406,29 @@ def test_wrapped_suite_entries_keep_runs_and_gates(tmp_path, monkeypatch):
                  str(tmp_path / "none")]) == 2
 
 
-def test_thread_cap_does_not_change_results(tmp_path, monkeypatch):
-    monkeypatch.setenv("CONFORMAL_LAB_THREADS", "1")
-    run(RunConfig(BASE_CONFIG), tmp_path / "one")
-    monkeypatch.setenv("CONFORMAL_LAB_THREADS", "3")
-    run(RunConfig(BASE_CONFIG), tmp_path / "three")
-    assert (tmp_path / "one" / "summary.json").read_bytes() == \
-        (tmp_path / "three" / "summary.json").read_bytes()
+def test_jobs_run_backend_by_backend_and_keep_one_density(tmp_path,
+                                                        monkeypatch):
+    """Every suite of a backend runs before the next backend's, in config
+    order, so the run ends holding the last backend's blow-up density
+    only."""
+    from conformal_lab import verify
 
-
-@pytest.mark.parametrize("value", ["x", "0"])
-def test_bad_thread_cap_is_a_config_error(tmp_path, monkeypatch, capsys,
-                                          value):
-    monkeypatch.setenv("CONFORMAL_LAB_THREADS", value)
-    path = _write(tmp_path, BASE_CONFIG)
-    assert main(["run", "--config", str(path), "--out",
-                 str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "CONFIG_INVALID" in err and "CONFORMAL_LAB_THREADS" in err
-    assert not (tmp_path / "out").exists()
+    order = []
+    for name, fn in list(verify.SUITES.items()):
+        def recorded(m, cfg, name=name, fn=fn):
+            order.append((name, m.descriptor()))
+            return fn(m, cfg)
+        monkeypatch.setitem(verify.SUITES, name, recorded)
+    products = [{"kind": kind, "params": {},
+                 "basis": {"degree_max": 12, "fourier_max": 6}}
+                for kind in ("product-S1xS2", "product-S1xS3")]
+    config = RunConfig(dict(BASE_CONFIG, catalog=products, suites=[
+        "weak-identity", "4d-identity", "total-q"]))
+    assert run(config, tmp_path) == 0
+    backends = _build_backends(config)
+    assert order == [(suite, m.descriptor()) for m in backends
+                     for suite in config.suites]
+    assert list(verify._DENSITIES) == [(backends[-1], config.level)]
 
 
 # ----------------------------------------------------------------- catalog
@@ -446,7 +462,7 @@ import json, sys
 from conformal_lab.cli import RunConfig, run
 code = run(RunConfig(json.loads(sys.argv[1])), sys.argv[2])
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.split(".")[0] == "scipy"
+                               if m.split(".")[0] in ("scipy", "concurrent")
                                or m.startswith("numpy.polynomial"))]))
 """
 
@@ -454,14 +470,14 @@ print(json.dumps([code, sorted(m for m in sys.modules
 def test_run_does_not_import_scipy(tmp_path):
     """numpy is the only runtime dependency; scipy is a test oracle.  Nor
     does a run import ``numpy.polynomial``: the Gauss-Legendre panels
-    come from the basis's own rule.  The run happens in a fresh
-    interpreter because this one imports both."""
+    come from the basis's own rule, or ``concurrent.futures``: the jobs
+    run in the calling thread.  The run happens in a fresh interpreter
+    because this one may import all three."""
     sphere5 = {"kind": "sphere", "n": 5, "basis": {"degree_max": 12}}
     cfg = dict(BASE_CONFIG, suites=["total-q", "mass"],
                catalog=BASE_CONFIG["catalog"] + [sphere5])
     src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src),
-               CONFORMAL_LAB_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_GUARD, json.dumps(cfg),
          str(tmp_path / "out")],

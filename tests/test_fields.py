@@ -189,14 +189,21 @@ def test_zonal_recurrence_matches_jacobi(d, degree_max):
                         np.linspace(-0.99, 0.99, 37)])
     got = zonal_polynomials(d, degree_max, t)
     assert len(got) == 3
+    # contiguous per degree: the matrix products of the callers round
+    # by this layout
+    assert all(tab.flags.f_contiguous for tab in got)
     for tab, want in zip(got, _jacobi_oracle(d, degree_max, t)):
         # error per degree against that degree's largest value; scipy's
         # own error at t = -1 reaches 4e-13 for half-integer a at degree
         # 240 (checked against 40-digit arithmetic)
         scale = np.maximum(np.max(np.abs(want), axis=0), 1e-300)
         assert np.max(np.max(np.abs(tab - want), axis=0) / scale) < 1e-12
-    (values,) = zonal_polynomials(d, degree_max, t, order=0)
-    assert_allclose(values, got[0], rtol=0, atol=0)
+    # a lower order tabulates the same leading tables, bit for bit
+    for order in (0, 1):
+        lower = zonal_polynomials(d, degree_max, t, order=order)
+        assert len(lower) == order + 1
+        for tab, full in zip(lower, got):
+            assert np.array_equal(tab, full)
 
 
 def test_frame_jets_on_grid_match_jets_at_grid_points(sphere5, s1xs2, rng):

@@ -333,6 +333,25 @@ def test_long_circle_jets_are_finite(kind, length):
         assert_allclose(got[key], ref, rtol=1e-15, atol=0, err_msg=key)
 
 
+@pytest.mark.parametrize("kind", ["product-S1xS2", "product-S1xS3"])
+def test_image_kernel_refuses_circles_beyond_its_range(kind):
+    """Up to l = 1400 b value and jets stay finite at |ds| = 0.49 l, the
+    far end of the circle; beyond it the pole's own image overflows and
+    they would turn NaN, so the expansion raises instead."""
+    m = catalog_build(kind, None, {"length": 1400.0},
+                      {"degree_max": 4, "fourier_max": 2})
+    kern = green_eigen_expansion(m, "L").kernel
+    ds, chi = 0.49 * m.length * np.array([1.0, -1.0]), np.array([0.5, 2.0])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        comps = _kernel_components(kern, 0.5, ds, chi)
+    for key, arr in comps.items():
+        assert np.all(np.isfinite(arr)), key
+    m = catalog_build(kind, None, {"length": 1450.0},
+                      {"degree_max": 4, "fourier_max": 2})
+    with pytest.raises(UnsupportedBackendError, match="1400 sphere radii"):
+        green_eigen_expansion(m, "L")
+
+
 def test_image_kernel_jets_take_a_few_point_vectors(s1xs2):
     """Images are added one at a time: no (points x images) arrays."""
     kern = green_eigen_expansion(s1xs2, "L").kernel
