@@ -22,7 +22,7 @@ numbers 1 / sum_{l<nq} p_l(t_i)^2.
 
 The zonal polynomials and their t-derivatives are tabulated by the
 orthonormal Jacobi three-term recurrence in one routine,
-``zonal_polynomials``, which the product degree-sum kernel also calls.
+``zonal_polynomials``, which nothing outside this module calls.
 ``ModeBasis.polar_values`` and ``circle_values`` tabulate the normalized
 modes at points, values only; ``polar_jets`` and ``circle_jets`` add the
 first two derivatives, and the cached node tables are their frozen value
@@ -178,11 +178,6 @@ class ModeBasis:
     @property
     def is_product(self) -> bool:
         return self.kind in PRODUCT_KINDS
-
-    @property
-    def n(self) -> int:
-        """Dimension of the manifold."""
-        return self.sphere_dim + (1 if self.is_product else 0)
 
     @property
     def orbit_area(self) -> float:

@@ -36,12 +36,6 @@ class KernelError(ConformalLabError):
     code = "KERNEL"
 
 
-class CutoffTooLowError(ConformalLabError):
-    """The eigen-expansion tail estimate exceeds the requested tolerance."""
-
-    code = "CUTOFF_TOO_LOW"
-
-
 class NonpositiveFactorError(ConformalLabError):
     """A conformal factor must be strictly positive."""
 

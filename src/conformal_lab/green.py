@@ -15,30 +15,28 @@ constant below (on the sphere the Ricci tensor of the blow-up metric
 vanishes, so the proportionality is exact).
 
 Product backends S^1(l) x S^d(b) are quotients of the conformally flat
-cylinder; the Fourier sum over circle wavenumbers of the eigen-expansion
-telescopes into the one-dimensional circle kernel of (-beta d^2/ds^2 + c),
-and for the conformal Laplacian the remaining sphere-degree sum has the
-closed generating function
+cylinder, so their kernels are image sums over circle periods of the
+flat kernel pulled back to the cylinder R x S^d(b).  For the conformal
+Laplacian that is
 
     H(u, chi) = (4 n (n-1) w_n)^{-1} (2 cosh u - 2 cos chi)^{-(n-2)/2},
 
-so G_L is the exponentially convergent image sum of H over circle
-periods.  The fourth-order kernel keeps an explicit degree sum with a
-partial-fraction circle kernel per degree and a monitored tail.
+and for the fourth-order operator in dimension three it is the pulled
+back c_P r less the degree-0 homogeneous solution that makes it grow
+(``_ProductImageKernelP``); both sums converge exponentially.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from . import fields as F
 from . import quadrature as Q
-from .basis import ball_volume, harmonic_dimension, zonal_polynomials
-from .errors import (CutoffTooLowError, KernelError, UnsupportedBackendError)
+from .basis import ball_volume
+from .errors import KernelError, UnsupportedBackendError
 from .fields import ScalarField
 from .geometry import ConformalFactor, ManifoldModel, Pole, conformal_ricci
 from .operators import build_symbol
@@ -81,7 +79,7 @@ def flat_P_coefficient(n: int) -> float:
 # ------------------------------------------------------------------ kernels
 #
 # A kernel maps pole coordinates (``ManifoldModel.pole_separation``) to
-# values and names its representation, its cutoff and its tail estimate;
+# values and names its representation and its cutoff (the image count);
 # a kernel of G_L also gives ``log_jets(scale, *sep)``, the value, frame
 # gradient and frame Hessian of w = scale * log G_L for a north pole.
 
@@ -90,7 +88,6 @@ class _SphereKernel:
 
     representation = "closed-form"
     cutoff = None
-    tail_estimate = 0.0
 
     def __init__(self, coefficient: float, a: float, power: float):
         self.c = coefficient
@@ -125,7 +122,6 @@ class _ProductImageKernelL:
     """
 
     representation = "eigen-expansion"
-    tail_estimate = 0.0
 
     def __init__(self, m: ManifoldModel, images: int):
         self.m = m
@@ -257,68 +253,44 @@ class _ProductImageKernelL:
             "xx": (scale / b ** 2) * g_xx, "orb": (scale / b ** 2) * cos_x}
 
 
-class _ProductDegreeSumP:
-    """Sphere-degree sum with closed-form circle kernels for the P operator.
+class _ProductImageKernelP:
+    """Image sum of the regularized cylinder kernel for the Paneitz
+    operator in dimension three.
 
-    Per sphere degree m the Paneitz operator of S^1 x S^d(b) factors
-    into two circle operators -d^2/ds^2 + z, with the real roots
-    sqrt(z1) = |m + (n-4)/2| / b and sqrt(z2) = (m + n/2) / b, so
-    z2 - z1 = 2 (2m + n - 2) / b^2 > 0 and the circle kernel of the
-    degree is the partial fraction (k(z1) - k(z2)) / (z2 - z1).
+    The flat kernel c_P r pulled back to the cylinder R x S^2(b) is
+    c_P b D^(1/2), D = 2 cosh u - 2 cos chi, which grows like e^(|u|/2).
+    Subtracting 2 c_P b cosh(u/2), the degree-0 homogeneous solution (the
+    one degree whose root |m - 1/2| flips sign), leaves in E = exp(-|u|)
+
+        -4 c_P b cos^2(chi/2) E^(1/2)
+            / (sqrt((1 - E)^2 + 4 E sin^2(chi/2)) + 1 + E),
+
+    which decays like E^(1/2), has no cancellation and is exact at the
+    pole.  It is summed over u = (ds + j l) / b, every image from one exp
+    per point as in ``_ProductImageKernelL._sums``, j = 0 included as
+    exp(-|u0|), so nothing overflows below l = 1400 b.
     """
 
     representation = "eigen-expansion"
 
-    def __init__(self, m: ManifoldModel, cutoff: int):
-        self.m = m
-        self.cutoff = cutoff
-        n, d, b = m.n, m.sphere_dim, m.radius
+    def __init__(self, m: ManifoldModel, images: int):
+        self.b = m.radius
         self.ell = m.length
-        ms = np.arange(cutoff + 1, dtype=float)
-        self.r1 = np.abs(ms + 0.5 * (n - 4)) / b
-        self.r2 = (ms + 0.5 * n) / b
-        self.disc = 2.0 * (2.0 * ms + n - 2) / b ** 2
-        factor_volume = m.volume / self.ell
-        self.norm = np.array([harmonic_dimension(d, int(mm))
-                              for mm in range(cutoff + 1)], dtype=float) \
-            / factor_volume
-        (self.pole_values,) = zonal_polynomials(d, cutoff, np.ones(1),
-                                                order=0)
-
-    def _circle_kernel(self, rz, u):
-        """Kernel of -d^2/ds^2 + rz^2 on the circle at offsets u >= 0."""
-        eu = np.exp(-rz * u[..., None])
-        el = np.exp(-rz * (self.ell - u[..., None]))
-        return (eu + el) / (2.0 * rz * (1.0 - np.exp(-rz * self.ell)))
-
-    def kernel_1d(self, ds):
-        """Per-degree circle kernels at offsets ds (shape ds x modes)."""
-        u = np.abs(np.atleast_1d(np.asarray(ds, dtype=float)))
-        k1 = self._circle_kernel(self.r1, u)
-        k2 = self._circle_kernel(self.r2, u)
-        return (k1 - k2) / self.disc
-
-    def zonal(self, chi):
-        """Zonal harmonics p_m(cos chi) / p_m(1) for all degrees."""
-        chi = np.asarray(chi, dtype=float)
-        (p,) = zonal_polynomials(self.m.sphere_dim, self.cutoff,
-                                 np.cos(chi), order=0)
-        return (p / self.pole_values).reshape(chi.shape + (-1,))
+        self.c = -4.0 * flat_P_coefficient(3) * self.b
+        self.cutoff = images
 
     def value(self, ds, chi):
-        """The degree sum at broadcastable offsets: ``kernel_1d`` runs on
-        ``ds`` and ``zonal`` on ``chi`` as given, so an open mesh
-        tabulates them once per distinct offset and angle."""
-        k = self.norm * self.kernel_1d(ds)
-        z = self.zonal(np.atleast_1d(np.asarray(chi, dtype=float)))
-        return np.sum(k * z, axis=-1)
-
-    @cached_property
-    def tail_estimate(self) -> float:
-        """Magnitude bound for the dropped degrees at the worst offset."""
-        m_top = self.cutoff
-        k_top = abs(self.kernel_1d(np.zeros(1))[0, -1])
-        return float(self.norm[-1] * k_top * m_top)
+        chi = np.asarray(chi, dtype=float)
+        sin2 = 4.0 * np.sin(0.5 * chi) ** 2
+        e_plus = np.exp(-np.asarray(ds, dtype=float) / self.b)
+        e_minus = 1.0 / e_plus
+        far = np.exp(-np.arange(1, self.cutoff + 1) * (self.ell / self.b))
+        total = 0.0
+        for E in [np.minimum(e_plus, e_minus),
+                  *(f * e for f in far for e in (e_plus, e_minus))]:
+            total = total + np.sqrt(E) / (
+                np.sqrt((1.0 - E) ** 2 + sin2 * E) + 1.0 + E)
+        return self.c * np.cos(0.5 * chi) ** 2 * total
 
 
 # -------------------------------------------------------------- GreenField
@@ -356,10 +328,6 @@ class GreenField:
     @property
     def cutoff(self):
         return self.kernel.cutoff
-
-    @property
-    def tail_estimate(self) -> float:
-        return self.kernel.tail_estimate
 
     def at(self, *sep) -> np.ndarray:
         vals = self.kernel.value(*sep)
@@ -441,48 +409,39 @@ def green_sphere_closed_form(m: ManifoldModel, operator: str,
     return GreenField(m, operator, pole, kern)
 
 
-def green_eigen_expansion(m: ManifoldModel, operator: str,
-                          pole: Pole | None = None,
-                          cutoff: int | None = None,
-                          tolerance: float = 1e-3) -> GreenField:
-    """Eigen-expansion Green's function on a product backend.
+def _image_count(m: ManifoldModel) -> int:
+    """Images per side of a product image sum: the terms decay like
+    exp(-(n-2)|u|/2), so the count reaches exp(-20) of the pole's own."""
+    return max(4, int(math.ceil(40.0 * m.radius
+                                / ((m.n - 2) * m.length)))) + 2
 
-    The circle sum is carried out in closed form per sphere degree; for
-    the conformal Laplacian the degree sum also closes (image kernel),
-    for the fourth-order operator it is truncated at ``cutoff`` with a
-    tail estimate checked against ``tolerance`` times the constant-mode
-    scale.
-    """
+
+def green_eigen_expansion(m: ManifoldModel, operator: str,
+                          pole: Pole | None = None) -> GreenField:
+    """Green's function on a product backend: the eigen-expansion summed
+    in closed form, as an image sum of the cylinder kernel over circle
+    periods (G_L in any dimension, G_P in dimension three)."""
     if not m.is_product:
         raise UnsupportedBackendError("eigen expansions are for products")
+    if m.length > 1400.0 * m.radius:  # see _ProductImageKernelL._sums
+        raise UnsupportedBackendError(
+            f"the image sums overflow on a circle longer than 1400 "
+            f"sphere radii (length {m.length:g}, radius {m.radius:g})")
     pole = pole or Pole()
-    table = build_symbol(m, operator)
     thr = zero_threshold(m)
-    lam_min = float(np.min(np.abs(table)))
+    lam_min = float(np.min(np.abs(build_symbol(m, operator))))
     if lam_min < thr:
         raise KernelError(
             f"{operator} has a zero mode on {m.kind} "
             f"(|eigenvalue| {lam_min:.3e} < threshold {thr:.3e})")
     if operator == "L":
-        if m.length > 1400.0 * m.radius:  # see _ProductImageKernelL._sums
-            raise UnsupportedBackendError(
-                f"the G_L image sum overflows on a circle longer than 1400 "
-                f"sphere radii (length {m.length:g}, radius {m.radius:g})")
-        images = max(4, int(math.ceil(40.0 * m.radius
-                                      / ((m.n - 2) * m.length))) + 2)
-        return GreenField(m, "L", pole, _ProductImageKernelL(m, images))
-    if operator != "P":
-        raise ValueError(f"unknown operator {operator!r}")
-    cutoff = cutoff or 240
-    kern = _ProductDegreeSumP(m, cutoff)
-    tail = kern.tail_estimate
-    # reference scale: the constant-mode contribution to the kernel
-    scale = abs(1.0 / float(table.ravel()[0]))
-    if tail > tolerance * scale:
-        raise CutoffTooLowError(
-            f"degree cutoff {cutoff} leaves tail ~{tail:.2e} "
-            f"(tolerance {tolerance * scale:.2e})")
-    return GreenField(m, "P", pole, kern)
+        kernel = _ProductImageKernelL
+    elif m.n == 3:
+        kernel = _ProductImageKernelP
+    else:
+        raise UnsupportedBackendError(
+            f"the product G_P kernel is for n = 3 (n = {m.n})")
+    return GreenField(m, operator, pole, kernel(m, _image_count(m)))
 
 
 def transport_green(gf: GreenField, factor: ConformalFactor) -> GreenField:
@@ -587,8 +546,8 @@ class ComparisonResult:
     The margin field is c_n G_P - G_L^{(n-4)/(n-2)} for n > 4 and
     -(G_L^{-1} + 256 pi^2 G_P) for n = 3; nonnegative margins are the
     comparison statement, and a vanishing extremum is the round-sphere
-    equality case.  ``cutoff`` and ``tail_estimate`` are those of the
-    G_P degree sum (``None`` and 0 for closed forms).
+    equality case.  ``cutoff`` is the image count of the G_P image sum
+    (``None`` for closed forms).
     """
 
     margin_min: float
@@ -596,7 +555,6 @@ class ComparisonResult:
     equality: bool
     tolerance: float
     cutoff: int | None
-    tail_estimate: float
 
 
 def compare_green(m: ManifoldModel, poles,
@@ -636,7 +594,6 @@ def compare_green(m: ManifoldModel, poles,
             equality=bool(abs(margin_min) <= tolerance * scale),
             tolerance=tolerance * scale,
             cutoff=gP.cutoff,
-            tail_estimate=gP.tail_estimate,
         ))
     return out
 

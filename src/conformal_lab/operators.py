@@ -26,6 +26,8 @@ but the value agrees).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import fields as F
@@ -53,27 +55,25 @@ def _gradient_coefficient(n: int) -> float:
     return (n * n - 4 * n + 8) / (2.0 * (n - 1) * (n - 2))
 
 
-def _symbol_table(m: ManifoldModel, operator: str) -> np.ndarray:
+@lru_cache(maxsize=64)
+def build_symbol(m: ManifoldModel, operator: str) -> np.ndarray:
+    """Eigenvalue table of L or P on a catalog backend, read-only and
+    built once per (backend, operator)."""
     b = m.basis
     lam = b.neg_laplacian_eigenvalues()
     n = m.n
     if operator == "L":
-        return laplacian_coefficient(n) * lam + m.scalar_curvature
-    if operator != "P":
+        table = laplacian_coefficient(n) * lam + m.scalar_curvature
+    elif operator == "P":
+        # the sphere-factor part of -Laplace, constant along the circle modes
+        rc_term = ((m.sphere_dim - 1) / m.radius ** 2) \
+            * b.sphere_factor_eigenvalues()
+        table = (lam ** 2 - (4.0 / (n - 2)) * rc_term
+                 + _gradient_coefficient(n) * m.scalar_curvature * lam)
+        if n != 4:
+            table = table + 0.5 * (n - 4) * m.q_value
+    else:
         raise ValueError(f"unknown operator tag {operator!r}")
-    # the sphere-factor part of -Laplace, constant along the circle modes
-    rc_term = ((m.sphere_dim - 1) / m.radius ** 2) \
-        * b.sphere_factor_eigenvalues()
-    table = (lam ** 2 - (4.0 / (n - 2)) * rc_term
-             + _gradient_coefficient(n) * m.scalar_curvature * lam)
-    if n != 4:
-        table = table + 0.5 * (n - 4) * m.q_value
-    return table
-
-
-def build_symbol(m: ManifoldModel, operator: str) -> np.ndarray:
-    """Eigenvalue table of L or P on a catalog backend, read-only."""
-    table = _symbol_table(m, operator)
     table.setflags(write=False)
     return table
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import fields as F
 from . import quadrature as Q
 from . import spectrum
-from .errors import (CutoffTooLowError, HypothesisFailError, KernelError,
+from .errors import (HypothesisFailError, KernelError,
                      UnsupportedDimensionError)
 from .geometry import (ConformalFactor, FieldFactor, ManifoldModel,
                        MoebiusFactor, Pole, conformal_q,
@@ -150,8 +150,8 @@ class Suite:
     sign that fails ``HypothesisFailError``, and otherwise it returns
     the timed ``VerificationReport`` with the backend's ledger.  In a
     theorems suite a Green's function that cannot be built
-    (``KernelError``, ``CutoffTooLowError``) is one failed record, and
-    where the theorems' hypotheses fail every record is exploratory.
+    (``KernelError``) is one failed record, and where the theorems'
+    hypotheses fail every record is exploratory.
     The suite's job, ``SUITES[name]``, returns None outside the gate and
     passes the check the run options its signature names.
     """
@@ -180,7 +180,7 @@ class Suite:
                 opts.setdefault("tolerance", self.tolerance[m.is_product])
             try:
                 checks, resolution = body(m, **opts)
-            except (KernelError, CutoffTooLowError) as exc:
+            except KernelError as exc:
                 if not self.theorems:
                     raise
                 checks, resolution = [_verdict(
@@ -206,12 +206,6 @@ class Suite:
 def run_suite(name: str, m: ManifoldModel, cfg: dict | None = None):
     """Run one suite; returns None when the backend is incompatible."""
     return SUITES[name](m, cfg or {})
-
-
-def _degree_sum_record(pole: Pole, cutoff, tail_estimate) -> dict:
-    """Resolution entry of one pole's G_P degree sum on a product."""
-    return {"pole": pole.label(), "cutoff": cutoff,
-            "tail_estimate": tail_estimate}
 
 
 # ----------------------------------------------------- pole identities
@@ -616,9 +610,7 @@ def check_sign_theorems(m: ManifoldModel, seed: int = 0):
     for tag, factor in variants:
         gfs = [green_field(m, "P", pole, factor) for pole in poles]
         if m.is_product:
-            resolution.setdefault("degree_sum", []).extend(
-                _degree_sum_record(gf.pole, gf.cutoff, gf.tail_estimate)
-                for gf in gfs)
+            resolution["images"] = [gf.cutoff for gf in gfs]
         scan = sign_scan(gfs)
         checks.append(_verdict(
             f"sign-{tag}", scan["verdict"] == expected,
@@ -679,9 +671,7 @@ def check_green_compare(m: ManifoldModel, tolerance: float):
                    f"equality={res.equality}"))
     resolution = {"poles": [p.label() for p in poles]}
     if m.is_product:
-        resolution["degree_sum"] = [
-            _degree_sum_record(pole, res.cutoff, res.tail_estimate)
-            for pole, res in zip(poles, results)]
+        resolution["images"] = [res.cutoff for res in results]
     return checks, resolution
 
 

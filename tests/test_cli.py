@@ -164,7 +164,7 @@ def test_run_byte_identical_summaries(tmp_path):
         (tmp_path / "b" / "summary.json").read_bytes()
 
 
-def test_degree_sum_resolution_stays_out_of_the_summary(tmp_path):
+def test_image_resolution_stays_out_of_the_summary(tmp_path):
     cfg = dict(BASE_CONFIG, suites=["signs", "green-compare"], catalog=[
         {"kind": "product-S1xS2", "params": {},
          "basis": {"degree_max": 12, "fourier_max": 6}}])
@@ -172,9 +172,9 @@ def test_degree_sum_resolution_stays_out_of_the_summary(tmp_path):
     for suite in ("signs", "green-compare"):
         report = json.loads(next(
             (tmp_path / "out").glob(f"{suite}__*.json")).read_text())
-        assert report["resolution"]["degree_sum"][0]["cutoff"] == 240
+        assert report["resolution"]["images"][0] == 9
     summary = (tmp_path / "out" / "summary.json").read_text()
-    assert "degree_sum" not in summary and "tail_estimate" not in summary
+    assert "images" not in summary
 
 
 def test_the_ledger_is_built_once_per_backend(tmp_path, monkeypatch):

@@ -1,19 +1,19 @@
 import copy
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import eval_legendre
 
 from conformal_lab import fields as F
 from conformal_lab import quadrature as Q
-from conformal_lab.errors import (CutoffTooLowError, KernelError,
-                                  UnsupportedBackendError)
+from conformal_lab.errors import KernelError, UnsupportedBackendError
 from conformal_lab.geometry import (FieldFactor, MoebiusFactor, Pole,
                                     catalog_build)
-from conformal_lab.green import (ComparisonResult, _ProductDegreeSumP,
-                                 _ProductImageKernelL,
+from conformal_lab.green import (ComparisonResult, _ProductImageKernelL,
                                  compare_green,
                                  comparison_constant, extract_mass,
                                  flat_L_coefficient, green_eigen_expansion,
@@ -337,7 +337,8 @@ def test_long_circle_jets_are_finite(kind, length):
 def test_image_kernel_refuses_circles_beyond_its_range(kind):
     """Up to l = 1400 b value and jets stay finite at |ds| = 0.49 l, the
     far end of the circle; beyond it the pole's own image overflows and
-    they would turn NaN, so the expansion raises instead."""
+    they would turn NaN, so the expansion raises instead, for either
+    operator and before it looks for a zero mode (P on S1xS3)."""
     m = catalog_build(kind, None, {"length": 1400.0},
                       {"degree_max": 4, "fourier_max": 2})
     kern = green_eigen_expansion(m, "L").kernel
@@ -348,8 +349,10 @@ def test_image_kernel_refuses_circles_beyond_its_range(kind):
         assert np.all(np.isfinite(arr)), key
     m = catalog_build(kind, None, {"length": 1450.0},
                       {"degree_max": 4, "fourier_max": 2})
-    with pytest.raises(UnsupportedBackendError, match="1400 sphere radii"):
-        green_eigen_expansion(m, "L")
+    for operator in ("L", "P"):
+        with pytest.raises(UnsupportedBackendError,
+                           match="1400 sphere radii"):
+            green_eigen_expansion(m, operator)
 
 
 def test_image_kernel_jets_take_a_few_point_vectors(s1xs2):
@@ -407,47 +410,107 @@ def test_kernel_error_for_P_on_s1xs3(s1xs3):
         green_eigen_expansion(s1xs3, "P")
 
 
-def test_degree_sum_zonal_axis_values(s1xs2, s1xs3):
-    """Unit-normalized zonal harmonics: 1 at the pole, (-1)^m opposite."""
-    for m in (s1xs2, s1xs3):
-        z = _ProductDegreeSumP(m, 240).zonal(np.array([0.0, math.pi]))
-        signs = (-1.0) ** np.arange(241)
-        assert_allclose(z[0], 1.0, rtol=1e-12)
-        assert_allclose(z[1], signs, rtol=1e-12)
+def _degree_roots(m, degrees):
+    """Per sphere degree m the P symbol of S1 x S^d(b) factors as
+    (w + z1)(w + z2) over the circle eigenvalues w, with the real roots
+    sqrt(z1) = |m + (n-4)/2| / b and sqrt(z2) = (m + n/2) / b."""
+    ms = np.arange(degrees + 1, dtype=float)
+    return (np.abs(ms + 0.5 * (m.n - 4)) / m.radius,
+            (ms + 0.5 * m.n) / m.radius)
 
 
-def test_cutoff_too_low(s1xs2):
-    with pytest.raises(CutoffTooLowError):
-        green_eigen_expansion(s1xs2, "P", cutoff=3, tolerance=1e-6)
+def _degree_sum_P(m, ds, chi, degrees=600):
+    """G_P on S1(l) x S2(b) as its truncated sphere-degree sum: the circle
+    kernel of a degree is the partial fraction (k(z1) - k(z2)) / (z2 - z1)
+    of the kernels k(z) of -d^2/ds^2 + z on the circle, and its zonal
+    harmonic the Legendre polynomial P_m(cos chi), weighted by
+    (2m + 1) / (4 pi b^2).  Off ds = 0 the degrees decay like
+    exp(-m |ds| / b)."""
+    b, ell = m.radius, m.length
+    r1, r2 = _degree_roots(m, degrees)
+    u = np.abs(np.asarray(ds, dtype=float))[..., None]
+
+    def circle(r):
+        return (np.exp(-r * u) + np.exp(-r * (ell - u))) \
+            / (2.0 * r * -np.expm1(-r * ell))
+
+    ms = np.arange(degrees + 1)
+    zonal = eval_legendre(ms, np.cos(np.asarray(chi, dtype=float))[..., None])
+    weight = (2 * ms + 1) / (4.0 * math.pi * b * b)
+    return np.sum(weight * (circle(r1) - circle(r2)) / (r2 ** 2 - r1 ** 2)
+                  * zonal, axis=-1)
 
 
 @pytest.mark.parametrize("kind", ["product-S1xS2", "product-S1xS3"])
 @pytest.mark.parametrize("radius, length", [(1.0, 2 * math.pi), (1.3, 0.7)])
 def test_degree_sum_roots_factor_the_P_symbol(kind, radius, length):
     """The closed-form real roots of the degree sum factor the P symbol
-    of every (circle mode, degree): (w + z1)(w + z2), w = (2 pi k / l)^2,
-    with disc = z2 - z1."""
+    of every (circle mode, degree): (w + z1)(w + z2), w = (2 pi k / l)^2."""
     m = catalog_build(kind, None, {"length": length, "radius": radius},
                       {"degree_max": 16, "fourier_max": 8})
-    kern = _ProductDegreeSumP(m, 16)
+    r1, r2 = _degree_roots(m, 16)
     w = m.basis.circle_factor_eigenvalues()[:, None]
     table = build_symbol(m, "P")
-    assert_allclose((w + kern.r1 ** 2) * (w + kern.r2 ** 2), table,
+    assert_allclose((w + r1 ** 2) * (w + r2 ** 2), table,
                     rtol=0, atol=1e-14 * np.max(np.abs(table)))
-    assert_allclose(kern.disc, kern.r2 ** 2 - kern.r1 ** 2, rtol=1e-14)
 
 
-def test_p_expansion_cutoff_convergence(s1xs2):
-    """Doubling the degree cutoff moves off-pole values by less than ten
-    times the recorded tail estimate."""
-    g1 = green_eigen_expansion(s1xs2, "P", cutoff=120)
-    g2 = green_eigen_expansion(s1xs2, "P", cutoff=240)
-    ds = np.array([2.0])
-    chi = np.array([1.7])
-    delta = abs(float((g1.values_at(ds, chi) - g2.values_at(ds, chi))[0]))
-    assert delta < 10.0 * g1.tail_estimate
-    assert_allclose(green_pair(g2, s1xs2.constant(1.0), level=2),
-                    16.0 / 9.0, rtol=1e-6)
+# (length, radius) of the S1 x S2 cases, with the relative bound on the G_P
+# image sum: the images stop at exp(-20) of the pole's own, which shows at
+# l = 0.5 (measured 1.1e-9 against the degree sum, 1.1e-9 at the pole and
+# 1.2e-9 in the pairing) and is below rounding elsewhere (at most 2.7e-12)
+P_CASES = [(2 * math.pi, 1.0, 2e-11), (0.5, 1.0, 5e-9), (40.0, 1.0, 2e-11),
+           (2 * math.pi, 1.3, 2e-11), (3.0, 0.7, 2e-11)]
+
+
+def _s1xs2(length, radius):
+    return catalog_build("product-S1xS2", None,
+                         {"length": length, "radius": radius},
+                         {"degree_max": 8, "fourier_max": 4})
+
+
+@pytest.mark.parametrize("length, radius, rel", P_CASES)
+def test_paneitz_image_kernel_matches_the_degree_sum(length, radius, rel):
+    """Off ds = 0, where the degree sum converges, the two agree."""
+    m = _s1xs2(length, radius)
+    rng = np.random.default_rng(11)
+    ds = length * rng.uniform(0.1, 0.5, 40) * rng.choice([-1.0, 1.0], 40)
+    chi = rng.uniform(0.0, math.pi, 40)
+    got = green_eigen_expansion(m, "P").kernel.value(ds, chi)
+    want = _degree_sum_P(m, ds, chi)
+    assert_allclose(got, want, rtol=0, atol=rel * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("length, radius, rel", P_CASES)
+def test_paneitz_image_kernel_pole_value(length, radius, rel):
+    """At the pole each image is E^(1/2) / 2, which sums to
+    (b / 4 pi) coth(l / 4b)."""
+    gp = green_eigen_expansion(_s1xs2(length, radius), "P")
+    want = radius / (4.0 * math.pi * math.tanh(length / (4.0 * radius)))
+    assert_allclose(gp.diagonal_value(), want, rtol=rel)
+
+
+@pytest.mark.parametrize("length, radius, rel", P_CASES)
+def test_paneitz_image_kernel_inverts_P_on_constants(length, radius, rel):
+    """int G_P dmu is 1 / P_00, the inverse of P on the constants; the
+    bound is at least 1e-9, since the level-2 rule itself is off by up to
+    2.8e-10 (b = 1.3)."""
+    m = _s1xs2(length, radius)
+    gp = green_eigen_expansion(m, "P")
+    p00 = float(build_symbol(m, "P").flat[0])
+    assert_allclose(green_pair(gp, m.constant(1.0)) * p00, 1.0,
+                    rtol=max(rel, 1e-9))
+
+
+def test_paneitz_image_kernel_on_a_long_circle_is_finite():
+    """At l = 1000 b the grid reaches |ds| = l / 2, where exp(-ds / b) of
+    the far images is near the end of double range."""
+    m = catalog_build("product-S1xS2", None, {"length": 1000.0},
+                      {"degree_max": 4, "fourier_max": 2})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = green_eigen_expansion(m, "P").values_at(*m.grid_points())
+    assert np.all(np.isfinite(vals))
 
 
 def test_eigen_expansion_rejects_spheres(sphere5):
@@ -516,11 +579,12 @@ def test_sign_scan_product_is_reported_not_asserted(s1xs2):
 
 
 def test_diagonal_value_is_the_kernel_at_the_pole(sphere3, s1xs2):
-    """The 3d G_P is continuous at its pole: the S1xS2 degree sum is
-    about 0.0866 there, the S^3 closed form vanishes there."""
+    """The 3d G_P is continuous at its pole: on S1(2 pi) x S2 it is
+    coth(pi / 2) / 4 pi = 0.0867658 there, the S^3 closed form vanishes
+    there."""
     gp = green_eigen_expansion(s1xs2, "P", Pole(1, 1.0))
     diag = gp.diagonal_value()
-    assert abs(diag - 0.0866) < 1e-4
+    assert abs(diag - 0.0867658) < 1e-7
     # the limit along the circle, where G_P = diag + O(r)
     near = gp.values_at(np.array([1.0 + 1e-7]), np.zeros(1))[0]
     assert abs(near - diag) < 1e-6

@@ -148,7 +148,7 @@ def test_an_unused_member_is_caught():
 
 # where each single-place routine may be called, as ``module`` or
 # ``module.top-level definition``: fields prepares every table it
-# contracts in one place and the P degree sum tabulates its own zonals;
+# contracts in one place and only basis tabulates zonal polynomials;
 # spectrum builds the hypothesis ledger and verify._ledger keeps one per
 # backend, which the suite wrapper reads for every report and assertion
 # rule, and two suite bodies only for the data they check; the catalog
@@ -162,7 +162,7 @@ SINGLE_PLACE = {
     "circle_jets": {"basis", "fields._prepare"},
     "polar_tables": {"basis", "fields._prepare"},
     "circle_tables": {"basis", "fields._prepare"},
-    "zonal_polynomials": {"basis", "green._ProductDegreeSumP"},
+    "zonal_polynomials": {"basis"},
     "lambda1_L": {"spectrum", "cli.list_catalog"},
     "zero_threshold": {"spectrum", "green.green_eigen_expansion"},
     "paneitz_spectrum_check": {"verify._ledger"},
@@ -205,13 +205,14 @@ def test_a_second_tabulation_is_caught():
                             "def analyze(b): return b.polar_tables()\n"
                             "def frame_jets(f, s): return f.circle_jets(s)\n",
                "green.py": "from .basis import zonal_polynomials\n"
-                           "class _ProductDegreeSumP:\n"
+                           "class _Kernel:\n"
                            "    def f(self): return zonal_polynomials(2, 3, 0)\n"
                            "def sign_scan(t): return zonal_polynomials(2, 3, t)\n"
                            "zonal_polynomials(2, 3, 1.0)\n"}
     assert stray_calls(sources) == [
         "fields.analyze: polar_tables", "fields.frame_jets: circle_jets",
         "green.<module>: zonal_polynomials",
+        "green._Kernel: zonal_polynomials",
         "green.sign_scan: zonal_polynomials"]
 
 

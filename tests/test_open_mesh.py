@@ -77,7 +77,7 @@ def test_image_kernel_value_and_log_jets(name, request):
     _close_jets(kernel.log_jets(0.5, ds, chi), kernel.log_jets(0.5, *full))
 
 
-def test_degree_sum_value(s1xs2):
+def test_paneitz_image_kernel_value(s1xs2):
     """S1xS3 (n = 4) has no G_P: P annihilates the constants there."""
     kernel = green_eigen_expansion(s1xs2, "P").kernel
     ds, chi = _mesh(s1xs2)

@@ -56,6 +56,14 @@ def test_symbol_table_is_read_only(name, request):
             table[...] = 0.0
 
 
+def test_symbol_table_is_built_once_per_backend(s1xs2):
+    """An equal backend, built anew, shares the table too."""
+    again = catalog_build("product-S1xS2", None, {"length": 2 * np.pi},
+                          {"degree_max": 16, "fourier_max": 8})
+    assert build_symbol(again, "P") is build_symbol(s1xs2, "P")
+    assert build_symbol(s1xs2, "L") is not build_symbol(s1xs2, "P")
+
+
 def test_P_on_constants(sphere5, sphere3, s1xs3):
     out5 = apply_P(sphere5, sphere5.constant(1.0))
     assert_allclose(out5.grid_values, 105.0 / 16.0, rtol=1e-12)

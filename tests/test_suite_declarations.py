@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 from conformal_lab import green, verify
-from conformal_lab.errors import CutoffTooLowError
+from conformal_lab.errors import KernelError
 from conformal_lab.verify import (DECLARATIONS, SUITES, check_4d_identity,
                                   check_covariance, check_green_compare,
                                   check_mass, check_sign_theorems,
@@ -50,26 +50,26 @@ def test_the_declared_tolerance_is_the_default(sphere5, s1xs2):
 def test_an_unbuildable_kernel_is_one_record_asserted_under_the_hypotheses(
         check, sphere5, s1xs2, monkeypatch):
     def obstructed(*args, **kw):
-        raise CutoffTooLowError("tail 0.76 above 6.4e-4")
+        raise KernelError("zero mode 1.2e-15 below 6.4e-12")
 
     # compare_green reads green.green_field, the sign scan verify's binding
     monkeypatch.setattr(green, "green_field", obstructed)
     monkeypatch.setattr(verify, "green_field", obstructed)
     [record] = check(sphere5).checks
     assert record.asserted and not record.passed
-    assert record.detail == "CutoffTooLowError: tail 0.76 above 6.4e-4"
+    assert record.detail == "KernelError: zero mode 1.2e-15 below 6.4e-12"
     # S1xS2 has Q < 0: the same record is exploratory there
     report = check(s1xs2)
     [record] = report.checks
     assert report.passed and record.passed and not record.asserted
-    assert record.detail == "CutoffTooLowError: tail 0.76 above 6.4e-4"
+    assert record.detail == "KernelError: zero mode 1.2e-15 below 6.4e-12"
 
 
 def test_an_unbuildable_kernel_outside_the_theorems_is_a_job_error(
         sphere5, monkeypatch):
     def obstructed(*args, **kw):
-        raise CutoffTooLowError("tail")
+        raise KernelError("zero mode")
 
     monkeypatch.setattr(verify, "green_field", obstructed)
-    with pytest.raises(CutoffTooLowError):
+    with pytest.raises(KernelError):
         check_weak_identity(sphere5, level=0)

@@ -71,7 +71,7 @@ def test_weak_identity_sees_a_one_entry_symbol_mutation(sphere5, s1xs2,
     sphere identity (worst margin 2.3e-7 -> 100) and, inside the product
     bound, multiplies the worst product residual by about 2,900."""
     clean = max(_weak_residuals(check_weak_identity(s1xs2)))
-    table = operators._symbol_table
+    table = operators.build_symbol
 
     def mutated(m, operator):
         out = table(m, operator)
@@ -80,7 +80,7 @@ def test_weak_identity_sees_a_one_entry_symbol_mutation(sphere5, s1xs2,
             out.flat[2] *= 1.0 + 1e-6
         return out
 
-    monkeypatch.setattr(operators, "_symbol_table", mutated)
+    monkeypatch.setattr(operators, "build_symbol", mutated)
     assert not check_weak_identity(sphere5).passed
     report = check_weak_identity(s1xs2)
     assert report.passed
@@ -412,17 +412,15 @@ def test_green_compare_suite(sphere5, sphere3):
         assert all("equality=True" in c.detail for c in report.checks)
 
 
-def test_degree_sum_cutoff_and_tail_in_resolution(s1xs2, sphere5):
-    tail = green.green_eigen_expansion(s1xs2, "P").tail_estimate
-    assert tail > 0
+def test_image_counts_in_theorem_resolution(s1xs2, sphere5):
+    """One G_P image count per pole on products, none on spheres."""
+    images = green.green_eigen_expansion(s1xs2, "P").cutoff
+    assert images == green.green_eigen_expansion(s1xs2, "L").cutoff == 9
     for report in (check_sign_theorems(s1xs2), check_green_compare(s1xs2)):
-        records = report.resolution["degree_sum"]
-        assert [r["pole"] for r in records] == report.resolution["poles"]
-        for r in records:
-            assert r["cutoff"] == 240
-            assert r["tail_estimate"] == tail
+        res = report.resolution
+        assert res["images"] == [images] * len(res["poles"])
     for report in (check_sign_theorems(sphere5), check_green_compare(sphere5)):
-        assert "degree_sum" not in report.resolution
+        assert "images" not in report.resolution
 
 
 def test_theorem_hypotheses_gate_all_three_suites(sphere4, sphere5, s1xs2):
