@@ -185,18 +185,21 @@ def even_part(f: ScalarField) -> ScalarField:
 def random_modes(basis: ModeBasis, rng, degree: int,
                  fourier: int = 0) -> np.ndarray:
     """A reproducible random coefficient table supported on low modes,
-    decaying like exp(-(wavenumber + degree))."""
+    decaying like exp(-(wavenumber + degree)): one normal draw per
+    supported mode, in row-major order, taken in one call."""
     degree = min(degree, basis.degree_max)
+    c = np.zeros(basis.mode_shape)
     if basis.is_product:
         fourier = min(fourier, basis.fourier_max)
-        c = np.zeros((basis.circle_mode_count, basis.sphere_mode_count))
-        for j in range(2 * fourier + 1):
-            k = basis.circle_wavenumber(j)
-            for m in range(degree + 1):
-                c[j, m] = rng.normal() * math.exp(-(k + m))
-        return c
-    return np.array([rng.normal() * math.exp(-l) if l <= degree else 0.0
-                     for l in range(basis.sphere_mode_count)])
+        rows = [basis.circle_wavenumber(j) for j in range(2 * fourier + 1)]
+    else:
+        rows = [0]
+    decay = np.array([[math.exp(-(k + m)) for m in range(degree + 1)]
+                      for k in rows])
+    # a sphere table is one row: write it through a (1, degrees) view
+    np.atleast_2d(c)[:len(rows), :degree + 1] = \
+        rng.normal(size=decay.shape) * decay
+    return c
 
 
 def sup_normalized(basis: ModeBasis, coefficients,
@@ -437,8 +440,9 @@ def _prepare(b: ModeBasis, coeffs=(), points=(), jets: bool = False):
     (``None`` on spheres) and the polar tables, each a tuple of
     (coordinate, mode) arrays, the value table first and then, on the
     grid or for ``jets``, the first and second derivative tables; the
-    polar cosine and sine broadcast against the output, its point shape
-    and whether the tables combine as a mesh product.
+    polar cosine and, on the grid or for ``jets``, sine broadcast against
+    the output (``None`` otherwise), its point shape and whether the
+    tables combine as a mesh product.
     """
     C = np.concatenate([c[..., None] for c in coeffs],
                        axis=-1) if coeffs else None
@@ -462,8 +466,8 @@ def _prepare(b: ModeBasis, coeffs=(), points=(), jets: bool = False):
         s = pts[0].ravel()
         U = b.circle_jets(s) if jets else (b.circle_values(s),)
     P = b.polar_jets(t) if jets else (b.polar_values(t),)
-    return C, (U, P, t.reshape(pts[-1].shape),
-               np.sin(chi).reshape(pts[-1].shape), shape, mesh)
+    sin_t = np.sin(chi).reshape(pts[-1].shape) if jets else None
+    return C, (U, P, t.reshape(pts[-1].shape), sin_t, shape, mesh)
 
 
 def _mix(tabs, C: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -484,6 +488,20 @@ def _mix(tabs, C: np.ndarray, i: int, j: int) -> np.ndarray:
     return out.reshape(out.shape[:-2] + shape + out.shape[-1:])
 
 
+def _mixer(f: ScalarField, points=(), jets: bool = False):
+    """The tables of ``f`` (``_prepare``) and ``mix(i, j)``, the values
+    of ``f`` against circle table i and polar table j."""
+    C, tabs = _prepare(f.basis, [coefficients_of(f)], points, jets)
+    return tabs, lambda i, j: _mix(tabs, C, i, j)[..., 0]
+
+
+def _frame_gradient(b: ModeBasis, mix, ft, sin_t) -> tuple:
+    """The frame gradient from ``mix`` and the t = cos(chi) partial
+    ``ft``: (e_s f, e_chi f) on a product, (e_theta f,) on a sphere."""
+    grad = (-sin_t * ft / b.radius,)
+    return (mix(1, 0),) + grad if b.is_product else grad
+
+
 def frame_jets(f: ScalarField, *points):
     """Value, frame gradient, and frame Hessian of a mode field.
 
@@ -492,31 +510,28 @@ def frame_jets(f: ScalarField, *points):
     Points follow the ``evaluate`` convention, pointwise or an open mesh;
     with no points the jets are taken on the quadrature grid.
     """
-    C, tabs = _prepare(f.basis, [coefficients_of(f)], points, jets=True)
-    b, t, sin_t = f.basis, tabs[2], tabs[3]
-
-    def mix(i, j):
-        return _mix(tabs, C, i, j)[..., 0]
+    (_, _, t, sin_t, _, _), mix = _mixer(f, points, jets=True)
+    b = f.basis
 
     # chart partials in t = cos(chi) to the orthonormal frame; the orbit
     # component (cot chi) f_chi is written as -t f_t so it stays regular
     # on the axis
     r = b.radius
     ft = mix(0, 1)
-    grad = (-sin_t * ft / r,)
+    grad = _frame_gradient(b, mix, ft, sin_t)
     hess = {"xx" if b.is_product else "rr":
             ((1.0 - t ** 2) * mix(0, 2) - t * ft) / r ** 2,
             "orb": -t * ft / r ** 2}
     if b.is_product:
-        grad = (mix(1, 0),) + grad
         hess.update(ss=mix(2, 0), sx=-sin_t * mix(1, 1) / r)
     return mix(0, 0), grad, hess
 
 
 def gradient_components(f: ScalarField):
-    """Orthonormal-frame gradient components on the grid."""
-    _, grad, _ = frame_jets(f)
-    return grad
+    """Orthonormal-frame gradient components on the grid, the ``grad``
+    of ``frame_jets`` with no Hessian table mixed."""
+    tabs, mix = _mixer(f)
+    return _frame_gradient(f.basis, mix, mix(0, 1), tabs[3])
 
 
 def laplacian(f: ScalarField) -> ScalarField:

@@ -147,9 +147,8 @@ def conformal_quadratic_form_E(m: ManifoldModel, factor: ConformalFactor,
     gw = F.gradient_components(w)
     e2w = np.exp(2.0 * w_vals)
 
-    def lap_tilde(f):
+    def lap_tilde(f, gf):
         lap = F.laplacian(f).grid_values
-        gf = F.gradient_components(f)
         cross = sum(a * b for a, b in zip(gw, gf))
         return (lap + (n - 2) * cross) / e2w
 
@@ -158,7 +157,7 @@ def conformal_quadratic_form_E(m: ManifoldModel, factor: ConformalFactor,
     rc = conformal_ricci(m, factor)
     rc_grad = F.frame_bilinear(m.basis, rc, gu, gv) / e2w ** 2
     grad_dot = sum(a * b for a, b in zip(gu, gv)) / e2w
-    vals = (lap_tilde(u) * lap_tilde(v) - (4.0 / (n - 2)) * rc_grad
+    vals = (lap_tilde(u, gu) * lap_tilde(v, gv) - (4.0 / (n - 2)) * rc_grad
             + _gradient_coefficient(n)
             * conformal_scalar_curvature(m, factor) * grad_dot)
     if n != 4:

@@ -17,9 +17,12 @@ node on ds = 0, so ``product_blocks`` returns its ds > 0 half with
 doubled weights, a rule for densities even about the pole; a density
 that is not even is summed on both sides, each half block at s and at
 its mirror 2 s0 - s with halved weights, which is the full rule.  The
-far rectangle on products arrives as an open mesh, an s column of shape
-(Ns, 1) and a chi row of shape (1, Nx), so the layers below can
-tabulate along each axis before they broadcast.
+product rule comes in slabs of at most ``SLAB_NODES`` nodes, so what a
+caller forms per node it holds for one slab at a time: runs of whole
+radial rows of the polar patch, pointwise, and runs of whole s rows of
+the far rectangle, each an open mesh, an s column of shape (Ns, 1) and a
+chi row of shape (1, Nx), so the layers below can tabulate along each
+axis before they broadcast.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ import numpy as np
 from .basis import gauss_jacobi
 
 __all__ = ["extrapolate_to_zero", "product_blocks", "sphere_blocks"]
+
+# the most nodes a block of ``product_blocks`` holds: whatever a caller
+# forms per node, kernel jets or a pairing's moments, it holds for one
+# block at a time
+SLAB_NODES = 4096
 
 
 def _gauss_panels(edges: np.ndarray, order: int):
@@ -65,6 +73,25 @@ def _charted(m, pole, blocks, graded_depth, resolution, **record):
         resolution.update(nodes=[w.size for _, w in blocks],
                           graded_depth=graded_depth, **record)
     return [(m.chart_from_pole(pole, *sep), w) for sep, w in blocks]
+
+
+def _slabs(points, weights) -> list:
+    """One piece of a rule, a (rows, columns) table of nodes given
+    pointwise or as an open mesh, cut into node blocks of at most
+    ``SLAB_NODES`` nodes: runs of whole rows, or runs of one row where a
+    row alone holds more.  An axis of length one in a point array spans
+    every row (or column) and is kept whole."""
+    rows, cols = weights.shape
+    dr = max(1, SLAB_NODES // cols)
+    dc = min(cols, SLAB_NODES)
+    out = []
+    for i in range(0, rows, dr):
+        for j in range(0, cols, dc):
+            cut = (slice(i, i + dr), slice(j, j + dc))
+            out.append((tuple(p[tuple(c if k > 1 else slice(None)
+                                      for c, k in zip(cut, p.shape))]
+                              for p in points), weights[cut]))
+    return out
 
 
 def sphere_blocks(m, pole, level: int = 1, graded_depth: int | None = None,
@@ -115,9 +142,13 @@ def product_blocks(m, pole, level: int = 1,
     an odd s panel count puts ds = 0.  So the half keeps the near-patch
     columns with psi < pi/2 and the far-rectangle rows with ds > 0,
     selected from the full panelization, and its weights double.
-    The polar patch is not separable and comes pointwise; the far
-    rectangle comes as an open mesh, an s column and a chi row.  A
-    ``resolution`` dict receives the node counts of the two half blocks,
+    The polar patch is built along its axes, the trig on the psi values
+    and the cut-off on the r values, but its nodes are not separable in
+    (s, chi) and come pointwise; the far rectangle comes as an open mesh,
+    an s column and a chi row.  Each piece is handed out in slabs of at
+    most ``SLAB_NODES`` nodes, runs of whole rows (of one r, or of one
+    s), and a row longer than that in runs of its columns.  A
+    ``resolution`` dict receives the node counts of the two half pieces,
     [near, far], the graded depth and ``mirror="s"``.
     """
     d = m.sphere_dim
@@ -135,10 +166,12 @@ def product_blocks(m, pole, level: int = 1,
     p_nodes, p_w = _gauss_panels(np.linspace(0.0, math.pi, 8 * 2 ** level + 1),
                                  6)
     half = p_nodes < 0.5 * math.pi
-    R, PSI = np.meshgrid(r_nodes, p_nodes[half], indexing="ij")
-    WR, WP = np.meshgrid(r_w, 2.0 * p_w[half], indexing="ij")
-    ds = R * np.cos(PSI)
-    chi_eff = R * np.sin(PSI) / b
+    # a radial column against a psi row: trig on the psi values and the
+    # cut-off on the r values, broadcast only where they meet
+    R, WR = r_nodes[:, None], r_w[:, None]
+    psi, WP = p_nodes[half], 2.0 * p_w[half]
+    ds = R * np.cos(psi)
+    chi_eff = R * np.sin(psi) / b
     cut = 1.0 - smoothstep((R - r0) / (r1 - r0))
     # ds d(b chi) = r dr dpsi, so the jacobian is plain r
     meas = orbit * np.sin(chi_eff) ** (d - 1) * R
@@ -161,8 +194,9 @@ def product_blocks(m, pole, level: int = 1,
     cut_far = smoothstep((rr - r0) / (r1 - r0))
     meas = orbit * b * np.sin(CHI_EFF) ** (d - 1)
     far = ((DS, CHI_EFF), cut_far * meas * WS * WX)
-    return _charted(m, pole, [near, far], graded_depth, resolution,
-                    mirror="s")
+    return [slab for piece in _charted(m, pole, [near, far], graded_depth,
+                                       resolution, mirror="s")
+            for slab in _slabs(*piece)]
 
 
 def extrapolate_to_zero(radii, values) -> float:

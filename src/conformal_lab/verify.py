@@ -246,11 +246,13 @@ def _blowup_density(m: ManifoldModel, level: int):
     half of ``quadrature.product_blocks``, with doubled weights: a field
     pairs with it through its ``fields.even_part``.
 
-    Returns ``(blocks, resolution)``: per node block of the rule a tuple
-    ``(points, weights, G_L, |Ric_blowup|^2)`` of read-only arrays, and a
-    read-only resolution.  The profile w = (2/(n-2)) log G_L of the
-    blow-up metric gives G_L too, so the kernel is summed once per
-    block.  Only the (backend, level) built last is kept, so the
+    Returns ``(blocks, resolution)``: per node block of the rule, a slab
+    on a product, a tuple ``(points, weights, G_L, |Ric_blowup|^2)`` of
+    read-only arrays, and a read-only resolution.  The profile
+    w = (2/(n-2)) log G_L of the blow-up metric gives G_L too, so the
+    kernel is summed once per block; its jets and the blow-up Ricci are
+    formed one block at a time and only the two node densities are
+    kept.  Only the (backend, level) built last is kept, so the
     identities and the total Q of a backend, run one after the other,
     read one density, and a run holds one at a time.  It is built
     unlocked; a lock covers the check-and-store, which drops any other
@@ -313,10 +315,15 @@ def _pole_identity(m, law, level, tolerance, seed):
     s = (n - 4.0) / (n - 2.0)
     target = 16.0 * math.pi ** 2 if four else comparison_constant(n)
     fns = default_test_functions(m, seed)
-    t_mains, t_riccis, resolution = _paired_integrals(
-        m, level, fns,
-        (lambda g, ricci_sq: (np.log(g), ricci_sq)) if four
-        else (lambda g, ricci_sq: (g ** s, g ** s * ricci_sq)))
+
+    def densities(g, ricci_sq):
+        if four:
+            return np.log(g), ricci_sq
+        g_s = g ** s
+        return g_s, g_s * ricci_sq
+
+    t_mains, t_riccis, resolution = _paired_integrals(m, level, fns,
+                                                      densities)
     checks = []
     for i, phi_p in enumerate(F.evaluate(fns, *m.pole_point(Pole()))[0]):
         t_main, t_point, t_ricci = t_mains[i], target * phi_p, t_riccis[i]

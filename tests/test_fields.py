@@ -206,6 +206,21 @@ def test_zonal_recurrence_matches_jacobi(d, degree_max):
             assert np.array_equal(tab, full)
 
 
+def test_gradient_components_are_the_frame_jets_gradient(sphere5, s1xs2,
+                                                        rng):
+    """The gradient mixed alone equals ``frame_jets``' gradient bit for
+    bit, for a sphere field and a stack of three product fields."""
+    stack = F.sup_normalized(s1xs2.basis, [F.random_modes(
+        s1xs2.basis, rng, degree=6, fourier=4) for _ in range(3)])
+    for f in (_random_mode_field(sphere5.basis, rng), stack):
+        got = F.gradient_components(f)
+        want = F.frame_jets(f)[1]
+        assert len(got) == len(want) == (2 if f.basis.is_product else 1)
+        for g, w in zip(got, want):
+            assert g.shape == f.grid_values.shape
+            np.testing.assert_array_equal(g, w)
+
+
 def test_frame_jets_on_grid_match_jets_at_grid_points(sphere5, s1xs2, rng):
     for m in (sphere5, s1xs2):
         f = _random_mode_field(m.basis, rng)
@@ -490,3 +505,37 @@ def test_sup_normalized_scales_each_trial(s1xs2, rng):
         np.testing.assert_array_equal(stacked.coefficients[k],
                                       one.coefficients)
         assert one.bandwidth == stacked.bandwidth == (2, 4)
+
+
+def _random_modes_by_draw(basis, rng, degree, fourier=0):
+    """``random_modes`` written as one scalar draw per coefficient."""
+    degree = min(degree, basis.degree_max)
+    if basis.is_product:
+        fourier = min(fourier, basis.fourier_max)
+        c = np.zeros((basis.circle_mode_count, basis.sphere_mode_count))
+        for j in range(2 * fourier + 1):
+            k = basis.circle_wavenumber(j)
+            for m in range(degree + 1):
+                c[j, m] = rng.normal() * math.exp(-(k + m))
+        return c
+    return np.array([rng.normal() * math.exp(-l) if l <= degree else 0.0
+                     for l in range(basis.sphere_mode_count)])
+
+
+@pytest.mark.parametrize("name, degree, fourier", [
+    ("sphere5", 6, 0), ("sphere5", 99, 0), ("s1xs2", 4, 3),
+    ("s1xs2", 40, 20)])
+def test_random_modes_draw_as_the_scalar_loop(name, degree, fourier,
+                                              request):
+    """One vectorized draw per table gives the table of one scalar draw
+    per coefficient, in row-major order, bit for bit, and leaves the
+    generator where the loop leaves it; also where ``degree`` and
+    ``fourier`` exceed the basis and are cut to it."""
+    b = request.getfixturevalue(name).basis
+    one, loop = np.random.default_rng(5), np.random.default_rng(5)
+    got = F.random_modes(b, one, degree, fourier)
+    want = _random_modes_by_draw(b, loop, degree, fourier)
+    assert got.shape == want.shape == b.mode_shape
+    np.testing.assert_array_equal(got, want)
+    assert one.bit_generator.state == loop.bit_generator.state
+    assert one.uniform() == loop.uniform()

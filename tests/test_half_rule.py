@@ -1,7 +1,8 @@
 """The half product rule folds exactly.
 
 ``quadrature.product_blocks`` holds the ds > 0 half of the graded rule
-with doubled weights, which sum to the volume.  Pairing an even density with the even part of a
+with doubled weights, which sum to the volume, in slabs of whole rows of
+the near patch and of the far rectangle.  Pairing an even density with the even part of a
 field on it must give what the mirror-completed full rule gives with the
 whole field, and ``green.green_pair``, which pairs each half block at s
 and at its mirror 2 s0 - s, must pair a kernel and a field that are not
@@ -47,18 +48,25 @@ def test_far_rectangle_halves_exactly(kind, length):
     """The level-2 half rule at s0 = 0 and 1 keeps the ds > 0 nodes, and
     its doubled weights sum to the volume to 2e-9 (read at most 8.2e-10):
     the full rule's weights, whose odd part sums to 0, give twice that.
-    At l = 6.4 a wrong selection or doubling in the panel that straddles
-    ds = 0 moves the sum by whole rows of weights: leaving the row
-    nearest ds = 0 undoubled moves it by 6.5e-3."""
+    The far slabs, open meshes against the full chi row, stack to the
+    ds > 0 rows of the far rectangle.  At l = 6.4 a wrong selection or
+    doubling in the panel that straddles ds = 0 moves the sum by whole
+    rows of weights: leaving the row nearest ds = 0 undoubled moves it
+    by 6.5e-3."""
     m = _product(kind, length)
     ns = 198 if length == 6.4 else 192
     for s0 in (0.0, 1.0):
         res = {}
         blocks = Q.product_blocks(m, Pole(1, s0), level=2, resolution=res)
-        (near, _), (far, w) = blocks
-        assert far[0].shape == (ns // 2, 1) and w.shape == (ns // 2, 192)
-        assert np.all(far[0] > s0) and np.all(near[0] > s0)
-        assert res["nodes"] == [near[0].size, w.size]
+        far = [(pts, w) for pts, w in blocks if pts[0].shape[1] == 1]
+        near = [(pts, w) for pts, w in blocks if pts[0].shape[1] > 1]
+        assert all(pts[1].shape == (1, 192) for pts, _ in far)
+        far_s = np.concatenate([pts[0] for pts, _ in far])
+        far_w = np.concatenate([w for _, w in far])
+        assert far_s.shape == (ns // 2, 1) and far_w.shape == (ns // 2, 192)
+        assert np.all(far_s > s0)
+        assert all(np.all(pts[0] > s0) for pts, _ in near)
+        assert res["nodes"] == [sum(w.size for _, w in near), far_w.size]
         assert res["mirror"] == "s"
         total = sum(float(np.sum(wq)) for _, wq in blocks)
         assert math.isclose(total, m.volume, rel_tol=2e-9)
@@ -130,10 +138,11 @@ def test_integrand_odd_in_s_sees_the_full_rule(kind, length, s0):
 def test_untransported_kernel_is_summed_once_per_half_block(kind, length,
                                                            monkeypatch):
     """An untransported G_L is even about its pole, so ``green_pair``
-    sums its images once per half block, two ``_sums`` calls, and pairs
-    those values on both mirror sides: with a field that carries sine
-    modes it still equals the completed full-rule sum to 1e-13.  A
-    transported kernel is evaluated on each side, four calls."""
+    sums its images once per slab of the half rule, one ``_sums`` call
+    each, and pairs those values on both mirror sides: with a field that
+    carries sine modes it still equals the completed full-rule sum to
+    1e-13.  A transported kernel is evaluated on each side, two calls
+    per slab."""
     m = _product(kind, length)
     pole = Pole(1, 1.0)
     c = np.zeros(m.basis.mode_shape)
@@ -149,9 +158,10 @@ def test_untransported_kernel_is_summed_once_per_half_block(kind, length,
     monkeypatch.setattr(green._ProductImageKernelL, "_sums", counted)
     gf = green_field(m, "L", pole)
     got = green_pair(gf, f)
-    assert len(calls) == 2
+    blocks = Q.product_blocks(m, pole, level=2)
+    assert len(calls) == len(blocks)
     want = 0.0
-    for points, wq in Q.product_blocks(m, pole, level=2):
+    for points, wq in blocks:
         full, (w2,) = _completed(pole, points, 0.5 * wq)
         want += float(np.sum(w2 * gf.values_at(*full) * F.evaluate(f, *full)))
     assert abs(got - want) <= 1e-13 * abs(want)
@@ -161,4 +171,4 @@ def test_untransported_kernel_is_summed_once_per_half_block(kind, length,
     calls.clear()
     green_pair(green_field(m, "L", pole, FieldFactor(
         m, F.synthesize(m.basis, w))), f)
-    assert len(calls) == 4
+    assert len(calls) == 2 * len(blocks)

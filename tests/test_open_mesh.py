@@ -3,7 +3,7 @@
 Points on a product given as an s column (Ns, 1) and a chi row (1, Nx)
 are tabulated once per distinct coordinate and summed per axis.  Every
 layer must give what the same points give materialized to the full
-shape, and the far quadrature block must reach the basis tables at
+shape, and each far quadrature slab must reach the basis tables at
 Ns + Nx points, not Ns * Nx, and there as value tables only.
 """
 
@@ -15,6 +15,7 @@ import pytest
 from conformal_lab import basis, verify
 from conformal_lab import fields as F
 from conformal_lab import quadrature as Q
+from conformal_lab.geometry import Pole
 from conformal_lab.green import green_eigen_expansion
 from conformal_lab.verify import run_suite
 
@@ -89,17 +90,19 @@ def test_paneitz_image_kernel_value(s1xs2):
                                          ("s1xs3", "4d-identity")])
 def test_identity_integrals(name, suite, request, monkeypatch):
     """The weak (n = 3) and log-kernel (n = 4) identity integrals of the
-    graded pass, block by block, with the far block's points as given or
-    materialized."""
+    graded pass, slab by slab, with the far slabs' points as given, open
+    meshes against the full chi row, or materialized."""
     m = request.getfixturevalue(name)
     blocks = Q.product_blocks
     pair = F.pair
+    slabs = []
 
     def run(materialize):
         got = []
 
         def given(*args, **kw):
             rule = blocks(*args, **kw)
+            slabs[:] = rule
             if materialize:
                 rule = [(np.broadcast_arrays(*pts), w) for pts, w in rule]
             return rule
@@ -112,10 +115,13 @@ def test_identity_integrals(name, suite, request, monkeypatch):
         monkeypatch.setattr(Q, "product_blocks", given)
         monkeypatch.setattr(F, "pair", recorded)
         run_suite(suite, m)
-        assert len(got) == 2  # the near patch and the far rectangle
+        assert len(got) == len(slabs)  # one pairing per slab
         return np.array(got)
 
     _close(run(False), run(True))
+    far = [pts for pts, _ in slabs if pts[0].shape[1] == 1]
+    assert len(far) > 1
+    assert all(pts[1].shape[0] == 1 for pts in far)
 
 
 def _sizes(monkeypatch, names):
@@ -136,15 +142,23 @@ def _sizes(monkeypatch, names):
 
 def test_the_far_block_is_tabulated_per_axis(s1xs2, monkeypatch):
     """One weak-identity pass tabulates the ds > 0 half of the 192 x 192
-    far rectangle at 96 s and 192 chi values: no table reaches its
-    18,432 points.  The pairing needs values only, so no derivative
-    table is built at the quadrature nodes."""
+    far rectangle slab by slab, each at its s rows and the 192 chi
+    values: no table reaches a far slab's node count, let alone the
+    18,432 of the rectangle.  The near slabs are tabulated per point.
+    The pairing needs values only, so no derivative table is built at
+    the quadrature nodes."""
+    slabs = Q.product_blocks(s1xs2, Pole(), level=2)
     sizes = _sizes(monkeypatch, ("polar_values", "circle_values",
                                  "polar_jets", "circle_jets"))
     report = run_suite("weak-identity", s1xs2)
-    near, far = report.resolution["nodes"]
-    assert far == 96 * 192
-    assert sorted(sizes["polar_values"]) == [1, 192, near]
-    assert sorted(sizes["circle_values"]) == [1, 96, near]
+    far = [pts for pts, _ in slabs if pts[0].shape[1] == 1]
+    near = [w.size for pts, w in slabs if pts[0].shape[1] > 1]
+    assert report.resolution["nodes"] == [sum(near), 96 * 192]
+    assert sum(pts[0].size for pts in far) == 96
+    assert sorted(sizes["polar_values"]) == sorted(
+        [1] + [192] * len(far) + near)
+    assert sorted(sizes["circle_values"]) == sorted(
+        [1] + [pts[0].size for pts in far] + near)
     for name in ("polar_jets", "circle_jets"):
-        assert not {near, 96, 192} & set(sizes[name]), name
+        assert not {192, *near, *(pts[0].size for pts in far)} \
+            & set(sizes[name]), name

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import roots_legendre
 
 from conformal_lab import quadrature as Q
-from conformal_lab.geometry import Pole
+from conformal_lab.geometry import Pole, catalog_build
 from conformal_lab.green import GreenField, green_field, green_pair
 
 
@@ -44,27 +44,133 @@ def test_weights_sum_to_the_volume(fixture, rtol, request):
 def test_nan_at_a_zero_weight_node_poisons_the_integral(s1xs2, monkeypatch):
     """A NaN kernel value at the far-rectangle node nearest the pole, whose
     cut-off weight is 0, makes ``green_pair`` NaN: every node takes part.
-    The untransported kernel is even about its pole, so each half block
-    is evaluated once and its values serve both mirror sides."""
+    The NaN goes into whichever far slab holds that node.  The
+    untransported kernel is even about its pole, so each slab of the
+    half rule is evaluated once and its values serve both mirror sides."""
     m, pole = s1xs2, Pole(1, 0.0)
     r0 = 0.125 * min(0.5 * m.length, m.radius * math.pi)
     gf = green_field(m, "L", pole)
-    res = {}
-    Q.product_blocks(m, pole, level=1, resolution=res)
+    blocks = Q.product_blocks(m, pole, level=1)
+    assert len(blocks) > 2
+
+    def nearest(s, chi):
+        rr = np.hypot(s - pole.s0, m.radius * chi)
+        i = np.unravel_index(np.argmin(rr), rr.shape)
+        return rr[i], i
+
+    far = [k for k, (pts, _) in enumerate(blocks) if pts[0].shape[1] == 1]
+    target = min(far, key=lambda k: nearest(*blocks[k][0])[0])
     calls = []
     values_at = GreenField.values_at
 
-    def poisoned(self, s, chi):  # the far rectangle arrives as an open mesh
+    def poisoned(self, s, chi):
         vals = np.array(values_at(self, s, chi))
         calls.append(vals.size)
-        if len(calls) == 2:  # the far rectangle: its cut-off is 0 for r < r0
-            rr = np.hypot(s - pole.s0, m.radius * chi)
-            i = np.unravel_index(np.argmin(rr), rr.shape)
-            assert rr[i] < r0
+        if len(calls) == target + 1:  # the cut-off is 0 there for r < r0
+            rr, i = nearest(s, chi)
+            assert rr < r0 and s.shape[1] == 1  # an open-mesh far slab
             vals[i] = np.nan
         return vals
 
     monkeypatch.setattr(GreenField, "values_at", poisoned)
     assert math.isnan(green_pair(gf, m.constant(1.0), level=1))
-    near, far = res["nodes"]
-    assert calls == [near, far]  # once per half block, for both sides
+    assert calls == [w.size for _, w in blocks]  # once per slab, both sides
+
+
+def _meshgrid_pieces(m, pole, level):
+    """The half product rule as two whole pieces, [near, far], built on
+    full meshgrids: the construction ``product_blocks`` had before it
+    tabulated the polar patch along its axes and cut the pieces into
+    slabs, kept here as the reference."""
+    d, b, ell = m.sphere_dim, m.radius, m.length
+    graded_depth = 18 + 6 * level
+    r1 = 0.25 * min(0.5 * ell, b * math.pi)
+    r0 = 0.5 * r1
+    orbit = m.basis.orbit_area * b ** (d - 1)
+    redges = np.concatenate([Q._graded_edges(r0, graded_depth)[:-1],
+                             np.linspace(r0, r1, 4 * 2 ** level + 1)])
+    r_nodes, r_w = Q._gauss_panels(redges, 6)
+    p_nodes, p_w = Q._gauss_panels(
+        np.linspace(0.0, math.pi, 8 * 2 ** level + 1), 6)
+    half = p_nodes < 0.5 * math.pi
+    R, PSI = np.meshgrid(r_nodes, p_nodes[half], indexing="ij")
+    WR, WP = np.meshgrid(r_w, 2.0 * p_w[half], indexing="ij")
+    ds = R * np.cos(PSI)
+    chi_eff = R * np.sin(PSI) / b
+    cut = 1.0 - Q.smoothstep((R - r0) / (r1 - r0))
+    meas = orbit * np.sin(chi_eff) ** (d - 1) * R
+    near = ((ds, chi_eff), cut * meas * WR * WP)
+    h = (r1 - r0) / 2 ** (level - 1)
+    ns = max(8 * 2 ** level, math.ceil(ell / h))
+    nx = max(8 * 2 ** level, math.ceil(math.pi * b / h))
+    s_nodes, s_w = Q._gauss_panels(np.linspace(-0.5 * ell, 0.5 * ell,
+                                               ns + 1), 6)
+    half = s_nodes > 0.0
+    x_nodes, x_w = Q._gauss_panels(np.linspace(0.0, math.pi, nx + 1), 6)
+    DS, CHI_EFF = np.meshgrid(s_nodes[half], x_nodes, indexing="ij",
+                              sparse=True)
+    WS, WX = np.meshgrid(2.0 * s_w[half], x_w, indexing="ij", sparse=True)
+    rr = np.hypot(DS, b * CHI_EFF)
+    cut_far = Q.smoothstep((rr - r0) / (r1 - r0))
+    meas = orbit * b * np.sin(CHI_EFF) ** (d - 1)
+    far = ((DS, CHI_EFF), cut_far * meas * WS * WX)
+    return [(m.chart_from_pole(pole, *sep), w) for sep, w in (near, far)]
+
+
+def _laid_out(piece, shape):
+    """The s, chi and weight tables of one piece of the rule, laid back
+    together from its slabs in the order given: each slab continues the
+    row run of the one before, or starts the next run of rows."""
+    out = [np.full(shape, np.nan) for _ in range(3)]
+    i = j = 0
+    for (s, chi), w in piece:
+        r, c = w.shape
+        for table, part in zip(out, (s, chi, w)):
+            table[i:i + r, j:j + c] = part
+        j += c
+        if j == shape[1]:
+            i, j = i + r, 0
+    assert (i, j) == (shape[0], 0)
+    return out
+
+
+@pytest.mark.parametrize("kind, length", [("product-S1xS2", 2 * math.pi),
+                                          ("product-S1xS3", 0.5)])
+@pytest.mark.parametrize("level, bound", [(1, None), (2, None), (3, None),
+                                          (1, 40)])
+def test_slabs_tile_the_half_rule(kind, length, level, bound, monkeypatch):
+    """The slabs of ``product_blocks`` hold at most ``SLAB_NODES`` nodes
+    each: runs of whole rows of the near patch (pointwise) and of the far
+    rectangle (open meshes), or, under a bound of 40 nodes, which is
+    shorter than a row, runs of one row.  Laid back together per piece
+    they are the meshgrid construction's points and weights, bit for
+    bit."""
+    if bound is not None:
+        monkeypatch.setattr(Q, "SLAB_NODES", bound)
+    m = catalog_build(kind, None, {"length": length},
+                      {"degree_max": 4, "fourier_max": 2})
+    pole = Pole(1, 0.3)
+    res = {}
+    slabs = Q.product_blocks(m, pole, level=level, resolution=res)
+    assert max(w.size for _, w in slabs) <= Q.SLAB_NODES
+    want = _meshgrid_pieces(m, pole, level)
+    assert res["nodes"] == [w.size for _, w in want]
+    near = [(pts, w) for pts, w in slabs if pts[0].shape[1] > 1]
+    far = [(pts, w) for pts, w in slabs if pts[0].shape[1] == 1]
+    assert len(near) + len(far) == len(slabs)
+    assert all(s.shape == chi.shape == w.shape for (s, chi), w in near)
+    assert all(chi.shape == (1, w.shape[1]) for (_, chi), w in far)
+    for piece, (points, w) in zip((near, far), want):
+        got = _laid_out(piece, w.shape)
+        for table, ref in zip(got, (*points, w)):
+            assert np.array_equal(table, np.broadcast_to(ref, w.shape))
+
+
+def test_level_2_product_rule_node_counts(s1xs2):
+    """S1(2pi) x S2 at level 2: 27,072 near and 18,432 far nodes in
+    slabs of 42 radial rows of 96 and 21 s rows of 192."""
+    res = {}
+    slabs = Q.product_blocks(s1xs2, Pole(), level=2, resolution=res)
+    assert res["nodes"] == [27072, 18432]
+    assert [w.shape for _, w in slabs] == [(42, 96)] * 6 + [(30, 96)] \
+        + [(21, 192)] * 4 + [(12, 192)]

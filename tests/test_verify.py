@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from conformal_lab import quadrature as Q
 from conformal_lab.errors import (HypothesisFailError, KernelError,
                                   UnsupportedDimensionError)
 from conformal_lab.geometry import (ConformalFactor, FieldFactor,
-                                    ManifoldModel, catalog_build)
+                                    ManifoldModel, Pole, catalog_build)
 from conformal_lab.spectrum import paneitz_spectrum_check
 from conformal_lab.verify import (SUITES, check_4d_identity, check_covariance,
                                   check_green_compare, check_mass,
@@ -310,13 +311,16 @@ def test_sign_theorems_propagate_other_errors(sphere5, monkeypatch):
 
 def _count_blocks(monkeypatch, name):
     """Record, per call of ``quadrature.<name>``, the point count of each
-    node block of the rule it returns."""
+    node block of the rule it returns, and whether the block is an open
+    mesh (a far slab of the product rule)."""
     calls = []
     orig = getattr(Q, name)
 
     def counting(*args, **kw):
         rule = orig(*args, **kw)
-        calls.append([int(np.broadcast(*pts).size) for pts, _ in rule])
+        calls.append([(int(np.broadcast(*pts).size),
+                       len(pts) == 2 and pts[0].shape[1] == 1)
+                      for pts, _ in rule])
         return rule
 
     monkeypatch.setattr(Q, name, counting)
@@ -336,8 +340,9 @@ def test_weak_identity_takes_one_pass_on_product(s1xs2, monkeypatch):
     report = check_weak_identity(s1xs2, level=1)
     assert report.passed
     assert len(calls) == 1
-    assert len(calls[0]) == 2  # near patch and far rectangle
-    assert jets == calls[0]
+    sizes = [size for size, _ in calls[0]]
+    assert len(sizes) > 2 and max(sizes) <= Q.SLAB_NODES
+    assert jets == sizes  # one jets pass per slab
 
 
 @pytest.mark.parametrize("suite, fixture, rule", [
@@ -350,13 +355,18 @@ def test_weak_identity_takes_one_pass_on_product(s1xs2, monkeypatch):
 def test_resolution_records_the_nodes_the_integrand_received(
         suite, fixture, rule, request, monkeypatch):
     """The nodes of the graded ``rule``, whose blocks the blow-up density
-    of the suite is built on."""
+    of the suite is built on: on a sphere its one block, on a product the
+    near patch and the far rectangle, each the sum of its slabs."""
     m = request.getfixturevalue(fixture)
     calls = _count_blocks(monkeypatch, rule)
     report = run_suite(suite, m, {"level": 1})
     assert len(calls) == 1
     res = report.resolution
-    assert res["nodes"] == calls[0]
+    if m.is_product:
+        assert res["nodes"] == [sum(size for size, mesh in calls[0]
+                                    if mesh == far) for far in (False, True)]
+    else:
+        assert res["nodes"] == [size for size, _ in calls[0]]
     assert res["graded_depth"] == (24 if m.is_product else 32)
     if m.is_product:
         assert res["images"] == green.green_field(m, "L").cutoff > 0
@@ -367,7 +377,7 @@ def test_resolution_records_the_nodes_the_integrand_received(
 
 def test_4d_and_total_q_share_one_density(s1xs3, monkeypatch):
     """4d-identity then total-q on S1xS3 sum the image kernel once per
-    node block, two calls and not four, and the defect total-q reads
+    slab of the level-2 rule, not twice, and the defect total-q reads
     from the shared density is the one it finds alone, bit for bit."""
     alone = check_total_q(s1xs3).resolution["defect"]
     monkeypatch.setattr(verify, "_DENSITIES", {})
@@ -382,8 +392,38 @@ def test_4d_and_total_q_share_one_density(s1xs3, monkeypatch):
     assert check_4d_identity(s1xs3).passed
     report = check_total_q(s1xs3)
     assert report.passed
-    assert calls == [True, True]
+    assert calls == [True] * len(Q.product_blocks(s1xs3, Pole(), level=2))
     assert report.resolution["defect"] == alone
+
+
+def test_weak_identity_holds_one_slab_of_temporaries(s1xs2):
+    """At level 3 on S1(2pi) x S2 the half rule has 153,216 nodes, and the
+    weak-identity pass leaves its blow-up density cached (4.9 MB).  Built
+    and paired slab by slab, the pass's traced peak exceeds that density
+    by 1.1 MB; with the kernel jets, blow-up Ricci and pairing held for
+    the whole rule at once it exceeded it by 16.2 MB.  The first pass at
+    level 1 builds the ledger and the tables the level does not change,
+    so the traced pass allocates only what the level costs."""
+    check_weak_identity(s1xs2, level=1)
+    verify._DENSITIES.clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert check_weak_identity(s1xs2, level=3).passed
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    ((blocks, _),) = verify._DENSITIES.values()
+    owners = {}
+    for block in blocks:
+        for arr in (*block[0], *block[1:]):
+            while arr.base is not None:  # a slab is a view of its piece
+                arr = arr.base
+            owners[id(arr)] = arr
+    density = sum(arr.nbytes for arr in owners.values())
+    assert density > 4e6
+    assert peak - density < 2e6, f"{(peak - density) / 1e6:.1f} MB"
 
 
 # ----------------------------------------------------------------- spectrum
