@@ -132,15 +132,15 @@ class ManifoldModel:
     def pole_separation(self, pole: Pole, *points) -> tuple:
         """Pole coordinates of chart points: (xi,) on spheres, (ds, xi) on
         products, with xi the polar angle from the pole's end of the axis
-        and ds the circle offset, reduced to [-l/2, l/2)."""
+        and ds the circle offset, reduced to [-l/2, l/2); an offset
+        already in (-l/2, l/2) comes back exactly."""
         xi = np.asarray(points[-1], dtype=float)
         if pole.axis < 0:
             xi = math.pi - xi
         if not self.is_product:
             return (xi,)
         ds = np.asarray(points[0], dtype=float) - pole.s0
-        ds = (ds + 0.5 * self.length) % self.length - 0.5 * self.length
-        return ds, xi
+        return ds - self.length * np.floor(ds / self.length + 0.5), xi
 
     def chart_from_pole(self, pole: Pole, *sep) -> tuple:
         """Chart coordinates of the points with pole coordinates ``sep``;
@@ -151,18 +151,17 @@ class ManifoldModel:
             return (polar,)
         return pole.s0 + np.asarray(sep[0], dtype=float), polar
 
-    def geodesic_from_pole(self, pole: Pole, *points):
-        sep = self.pole_separation(pole, *points)
+    def near_pole(self, pole: Pole) -> np.ndarray:
+        """Grid mask: True within three coarse grid spacings (geodesic
+        distance) of the pole, where a kernel's singular part dominates."""
+        sep = self.pole_separation(pole, *self.grid_points())
+        spacing = self.radius * math.pi / self.basis.sphere_nodes
         if self.is_product:
-            return np.hypot(sep[0], self.radius * sep[1])
-        return self.radius * sep[0]
-
-    def grid_spacing(self) -> float:
-        """Coarse geodesic spacing of the quadrature grid."""
-        if self.is_product:
-            return max(self.length / self.basis.circle_nodes,
-                       self.radius * math.pi / self.basis.sphere_nodes)
-        return self.radius * math.pi / self.basis.sphere_nodes
+            r = np.hypot(sep[0], self.radius * sep[1])
+            spacing = max(self.length / self.basis.circle_nodes, spacing)
+        else:
+            r = self.radius * sep[0]
+        return r < 3.0 * spacing
 
     def descriptor(self) -> str:
         if self.is_product:

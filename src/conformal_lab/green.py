@@ -24,12 +24,18 @@ Laplacian that is
 and for the fourth-order operator in dimension three it is the pulled
 back c_P r less the degree-0 homogeneous solution that makes it grow
 (``_ProductImageKernelP``); both sums converge exponentially.
+
+``green_field`` builds every kernel, transported by a conformal factor
+if one is given, ``GreenField.values_at`` evaluates it at chart points,
+and ``blowup_density`` gives G_L with the squared Ricci norm of the
+blow-up metric G_L^{4/(n-2)} g, the density of the identities, the
+covariance laws and the mass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,23 +44,22 @@ from . import quadrature as Q
 from .basis import ball_volume
 from .errors import KernelError, UnsupportedBackendError
 from .fields import ScalarField
-from .geometry import ConformalFactor, ManifoldModel, Pole, conformal_ricci
+from .geometry import ConformalFactor, ManifoldModel, Pole, ricci_from_jets
 from .operators import build_symbol
 from .spectrum import zero_threshold
 
 __all__ = [
     "ComparisonResult",
     "GreenField",
+    "blowup_density",
     "compare_green",
     "comparison_constant",
     "extract_mass",
     "flat_L_coefficient",
     "flat_P_coefficient",
-    "green_eigen_expansion",
+    "green_field",
     "green_pair",
-    "green_sphere_closed_form",
     "sign_scan",
-    "transport_green",
 ]
 
 
@@ -82,6 +87,7 @@ def flat_P_coefficient(n: int) -> float:
 # values and names its representation and its cutoff (the image count);
 # a kernel of G_L also gives ``log_jets(scale, *sep)``, the value, frame
 # gradient and frame Hessian of w = scale * log G_L for a north pole.
+# ``green_field`` picks the kernel, ``GreenField`` carries it.
 
 class _SphereKernel:
     """Closed-form kernel c * (2 a sin(xi/2))^p as a function of pole angle."""
@@ -124,7 +130,6 @@ class _ProductImageKernelL:
     representation = "eigen-expansion"
 
     def __init__(self, m: ManifoldModel, images: int):
-        self.m = m
         self.n = m.n
         self.b = m.radius
         self.ell = m.length
@@ -150,7 +155,7 @@ class _ProductImageKernelL:
         2 D^-1 sinh u = +-(1 - E^2) / (E D), so an image beyond double
         range underflows to 0 instead of overflowing (up to
         l = 1400 b, beyond which exp(-u0) and sinh(u/2)^2 at the pole's
-        own image overflow, so ``green_eigen_expansion`` refuses them).
+        own image overflow, so ``green_field`` refuses them).
         ``ds`` terms run along ``ds`` and sin^2(chi/2) along ``chi`` as
         given, so on an open mesh only the quotients and sums take the
         broadcast shape; those reuse a few work arrays, written in place.
@@ -301,16 +306,17 @@ _WEIGHT = {"L": "metric", "P": "paneitz"}
 @dataclass
 class GreenField:
     """A Green's function: a kernel with pole metadata, and the conformal
-    factor it was transported by, if any.
+    factor it was transported by, if any; ``green_field`` builds one.
 
-    ``at`` evaluates in pole coordinates (``ManifoldModel.pole_separation``:
-    (xi,) on spheres, (ds, xi) on products), ``values_at`` at chart
-    coordinates.  A transported kernel is divided by the factor's weight
-    at the pole, ``rho_pole``, and at the point; a factor that stacks
-    trials gives one ``rho_pole`` and one set of values per trial.  The
-    distributional normalization is the basis-projected point mass:
-    pairing the eigen-expansion against (operator applied to an in-basis
-    field) returns the field value at the pole exactly.
+    ``values_at`` evaluates at chart points: the kernel at their pole
+    coordinates (``ManifoldModel.pole_separation``: (xi,) on spheres,
+    (ds, xi) on products), and a transported kernel divided by the
+    factor's weight at the pole, ``rho_pole``, and at the points; a
+    factor that stacks trials gives one ``rho_pole`` and one set of
+    values per trial.  The distributional normalization is the
+    basis-projected point mass: pairing the eigen-expansion against
+    (operator applied to an in-basis field) returns the field value at
+    the pole exactly.
     """
 
     manifold: ManifoldModel
@@ -329,16 +335,13 @@ class GreenField:
     def cutoff(self):
         return self.kernel.cutoff
 
-    def at(self, *sep) -> np.ndarray:
-        vals = self.kernel.value(*sep)
+    def values_at(self, *points) -> np.ndarray:
+        vals = self.kernel.value(
+            *self.manifold.pole_separation(self.pole, *points))
         if self.factor is None:
             return vals
-        q = self.manifold.chart_from_pole(self.pole, *sep)
-        rho_q = self.factor.rho_at(_WEIGHT[self.operator], *q)
+        rho_q = self.factor.rho_at(_WEIGHT[self.operator], *points)
         return vals / (F.trial_axes(self.rho_pole, np.ndim(vals)) * rho_q)
-
-    def values_at(self, *points) -> np.ndarray:
-        return self.at(*self.manifold.pole_separation(self.pole, *points))
 
     def diagonal_value(self):
         """Value at the pole when the kernel is continuous there (P in
@@ -355,13 +358,6 @@ class GreenField:
             raise UnsupportedBackendError(
                 "log profiles exist only for closed-form L kernels")
         return _GreenLogProfile(self, scale)
-
-    def mask(self) -> np.ndarray:
-        """Grid mask: True within three grid spacings of the pole, where
-        the singular part dominates."""
-        pts = self.manifold.grid_points()
-        r = self.manifold.geodesic_from_pole(self.pole, *pts)
-        return r < 3.0 * self.manifold.grid_spacing()
 
 
 class _GreenLogProfile(ConformalFactor):
@@ -387,27 +383,19 @@ class _GreenLogProfile(ConformalFactor):
         return w, grad, hess
 
 
+def blowup_density(gf: GreenField, *points):
+    """(G_L, |Ric_blowup|^2) at chart points, for an untransported G_L:
+    the kernel and the squared frame norm of the Ricci tensor of the
+    blow-up metric G_L^{4/(n-2)} g, both from one pass over the jets of
+    its logarithm w = (2/(n-2)) log G_L."""
+    m = gf.manifold
+    profile = gf.log_profile(2.0 / (m.n - 2.0))
+    w, grad, hess = profile.jets(points)
+    comps = ricci_from_jets(m, grad, hess)
+    return np.exp(w / profile.scale), F.frame_dot(m.basis, comps, comps)
+
+
 # ------------------------------------------------------------ construction
-
-def green_sphere_closed_form(m: ManifoldModel, operator: str,
-                             pole: Pole | None = None) -> GreenField:
-    """Closed-form Green's function on a round sphere."""
-    if m.is_product:
-        raise UnsupportedBackendError("closed forms are for sphere backends")
-    pole = pole or Pole()
-    n, a = m.n, m.radius
-    if operator == "L":
-        kern = _SphereKernel(flat_L_coefficient(n), a, 2.0 - n)
-    elif operator == "P":
-        if n == 4:
-            raise KernelError(
-                "P annihilates constants on the round 4-sphere; "
-                "no Green's function exists")
-        kern = _SphereKernel(flat_P_coefficient(n), a, 4.0 - n)
-    else:
-        raise ValueError(f"unknown operator {operator!r}")
-    return GreenField(m, operator, pole, kern)
-
 
 def _image_count(m: ManifoldModel) -> int:
     """Images per side of a product image sum: the terms decay like
@@ -416,58 +404,51 @@ def _image_count(m: ManifoldModel) -> int:
                                 / ((m.n - 2) * m.length)))) + 2
 
 
-def green_eigen_expansion(m: ManifoldModel, operator: str,
-                          pole: Pole | None = None) -> GreenField:
-    """Green's function on a product backend: the eigen-expansion summed
-    in closed form, as an image sum of the cylinder kernel over circle
-    periods (G_L in any dimension, G_P in dimension three)."""
-    if not m.is_product:
-        raise UnsupportedBackendError("eigen expansions are for products")
-    if m.length > 1400.0 * m.radius:  # see _ProductImageKernelL._sums
-        raise UnsupportedBackendError(
-            f"the image sums overflow on a circle longer than 1400 "
-            f"sphere radii (length {m.length:g}, radius {m.radius:g})")
-    pole = pole or Pole()
-    thr = zero_threshold(m)
-    lam_min = float(np.min(np.abs(build_symbol(m, operator))))
-    if lam_min < thr:
-        raise KernelError(
-            f"{operator} has a zero mode on {m.kind} "
-            f"(|eigenvalue| {lam_min:.3e} < threshold {thr:.3e})")
-    if operator == "L":
-        kernel = _ProductImageKernelL
-    elif m.n == 3:
-        kernel = _ProductImageKernelP
-    else:
-        raise UnsupportedBackendError(
-            f"the product G_P kernel is for n = 3 (n = {m.n})")
-    return GreenField(m, operator, pole, kernel(m, _image_count(m)))
-
-
-def transport_green(gf: GreenField, factor: ConformalFactor) -> GreenField:
-    """Green's function of the conformally changed metric, from an
-    untransported one.
-
-    Both operators obey G~(p, q) = rho(p)^{-1} rho(q)^{-1} G(p, q) in
-    their own weight convention (second order: rho^{4/(n-2)}, fourth
-    order: rho^{4/(n-4)}); in dimension four the fourth-order kernel is
-    conformally invariant, handled by the vanishing weight exponent.
-    """
-    m = gf.manifold
-    if gf.operator == "P" and m.n == 4:
-        return gf
-    rho_p = factor.rho_at(_WEIGHT[gf.operator], *m.pole_point(gf.pole))
-    return replace(gf, factor=factor, rho_pole=rho_p[..., 0])
-
-
 def green_field(m: ManifoldModel, operator: str, pole: Pole | None = None,
                 factor: ConformalFactor | None = None) -> GreenField:
-    """Closed form on spheres, eigen-expansion on products, then transport."""
-    gf = (green_eigen_expansion(m, operator, pole) if m.is_product
-          else green_sphere_closed_form(m, operator, pole))
+    """The Green's function of ``operator`` ("L" or "P") with its pole at
+    ``pole`` (the north pole by default), transported by ``factor``.
+
+    Spheres take the closed forms; products the eigen-expansion summed
+    in closed form, as an image sum of the cylinder kernel over circle
+    periods (G_L in any dimension, G_P in dimension three: in dimension
+    four P annihilates the constants, a zero mode).  Both operators obey
+    G~(p, q) = rho(p)^{-1} rho(q)^{-1} G(p, q) in their own weight
+    convention (second order: rho^{4/(n-2)}, fourth order:
+    rho^{4/(n-4)}), which ``values_at`` applies.  An operator other than
+    L and P raises ``ValueError``, a zero mode ``KernelError`` and a
+    circle longer than 1400 sphere radii ``UnsupportedBackendError``.
+    """
+    if operator not in _WEIGHT:
+        raise ValueError(f"unknown operator {operator!r}")
+    pole = pole or Pole()
+    n = m.n
+    if m.is_product:
+        if m.length > 1400.0 * m.radius:  # see _ProductImageKernelL._sums
+            raise UnsupportedBackendError(
+                f"the image sums overflow on a circle longer than 1400 "
+                f"sphere radii (length {m.length:g}, radius {m.radius:g})")
+        thr = zero_threshold(m)
+        lam_min = float(np.min(np.abs(build_symbol(m, operator))))
+        if lam_min < thr:
+            raise KernelError(
+                f"{operator} has a zero mode on {m.kind} "
+                f"(|eigenvalue| {lam_min:.3e} < threshold {thr:.3e})")
+        image_sum = (_ProductImageKernelL if operator == "L"
+                     else _ProductImageKernelP)
+        kernel = image_sum(m, _image_count(m))
+    elif operator == "L":
+        kernel = _SphereKernel(flat_L_coefficient(n), m.radius, 2.0 - n)
+    elif n == 4:
+        raise KernelError("P annihilates constants on the round 4-sphere; "
+                          "no Green's function exists")
+    else:
+        kernel = _SphereKernel(flat_P_coefficient(n), m.radius, 4.0 - n)
+    rho_pole = 1.0
     if factor is not None:
-        gf = transport_green(gf, factor)
-    return gf
+        rho_pole = factor.rho_at(_WEIGHT[operator],
+                                 *m.pole_point(pole))[..., 0]
+    return GreenField(m, operator, pole, kernel, factor, rho_pole)
 
 
 # ----------------------------------------------------------------- pairing
@@ -513,7 +494,7 @@ def sign_scan(green_fields) -> dict:
     for gf in green_fields:
         n = gf.manifold.n
         vals = gf.values_at(*gf.manifold.grid_points())
-        keep = ~gf.mask()
+        keep = ~gf.manifold.near_pole(gf.pole)
         kept = vals[keep]
         if n == 3:
             worst = float(np.max(kept))
@@ -571,7 +552,7 @@ def compare_green(m: ManifoldModel, poles,
         gL = green_field(m, "L", pole, factor)
         gP = green_field(m, "P", pole, factor)
         pts = m.grid_points()
-        keep = ~gL.mask()
+        keep = ~m.near_pole(pole)
         vL = gL.values_at(*pts)[keep]
         vP = gP.values_at(*pts)[keep]
         if n == 3:
@@ -579,9 +560,10 @@ def compare_green(m: ManifoldModel, poles,
             if not m.is_product:
                 # the three-dimensional closed forms are continuous up to
                 # the pole, so the comparison includes the diagonal itself
+                at = m.pole_point(pole)
                 with np.errstate(divide="ignore"):
-                    diag = -(1.0 / gL.at(np.zeros(1))
-                             + 256.0 * math.pi ** 2 * gP.at(np.zeros(1)))
+                    diag = -(1.0 / gL.values_at(*at)
+                             + 256.0 * math.pi ** 2 * gP.values_at(*at))
                 margin = np.concatenate([margin, diag])
             scale = float(np.max(np.abs(1.0 / vL)))
         else:
@@ -626,21 +608,18 @@ def extract_mass(m: ManifoldModel, pole: Pole | None = None,
     # expansion route: sample along a ray through the pole
     xi = 0.4 * 0.6 ** np.arange(8)
     r = m.radius * xi
-    diff = cn * gP.at(xi) - gL.at(xi) ** s
+    ray = m.chart_from_pole(pole, xi)
+    diff = cn * gP.values_at(*ray) - gL.values_at(*ray) ** s
     a_exp = Q.extrapolate_to_zero(r, diff) * norm
 
     # integral route: the blow-up Ricci of the (transported) metric is the
-    # base blow-up Ricci up to a constant factor that Ricci ignores
-    base_L = green_sphere_closed_form(m, "L", pole)
-    profile = base_L.log_profile(2.0 / (n - 2.0))
-
-    # the integrand is O(1) dr near the pole after the measure, so a
-    # moderate graded depth resolves it; descending further only picks up
-    # the squared rounding noise of the curvature cancellation against
-    # the r^(2(4-n)) kernel weight
+    # base blow-up Ricci up to a constant factor that Ricci ignores.  The
+    # integrand is O(1) dr near the pole after the measure, so a moderate
+    # graded depth resolves it; descending further only picks up the
+    # squared rounding noise of the curvature cancellation against the
+    # r^(2(4-n)) kernel weight
     [((theta,), w_q)] = Q.sphere_blocks(m, pole, level=level, graded_depth=12)
-    comps = conformal_ricci(m, profile, (theta,))
-    nsq = F.frame_dot(m.basis, comps, comps)
+    _, nsq = blowup_density(green_field(m, "L", pole), theta)
     w = 0.0 if factor is None else factor.w_at(theta)
     vals = gP.values_at(theta) * gL.values_at(theta) ** s \
         * (np.exp(-4.0 * w) * nsq) * np.exp(n * w)

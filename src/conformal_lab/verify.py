@@ -37,11 +37,9 @@ from .errors import (HypothesisFailError, KernelError,
                      UnsupportedDimensionError)
 from .geometry import (ConformalFactor, FieldFactor, ManifoldModel,
                        MoebiusFactor, Pole, conformal_q,
-                       conformal_q_from_curvature, conformal_ricci,
-                       ricci_from_jets)
-from .green import (comparison_constant, compare_green, extract_mass,
-                    green_field, green_sphere_closed_form, sign_scan,
-                    transport_green)
+                       conformal_q_from_curvature)
+from .green import (blowup_density, comparison_constant, compare_green,
+                    extract_mass, green_field, sign_scan)
 from .operators import (apply_P, conformal_quadratic_form_E,
                         quadratic_form_E)
 
@@ -248,10 +246,9 @@ def _blowup_density(m: ManifoldModel, level: int):
 
     Returns ``(blocks, resolution)``: per node block of the rule, a slab
     on a product, a tuple ``(points, weights, G_L, |Ric_blowup|^2)`` of
-    read-only arrays, and a read-only resolution.  The profile
-    w = (2/(n-2)) log G_L of the blow-up metric gives G_L too, so the
-    kernel is summed once per block; its jets and the blow-up Ricci are
-    formed one block at a time and only the two node densities are
+    read-only arrays, and a read-only resolution.
+    ``green.blowup_density`` sums the kernel once per block for both
+    densities, one block at a time, and only the two node densities are
     kept.  Only the (backend, level) built last is kept, so the
     identities and the total Q of a backend, run one after the other,
     read one density, and a run holds one at a time.  It is built
@@ -262,16 +259,12 @@ def _blowup_density(m: ManifoldModel, level: int):
     density = _DENSITIES.get(key)
     if density is None:
         gL = green_field(m, "L", Pole())
-        profile = gL.log_profile(2.0 / (m.n - 2.0))
         resolution = {}
         rule = Q.product_blocks if m.is_product else Q.sphere_blocks
         blocks = []
         for points, weights in rule(m, gL.pole, level=level,
                                     resolution=resolution):
-            w, grad, hess = profile.jets(points)
-            comps = ricci_from_jets(m, grad, hess)
-            block = (points, weights, np.exp(w / profile.scale),
-                     F.frame_dot(m.basis, comps, comps))
+            block = (points, weights, *blowup_density(gL, *points))
             for arr in (*points, *block[1:]):
                 arr.setflags(write=False)
             blocks.append(block)
@@ -455,7 +448,7 @@ def _off_pole(m, factor):
     axis) and at the pole (a last axis of one)."""
     gL = green_field(m, "L", Pole())
     pts = m.grid_points()
-    keep = ~gL.mask()
+    keep = ~m.near_pole(Pole())
     return (gL, pts, keep, factor.w_at(*pts)[..., keep],
             factor.w_at(*m.pole_point(Pole())))
 
@@ -498,12 +491,12 @@ def _law_green_transport(m, rng, fixed=None, trials=1):
     factor = MoebiusFactor(
         m, [math.exp(rng.uniform(-0.35, 0.35)) for _ in range(trials)])
     theta = m.basis.polar_angles()
+    keep = ~m.near_pole(Pole())
     worst = 0.0
     for op in ["L"] if m.n == 4 else ["L", "P"]:
-        gf = green_sphere_closed_form(m, op)
-        keep = ~gf.mask()
-        got = transport_green(gf, factor).values_at(theta)[..., keep]
-        truth = gf.at(factor.mapped_angle(theta)[..., keep])
+        got = green_field(m, op, factor=factor).values_at(theta)[..., keep]
+        truth = green_field(m, op).values_at(
+            factor.mapped_angle(theta)[..., keep])
         worst = np.maximum(worst, _sup_ratio(got - truth, truth))
     return worst
 
@@ -513,12 +506,11 @@ def _law_blowup_measure(m, rng, fixed=None, trials=1):
     n = m.n
     s = (n - 4.0) / (n - 2.0)
     gL, pts, keep, w, w_pole = _off_pole(m, factor)
-    comps = conformal_ricci(m, gL.log_profile(2.0 / (n - 2.0)), pts)
-    nsq = F.frame_dot(m.basis, comps, comps)[keep]
+    nsq = blowup_density(gL, *pts)[1][keep]
     rho_l = np.exp(0.5 * (n - 2.0) * w)
     rho_l_p = np.exp(0.5 * (n - 2.0) * w_pole)
     g_vals = gL.values_at(*pts)[keep]
-    gt_vals = transport_green(gL, factor).values_at(*pts)[..., keep]
+    gt_vals = green_field(m, "L", gL.pole, factor).values_at(*pts)[..., keep]
     lhs = gt_vals ** s * np.exp(-4.0 * w) * nsq * np.exp(n * w)
     rhs = rho_l_p ** (-s) * rho_l ** s * g_vals ** s * nsq
     return _sup_ratio(lhs - rhs, rhs)
@@ -527,8 +519,7 @@ def _law_blowup_measure(m, rng, fixed=None, trials=1):
 def _law_defect_measure_4d(m, rng, fixed=None, trials=1):
     factor = fixed or _random_factors(m, rng, trials)
     gL, pts, keep, w, _ = _off_pole(m, factor)
-    comps = conformal_ricci(m, gL.log_profile(1.0), pts)
-    nsq = F.frame_dot(m.basis, comps, comps)[keep]
+    nsq = blowup_density(gL, *pts)[1][keep]
     lhs = np.exp(-4.0 * w) * nsq * np.exp(4.0 * w)
     return _sup_ratio(lhs - nsq, nsq)
 
@@ -546,9 +537,9 @@ def _law_difference_transport(m, rng, fixed=None, trials=1):
     s = (n - 4.0) / (n - 2.0)
     cn = comparison_constant(n)
     gL, pts, keep, w, w_pole = _off_pole(m, factor)
-    gP = green_sphere_closed_form(m, "P", gL.pole)
-    gLt = transport_green(gL, factor)
-    gPt = transport_green(gP, factor)
+    gP = green_field(m, "P", gL.pole)
+    gLt = green_field(m, "L", gL.pole, factor)
+    gPt = green_field(m, "P", gL.pole, factor)
     rho_p = np.exp(0.5 * (n - 4.0) * w)
     rho_p_pole = np.exp(0.5 * (n - 4.0) * w_pole)
     gLt_s = gLt.values_at(*pts)[..., keep] ** s

@@ -13,7 +13,7 @@ import pytest
 
 from conformal_lab.geometry import MoebiusFactor, Pole, catalog_build
 from conformal_lab.green import (comparison_constant, extract_mass,
-                                 green_sphere_closed_form)
+                                 green_field)
 from conformal_lab.spectrum import paneitz_spectrum_check
 from conformal_lab.verify import (check_covariance, check_sign_theorems,
                                   check_total_q, check_weak_identity)
@@ -64,9 +64,9 @@ def test_criterion_3_s1xs3_defect_identity(s1xs3):
 
 
 def test_criterion_4_sphere5_proportionality(sphere5):
-    gL = green_sphere_closed_form(sphere5, "L")
-    gP = green_sphere_closed_form(sphere5, "P")
-    keep = ~gL.mask()
+    gL = green_field(sphere5, "L")
+    gP = green_field(sphere5, "P")
+    keep = ~sphere5.near_pole(gL.pole)
     theta = sphere5.basis.polar_angles()[keep]
     vL = gL.values_at(theta) ** (1.0 / 3.0)
     vP = gP.values_at(theta)
@@ -77,8 +77,8 @@ def test_criterion_4_sphere5_proportionality(sphere5):
 
 
 def test_criterion_5_sphere3_equality_including_diagonal(sphere3):
-    gL = green_sphere_closed_form(sphere3, "L")
-    gP = green_sphere_closed_form(sphere3, "P")
+    gL = green_field(sphere3, "L")
+    gP = green_field(sphere3, "P")
     # theta = 0 is the diagonal limit: both terms vanish there
     theta = np.concatenate([[0.0, 1e-9], sphere3.basis.polar_angles(),
                             [math.pi]])

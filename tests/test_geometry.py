@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,8 +113,8 @@ def test_identity_factor_returns_base_ricci(sphere5, s1xs2):
 
 def test_stereographic_factor_flattens_the_sphere(sphere5):
     # G_L^{4/(n-2)} g is the pullback of the flat metric
-    from conformal_lab.green import green_sphere_closed_form
-    gf = green_sphere_closed_form(sphere5, "L")
+    from conformal_lab.green import green_field
+    gf = green_field(sphere5, "L")
     profile = gf.log_profile(2.0 / (sphere5.n - 2.0))
     theta = np.linspace(0.2, 3.0, 11)
     comps = conformal_ricci(sphere5, profile, (theta,))
@@ -243,11 +244,47 @@ def test_pole_geometry(s1xs2):
     ds, chi = s1xs2.pole_separation(pole, np.array([1.5]), np.array([0.3]))
     assert_allclose(ds, 0.5)
     assert_allclose(chi, 0.3)
-    r = s1xs2.geodesic_from_pole(pole, np.array([1.5]), np.array([0.3]))
-    assert_allclose(r, math.hypot(0.5, 0.3))
     south = Pole(axis=-1)
     assert_allclose(s1xs2.pole_separation(south, np.array([0.0]),
                                           np.array([math.pi]))[1], 0.0)
+
+
+# the shipped catalog of configs/full.json
+FULL_CATALOG = json.loads(
+    (Path(__file__).resolve().parent.parent / "configs" / "full.json")
+    .read_text())["catalog"]
+
+
+def _geodesic_mask(m, pole):
+    """The grid mask as it was first written: geodesic distance from the
+    pole, with the circle offset reduced by ``%``, below three coarse grid
+    spacings."""
+    theta = m.basis.polar_angles()
+    xi = theta if pole.axis > 0 else math.pi - theta
+    sphere_spacing = m.radius * math.pi / m.basis.sphere_nodes
+    if not m.is_product:
+        return m.radius * xi < 3.0 * sphere_spacing
+    ell = m.length
+    ds = (m.basis.circle_points() - pole.s0 + 0.5 * ell) % ell - 0.5 * ell
+    r = np.hypot(ds[:, None], m.radius * xi[None, :])
+    return r < 3.0 * max(ell / m.basis.circle_nodes, sphere_spacing)
+
+
+@pytest.mark.parametrize("rec", FULL_CATALOG,
+                         ids=[f"{r['kind']}-{r.get('n', '')}"
+                              for r in FULL_CATALOG])
+def test_near_pole_is_the_geodesic_mask(rec):
+    """At every pole the suites use, on every backend of the shipped
+    catalog, the mask equals the geodesic rule bit for bit and holds the
+    nodes nearest the pole, not the whole grid."""
+    m = catalog_build(rec["kind"], rec.get("n"), rec["params"], rec["basis"])
+    poles = ([Pole(1, 0.0), Pole(1, m.length / 3.0)] if m.is_product
+             else [Pole(1), Pole(-1)])
+    for pole in poles:
+        mask = m.near_pole(pole)
+        assert mask.shape == m.basis.grid_shape
+        assert np.array_equal(mask, _geodesic_mask(m, pole)), pole
+        assert 0 < np.sum(mask) < mask.size
 
 
 @pytest.mark.parametrize("name", ["sphere5", "s1xs2"])

@@ -14,12 +14,9 @@ from conformal_lab.errors import KernelError, UnsupportedBackendError
 from conformal_lab.geometry import (FieldFactor, MoebiusFactor, Pole,
                                     catalog_build)
 from conformal_lab.green import (ComparisonResult, _ProductImageKernelL,
-                                 compare_green,
-                                 comparison_constant, extract_mass,
-                                 flat_L_coefficient, green_eigen_expansion,
-                                 green_field, green_pair,
-                                 green_sphere_closed_form, sign_scan,
-                                 transport_green)
+                                 compare_green, comparison_constant,
+                                 extract_mass, flat_L_coefficient,
+                                 green_field, green_pair, sign_scan)
 from conformal_lab.operators import apply_L, build_symbol
 
 
@@ -39,20 +36,20 @@ def test_flat_coefficient():
 # ----------------------------------------------------------- sphere kernels
 
 def test_sphere_green_value(sphere3):
-    gf = green_sphere_closed_form(sphere3, "L")
+    gf = green_field(sphere3, "L")
     got = gf.values_at(np.array([math.pi / 2]))[0]
     assert_allclose(got, math.sqrt(2.0) / (64.0 * math.pi), rtol=1e-13)
 
 
 def test_sphere_green_pairs_constants_to_inverse_R(sphere3, sphere5):
     for m in (sphere3, sphere5):
-        gf = green_sphere_closed_form(m, "L")
+        gf = green_field(m, "L")
         got = green_pair(gf, m.constant(1.0))
         assert_allclose(got, 1.0 / m.scalar_curvature, rtol=1e-10)
 
 
 def test_sphere_P_green_dimension3(sphere3):
-    gf = green_sphere_closed_form(sphere3, "P")
+    gf = green_field(sphere3, "P")
     th = np.array([0.4, 1.1, 2.8])
     assert_allclose(gf.values_at(th), -np.sin(th / 2) / (4 * math.pi),
                     rtol=1e-13)
@@ -82,17 +79,12 @@ def test_sphere_harmonicity_off_pole(sphere5):
 
 
 def test_delta_normalization_sphere(sphere5, rng):
-    gf = green_sphere_closed_form(sphere5, "L")
+    gf = green_field(sphere5, "L")
     for _ in range(5):
         phi = F.random_bandlimited(sphere5.basis, rng, degree=9)
         got = green_pair(gf, apply_L(sphere5, phi))
         want = float(F.evaluate(phi, np.array([0.0]))[0])
         assert abs(got - want) < 1e-8 * max(1.0, abs(want))
-
-
-def test_p_green_needs_dimension_not_four(sphere4):
-    with pytest.raises(KernelError):
-        green_sphere_closed_form(sphere4, "P")
 
 
 def test_sphere3_eigen_expansion_cross_check(sphere3):
@@ -106,7 +98,7 @@ def test_sphere3_eigen_expansion_cross_check(sphere3):
     series = np.sin(np.outer(theta, j)) @ coef
     eigen = ((math.pi - theta) / 16.0 + series) / (2.0 * math.pi ** 2
                                                    * np.sin(theta))
-    gf = green_sphere_closed_form(sphere3, "L")
+    gf = green_field(sphere3, "L")
     assert np.max(np.abs(eigen - gf.values_at(theta))) < 1e-6
 
 
@@ -114,13 +106,13 @@ def test_sphere3_eigen_expansion_cross_check(sphere3):
 
 def test_product_green_pairs_constants(s1xs2, s1xs3):
     for m in (s1xs2, s1xs3):
-        gf = green_eigen_expansion(m, "L")
+        gf = green_field(m, "L")
         got = green_pair(gf, m.constant(1.0))
         assert_allclose(got, 1.0 / m.scalar_curvature, rtol=1e-8)
 
 
 def test_delta_normalization_product(s1xs2, rng):
-    gf = green_eigen_expansion(s1xs2, "L")
+    gf = green_field(s1xs2, "L")
     for _ in range(5):
         phi = F.random_bandlimited(s1xs2.basis, rng, degree=6, fourier=4)
         got = green_pair(gf, apply_L(s1xs2, phi), level=3)
@@ -140,7 +132,7 @@ def test_product_image_kernel_matches_mode_sum(s1xs2):
     P0 = b.polar_values(np.array([1.0, math.cos(chi)]))
     series = float(np.sum(U0[0][:, None] * P0[0][None, :]
                           * U0[1][:, None] * P0[1][None, :] / lam))
-    gf = green_eigen_expansion(s1xs2, "L")
+    gf = green_field(s1xs2, "L")
     got = float(gf.values_at(np.array([ds]), np.array([chi]))[0])
     assert abs(got - series) < 1e-5
 
@@ -148,7 +140,7 @@ def test_product_image_kernel_matches_mode_sum(s1xs2):
 @pytest.mark.parametrize("name", ["s1xs2", "s1xs3"])
 def test_image_kernel_jets_match_value_and_differences(name, request):
     m = request.getfixturevalue(name)
-    kern = green_eigen_expansion(m, "L").kernel
+    kern = green_field(m, "L").kernel
     rng = np.random.default_rng(5)
     ds = rng.uniform(-3.0, 3.0, 30)
     chi = rng.uniform(0.4, 2.7, 30)
@@ -218,7 +210,7 @@ def test_parity_of_the_image_kernel(kind, length, monkeypatch):
     than 0.1."""
     m = catalog_build(kind, None, {"length": length},
                       {"degree_max": 4, "fourier_max": 2})
-    kern = green_eigen_expansion(m, "L").kernel
+    kern = green_field(m, "L").kernel
     defects = _mirror_defects(kern)
     assert set(defects) == {"value", "w", "w_s", "w_x", "ss", "sx", "xx",
                             "orb"}
@@ -301,7 +293,7 @@ def test_image_kernel_matches_the_per_image_sum(kind, length):
     reference 4.9e-15 off there)."""
     m = catalog_build(kind, None, {"length": length},
                       {"degree_max": 4, "fourier_max": 2})
-    kern = green_eigen_expansion(m, "L").kernel
+    kern = green_field(m, "L").kernel
     pieces = {"near": [], "far": []}
     for points, _ in Q.product_blocks(m, Pole(), level=2):
         ds, chi = m.pole_separation(Pole(), *points)
@@ -327,7 +319,7 @@ def test_long_circle_jets_are_finite(kind, length):
     l = 180 on.)"""
     m = catalog_build(kind, None, {"length": length},
                       {"degree_max": 4, "fourier_max": 2})
-    kern = green_eigen_expansion(m, "L").kernel
+    kern = green_field(m, "L").kernel
     alone = copy.copy(kern)
     alone.cutoff = 0
     ds, chi = np.array([0.3, -0.3, 1.0]), np.array([0.5, 0.1, 2.0])
@@ -347,7 +339,7 @@ def test_image_kernel_refuses_circles_beyond_its_range(kind):
     operator and before it looks for a zero mode (P on S1xS3)."""
     m = catalog_build(kind, None, {"length": 1400.0},
                       {"degree_max": 4, "fourier_max": 2})
-    kern = green_eigen_expansion(m, "L").kernel
+    kern = green_field(m, "L").kernel
     ds, chi = 0.49 * m.length * np.array([1.0, -1.0]), np.array([0.5, 2.0])
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         comps = _kernel_components(kern, 0.5, ds, chi)
@@ -358,12 +350,31 @@ def test_image_kernel_refuses_circles_beyond_its_range(kind):
     for operator in ("L", "P"):
         with pytest.raises(UnsupportedBackendError,
                            match="1400 sphere radii"):
-            green_eigen_expansion(m, operator)
+            green_field(m, operator)
+
+
+@pytest.mark.parametrize("length", [0.5, 2 * math.pi, 40.0])
+def test_values_at_reads_the_kernel_at_the_rule_nodes(length):
+    """A circle offset within half a period of the pole comes back bit for
+    bit, so at the nodes of the graded product rule around the pole G_L
+    and G_P read the kernel at the nodes' own offsets.  (Reduced as
+    (ds + l/2) % l - l/2, an offset of 1e-12 came back 1.7e-3 off at
+    l = 40, and G_L 1.4e-4 off at the rule's nodes.)"""
+    m = catalog_build("product-S1xS2", None, {"length": length},
+                      {"degree_max": 4, "fourier_max": 2})
+    ds = np.array([1e-12, -1e-12, 1e-3, -0.3, 0.49, -0.5]) * length
+    got, _ = m.pole_separation(Pole(), ds, np.zeros(ds.size))
+    assert np.array_equal(got, ds)
+    for operator in ("L", "P"):
+        gf = green_field(m, operator)
+        for (s, chi), _ in Q.product_blocks(m, Pole(), level=2):
+            assert_allclose(gf.values_at(s, chi), gf.kernel.value(s, chi),
+                            rtol=1e-15, atol=0, err_msg=operator)
 
 
 def test_image_kernel_jets_take_a_few_point_vectors(s1xs2):
     """Images are added one at a time: no (points x images) arrays."""
-    kern = green_eigen_expansion(s1xs2, "L").kernel
+    kern = green_field(s1xs2, "L").kernel
     n = 50_000
     rng = np.random.default_rng(6)
     ds = rng.uniform(-math.pi, math.pi, n)
@@ -381,7 +392,7 @@ def test_south_pole_log_profile_matches_differences_of_its_w(s1xs2):
     """A south pole reverses the polar direction: the profile's polar
     gradient component and its sx Hessian component change sign, and
     central differences of its own w in chart coordinates agree."""
-    prof = green_eigen_expansion(s1xs2, "L", Pole(-1, 0.7)).log_profile(2.0)
+    prof = green_field(s1xs2, "L", Pole(-1, 0.7)).log_profile(2.0)
     rng = np.random.default_rng(7)
     s = rng.uniform(-3.0, 3.0, 20)
     chi = rng.uniform(0.3, 2.8, 20)
@@ -404,16 +415,11 @@ def test_south_pole_log_profile_matches_differences_of_its_w(s1xs2):
 
 
 def test_product_green_symmetry(s1xs2):
-    gf_n = green_eigen_expansion(s1xs2, "L", Pole(axis=1, s0=0.0))
-    gf_s = green_eigen_expansion(s1xs2, "L", Pole(axis=-1, s0=1.3))
+    gf_n = green_field(s1xs2, "L", Pole(axis=1, s0=0.0))
+    gf_s = green_field(s1xs2, "L", Pole(axis=-1, s0=1.3))
     v1 = gf_n.values_at(np.array([1.3]), np.array([math.pi]))
     v2 = gf_s.values_at(np.array([0.0]), np.array([0.0]))
     assert_allclose(v1, v2, rtol=1e-12)
-
-
-def test_kernel_error_for_P_on_s1xs3(s1xs3):
-    with pytest.raises(KernelError):
-        green_eigen_expansion(s1xs3, "P")
 
 
 def _degree_roots(m, degrees):
@@ -482,7 +488,7 @@ def test_paneitz_image_kernel_matches_the_degree_sum(length, radius, rel):
     rng = np.random.default_rng(11)
     ds = length * rng.uniform(0.1, 0.5, 40) * rng.choice([-1.0, 1.0], 40)
     chi = rng.uniform(0.0, math.pi, 40)
-    got = green_eigen_expansion(m, "P").kernel.value(ds, chi)
+    got = green_field(m, "P").kernel.value(ds, chi)
     want = _degree_sum_P(m, ds, chi)
     assert_allclose(got, want, rtol=0, atol=rel * np.max(np.abs(want)))
 
@@ -491,7 +497,7 @@ def test_paneitz_image_kernel_matches_the_degree_sum(length, radius, rel):
 def test_paneitz_image_kernel_pole_value(length, radius, rel):
     """At the pole each image is E^(1/2) / 2, which sums to
     (b / 4 pi) coth(l / 4b)."""
-    gp = green_eigen_expansion(_s1xs2(length, radius), "P")
+    gp = green_field(_s1xs2(length, radius), "P")
     want = radius / (4.0 * math.pi * math.tanh(length / (4.0 * radius)))
     assert_allclose(gp.diagonal_value(), want, rtol=rel)
 
@@ -502,7 +508,7 @@ def test_paneitz_image_kernel_inverts_P_on_constants(length, radius, rel):
     bound is at least 1e-9, since the level-2 rule itself is off by up to
     2.8e-10 (b = 1.3)."""
     m = _s1xs2(length, radius)
-    gp = green_eigen_expansion(m, "P")
+    gp = green_field(m, "P")
     p00 = float(build_symbol(m, "P").flat[0])
     assert_allclose(green_pair(gp, m.constant(1.0)) * p00, 1.0,
                     rtol=max(rel, 1e-9))
@@ -515,20 +521,41 @@ def test_paneitz_image_kernel_on_a_long_circle_is_finite():
                       {"degree_max": 4, "fourier_max": 2})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals = green_eigen_expansion(m, "P").values_at(*m.grid_points())
+        vals = green_field(m, "P").values_at(*m.grid_points())
     assert np.all(np.isfinite(vals))
 
 
-def test_eigen_expansion_rejects_spheres(sphere5):
-    with pytest.raises(UnsupportedBackendError):
-        green_eigen_expansion(sphere5, "L")
+# ------------------------------------------------------------ construction
+
+@pytest.fixture(scope="module")
+def long_s1xs2():
+    return catalog_build("product-S1xS2", None, {"length": 1450.0},
+                         {"degree_max": 4, "fourier_max": 2})
+
+
+@pytest.mark.parametrize("backend, operator, error, match", [
+    ("sphere4", "P", KernelError, "annihilates constants"),
+    ("s1xs3", "P", KernelError, "zero mode"),
+    ("sphere5", "Q", ValueError, "unknown operator"),
+    ("s1xs2", "Q", ValueError, "unknown operator"),
+    ("long_s1xs2", "L", UnsupportedBackendError, "1400 sphere radii"),
+], ids=["P-S4", "P-S1xS3", "unknown-sphere", "unknown-product",
+        "long-circle"])
+def test_green_field_refuses(backend, operator, error, match, request):
+    """P has the constants in its kernel in dimension four, on S^4 and
+    on S1 x S3; an operator other than L and P is unknown; past l = 1400 b
+    the product image sums overflow."""
+    m = request.getfixturevalue(backend)
+    with pytest.raises(error, match=match):
+        green_field(m, operator)
 
 
 # ---------------------------------------------------------------- transport
 
 def test_transport_identity_factor(sphere5):
-    gf = green_sphere_closed_form(sphere5, "L")
-    gt = transport_green(gf, FieldFactor(sphere5, sphere5.constant(0.0)))
+    gf = green_field(sphere5, "L")
+    gt = green_field(sphere5, "L",
+                     factor=FieldFactor(sphere5, sphere5.constant(0.0)))
     th = np.linspace(0.2, 3.0, 7)
     assert_allclose(gt.values_at(th), gf.values_at(th), rtol=1e-12)
 
@@ -541,28 +568,28 @@ def test_transport_constant_factor_scales(sphere5):
         w = 0.5 * exponent * math.log(rho)
         return FieldFactor(sphere5, sphere5.constant(w))
 
-    gf = green_sphere_closed_form(sphere5, "L")
-    gt = transport_green(gf, constant(c, 4.0 / (n - 2)))
+    gf = green_field(sphere5, "L")
+    gt = green_field(sphere5, "L", factor=constant(c, 4.0 / (n - 2)))
     th = np.linspace(0.2, 3.0, 7)
     assert_allclose(gt.values_at(th), gf.values_at(th) / c ** 2, rtol=1e-12)
-    gp = green_sphere_closed_form(sphere5, "P")
-    gpt = transport_green(gp, constant(c, 4.0 / (n - 4)))
+    gp = green_field(sphere5, "P")
+    gpt = green_field(sphere5, "P", factor=constant(c, 4.0 / (n - 4)))
     assert_allclose(gpt.values_at(th), gp.values_at(th) / c ** 2, rtol=1e-12)
 
 
 def test_transport_preserves_sign(sphere5, rng):
     w = F.random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.3)
     factor = FieldFactor(sphere5, w)
-    gp = green_sphere_closed_form(sphere5, "P")
+    gp = green_field(sphere5, "P")
     scan0 = sign_scan([gp])
-    scan1 = sign_scan([transport_green(gp, factor)])
+    scan1 = sign_scan([green_field(sphere5, "P", factor=factor)])
     assert scan0["verdict"] == scan1["verdict"] == "POSITIVE"
 
 
 # ---------------------------------------------------------------- sign scan
 
 def test_sign_scan_sphere5_positive(sphere5):
-    gfs = [green_sphere_closed_form(sphere5, "P", p)
+    gfs = [green_field(sphere5, "P", p)
            for p in (Pole(1), Pole(-1))]
     scan = sign_scan(gfs)
     assert scan["verdict"] == "POSITIVE"
@@ -570,7 +597,7 @@ def test_sign_scan_sphere5_positive(sphere5):
 
 
 def test_sign_scan_sphere3_negative_with_zero_diagonal(sphere3):
-    gf = green_sphere_closed_form(sphere3, "P")
+    gf = green_field(sphere3, "P")
     scan = sign_scan([gf])
     assert scan["verdict"] == "NEGATIVE"
     rec = scan["poles"][0]
@@ -579,7 +606,7 @@ def test_sign_scan_sphere3_negative_with_zero_diagonal(sphere3):
 
 
 def test_sign_scan_product_is_reported_not_asserted(s1xs2):
-    gf = green_eigen_expansion(s1xs2, "P")
+    gf = green_field(s1xs2, "P")
     scan = sign_scan([gf])
     assert scan["verdict"] in ("POSITIVE", "NEGATIVE", "MIXED")
 
@@ -588,15 +615,15 @@ def test_diagonal_value_is_the_kernel_at_the_pole(sphere3, s1xs2):
     """The 3d G_P is continuous at its pole: on S1(2 pi) x S2 it is
     coth(pi / 2) / 4 pi = 0.0867658 there, the S^3 closed form vanishes
     there."""
-    gp = green_eigen_expansion(s1xs2, "P", Pole(1, 1.0))
+    gp = green_field(s1xs2, "P", Pole(1, 1.0))
     diag = gp.diagonal_value()
     assert abs(diag - 0.0867658) < 1e-7
     # the limit along the circle, where G_P = diag + O(r)
     near = gp.values_at(np.array([1.0 + 1e-7]), np.zeros(1))[0]
     assert abs(near - diag) < 1e-6
     assert sign_scan([gp])["poles"][0]["diagonal_value"] == diag
-    assert green_sphere_closed_form(sphere3, "P").diagonal_value() == 0.0
-    assert green_sphere_closed_form(sphere3, "L").diagonal_value() is None
+    assert green_field(sphere3, "P").diagonal_value() == 0.0
+    assert green_field(sphere3, "L").diagonal_value() is None
 
 
 # --------------------------------------------------------------- comparison

@@ -1,7 +1,7 @@
 """Import hygiene of the package: every imported name is used or exported,
 every exported name is used, every class member is read, and the basis
-is tabulated, the hypothesis ledger read and a field constructed in one
-place.
+is tabulated, the hypothesis ledger read, a field constructed and the
+blow-up Ricci formed in one place.
 
 There is no linter among the package's dependencies, so this reads each
 module's syntax tree: a name bound by an import statement must appear as
@@ -11,9 +11,9 @@ few reference routes that only the tests compare against; and so must
 every method, property and dataclass field a class defines.  Members are
 matched by name, so a member shares the reads of any other member or
 variable of the same name.  The tabulation routines of ``basis``, the
-ledger routines of ``spectrum`` and the ``ScalarField`` constructor are
-called only from their own module and from the few callers listed in
-``SINGLE_PLACE``.
+ledger routines of ``spectrum``, the ``ScalarField`` constructor and the
+Ricci-from-jets routine of ``geometry`` are called only from their own
+module and from the few callers listed in ``SINGLE_PLACE``.
 """
 
 import ast
@@ -152,9 +152,11 @@ def test_an_unused_member_is_caught():
 # spectrum builds the hypothesis ledger and verify._ledger keeps one per
 # backend, which the suite wrapper reads for every report and assertion
 # rule, and two suite bodies only for the data they check; the catalog
-# listing prints lambda1(L), and the eigen expansions test for a zero
-# mode against the ledger's curvature scale; a field is built only by
-# the constructors and transforms of fields
+# listing prints lambda1(L), and the product kernels of green_field test
+# for a zero mode against the ledger's curvature scale; a field is built
+# only by the constructors and transforms of fields; the blow-up Ricci
+# of G_L comes from green.blowup_density alone, and geometry forms every
+# other Ricci tensor from jets
 SINGLE_PLACE = {
     "polar_values": {"basis", "fields._prepare"},
     "circle_values": {"basis", "fields._prepare"},
@@ -164,12 +166,14 @@ SINGLE_PLACE = {
     "circle_tables": {"basis", "fields._prepare"},
     "zonal_polynomials": {"basis"},
     "lambda1_L": {"spectrum", "cli.list_catalog"},
-    "zero_threshold": {"spectrum", "green.green_eigen_expansion"},
+    "zero_threshold": {"spectrum", "green.green_field"},
     "paneitz_spectrum_check": {"verify._ledger"},
     "_ledger": {"verify.Suite", "verify.check_sign_theorems",
                 "verify.check_spectrum_claims"},
     "ScalarField": {"fields"},
     "broadcast_arrays": {"fields._prepare"},
+    "ricci_from_jets": {"geometry", "green.blowup_density"},
+    "log_profile": {"green.blowup_density"},
 }
 
 
@@ -231,12 +235,26 @@ def test_a_stray_ledger_call_is_caught():
                             "    return _ledger(m).theorems_hold\n",
                "cli.py": "def list_catalog(m): return lambda1_L(m)\n"
                          "def run(m): return paneitz_spectrum_check(m)\n",
-               "green.py": "def green_eigen_expansion(m):\n"
+               "green.py": "def green_field(m):\n"
                            "    return zero_threshold(m)\n"
                            "def sign_scan(m): return zero_threshold(m)\n"}
     assert stray_calls(sources) == [
         "cli.run: paneitz_spectrum_check", "green.sign_scan: zero_threshold",
         "verify.check: lambda1_L", "verify.check_green_compare: _ledger"]
+
+
+def test_a_second_blowup_ricci_is_caught():
+    sources = {"geometry.py": "def conformal_ricci(m, f, p):\n"
+                              "    return ricci_from_jets(m, *f.jets(p)[1:])\n",
+               "green.py": "def blowup_density(gf, *p):\n"
+                           "    prof = gf.log_profile(1.0)\n"
+                           "    return G.ricci_from_jets(gf.manifold, 0, 0)\n",
+               "verify.py": "from .geometry import ricci_from_jets\n"
+                            "def _law(m, gL, pts):\n"
+                            "    _, g, h = gL.log_profile(1.0).jets(pts)\n"
+                            "    return ricci_from_jets(m, g, h)\n"}
+    assert stray_calls(sources) == ["verify._law: log_profile",
+                                    "verify._law: ricci_from_jets"]
 
 
 def test_a_stray_field_construction_is_caught():

@@ -16,7 +16,7 @@ from conformal_lab import basis, verify
 from conformal_lab import fields as F
 from conformal_lab import quadrature as Q
 from conformal_lab.geometry import Pole
-from conformal_lab.green import green_eigen_expansion
+from conformal_lab.green import green_field
 from conformal_lab.verify import run_suite
 
 PRODUCTS = ["s1xs2", "s1xs3"]
@@ -70,7 +70,7 @@ def test_frame_jets(name, request, rng):
 @pytest.mark.parametrize("name", PRODUCTS)
 def test_image_kernel_value_and_log_jets(name, request):
     m = request.getfixturevalue(name)
-    kernel = green_eigen_expansion(m, "L").kernel
+    kernel = green_field(m, "L").kernel
     ds, chi = _mesh(m)
     ds = ds - 0.2 * m.length  # a mesh in pole coordinates
     full = np.broadcast_arrays(ds, chi)
@@ -80,7 +80,7 @@ def test_image_kernel_value_and_log_jets(name, request):
 
 def test_paneitz_image_kernel_value(s1xs2):
     """S1xS3 (n = 4) has no G_P: P annihilates the constants there."""
-    kernel = green_eigen_expansion(s1xs2, "P").kernel
+    kernel = green_field(s1xs2, "P").kernel
     ds, chi = _mesh(s1xs2)
     ds = ds - 0.2 * s1xs2.length
     _close(kernel.value(ds, chi), kernel.value(*np.broadcast_arrays(ds, chi)))

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from conformal_lab import fields as F
 from conformal_lab.geometry import FieldFactor, catalog_build
-from conformal_lab.green import green_pair, green_sphere_closed_form
+from conformal_lab.green import green_field, green_pair
 from conformal_lab.operators import (apply_L, apply_P, apply_P_pointwise,
                                      build_symbol, conformal_quadratic_form_E,
                                      quadratic_form_E)
@@ -169,7 +169,7 @@ def test_a_grid_only_field_is_never_projected(sphere5, rng):
     f = F.random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.1)
     grid_only = F.field_from_grid(sphere5.basis, f.grid_values)
     factor = FieldFactor(sphere5, f)
-    gf = green_sphere_closed_form(sphere5, "L")
+    gf = green_field(sphere5, "L")
     routes = [
         lambda g: apply_L(sphere5, g),
         lambda g: apply_P(sphere5, g),

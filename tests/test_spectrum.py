@@ -1,7 +1,7 @@
 import numpy as np
 
 from conformal_lab.geometry import catalog_build
-from conformal_lab.green import green_eigen_expansion
+from conformal_lab.green import green_field
 from conformal_lab.operators import build_symbol
 from conformal_lab.spectrum import lambda1_L, paneitz_spectrum_check
 
@@ -66,4 +66,4 @@ def test_zero_modes_are_read_against_the_curvature_not_the_band():
                       {"degree_max": 16, "fourier_max": 8})
     assert build_symbol(m, "P").flat[0] == 0.5625
     assert paneitz_spectrum_check(m).kernel_dimension == 0
-    assert green_eigen_expansion(m, "P").operator == "P"
+    assert green_field(m, "P").operator == "P"

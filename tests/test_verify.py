@@ -454,8 +454,8 @@ def test_green_compare_suite(sphere5, sphere3):
 
 def test_image_counts_in_theorem_resolution(s1xs2, sphere5):
     """One G_P image count per pole on products, none on spheres."""
-    images = green.green_eigen_expansion(s1xs2, "P").cutoff
-    assert images == green.green_eigen_expansion(s1xs2, "L").cutoff == 9
+    images = green.green_field(s1xs2, "P").cutoff
+    assert images == green.green_field(s1xs2, "L").cutoff == 9
     for report in (check_sign_theorems(s1xs2), check_green_compare(s1xs2)):
         res = report.resolution
         assert res["images"] == [images] * len(res["poles"])
