@@ -11,11 +11,13 @@ two derivatives of w:
     Ric~ = Ric - (n-2)(Hess w - dw (x) dw) - (Lap w + (n-2)|dw|^2) g
     R~   = e^{-2w} (R - 2(n-1) Lap w - (n-1)(n-2) |dw|^2)
 
-with all components measured in a g-orthonormal frame.  The Q curvature
-is assembled from (R, Ric, Lap R) by one dimension-uniform polynomial
-formula; for a changed metric it is available both through that formula
-and through the covariance law of the fourth-order operator, which the
-verification suites compare.
+with all components measured in a g-orthonormal frame, so that R~ is
+e^{-2w} times the frame trace of Ric~.  The Q curvature is assembled
+from (R, Ric, Lap R) by one dimension-uniform polynomial formula.  For a
+changed metric ``conformal_curvature`` gives Ric~, R~ and that Q~ in one
+grid pass, and ``conformal_q`` gives Q~ through the covariance law of
+the fourth-order operator instead; the verification suites compare the
+two routes.
 """
 
 from __future__ import annotations
@@ -40,10 +42,9 @@ __all__ = [
     "Pole",
     "SPHERE_DIMENSIONS",
     "catalog_build",
+    "conformal_curvature",
     "conformal_q",
-    "conformal_q_from_curvature",
     "conformal_ricci",
-    "conformal_scalar_curvature",
     "q_from_data",
     "ricci_from_jets",
 ]
@@ -368,9 +369,9 @@ class MoebiusFactor(ConformalFactor):
 
 # ----------------------------------------------------- curvature transforms
 
-def conformal_ricci(m: ManifoldModel, factor: ConformalFactor, points=None):
-    """Ricci tensor of e^{2w} g, components in the base orthonormal frame,
-    on the grid (``points=None``) or at the given points."""
+def conformal_ricci(m: ManifoldModel, factor: ConformalFactor):
+    """Ricci tensor of e^{2w} g on the grid, components in the base
+    orthonormal frame."""
     bw = factor.bandwidth
     if bw is not None and bw != (0, 0):
         need = 4 * (bw[1] + 2)
@@ -379,7 +380,7 @@ def conformal_ricci(m: ManifoldModel, factor: ConformalFactor, points=None):
                 f"conformal curvature of a degree-{bw[1]} factor needs polar "
                 f"exactness {need}, quadrature provides "
                 f"{m.basis.polar_exactness}")
-    _, grad, hess = factor.jets(points)
+    _, grad, hess = factor.jets()
     return ricci_from_jets(m, grad, hess)
 
 
@@ -404,17 +405,6 @@ def ricci_from_jets(m: ManifoldModel, grad, hess) -> dict:
         comps[key] = (rc[key] - (n - 2) * (hess[key] - outer[key])
                       - trace_term * gmat[key])
     return comps
-
-
-def conformal_scalar_curvature(m: ManifoldModel, factor: ConformalFactor,
-                               points=None):
-    """Scalar curvature of e^{2w} g (values array)."""
-    w, grad, hess = factor.jets(points)
-    n = m.n
-    grad2 = sum(g ** 2 for g in grad)
-    lap = F.frame_trace(m.basis, hess)
-    return np.exp(-2.0 * w) * (m.scalar_curvature - 2.0 * (n - 1) * lap
-                               - (n - 1) * (n - 2) * grad2)
 
 
 # ------------------------------------------------------------- Q curvature
@@ -448,24 +438,25 @@ def conformal_q(m: ManifoldModel, factor: ConformalFactor) -> ScalarField:
     return F.field_from_grid(m.basis, vals)
 
 
-def conformal_q_from_curvature(m: ManifoldModel,
-                               factor: ConformalFactor) -> ScalarField:
-    """Q curvature of the changed metric assembled from its curvature.
+def conformal_curvature(m: ManifoldModel, factor: ConformalFactor):
+    """(Ric~, R~, Q~) of the changed metric e^{2w} g on the grid.
 
-    Independent of the covariance route: uses the transformed Ricci
-    tensor, the transformed scalar curvature, and the changed-metric
-    Laplacian of the latter.
+    Ric~ holds the base-frame components of ``conformal_ricci``, R~ is
+    e^{-2w} times their frame trace, and Q~ is ``q_from_data`` of
+    |Ric~|^2 = e^{-4w} |Ric~|_g^2, R~^2 and the changed-metric Laplacian
+    of R~, so it shares no code with the covariance route of
+    ``conformal_q``.
     """
     w = factor.w_grid
-    w_vals = w.grid_values
+    inv_e2w = np.exp(-2.0 * w.grid_values)
     rc = conformal_ricci(m, factor)
-    rc_nsq_tilde = np.exp(-4.0 * w_vals) * F.frame_dot(m.basis, rc, rc)
-    R_t = conformal_scalar_curvature(m, factor)
-    R_field = F.analyze(F.field_from_grid(m.basis, R_t))
-    lap_R = F.laplacian(R_field).grid_values
-    gw = F.gradient_components(w)
-    gR = F.gradient_components(R_field)
-    cross = sum(a * b for a, b in zip(gw, gR))
-    lap_tilde_R = np.exp(-2.0 * w_vals) * (lap_R + (m.n - 2) * cross)
-    vals = q_from_data(m.n, lap_tilde_R, rc_nsq_tilde, R_t ** 2)
-    return F.field_from_grid(m.basis, vals)
+    r_tilde = inv_e2w * F.frame_trace(m.basis, rc)
+    r_field = F.analyze(F.field_from_grid(m.basis, r_tilde))
+    cross = sum(a * b for a, b in zip(F.gradient_components(w),
+                                      F.gradient_components(r_field)))
+    lap_tilde_r = inv_e2w * (F.laplacian(r_field).grid_values
+                             + (m.n - 2) * cross)
+    q_tilde = q_from_data(m.n, lap_tilde_r,
+                          inv_e2w ** 2 * F.frame_dot(m.basis, rc, rc),
+                          r_tilde ** 2)
+    return rc, r_tilde, q_tilde

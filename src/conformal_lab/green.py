@@ -411,8 +411,9 @@ def green_field(m: ManifoldModel, operator: str, pole: Pole | None = None,
 
     Spheres take the closed forms; products the eigen-expansion summed
     in closed form, as an image sum of the cylinder kernel over circle
-    periods (G_L in any dimension, G_P in dimension three: in dimension
-    four P annihilates the constants, a zero mode).  Both operators obey
+    periods.  No kernel exists where the operator's symbol has a zero
+    mode: in dimension four P annihilates the constants, on every
+    backend.  Both operators obey
     G~(p, q) = rho(p)^{-1} rho(q)^{-1} G(p, q) in their own weight
     convention (second order: rho^{4/(n-2)}, fourth order:
     rho^{4/(n-4)}), which ``values_at`` applies.  An operator other than
@@ -423,25 +424,23 @@ def green_field(m: ManifoldModel, operator: str, pole: Pole | None = None,
         raise ValueError(f"unknown operator {operator!r}")
     pole = pole or Pole()
     n = m.n
+    # see _ProductImageKernelL._sums
+    if m.is_product and m.length > 1400.0 * m.radius:
+        raise UnsupportedBackendError(
+            f"the image sums overflow on a circle longer than 1400 "
+            f"sphere radii (length {m.length:g}, radius {m.radius:g})")
+    thr = zero_threshold(m)
+    lam_min = float(np.min(np.abs(build_symbol(m, operator))))
+    if lam_min < thr:
+        raise KernelError(
+            f"{operator} has a zero mode on {m.kind} "
+            f"(|eigenvalue| {lam_min:.3e} < threshold {thr:.3e})")
     if m.is_product:
-        if m.length > 1400.0 * m.radius:  # see _ProductImageKernelL._sums
-            raise UnsupportedBackendError(
-                f"the image sums overflow on a circle longer than 1400 "
-                f"sphere radii (length {m.length:g}, radius {m.radius:g})")
-        thr = zero_threshold(m)
-        lam_min = float(np.min(np.abs(build_symbol(m, operator))))
-        if lam_min < thr:
-            raise KernelError(
-                f"{operator} has a zero mode on {m.kind} "
-                f"(|eigenvalue| {lam_min:.3e} < threshold {thr:.3e})")
         image_sum = (_ProductImageKernelL if operator == "L"
                      else _ProductImageKernelP)
         kernel = image_sum(m, _image_count(m))
     elif operator == "L":
         kernel = _SphereKernel(flat_L_coefficient(n), m.radius, 2.0 - n)
-    elif n == 4:
-        raise KernelError("P annihilates constants on the round 4-sphere; "
-                          "no Green's function exists")
     else:
         kernel = _SphereKernel(flat_P_coefficient(n), m.radius, 4.0 - n)
     rho_pole = 1.0
@@ -595,8 +594,8 @@ def extract_mass(m: ManifoldModel, pole: Pole | None = None,
     """
     if m.is_product or m.n not in (3, 5, 6, 7):
         raise UnsupportedBackendError(
-            "mass extraction needs a sphere-conformal backend, n in 5..7 "
-            "or locally conformally flat")
+            f"mass extraction needs a sphere backend of dimension 3, 5, 6 "
+            f"or 7, got {m.kind} with n={m.n}")
     pole = pole or Pole()
     n = m.n
     s = (n - 4.0) / (n - 2.0)

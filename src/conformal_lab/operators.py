@@ -19,9 +19,8 @@ part, the tables are
 
 with d and r the dimension and radius of the sphere (factor), so that
 on a round sphere (d = n) lam_sph is Lam, and with
-c2 = (n^2-4n+8)/(2(n-1)(n-2)).  In dimension four the zero-order term is
-dropped (its coefficient vanishes with n-4, so the branch is explicit
-but the value agrees).
+c2 = (n^2-4n+8)/(2(n-1)(n-2)).  The zero-order term is the same for
+every n; in dimension four its coefficient (n-4)/2 is zero.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ import numpy as np
 
 from . import fields as F
 from .fields import ScalarField
-from .geometry import ConformalFactor, ManifoldModel, conformal_ricci, \
-    conformal_scalar_curvature, conformal_q_from_curvature
+from .geometry import ConformalFactor, ManifoldModel, conformal_curvature
 
 __all__ = [
     "apply_L",
@@ -69,9 +67,8 @@ def build_symbol(m: ManifoldModel, operator: str) -> np.ndarray:
         rc_term = ((m.sphere_dim - 1) / m.radius ** 2) \
             * b.sphere_factor_eigenvalues()
         table = (lam ** 2 - (4.0 / (n - 2)) * rc_term
-                 + _gradient_coefficient(n) * m.scalar_curvature * lam)
-        if n != 4:
-            table = table + 0.5 * (n - 4) * m.q_value
+                 + _gradient_coefficient(n) * m.scalar_curvature * lam
+                 + 0.5 * (n - 4) * m.q_value)
     else:
         raise ValueError(f"unknown operator tag {operator!r}")
     table.setflags(write=False)
@@ -102,9 +99,8 @@ def apply_P_pointwise(m: ManifoldModel, f: ScalarField) -> ScalarField:
     _, _, hess = F.frame_jets(f)
     rc_dot_hess = F.frame_dot(m.basis, m.ricci_eigenvalues, hess)
     vals = (bilap.grid_values + (4.0 / (n - 2)) * rc_dot_hess
-            - _gradient_coefficient(n) * m.scalar_curvature * lap.grid_values)
-    if n != 4:
-        vals = vals + 0.5 * (n - 4) * m.q_value * f.grid_values
+            - _gradient_coefficient(n) * m.scalar_curvature * lap.grid_values
+            + 0.5 * (n - 4) * m.q_value * f.grid_values)
     return F.field_from_grid(m.basis, vals)
 
 
@@ -124,10 +120,8 @@ def quadratic_form_E(m: ManifoldModel, u: ScalarField, v: ScalarField):
     rc_grad = F.frame_bilinear(m.basis, m.ricci_eigenvalues, gu, gv)
     grad_dot = sum(a * b for a, b in zip(gu, gv))
     vals = (lap_u * lap_v - (4.0 / (n - 2)) * rc_grad
-            + _gradient_coefficient(n) * m.scalar_curvature * grad_dot)
-    if n != 4:
-        vals = vals + 0.5 * (n - 4) * m.q_value \
-            * u.grid_values * v.grid_values
+            + _gradient_coefficient(n) * m.scalar_curvature * grad_dot
+            + 0.5 * (n - 4) * m.q_value * u.grid_values * v.grid_values)
     return F.grid_sum(m.basis, vals * m.basis.quadrature_weights())
 
 
@@ -154,14 +148,11 @@ def conformal_quadratic_form_E(m: ManifoldModel, factor: ConformalFactor,
 
     gu = F.gradient_components(u)
     gv = F.gradient_components(v)
-    rc = conformal_ricci(m, factor)
+    rc, r_tilde, q_tilde = conformal_curvature(m, factor)
     rc_grad = F.frame_bilinear(m.basis, rc, gu, gv) / e2w ** 2
     grad_dot = sum(a * b for a, b in zip(gu, gv)) / e2w
     vals = (lap_tilde(u, gu) * lap_tilde(v, gv) - (4.0 / (n - 2)) * rc_grad
-            + _gradient_coefficient(n)
-            * conformal_scalar_curvature(m, factor) * grad_dot)
-    if n != 4:
-        q_tilde = conformal_q_from_curvature(m, factor).grid_values
-        vals = vals + 0.5 * (n - 4) * q_tilde * u.grid_values * v.grid_values
+            + _gradient_coefficient(n) * r_tilde * grad_dot
+            + 0.5 * (n - 4) * q_tilde * u.grid_values * v.grid_values)
     weights = m.basis.quadrature_weights() * np.exp(n * w_vals)
     return F.grid_sum(m.basis, vals * weights)

@@ -152,11 +152,12 @@ def test_an_unused_member_is_caught():
 # spectrum builds the hypothesis ledger and verify._ledger keeps one per
 # backend, which the suite wrapper reads for every report and assertion
 # rule, and two suite bodies only for the data they check; the catalog
-# listing prints lambda1(L), and the product kernels of green_field test
-# for a zero mode against the ledger's curvature scale; a field is built
-# only by the constructors and transforms of fields; the blow-up Ricci
-# of G_L comes from green.blowup_density alone, and geometry forms every
-# other Ricci tensor from jets
+# listing prints lambda1(L), and green_field tests every kernel for a
+# zero mode against the ledger's curvature scale; a field is built only
+# by the constructors and transforms of fields; the blow-up Ricci of G_L
+# comes from green.blowup_density alone, geometry forms every other
+# Ricci tensor from jets, and the Ricci tensor of a changed metric is
+# read only through geometry.conformal_curvature
 SINGLE_PLACE = {
     "polar_values": {"basis", "fields._prepare"},
     "circle_values": {"basis", "fields._prepare"},
@@ -173,6 +174,7 @@ SINGLE_PLACE = {
     "ScalarField": {"fields"},
     "broadcast_arrays": {"fields._prepare"},
     "ricci_from_jets": {"geometry", "green.blowup_density"},
+    "conformal_ricci": {"geometry"},
     "log_profile": {"green.blowup_density"},
 }
 
@@ -244,8 +246,14 @@ def test_a_stray_ledger_call_is_caught():
 
 
 def test_a_second_blowup_ricci_is_caught():
-    sources = {"geometry.py": "def conformal_ricci(m, f, p):\n"
-                              "    return ricci_from_jets(m, *f.jets(p)[1:])\n",
+    """And a changed metric's Ricci tensor read past conformal_curvature."""
+    sources = {"geometry.py": "def conformal_ricci(m, f):\n"
+                              "    return ricci_from_jets(m, *f.jets()[1:])\n"
+                              "def conformal_curvature(m, f):\n"
+                              "    return conformal_ricci(m, f)\n",
+               "operators.py": "from .geometry import conformal_ricci\n"
+                               "def conformal_quadratic_form_E(m, f, u, v):\n"
+                               "    return conformal_ricci(m, f)\n",
                "green.py": "def blowup_density(gf, *p):\n"
                            "    prof = gf.log_profile(1.0)\n"
                            "    return G.ricci_from_jets(gf.manifold, 0, 0)\n",
@@ -253,8 +261,9 @@ def test_a_second_blowup_ricci_is_caught():
                             "def _law(m, gL, pts):\n"
                             "    _, g, h = gL.log_profile(1.0).jets(pts)\n"
                             "    return ricci_from_jets(m, g, h)\n"}
-    assert stray_calls(sources) == ["verify._law: log_profile",
-                                    "verify._law: ricci_from_jets"]
+    assert stray_calls(sources) == [
+        "operators.conformal_quadratic_form_E: conformal_ricci",
+        "verify._law: log_profile", "verify._law: ricci_from_jets"]
 
 
 def test_a_stray_field_construction_is_caught():

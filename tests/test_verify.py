@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conformal_lab import fields as F
-from conformal_lab import green, operators, verify
+from conformal_lab import geometry, green, operators, verify
 from conformal_lab import quadrature as Q
 from conformal_lab.errors import (HypothesisFailError, KernelError,
                                   UnsupportedDimensionError)
@@ -255,11 +255,25 @@ def test_covariance_on_product(s1xs3, s1xs2):
         assert report.checks
 
 
-def test_covariance_with_pinned_factor(sphere5, rng):
-    w = F.random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.08)
-    factor = FieldFactor(sphere5, w)
-    report = check_covariance(sphere5, factor=factor, trials=3, seed=1)
-    assert report.passed
+@pytest.mark.parametrize("fixture,laws", [
+    ("sphere5", {"bilinear-covariance"}),
+    ("sphere4", {"pointwise-covariance-4d", "q-transform-4d"}),
+])
+def test_a_wrong_changed_ricci_fails_the_curvature_laws(fixture, laws,
+                                                         request,
+                                                         monkeypatch):
+    """Scaling the Hessian of w by 1.5 in the changed metric's Ricci
+    tensor fails every law that reads ``conformal_curvature``."""
+    m = request.getfixturevalue(fixture)
+    ricci = geometry.ricci_from_jets
+
+    def mutated(m, grad, hess):
+        return ricci(m, grad, {k: 1.5 * v for k, v in hess.items()})
+
+    monkeypatch.setattr(geometry, "ricci_from_jets", mutated)
+    report = check_covariance(m, trials=3, seed=0)
+    failed = {c.law for c in report.checks if not c.passed}
+    assert laws <= failed and not report.passed
 
 
 # ------------------------------------------------------------ sign theorems
