@@ -292,7 +292,9 @@ def pair(f, density, *points) -> np.ndarray:
     more, one density per column.  Per column the density meets the
     value tables in mode moments, U^T diag(v) P at points on a product,
     U^T V P on an open mesh and P^T v on a sphere, and the moments meet
-    the coefficients, so no value of a field at a point is formed.
+    the coefficients, so no value of a field at a point is formed.  At
+    points on a product the columns are taken one at a time, so only one
+    (points, degrees) product of a column with the polar table is alive.
     Every point takes part, so a non-finite density anywhere poisons the
     result.  Returns one number per field (a trailing field axis for a
     sequence), behind the column axis of a density that has one and
@@ -313,9 +315,10 @@ def pair(f, density, *points) -> np.ndarray:
     elif U is None:
         M = (P[0].T @ v).T[:, None, :]
         C = C[..., None, :, :]  # one circle mode, so both read (k, 1, sm)
-    else:  # per point, the density weighs the polar row first
-        vp = v.reshape(-1, v.shape[-1], 1) * P[0][:, None, :]
-        M = np.tensordot(U[0], vp, axes=(0, 0)).transpose(1, 0, 2)
+    else:  # per point, one column at a time weighs the polar rows first
+        v = v.reshape(-1, v.shape[-1])
+        M = np.stack([U[0].T @ (v[:, c, None] * P[0])
+                      for c in range(v.shape[-1])])
     out = np.moveaxis(np.tensordot(C, M, axes=([-3, -2], [1, 2])), -1, -2)
     if not columns:
         out = out[..., 0, :]

@@ -45,7 +45,7 @@ from .basis import ball_volume
 from .errors import KernelError, UnsupportedBackendError
 from .fields import ScalarField
 from .geometry import ConformalFactor, ManifoldModel, Pole, ricci_from_jets
-from .operators import build_symbol
+from .operators import smallest_abs_eigenvalue
 from .spectrum import zero_threshold
 
 __all__ = [
@@ -353,10 +353,14 @@ class GreenField:
         return float(self.values_at(*at)[0]) + 0.0
 
     def log_profile(self, scale: float) -> "_GreenLogProfile":
-        """Conformal logarithm w = scale * log G with exact derivatives."""
+        """Conformal logarithm w = scale * log G with exact derivatives,
+        for an untransported G_L on any backend; G_P and a transported
+        kernel raise ``UnsupportedBackendError``."""
         if self.operator != "L" or self.factor is not None:
+            transported = "transported " * (self.factor is not None)
             raise UnsupportedBackendError(
-                "log profiles exist only for closed-form L kernels")
+                f"log profiles exist only for untransported G_L kernels, "
+                f"got a {transported}G_{self.operator} kernel")
         return _GreenLogProfile(self, scale)
 
 
@@ -430,7 +434,7 @@ def green_field(m: ManifoldModel, operator: str, pole: Pole | None = None,
             f"the image sums overflow on a circle longer than 1400 "
             f"sphere radii (length {m.length:g}, radius {m.radius:g})")
     thr = zero_threshold(m)
-    lam_min = float(np.min(np.abs(build_symbol(m, operator))))
+    lam_min = smallest_abs_eigenvalue(m, operator)
     if lam_min < thr:
         raise KernelError(
             f"{operator} has a zero mode on {m.kind} "

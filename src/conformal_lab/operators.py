@@ -5,8 +5,9 @@ because the curvature is parallel: the Ricci contraction term splits
 through the sphere-factor Laplacian on products and reduces to a
 multiple of the full Laplacian on round spheres.  ``build_symbol``
 tabulates the per-mode eigenvalues as a read-only array shaped like the
-mode table; ``apply_*`` multiply a mode field's coefficients by it, and
-an independent pointwise route (spectral derivatives, frame contraction
+mode table, and ``smallest_abs_eigenvalue`` keeps its smallest modulus;
+``apply_*`` multiply a mode field's coefficients by it, and an
+independent pointwise route (spectral derivatives, frame contraction
 with the Ricci grid values) serves as the cross-check.  Every route
 takes mode fields: a grid-only field raises ``ValueError`` and must be
 projected by ``fields.analyze`` first.
@@ -41,6 +42,7 @@ __all__ = [
     "conformal_quadratic_form_E",
     "laplacian_coefficient",
     "quadratic_form_E",
+    "smallest_abs_eigenvalue",
 ]
 
 
@@ -73,6 +75,13 @@ def build_symbol(m: ManifoldModel, operator: str) -> np.ndarray:
         raise ValueError(f"unknown operator tag {operator!r}")
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=64)
+def smallest_abs_eigenvalue(m: ManifoldModel, operator: str) -> float:
+    """The smallest |eigenvalue| of L or P on a catalog backend, taken
+    once per (backend, operator) from ``build_symbol``."""
+    return float(np.min(np.abs(build_symbol(m, operator))))
 
 
 def apply_L(m: ManifoldModel, f: ScalarField) -> ScalarField:

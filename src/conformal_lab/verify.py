@@ -248,15 +248,20 @@ def _blowup_density(m: ManifoldModel, level: int):
     read-only arrays, and a read-only resolution.
     ``green.blowup_density`` sums the kernel once per block for both
     densities, one block at a time, and only the two node densities are
-    kept.  Only the (backend, level) built last is kept, so the
+    kept.  Only the (backend, level) asked for last is kept, so the
     identities and the total Q of a backend, run one after the other,
-    read one density, and a run holds one at a time.  It is built
-    unlocked; a lock covers the check-and-store, which drops any other
-    key.  Threads that build one key at once all receive the first.
+    read one density.  Every other key is dropped before the build, not
+    after it, so a run holds at most one density, also while it builds
+    the next.  It is built unlocked; a lock covers the drop and the
+    check-and-store, which drops any other key again.  Threads that
+    build one key at once all receive the first stored.
     """
     key = (m, level)
     density = _DENSITIES.get(key)
     if density is None:
+        with _DENSITY_LOCK:
+            for other in [k for k in _DENSITIES if k != key]:
+                del _DENSITIES[other]
         gL = green_field(m, "L", Pole())
         resolution = {}
         rule = Q.product_blocks if m.is_product else Q.sphere_blocks

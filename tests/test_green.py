@@ -1,5 +1,6 @@
 import copy
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -548,6 +549,45 @@ def test_green_field_refuses(backend, operator, error, match, request):
     m = request.getfixturevalue(backend)
     with pytest.raises(error, match=match):
         green_field(m, operator)
+
+
+def test_green_field_takes_the_smallest_eigenvalue_once(monkeypatch):
+    """The zero-mode test reads the symbol once per (backend, operator):
+    ten kernels on S^5 look it up twice, not ten times."""
+    m = catalog_build("sphere", 5, {}, {"degree_max": 11})
+    calls = []
+    symbol = build_symbol
+
+    def counted(m, operator):
+        calls.append(operator)
+        return symbol(m, operator)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "conformal_lab":
+            for attr, value in list(vars(module).items()):
+                if value is symbol:
+                    monkeypatch.setattr(module, attr, counted)
+    for _ in range(5):
+        for operator in ("P", "L"):
+            green_field(m, operator)
+    assert len(calls) <= 2, calls
+
+
+def test_log_profile_refuses_g_p_and_transported_kernels(s1xs2, sphere5):
+    """A log profile exists for an untransported G_L, closed form or image
+    sum; G_P and a transported G_L are refused, each by name."""
+    image_sum = green_field(s1xs2, "L")
+    assert image_sum.representation == "eigen-expansion"
+    assert image_sum.log_profile(1.0).scale == 1.0
+    with pytest.raises(UnsupportedBackendError,
+                       match="only for untransported G_L kernels, got a "
+                             "G_P kernel"):
+        green_field(s1xs2, "P").log_profile(1.0)
+    moved = green_field(sphere5, "L",
+                        factor=FieldFactor(sphere5, sphere5.constant(0.1)))
+    with pytest.raises(UnsupportedBackendError,
+                       match="got a transported G_L kernel"):
+        moved.log_profile(1.0)
 
 
 # ---------------------------------------------------------------- transport

@@ -414,7 +414,8 @@ def test_weak_identity_holds_one_slab_of_temporaries(s1xs2):
     """At level 3 on S1(2pi) x S2 the half rule has 153,216 nodes, and the
     weak-identity pass leaves its blow-up density cached (4.9 MB).  Built
     and paired slab by slab, the pass's traced peak exceeds that density
-    by 1.1 MB; with the kernel jets, blow-up Ricci and pairing held for
+    by 0.9 MB (1.1 MB with both pairing columns weighing the polar table
+    at once); with the kernel jets, blow-up Ricci and pairing held for
     the whole rule at once it exceeded it by 16.2 MB.  The first pass at
     level 1 builds the ledger and the tables the level does not change,
     so the traced pass allocates only what the level costs."""
@@ -428,16 +429,82 @@ def test_weak_identity_holds_one_slab_of_temporaries(s1xs2):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+    density = _cached_density_bytes()
+    assert density > 4e6
+    assert peak - density < 2e6, f"{(peak - density) / 1e6:.1f} MB"
+
+
+def _cached_density_bytes() -> int:
+    """The bytes of the one cached blow-up density, counted through the
+    bases of its arrays: a slab is a view of its piece."""
     ((blocks, _),) = verify._DENSITIES.values()
     owners = {}
     for block in blocks:
         for arr in (*block[0], *block[1:]):
-            while arr.base is not None:  # a slab is a view of its piece
+            while arr.base is not None:
                 arr = arr.base
             owners[id(arr)] = arr
-    density = sum(arr.nbytes for arr in owners.values())
-    assert density > 4e6
-    assert peak - density < 2e6, f"{(peak - density) / 1e6:.1f} MB"
+    return sum(arr.nbytes for arr in owners.values())
+
+
+def test_one_density_is_alive_while_the_next_is_built(s1xs2, s1xs3,
+                                                      monkeypatch):
+    """Weak-identity on S1xS2, then 4d-identity on S1xS3, at level 2: the
+    S1xS2 density (1.5 MB) is dropped before the S1xS3 one is built, so
+    the cache holds no other key when the first S1xS3 slab is computed,
+    and the traced peak of both passes exceeds the larger density by
+    0.9 MB.  Dropped only when the next is stored, both densities were
+    alive during the build, 2.2 MB over.  The level-1 passes build the
+    ledgers and the tables the level does not change."""
+    check_weak_identity(s1xs2, level=1)
+    check_4d_identity(s1xs3, level=1)
+    verify._DENSITIES.clear()
+    others = []
+    density = verify.blowup_density
+
+    def watching(gf, *points):
+        if gf.manifold == s1xs3 and not others:
+            others.append(set(verify._DENSITIES) - {(s1xs3, 2)})
+        return density(gf, *points)
+
+    monkeypatch.setattr(verify, "blowup_density", watching)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert check_weak_identity(s1xs2, level=2).passed
+        first = _cached_density_bytes()
+        assert check_4d_identity(s1xs3, level=2).passed
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert others == [set()]
+    largest = max(first, _cached_density_bytes())
+    assert largest > 1e6
+    assert peak - largest < 1.5e6, f"{(peak - largest) / 1e6:.1f} MB"
+
+
+def test_pairing_takes_a_few_point_vectors(s1xs2):
+    """The twelve identity fields (six even parts, six P-applied) paired
+    with a two-column density on one 4,032-node near slab of the level-2
+    rule: one density column at a time, the pairing peaks at 20 point
+    vectors; a (points, columns, degrees) product of both columns with
+    the polar table took 27."""
+    (points, wq, g, ricci_sq), *_ = verify._blowup_density(s1xs2, 2)[0]
+    size = np.broadcast(*points).size
+    assert size == 4032
+    density = np.stack([wq * g, wq * ricci_sq], axis=-1)
+    evens = [F.even_part(phi) for phi in default_test_functions(s1xs2)]
+    fns = [operators.apply_P(s1xs2, phi) for phi in evens] + evens
+    assert len(fns) == 12
+    F.pair(fns, density, *points)  # the tables of the band are cached
+    tracemalloc.start()
+    try:
+        F.pair(fns, density, *points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 8 * size, f"peak {peak / (8 * size):.1f} point vectors"
 
 
 # ----------------------------------------------------------------- spectrum
