@@ -124,7 +124,7 @@ def run(config: RunConfig, out_dir=None, verbose: bool = False) -> int:
     """Execute all compatible (suite, backend) jobs and write reports.
 
     The jobs run one at a time, backend by backend, suites in config
-    order, so a backend's suites share one blow-up density."""
+    order; a backend's identity and total-Q suites share one pass."""
     out = Path(out_dir or config.out_dir or "reports")
     backends = _build_backends(config)
     for suite in config.suites:

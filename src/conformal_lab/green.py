@@ -421,8 +421,9 @@ def green_field(m: ManifoldModel, operator: str, pole: Pole | None = None,
     G~(p, q) = rho(p)^{-1} rho(q)^{-1} G(p, q) in their own weight
     convention (second order: rho^{4/(n-2)}, fourth order:
     rho^{4/(n-4)}), which ``values_at`` applies.  An operator other than
-    L and P raises ``ValueError``, a zero mode ``KernelError`` and a
-    circle longer than 1400 sphere radii ``UnsupportedBackendError``.
+    L and P raises ``ValueError``, a zero mode ``KernelError``, and a
+    circle longer than 1400 sphere radii, or P on a product of dimension
+    other than three, ``UnsupportedBackendError``.
     """
     if operator not in _WEIGHT:
         raise ValueError(f"unknown operator {operator!r}")
@@ -439,6 +440,10 @@ def green_field(m: ManifoldModel, operator: str, pole: Pole | None = None,
         raise KernelError(
             f"{operator} has a zero mode on {m.kind} "
             f"(|eigenvalue| {lam_min:.3e} < threshold {thr:.3e})")
+    if m.is_product and operator == "P" and n != 3:
+        raise UnsupportedBackendError(
+            f"the product image sum of G_P is the dimension-three kernel, "
+            f"got {m.kind} with n={n}")
     if m.is_product:
         image_sum = (_ProductImageKernelL if operator == "L"
                      else _ProductImageKernelP)

@@ -8,26 +8,28 @@ on products a smooth partition of unity that splits the reduced
 (s, chi) rectangle into a polar patch around the pole plus a blended
 far region.
 
-A rule is its node blocks ``[(points, weights)]`` (``sphere_blocks``,
-``product_blocks``), in chart coordinates: a caller computes a density
-at the nodes of each block, weights included, and pairs it with fields
-by ``fields.pair``, or sums it where no field takes part.  The product
-rule is mirror-symmetric under the circle offset ds -> -ds and has no
-node on ds = 0, so ``product_blocks`` returns its ds > 0 half with
-doubled weights, a rule for densities even about the pole; a density
-that is not even is summed on both sides, each half block at s and at
-its mirror 2 s0 - s with halved weights, which is the full rule.  The
-product rule comes in slabs of at most ``SLAB_NODES`` nodes, so what a
-caller forms per node it holds for one slab at a time: runs of whole
-radial rows of the polar patch, pointwise, and runs of whole s rows of
-the far rectangle, each an open mesh, an s column of shape (Ns, 1) and a
-chi row of shape (1, Nx), so the layers below can tabulate along each
-axis before they broadcast.
+A rule is an iterable of node blocks ``(points, weights)``
+(``sphere_blocks``, ``product_blocks``), in chart coordinates: a caller
+computes a density at the nodes of each block, weights included, and
+pairs it with fields by ``fields.pair``, or sums it where no field takes
+part.  The product rule is mirror-symmetric under the circle offset
+ds -> -ds and has no node on ds = 0, so ``product_blocks`` gives its
+ds > 0 half with doubled weights, a rule for densities even about the
+pole; a density that is not even is summed on both sides, each half
+block at s and at its mirror 2 s0 - s with halved weights, which is the
+full rule.  The product rule comes in slabs of at most ``SLAB_NODES``
+nodes, each built only when its iterator reaches it, so what the rule
+and a caller form per node is alive for one slab at a time: runs of
+whole radial rows of the polar patch, pointwise, and runs of whole s
+rows of the far rectangle, each an open mesh, an s column of shape
+(Ns, 1) and a chi row of shape (1, Nx), so the layers below can
+tabulate along each axis before they broadcast.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -35,9 +37,9 @@ from .basis import gauss_jacobi
 
 __all__ = ["extrapolate_to_zero", "product_blocks", "sphere_blocks"]
 
-# the most nodes a block of ``product_blocks`` holds: whatever a caller
-# forms per node, kernel jets or a pairing's moments, it holds for one
-# block at a time
+# the most nodes a block of ``product_blocks`` holds: whatever the rule
+# or a caller forms per node, weights, kernel jets or a pairing's
+# moments, it holds for one block at a time
 SLAB_NODES = 4096
 
 
@@ -65,33 +67,14 @@ def smoothstep(x: np.ndarray) -> np.ndarray:
     return x ** 5 * (126.0 + x * (-420.0 + x * (540.0 + x * (-315.0 + 70.0 * x))))
 
 
-def _charted(m, pole, blocks, graded_depth, resolution, **record):
-    """Node blocks in pole coordinates moved to chart coordinates, with
-    their node counts, the graded depth and ``record`` written to a
-    ``resolution`` dict."""
-    if resolution is not None:
-        resolution.update(nodes=[w.size for _, w in blocks],
-                          graded_depth=graded_depth, **record)
-    return [(m.chart_from_pole(pole, *sep), w) for sep, w in blocks]
-
-
-def _slabs(points, weights) -> list:
-    """One piece of a rule, a (rows, columns) table of nodes given
-    pointwise or as an open mesh, cut into node blocks of at most
-    ``SLAB_NODES`` nodes: runs of whole rows, or runs of one row where a
-    row alone holds more.  An axis of length one in a point array spans
-    every row (or column) and is kept whole."""
-    rows, cols = weights.shape
+def _cuts(rows: int, cols: int) -> list:
+    """The (row run, column run) slices that cut a (rows, columns) piece
+    of a rule into node blocks of at most ``SLAB_NODES`` nodes: runs of
+    whole rows, or runs of one row where a row alone holds more."""
     dr = max(1, SLAB_NODES // cols)
     dc = min(cols, SLAB_NODES)
-    out = []
-    for i in range(0, rows, dr):
-        for j in range(0, cols, dc):
-            cut = (slice(i, i + dr), slice(j, j + dc))
-            out.append((tuple(p[tuple(c if k > 1 else slice(None)
-                                      for c, k in zip(cut, p.shape))]
-                              for p in points), weights[cut]))
-    return out
+    return [(slice(i, i + dr), slice(j, j + dc))
+            for i in range(0, rows, dr) for j in range(0, cols, dc)]
 
 
 def sphere_blocks(m, pole, level: int = 1, graded_depth: int | None = None,
@@ -115,13 +98,15 @@ def sphere_blocks(m, pole, level: int = 1, graded_depth: int | None = None,
     ])
     xi, w = _gauss_panels(edges, 10)
     surf = m.basis.orbit_area * a ** n * np.sin(xi) ** (n - 1)
-    return _charted(m, pole, [((xi,), surf * w)], graded_depth, resolution)
+    if resolution is not None:
+        resolution.update(nodes=[xi.size], graded_depth=graded_depth)
+    return [(m.chart_from_pole(pole, xi), surf * w)]
 
 
 def product_blocks(m, pole, level: int = 1,
-                   resolution: dict | None = None) -> list:
-    """The ds > 0 half of the graded product rule, as node blocks
-    ``[((s, chi), weights)]`` with doubled weights: a rule for
+                   resolution: dict | None = None) -> Iterator:
+    """The ds > 0 half of the graded product rule, as an iterator of node
+    blocks ``((s, chi), weights)`` with doubled weights: a rule for
     integrands that are even about ``pole`` under ds -> -ds.  Any other
     integrand is summed at s and at 2 s0 - s with halved weights, which
     is the full rule.
@@ -142,14 +127,17 @@ def product_blocks(m, pole, level: int = 1,
     an odd s panel count puts ds = 0.  So the half keeps the near-patch
     columns with psi < pi/2 and the far-rectangle rows with ds > 0,
     selected from the full panelization, and its weights double.
-    The polar patch is built along its axes, the trig on the psi values
-    and the cut-off on the r values, but its nodes are not separable in
-    (s, chi) and come pointwise; the far rectangle comes as an open mesh,
-    an s column and a chi row.  Each piece is handed out in slabs of at
-    most ``SLAB_NODES`` nodes, runs of whole rows (of one r, or of one
-    s), and a row longer than that in runs of its columns.  A
-    ``resolution`` dict receives the node counts of the two half pieces,
-    [near, far], the graded depth and ``mirror="s"``.
+
+    Each piece comes in slabs of at most ``SLAB_NODES`` nodes, runs of
+    whole rows (of one r, or of one s), and a row longer than that in
+    runs of its columns, and each slab is built only when the iterator
+    reaches it, from the panels' axes: the polar patch with the trig on
+    the psi values and the cut-off on the r values, pointwise, since its
+    nodes are not separable in (s, chi); the far rectangle as an open
+    mesh, an s column of shape (Ns, 1) and a chi row of shape (1, Nx).
+    A ``resolution`` dict receives, when the call returns, the node
+    counts of the two half pieces, [near, far], the graded depth and
+    ``mirror="s"``.
     """
     d = m.sphere_dim
     b = m.radius
@@ -159,23 +147,27 @@ def product_blocks(m, pole, level: int = 1,
     r0 = 0.5 * r1
     orbit = m.basis.orbit_area * b ** (d - 1)
 
-    # polar patch: ds = r cos(psi), b*chi = r sin(psi)
+    # polar patch: ds = r cos(psi), b*chi = r sin(psi); a radial column
+    # against a psi row, broadcast only where they meet
     redges = np.concatenate([_graded_edges(r0, graded_depth)[:-1],
                              np.linspace(r0, r1, 4 * 2 ** level + 1)])
     r_nodes, r_w = _gauss_panels(redges, 6)
     p_nodes, p_w = _gauss_panels(np.linspace(0.0, math.pi, 8 * 2 ** level + 1),
                                  6)
     half = p_nodes < 0.5 * math.pi
-    # a radial column against a psi row: trig on the psi values and the
-    # cut-off on the r values, broadcast only where they meet
     R, WR = r_nodes[:, None], r_w[:, None]
     psi, WP = p_nodes[half], 2.0 * p_w[half]
-    ds = R * np.cos(psi)
-    chi_eff = R * np.sin(psi) / b
-    cut = 1.0 - smoothstep((R - r0) / (r1 - r0))
-    # ds d(b chi) = r dr dpsi, so the jacobian is plain r
-    meas = orbit * np.sin(chi_eff) ** (d - 1) * R
-    near = ((ds, chi_eff), cut * meas * WR * WP)
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+
+    def near(rows, cols):
+        r = R[rows]
+        ds = r * cos_psi[cols]
+        chi_eff = r * sin_psi[cols] / b
+        cut = 1.0 - smoothstep((r - r0) / (r1 - r0))
+        # ds d(b chi) = r dr dpsi, so the jacobian is plain r
+        meas = orbit * np.sin(chi_eff) ** (d - 1) * r
+        return (m.chart_from_pole(pole, ds, chi_eff),
+                cut * meas * WR[rows] * WP[cols])
 
     # far region on the full rectangle, integrand cut off inside the
     # patch; panels no wider than h keep the band resolved at every
@@ -187,16 +179,24 @@ def product_blocks(m, pole, level: int = 1,
                                  6)
     half = s_nodes > 0.0
     x_nodes, x_w = _gauss_panels(np.linspace(0.0, math.pi, nx + 1), 6)
-    DS, CHI_EFF = np.meshgrid(s_nodes[half], x_nodes, indexing="ij",
-                              sparse=True)
-    WS, WX = np.meshgrid(2.0 * s_w[half], x_w, indexing="ij", sparse=True)
-    rr = np.hypot(DS, b * CHI_EFF)
-    cut_far = smoothstep((rr - r0) / (r1 - r0))
-    meas = orbit * b * np.sin(CHI_EFF) ** (d - 1)
-    far = ((DS, CHI_EFF), cut_far * meas * WS * WX)
-    return [slab for piece in _charted(m, pole, [near, far], graded_depth,
-                                       resolution, mirror="s")
-            for slab in _slabs(*piece)]
+    DS, WS = s_nodes[half][:, None], 2.0 * s_w[half][:, None]
+    CHI_EFF, WX = x_nodes[None, :], x_w[None, :]
+    meas_far = orbit * b * np.sin(CHI_EFF) ** (d - 1)
+
+    def far(rows, cols):
+        ds, chi_eff = DS[rows], CHI_EFF[:, cols]
+        rr = np.hypot(ds, b * chi_eff)
+        cut_far = smoothstep((rr - r0) / (r1 - r0))
+        return (m.chart_from_pole(pole, ds, chi_eff),
+                cut_far * meas_far[:, cols] * WS[rows] * WX[:, cols])
+
+    pieces = [(near, R.size, psi.size), (far, DS.size, CHI_EFF.size)]
+    if resolution is not None:
+        resolution.update(nodes=[rows * cols for _, rows, cols in pieces],
+                          graded_depth=graded_depth, mirror="s")
+    cuts = [(piece, cut) for piece, rows, cols in pieces
+            for cut in _cuts(rows, cols)]
+    return (piece(*cut) for piece, cut in cuts)
 
 
 def extrapolate_to_zero(radii, values) -> float:

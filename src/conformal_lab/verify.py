@@ -26,7 +26,6 @@ import time
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -229,58 +228,41 @@ def default_test_functions(m: ManifoldModel, seed: int = 0):
     return fns
 
 
-_DENSITIES = {}
-_DENSITY_LOCK = threading.Lock()
+# (backend, level) -> (Ricci defect, resolution) of the last blow-up
+# pass over that rule
+_DEFECTS = {}
 
 
-def _blowup_density(m: ManifoldModel, level: int):
-    """The graded rule around the north pole of ``m`` at ``level``, with
-    G_L and |Ric_blowup|^2 of the blow-up metric G_L^{4/(n-2)} g at its
-    nodes, and the resolution of the rule.
+def _blowup_slabs(m: ManifoldModel, level: int):
+    """The blow-up density of ``m`` at ``level``, one node block of the
+    graded rule around the north pole at a time: yields
+    ``(points, weights, G_L, |Ric_blowup|^2)`` of the blow-up metric
+    G_L^{4/(n-2)} g, each block, a slab on a product, built by the rule
+    only when it is reached, with the kernel summed once for both
+    densities by ``green.blowup_density``.
 
     On a product the reflection s -> -s fixes the pole at s = 0 and is an
     isometry, so the density is even in s, and the rule is the ds > 0
     half of ``quadrature.product_blocks``, with doubled weights: a field
     pairs with it through its ``fields.even_part``.
 
-    Returns ``(blocks, resolution)``: per node block of the rule, a slab
-    on a product, a tuple ``(points, weights, G_L, |Ric_blowup|^2)`` of
-    read-only arrays, and a read-only resolution.
-    ``green.blowup_density`` sums the kernel once per block for both
-    densities, one block at a time, and only the two node densities are
-    kept.  Only the (backend, level) asked for last is kept, so the
-    identities and the total Q of a backend, run one after the other,
-    read one density.  Every other key is dropped before the build, not
-    after it, so a run holds at most one density, also while it builds
-    the next.  It is built unlocked; a lock covers the drop and the
-    check-and-store, which drops any other key again.  Threads that
-    build one key at once all receive the first stored.
+    Once every block has been handed out, the Ricci defect
+    1/2 int |Ric_blowup|^2 dmu, folded block by block, and the resolution
+    of the rule are left in ``_DEFECTS[m, level]``: the identities and
+    the total Q of a backend, run one after the other, take one pass, and
+    no density outlives its block.
     """
-    key = (m, level)
-    density = _DENSITIES.get(key)
-    if density is None:
-        with _DENSITY_LOCK:
-            for other in [k for k in _DENSITIES if k != key]:
-                del _DENSITIES[other]
-        gL = green_field(m, "L", Pole())
-        resolution = {}
-        rule = Q.product_blocks if m.is_product else Q.sphere_blocks
-        blocks = []
-        for points, weights in rule(m, gL.pole, level=level,
-                                    resolution=resolution):
-            block = (points, weights, *blowup_density(gL, *points))
-            for arr in (*points, *block[1:]):
-                arr.setflags(write=False)
-            blocks.append(block)
-        if m.is_product:
-            resolution["images"] = gL.cutoff
-        with _DENSITY_LOCK:
-            if key not in _DENSITIES:
-                _DENSITIES.clear()
-                _DENSITIES[key] = (tuple(blocks),
-                                   MappingProxyType(resolution))
-            density = _DENSITIES[key]
-    return density
+    gL = green_field(m, "L", Pole())
+    resolution = {}
+    rule = Q.product_blocks if m.is_product else Q.sphere_blocks
+    halves = []
+    for points, wq in rule(m, gL.pole, level=level, resolution=resolution):
+        g, ricci_sq = blowup_density(gL, *points)
+        yield points, wq, g, ricci_sq
+        halves.append(0.5 * float(np.tensordot(wq, ricci_sq, wq.ndim)))
+    if m.is_product:
+        resolution["images"] = gL.cutoff
+    _DEFECTS[m, level] = sum(halves), resolution
 
 
 def _paired_integrals(m, level, fns, densities):
@@ -296,10 +278,10 @@ def _paired_integrals(m, level, fns, densities):
     evens = [F.even_part(phi) for phi in fns]
     p_evens = [apply_P(m, phi) for phi in evens]
     k = len(fns)
-    blocks, resolution = _blowup_density(m, level)
     totals = sum(F.pair(p_evens + evens, np.stack(
         [wq * d for d in densities(g, ricci_sq)], axis=-1), *points)
-        for points, wq, g, ricci_sq in blocks)
+        for points, wq, g, ricci_sq in _blowup_slabs(m, level))
+    _, resolution = _DEFECTS[m, level]
     return totals[0, :k], totals[1, k:], resolution
 
 
@@ -395,10 +377,12 @@ def check_total_q(m: ManifoldModel, tolerance: float,
                                * m.basis.quadrature_weights()))
     # in dimension four the norm in a changed frame (e^{-4w}) times its
     # volume element (e^{4w}) is the base integrand, so the defect needs
-    # no conformal weight and reads the blow-up density of the identity
-    blocks, resolution = _blowup_density(m, level)
-    defect = sum(0.5 * float(np.tensordot(wq, ricci_sq, wq.ndim))
-                 for _, wq, _, ricci_sq in blocks)
+    # no conformal weight and is the one the identity's pass left behind,
+    # or, where no identity ran first, that of a pass of its own
+    if (m, level) not in _DEFECTS:
+        for _ in _blowup_slabs(m, level):
+            pass
+    defect, resolution = _DEFECTS[m, level]
     total = total_q + defect
     verdict = "EQUALITY" if abs(defect) <= max(tolerance, 1e-6) * target \
         else "STRICT"

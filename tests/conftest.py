@@ -6,10 +6,10 @@ from conformal_lab.geometry import catalog_build
 
 
 @pytest.fixture(autouse=True)
-def fresh_blowup_densities(monkeypatch):
-    """Every test builds the blow-up densities it reads: one kept from an
-    earlier test would hide a kernel the test mutates."""
-    monkeypatch.setattr(verify, "_DENSITIES", {})
+def fresh_ricci_defects(monkeypatch):
+    """Every test takes the blow-up passes whose Ricci defects it reads:
+    one left by an earlier test would hide a kernel the test mutates."""
+    monkeypatch.setattr(verify, "_DEFECTS", {})
 
 
 @pytest.fixture(scope="session")

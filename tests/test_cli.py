@@ -406,11 +406,11 @@ def test_wrapped_suite_entries_keep_runs_and_gates(tmp_path, monkeypatch):
                  str(tmp_path / "none")]) == 2
 
 
-def test_jobs_run_backend_by_backend_and_keep_one_density(tmp_path,
-                                                        monkeypatch):
+def test_jobs_run_backend_by_backend_and_take_one_pass_each(tmp_path,
+                                                          monkeypatch):
     """Every suite of a backend runs before the next backend's, in config
-    order, so the run ends holding the last backend's blow-up density
-    only."""
+    order, and each backend takes one blow-up pass: total-q on S1xS3
+    reads the Ricci defect that the 4d-identity pass left."""
     from conformal_lab import verify
 
     order = []
@@ -419,6 +419,14 @@ def test_jobs_run_backend_by_backend_and_keep_one_density(tmp_path,
             order.append((name, m.descriptor()))
             return fn(m, cfg)
         monkeypatch.setitem(verify.SUITES, name, recorded)
+    passes = []
+    slabs = verify._blowup_slabs
+
+    def counted(m, level):
+        passes.append((m.descriptor(), level))
+        return slabs(m, level)
+
+    monkeypatch.setattr(verify, "_blowup_slabs", counted)
     products = [{"kind": kind, "params": {},
                  "basis": {"degree_max": 12, "fourier_max": 6}}
                 for kind in ("product-S1xS2", "product-S1xS3")]
@@ -428,7 +436,7 @@ def test_jobs_run_backend_by_backend_and_keep_one_density(tmp_path,
     backends = _build_backends(config)
     assert order == [(suite, m.descriptor()) for m in backends
                      for suite in config.suites]
-    assert list(verify._DENSITIES) == [(backends[-1], config.level)]
+    assert passes == [(m.descriptor(), config.level) for m in backends]
 
 
 # ----------------------------------------------------------------- catalog

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import eval_legendre
 
+from conformal_lab import basis
 from conformal_lab import fields as F
 from conformal_lab import quadrature as Q
 from conformal_lab.errors import KernelError, UnsupportedBackendError
@@ -549,6 +550,23 @@ def test_green_field_refuses(backend, operator, error, match, request):
     m = request.getfixturevalue(backend)
     with pytest.raises(error, match=match):
         green_field(m, operator)
+
+
+def test_green_field_refuses_g_p_on_products_past_dimension_three(
+        monkeypatch):
+    """The product image sum of G_P is the regularized n = 3 kernel, with
+    the n = 3 flat coefficient.  On S1 x S4 (n = 5), whose P has no zero
+    mode, G_P is refused by name instead of built from that kernel;
+    G_L, an image sum in every dimension, is still built."""
+    monkeypatch.setitem(basis.PRODUCT_KINDS, "product-S1xS4", 4)
+    m = catalog_build("product-S1xS4", None, {"length": 2 * np.pi},
+                      {"degree_max": 4, "fourier_max": 2})
+    assert m.n == 5
+    with pytest.raises(UnsupportedBackendError,
+                       match="dimension-three kernel, got product-S1xS4 "
+                             "with n=5"):
+        green_field(m, "P")
+    assert green_field(m, "L").representation == "eigen-expansion"
 
 
 def test_green_field_takes_the_smallest_eigenvalue_once(monkeypatch):

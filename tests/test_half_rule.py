@@ -57,7 +57,8 @@ def test_far_rectangle_halves_exactly(kind, length):
     ns = 198 if length == 6.4 else 192
     for s0 in (0.0, 1.0):
         res = {}
-        blocks = Q.product_blocks(m, Pole(1, s0), level=2, resolution=res)
+        blocks = list(Q.product_blocks(m, Pole(1, s0), level=2,
+                                       resolution=res))
         far = [(pts, w) for pts, w in blocks if pts[0].shape[1] == 1]
         near = [(pts, w) for pts, w in blocks if pts[0].shape[1] > 1]
         assert all(pts[1].shape == (1, 192) for pts, _ in far)
@@ -93,9 +94,8 @@ def test_half_rule_pairing_equals_the_full_rule(kind, length):
 
     p_fns = [apply_P(m, phi) for phi in fns]
     k = len(fns)
-    blocks, _ = verify._blowup_density(m, 2)
     totals = 0.0
-    for points, wq, g, ricci_sq in blocks:
+    for points, wq, g, ricci_sq in verify._blowup_slabs(m, 2):
         full, (w2, g2, r2) = _completed(Pole(), points, 0.5 * wq, g,
                                         ricci_sq)
         totals = totals + F.pair(p_fns + fns, np.stack(
@@ -158,7 +158,7 @@ def test_untransported_kernel_is_summed_once_per_half_block(kind, length,
     monkeypatch.setattr(green._ProductImageKernelL, "_sums", counted)
     gf = green_field(m, "L", pole)
     got = green_pair(gf, f)
-    blocks = Q.product_blocks(m, pole, level=2)
+    blocks = list(Q.product_blocks(m, pole, level=2))
     assert len(calls) == len(blocks)
     want = 0.0
     for points, wq in blocks:

@@ -15,12 +15,29 @@ import pytest
 from conformal_lab import basis, verify
 from conformal_lab import fields as F
 from conformal_lab import quadrature as Q
-from conformal_lab.geometry import Pole
+from conformal_lab.geometry import Pole, catalog_build
 from conformal_lab.green import green_field
 from conformal_lab.verify import run_suite
 
-PRODUCTS = ["s1xs2", "s1xs3"]
 RTOL = 1e-13
+
+
+def _short(kind: str) -> str:
+    """``product-S1xS2`` -> ``s1xs2``, the name of its shared fixture."""
+    return kind.removeprefix("product-").lower()
+
+
+@pytest.fixture(scope="module")
+def product(request):
+    """The product of kind ``request.param`` at the shared fixtures'
+    length and basis."""
+    return catalog_build(request.param, None, {"length": 2 * np.pi},
+                         {"degree_max": 16, "fourier_max": 8})
+
+
+# every circle product of the kind table, so a row added to it is checked
+PRODUCTS = pytest.mark.parametrize("product", list(basis.PRODUCT_KINDS),
+                                   ids=_short, indirect=True)
 
 
 def _mesh(m):
@@ -46,9 +63,9 @@ def _close_jets(got, want):
         _close(got[2][k], want[2][k])
 
 
-@pytest.mark.parametrize("name", PRODUCTS)
-def test_evaluate_of_a_stacked_sequence(name, request, rng):
-    m = request.getfixturevalue(name)
+@PRODUCTS
+def test_evaluate_of_a_stacked_sequence(product, rng):
+    m = product
     b = m.basis
     stacks = [F.sup_normalized(b, [F.random_modes(b, rng, 5, 3)
                                    for _ in range(3)]) for _ in range(2)]
@@ -58,18 +75,18 @@ def test_evaluate_of_a_stacked_sequence(name, request, rng):
     _close(got, F.evaluate(stacks, *np.broadcast_arrays(*mesh)))
 
 
-@pytest.mark.parametrize("name", PRODUCTS)
-def test_frame_jets(name, request, rng):
-    m = request.getfixturevalue(name)
+@PRODUCTS
+def test_frame_jets(product, rng):
+    m = product
     f = F.random_bandlimited(m.basis, rng, degree=6, fourier=4)
     mesh = _mesh(m)
     _close_jets(F.frame_jets(f, *mesh),
                 F.frame_jets(f, *np.broadcast_arrays(*mesh)))
 
 
-@pytest.mark.parametrize("name", PRODUCTS)
-def test_image_kernel_value_and_log_jets(name, request):
-    m = request.getfixturevalue(name)
+@PRODUCTS
+def test_image_kernel_value_and_log_jets(product):
+    m = product
     kernel = green_field(m, "L").kernel
     ds, chi = _mesh(m)
     ds = ds - 0.2 * m.length  # a mesh in pole coordinates
@@ -86,13 +103,15 @@ def test_paneitz_image_kernel_value(s1xs2):
     _close(kernel.value(ds, chi), kernel.value(*np.broadcast_arrays(ds, chi)))
 
 
-@pytest.mark.parametrize("name, suite", [("s1xs2", "weak-identity"),
-                                         ("s1xs3", "4d-identity")])
-def test_identity_integrals(name, suite, request, monkeypatch):
-    """The weak (n = 3) and log-kernel (n = 4) identity integrals of the
+@pytest.mark.parametrize("product, suite", [
+    (kind, "4d-identity" if d == 3 else "weak-identity")
+    for kind, d in basis.PRODUCT_KINDS.items()], ids=_short,
+    indirect=["product"])
+def test_identity_integrals(product, suite, monkeypatch):
+    """The weak (n != 4) and log-kernel (n = 4) identity integrals of the
     graded pass, slab by slab, with the far slabs' points as given, open
     meshes against the full chi row, or materialized."""
-    m = request.getfixturevalue(name)
+    m = product
     blocks = Q.product_blocks
     pair = F.pair
     slabs = []
@@ -101,7 +120,7 @@ def test_identity_integrals(name, suite, request, monkeypatch):
         got = []
 
         def given(*args, **kw):
-            rule = blocks(*args, **kw)
+            rule = list(blocks(*args, **kw))
             slabs[:] = rule
             if materialize:
                 rule = [(np.broadcast_arrays(*pts), w) for pts, w in rule]
@@ -111,7 +130,7 @@ def test_identity_integrals(name, suite, request, monkeypatch):
             got.append(pair(*args))
             return got[-1]
 
-        monkeypatch.setattr(verify, "_DENSITIES", {})
+        monkeypatch.setattr(verify, "_DEFECTS", {})
         monkeypatch.setattr(Q, "product_blocks", given)
         monkeypatch.setattr(F, "pair", recorded)
         run_suite(suite, m)
@@ -147,7 +166,7 @@ def test_the_far_block_is_tabulated_per_axis(s1xs2, monkeypatch):
     18,432 of the rectangle.  The near slabs are tabulated per point.
     The pairing needs values only, so no derivative table is built at
     the quadrature nodes."""
-    slabs = Q.product_blocks(s1xs2, Pole(), level=2)
+    slabs = list(Q.product_blocks(s1xs2, Pole(), level=2))
     sizes = _sizes(monkeypatch, ("polar_values", "circle_values",
                                  "polar_jets", "circle_jets"))
     report = run_suite("weak-identity", s1xs2)

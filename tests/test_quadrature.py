@@ -50,7 +50,7 @@ def test_nan_at_a_zero_weight_node_poisons_the_integral(s1xs2, monkeypatch):
     m, pole = s1xs2, Pole(1, 0.0)
     r0 = 0.125 * min(0.5 * m.length, m.radius * math.pi)
     gf = green_field(m, "L", pole)
-    blocks = Q.product_blocks(m, pole, level=1)
+    blocks = list(Q.product_blocks(m, pole, level=1))
     assert len(blocks) > 2
 
     def nearest(s, chi):
@@ -144,7 +144,7 @@ def test_slabs_tile_the_half_rule(kind, length, level, bound, monkeypatch):
     rectangle (open meshes), or, under a bound of 40 nodes, which is
     shorter than a row, runs of one row.  Laid back together per piece
     they are the meshgrid construction's points and weights, bit for
-    bit."""
+    bit.  The node counts are recorded before the first slab is built."""
     if bound is not None:
         monkeypatch.setattr(Q, "SLAB_NODES", bound)
     m = catalog_build(kind, None, {"length": length},
@@ -152,9 +152,10 @@ def test_slabs_tile_the_half_rule(kind, length, level, bound, monkeypatch):
     pole = Pole(1, 0.3)
     res = {}
     slabs = Q.product_blocks(m, pole, level=level, resolution=res)
-    assert max(w.size for _, w in slabs) <= Q.SLAB_NODES
     want = _meshgrid_pieces(m, pole, level)
     assert res["nodes"] == [w.size for _, w in want]
+    slabs = list(slabs)
+    assert max(w.size for _, w in slabs) <= Q.SLAB_NODES
     near = [(pts, w) for pts, w in slabs if pts[0].shape[1] > 1]
     far = [(pts, w) for pts, w in slabs if pts[0].shape[1] == 1]
     assert len(near) + len(far) == len(slabs)
@@ -166,11 +167,30 @@ def test_slabs_tile_the_half_rule(kind, length, level, bound, monkeypatch):
             assert np.array_equal(table, np.broadcast_to(ref, w.shape))
 
 
+def test_slabs_are_built_as_they_are_read(s1xs2, monkeypatch):
+    """``product_blocks`` returns before it builds a slab, and forms each
+    slab's cut-off only when the iterator reaches that slab, so no piece
+    of the rule is formed whole."""
+    calls = []
+    step = Q.smoothstep
+
+    def counted(x):
+        calls.append(np.size(x))
+        return step(x)
+
+    monkeypatch.setattr(Q, "smoothstep", counted)
+    slabs = Q.product_blocks(s1xs2, Pole(), level=2)
+    assert calls == []
+    next(slabs)
+    assert len(calls) == 1
+    assert len(list(slabs)) == 11 and len(calls) == 12
+
+
 def test_level_2_product_rule_node_counts(s1xs2):
     """S1(2pi) x S2 at level 2: 27,072 near and 18,432 far nodes in
     slabs of 42 radial rows of 96 and 21 s rows of 192."""
     res = {}
-    slabs = Q.product_blocks(s1xs2, Pole(), level=2, resolution=res)
+    slabs = list(Q.product_blocks(s1xs2, Pole(), level=2, resolution=res))
     assert res["nodes"] == [27072, 18432]
     assert [w.shape for _, w in slabs] == [(42, 96)] * 6 + [(30, 96)] \
         + [(21, 192)] * 4 + [(12, 192)]

@@ -194,23 +194,25 @@ def test_total_q_integrand_takes_no_conformal_weight(sphere4, rng,
     factor = FieldFactor(sphere4, w)
     state = {"inside": False, "blocks": 0, "w_at_inside": 0}
     orig_w_at = ConformalFactor.w_at
-    orig_density = verify._blowup_density
+    orig_slabs = verify._blowup_slabs
 
     def counting_w_at(self, *points):
         state["w_at_inside"] += state["inside"]
         return orig_w_at(self, *points)
 
     def marking(m, level):
-        state["inside"] = True
-        try:
-            blocks, resolution = orig_density(m, level)
-        finally:
+        slabs = orig_slabs(m, level)
+        while True:
+            state["inside"] = True
+            block = next(slabs, None)
             state["inside"] = False
-        state["blocks"] += len(blocks)
-        return blocks, resolution
+            if block is None:
+                return
+            state["blocks"] += 1
+            yield block
 
     monkeypatch.setattr(ConformalFactor, "w_at", counting_w_at)
-    monkeypatch.setattr(verify, "_blowup_density", marking)
+    monkeypatch.setattr(verify, "_blowup_slabs", marking)
     report = check_total_q(sphere4, factor=factor, tolerance=1e-3)
     assert report.passed
     assert state["blocks"] > 0
@@ -325,17 +327,18 @@ def test_sign_theorems_propagate_other_errors(sphere5, monkeypatch):
 
 def _count_blocks(monkeypatch, name):
     """Record, per call of ``quadrature.<name>``, the point count of each
-    node block of the rule it returns, and whether the block is an open
-    mesh (a far slab of the product rule)."""
+    node block of the rule it returns, as the caller takes it, and
+    whether the block is an open mesh (a far slab of the product rule)."""
     calls = []
     orig = getattr(Q, name)
 
     def counting(*args, **kw):
-        rule = orig(*args, **kw)
-        calls.append([(int(np.broadcast(*pts).size),
-                       len(pts) == 2 and pts[0].shape[1] == 1)
-                      for pts, _ in rule])
-        return rule
+        sizes = []
+        calls.append(sizes)
+        for pts, w in orig(*args, **kw):
+            sizes.append((int(np.broadcast(*pts).size),
+                          len(pts) == 2 and pts[0].shape[1] == 1))
+            yield pts, w
 
     monkeypatch.setattr(Q, name, counting)
     return calls
@@ -392,9 +395,9 @@ def test_resolution_records_the_nodes_the_integrand_received(
 def test_4d_and_total_q_share_one_density(s1xs3, monkeypatch):
     """4d-identity then total-q on S1xS3 sum the image kernel once per
     slab of the level-2 rule, not twice, and the defect total-q reads
-    from the shared density is the one it finds alone, bit for bit."""
+    from the identity's pass is the one it finds alone, bit for bit."""
     alone = check_total_q(s1xs3).resolution["defect"]
-    monkeypatch.setattr(verify, "_DENSITIES", {})
+    monkeypatch.setattr(verify, "_DEFECTS", {})
     calls = []
     sums = green._ProductImageKernelL._sums
 
@@ -406,82 +409,53 @@ def test_4d_and_total_q_share_one_density(s1xs3, monkeypatch):
     assert check_4d_identity(s1xs3).passed
     report = check_total_q(s1xs3)
     assert report.passed
-    assert calls == [True] * len(Q.product_blocks(s1xs3, Pole(), level=2))
+    assert calls == [True] * len(list(Q.product_blocks(s1xs3, Pole(),
+                                                       level=2)))
     assert report.resolution["defect"] == alone
 
 
+def test_total_q_alone_takes_one_pass(s1xs3, monkeypatch):
+    """Total-q with no identity run before it takes one blow-up pass of
+    its own, one image sum per slab, and leaves its defect for the next
+    total-q, which sums the kernel no more."""
+    calls = []
+    sums = green._ProductImageKernelL._sums
+
+    def counted(self, ds, chi, jets):
+        calls.append(jets)
+        return sums(self, ds, chi, jets)
+
+    monkeypatch.setattr(green._ProductImageKernelL, "_sums", counted)
+    first = check_total_q(s1xs3, level=1)
+    slabs = len(list(Q.product_blocks(s1xs3, Pole(), level=1)))
+    assert first.passed and calls == [True] * slabs
+    again = check_total_q(s1xs3, level=1)
+    assert len(calls) == slabs
+    assert again.resolution["defect"] == first.resolution["defect"]
+    assert list(verify._DEFECTS) == [(s1xs3, 1)]
+
+
 def test_weak_identity_holds_one_slab_of_temporaries(s1xs2):
-    """At level 3 on S1(2pi) x S2 the half rule has 153,216 nodes, and the
-    weak-identity pass leaves its blow-up density cached (4.9 MB).  Built
-    and paired slab by slab, the pass's traced peak exceeds that density
-    by 0.9 MB (1.1 MB with both pairing columns weighing the polar table
-    at once); with the kernel jets, blow-up Ricci and pairing held for
-    the whole rule at once it exceeded it by 16.2 MB.  The first pass at
-    level 1 builds the ledger and the tables the level does not change,
-    so the traced pass allocates only what the level costs."""
+    """At level 3 on S1(2pi) x S2 the half rule has 153,216 nodes.  Built
+    and paired slab by slab, with no density kept, the weak-identity
+    pass's traced peak stays under 2 MB (1.06 MB), and it leaves under
+    0.1 MB behind.  With its blow-up density cached for total-q it
+    peaked at 5.9 MB and left 5.0 MB; with the kernel jets, blow-up Ricci
+    and pairing held for the whole rule at once it peaked above 21 MB.
+    The first pass at level 1 builds the ledger and the tables the level
+    does not change, so the traced pass allocates only what the level
+    costs."""
     check_weak_identity(s1xs2, level=1)
-    verify._DENSITIES.clear()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         assert check_weak_identity(s1xs2, level=3).passed
-        peak = tracemalloc.get_traced_memory()[1] - start
+        left, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    density = _cached_density_bytes()
-    assert density > 4e6
-    assert peak - density < 2e6, f"{(peak - density) / 1e6:.1f} MB"
-
-
-def _cached_density_bytes() -> int:
-    """The bytes of the one cached blow-up density, counted through the
-    bases of its arrays: a slab is a view of its piece."""
-    ((blocks, _),) = verify._DENSITIES.values()
-    owners = {}
-    for block in blocks:
-        for arr in (*block[0], *block[1:]):
-            while arr.base is not None:
-                arr = arr.base
-            owners[id(arr)] = arr
-    return sum(arr.nbytes for arr in owners.values())
-
-
-def test_one_density_is_alive_while_the_next_is_built(s1xs2, s1xs3,
-                                                      monkeypatch):
-    """Weak-identity on S1xS2, then 4d-identity on S1xS3, at level 2: the
-    S1xS2 density (1.5 MB) is dropped before the S1xS3 one is built, so
-    the cache holds no other key when the first S1xS3 slab is computed,
-    and the traced peak of both passes exceeds the larger density by
-    0.9 MB.  Dropped only when the next is stored, both densities were
-    alive during the build, 2.2 MB over.  The level-1 passes build the
-    ledgers and the tables the level does not change."""
-    check_weak_identity(s1xs2, level=1)
-    check_4d_identity(s1xs3, level=1)
-    verify._DENSITIES.clear()
-    others = []
-    density = verify.blowup_density
-
-    def watching(gf, *points):
-        if gf.manifold == s1xs3 and not others:
-            others.append(set(verify._DENSITIES) - {(s1xs3, 2)})
-        return density(gf, *points)
-
-    monkeypatch.setattr(verify, "blowup_density", watching)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        assert check_weak_identity(s1xs2, level=2).passed
-        first = _cached_density_bytes()
-        assert check_4d_identity(s1xs3, level=2).passed
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert others == [set()]
-    largest = max(first, _cached_density_bytes())
-    assert largest > 1e6
-    assert peak - largest < 1.5e6, f"{(peak - largest) / 1e6:.1f} MB"
+    assert peak - start < 2e6, f"peak {(peak - start) / 1e6:.2f} MB"
+    assert left - start < 1e5, f"left {(left - start) / 1e6:.2f} MB"
 
 
 def test_pairing_takes_a_few_point_vectors(s1xs2):
@@ -490,7 +464,7 @@ def test_pairing_takes_a_few_point_vectors(s1xs2):
     rule: one density column at a time, the pairing peaks at 20 point
     vectors; a (points, columns, degrees) product of both columns with
     the polar table took 27."""
-    (points, wq, g, ricci_sq), *_ = verify._blowup_density(s1xs2, 2)[0]
+    points, wq, g, ricci_sq = next(verify._blowup_slabs(s1xs2, 2))
     size = np.broadcast(*points).size
     assert size == 4032
     density = np.stack([wq * g, wq * ricci_sq], axis=-1)
@@ -607,34 +581,6 @@ def test_concurrent_jobs_build_one_ledger(sphere5, monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(calls) == 1 and len(ledgers) == 8
     assert all(ledger is ledgers[0] for ledger in ledgers)
-
-
-def test_concurrent_jobs_read_one_density(sphere5):
-    """Eight threads asking at once for a blow-up density may each build
-    one, unlocked, but all receive the one stored first, read-only."""
-    densities = []
-    start = threading.Barrier(8)
-
-    def job():
-        start.wait(timeout=10)
-        densities.append(verify._blowup_density(sphere5, 1))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=job) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(densities) == 8
-    assert all(d is densities[0] for d in densities)
-    assert densities[0] is verify._DENSITIES[(sphere5, 1)]
-    (block,) = densities[0][0]
-    assert not any(arr.flags.writeable for arr in (*block[0], *block[1:]))
 
 
 # --------------------------------------------------------------------- mass
