@@ -290,11 +290,16 @@ class _ProductImageKernelP:
         e_plus = np.exp(-np.asarray(ds, dtype=float) / self.b)
         e_minus = 1.0 / e_plus
         far = np.exp(-np.arange(1, self.cutoff + 1) * (self.ell / self.b))
-        total = 0.0
-        for E in [np.minimum(e_plus, e_minus),
-                  *(f * e for f in far for e in (e_plus, e_minus))]:
-            total = total + np.sqrt(E) / (
-                np.sqrt((1.0 - E) ** 2 + sin2 * E) + 1.0 + E)
+
+        def image(E):
+            return np.sqrt(E) / (np.sqrt((1.0 - E) ** 2 + sin2 * E) + 1.0 + E)
+
+        # one image at a time into one running sum, in place: memory
+        # stays a few point vectors whatever the image count
+        total = image(np.minimum(e_plus, e_minus))
+        for f in far:
+            for e in (e_plus, e_minus):
+                total += image(f * e)
         return self.c * np.cos(0.5 * chi) ** 2 * total
 
 

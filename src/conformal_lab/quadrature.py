@@ -201,12 +201,38 @@ def product_blocks(m, pole, level: int = 1,
 
 def extrapolate_to_zero(radii, values) -> float:
     """Limit at r = 0 of samples values(r) = a + b r + c r^2 + ...: the
-    constant of the quadratic fitted to the four smallest radii, by least
-    squares."""
+    constant of the quadratic fitted to the four smallest radii by least
+    squares.
+
+    The fit is expanded in the discrete orthogonal polynomials q_0 = 1,
+    q_1, q_2 of those radii (Forsythe), built by the Stieltjes recurrence
+
+        q_(k+1) = (r - alpha_k) q_k - beta_k q_(k-1),
+        alpha_k = <r q_k, q_k> / <q_k, q_k>,
+        beta_k = <q_k, q_k> / <q_(k-1), q_(k-1)>,
+
+    and carried at r = 0 alongside.  Each coefficient <y, q_k> / <q_k, q_k>
+    is taken from the residual that the ones before leave, so no normal
+    equations square the Vandermonde's condition number.
+    """
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
     order = np.argsort(radii)[:4]
-    r = radii[order]
-    vander = r[:, None] ** np.arange(3)
-    coef, *_ = np.linalg.lstsq(vander, values[order], rcond=None)
-    return float(coef[0])
+    r, residual = radii[order], values[order]
+    q, q_prev = np.ones_like(r), np.zeros_like(r)
+    at_zero, at_zero_prev, norm_prev = 1.0, 0.0, 1.0
+    limit = 0.0
+    for k in range(3):
+        norm = q @ q
+        coef = (residual @ q) / norm
+        residual = residual - coef * q
+        limit += coef * at_zero
+        if k == 2:
+            break
+        alpha = ((r * q) @ q) / norm
+        beta = norm / norm_prev
+        q, q_prev = (r - alpha) * q - beta * q_prev, q
+        at_zero, at_zero_prev = -alpha * at_zero - beta * at_zero_prev, \
+            at_zero
+        norm_prev = norm
+    return float(limit)

@@ -10,6 +10,9 @@ from scipy.special import roots_jacobi
 from conformal_lab.basis import ModeBasis, zonal_polynomials
 
 NODE_COUNTS = (1, 2, 3, 16, 25, 37)
+# counts where a Newton start off by half a root spacing would land on a
+# neighbouring root; degree_max 240 gives 361 nodes
+LARGE_COUNTS = (100, 241, 361)
 
 
 def _rule(d, nq):
@@ -46,7 +49,7 @@ def test_rule_matches_scipy(d, nq):
 
 
 @pytest.mark.parametrize("d", range(2, 8))
-@pytest.mark.parametrize("nq", NODE_COUNTS)
+@pytest.mark.parametrize("nq", NODE_COUNTS + LARGE_COUNTS)
 def test_rule_nodes_are_symmetric_and_read_only(d, nq):
     t, w = _rule(d, nq)
     assert np.array_equal(t, -t[::-1])
@@ -55,13 +58,33 @@ def test_rule_nodes_are_symmetric_and_read_only(d, nq):
 
 
 @pytest.mark.parametrize("d", range(2, 8))
-@pytest.mark.parametrize("nq", NODE_COUNTS)
+@pytest.mark.parametrize("nq", NODE_COUNTS + LARGE_COUNTS)
 def test_rule_nodes_are_roots_to_rounding(d, nq):
-    # the Newton step on p_nq takes the eigenvalues (a few ulp off) to
-    # the roots within rounding
+    # the polishing Newton step on p_nq takes the phase step's nodes
+    # (at most 4e-9 rad off) to the roots within rounding
     t, _ = _rule(d, nq)
     p, dp = zonal_polynomials(d, nq, t, order=1)
     assert np.max(np.abs(p[:, nq] / dp[:, nq])) < 2e-16
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+@pytest.mark.parametrize("nq", LARGE_COUNTS)
+def test_large_rules_find_every_root_once(d, nq):
+    """Each node is scipy's root of its own index, so the roots are
+    distinct and increasing: none found twice, none missed (measured
+    2.2e-16 off).  The weights still make the Gram matrix the identity
+    (measured 2.7e-14 off); scipy's own weights, 5.8e-10 off the closed
+    form at 361 nodes on S^3, cannot check them here."""
+    t, w = _rule(d, nq)
+    a = (d - 2) / 2.0
+    t_ref, _ = roots_jacobi(nq, a, a)
+    assert np.all(np.diff(t) > 0)
+    nearest = np.argmin(np.abs(t[:, None] - t_ref[None, :]), axis=1)
+    assert np.array_equal(nearest, np.arange(nq))
+    assert_allclose(t, t_ref, rtol=0, atol=2e-15)
+    (p,) = zonal_polynomials(d, nq - 1, t, order=0)
+    gram = p.T @ (w[:, None] * p)
+    assert np.max(np.abs(gram - np.eye(nq))) < 1e-13
 
 
 @pytest.mark.parametrize("fourier_max", [0, 1, 3, 8])

@@ -494,3 +494,50 @@ def test_run_does_not_import_scipy(tmp_path):
     code, modules = json.loads(proc.stdout.strip().splitlines()[-1])
     assert code == 0
     assert modules == []
+
+
+_LAPACK_GUARD = """
+import json, sys
+import numpy.linalg as linalg
+calls = []
+
+
+def guard(name, func):
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return func(*args, **kwargs)
+    return counted
+
+
+for name in linalg.__all__:
+    func = getattr(linalg, name)
+    if callable(func) and not isinstance(func, type):
+        setattr(linalg, name, guard(name, func))
+from conformal_lab.cli import RunConfig, run
+code = run(RunConfig(json.loads(sys.argv[1])), sys.argv[2])
+print(json.dumps([code, sorted(set(calls))]))
+"""
+
+
+def test_run_calls_no_lapack(tmp_path):
+    """A run calls no ``numpy.linalg`` routine: the Gauss-Jacobi rules
+    come from Newton's method on the zonal recurrence, not ``eigvalsh``,
+    and the mass route's extrapolation fits by orthogonal polynomials,
+    not ``lstsq``.  A fresh interpreter wraps every public callable of
+    ``numpy.linalg`` before it imports the package, then runs the mass
+    on S^5 and the identities on both products."""
+    sphere5 = {"kind": "sphere", "n": 5, "basis": {"degree_max": 12}}
+    s1xs2 = {"kind": "product-S1xS2", "params": {},
+             "basis": {"degree_max": 12, "fourier_max": 6}}
+    cfg = dict(BASE_CONFIG, suites=["weak-identity", "4d-identity", "mass"],
+               catalog=BASE_CONFIG["catalog"] + [sphere5, s1xs2])
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAPACK_GUARD, json.dumps(cfg),
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, calls = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert calls == []

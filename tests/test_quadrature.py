@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from scipy.special import roots_legendre
 
 from conformal_lab import quadrature as Q
@@ -12,8 +13,9 @@ from conformal_lab.green import GreenField, green_field, green_pair
 @pytest.mark.parametrize("order", [6, 10])
 def test_gauss_panels_take_the_legendre_rule(order):
     """One panel over [-1, 1] is the Gauss-Legendre rule, which the panels
-    take from the basis's Golub-Welsch rule of weight 1 (weights read
-    1.3e-14 off scipy's at order 10; numpy's leggauss reads 1.5e-14)."""
+    take from the basis's Gauss-Jacobi rule of weight 1, Newton's roots
+    of p_order (weights read 1.3e-14 off scipy's at order 10; numpy's
+    leggauss reads 1.5e-14)."""
     x, w = Q._gauss_panels(np.array([-1.0, 1.0]), order)
     x_ref, w_ref = roots_legendre(order)
     np.testing.assert_allclose(x, x_ref, rtol=0, atol=2e-15)
@@ -26,6 +28,24 @@ def test_extrapolate_to_zero_is_exact_on_a_quadratic():
     r = np.array([0.5, 0.03, 0.2, 0.1, 0.05, 0.9])
     got = Q.extrapolate_to_zero(r, 1.7 - 0.4 * r + 2.5 * r ** 2)
     assert abs(got - 1.7) < 1e-14
+
+
+@pytest.mark.parametrize("shape", ["exp-sin", "reciprocal", "sqrt",
+                                   "r-log-r"])
+def test_extrapolate_to_zero_matches_least_squares(shape):
+    """On samples no quadratic fits, at the mass route's radii out of
+    order, the orthogonal-polynomial fit's constant is the least-squares
+    one that ``np.linalg.lstsq``, the test oracle, gives (measured within
+    3.4e-15 of it)."""
+    r = np.random.default_rng(8).permutation(0.4 * 0.6 ** np.arange(8))
+    values = {"exp-sin": np.exp(r) + np.sin(7.0 * r),
+              "reciprocal": 1.0 / (1.0 + r),
+              "sqrt": np.sqrt(r),
+              "r-log-r": 2.0 + r * np.log(r)}[shape]
+    near = np.argsort(r)[:4]
+    vander = r[near, None] ** np.arange(3)
+    (want, _, _), *_ = np.linalg.lstsq(vander, values[near], rcond=None)
+    assert_allclose(Q.extrapolate_to_zero(r, values), want, rtol=1e-13)
 
 
 @pytest.mark.parametrize("fixture, rtol", [
