@@ -14,12 +14,12 @@ jet or integral gaining the same leading axis.  A single field is a
 field with no leading axis.
 
 A symmetric 2-tensor is a dict of its components in the adapted
-orthonormal frame of the backend: on a sphere ``rr`` along e_theta and
-``orb`` along each of the (n-1) orbit directions; on a product ``ss``,
-``sx``, ``xx`` in the (e_s, e_chi) block and ``orb`` along the (d-1)
-orbit directions.  Zonal symmetry makes every tensor we need diagonal
-except for the (s, chi) component on products.  A component is an array
-of values, or a number where it is constant.
+orthonormal frame of the backend: on a product ``ss`` and ``sx`` in the
+(e_s, e_chi) block, and on every backend ``xx`` along the polar
+direction and ``orb`` along each of the (d-1) orbit directions of the
+sphere (factor) S^d; a sphere is the circle-free case.  Zonal symmetry
+makes every tensor we need diagonal except for ``sx``.  A component is
+an array of values, or a number where it is constant.
 
 Synthesis on the grid, values at points, pairings at points and frame
 jets share one table preparation: the coefficients of one or more fields
@@ -61,6 +61,7 @@ __all__ = [
     "frame_dot",
     "frame_jets",
     "frame_trace",
+    "frame_weights",
     "gradient_components",
     "grid_sum",
     "integrate",
@@ -353,17 +354,16 @@ def integrate(f: ScalarField):
 
 # ------------------------------------------------------------------ tensors
 
-def frame_bilinear(basis: ModeBasis, t: dict, u: tuple, v: tuple):
+def frame_bilinear(t: dict, u: tuple, v: tuple):
     """T(X, Y) of a symmetric 2-tensor for frame vectors X, Y given as
-    component tuples, as ``grad`` of ``frame_jets``."""
-    if basis.is_product:
-        us, ux = u
-        vs, vx = v
-        return (t["ss"] * us * vs + t["sx"] * (us * vx + ux * vs)
-                + t["xx"] * ux * vx)
-    (ur,) = u
-    (vr,) = v
-    return t["rr"] * ur * vr
+    component tuples, as ``grad`` of ``frame_jets``: the circle component
+    first on a product, the polar one last."""
+    *u_circle, ux = u
+    *v_circle, vx = v
+    out = t["xx"] * ux * vx
+    for us, vs in zip(u_circle, v_circle):  # on a product
+        out = t["ss"] * us * vs + t["sx"] * (us * vx + ux * vs) + out
+    return out
 
 
 def frame_dot(basis: ModeBasis, a: dict, b: dict) -> np.ndarray:
@@ -372,20 +372,22 @@ def frame_dot(basis: ModeBasis, a: dict, b: dict) -> np.ndarray:
     ``a`` and ``b`` are frame-component dicts as returned by ``frame_jets``;
     ``frame_dot(basis, a, a)`` is the squared norm.
     """
-    weights = _frame_weights(basis)
+    weights = frame_weights(basis)
     return sum(weights[k] * a[k] * b[k] for k in a)
 
 
 def frame_trace(basis: ModeBasis, comps: dict) -> np.ndarray:
     """Trace of a symmetric 2-tensor from its frame components."""
-    weights = _frame_weights(basis)
+    weights = frame_weights(basis)
     return sum(weights[k] * comps[k] for k in comps if k != "sx")
 
 
-def _frame_weights(basis: ModeBasis) -> dict:
-    # each orbit component stands for sphere_dim - 1 equal diagonal
-    # entries, the off-diagonal sx for the two entries (s, chi), (chi, s)
-    return {"rr": 1, "ss": 1, "xx": 1, "sx": 2, "orb": basis.sphere_dim - 1}
+def frame_weights(basis: ModeBasis) -> dict:
+    """The frame components on ``basis`` in the order ss, sx, xx, orb, each
+    with the matrix entries it stands for: orb the sphere_dim - 1 equal
+    diagonal ones, sx the two (s, chi) and (chi, s)."""
+    circle = {"ss": 1, "sx": 2} if basis.is_product else {}
+    return {**circle, "xx": 1, "orb": basis.sphere_dim - 1}
 
 
 # --------------------------------------------------------------- tabulation
@@ -402,13 +404,12 @@ def _support(b: ModeBasis, nz: np.ndarray) -> tuple:
     """(wavenumber, degree) of the last circle row and degree column of the
     mode-shaped mask ``nz``, or of any trial of a stack of them, holding a
     true entry, 0 where there is none."""
-    nz = nz.reshape((-1,) + b.mode_shape).any(axis=0)
-    cols = np.nonzero(nz.any(axis=0) if b.is_product else nz)[0]
-    degree = int(cols[-1]) if cols.size else 0
-    if not b.is_product:
-        return 0, degree
+    # a sphere table is one row: read it through a (1, degrees) view
+    nz = np.atleast_2d(nz.reshape((-1,) + b.mode_shape).any(axis=0))
     rows = np.nonzero(nz.any(axis=1))[0]
-    return (b.circle_wavenumber(int(rows[-1])) if rows.size else 0), degree
+    cols = np.nonzero(nz.any(axis=0))[0]
+    return ((b.circle_wavenumber(int(rows[-1])) if rows.size else 0),
+            int(cols[-1]) if cols.size else 0)
 
 
 def _band(b: ModeBasis, C: np.ndarray):
@@ -522,10 +523,9 @@ def frame_jets(f: ScalarField, *points):
     r = b.radius
     ft = mix(0, 1)
     grad = _frame_gradient(b, mix, ft, sin_t)
-    hess = {"xx" if b.is_product else "rr":
-            ((1.0 - t ** 2) * mix(0, 2) - t * ft) / r ** 2,
+    hess = {"xx": ((1.0 - t ** 2) * mix(0, 2) - t * ft) / r ** 2,
             "orb": -t * ft / r ** 2}
-    if b.is_product:
+    if len(grad) > 1:  # the circle rows, on a product
         hess.update(ss=mix(2, 0), sx=-sin_t * mix(1, 1) / r)
     return mix(0, 0), grad, hess
 

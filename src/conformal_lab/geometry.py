@@ -101,9 +101,8 @@ class ManifoldModel:
         """The Ricci tensor, whose frame components are constant: (d-1)/r^2
         along the sphere (factor), 0 along the circle."""
         lam = (self.sphere_dim - 1) / self.radius ** 2
-        if self.is_product:
-            return {"ss": 0.0, "sx": 0.0, "xx": lam, "orb": lam}
-        return {"rr": lam, "orb": lam}
+        return {k: 0.0 if k in ("ss", "sx") else lam
+                for k in F.frame_weights(self.basis)}
 
     @cached_property
     def q_value(self) -> float:
@@ -363,7 +362,7 @@ class MoebiusFactor(ConformalFactor):
         orb_xi = np.cos(xi) * (1.0 + t ** 2) * (1.0 - lam ** 2) / (2.0 * d)
         a = m.radius
         grad = (w_xi / a,)
-        hess = {"rr": w_xixi / a ** 2, "orb": orb_xi / a ** 2}
+        hess = {"xx": w_xixi / a ** 2, "orb": orb_xi / a ** 2}
         return w, grad, hess
 
 
@@ -386,24 +385,21 @@ def conformal_ricci(m: ManifoldModel, factor: ConformalFactor):
 
 def ricci_from_jets(m: ManifoldModel, grad, hess) -> dict:
     """Ricci components of e^{2w} g in the base frame from the frame
-    gradient and Hessian of w, as returned by a factor's ``jets``."""
+    gradient and Hessian of w, as returned by a factor's ``jets``: the
+    circle component first on a product, the polar one last."""
     n = m.n
     grad2 = sum(g ** 2 for g in grad)
-    lap = F.frame_trace(m.basis, hess)
-    trace_term = lap + (n - 2) * grad2
-    rc = m.ricci_eigenvalues
+    trace_term = F.frame_trace(m.basis, hess) + (n - 2) * grad2
+    # the gradient axes of dw (x) dw, which has no orb part; g has no sx
+    axes = {"ss": (0, 0), "sx": (0, -1), "xx": (-1, -1)}
     comps = {}
-    if m.is_product:
-        gs, gx = grad
-        outer = {"ss": gs * gs, "sx": gs * gx, "xx": gx * gx, "orb": 0.0}
-        gmat = {"ss": 1.0, "sx": 0.0, "xx": 1.0, "orb": 1.0}
-    else:
-        (gr,) = grad
-        outer = {"rr": gr * gr, "orb": 0.0}
-        gmat = {"rr": 1.0, "orb": 1.0}
-    for key in outer:
-        comps[key] = (rc[key] - (n - 2) * (hess[key] - outer[key])
-                      - trace_term * gmat[key])
+    for key, lam in m.ricci_eigenvalues.items():
+        h = hess[key]
+        if key in axes:
+            i, j = axes[key]
+            h = h - grad[i] * grad[j]
+        ric = lam - (n - 2) * h
+        comps[key] = ric if key == "sx" else ric - trace_term
     return comps
 
 

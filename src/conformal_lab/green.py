@@ -1,28 +1,27 @@
 """Green's functions of the conformal Laplacian and the Paneitz operator.
 
-Sphere backends use closed forms: transporting the flat fundamental
-solution through the stereographic conformal factor gives
+Each operator has a flat kernel c r^(-2q): the conformal Laplacian L
+has c_L = (4 n (n-1) w_n)^{-1} and q = (n-2)/2, the Paneitz operator P
+has c_P = (2 n (n-2) (n-4) w_n)^{-1} and q = (n-4)/2 (n != 4), with w_n
+the unit-ball volume.  One conformal pullback carries it to each
+backend.  On the sphere S^n(a) it gives the closed form
 
-    G_L = (4 n (n-1) w_n)^{-1} (2 a sin(xi/2))^{2-n}
+    G = c (2 a sin(xi/2))^(-2q)
 
-with xi the polar angle from the pole, w_n the unit-ball volume, and the
-corresponding fourth-order kernel is
-
-    G_P = (2 n (n-2) (n-4) w_n)^{-1} (2 a sin(xi/2))^{4-n}     (n != 4),
-
-proportional to G_L^{(n-4)/(n-2)} with the dimensional comparison
-constant below (on the sphere the Ricci tensor of the blow-up metric
-vanishes, so the proportionality is exact).
+with xi the polar angle from the pole; G_P is proportional to
+G_L^{(n-4)/(n-2)} with the dimensional comparison constant below (on
+the sphere the Ricci tensor of the blow-up metric vanishes, so the
+proportionality is exact).
 
 Product backends S^1(l) x S^d(b) are quotients of the conformally flat
 cylinder, so their kernels are image sums over circle periods of the
-flat kernel pulled back to the cylinder R x S^d(b).  For the conformal
-Laplacian that is
+flat kernel pulled back to the cylinder R x S^d(b),
 
-    H(u, chi) = (4 n (n-1) w_n)^{-1} (2 cosh u - 2 cos chi)^{-(n-2)/2},
+    H(u, chi) = c b^(-2q) (2 cosh u - 2 cos chi)^(-q),
 
-and for the fourth-order operator in dimension three it is the pulled
-back c_P r less the degree-0 homogeneous solution that makes it grow
+for either operator where q > 0 (``_ProductImageKernel``).  For P in
+dimension three q = -1/2, and the sum is that of the pulled back c_P r
+less the degree-0 homogeneous solution that makes it grow
 (``_ProductImageKernelP``); both sums converge exponentially.
 
 ``green_field`` builds every kernel, transported by a conformal factor
@@ -116,25 +115,26 @@ class _SphereKernel:
         # cot(xi) * w1 without the axis blowup at xi = pi
         cot_w1 = scale * self.p * np.cos(xi) / (4.0 * np.sin(half) ** 2)
         a = self.a
-        return w, (w1 / a,), {"rr": w2 / a ** 2, "orb": cot_w1 / a ** 2}
+        return w, (w1 / a,), {"xx": w2 / a ** 2, "orb": cot_w1 / a ** 2}
 
 
-class _ProductImageKernelL:
-    """Image sum of the cylinder kernel for the conformal Laplacian.
+class _ProductImageKernel:
+    """Image sum of the cylinder kernel c b^(-2q) D^-q, q > 0.
 
     ``value`` and ``log_jets`` share one loop over the images (``_sums``),
     which keeps running sums over the points instead of a
-    (points x images) table.  The image count is the cutoff.
+    (points x images) table.  ``c`` holds the prefactor c b^(-2q); the
+    image count is the cutoff.
     """
 
     representation = "eigen-expansion"
 
-    def __init__(self, m: ManifoldModel, images: int):
-        self.n = m.n
+    def __init__(self, m: ManifoldModel, images: int, coefficient: float,
+                 q: float):
         self.b = m.radius
         self.ell = m.length
-        self.q = 0.5 * (self.n - 2)
-        self.cL = flat_L_coefficient(self.n)
+        self.q = q
+        self.c = coefficient * self.b ** (-2.0 * q)
         self.cutoff = images
 
     def _sums(self, ds, chi, jets: bool):
@@ -221,14 +221,14 @@ class _ProductImageKernelL:
 
     def value(self, ds, chi):
         (S0,) = self._sums(ds, chi, jets=False)
-        return self.cL * self.b ** (2 - self.n) * S0
+        return self.c * S0
 
     def log_jets(self, scale: float, ds, chi):
         chi = np.asarray(chi, dtype=float)
         S0, S1, S2, T1, T2 = self._sums(ds, chi, jets=True)
         q, b = self.q, self.b
         s_chi, cos_chi = np.sin(chi), np.cos(chi)
-        w = np.log(self.cL * b ** (2 - self.n) * S0)
+        w = np.log(self.c * S0)
         # chart partials of G in (s, chi) over G.  The chi-derivative
         # carries a factor sin(chi), kept split off (x_over_sin) so the
         # orbit Hessian component stays regular on the axis.  The
@@ -272,16 +272,17 @@ class _ProductImageKernelP:
 
     which decays like E^(1/2), has no cancellation and is exact at the
     pole.  It is summed over u = (ds + j l) / b, every image from one exp
-    per point as in ``_ProductImageKernelL._sums``, j = 0 included as
-    exp(-|u0|), so nothing overflows below l = 1400 b.
+    per point as in ``_ProductImageKernel._sums``, j = 0 included as
+    exp(-|u0|), so nothing overflows below l = 1400 b.  ``c`` holds the
+    prefactor -4 c_P b.
     """
 
     representation = "eigen-expansion"
 
-    def __init__(self, m: ManifoldModel, images: int):
+    def __init__(self, m: ManifoldModel, images: int, coefficient: float):
         self.b = m.radius
         self.ell = m.length
-        self.c = -4.0 * flat_P_coefficient(3) * self.b
+        self.c = -4.0 * coefficient * self.b
         self.cutoff = images
 
     def value(self, ds, chi):
@@ -406,11 +407,12 @@ def blowup_density(gf: GreenField, *points):
 
 # ------------------------------------------------------------ construction
 
-def _image_count(m: ManifoldModel) -> int:
-    """Images per side of a product image sum: the terms decay like
-    exp(-(n-2)|u|/2), so the count reaches exp(-20) of the pole's own."""
+def _image_count(m: ManifoldModel, q: float) -> int:
+    """Images per side of a product image sum of the kernel c r^(-2q):
+    the terms decay like exp(-|q u|), so the count reaches exp(-20) of
+    the pole's own."""
     return max(4, int(math.ceil(40.0 * m.radius
-                                / ((m.n - 2) * m.length)))) + 2
+                                / (abs(2.0 * q) * m.length)))) + 2
 
 
 def green_field(m: ManifoldModel, operator: str, pole: Pole | None = None,
@@ -425,16 +427,16 @@ def green_field(m: ManifoldModel, operator: str, pole: Pole | None = None,
     backend.  Both operators obey
     G~(p, q) = rho(p)^{-1} rho(q)^{-1} G(p, q) in their own weight
     convention (second order: rho^{4/(n-2)}, fourth order:
-    rho^{4/(n-4)}), which ``values_at`` applies.  An operator other than
-    L and P raises ``ValueError``, a zero mode ``KernelError``, and a
-    circle longer than 1400 sphere radii, or P on a product of dimension
-    other than three, ``UnsupportedBackendError``.
+    rho^{4/(n-4)}), which ``values_at`` applies.  Every kernel is read
+    off the operator's flat kernel c r^(-2q).  An operator other than L
+    and P raises ``ValueError``, a zero mode ``KernelError``, and a
+    circle longer than 1400 sphere radii ``UnsupportedBackendError``.
     """
     if operator not in _WEIGHT:
         raise ValueError(f"unknown operator {operator!r}")
     pole = pole or Pole()
     n = m.n
-    # see _ProductImageKernelL._sums
+    # see _ProductImageKernel._sums
     if m.is_product and m.length > 1400.0 * m.radius:
         raise UnsupportedBackendError(
             f"the image sums overflow on a circle longer than 1400 "
@@ -445,18 +447,14 @@ def green_field(m: ManifoldModel, operator: str, pole: Pole | None = None,
         raise KernelError(
             f"{operator} has a zero mode on {m.kind} "
             f"(|eigenvalue| {lam_min:.3e} < threshold {thr:.3e})")
-    if m.is_product and operator == "P" and n != 3:
-        raise UnsupportedBackendError(
-            f"the product image sum of G_P is the dimension-three kernel, "
-            f"got {m.kind} with n={n}")
-    if m.is_product:
-        image_sum = (_ProductImageKernelL if operator == "L"
-                     else _ProductImageKernelP)
-        kernel = image_sum(m, _image_count(m))
-    elif operator == "L":
-        kernel = _SphereKernel(flat_L_coefficient(n), m.radius, 2.0 - n)
-    else:
-        kernel = _SphereKernel(flat_P_coefficient(n), m.radius, 4.0 - n)
+    c, q = ((flat_L_coefficient(n), 0.5 * (n - 2)) if operator == "L"
+            else (flat_P_coefficient(n), 0.5 * (n - 4)))
+    if not m.is_product:
+        kernel = _SphereKernel(c, m.radius, -2.0 * q)
+    elif q > 0:
+        kernel = _ProductImageKernel(m, _image_count(m, q), c, q)
+    else:  # P in dimension three
+        kernel = _ProductImageKernelP(m, _image_count(m, q), c)
     rho_pole = 1.0
     if factor is not None:
         rho_pole = factor.rho_at(_WEIGHT[operator],

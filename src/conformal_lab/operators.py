@@ -126,7 +126,7 @@ def quadratic_form_E(m: ManifoldModel, u: ScalarField, v: ScalarField):
     lap_v = F.laplacian(v).grid_values
     gu = F.gradient_components(u)
     gv = F.gradient_components(v)
-    rc_grad = F.frame_bilinear(m.basis, m.ricci_eigenvalues, gu, gv)
+    rc_grad = F.frame_bilinear(m.ricci_eigenvalues, gu, gv)
     grad_dot = sum(a * b for a, b in zip(gu, gv))
     vals = (lap_u * lap_v - (4.0 / (n - 2)) * rc_grad
             + _gradient_coefficient(n) * m.scalar_curvature * grad_dot
@@ -158,7 +158,7 @@ def conformal_quadratic_form_E(m: ManifoldModel, factor: ConformalFactor,
     gu = F.gradient_components(u)
     gv = F.gradient_components(v)
     rc, r_tilde, q_tilde = conformal_curvature(m, factor)
-    rc_grad = F.frame_bilinear(m.basis, rc, gu, gv) / e2w ** 2
+    rc_grad = F.frame_bilinear(rc, gu, gv) / e2w ** 2
     grad_dot = sum(a * b for a, b in zip(gu, gv)) / e2w
     vals = (lap_tilde(u, gu) * lap_tilde(v, gv) - (4.0 / (n - 2)) * rc_grad
             + _gradient_coefficient(n) * r_tilde * grad_dot

@@ -101,12 +101,18 @@ def test_total_q_on_round_sphere4(sphere4):
 # --------------------------------------------------------- conformal ricci
 
 def test_identity_factor_returns_base_ricci(sphere5, s1xs2):
+    """And both backends share one frame: xx is the polar component and
+    orb the orbit one, and a product adds its circle components."""
+    keys = {}
     for m in (sphere5, s1xs2):
         rc = conformal_ricci(m, FieldFactor(m, m.constant(0.0)))
         base = m.ricci_eigenvalues
         assert rc.keys() == base.keys()
         for k in rc:
             assert_allclose(rc[k], base[k], atol=1e-12)
+        keys[m.kind] = set(rc)
+    assert keys["sphere"] == {"xx", "orb"}
+    assert keys["sphere"] < keys["product-S1xS2"]
 
 
 def test_stereographic_factor_flattens_the_sphere(sphere5):
@@ -167,7 +173,7 @@ def test_conformal_ricci_against_finite_differences(sphere5, rng):
     # the oracle frame is orthonormal for the changed metric; the package
     # reports base-frame components, an e^{2w} rescaling away
     e2w = conf(theta) ** 2
-    assert_allclose(comps["rr"][inner], e2w * rr,
+    assert_allclose(comps["xx"][inner], e2w * rr,
                     atol=2e-6 * max(1, np.max(np.abs(rr))))
     assert_allclose(comps["orb"][inner], e2w * orb,
                     atol=2e-6 * max(1, np.max(np.abs(orb))))

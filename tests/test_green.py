@@ -15,10 +15,11 @@ from conformal_lab import quadrature as Q
 from conformal_lab.errors import KernelError, UnsupportedBackendError
 from conformal_lab.geometry import (FieldFactor, MoebiusFactor, Pole,
                                     catalog_build)
-from conformal_lab.green import (ComparisonResult, _ProductImageKernelL,
-                                 compare_green, comparison_constant,
-                                 extract_mass, flat_L_coefficient,
-                                 green_field, green_pair, sign_scan)
+from conformal_lab.green import (ComparisonResult, _image_count,
+                                 _ProductImageKernel, compare_green,
+                                 comparison_constant, extract_mass,
+                                 flat_L_coefficient, green_field, green_pair,
+                                 sign_scan)
 from conformal_lab.operators import apply_L, build_symbol
 
 
@@ -219,7 +220,7 @@ def test_parity_of_the_image_kernel(kind, length, monkeypatch):
     for k, defect in defects.items():
         assert defect <= 1e-14, (k, defect)
 
-    sums = _ProductImageKernelL._sums
+    sums = _ProductImageKernel._sums
 
     def without_plus_one(self, ds, chi, jets):
         full = sums(self, ds, chi, jets)
@@ -231,7 +232,7 @@ def test_parity_of_the_image_kernel(kind, length, monkeypatch):
             self.cutoff = cutoff
         return [f - i for f, i in zip(full, image)]
 
-    monkeypatch.setattr(_ProductImageKernelL, "_sums", without_plus_one)
+    monkeypatch.setattr(_ProductImageKernel, "_sums", without_plus_one)
     broken = _mirror_defects(kern)
     assert min(broken.values()) > 1e3 * 1e-14, broken
     assert max(broken.values()) > 0.1, broken
@@ -258,7 +259,7 @@ def _per_image_jets(kern, scale, ds, chi):
         T1 = T1 + D ** (-q - 1) * sinh_u
         T2 = T2 + D ** (-q - 2) * sinh_u
         Q2 = Q2 + D ** (-q - 2) * sinh_u ** 2
-    c = kern.cL * b ** (2 - kern.n)
+    c = kern.c
     s_chi, c_chi = np.sin(chi), np.cos(chi)
     g = c * S0
     g_s = -2.0 * q * c / b * T1
@@ -281,21 +282,32 @@ def _kernel_components(kern, scale, ds, chi):
             **hess}
 
 
-@pytest.mark.parametrize("kind", ["product-S1xS2", "product-S1xS3"])
+def _s1xsd(d, length, monkeypatch):
+    """S1(length) x S^d on a small basis, its kind registered for the
+    test where the catalog has no row for it."""
+    kind = f"product-S1xS{d}"
+    monkeypatch.setitem(basis.PRODUCT_KINDS, kind, d)
+    return catalog_build(kind, None, {"length": length},
+                         {"degree_max": 4, "fourier_max": 2})
+
+
+@pytest.mark.parametrize("kind", [
+    "product-S1xS2", "product-S1xS3",
+    pytest.param("product-S1xS4", id="product-S1xS4-P")])
 @pytest.mark.parametrize("length", [0.5, 2 * math.pi, 40.0])
-def test_image_kernel_matches_the_per_image_sum(kind, length):
+def test_image_kernel_matches_the_per_image_sum(kind, length, monkeypatch):
     """On both pieces of the level-2 product rule, the near patch and the
     far rectangle, each handed out in slabs, the kernel's value and every
     log-jet component agree with ``_per_image_jets`` to 1e-13 of the
-    component's largest value on the piece.  They read at most 2.7e-14,
-    for ss at l = 0.5 on S1xS3 at the far rectangle's node nearest the
-    pole, where w_ss cancels a hundredfold and the five sums enter it
-    through the sinh^2 u identity with independent roundings (an 80-bit
-    evaluation of the per-image sum puts the kernel 2.4e-14 and the
-    reference 4.9e-15 off there)."""
-    m = catalog_build(kind, None, {"length": length},
-                      {"degree_max": 4, "fourier_max": 2})
-    kern = green_field(m, "L").kernel
+    component's largest value on the piece: the G_L kernels, and the G_P
+    kernel of S1 x S4 (q = 1/2, at most 1.0e-14).  They read at most
+    2.7e-14, for ss at l = 0.5 on S1xS3 at the far rectangle's node
+    nearest the pole, where w_ss cancels a hundredfold and the five sums
+    enter it through the sinh^2 u identity with independent roundings (an
+    80-bit evaluation of the per-image sum puts the kernel 2.4e-14 and
+    the reference 4.9e-15 off there)."""
+    m = _s1xsd(int(kind[-1]), length, monkeypatch)
+    kern = green_field(m, "P" if m.n == 5 else "L").kernel
     pieces = {"near": [], "far": []}
     for points, _ in Q.product_blocks(m, Pole(), level=2):
         ds, chi = m.pole_separation(Pole(), *points)
@@ -584,21 +596,23 @@ def test_green_field_refuses(backend, operator, error, match, request):
         green_field(m, operator)
 
 
-def test_green_field_refuses_g_p_on_products_past_dimension_three(
-        monkeypatch):
-    """The product image sum of G_P is the regularized n = 3 kernel, with
-    the n = 3 flat coefficient.  On S1 x S4 (n = 5), whose P has no zero
-    mode, G_P is refused by name instead of built from that kernel;
-    G_L, an image sum in every dimension, is still built."""
-    monkeypatch.setitem(basis.PRODUCT_KINDS, "product-S1xS4", 4)
-    m = catalog_build("product-S1xS4", None, {"length": 2 * np.pi},
-                      {"degree_max": 4, "fourier_max": 2})
-    assert m.n == 5
-    with pytest.raises(UnsupportedBackendError,
-                       match="dimension-three kernel, got product-S1xS4 "
-                             "with n=5"):
-        green_field(m, "P")
-    assert green_field(m, "L").representation == "eigen-expansion"
+@pytest.mark.parametrize("d", [4, 5, 6])
+@pytest.mark.parametrize("length", [2 * math.pi, 4 * math.pi])
+def test_green_field_builds_g_p_on_products_past_dimension_three(
+        d, length, monkeypatch):
+    """On S1 x S^d, d >= 4, G_P is the image sum of the cylinder kernel
+    c_P b^(-2q) D^-q, q = (n-4)/2, as G_L is with q = (n-2)/2: it
+    inverts P on the constants to 1e-9 (measured 2.3e-11 to 7.8e-11),
+    the comparison margin is strictly positive (these products are not
+    conformal to the round sphere), and the images reach exp(-20) of
+    the pole's own at the G_P decay rate."""
+    m = _s1xsd(d, length, monkeypatch)
+    gp = green_field(m, "P")
+    p00 = float(build_symbol(m, "P").flat[0])
+    assert abs(green_pair(gp, m.constant(1.0)) * p00 - 1.0) < 1e-9
+    [res] = compare_green(m, [Pole()])
+    assert res.margin_min > 0.0
+    assert res.cutoff == gp.cutoff == _image_count(m, 0.5 * (m.n - 4))
 
 
 def test_green_field_takes_the_smallest_eigenvalue_once(monkeypatch):

@@ -149,13 +149,13 @@ def test_untransported_kernel_is_summed_once_per_half_block(kind, length,
     c[0, 0], c[2, 1], c[4, 2] = 1.0, 0.4, 0.2  # rows 2 and 4 are sines
     f = F.synthesize(m.basis, c)
     calls = []
-    sums = green._ProductImageKernelL._sums
+    sums = green._ProductImageKernel._sums
 
     def counted(self, ds, chi, jets):
         calls.append(np.size(ds))
         return sums(self, ds, chi, jets)
 
-    monkeypatch.setattr(green._ProductImageKernelL, "_sums", counted)
+    monkeypatch.setattr(green._ProductImageKernel, "_sums", counted)
     gf = green_field(m, "L", pole)
     got = green_pair(gf, f)
     blocks = list(Q.product_blocks(m, pole, level=2))

@@ -13,7 +13,8 @@ matched by name, so a member shares the reads of any other member or
 variable of the same name.  The tabulation routines of ``basis``, the
 ledger routines of ``spectrum``, the ``ScalarField`` constructor and the
 Ricci-from-jets routine of ``geometry`` are called only from their own
-module and from the few callers listed in ``SINGLE_PLACE``.
+module and from the few callers listed in ``SINGLE_PLACE``, and the flat
+kernel coefficients of ``green`` only from ``green.green_field``.
 """
 
 import ast
@@ -157,7 +158,8 @@ def test_an_unused_member_is_caught():
 # by the constructors and transforms of fields; the blow-up Ricci of G_L
 # comes from green.blowup_density alone, geometry forms every other
 # Ricci tensor from jets, and the Ricci tensor of a changed metric is
-# read only through geometry.conformal_curvature
+# read only through geometry.conformal_curvature; green_field alone
+# picks the flat kernel c r^(-2q) of an operator, for every kernel
 SINGLE_PLACE = {
     "polar_values": {"basis", "fields._prepare"},
     "circle_values": {"basis", "fields._prepare"},
@@ -176,6 +178,8 @@ SINGLE_PLACE = {
     "ricci_from_jets": {"geometry", "green.blowup_density"},
     "conformal_ricci": {"geometry"},
     "log_profile": {"green.blowup_density"},
+    "flat_L_coefficient": {"green.green_field"},
+    "flat_P_coefficient": {"green.green_field"},
 }
 
 
@@ -264,6 +268,25 @@ def test_a_second_blowup_ricci_is_caught():
     assert stray_calls(sources) == [
         "operators.conformal_quadratic_form_E: conformal_ricci",
         "verify._law: log_profile", "verify._law: ricci_from_jets"]
+
+
+def test_a_kernel_reading_its_own_coefficient_is_caught():
+    sources = {"green.py": "def flat_L_coefficient(n): return 1.0 / n\n"
+                           "def flat_P_coefficient(n): return 2.0 / n\n"
+                           "class _ProductImageKernelP:\n"
+                           "    def __init__(self, m):\n"
+                           "        self.c = -4.0 * flat_P_coefficient(3)\n"
+                           "def green_field(m, operator):\n"
+                           "    return (flat_L_coefficient(m.n),\n"
+                           "            flat_P_coefficient(m.n))\n"
+                           "def comparison_constant(n):\n"
+                           "    return flat_L_coefficient(n)\n",
+               "verify.py": "from . import green\n"
+                            "def _law(m): return green.flat_P_coefficient(5)\n"}
+    assert stray_calls(sources) == [
+        "green._ProductImageKernelP: flat_P_coefficient",
+        "green.comparison_constant: flat_L_coefficient",
+        "verify._law: flat_P_coefficient"]
 
 
 def test_a_stray_field_construction_is_caught():

@@ -94,7 +94,7 @@ def test_weak_identity_sees_a_dropped_image(s1xs2, monkeypatch):
     pair is dropped because the identities read the density on the
     ds > 0 half of the rule: an error odd in ds does not reach them,
     and ``test_parity_of_the_image_kernel`` catches a one-sided drop."""
-    sums = green._ProductImageKernelL._sums
+    sums = green._ProductImageKernel._sums
 
     def without_first_images(self, ds, chi, jets):
         full = sums(self, ds, chi, jets)
@@ -108,7 +108,7 @@ def test_weak_identity_sees_a_dropped_image(s1xs2, monkeypatch):
             self.cutoff = cutoff
         return full
 
-    monkeypatch.setattr(green._ProductImageKernelL, "_sums",
+    monkeypatch.setattr(green._ProductImageKernel, "_sums",
                         without_first_images)
     report = check_weak_identity(s1xs2)
     assert not report.passed
@@ -399,13 +399,13 @@ def test_4d_and_total_q_share_one_density(s1xs3, monkeypatch):
     alone = check_total_q(s1xs3).resolution["defect"]
     monkeypatch.setattr(verify, "_DEFECTS", {})
     calls = []
-    sums = green._ProductImageKernelL._sums
+    sums = green._ProductImageKernel._sums
 
     def counted(self, ds, chi, jets):
         calls.append(jets)
         return sums(self, ds, chi, jets)
 
-    monkeypatch.setattr(green._ProductImageKernelL, "_sums", counted)
+    monkeypatch.setattr(green._ProductImageKernel, "_sums", counted)
     assert check_4d_identity(s1xs3).passed
     report = check_total_q(s1xs3)
     assert report.passed
@@ -419,13 +419,13 @@ def test_total_q_alone_takes_one_pass(s1xs3, monkeypatch):
     its own, one image sum per slab, and leaves its defect for the next
     total-q, which sums the kernel no more."""
     calls = []
-    sums = green._ProductImageKernelL._sums
+    sums = green._ProductImageKernel._sums
 
     def counted(self, ds, chi, jets):
         calls.append(jets)
         return sums(self, ds, chi, jets)
 
-    monkeypatch.setattr(green._ProductImageKernelL, "_sums", counted)
+    monkeypatch.setattr(green._ProductImageKernel, "_sums", counted)
     first = check_total_q(s1xs3, level=1)
     slabs = len(list(Q.product_blocks(s1xs3, Pole(), level=1)))
     assert first.passed and calls == [True] * slabs
