@@ -198,7 +198,7 @@ class ModeBasis:
 
     @property
     def circle_mode_count(self) -> int:
-        return 2 * self.fourier_max + 1 if self.is_product else 1
+        return 2 * self.fourier_max + 1
 
     @property
     def sphere_mode_count(self) -> int:

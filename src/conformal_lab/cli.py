@@ -72,11 +72,8 @@ class RunConfig:
                     or not 0 < tol <= sys.float_info.max:
                 raise ConfigError(f"tolerances: {k!r} must be a positive "
                                   f"finite number, got {tol!r}")
-        self.out_dir = raw.get("out_dir")
-        if not isinstance(self.out_dir, (str, type(None))):
-            raise ConfigError(f"out_dir: must be a string, got {self.out_dir!r}")
         extra = set(raw) - {"seed", "suites", "catalog", "level", "trials",
-                            "tolerances", "out_dir"}
+                            "tolerances"}
         if extra:
             raise ConfigError(f"unknown config fields {sorted(extra)}")
 
@@ -125,7 +122,7 @@ def run(config: RunConfig, out_dir=None, verbose: bool = False) -> int:
 
     The jobs run one at a time, backend by backend, suites in config
     order; a backend's identity and total-Q suites share one pass."""
-    out = Path(out_dir or config.out_dir or "reports")
+    out = Path(out_dir or "reports")
     backends = _build_backends(config)
     for suite in config.suites:
         if not any(DECLARATIONS[suite].applies(m) for m in backends):

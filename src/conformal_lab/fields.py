@@ -187,14 +187,12 @@ def random_modes(basis: ModeBasis, rng, degree: int,
                  fourier: int = 0) -> np.ndarray:
     """A reproducible random coefficient table supported on low modes,
     decaying like exp(-(wavenumber + degree)): one normal draw per
-    supported mode, in row-major order, taken in one call."""
+    supported mode, in row-major order, taken in one call, in circle
+    rows up to wavenumber ``fourier``: one row on a sphere."""
     degree = min(degree, basis.degree_max)
+    fourier = min(fourier, basis.fourier_max)
     c = np.zeros(basis.mode_shape)
-    if basis.is_product:
-        fourier = min(fourier, basis.fourier_max)
-        rows = [basis.circle_wavenumber(j) for j in range(2 * fourier + 1)]
-    else:
-        rows = [0]
+    rows = [basis.circle_wavenumber(j) for j in range(2 * fourier + 1)]
     decay = np.array([[math.exp(-(k + m)) for m in range(degree + 1)]
                       for k in rows])
     # a sphere table is one row: write it through a (1, degrees) view
@@ -244,7 +242,7 @@ def _check_projection_exactness(f: ScalarField):
             f"projection onto degree {b.degree_max} of a degree-{bw_m} field "
             f"needs polar exactness {bw_m + b.degree_max}, quadrature "
             f"provides {b.polar_exactness}")
-    if b.is_product and bw_k + b.fourier_max > b.circle_exactness:
+    if bw_k + b.fourier_max > b.circle_exactness:
         raise AliasingError(
             f"projection onto wavenumber {b.fourier_max} of a "
             f"wavenumber-{bw_k} field needs circle exactness "

@@ -8,22 +8,23 @@ on products a smooth partition of unity that splits the reduced
 (s, chi) rectangle into a polar patch around the pole plus a blended
 far region.
 
-A rule is an iterable of node blocks ``(points, weights)``
-(``sphere_blocks``, ``product_blocks``), in chart coordinates: a caller
-computes a density at the nodes of each block, weights included, and
-pairs it with fields by ``fields.pair``, or sums it where no field takes
-part.  The product rule is mirror-symmetric under the circle offset
-ds -> -ds and has no node on ds = 0, so ``product_blocks`` gives its
-ds > 0 half with doubled weights, a rule for densities even about the
-pole; a density that is not even is summed on both sides, each half
-block at s and at its mirror 2 s0 - s with halved weights, which is the
-full rule.  The product rule comes in slabs of at most ``SLAB_NODES``
-nodes, each built only when its iterator reaches it, so what the rule
-and a caller form per node is alive for one slab at a time: runs of
-whole radial rows of the polar patch, pointwise, and runs of whole s
-rows of the far rectangle, each an open mesh, an s column of shape
-(Ns, 1) and a chi row of shape (1, Nx), so the layers below can
-tabulate along each axis before they broadcast.
+``pole_blocks`` is the one rule: an iterable of node blocks
+``(points, weights, sides)`` in chart coordinates.  A caller computes a
+density at the nodes of each block, weights included, and pairs it with
+fields by ``fields.pair``, or sums it where no field takes part.
+``sides`` lists the point sets the block stands for, its own points
+first, each taking ``weights / len(sides)`` in the full rule; a density
+even about the pole reads a block's own points alone, with all weights.
+A sphere block is its one side.  The product rule is mirror-symmetric
+under ds -> -ds with no node on ds = 0, so its blocks hold the ds > 0
+half with doubled weights, and their second side is the mirror
+2 s0 - s.  It comes in slabs of at most ``SLAB_NODES`` nodes, each built
+only when its iterator reaches it, so what the rule and a caller form
+per node is alive for one slab at a time: runs of whole radial rows of
+the polar patch, pointwise, and runs of whole s rows of the far
+rectangle, each an open mesh, an s column of shape (Ns, 1) and a chi row
+of shape (1, Nx), so the layers below can tabulate along each axis
+before they broadcast.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ import numpy as np
 
 from .basis import gauss_jacobi
 
-__all__ = ["extrapolate_to_zero", "product_blocks", "sphere_blocks"]
+__all__ = ["extrapolate_to_zero", "pole_blocks"]
 
-# the most nodes a block of ``product_blocks`` holds: whatever the rule
-# or a caller forms per node, weights, kernel jets or a pairing's
-# moments, it holds for one block at a time
+# the most nodes a product block of ``pole_blocks`` holds: whatever the
+# rule or a caller forms per node, weights, kernel jets, a mirror side or
+# a pairing's moments, it holds for one block at a time
 SLAB_NODES = 4096
 
 
@@ -77,15 +78,19 @@ def _cuts(rows: int, cols: int) -> list:
             for i in range(0, rows, dr) for j in range(0, cols, dc)]
 
 
-def sphere_blocks(m, pole, level: int = 1, graded_depth: int | None = None,
-                  resolution: dict | None = None) -> list:
-    """The graded rule of a sphere backend around ``pole`` as one
-    pointwise node block, ``[((theta,), weights)]``.
+def pole_blocks(m, pole, level: int = 1, resolution: dict | None = None,
+                graded_depth: int | None = None):
+    """The graded rule of ``m`` around ``pole``, node blocks
+    ``(points, weights, sides)`` as the module describes.
 
-    10-point Gauss panels grade geometrically toward ``pole``;
-    ``level`` doubles the panel count per unit.  A ``resolution`` dict
-    receives the node count (one block) and the graded depth.
+    On a sphere it is one pointwise block: 10-point Gauss panels grade
+    toward ``pole`` by halves, ``graded_depth`` times (24 + 8 * level by
+    default), and ``level`` doubles the panel count per unit.  A product
+    takes ``_product_blocks``.  A ``resolution`` dict receives the node
+    counts and the graded depth.
     """
+    if m.is_product:
+        return _product_blocks(m, pole, level, resolution, graded_depth)
     n = m.n
     a = m.radius
     if graded_depth is None:
@@ -100,25 +105,25 @@ def sphere_blocks(m, pole, level: int = 1, graded_depth: int | None = None,
     surf = m.basis.orbit_area * a ** n * np.sin(xi) ** (n - 1)
     if resolution is not None:
         resolution.update(nodes=[xi.size], graded_depth=graded_depth)
-    return [(m.chart_from_pole(pole, xi), surf * w)]
+    points = m.chart_from_pole(pole, xi)
+    return [(points, surf * w, (points,))]
 
 
-def product_blocks(m, pole, level: int = 1,
-                   resolution: dict | None = None) -> Iterator:
-    """The ds > 0 half of the graded product rule, as an iterator of node
-    blocks ``((s, chi), weights)`` with doubled weights: a rule for
-    integrands that are even about ``pole`` under ds -> -ds.  Any other
-    integrand is summed at s and at 2 s0 - s with halved weights, which
-    is the full rule.
+def _product_blocks(m, pole, level: int, resolution: dict | None,
+                    graded_depth: int | None) -> Iterator:
+    """The ds > 0 half of the graded product rule with doubled weights,
+    as an iterator of node blocks ``((s, chi), weights, sides)``, the
+    sides ``(s, chi)`` and its mirror ``(2 s0 - s, chi)``.
 
     A polar patch of radius r1 around the pole is integrated in
     (r, psi) shells graded toward r = 0; the complement is integrated
     on the full (s, chi) rectangle after multiplying by a C^4 cutoff
     that vanishes inside the patch, so both pieces see a smooth
     integrand.  Both use 6-point Gauss panels; the shells grade toward
-    the pole by halves, 18 + 6 * level times, and the rectangle takes
-    8 * 2**level panels per axis, more where the cut-off band
-    (r1 - r0 = r1 / 2) would be narrower than 2**(level - 1) panels.
+    the pole by halves, ``graded_depth`` times (18 + 6 * level by
+    default), and the rectangle takes 8 * 2**level panels per axis, more
+    where the cut-off band (r1 - r0 = r1 / 2) would be narrower than
+    2**(level - 1) panels.
 
     The whole rule is mirror-symmetric under ds -> -ds, and no node lies
     on the mirror line ds = 0: the psi panels split [0, pi] at pi/2 and
@@ -142,7 +147,8 @@ def product_blocks(m, pole, level: int = 1,
     d = m.sphere_dim
     b = m.radius
     ell = m.length
-    graded_depth = 18 + 6 * level
+    if graded_depth is None:
+        graded_depth = 18 + 6 * level
     r1 = 0.25 * min(0.5 * ell, b * math.pi)
     r0 = 0.5 * r1
     orbit = m.basis.orbit_area * b ** (d - 1)
@@ -159,6 +165,10 @@ def product_blocks(m, pole, level: int = 1,
     psi, WP = p_nodes[half], 2.0 * p_w[half]
     cos_psi, sin_psi = np.cos(psi), np.sin(psi)
 
+    def block(sep, weights):
+        s, chi = points = m.chart_from_pole(pole, *sep)
+        return points, weights, (points, (2.0 * pole.s0 - s, chi))
+
     def near(rows, cols):
         r = R[rows]
         ds = r * cos_psi[cols]
@@ -166,8 +176,7 @@ def product_blocks(m, pole, level: int = 1,
         cut = 1.0 - smoothstep((r - r0) / (r1 - r0))
         # ds d(b chi) = r dr dpsi, so the jacobian is plain r
         meas = orbit * np.sin(chi_eff) ** (d - 1) * r
-        return (m.chart_from_pole(pole, ds, chi_eff),
-                cut * meas * WR[rows] * WP[cols])
+        return block((ds, chi_eff), cut * meas * WR[rows] * WP[cols])
 
     # far region on the full rectangle, integrand cut off inside the
     # patch; panels no wider than h keep the band resolved at every
@@ -187,8 +196,8 @@ def product_blocks(m, pole, level: int = 1,
         ds, chi_eff = DS[rows], CHI_EFF[:, cols]
         rr = np.hypot(ds, b * chi_eff)
         cut_far = smoothstep((rr - r0) / (r1 - r0))
-        return (m.chart_from_pole(pole, ds, chi_eff),
-                cut_far * meas_far[:, cols] * WS[rows] * WX[:, cols])
+        return block((ds, chi_eff),
+                     cut_far * meas_far[:, cols] * WS[rows] * WX[:, cols])
 
     pieces = [(near, R.size, psi.size), (far, DS.size, CHI_EFF.size)]
     if resolution is not None:

@@ -95,8 +95,8 @@ class VerificationReport:
             out["runtime_s"] = self.runtime_s
         return out
 
-    def to_json(self, include_runtime: bool = True) -> str:
-        return json.dumps(self.to_dict(include_runtime), indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _record(law, residual, tol, detail=""):
@@ -209,22 +209,15 @@ def run_suite(name: str, m: ManifoldModel, cfg: dict | None = None):
 def default_test_functions(m: ManifoldModel, seed: int = 0):
     """Constants, the first low modes, and one seeded random field."""
     b = m.basis
+    picks, degree = (([(0, 1), (1, 0), (1, 1), (0, 2)], 4) if b.is_product
+                     else ([(0, l) for l in range(1, 5)], 6))
     fns = [m.constant(1.0)]
-    if b.is_product:
-        picks = [(0, 1), (1, 0), (1, 1), (0, 2)]
-        for j, mm in picks:
-            c = np.zeros((b.circle_mode_count, b.sphere_mode_count))
-            c[j, mm] = 1.0
-            fns.append(F.synthesize(b, c))
-        rng = np.random.default_rng(seed)
-        fns.append(F.random_bandlimited(b, rng, degree=4, fourier=3))
-    else:
-        for l in range(1, 5):
-            c = np.zeros(b.sphere_mode_count)
-            c[l] = 1.0
-            fns.append(F.synthesize(b, c))
-        rng = np.random.default_rng(seed)
-        fns.append(F.random_bandlimited(b, rng, degree=6))
+    for j, l in picks:
+        c = np.zeros(b.mode_shape)
+        np.atleast_2d(c)[j, l] = 1.0  # a sphere table is one circle row
+        fns.append(F.synthesize(b, c))
+    rng = np.random.default_rng(seed)
+    fns.append(F.random_bandlimited(b, rng, degree=degree, fourier=3))
     return fns
 
 
@@ -234,17 +227,17 @@ _DEFECTS = {}
 
 
 def _blowup_slabs(m: ManifoldModel, level: int):
-    """The blow-up density of ``m`` at ``level``, one node block of the
-    graded rule around the north pole at a time: yields
+    """The blow-up density of ``m`` at ``level``, one node block of
+    ``quadrature.pole_blocks`` around the north pole at a time: yields
     ``(points, weights, G_L, |Ric_blowup|^2)`` of the blow-up metric
     G_L^{4/(n-2)} g, each block, a slab on a product, built by the rule
     only when it is reached, with the kernel summed once for both
     densities by ``green.blowup_density``.
 
-    On a product the reflection s -> -s fixes the pole at s = 0 and is an
-    isometry, so the density is even in s, and the rule is the ds > 0
-    half of ``quadrature.product_blocks``, with doubled weights: a field
-    pairs with it through its ``fields.even_part``.
+    The density is even about the pole (on a product the reflection
+    s -> -s fixes it and is an isometry), so it is read at each block's
+    own points with the whole weights, and a field pairs with it through
+    its ``fields.even_part``.
 
     Once every block has been handed out, the Ricci defect
     1/2 int |Ric_blowup|^2 dmu, folded block by block, and the resolution
@@ -254,13 +247,13 @@ def _blowup_slabs(m: ManifoldModel, level: int):
     """
     gL = green_field(m, "L", Pole())
     resolution = {}
-    rule = Q.product_blocks if m.is_product else Q.sphere_blocks
     halves = []
-    for points, wq in rule(m, gL.pole, level=level, resolution=resolution):
+    for points, wq, _ in Q.pole_blocks(m, gL.pole, level=level,
+                                       resolution=resolution):
         g, ricci_sq = blowup_density(gL, *points)
         yield points, wq, g, ricci_sq
         halves.append(0.5 * float(np.tensordot(wq, ricci_sq, wq.ndim)))
-    if m.is_product:
+    if gL.cutoff is not None:
         resolution["images"] = gL.cutoff
     _DEFECTS[m, level] = sum(halves), resolution
 
@@ -271,9 +264,9 @@ def _paired_integrals(m, level, fns, densities):
     ``densities(G_L, |Ric_blowup|^2)`` gives (a, c) at the nodes of the
     blow-up density of ``m``.  Both are paired with all test functions
     in one call per node block, by mode moments, so no value of a test
-    function at a node is formed.  The density is even in s, so only the
-    even part of each test function meets it; P commutes with the
-    reflection, so P of that part is the even part of P(phi).
+    function at a node is formed.  The density is even about the pole,
+    so only the even part of each test function meets it; P commutes
+    with the reflection, so P of that part is the even part of P(phi).
     """
     evens = [F.even_part(phi) for phi in fns]
     p_evens = [apply_P(m, phi) for phi in evens]
@@ -365,14 +358,18 @@ def check_total_q(m: ManifoldModel, tolerance: float,
     """Total Q plus the Ricci defect against 16 pi^2 (dimension four).
 
     Reports (int Q dmu, defect, sum, verdict); EQUALITY means the defect
-    vanishes, which happens exactly in the round conformal class.
+    vanishes, which happens exactly in the round conformal class.  The
+    report holds one total, so a factor that stacks trials raises.
     """
     target = 16.0 * math.pi ** 2
     if factor is None:
         total_q = m.q_value * m.volume
     else:
-        _, _, q_tilde = conformal_curvature(m, factor)
         w = factor.w_grid.grid_values
+        if w.ndim > len(m.basis.grid_shape):
+            raise ValueError(f"total-q takes one factor, got a stack of "
+                             f"{w.shape[0]} trials")
+        _, _, q_tilde = conformal_curvature(m, factor)
         total_q = float(np.sum(q_tilde * np.exp(4.0 * w)
                                * m.basis.quadrature_weights()))
     # in dimension four the norm in a changed frame (e^{-4w}) times its
@@ -400,8 +397,7 @@ def check_total_q(m: ManifoldModel, tolerance: float,
 
 def _random_w(m: ManifoldModel, rng) -> np.ndarray:
     """The coefficient table of one random conformal logarithm."""
-    return F.random_modes(m.basis, rng, degree=3,
-                          fourier=2 if m.is_product else 0)
+    return F.random_modes(m.basis, rng, degree=3, fourier=2)
 
 
 def _factor(m: ManifoldModel, tables) -> ConformalFactor:
@@ -419,12 +415,11 @@ def _draw(m, rng, fixed, trials):
     functions of ``trials`` bilinear trials, drawn trial by trial in
     that order and stacked."""
     deg = min(6, m.basis.degree_max // 3)
-    four = min(3, m.basis.fourier_max) if m.is_product else 0
     draws = []
     for _ in range(trials):
         w = None if fixed else _random_w(m, rng)
-        draws.append((w, F.random_modes(m.basis, rng, deg, four),
-                      F.random_modes(m.basis, rng, deg, four)))
+        draws.append((w, F.random_modes(m.basis, rng, deg, 3),
+                      F.random_modes(m.basis, rng, deg, 3)))
     ws, phis, psis = zip(*draws)
     return (fixed or _factor(m, ws), F.sup_normalized(m.basis, phis),
             F.sup_normalized(m.basis, psis))

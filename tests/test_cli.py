@@ -103,8 +103,9 @@ _SPHERE5 = {"kind": "sphere", "n": 5, "params": {"radius": 1.0},
      "catalog[0] and catalog[1]"),
     ({"suites": ["spectrum", "spectrum"]}, "suites"),
     ({"suites": [["spectrum"]]}, "suites"),
-    ({"out_dir": 5}, "out_dir"),
-], ids=["same-descriptor", "repeated-suite", "list-suite", "int-out-dir"])
+    # the output directory is the --out flag, not a config field
+    ({"out_dir": "reports"}, "unknown config fields ['out_dir']"),
+], ids=["same-descriptor", "repeated-suite", "list-suite", "out-dir-field"])
 def test_colliding_or_mistyped_run_config_exits_2(tmp_path, capsys, change,
                                                   named):
     path = _write(tmp_path, dict(BASE_CONFIG, **change))

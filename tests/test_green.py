@@ -309,7 +309,7 @@ def test_image_kernel_matches_the_per_image_sum(kind, length, monkeypatch):
     m = _s1xsd(int(kind[-1]), length, monkeypatch)
     kern = green_field(m, "P" if m.n == 5 else "L").kernel
     pieces = {"near": [], "far": []}
-    for points, _ in Q.product_blocks(m, Pole(), level=2):
+    for points, _, _ in Q.pole_blocks(m, Pole(), level=2):
         ds, chi = m.pole_separation(Pole(), *points)
         piece = "far" if points[0].shape[1] == 1 else "near"  # open mesh
         pieces[piece].append((_kernel_components(kern, 0.5, ds, chi),
@@ -381,7 +381,7 @@ def test_values_at_reads_the_kernel_at_the_rule_nodes(length):
     assert np.array_equal(got, ds)
     for operator in ("L", "P"):
         gf = green_field(m, operator)
-        for (s, chi), _ in Q.product_blocks(m, Pole(), level=2):
+        for (s, chi), _, _ in Q.pole_blocks(m, Pole(), level=2):
             assert_allclose(gf.values_at(s, chi), gf.kernel.value(s, chi),
                             rtol=1e-15, atol=0, err_msg=operator)
 

@@ -1,11 +1,11 @@
 """The half product rule folds exactly.
 
-``quadrature.product_blocks`` holds the ds > 0 half of the graded rule
-with doubled weights, which sum to the volume, in slabs of whole rows of
-the near patch and of the far rectangle.  Pairing an even density with the even part of a
+``quadrature.pole_blocks`` holds on a product the ds > 0 half of the
+graded rule with doubled weights, which sum to the volume, in slabs of
+whole rows of the near patch and of the far rectangle.  Pairing an even density with the even part of a
 field on it must give what the mirror-completed full rule gives with the
-whole field, and ``green.green_pair``, which pairs each half block at s
-and at its mirror 2 s0 - s, must pair a kernel and a field that are not
+whole field, and ``green.green_pair``, which pairs each half block on
+its two sides, at s and at its mirror 2 s0 - s, must pair a kernel and a field that are not
 even as the full rule does.  At l = 6.4 the far rectangle has 33 s
 panels, so its middle panel straddles ds = 0 and the half is selected
 from inside it.
@@ -57,8 +57,8 @@ def test_far_rectangle_halves_exactly(kind, length):
     ns = 198 if length == 6.4 else 192
     for s0 in (0.0, 1.0):
         res = {}
-        blocks = list(Q.product_blocks(m, Pole(1, s0), level=2,
-                                       resolution=res))
+        blocks = [(pts, w) for pts, w, _ in Q.pole_blocks(
+            m, Pole(1, s0), level=2, resolution=res)]
         far = [(pts, w) for pts, w in blocks if pts[0].shape[1] == 1]
         near = [(pts, w) for pts, w in blocks if pts[0].shape[1] > 1]
         assert all(pts[1].shape == (1, 192) for pts, _ in far)
@@ -125,7 +125,7 @@ def test_integrand_odd_in_s_sees_the_full_rule(kind, length, s0):
     got = green_pair(gf, f)
     want = 0.0
     half = 0.0
-    for points, wq in Q.product_blocks(m, pole, level=2):
+    for points, wq, _ in Q.pole_blocks(m, pole, level=2):
         full, (w2,) = _completed(pole, points, 0.5 * wq)
         want += float(np.sum(w2 * gf.values_at(*full) * F.evaluate(f, *full)))
         half += float(np.sum(wq * gf.values_at(*points)
@@ -158,10 +158,10 @@ def test_untransported_kernel_is_summed_once_per_half_block(kind, length,
     monkeypatch.setattr(green._ProductImageKernel, "_sums", counted)
     gf = green_field(m, "L", pole)
     got = green_pair(gf, f)
-    blocks = list(Q.product_blocks(m, pole, level=2))
+    blocks = list(Q.pole_blocks(m, pole, level=2))
     assert len(calls) == len(blocks)
     want = 0.0
-    for points, wq in blocks:
+    for points, wq, _ in blocks:
         full, (w2,) = _completed(pole, points, 0.5 * wq)
         want += float(np.sum(w2 * gf.values_at(*full) * F.evaluate(f, *full)))
     assert abs(got - want) <= 1e-13 * abs(want)

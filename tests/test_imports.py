@@ -13,8 +13,11 @@ matched by name, so a member shares the reads of any other member or
 variable of the same name.  The tabulation routines of ``basis``, the
 ledger routines of ``spectrum``, the ``ScalarField`` constructor and the
 Ricci-from-jets routine of ``geometry`` are called only from their own
-module and from the few callers listed in ``SINGLE_PLACE``, and the flat
-kernel coefficients of ``green`` only from ``green.green_field``.
+module and from the few callers listed in ``SINGLE_PLACE``, the flat
+kernel coefficients of ``green`` only from ``green.green_field``, and
+the pole rule of ``quadrature`` only from its three readers.  The
+routines that serve both backends in one code path, listed in
+``BACKEND_FREE``, do not ask which backend they run on.
 """
 
 import ast
@@ -159,7 +162,8 @@ def test_an_unused_member_is_caught():
 # comes from green.blowup_density alone, geometry forms every other
 # Ricci tensor from jets, and the Ricci tensor of a changed metric is
 # read only through geometry.conformal_curvature; green_field alone
-# picks the flat kernel c r^(-2q) of an operator, for every kernel
+# picks the flat kernel c r^(-2q) of an operator, for every kernel; the
+# graded pole rule is read by the pairing, the mass and the blow-up pass
 SINGLE_PLACE = {
     "polar_values": {"basis", "fields._prepare"},
     "circle_values": {"basis", "fields._prepare"},
@@ -180,6 +184,8 @@ SINGLE_PLACE = {
     "log_profile": {"green.blowup_density"},
     "flat_L_coefficient": {"green.green_field"},
     "flat_P_coefficient": {"green.green_field"},
+    "pole_blocks": {"quadrature", "green.green_pair", "green.extract_mass",
+                    "verify._blowup_slabs"},
 }
 
 
@@ -296,3 +302,59 @@ def test_a_stray_field_construction_is_caught():
                                "def apply_P(m, f):\n"
                                "    return F.ScalarField(m.basis, None, f)\n"}
     assert stray_calls(sources) == ["operators.apply_P: ScalarField"]
+
+
+def test_a_second_pole_rule_reader_is_caught():
+    sources = {"quadrature.py": "def pole_blocks(m, p): return _blocks(m)\n"
+                                "def _blocks(m): return pole_blocks(m, 0)\n",
+               "green.py": "from . import quadrature as Q\n"
+                           "def green_pair(gf, f): return Q.pole_blocks(gf, 0)\n"
+                           "def sign_scan(gf): return Q.pole_blocks(gf, 0)\n",
+               "verify.py": "def _blowup_slabs(m): return Q.pole_blocks(m, 0)\n"
+                            "def _paired_integrals(m):\n"
+                            "    return [b for b in Q.pole_blocks(m, 0)]\n"}
+    assert stray_calls(sources) == ["green.sign_scan: pole_blocks",
+                                    "verify._paired_integrals: pole_blocks"]
+
+
+# definitions that serve spheres and products alike, as ``module.name``
+# or ``module.Class.name``: a sphere is the one-side case of the pole rule
+# and the one-row case of a mode table, so none asks for the backend
+BACKEND_FREE = {"green.green_pair", "verify._blowup_slabs",
+                "fields.random_modes", "verify._random_w", "verify._draw",
+                "fields._check_projection_exactness",
+                "basis.ModeBasis.circle_mode_count"}
+
+
+def backend_branches(sources: dict) -> list[str]:
+    """The ``BACKEND_FREE`` definitions that read ``is_product``."""
+    out = []
+    for name, src in sources.items():
+        module = name.removesuffix(".py")
+        for top in ast.parse(src).body:
+            if isinstance(top, ast.ClassDef):
+                prefix, defs = f"{module}.{top.name}", top.body
+            else:
+                prefix, defs = module, [top]
+            out += [f"{prefix}.{node.name}" for node in defs
+                    if isinstance(node, ast.FunctionDef)
+                    and f"{prefix}.{node.name}" in BACKEND_FREE
+                    and "is_product" in referenced(node)]
+    return sorted(out)
+
+
+def test_spheres_take_the_product_code_path():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert backend_branches(sources) == []
+
+
+def test_a_backend_branch_is_caught():
+    sources = {"basis.py": "class ModeBasis:\n"
+                           "    @property\n"
+                           "    def circle_mode_count(self):\n"
+                           "        return 1 if self.is_product else 0\n"
+                           "    def volume(self): return self.is_product\n",
+               "verify.py": "def _draw(m): return m.basis.fourier_max\n"
+                            "def _random_w(m): return 2 * m.is_product\n"}
+    assert backend_branches(sources) == ["basis.ModeBasis.circle_mode_count",
+                                         "verify._random_w"]

@@ -112,7 +112,7 @@ def test_identity_integrals(product, suite, monkeypatch):
     graded pass, slab by slab, with the far slabs' points as given, open
     meshes against the full chi row, or materialized."""
     m = product
-    blocks = Q.product_blocks
+    blocks = Q.pole_blocks
     pair = F.pair
     slabs = []
 
@@ -123,7 +123,8 @@ def test_identity_integrals(product, suite, monkeypatch):
             rule = list(blocks(*args, **kw))
             slabs[:] = rule
             if materialize:
-                rule = [(np.broadcast_arrays(*pts), w) for pts, w in rule]
+                rule = [(np.broadcast_arrays(*pts), w, sides)
+                        for pts, w, sides in rule]
             return rule
 
         def recorded(*args):
@@ -131,14 +132,14 @@ def test_identity_integrals(product, suite, monkeypatch):
             return got[-1]
 
         monkeypatch.setattr(verify, "_DEFECTS", {})
-        monkeypatch.setattr(Q, "product_blocks", given)
+        monkeypatch.setattr(Q, "pole_blocks", given)
         monkeypatch.setattr(F, "pair", recorded)
         run_suite(suite, m)
         assert len(got) == len(slabs)  # one pairing per slab
         return np.array(got)
 
     _close(run(False), run(True))
-    far = [pts for pts, _ in slabs if pts[0].shape[1] == 1]
+    far = [pts for pts, _, _ in slabs if pts[0].shape[1] == 1]
     assert len(far) > 1
     assert all(pts[1].shape[0] == 1 for pts in far)
 
@@ -166,12 +167,12 @@ def test_the_far_block_is_tabulated_per_axis(s1xs2, monkeypatch):
     18,432 of the rectangle.  The near slabs are tabulated per point.
     The pairing needs values only, so no derivative table is built at
     the quadrature nodes."""
-    slabs = list(Q.product_blocks(s1xs2, Pole(), level=2))
+    slabs = list(Q.pole_blocks(s1xs2, Pole(), level=2))
     sizes = _sizes(monkeypatch, ("polar_values", "circle_values",
                                  "polar_jets", "circle_jets"))
     report = run_suite("weak-identity", s1xs2)
-    far = [pts for pts, _ in slabs if pts[0].shape[1] == 1]
-    near = [w.size for pts, w in slabs if pts[0].shape[1] > 1]
+    far = [pts for pts, _, _ in slabs if pts[0].shape[1] == 1]
+    near = [w.size for pts, w, _ in slabs if pts[0].shape[1] > 1]
     assert report.resolution["nodes"] == [sum(near), 96 * 192]
     assert sum(pts[0].size for pts in far) == 96
     assert sorted(sizes["polar_values"]) == sorted(

@@ -53,12 +53,26 @@ def test_extrapolate_to_zero_matches_least_squares(shape):
     ("s1xs2", 2e-9),  # the blended product rule: level-1 error 6.4e-10
 ])
 def test_weights_sum_to_the_volume(fixture, rtol, request):
-    """The weights of ``sphere_blocks`` and of the half ``product_blocks``
-    rule (doubled weights on ds > 0) sum to the volume."""
+    """The weights of ``pole_blocks``, on a product those of the half
+    rule (doubled weights on ds > 0), sum to the volume, and so do the
+    shares w / len(sides) over every side of every block.  A block's
+    first side is its own points; on a product at s0 = 1 the second is
+    the mirror (2 s0 - s, chi), on a sphere there is none."""
     m = request.getfixturevalue(fixture)
-    rule = Q.product_blocks if m.is_product else Q.sphere_blocks
-    total = sum(float(np.sum(w)) for _, w in rule(m, Pole(), level=1))
+    pole = Pole(1, 1.0)
+    blocks = list(Q.pole_blocks(m, pole, level=1))
+    total = sum(float(np.sum(w)) for _, w, _ in blocks)
     assert math.isclose(total, m.volume, rel_tol=rtol)
+    shares = sum(float(np.sum(w / len(sides)))
+                 for _, w, sides in blocks for _ in sides)
+    assert math.isclose(shares, m.volume, rel_tol=rtol)
+    for points, _, sides in blocks:
+        assert sides[0] is points
+        assert len(sides) == (2 if m.is_product else 1)
+        if m.is_product:
+            (s, chi), (mirror_s, mirror_chi) = points, sides[1]
+            assert np.array_equal(mirror_s, 2.0 * pole.s0 - s)
+            assert mirror_chi is chi
 
 
 def test_nan_at_a_zero_weight_node_poisons_the_integral(s1xs2, monkeypatch):
@@ -70,7 +84,7 @@ def test_nan_at_a_zero_weight_node_poisons_the_integral(s1xs2, monkeypatch):
     m, pole = s1xs2, Pole(1, 0.0)
     r0 = 0.125 * min(0.5 * m.length, m.radius * math.pi)
     gf = green_field(m, "L", pole)
-    blocks = list(Q.product_blocks(m, pole, level=1))
+    blocks = list(Q.pole_blocks(m, pole, level=1))
     assert len(blocks) > 2
 
     def nearest(s, chi):
@@ -78,7 +92,8 @@ def test_nan_at_a_zero_weight_node_poisons_the_integral(s1xs2, monkeypatch):
         i = np.unravel_index(np.argmin(rr), rr.shape)
         return rr[i], i
 
-    far = [k for k, (pts, _) in enumerate(blocks) if pts[0].shape[1] == 1]
+    far = [k for k, (pts, _, _) in enumerate(blocks)
+           if pts[0].shape[1] == 1]
     target = min(far, key=lambda k: nearest(*blocks[k][0])[0])
     calls = []
     values_at = GreenField.values_at
@@ -94,12 +109,12 @@ def test_nan_at_a_zero_weight_node_poisons_the_integral(s1xs2, monkeypatch):
 
     monkeypatch.setattr(GreenField, "values_at", poisoned)
     assert math.isnan(green_pair(gf, m.constant(1.0), level=1))
-    assert calls == [w.size for _, w in blocks]  # once per slab, both sides
+    assert calls == [w.size for _, w, _ in blocks]  # once per slab, both sides
 
 
 def _meshgrid_pieces(m, pole, level):
     """The half product rule as two whole pieces, [near, far], built on
-    full meshgrids: the construction ``product_blocks`` had before it
+    full meshgrids: the construction the product rule had before it
     tabulated the polar patch along its axes and cut the pieces into
     slabs, kept here as the reference."""
     d, b, ell = m.sphere_dim, m.radius, m.length
@@ -143,7 +158,7 @@ def _laid_out(piece, shape):
     row run of the one before, or starts the next run of rows."""
     out = [np.full(shape, np.nan) for _ in range(3)]
     i = j = 0
-    for (s, chi), w in piece:
+    for (s, chi), w, _ in piece:
         r, c = w.shape
         for table, part in zip(out, (s, chi, w)):
             table[i:i + r, j:j + c] = part
@@ -159,28 +174,29 @@ def _laid_out(piece, shape):
 @pytest.mark.parametrize("level, bound", [(1, None), (2, None), (3, None),
                                           (1, 40)])
 def test_slabs_tile_the_half_rule(kind, length, level, bound, monkeypatch):
-    """The slabs of ``product_blocks`` hold at most ``SLAB_NODES`` nodes
-    each: runs of whole rows of the near patch (pointwise) and of the far
-    rectangle (open meshes), or, under a bound of 40 nodes, which is
-    shorter than a row, runs of one row.  Laid back together per piece
-    they are the meshgrid construction's points and weights, bit for
-    bit.  The node counts are recorded before the first slab is built."""
+    """The slabs of ``pole_blocks`` on a product hold at most
+    ``SLAB_NODES`` nodes each: runs of whole rows of the near patch
+    (pointwise) and of the far rectangle (open meshes), or, under a bound
+    of 40 nodes, which is shorter than a row, runs of one row.  Laid back
+    together per piece they are the meshgrid construction's points and
+    weights, bit for bit.  The node counts are recorded before the first
+    slab is built."""
     if bound is not None:
         monkeypatch.setattr(Q, "SLAB_NODES", bound)
     m = catalog_build(kind, None, {"length": length},
                       {"degree_max": 4, "fourier_max": 2})
     pole = Pole(1, 0.3)
     res = {}
-    slabs = Q.product_blocks(m, pole, level=level, resolution=res)
+    slabs = Q.pole_blocks(m, pole, level=level, resolution=res)
     want = _meshgrid_pieces(m, pole, level)
     assert res["nodes"] == [w.size for _, w in want]
     slabs = list(slabs)
-    assert max(w.size for _, w in slabs) <= Q.SLAB_NODES
-    near = [(pts, w) for pts, w in slabs if pts[0].shape[1] > 1]
-    far = [(pts, w) for pts, w in slabs if pts[0].shape[1] == 1]
+    assert max(w.size for _, w, _ in slabs) <= Q.SLAB_NODES
+    near = [slab for slab in slabs if slab[0][0].shape[1] > 1]
+    far = [slab for slab in slabs if slab[0][0].shape[1] == 1]
     assert len(near) + len(far) == len(slabs)
-    assert all(s.shape == chi.shape == w.shape for (s, chi), w in near)
-    assert all(chi.shape == (1, w.shape[1]) for (_, chi), w in far)
+    assert all(s.shape == chi.shape == w.shape for (s, chi), w, _ in near)
+    assert all(chi.shape == (1, w.shape[1]) for (_, chi), w, _ in far)
     for piece, (points, w) in zip((near, far), want):
         got = _laid_out(piece, w.shape)
         for table, ref in zip(got, (*points, w)):
@@ -188,9 +204,9 @@ def test_slabs_tile_the_half_rule(kind, length, level, bound, monkeypatch):
 
 
 def test_slabs_are_built_as_they_are_read(s1xs2, monkeypatch):
-    """``product_blocks`` returns before it builds a slab, and forms each
-    slab's cut-off only when the iterator reaches that slab, so no piece
-    of the rule is formed whole."""
+    """``pole_blocks`` on a product returns before it builds a slab, and
+    forms each slab's cut-off only when the iterator reaches that slab,
+    so no piece of the rule is formed whole."""
     calls = []
     step = Q.smoothstep
 
@@ -199,7 +215,7 @@ def test_slabs_are_built_as_they_are_read(s1xs2, monkeypatch):
         return step(x)
 
     monkeypatch.setattr(Q, "smoothstep", counted)
-    slabs = Q.product_blocks(s1xs2, Pole(), level=2)
+    slabs = Q.pole_blocks(s1xs2, Pole(), level=2)
     assert calls == []
     next(slabs)
     assert len(calls) == 1
@@ -210,7 +226,7 @@ def test_level_2_product_rule_node_counts(s1xs2):
     """S1(2pi) x S2 at level 2: 27,072 near and 18,432 far nodes in
     slabs of 42 radial rows of 96 and 21 s rows of 192."""
     res = {}
-    slabs = list(Q.product_blocks(s1xs2, Pole(), level=2, resolution=res))
+    slabs = list(Q.pole_blocks(s1xs2, Pole(), level=2, resolution=res))
     assert res["nodes"] == [27072, 18432]
-    assert [w.shape for _, w in slabs] == [(42, 96)] * 6 + [(30, 96)] \
+    assert [w.shape for _, w, _ in slabs] == [(42, 96)] * 6 + [(30, 96)] \
         + [(21, 192)] * 4 + [(12, 192)]

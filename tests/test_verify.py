@@ -185,6 +185,19 @@ def test_total_q_conformally_perturbed_sphere(sphere4, rng):
         assert abs(total - target) < 1e-3 * target
 
 
+def test_total_q_refuses_a_stacked_factor(sphere4, rng):
+    """Each of two 0.1-sup factors gives int Q = 16 pi^2; stacked in one
+    factor they would be summed into one total of twice that, a failed
+    record, so the suite raises and names the trial count."""
+    tables = [F.random_modes(sphere4.basis, rng, degree=3) for _ in range(2)]
+    for w in tables:
+        factor = FieldFactor(sphere4, F.sup_normalized(sphere4.basis, w, 0.1))
+        assert check_total_q(sphere4, factor=factor, tolerance=1e-3).passed
+    stacked = FieldFactor(sphere4,
+                          F.sup_normalized(sphere4.basis, tables, 0.1))
+    with pytest.raises(ValueError, match="stack of 2 trials"):
+        check_total_q(sphere4, factor=stacked, tolerance=1e-3)
+
 
 def test_total_q_integrand_takes_no_conformal_weight(sphere4, rng,
                                                       monkeypatch):
@@ -335,17 +348,17 @@ def _count_blocks(monkeypatch, name):
     def counting(*args, **kw):
         sizes = []
         calls.append(sizes)
-        for pts, w in orig(*args, **kw):
+        for pts, w, sides in orig(*args, **kw):
             sizes.append((int(np.broadcast(*pts).size),
                           len(pts) == 2 and pts[0].shape[1] == 1))
-            yield pts, w
+            yield pts, w, sides
 
     monkeypatch.setattr(Q, name, counting)
     return calls
 
 
 def test_weak_identity_takes_one_pass_on_product(s1xs2, monkeypatch):
-    calls = _count_blocks(monkeypatch, "product_blocks")
+    calls = _count_blocks(monkeypatch, "pole_blocks")
     jets = []
     orig_jets = green._GreenLogProfile.jets
 
@@ -362,7 +375,7 @@ def test_weak_identity_takes_one_pass_on_product(s1xs2, monkeypatch):
     assert jets == sizes  # one jets pass per slab
 
 
-@pytest.mark.parametrize("suite, fixture, rule", [
+@pytest.mark.parametrize("suite, fixture, blocks", [
     ("weak-identity", "s1xs2", "product_blocks"),
     ("4d-identity", "s1xs3", "product_blocks"),
     ("total-q", "s1xs3", "product_blocks"),
@@ -370,12 +383,13 @@ def test_weak_identity_takes_one_pass_on_product(s1xs2, monkeypatch):
     ("total-q", "sphere4", "sphere_blocks"),
 ])
 def test_resolution_records_the_nodes_the_integrand_received(
-        suite, fixture, rule, request, monkeypatch):
-    """The nodes of the graded ``rule``, whose blocks the blow-up density
+        suite, fixture, blocks, request, monkeypatch):
+    """The nodes of the graded rule, whose ``blocks`` the blow-up density
     of the suite is built on: on a sphere its one block, on a product the
     near patch and the far rectangle, each the sum of its slabs."""
     m = request.getfixturevalue(fixture)
-    calls = _count_blocks(monkeypatch, rule)
+    assert m.is_product == (blocks == "product_blocks")
+    calls = _count_blocks(monkeypatch, "pole_blocks")
     report = run_suite(suite, m, {"level": 1})
     assert len(calls) == 1
     res = report.resolution
@@ -409,8 +423,8 @@ def test_4d_and_total_q_share_one_density(s1xs3, monkeypatch):
     assert check_4d_identity(s1xs3).passed
     report = check_total_q(s1xs3)
     assert report.passed
-    assert calls == [True] * len(list(Q.product_blocks(s1xs3, Pole(),
-                                                       level=2)))
+    assert calls == [True] * len(list(Q.pole_blocks(s1xs3, Pole(),
+                                                    level=2)))
     assert report.resolution["defect"] == alone
 
 
@@ -427,7 +441,7 @@ def test_total_q_alone_takes_one_pass(s1xs3, monkeypatch):
 
     monkeypatch.setattr(green._ProductImageKernel, "_sums", counted)
     first = check_total_q(s1xs3, level=1)
-    slabs = len(list(Q.product_blocks(s1xs3, Pole(), level=1)))
+    slabs = len(list(Q.pole_blocks(s1xs3, Pole(), level=1)))
     assert first.passed and calls == [True] * slabs
     again = check_total_q(s1xs3, level=1)
     assert len(calls) == slabs
