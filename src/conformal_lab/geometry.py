@@ -383,23 +383,34 @@ def conformal_ricci(m: ManifoldModel, factor: ConformalFactor):
     return ricci_from_jets(m, grad, hess)
 
 
-def ricci_from_jets(m: ManifoldModel, grad, hess) -> dict:
-    """Ricci components of e^{2w} g in the base frame from the frame
-    gradient and Hessian of w, as returned by a factor's ``jets``: the
-    circle component first on a product, the polar one last."""
+# the gradient axes of the frame components of dw (x) dv (no orb part)
+FRAME_AXES = {"ss": (0, 0), "sx": (0, -1), "xx": (-1, -1)}
+
+
+def ricci_from_jets(m: ManifoldModel, grad, hess, background=None,
+                    dw0=None) -> dict:
+    """Ricci components of e^{2w} h in the base frame from the frame
+    gradient and Hessian of w, as a factor's ``jets`` gives them (the
+    circle component first on a product, the polar one last): h is g, or
+    the metric e^{2 w0} g with the Ricci components ``background`` and
+    the frame gradient ``dw0``, whose cross terms with dw it adds."""
     n = m.n
-    grad2 = sum(g ** 2 for g in grad)
-    trace_term = F.frame_trace(m.basis, hess) + (n - 2) * grad2
-    # the gradient axes of dw (x) dw, which has no orb part; g has no sx
-    axes = {"ss": (0, 0), "sx": (0, -1), "xx": (-1, -1)}
+    background = m.ricci_eigenvalues if background is None else background
+    dw0 = dw0 or (0.0,) * len(grad)
+    # the diagonal of dw (x) dw + dw0 (x) dw + dw (x) dw0, and its trace
+    diag = [g * (g + 2.0 * a) for g, a in zip(grad, dw0)]
+    trace_term = F.frame_trace(m.basis, hess) + (n - 2) * sum(diag)
     comps = {}
-    for key, lam in m.ricci_eigenvalues.items():
+    for key, lam in background.items():
         h = hess[key]
-        if key in axes:
-            i, j = axes[key]
-            h = h - grad[i] * grad[j]
-        ric = lam - (n - 2) * h
-        comps[key] = ric if key == "sx" else ric - trace_term
+        if key in FRAME_AXES:  # g has no sx
+            i, j = FRAME_AXES[key]
+            h = h - (diag[i] if i == j else
+                     grad[i] * (grad[j] + dw0[j]) + dw0[i] * grad[j])
+        comps[key] = ric = h * (2 - n)
+        ric += lam
+        if key != "sx":
+            ric -= trace_term
     return comps
 
 

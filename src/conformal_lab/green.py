@@ -28,7 +28,8 @@ less the degree-0 homogeneous solution that makes it grow
 if one is given, ``GreenField.values_at`` evaluates it at chart points,
 and ``blowup_density`` gives G_L with the squared Ricci norm of the
 blow-up metric G_L^{4/(n-2)} g, the density of the identities, the
-covariance laws and the mass.
+covariance laws and the mass, from G_L = P0 (1 + R): P0, the pole's own
+image, has a flat blow-up, and R, the other images over P0, is 0 on S^n.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from . import quadrature as Q
 from .basis import ball_volume
 from .errors import KernelError, UnsupportedBackendError
 from .fields import ScalarField
-from .geometry import ConformalFactor, ManifoldModel, Pole, ricci_from_jets
+from .geometry import (FRAME_AXES, ConformalFactor, ManifoldModel, Pole,
+                       ricci_from_jets)
 from .operators import smallest_abs_eigenvalue
 from .spectrum import zero_threshold
 
@@ -84,12 +86,13 @@ def flat_P_coefficient(n: int) -> float:
 #
 # A kernel maps pole coordinates (``ManifoldModel.pole_separation``) to
 # values and names its representation and its cutoff (the image count);
-# a kernel of G_L also gives ``log_jets(scale, *sep)``, the value, frame
-# gradient and frame Hessian of w = scale * log G_L for a north pole.
+# a kernel of G_L also gives ``split_jets(*sep)`` for a north pole: P0,
+# the pole's own image, with its frame gradient and Hessian over P0, and
+# R, the other images over P0, with theirs over P0 (G_L = P0 (1 + R)).
 # ``green_field`` picks the kernel, ``GreenField`` carries it.
 
 class _SphereKernel:
-    """Closed-form kernel c * (2 a sin(xi/2))^p as a function of pole angle."""
+    """Closed-form kernel c (2 a sin(xi/2))^p of the pole angle, one image."""
 
     representation = "closed-form"
     cutoff = None
@@ -99,30 +102,27 @@ class _SphereKernel:
         self.a = a
         self.p = power
 
-    def chord(self, xi):
-        return 2.0 * self.a * np.sin(0.5 * np.asarray(xi, dtype=float))
-
     def value(self, xi):
         with np.errstate(divide="ignore"):
-            return self.c * self.chord(xi) ** self.p
+            return self.c * (2.0 * self.a * np.sin(
+                0.5 * np.asarray(xi, dtype=float))) ** self.p
 
-    def log_jets(self, scale: float, xi):
+    def split_jets(self, xi):
         xi = np.asarray(xi, dtype=float)
-        w = scale * (math.log(abs(self.c)) + self.p * np.log(self.chord(xi)))
-        half = 0.5 * xi
-        w1 = scale * self.p * 0.5 / np.tan(half)
-        w2 = -scale * self.p * 0.25 / np.sin(half) ** 2
-        # cot(xi) * w1 without the axis blowup at xi = pi
-        cot_w1 = scale * self.p * np.cos(xi) / (4.0 * np.sin(half) ** 2)
-        a = self.a
-        return w, (w1 / a,), {"xx": w2 / a ** 2, "orb": cot_w1 / a ** 2}
+        inv_sin2 = 0.25 / (self.a * np.sin(0.5 * xi)) ** 2
+        b_x = 0.5 * self.p / (self.a * np.tan(0.5 * xi))
+        # xx as (log P0)'' + b_x^2; orb, cot(xi) b_x / a, regular at pi
+        hess = {"xx": b_x * b_x - self.p * inv_sin2,
+                "orb": self.p * np.cos(xi) * inv_sin2}
+        return (self.value(xi), ((b_x,), hess),
+                (0.0, (np.zeros_like(b_x),), dict.fromkeys(hess, 0.0)))
 
 
 class _ProductImageKernel:
     """Image sum of the cylinder kernel c b^(-2q) D^-q, q > 0.
 
-    ``value`` and ``log_jets`` share one loop over the images (``_sums``),
-    which keeps running sums over the points instead of a
+    ``value`` and ``split_jets`` share one loop over the images
+    (``_sums``), which keeps running sums over the points instead of a
     (points x images) table.  ``c`` holds the prefactor c b^(-2q); the
     image count is the cutoff.
     """
@@ -137,15 +137,18 @@ class _ProductImageKernel:
         self.c = coefficient * self.b ** (-2.0 * q)
         self.cutoff = images
 
-    def _sums(self, ds, chi, jets: bool):
-        """Image sums of D^-q and, for jets, of its derivative terms.
+    def _sums(self, ds, sin4, jets: bool):
+        """Image sums of D^-q and, for jets, of its derivative terms, at
+        ``sin4`` = 4 sin^2(chi/2).
 
         D = 2 cosh u - 2 cos chi = 4 (sinh^2(u/2) + sin^2(chi/2)) at
         u = (ds + j l) / b.  The images are added one at a time into
         running sums over the points: S0 = sum D^-q, and for jets
-        S1 = sum D^(-q-1), S2 = sum D^(-q-2), T1 = sum D^(-q-1) sinh u and
-        T2 = sum D^(-q-2) sinh u.  Every power comes from r = 1/D, with
-        one square root for half-integer q.
+        S1 = sum D^(-q-1), S2 = sum D^(-q-2), T1 = 2 sum D^(-q-1) sinh u
+        and T2 = 2 sum D^(-q-2) sinh u.  Every power comes from r = 1/D,
+        with one square root for half-integer q.  Without jets [S0] comes
+        back, the pole's own image first; with jets the pole's own
+        (D^-q, r, 2 D^-1 sinh u), and the sums over the other images apart.
 
         The j = 0 image takes sinh(u/2), exact at the pole.  An image
         j != 0 lies at |u| >= l / 2b for ``ds`` in [-l/2, l/2), so it is
@@ -161,8 +164,7 @@ class _ProductImageKernel:
         broadcast shape; those reuse a few work arrays, written in place.
         """
         u0 = np.asarray(ds, dtype=float) / self.b
-        sin2 = np.sin(0.5 * np.asarray(chi, dtype=float)) ** 2
-        shape = np.broadcast_shapes(u0.shape, sin2.shape)
+        shape = np.broadcast_shapes(u0.shape, sin4.shape)
         sums = [np.zeros(shape) for _ in range(5 if jets else 1)]
         # work arrays: 1/(E D), r = 1/D, 2 D^-1 sinh u, the power, a term
         inv, r, sinh_r, d, term = (np.empty(shape) for _ in range(5))
@@ -190,15 +192,20 @@ class _ProductImageKernel:
 
         h = np.sinh(0.5 * u0)
         h2 = h * h
-        np.add(h2, sin2, out=r)
-        np.divide(0.25, r, out=r)
-        if jets:
+        np.multiply(4.0, h2, out=r)
+        r += sin4
+        np.divide(1.0, r, out=r)
+        if jets:  # the pole's own r and sinh_r, apart from the sums
             np.multiply(4.0 * h * np.sqrt(1.0 + h2), r, out=sinh_r)
-        add(np.add)
-        sin2 *= 4.0
-        per = self.ell / self.b
+            own = r, sinh_r
+            r, sinh_r = np.empty(shape), np.empty(shape)
+        else:
+            add(np.add)
+        del h, h2
         e_plus = np.exp(-u0)             # j > 0: E = exp(-j l / b) e_plus
+        del u0
         e_minus = 1.0 / e_plus
+        per = self.ell / self.b
         E, gap = np.empty_like(e_plus), np.empty_like(e_plus)
         for k in range(1, self.cutoff + 1):
             far = math.exp(-k * per)
@@ -206,7 +213,7 @@ class _ProductImageKernel:
                                        (np.subtract, e_minus)):
                 np.multiply(far, e_side, out=E)
                 np.subtract(1.0, E, out=gap)
-                np.multiply(sin2, E, out=inv)
+                np.multiply(sin4, E, out=inv)
                 inv += np.multiply(gap, gap, out=gap)
                 np.divide(1.0, inv, out=inv)
                 np.multiply(E, inv, out=r)
@@ -214,48 +221,53 @@ class _ProductImageKernel:
                     np.multiply(E, r, out=sinh_r)
                     np.subtract(inv, sinh_r, out=sinh_r)
                 add(accumulate)
-        if jets:
-            sums[3] *= 0.5
-            sums[4] *= 0.5
+        if jets:  # the pole's own D^-q into a spent work array
+            return (np.power(own[0], self.q, out=term), *own), sums
         return sums
 
     def value(self, ds, chi):
-        (S0,) = self._sums(ds, chi, jets=False)
+        (S0,) = self._sums(
+            ds, (2.0 * np.sin(0.5 * np.asarray(chi, dtype=float))) ** 2,
+            jets=False)
         return self.c * S0
 
-    def log_jets(self, scale: float, ds, chi):
+    def split_jets(self, ds, chi):
         chi = np.asarray(chi, dtype=float)
-        S0, S1, S2, T1, T2 = self._sums(ds, chi, jets=True)
+        sin_half = np.sin(0.5 * chi)
+        sin4 = (2.0 * sin_half) ** 2
+        (p0, r0, s0), others = self._sums(ds, sin4, jets=True)
+        trig = ((1.0 - 0.5 * sin4) / self.b,
+                2.0 * sin_half * np.cos(0.5 * chi))  # cos(chi) / b, sin(chi)
+        del sin_half, sin4
+        over = 1.0 / p0
+        for s in others:
+            s *= over
+        own = self._jets([1.0, r0, r0 * r0, s0, r0 * s0], *trig)
+        p0 *= self.c
+        return p0, own[1:], self._jets(others, *trig)
+
+    def _jets(self, sums, cos_b, sin_chi):
+        """(S0, frame gradient, frame Hessian) of ``_sums`` sums over the
+        pole's own D^-q, in place.  S1 keeps the chi-derivative over
+        sin(chi), so the orbit Hessian stays regular on the axis; the
+        s-Hessian takes sum D^(-q-1) cosh u and sum D^(-q-2) sinh^2 u from
+        cosh u = D/2 + cos chi and sinh^2 u = D^2/4 + cos chi D - sin^2 chi."""
+        S0, S1, S2, T1, T2 = sums
         q, b = self.q, self.b
-        s_chi, cos_chi = np.sin(chi), np.cos(chi)
-        w = np.log(self.c * S0)
-        # chart partials of G in (s, chi) over G.  The chi-derivative
-        # carries a factor sin(chi), kept split off (x_over_sin) so the
-        # orbit Hessian component stays regular on the axis.  The
-        # s-Hessian takes sum D^(-q-1) cosh u and sum D^(-q-2) sinh^2 u
-        # from cosh u = D/2 + cos chi and
-        # sinh^2 u = D^2/4 + cos chi D - sin^2 chi
-        over = 1.0 / S0
-        g_s = T1 * over
-        g_s *= -2.0 * q / b
-        x_over_sin = S1 * over
-        x_over_sin *= -2.0 * q
-        cos_x = cos_chi * x_over_sin
-        sin2_x = S2 * over
-        sin2_x *= 4.0 * q * (q + 1) * s_chi ** 2
-        g_ss = (q * q - (2.0 * q + 1.0) * cos_x - sin2_x) / b ** 2
-        g_x = x_over_sin * s_chi
-        g_xx = sin2_x + cos_x
-        g_sx = T2 * over
-        g_sx *= 4.0 * q * (q + 1) / b * s_chi
-        del S0, S1, S2, T1, T2, over  # spent: keep the peak to ~20 vectors
-        # the log jets: (log G)'' = G''/G - (G'/G)^2
-        g_ss -= g_s * g_s
-        g_xx -= g_x * g_x
-        g_sx -= g_s * g_x
-        return scale * w, (scale * g_s, (scale / b) * g_x), {
-            "ss": scale * g_ss, "sx": (scale / b) * g_sx,
-            "xx": (scale / b ** 2) * g_xx, "orb": (scale / b ** 2) * cos_x}
+        S1 *= -2.0 * q / b
+        orb = cos_b * S1
+        S2 *= sin_chi
+        S2 *= sin_chi
+        S2 *= 4.0 * q * (q + 1) / b ** 2
+        g_ss = orb * -(2.0 * q + 1.0)
+        g_ss -= S2
+        g_ss += q * q / b ** 2 * S0
+        S2 += orb
+        T1 *= -q / b
+        S1 *= sin_chi
+        T2 *= sin_chi
+        T2 *= 2.0 * q * (q + 1) / b ** 2
+        return S0, (T1, S1), {"ss": g_ss, "sx": T2, "xx": S2, "orb": orb}
 
 
 class _ProductImageKernelP:
@@ -358,51 +370,39 @@ class GreenField:
         # + 0.0 writes a kernel that vanishes at the pole as 0.0, not -0.0
         return float(self.values_at(*at)[0]) + 0.0
 
-    def log_profile(self, scale: float) -> "_GreenLogProfile":
-        """Conformal logarithm w = scale * log G with exact derivatives,
-        for an untransported G_L on any backend; G_P and a transported
-        kernel raise ``UnsupportedBackendError``."""
-        if self.operator != "L" or self.factor is not None:
-            transported = "transported " * (self.factor is not None)
-            raise UnsupportedBackendError(
-                f"log profiles exist only for untransported G_L kernels, "
-                f"got a {transported}G_{self.operator} kernel")
-        return _GreenLogProfile(self, scale)
-
-
-class _GreenLogProfile(ConformalFactor):
-    """w = scale * log G_L of an untransported kernel, with the kernel's
-    closed-form frame jets.  A south pole reverses the polar direction,
-    which flips the sign of the polar gradient component and of the
-    ``sx`` Hessian component."""
-
-    def __init__(self, gf: GreenField, scale: float):
-        super().__init__(gf.manifold)
-        self.pole = gf.pole
-        self.kernel = gf.kernel
-        self.scale = scale
-
-    def jets(self, points=None):
-        m = self.manifold
-        sep = m.pole_separation(self.pole, *(points or m.grid_points()))
-        w, grad, hess = self.kernel.log_jets(self.scale, *sep)
-        if self.pole.axis < 0:
-            grad = grad[:-1] + (-grad[-1],)
-            if "sx" in hess:
-                hess["sx"] = -hess["sx"]
-        return w, grad, hess
-
 
 def blowup_density(gf: GreenField, *points):
-    """(G_L, |Ric_blowup|^2) at chart points, for an untransported G_L:
-    the kernel and the squared frame norm of the Ricci tensor of the
-    blow-up metric G_L^{4/(n-2)} g, both from one pass over the jets of
-    its logarithm w = (2/(n-2)) log G_L."""
+    """(G_L, |Ric_blowup|^2) at chart points for an untransported G_L, the
+    squared frame norm of the Ricci tensor of G_L^{4/(n-2)} g, from the
+    kernel's split G_L = P0 (1 + R): the blow-up e^{2 w0} g of P0 is flat,
+    so Ric_blowup is that of e^{2u} times it, u = (2/(n-2)) log(1 + R).
+    With a, A (b, B) the frame jets of the other images (of P0) over P0,
+    dR = a - R b and Hess R = A - R B - b (x) dR - dR (x) b, so every
+    O(r^-2) term meets R ~ r^(n-2) first.  On a sphere R = 0."""
     m = gf.manifold
-    profile = gf.log_profile(2.0 / (m.n - 2.0))
-    w, grad, hess = profile.jets(points)
-    comps = ricci_from_jets(m, grad, hess)
-    return np.exp(w / profile.scale), F.frame_dot(m.basis, comps, comps)
+    k = 2.0 / (m.n - 2.0)
+    g, (b, hess_b), (ratio, grad, hess) = gf.kernel.split_jets(
+        *m.pole_separation(gf.pole, *points))
+    scale = k / (1.0 + ratio)
+    for a_i, b_i in zip(grad, b):  # du = k dR / (1+R), dR = a - R b
+        a_i -= ratio * b_i
+        a_i *= scale
+    # Hess u = k (Hess R / (1+R) - e (x) e), e = dR / (1+R) = du / k
+    for key, h in hess.items():  # in place, but for a sphere's 0.0
+        h -= ratio * hess_b.pop(key)
+        h *= scale
+        if key in FRAME_AXES:
+            i, j = FRAME_AXES[key]
+            h -= b[i] * grad[j]
+            h -= grad[i] * (b[j] + grad[j] / k)
+        hess[key] = h
+    g = g * (1.0 + ratio)  # G_L
+    del ratio, scale
+    for b_i in b:  # dw0 = k b
+        b_i *= k
+    comps = ricci_from_jets(m, grad, hess,
+                            dict.fromkeys(m.ricci_eigenvalues, 0.0), b)
+    return g, F.frame_dot(m.basis, comps, comps)
 
 
 # ------------------------------------------------------------ construction
@@ -618,15 +618,8 @@ def extract_mass(m: ManifoldModel, pole: Pole | None = None,
     a_exp = Q.extrapolate_to_zero(r, diff) * norm
 
     # integral route: the blow-up Ricci of the (transported) metric is the
-    # base blow-up Ricci up to a constant factor that Ricci ignores.  The
-    # integrand is O(1) dr near the pole after the measure, so a moderate
-    # graded depth resolves it; descending further only picks up the
-    # squared rounding noise of the curvature cancellation against the
-    # r^(2(4-n)) kernel weight: at level 2, S^5/S^6/S^7 read 1.5e-24/
-    # 6.0e-19/6.7e-13 at depth 12, 4.1e-22/1.2e-13/1.0e-4 at 24 and
-    # 2.6e-17/5.1e-4/2.9e10 at the rule's default 40 (tolerance 1e-6)
-    [((theta,), w_q, _)] = Q.pole_blocks(m, pole, level=level,
-                                         graded_depth=12)
+    # base blow-up Ricci up to a constant factor that Ricci ignores
+    [((theta,), w_q, _)] = Q.pole_blocks(m, pole, level=level)
     _, nsq = blowup_density(green_field(m, "L", pole), theta)
     w = 0.0 if factor is None else factor.w_at(theta)
     vals = gP.values_at(theta) * gL.values_at(theta) ** s \

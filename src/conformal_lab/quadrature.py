@@ -78,23 +78,21 @@ def _cuts(rows: int, cols: int) -> list:
             for i in range(0, rows, dr) for j in range(0, cols, dc)]
 
 
-def pole_blocks(m, pole, level: int = 1, resolution: dict | None = None,
-                graded_depth: int | None = None):
+def pole_blocks(m, pole, level: int = 1, resolution: dict | None = None):
     """The graded rule of ``m`` around ``pole``, node blocks
     ``(points, weights, sides)`` as the module describes.
 
     On a sphere it is one pointwise block: 10-point Gauss panels grade
-    toward ``pole`` by halves, ``graded_depth`` times (24 + 8 * level by
-    default), and ``level`` doubles the panel count per unit.  A product
-    takes ``_product_blocks``.  A ``resolution`` dict receives the node
-    counts and the graded depth.
+    toward ``pole`` by halves, 24 + 8 * level times, and ``level``
+    doubles the panel count per unit.  A product takes
+    ``_product_blocks``.  A ``resolution`` dict receives the node counts
+    and the graded depth.
     """
     if m.is_product:
-        return _product_blocks(m, pole, level, resolution, graded_depth)
+        return _product_blocks(m, pole, level, resolution)
     n = m.n
     a = m.radius
-    if graded_depth is None:
-        graded_depth = 24 + 8 * level
+    graded_depth = 24 + 8 * level
     npan = 8 * 2 ** level
     xi0 = math.pi / 8
     edges = np.concatenate([
@@ -109,8 +107,7 @@ def pole_blocks(m, pole, level: int = 1, resolution: dict | None = None,
     return [(points, surf * w, (points,))]
 
 
-def _product_blocks(m, pole, level: int, resolution: dict | None,
-                    graded_depth: int | None) -> Iterator:
+def _product_blocks(m, pole, level: int, resolution: dict | None) -> Iterator:
     """The ds > 0 half of the graded product rule with doubled weights,
     as an iterator of node blocks ``((s, chi), weights, sides)``, the
     sides ``(s, chi)`` and its mirror ``(2 s0 - s, chi)``.
@@ -120,10 +117,9 @@ def _product_blocks(m, pole, level: int, resolution: dict | None,
     on the full (s, chi) rectangle after multiplying by a C^4 cutoff
     that vanishes inside the patch, so both pieces see a smooth
     integrand.  Both use 6-point Gauss panels; the shells grade toward
-    the pole by halves, ``graded_depth`` times (18 + 6 * level by
-    default), and the rectangle takes 8 * 2**level panels per axis, more
-    where the cut-off band (r1 - r0 = r1 / 2) would be narrower than
-    2**(level - 1) panels.
+    the pole by halves, 18 + 6 * level times, and the rectangle takes
+    8 * 2**level panels per axis, more where the cut-off band
+    (r1 - r0 = r1 / 2) would be narrower than 2**(level - 1) panels.
 
     The whole rule is mirror-symmetric under ds -> -ds, and no node lies
     on the mirror line ds = 0: the psi panels split [0, pi] at pi/2 and
@@ -147,8 +143,7 @@ def _product_blocks(m, pole, level: int, resolution: dict | None,
     d = m.sphere_dim
     b = m.radius
     ell = m.length
-    if graded_depth is None:
-        graded_depth = 18 + 6 * level
+    graded_depth = 18 + 6 * level
     r1 = 0.25 * min(0.5 * ell, b * math.pi)
     r0 = 0.5 * r1
     orbit = m.basis.orbit_area * b ** (d - 1)

@@ -10,10 +10,10 @@ from conformal_lab import basis
 from conformal_lab import fields as F
 from conformal_lab.cli import list_catalog
 from conformal_lab.errors import AliasingError, UnsupportedBackendError
-from conformal_lab.geometry import (FieldFactor, ManifoldModel,
-                                    MoebiusFactor, Pole, catalog_build,
-                                    conformal_curvature, conformal_q,
-                                    conformal_ricci)
+from conformal_lab.geometry import (ConformalFactor, FieldFactor,
+                                    ManifoldModel, MoebiusFactor, Pole,
+                                    catalog_build, conformal_curvature,
+                                    conformal_q, conformal_ricci)
 from conformal_lab.spectrum import lambda1_L
 
 
@@ -115,11 +115,29 @@ def test_identity_factor_returns_base_ricci(sphere5, s1xs2):
     assert keys["sphere"] < keys["product-S1xS2"]
 
 
+class _Stereographic(ConformalFactor):
+    """w = -2 log(2 a sin(xi/2)), (2/(n-2)) log G_L of the round sphere up
+    to a constant, with its closed-form frame jets."""
+
+    def jets(self, points=None):
+        a = self.manifold.radius
+        xi = np.asarray((points or self.manifold.grid_points())[0])
+        half = 0.5 * xi
+        inv = 0.5 / (a * np.sin(half)) ** 2
+        return (-2.0 * np.log(2.0 * a * np.sin(half)),
+                (-1.0 / (a * np.tan(half)),),
+                {"xx": inv, "orb": -np.cos(xi) * inv})
+
+
 def test_stereographic_factor_flattens_the_sphere(sphere5):
     # G_L^{4/(n-2)} g is the pullback of the flat metric
     from conformal_lab.green import green_field
     gf = green_field(sphere5, "L")
-    profile = gf.log_profile(2.0 / (sphere5.n - 2.0))
+    profile = _Stereographic(sphere5)
+    theta = sphere5.grid_points()[0]
+    log_g = 2.0 / (sphere5.n - 2.0) * np.log(gf.values_at(theta))
+    w = profile.w_at(theta)
+    assert_allclose(w - log_g, w[0] - log_g[0], rtol=1e-13)
     keep = ~sphere5.near_pole(gf.pole)
     comps = conformal_ricci(sphere5, profile)
     assert max(np.max(np.abs(v[keep])) for v in comps.values()) < 1e-10

@@ -159,8 +159,9 @@ def test_an_unused_member_is_caught():
 # listing prints lambda1(L), and green_field tests every kernel for a
 # zero mode against the ledger's curvature scale; a field is built only
 # by the constructors and transforms of fields; the blow-up Ricci of G_L
-# comes from green.blowup_density alone, geometry forms every other
-# Ricci tensor from jets, and the Ricci tensor of a changed metric is
+# comes from green.blowup_density alone, from the split jets of the
+# kernel, geometry forms every other Ricci tensor from jets, and the
+# Ricci tensor of a changed metric is
 # read only through geometry.conformal_curvature; green_field alone
 # picks the flat kernel c r^(-2q) of an operator, for every kernel; the
 # graded pole rule is read by the pairing, the mass and the blow-up pass
@@ -181,7 +182,7 @@ SINGLE_PLACE = {
     "broadcast_arrays": {"fields._prepare"},
     "ricci_from_jets": {"geometry", "green.blowup_density"},
     "conformal_ricci": {"geometry"},
-    "log_profile": {"green.blowup_density"},
+    "split_jets": {"green.blowup_density"},
     "flat_L_coefficient": {"green.green_field"},
     "flat_P_coefficient": {"green.green_field"},
     "pole_blocks": {"quadrature", "green.green_pair", "green.extract_mass",
@@ -265,15 +266,18 @@ def test_a_second_blowup_ricci_is_caught():
                                "def conformal_quadratic_form_E(m, f, u, v):\n"
                                "    return conformal_ricci(m, f)\n",
                "green.py": "def blowup_density(gf, *p):\n"
-                           "    prof = gf.log_profile(1.0)\n"
-                           "    return G.ricci_from_jets(gf.manifold, 0, 0)\n",
+                           "    jets = gf.kernel.split_jets(*p)\n"
+                           "    return G.ricci_from_jets(gf.manifold, 0, 0)\n"
+                           "def sign_scan(gf, *p):\n"
+                           "    return gf.kernel.split_jets(*p)\n",
                "verify.py": "from .geometry import ricci_from_jets\n"
                             "def _law(m, gL, pts):\n"
-                            "    _, g, h = gL.log_profile(1.0).jets(pts)\n"
+                            "    _, (g, h), _ = gL.kernel.split_jets(pts)\n"
                             "    return ricci_from_jets(m, g, h)\n"}
     assert stray_calls(sources) == [
+        "green.sign_scan: split_jets",
         "operators.conformal_quadratic_form_E: conformal_ricci",
-        "verify._law: log_profile", "verify._law: ricci_from_jets"]
+        "verify._law: ricci_from_jets", "verify._law: split_jets"]
 
 
 def test_a_kernel_reading_its_own_coefficient_is_caught():
@@ -320,8 +324,9 @@ def test_a_second_pole_rule_reader_is_caught():
 # definitions that serve spheres and products alike, as ``module.name``
 # or ``module.Class.name``: a sphere is the one-side case of the pole rule
 # and the one-row case of a mode table, so none asks for the backend
-BACKEND_FREE = {"green.green_pair", "verify._blowup_slabs",
-                "fields.random_modes", "verify._random_w", "verify._draw",
+BACKEND_FREE = {"green.green_pair", "green.blowup_density",
+                "verify._blowup_slabs", "fields.random_modes",
+                "verify._random_w", "verify._draw",
                 "fields._check_projection_exactness",
                 "basis.ModeBasis.circle_mode_count"}
 

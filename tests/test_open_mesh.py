@@ -85,14 +85,17 @@ def test_frame_jets(product, rng):
 
 
 @PRODUCTS
-def test_image_kernel_value_and_log_jets(product):
+def test_image_kernel_value_and_split_jets(product):
     m = product
     kernel = green_field(m, "L").kernel
     ds, chi = _mesh(m)
     ds = ds - 0.2 * m.length  # a mesh in pole coordinates
     full = np.broadcast_arrays(ds, chi)
     _close(kernel.value(ds, chi), kernel.value(*full))
-    _close_jets(kernel.log_jets(0.5, ds, chi), kernel.log_jets(0.5, *full))
+    p0, pole, others = kernel.split_jets(ds, chi)
+    p0_full, pole_full, others_full = kernel.split_jets(*full)
+    _close_jets((p0, *pole), (p0_full, *pole_full))
+    _close_jets(others, others_full)
 
 
 def test_paneitz_image_kernel_value(s1xs2):

@@ -96,14 +96,18 @@ def test_weak_identity_sees_a_dropped_image(s1xs2, monkeypatch):
     and ``test_parity_of_the_image_kernel`` catches a one-sided drop."""
     sums = green._ProductImageKernel._sums
 
-    def without_first_images(self, ds, chi, jets):
-        full = sums(self, ds, chi, jets)
+    def without_first_images(self, ds, sin_half, jets):
+        full = sums(self, ds, sin_half, jets)
+        others = full[1] if jets else full
         cutoff, self.cutoff = self.cutoff, 0
         try:  # the j = +/-1 images are the j = 0 term one circle either way
             ds = np.asarray(ds, dtype=float)
             for shift in (self.ell, -self.ell):
-                full = [f - i for f, i in zip(
-                    full, sums(self, ds + shift, chi, jets))]
+                image = sums(self, ds + shift, sin_half, jets)
+                if jets:  # the pole's own image of the shifted call
+                    (p, r, s), _ = image
+                    image = [p, p * r, p * r * r, p * s, p * r * s]
+                others[:] = [f - i for f, i in zip(others, image)]
         finally:
             self.cutoff = cutoff
         return full
@@ -359,20 +363,20 @@ def _count_blocks(monkeypatch, name):
 
 def test_weak_identity_takes_one_pass_on_product(s1xs2, monkeypatch):
     calls = _count_blocks(monkeypatch, "pole_blocks")
-    jets = []
-    orig_jets = green._GreenLogProfile.jets
+    densities = []
+    orig_density = verify.blowup_density
 
-    def counting_jets(self, points=None):
-        jets.append(int(np.broadcast(*points).size))
-        return orig_jets(self, points)
+    def counting_density(gf, *points):
+        densities.append(int(np.broadcast(*points).size))
+        return orig_density(gf, *points)
 
-    monkeypatch.setattr(green._GreenLogProfile, "jets", counting_jets)
+    monkeypatch.setattr(verify, "blowup_density", counting_density)
     report = check_weak_identity(s1xs2, level=1)
     assert report.passed
     assert len(calls) == 1
     sizes = [size for size, _ in calls[0]]
     assert len(sizes) > 2 and max(sizes) <= Q.SLAB_NODES
-    assert jets == sizes  # one jets pass per slab
+    assert densities == sizes  # one density pass per slab
 
 
 @pytest.mark.parametrize("suite, fixture, blocks", [
