@@ -378,7 +378,14 @@ def blowup_density(gf: GreenField, *points):
     so Ric_blowup is that of e^{2u} times it, u = (2/(n-2)) log(1 + R).
     With a, A (b, B) the frame jets of the other images (of P0) over P0,
     dR = a - R b and Hess R = A - R B - b (x) dR - dR (x) b, so every
-    O(r^-2) term meets R ~ r^(n-2) first.  On a sphere R = 0."""
+    O(r^-2) term meets R ~ r^(n-2) first.  On a sphere R = 0.
+
+    Any other kernel raises ``ValueError``: the split is that of the
+    untransported G_L, so a transported one would come back untransported
+    and a G_P would read a blow-up of the wrong power."""
+    if gf.operator != "L" or gf.factor is not None:
+        raise ValueError(f"blowup_density needs an untransported G_L, got "
+                         f"G_{gf.operator} ({gf.representation})")
     m = gf.manifold
     k = 2.0 / (m.n - 2.0)
     g, (b, hess_b), (ratio, grad, hess) = gf.kernel.split_jets(

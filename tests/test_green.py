@@ -812,8 +812,8 @@ def test_product_mass_integral_matches_the_closed_form(d, length,
     """On S1(l) x S^d(b) the normalized mass is
     A(l) = 2 sum_k (2 b sinh(k l / 2b))^(4-n), since norm c_n c_P = 1;
     the level-2 integral route reaches it within 1e-11 at graded depths
-    12, 30 (the level-2 default) and 60 (measured at most 1.1e-12, n = 7
-    at l = 2 pi).  Formed from the jets of log G_L, whose O(r^-2) terms
+    12, 30 and 60, around the rule's own 14 (measured at most 1.1e-12,
+    n = 7 at l = 2 pi).  Formed from the jets of log G_L, whose O(r^-2) terms
     cancel near the pole, it missed by 3.4e-6 (n = 6) and 9.6e6 (n = 7)
     at depth 30."""
     m = _s1xsd(d, length, monkeypatch)
@@ -854,6 +854,25 @@ def test_blowup_of_the_sphere_is_flat_at_every_rule_node(n):
         g, nsq = blowup_density(gL, *points)
         assert np.all(nsq == 0.0)
         assert np.array_equal(g, gL.values_at(*points))
+
+
+def test_blowup_density_refuses_a_transported_kernel(s1xs2, rng):
+    """The split is the untransported kernel's: a transported G_L would
+    come back as the untransported G_L and density, bit for bit."""
+    w = F.random_bandlimited(s1xs2.basis, rng, degree=2, amplitude=0.1)
+    gL = green_field(s1xs2, "L", Pole(), FieldFactor(s1xs2, w))
+    with pytest.raises(ValueError, match=r"untransported G_L, got G_L "
+                                         r"\(eigen-expansion\+transport\)"):
+        blowup_density(gL, *s1xs2.grid_points())
+
+
+def test_blowup_density_refuses_the_paneitz_kernel(sphere5):
+    """A sphere's G_P has the split of a single image too, which would
+    read |Ric_blowup|^2 = 0 for a blow-up of the wrong power."""
+    gP = green_field(sphere5, "P", Pole())
+    with pytest.raises(ValueError,
+                       match=r"untransported G_L, got G_P \(closed-form\)"):
+        blowup_density(gP, *sphere5.grid_points())
 
 
 def test_mass_rejects_products(s1xs2):

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.special import roots_legendre
 
 from conformal_lab import quadrature as Q
+from conformal_lab import verify
 from conformal_lab.geometry import Pole, catalog_build
 from conformal_lab.green import GreenField, green_field, green_pair
 
@@ -118,15 +119,13 @@ def _meshgrid_pieces(m, pole, level):
     tabulated the polar patch along its axes and cut the pieces into
     slabs, kept here as the reference."""
     d, b, ell = m.sphere_dim, m.radius, m.length
-    graded_depth = 18 + 6 * level
     r1 = 0.25 * min(0.5 * ell, b * math.pi)
     r0 = 0.5 * r1
     orbit = m.basis.orbit_area * b ** (d - 1)
-    redges = np.concatenate([Q._graded_edges(r0, graded_depth)[:-1],
-                             np.linspace(r0, r1, 4 * 2 ** level + 1)])
+    redges = np.concatenate([Q._graded_edges(r0, 14)[:-1],
+                             np.linspace(r0, r1, 8 + 1)])
     r_nodes, r_w = Q._gauss_panels(redges, 6)
-    p_nodes, p_w = Q._gauss_panels(
-        np.linspace(0.0, math.pi, 8 * 2 ** level + 1), 6)
+    p_nodes, p_w = Q._gauss_panels(np.linspace(0.0, math.pi, 16 + 1), 6)
     half = p_nodes < 0.5 * math.pi
     R, PSI = np.meshgrid(r_nodes, p_nodes[half], indexing="ij")
     WR, WP = np.meshgrid(r_w, 2.0 * p_w[half], indexing="ij")
@@ -219,14 +218,72 @@ def test_slabs_are_built_as_they_are_read(s1xs2, monkeypatch):
     assert calls == []
     next(slabs)
     assert len(calls) == 1
-    assert len(list(slabs)) == 11 and len(calls) == 12
+    assert len(list(slabs)) == 6 and len(calls) == 7
 
 
 def test_level_2_product_rule_node_counts(s1xs2):
-    """S1(2pi) x S2 at level 2: 27,072 near and 18,432 far nodes in
-    slabs of 42 radial rows of 96 and 21 s rows of 192."""
+    """S1(2pi) x S2 at level 2: 6,624 near and 18,432 far nodes in
+    slabs of 85 radial rows of 48 and 21 s rows of 192."""
     res = {}
     slabs = list(Q.pole_blocks(s1xs2, Pole(), level=2, resolution=res))
-    assert res["nodes"] == [27072, 18432]
-    assert [w.shape for _, w, _ in slabs] == [(42, 96)] * 6 + [(30, 96)] \
+    assert res["nodes"] == [6624, 18432]
+    assert [w.shape for _, w, _ in slabs] == [(85, 48), (53, 48)] \
         + [(21, 192)] * 4 + [(12, 192)]
+
+
+def _identity_residuals(m, level, monkeypatch, **patch):
+    """The residuals of the product's weak identity (S1xS2) or 4d
+    identity (S1xS3) at ``level``, on the pole rule with the module
+    constants of ``patch`` in place."""
+    check = verify.check_4d_identity if m.n == 4 \
+        else verify.check_weak_identity
+    with monkeypatch.context() as patched:
+        for name, value in patch.items():
+            patched.setattr(Q, name, value)
+        report = check(m, level=level)
+    return np.array([c.residual for c in report.checks
+                     if c.law != "blowup-integrability"])
+
+
+@pytest.mark.parametrize("kind", ["product-S1xS2", "product-S1xS3"])
+@pytest.mark.parametrize("length", [0.5, 2 * math.pi])
+def test_the_polar_patch_is_converged(kind, length, monkeypatch):
+    """The polar patch is one node set at every level because it is
+    converged to rounding: refined twofold in psi and across the band and
+    graded ten times deeper, it moves no identity residual by more than
+    1e-14 at levels 1 and 2 (measured at most 1.4e-15 over levels 1 to 3
+    and l = 0.5, 2 pi and 40; the level-2 residuals, 2e-10 to 4e-9, come
+    from the far rectangle)."""
+    m = catalog_build(kind, None, {"length": length},
+                      {"degree_max": 16, "fourier_max": 8})
+    refined = {"_PATCH_PSI_PANELS": 2 * Q._PATCH_PSI_PANELS,
+               "_PATCH_BAND_PANELS": 2 * Q._PATCH_BAND_PANELS,
+               "_GRADED_DEPTH": Q._GRADED_DEPTH + 10}
+    for level in (1, 2):
+        base = _identity_residuals(m, level, monkeypatch)
+        moved = _identity_residuals(m, level, monkeypatch, **refined) - base
+        assert np.max(np.abs(moved)) <= 1e-14, level
+
+
+def test_a_coarser_polar_patch_moves_the_residuals(s1xs3, monkeypatch):
+    """The residuals see the patch: half its band panels move the 4d
+    identity on S1(2pi) x S3 at level 1 by more than 1e-14 (measured
+    3.9e-13), so the bound above holds on a patch the identities read."""
+    base = _identity_residuals(s1xs3, 1, monkeypatch)
+    coarse = _identity_residuals(
+        s1xs3, 1, monkeypatch,
+        _PATCH_BAND_PANELS=Q._PATCH_BAND_PANELS // 2)
+    assert np.max(np.abs(coarse - base)) > 1e-14
+
+
+def test_the_polar_patch_is_the_same_at_every_level(s1xs2):
+    """``level`` refines the far rectangle alone: the near patch keeps
+    its 6,624 nodes on S1(2pi) x S2 at levels 1 to 3, the far rectangle
+    grows fourfold per level."""
+    counts = []
+    for level in (1, 2, 3):
+        res = {}
+        Q.pole_blocks(s1xs2, Pole(), level=level, resolution=res)
+        counts.append(res["nodes"])
+    assert [near for near, _ in counts] == [6624] * 3
+    assert [far for _, far in counts] == [4608, 18432, 73728]
