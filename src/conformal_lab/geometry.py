@@ -153,7 +153,9 @@ class ManifoldModel:
 
     def near_pole(self, pole: Pole) -> np.ndarray:
         """Grid mask: True within three coarse grid spacings (geodesic
-        distance) of the pole, where a kernel's singular part dominates."""
+        distance) of the pole, where a kernel's singular part dominates.
+        A grid so coarse that the mask leaves no node raises
+        ``UnsupportedBackendError``."""
         sep = self.pole_separation(pole, *self.grid_points())
         spacing = self.radius * math.pi / self.basis.sphere_nodes
         if self.is_product:
@@ -161,7 +163,12 @@ class ManifoldModel:
             spacing = max(self.length / self.basis.circle_nodes, spacing)
         else:
             r = self.radius * sep[0]
-        return r < 3.0 * spacing
+        near = r < 3.0 * spacing
+        if near.all():
+            raise UnsupportedBackendError(
+                f"every grid node of {self.descriptor()} lies within three "
+                f"grid spacings of the pole {pole.label()}")
+        return near
 
     def descriptor(self) -> str:
         if self.is_product:

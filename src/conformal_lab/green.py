@@ -30,6 +30,8 @@ and ``blowup_density`` gives G_L with the squared Ricci norm of the
 blow-up metric G_L^{4/(n-2)} g, the density of the identities, the
 covariance laws and the mass, from G_L = P0 (1 + R): P0, the pole's own
 image, has a flat blow-up, and R, the other images over P0, is 0 on S^n.
+Past ``green_field``'s choice of kernel nothing here asks for the
+backend: the sign scan, the comparison and the mass read either alike.
 """
 
 from __future__ import annotations
@@ -550,10 +552,20 @@ class ComparisonResult:
     cutoff: int | None
 
 
+def _one_trial(gf: GreenField, job: str) -> GreenField:
+    """``gf``, unless its factor stacks trials: ``job`` takes one."""
+    if np.ndim(gf.rho_pole):
+        raise ValueError(f"{job} takes one factor, got a stack of "
+                         f"{np.size(gf.rho_pole)} trials")
+    return gf
+
+
 def compare_green(m: ManifoldModel, poles,
                   factor: ConformalFactor | None = None,
                   tolerance: float = 1e-8) -> list[ComparisonResult]:
-    """Margins of the kernel comparison for each pole."""
+    """Margins of the kernel comparison for each pole, off the pole and,
+    in dimension three, where G_P is continuous, at the diagonal too; a
+    factor that stacks trials raises ``ValueError``."""
     if m.n == 4:
         raise UnsupportedBackendError("the comparison needs n != 4")
     out = []
@@ -562,21 +574,14 @@ def compare_green(m: ManifoldModel, poles,
     cn = comparison_constant(n)
     for pole in poles:
         gL = green_field(m, "L", pole, factor)
-        gP = green_field(m, "P", pole, factor)
+        gP = _one_trial(green_field(m, "P", pole, factor), "the comparison")
         pts = m.grid_points()
         keep = ~m.near_pole(pole)
         vL = gL.values_at(*pts)[keep]
         vP = gP.values_at(*pts)[keep]
         if n == 3:
-            margin = -(1.0 / vL + 256.0 * math.pi ** 2 * vP)
-            if not m.is_product:
-                # the three-dimensional closed forms are continuous up to
-                # the pole, so the comparison includes the diagonal itself
-                at = m.pole_point(pole)
-                with np.errstate(divide="ignore"):
-                    diag = -(1.0 / gL.values_at(*at)
-                             + 256.0 * math.pi ** 2 * gP.values_at(*at))
-                margin = np.concatenate([margin, diag])
+            margin = np.append(-(1.0 / vL + 256.0 * math.pi ** 2 * vP),
+                               -256.0 * math.pi ** 2 * gP.diagonal_value())
             scale = float(np.max(np.abs(1.0 / vL)))
         else:
             margin = cn * vP - vL ** s
@@ -600,38 +605,45 @@ def extract_mass(m: ManifoldModel, pole: Pole | None = None,
     """Constant term of the kernel difference at the pole, two routes.
 
     The expansion route extrapolates c_n G_P - G_L^{(n-4)/(n-2)} to the
-    pole along a radial ray (the difference is const + O(r)); the
-    integral route integrates G_P G_L^{(n-4)/(n-2)} |Ric_blowup|^2
-    against the measure.  Both carry the (4 n (n-1) w_n)^{(n-4)/(n-2)}
-    normalization.
+    pole along its polar ray (the difference is const + O(r)); the
+    integral route sums G_P G_L^{(n-4)/(n-2)} |Ric_blowup|^2 at the own
+    points of every ``quadrature.pole_blocks`` block, full weights.  The
+    integrand is even about the pole: with rho_P = e^{(n-4)w/2} a
+    factor's weights rho_P(q)^-2 e^{-4w} e^{nw} cancel at each node,
+    leaving the base integrand over rho_P(pole)^2.  Both carry the
+    (4 n (n-1) w_n)^{(n-4)/(n-2)} normalization; a factor that stacks
+    trials raises ``ValueError``.
     """
-    if m.is_product or m.n not in (3, 5, 6, 7):
+    if m.n not in (3, 5, 6, 7):
         raise UnsupportedBackendError(
-            f"mass extraction needs a sphere backend of dimension 3, 5, 6 "
-            f"or 7, got {m.kind} with n={m.n}")
+            f"mass extraction needs dimension 3, 5, 6 or 7, got {m.kind} "
+            f"with n={m.n}")
     pole = pole or Pole()
     n = m.n
     s = (n - 4.0) / (n - 2.0)
     cn = comparison_constant(n)
     norm = (4.0 * n * (n - 1) * ball_volume(n)) ** s
     gL = green_field(m, "L", pole, factor)
-    gP = green_field(m, "P", pole, factor)
+    gP = _one_trial(green_field(m, "P", pole, factor), "the mass")
 
-    # expansion route: sample along a ray through the pole
+    # expansion route: sample along the polar ray through the pole
     xi = 0.4 * 0.6 ** np.arange(8)
     r = m.radius * xi
-    ray = m.chart_from_pole(pole, xi)
+    *along, _ = m.pole_separation(pole, *m.pole_point(pole))
+    ray = m.chart_from_pole(pole, *along, xi)
     diff = cn * gP.values_at(*ray) - gL.values_at(*ray) ** s
     a_exp = Q.extrapolate_to_zero(r, diff) * norm
 
     # integral route: the blow-up Ricci of the (transported) metric is the
     # base blow-up Ricci up to a constant factor that Ricci ignores
-    [((theta,), w_q, _)] = Q.pole_blocks(m, pole, level=level)
-    _, nsq = blowup_density(green_field(m, "L", pole), theta)
-    w = 0.0 if factor is None else factor.w_at(theta)
-    vals = gP.values_at(theta) * gL.values_at(theta) ** s \
-        * (np.exp(-4.0 * w) * nsq) * np.exp(n * w)
-    integral = float(np.tensordot(w_q, vals, w_q.ndim))
+    base = green_field(m, "L", pole)
+    integral = 0.0
+    for points, w_q, _ in Q.pole_blocks(m, pole, level=level):
+        _, nsq = blowup_density(base, *points)
+        w = 0.0 if factor is None else factor.w_at(*points)
+        vals = gP.values_at(*points) * gL.values_at(*points) ** s \
+            * (np.exp(-4.0 * w) * nsq) * np.exp(n * w)
+        integral += float(np.tensordot(w_q, vals, w_q.ndim))
     a_int = norm * (n - 4.0) / (n - 2.0) ** 2 * integral
     return {
         "pole": pole.label(),

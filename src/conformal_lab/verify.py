@@ -658,7 +658,11 @@ def check_green_compare(m: ManifoldModel, tolerance: float):
 def check_mass(m: ManifoldModel, tolerance: float, level: int = 2,
                seed: int = 0):
     """Vanishing of the kernel-difference mass on round-conformal backends,
-    at the north pole of the base metric and of a Moebius change of it."""
+    at the north pole of the base metric and of a Moebius change of it.
+
+    ``extract_mass`` runs on products too, but the gate stays on spheres:
+    the law asserted here, a vanishing mass, holds only in the round
+    class, and a product's mass is the nonzero A(l) the tests check."""
     pole = Pole(1)
     rng = np.random.default_rng(seed)
     moebius = MoebiusFactor(m, math.exp(rng.uniform(0.15, 0.4)))

@@ -333,6 +333,31 @@ def test_too_long_circle_is_a_job_error(tmp_path):
     assert row["error"]["code"] == "UNSUPPORTED_BACKEND"
 
 
+def test_a_grid_inside_the_pole_mask_is_a_job_error(tmp_path):
+    """Two sphere nodes both lie within three grid spacings of the pole:
+    the jobs that read the grid off the pole report the typed error, and
+    the spectrum on that backend and every job on S^3 still report."""
+    masked = "sphere:n=5:a=1"
+    cfg = dict(BASE_CONFIG, suites=["signs", "green-compare", "spectrum"],
+               catalog=[{"kind": "sphere", "n": 5,
+                         "basis": {"degree_max": 4, "sphere_nodes": 2}},
+                        {"kind": "sphere", "n": 3}])
+    assert run(RunConfig(cfg), tmp_path) == 4
+    rows = {(r["suite"], r["backend"]): r for r in
+            json.loads((tmp_path / "summary.json").read_text())["results"]}
+    assert len(rows) == 6
+    for suite in ("signs", "green-compare"):
+        row = rows[suite, masked]
+        assert row["checks"] == []
+        assert row["error"]["code"] == "UNSUPPORTED_BACKEND"
+        assert masked in row["error"]["message"]
+    for suite, backend in rows:
+        if backend != masked or suite == "spectrum":
+            assert "error" not in rows[suite, backend]
+            assert rows[suite, backend]["checks"]
+    assert len(list(tmp_path.glob("*__*.json"))) == 6
+
+
 def test_each_job_logs_duration_and_margin(tmp_path, caplog):
     with caplog.at_level(logging.INFO, logger="conformal_lab.cli"):
         assert run(RunConfig(BASE_CONFIG), tmp_path / "out") == 0

@@ -15,7 +15,7 @@ from conformal_lab import quadrature as Q
 from conformal_lab.errors import KernelError, UnsupportedBackendError
 from conformal_lab.geometry import (FieldFactor, MoebiusFactor, Pole,
                                     catalog_build)
-from conformal_lab.green import (ComparisonResult, _image_count,
+from conformal_lab.green import (ComparisonResult, GreenField, _image_count,
                                  _ProductImageKernel, blowup_density,
                                  compare_green, comparison_constant,
                                  extract_mass, flat_L_coefficient,
@@ -760,6 +760,26 @@ def test_compare_green_transported(sphere5, rng):
     assert res.equality
 
 
+def test_compare_green_reads_the_product_diagonal(s1xs2, monkeypatch):
+    """In dimension three the margins include the diagonal, where 1/G_L
+    vanishes, from ``GreenField.diagonal_value`` on products as on
+    spheres: a diagonal value of 1 puts S1xS2's smallest margin at
+    -256 pi^2, below every margin off the pole."""
+    [res] = compare_green(s1xs2, [Pole()])
+    monkeypatch.setattr(GreenField, "diagonal_value", lambda self: 1.0)
+    [broken] = compare_green(s1xs2, [Pole()])
+    assert broken.margin_min == -256.0 * math.pi ** 2 < res.margin_min
+    assert broken.margin_max == res.margin_max
+
+
+def test_compare_green_refuses_a_stack_of_trials(sphere5):
+    """A result holds one margin per pole, so a factor that stacks trials
+    raises, naming the count."""
+    with pytest.raises(ValueError, match="the comparison takes one factor, "
+                                         "got a stack of 2 trials"):
+        compare_green(sphere5, [Pole(1)], MoebiusFactor(sphere5, [1.2, 1.3]))
+
+
 # --------------------------------------------------------------------- mass
 
 def test_mass_vanishes_on_round_sphere(sphere5):
@@ -775,6 +795,23 @@ def test_mass_vanishes_after_moebius_transport(sphere5):
     assert abs(res["A_integral"]) < 1e-6
 
 
+def test_extract_mass_refuses_a_stack_of_trials(sphere5):
+    """The result holds one mass, so a factor that stacks trials raises,
+    naming the count."""
+    with pytest.raises(ValueError, match="the mass takes one factor, got "
+                                         "a stack of 2 trials"):
+        extract_mass(sphere5, Pole(1), MoebiusFactor(sphere5, [1.2, 1.3]))
+
+
+@pytest.mark.parametrize("backend", ["sphere4", "s1xs3"])
+def test_mass_refuses_dimension_four(backend, request):
+    """The mass is the constant term of c_n G_P - G_L^{(n-4)/(n-2)},
+    which dimension four does not have, on either backend."""
+    with pytest.raises(UnsupportedBackendError,
+                       match="needs dimension 3, 5, 6 or 7, got .* n=4"):
+        extract_mass(request.getfixturevalue(backend), Pole())
+
+
 _GRADED_EDGES = Q._graded_edges
 
 
@@ -784,46 +821,89 @@ def _graded_to(depth, monkeypatch):
                         lambda outer, _: _GRADED_EDGES(outer, depth))
 
 
-def _blowup_integrals(m, level=2):
-    """The Ricci defect 1/2 int |Ric_blowup|^2 dmu and the normalized
-    integral route of the mass, norm (n-4)/(n-2)^2
-    int G_P G_L^s |Ric_blowup|^2 dmu (None in dimension four), over the
-    pole rule of ``m`` at the north pole."""
-    n = m.n
-    s = (n - 4.0) / (n - 2.0)
+def _ricci_defect(m, level=2):
+    """The Ricci defect 1/2 int |Ric_blowup|^2 dmu over the pole rule of
+    ``m`` at the north pole."""
     gL = green_field(m, "L")
-    gP = None if n == 4 else green_field(m, "P")
-    defect = mass = 0.0
-    for points, w, _ in Q.pole_blocks(m, Pole(), level=level):
-        g, nsq = blowup_density(gL, *points)
-        defect += 0.5 * float(np.sum(w * nsq))
-        if gP is not None:
-            mass += float(np.sum(w * gP.values_at(*points) * g ** s * nsq))
-    if gP is None:
-        return defect, None
-    norm = (4.0 * n * (n - 1) * basis.ball_volume(n)) ** s
-    return defect, norm * (n - 4.0) / (n - 2.0) ** 2 * mass
+    return sum(0.5 * float(np.sum(w * blowup_density(gL, *points)[1]))
+               for points, w, _ in Q.pole_blocks(m, Pole(), level=level))
+
+
+def _normalized_mass(m):
+    """A(l) = 2 sum_k (2 b sinh(k l / 2b))^(4-n), the normalized mass of
+    S1(l) x S^d(b), since norm c_n c_P = 1."""
+    b, n, length = m.radius, m.n, m.length
+    return 2.0 * sum((2.0 * b * math.sinh(k * length / (2.0 * b)))
+                     ** (4.0 - n) for k in range(1, 41))
 
 
 @pytest.mark.parametrize("d", [4, 5, 6])
 @pytest.mark.parametrize("length", [2 * math.pi, 4 * math.pi])
 def test_product_mass_integral_matches_the_closed_form(d, length,
                                                        monkeypatch):
-    """On S1(l) x S^d(b) the normalized mass is
-    A(l) = 2 sum_k (2 b sinh(k l / 2b))^(4-n), since norm c_n c_P = 1;
-    the level-2 integral route reaches it within 1e-11 at graded depths
-    12, 30 and 60, around the rule's own 14 (measured at most 1.1e-12,
-    n = 7 at l = 2 pi).  Formed from the jets of log G_L, whose O(r^-2) terms
+    """On S1(l) x S^d(b) the level-2 integral route of ``extract_mass``
+    reaches the normalized mass A(l) within 1e-11 at graded depths 12, 30
+    and 60, around the rule's own 14 (measured at most 1.1e-12, n = 7 at
+    l = 2 pi).  Formed from the jets of log G_L, whose O(r^-2) terms
     cancel near the pole, it missed by 3.4e-6 (n = 6) and 9.6e6 (n = 7)
     at depth 30."""
     m = _s1xsd(d, length, monkeypatch)
-    b, n = m.radius, m.n
-    want = 2.0 * sum((2.0 * b * math.sinh(k * length / (2.0 * b)))
-                     ** (4.0 - n) for k in range(1, 41))
+    want = _normalized_mass(m)
     for depth in (12, 30, 60):
         _graded_to(depth, monkeypatch)
-        _, got = _blowup_integrals(m)
+        got = extract_mass(m)["A_integral"]
         assert abs(got / want - 1.0) < 1e-11, (depth, got, want)
+
+
+# ten times the larger relative error of the expansion route against A(l),
+# untransported and transported, as measured: (5, 2pi) 1.3e-9,
+# (5, 4pi) 2.5e-9, (6, 2pi) 3.2e-9, (6, 4pi) 8.1e-7, (7, 2pi) 3.2e-6
+EXPANSION_BOUNDS = {(5, 2 * math.pi): 1.4e-8, (5, 4 * math.pi): 2.5e-8,
+                    (6, 2 * math.pi): 3.2e-8, (6, 4 * math.pi): 8.2e-6,
+                    (7, 2 * math.pi): 3.2e-5, (7, 4 * math.pi): 6e-2}
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+@pytest.mark.parametrize("length", [2 * math.pi, 4 * math.pi])
+def test_product_mass_routes_meet_the_closed_form(d, length, monkeypatch):
+    """Both routes of ``extract_mass`` on S1(l) x S^d reach A(l) at the
+    north pole and, transported by a factor odd in s at a pole off s = 0,
+    A(l) / rho_P(pole)^2 with rho_P = e^{(n-4) w / 2}: the factor's
+    weights cancel at each node, so the half rule is exact for it too.
+
+    The integral route reads within 1e-11 (measured at most 1.1e-12 both
+    ways), the expansion route within ``EXPANSION_BOUNDS``.  For n = 7 at
+    4 pi that is only its measured 5.4e-2: the route's absolute error
+    stays near 7e-10, as at 2 pi, but A(4 pi) = 1.3e-8 there, so the
+    extrapolation cannot resolve it; the integral route can."""
+    m = _s1xsd(d, length, monkeypatch)
+    want = _normalized_mass(m)
+    c = F.random_modes(m.basis, np.random.default_rng(3), 3, 2)
+    odd = np.zeros_like(c)
+    odd[2::2] = c[2::2]  # the sine rows
+    factor = FieldFactor(m, F.sup_normalized(m.basis, odd, 0.3))
+    pole = Pole(1, 1.0)
+    rho = float(green_field(m, "P", pole, factor).rho_pole)
+    assert abs(rho - 1.0) > 0.05
+    bound = EXPANSION_BOUNDS[m.n, length]
+    for res, a in ((extract_mass(m), want),
+                   (extract_mass(m, pole, factor), want / rho ** 2)):
+        assert abs(res["A_integral"] / a - 1.0) < 1e-11, (res, a)
+        assert abs(res["A_expansion"] / a - 1.0) < bound, (res, a)
+
+
+@pytest.mark.parametrize("length, bound", [
+    (math.pi, 2e-5), (2 * math.pi, 1e-6), (4 * math.pi, 6e-9)])
+def test_s1xs2_mass_routes_agree(length, bound):
+    """S1(l) x S2 has no closed form for its mass; its two routes agree
+    within ten times their measured gap (1.7e-6, 7.7e-8 and 5.3e-10 at
+    l = pi, 2 pi and 4 pi, the same at levels 2 and 3), and the mass is
+    negative: -2.1807 at 2 pi."""
+    m = catalog_build("product-S1xS2", None, {"length": length},
+                      {"degree_max": 4, "fourier_max": 2})
+    res = extract_mass(m)
+    assert res["A_integral"] < 0.0
+    assert abs(res["A_expansion"] / res["A_integral"] - 1.0) < bound, res
 
 
 def test_product_ricci_defects_hold_at_every_depth(s1xs2, s1xs3,
@@ -836,7 +916,7 @@ def test_product_ricci_defects_hold_at_every_depth(s1xs2, s1xs3,
     for depth in (30, 60):
         _graded_to(depth, monkeypatch)
         for m in (s1xs2, s1xs3):
-            defects[m.n, depth] = _blowup_integrals(m)[0]
+            defects[m.n, depth] = _ricci_defect(m)
     assert abs(defects[3, 60] / defects[3, 30] - 1.0) < 1e-14, defects
     for depth in (30, 60):
         assert abs(defects[4, depth] / (16.0 * math.pi ** 2) - 1.0) < 1e-12
@@ -873,12 +953,6 @@ def test_blowup_density_refuses_the_paneitz_kernel(sphere5):
     with pytest.raises(ValueError,
                        match=r"untransported G_L, got G_P \(closed-form\)"):
         blowup_density(gP, *sphere5.grid_points())
-
-
-def test_mass_rejects_products(s1xs2):
-    with pytest.raises(UnsupportedBackendError,
-                       match="sphere backend of dimension 3, 5, 6 or 7"):
-        extract_mass(s1xs2, Pole())
 
 
 def test_green_field_helper_builds_and_transports(sphere5, rng):

@@ -325,6 +325,7 @@ def test_a_second_pole_rule_reader_is_caught():
 # or ``module.Class.name``: a sphere is the one-side case of the pole rule
 # and the one-row case of a mode table, so none asks for the backend
 BACKEND_FREE = {"green.green_pair", "green.blowup_density",
+                "green.extract_mass", "green.compare_green",
                 "verify._blowup_slabs", "fields.random_modes",
                 "verify._random_w", "verify._draw",
                 "fields._check_projection_exactness",
