@@ -24,9 +24,10 @@ The zonal polynomials and their t-derivatives are tabulated by the
 orthonormal Jacobi three-term recurrence in one routine,
 ``zonal_polynomials``, which nothing outside this module calls.
 ``ModeBasis.polar_values`` and ``circle_values`` tabulate the normalized
-modes at points, values only; ``polar_jets`` and ``circle_jets`` add the
-first two derivatives, and the cached node tables are their frozen value
-at the quadrature nodes.
+modes at points, values only, which is all a field is read by there;
+``polar_jets`` and ``circle_jets`` add the first two derivatives, and
+only the cached node tables read them, their frozen value at the
+quadrature nodes, where alone fields are differentiated.
 """
 
 from __future__ import annotations

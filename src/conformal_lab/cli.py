@@ -24,7 +24,7 @@ from .errors import (BackendBuildError, ConfigError, ConformalLabError,
                      checked_integer)
 from .geometry import SPHERE_DIMENSIONS, catalog_build
 from .spectrum import lambda1_L
-from .verify import DECLARATIONS, SUITES
+from .verify import DECLARATIONS, SUITES, run_suite
 
 logger = logging.getLogger(__name__)
 
@@ -136,7 +136,7 @@ def run(config: RunConfig, out_dir=None, verbose: bool = False) -> int:
         for suite in config.suites:
             t0 = time.perf_counter()
             try:
-                report = SUITES[suite](m, config.suite_options(suite))
+                report = run_suite(suite, m, config.suite_options(suite))
             except ConformalLabError as err:
                 report = err
             if report is not None:

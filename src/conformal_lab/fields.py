@@ -24,15 +24,16 @@ an array of values, or a number where it is constant.
 Synthesis on the grid, values at points, pairings at points and frame
 jets share one table preparation: the coefficients of one or more fields
 are stacked along a trailing field axis, behind any trial axis, and the
-basis is tabulated once, for every field and trial, from the cached
-node tables on the grid or, at other points, only up to the highest mode
-the coefficients carry: by ``ModeBasis.polar_values`` and
-``circle_values``, value tables only, for values and pairings, and by
-``polar_jets`` and ``circle_jets``, with the first two derivatives, for
-frame jets.  The tables come normalized; one contraction combines them
-with the coefficients.  A pairing ``sum_p v_p f(p)`` is the adjoint of
-evaluation: the density meets the tables first, in mode moments, and
-no value of a field at a point is formed.
+basis is tabulated once, for every field and trial.  On the grid the
+tables are the cached node tables, with the first two derivatives, and
+only there are fields differentiated (``frame_jets``,
+``gradient_components``).  At other points a field is read by its values
+alone: the basis is tabulated by ``ModeBasis.polar_values`` and
+``circle_values``, value tables only, and only up to the highest mode
+the coefficients carry.  The tables come normalized; one contraction
+combines them with the coefficients.  A pairing ``sum_p v_p f(p)`` is
+the adjoint of evaluation: the density meets the tables first, in mode
+moments, and no value of a field at a point is formed.
 Points on a product come either pointwise, broadcast to one shape and
 tabulated per point, or as an open mesh, an s column of shape (Ns, 1)
 and a chi row of shape (1, Nx): then each axis is tabulated once per
@@ -300,7 +301,7 @@ def pair(f, density, *points) -> np.ndarray:
     behind the trial axis of the fields.
     """
     fields = _on_one_basis(f)
-    C, (U, P, _, _, shape, mesh) = _prepare(
+    C, (U, P, shape, mesh) = _prepare(
         fields[0].basis, [coefficients_of(g) for g in fields], points)
     v = np.asarray(density, dtype=float)
     columns = v.ndim > len(shape)
@@ -424,36 +425,30 @@ def _band(b: ModeBasis, C: np.ndarray):
     return band, C[(Ellipsis,) + cut + (slice(None),)]
 
 
-def _prepare(b: ModeBasis, coeffs=(), points=(), jets: bool = False):
+def _prepare(b: ModeBasis, coeffs=(), points=()):
     """The coefficients and mode tables ``_mix`` and ``pair`` contract.
 
     ``C`` stacks the coefficient tables ``coeffs``, all on ``b`` and with
     one trial shape, along a trailing field axis (``None`` with none); a
-    trial axis stays in front.  With no ``points`` the tables
-    are the cached ones at the quadrature nodes, combined as a mesh
-    product on a product grid.  Otherwise ``points`` are broadcastable
-    chart coordinates, ``(theta,)`` on spheres and ``(s, chi)`` on
-    products, and the basis is cut to the band of ``C`` (``_band``) and
-    tabulated there, values only unless ``jets`` asks for the first two
-    derivatives too: on an open mesh, an s column of shape (Ns, 1) and a
-    chi row of shape (1, Nx), once per distinct coordinate and combined
+    trial axis stays in front.  With no ``points`` the tables are the
+    cached ones at the quadrature nodes, combined as a mesh product on a
+    product grid.  Otherwise ``points`` are broadcastable chart
+    coordinates, ``(theta,)`` on spheres and ``(s, chi)`` on products,
+    and the basis is cut to the band of ``C`` (``_band``) and tabulated
+    there, values only: on an open mesh, an s column of shape (Ns, 1) and
+    a chi row of shape (1, Nx), once per distinct coordinate and combined
     as a mesh product like the grid, otherwise once per broadcast point.
-    Returns ``(C, (U, P, t, sin_t, shape, mesh))``: the circle tables
-    (``None`` on spheres) and the polar tables, each a tuple of
-    (coordinate, mode) arrays, the value table first and then, on the
-    grid or for ``jets``, the first and second derivative tables; the
-    polar cosine and, on the grid or for ``jets``, sine broadcast against
-    the output (``None`` otherwise), its point shape and whether the
-    tables combine as a mesh product.
+    Returns ``(C, (U, P, shape, mesh))``: the circle tables (``None`` on
+    spheres) and the polar tables, each a tuple of (coordinate, mode)
+    arrays, the value table first and then, on the grid, the first and
+    second derivative tables; the point shape and whether the tables
+    combine as a mesh product.
     """
     C = np.concatenate([c[..., None] for c in coeffs],
                        axis=-1) if coeffs else None
     if not points:
-        t, sin_t = b.polar_nodes()
         U = b.circle_tables() if b.is_product else None
-        if U is not None:  # the polar nodes run along the second grid axis
-            t, sin_t = t[None, :], sin_t[None, :]
-        return C, (U, b.polar_tables(), t, sin_t, b.grid_shape, U is not None)
+        return C, (U, b.polar_tables(), b.grid_shape, U is not None)
     b, C = _band(b, C)
     pts = [np.asarray(p, dtype=float) for p in points]
     mesh = (len(pts) == 2 and all(p.ndim == 2 for p in pts)
@@ -461,22 +456,15 @@ def _prepare(b: ModeBasis, coeffs=(), points=(), jets: bool = False):
     if not mesh:
         pts = np.broadcast_arrays(*pts)
     shape = np.broadcast_shapes(*(p.shape for p in pts))
-    chi = pts[-1].ravel()
-    t = np.cos(chi)
-    U = None
-    if b.is_product:
-        s = pts[0].ravel()
-        U = b.circle_jets(s) if jets else (b.circle_values(s),)
-    P = b.polar_jets(t) if jets else (b.polar_values(t),)
-    sin_t = np.sin(chi).reshape(pts[-1].shape) if jets else None
-    return C, (U, P, t.reshape(pts[-1].shape), sin_t, shape, mesh)
+    U = (b.circle_values(pts[0].ravel()),) if b.is_product else None
+    return C, (U, (b.polar_values(np.cos(pts[-1].ravel())),), shape, mesh)
 
 
 def _mix(tabs, C: np.ndarray, i: int, j: int) -> np.ndarray:
     """Coefficients ``C`` against circle table i and polar table j, with
     the trial axis of ``C`` leading and its field axis trailing the
     result; each trial is one batch of the same products."""
-    U, P, _, _, shape, mesh = tabs
+    U, P, shape, mesh = tabs
     if mesh:  # on a product grid, a mesh product batched over the fields
         return np.moveaxis(U[i] @ np.moveaxis(C, -1, -3) @ P[j].T, -3, -1)
     if U is None:
@@ -490,11 +478,16 @@ def _mix(tabs, C: np.ndarray, i: int, j: int) -> np.ndarray:
     return out.reshape(out.shape[:-2] + shape + out.shape[-1:])
 
 
-def _mixer(f: ScalarField, points=(), jets: bool = False):
-    """The tables of ``f`` (``_prepare``) and ``mix(i, j)``, the values
-    of ``f`` against circle table i and polar table j."""
-    C, tabs = _prepare(f.basis, [coefficients_of(f)], points, jets)
-    return tabs, lambda i, j: _mix(tabs, C, i, j)[..., 0]
+def _mixer(f: ScalarField):
+    """The cosines t and sines of the polar nodes, broadcast against the
+    grid values, and ``mix(i, j)``, the grid values of ``f`` against
+    circle table i and polar table j."""
+    b = f.basis
+    C, tabs = _prepare(b, [coefficients_of(f)])
+    t, sin_t = b.polar_nodes()
+    if b.is_product:  # the polar nodes run along the second grid axis
+        t, sin_t = t[None, :], sin_t[None, :]
+    return t, sin_t, lambda i, j: _mix(tabs, C, i, j)[..., 0]
 
 
 def _frame_gradient(b: ModeBasis, mix, ft, sin_t) -> tuple:
@@ -504,15 +497,16 @@ def _frame_gradient(b: ModeBasis, mix, ft, sin_t) -> tuple:
     return (mix(1, 0),) + grad if b.is_product else grad
 
 
-def frame_jets(f: ScalarField, *points):
-    """Value, frame gradient, and frame Hessian of a mode field.
+def frame_jets(f: ScalarField):
+    """Value, frame gradient, and frame Hessian of a mode field on the
+    quadrature grid.
 
     Returns ``(value, grad, hess)`` where ``grad`` is a tuple of frame
-    components and ``hess`` a dict keyed like the tensor components.
-    Points follow the ``evaluate`` convention, pointwise or an open mesh;
-    with no points the jets are taken on the quadrature grid.
+    components and ``hess`` a dict keyed like the tensor components.  A
+    field is differentiated on the grid only; at other points it is read
+    by its values (``evaluate``).
     """
-    (_, _, t, sin_t, _, _), mix = _mixer(f, points, jets=True)
+    t, sin_t, mix = _mixer(f)
     b = f.basis
 
     # chart partials in t = cos(chi) to the orthonormal frame; the orbit
@@ -531,8 +525,8 @@ def frame_jets(f: ScalarField, *points):
 def gradient_components(f: ScalarField):
     """Orthonormal-frame gradient components on the grid, the ``grad``
     of ``frame_jets`` with no Hessian table mixed."""
-    tabs, mix = _mixer(f)
-    return _frame_gradient(f.basis, mix, mix(0, 1), tabs[3])
+    _, sin_t, mix = _mixer(f)
+    return _frame_gradient(f.basis, mix, mix(0, 1), sin_t)
 
 
 def laplacian(f: ScalarField) -> ScalarField:

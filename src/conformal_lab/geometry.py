@@ -256,16 +256,17 @@ _CONVENTION_EXPONENTS = {"metric": lambda n: 4.0 / (n - 2),
 class ConformalFactor:
     """A positive conformal change of metric, stored via its logarithm.
 
-    A subclass gives w = log of the factor of g~ = e^{2w} g through
-    ``jets(points=None)``: the value, frame gradient and frame Hessian of
-    w at chart points, or on the quadrature grid; ``bandwidth`` is the
-    mode content of w, ``None`` when w is not band-limited.  The same
-    metric is described in two weight conventions, rho^{4/(n-2)}
-    (second-order covariance) and rho^{4/(n-4)} (fourth-order
-    covariance, n != 4); ``rho`` converts w to either, so the
-    conventions agree by construction.  A factor may stack one w per
-    trial; its jets, weights and curvature then lead with the trial axis.
-    A factor is built as ``FieldFactor(m, w)`` or ``MoebiusFactor(m, lam)``.
+    A subclass gives w = log of the factor of g~ = e^{2w} g by its values
+    at chart points, ``w_at(*points)``, and by its jets on the quadrature
+    grid, ``jets()``: the value, frame gradient and frame Hessian of w,
+    which only ``conformal_ricci`` reads.  ``bandwidth`` is the mode
+    content of w, ``None`` when w is not band-limited.  The same metric
+    is described in two weight conventions, rho^{4/(n-2)} (second-order
+    covariance) and rho^{4/(n-4)} (fourth-order covariance, n != 4);
+    ``rho`` converts w to either, so the conventions agree by
+    construction.  A factor may stack one w per trial; its values, jets,
+    weights and curvature then lead with the trial axis.  A factor is
+    built as ``FieldFactor(m, w)`` or ``MoebiusFactor(m, lam)``.
     """
 
     bandwidth = None
@@ -275,14 +276,11 @@ class ConformalFactor:
 
     @cached_property
     def w_grid(self) -> ScalarField:
-        """w on the quadrature grid as a mode field: sampled and projected,
-        unless a subclass holds w as a field."""
-        w, _, _ = self.jets()
-        return F.analyze(F.field_from_grid(self.manifold.basis, w))
-
-    def w_at(self, *points):
-        w, _, _ = self.jets(points)
-        return w
+        """w on the quadrature grid as a mode field: sampled by ``w_at``
+        and projected, unless a subclass holds w as a field."""
+        m = self.manifold
+        return F.analyze(F.field_from_grid(m.basis,
+                                           self.w_at(*m.grid_points())))
 
     def rho(self, convention: str = "metric") -> ScalarField:
         e = _CONVENTION_EXPONENTS[convention](self.manifold.n)
@@ -296,15 +294,14 @@ class ConformalFactor:
 
 class FieldFactor(ConformalFactor):
     """Conformal logarithm given as a band-limited mode field, or a stack
-    of them; a grid-only field raises ``ValueError``.  The factor is
-    immutable, so its jets are kept per point set (keyed on the points'
-    shapes and bytes) and returned read-only."""
+    of them; a grid-only field raises ``ValueError``.  Its values at
+    points are ``fields.evaluate`` of w and its jets ``fields.frame_jets``
+    of w; nothing is kept between calls."""
 
     def __init__(self, manifold: ManifoldModel, w: ScalarField):
         super().__init__(manifold)
-        F.coefficients_of(w)  # a grid-only w raises here, not at its jets
+        F.coefficients_of(w)  # a grid-only w raises here, not when read
         self.w = w
-        self._jets = {}
 
     @property
     def bandwidth(self):
@@ -314,16 +311,11 @@ class FieldFactor(ConformalFactor):
     def w_grid(self) -> ScalarField:
         return self.w
 
-    def jets(self, points=None):
-        pts = [np.asarray(p, dtype=float) for p in points or ()]
-        key = tuple((p.shape, p.tobytes()) for p in pts)
-        if key not in self._jets:
-            w, grad, hess = F.frame_jets(self.w, *pts)
-            for arr in (w, *grad, *hess.values()):
-                arr.setflags(write=False)
-            self._jets[key] = w, grad, hess
-        w, grad, hess = self._jets[key]
-        return w, grad, dict(hess)
+    def w_at(self, *points):
+        return F.evaluate(self.w, *points)
+
+    def jets(self):
+        return F.frame_jets(self.w)
 
 
 class MoebiusFactor(ConformalFactor):
@@ -331,7 +323,8 @@ class MoebiusFactor(ConformalFactor):
 
     In the stereographic coordinate t = tan(theta/2) the dilation by
     ``lam`` sends t to lam * t; the pulled-back round metric is
-    e^{2w} g with e^w = lam (1 + t^2) / (1 + lam^2 t^2).  ``lam`` is a
+    e^{2w} g with e^w = lam (1 + t^2) / (1 + lam^2 t^2), one closed form
+    for the values at points and the jets on the grid.  ``lam`` is a
     number, or one number per trial.
     """
 
@@ -353,24 +346,29 @@ class MoebiusFactor(ConformalFactor):
         mapped = 2.0 * np.arctan(lam * np.tan(0.5 * xi))
         return np.where(np.isclose(xi, math.pi), math.pi, mapped)
 
-    def jets(self, points=None):
-        m = self.manifold
-        if points is None:
-            points = m.grid_points()
-        xi = np.asarray(points[0], dtype=float)
+    def _closed_form(self, theta):
+        """(w, t, lam^2, 1 + lam^2 t^2) at polar angles ``theta``, with
+        t = tan(theta/2) and lam broadcast against it."""
+        xi = np.asarray(theta, dtype=float)
         t = np.tan(0.5 * xi)
-        lam = F.trial_axes(self.lam, xi.ndim)
-        d = 1.0 + lam ** 2 * t ** 2
+        lam2 = F.trial_axes(self.lam, xi.ndim) ** 2
+        d = 1.0 + lam2 * t ** 2
         w = F.trial_axes(self._log_lam, xi.ndim) + np.log1p(t ** 2) - np.log(d)
-        w_xi = (1.0 - lam ** 2) * t / d
-        w_xixi = (1.0 - lam ** 2) * (1.0 - lam ** 2 * t ** 2) * (1.0 + t ** 2) \
+        return w, t, lam2, d
+
+    def w_at(self, theta):
+        return self._closed_form(theta)[0]
+
+    def jets(self):
+        (xi,) = self.manifold.grid_points()
+        w, t, lam2, d = self._closed_form(xi)
+        w_xi = (1.0 - lam2) * t / d
+        w_xixi = (1.0 - lam2) * (1.0 - lam2 * t ** 2) * (1.0 + t ** 2) \
             / (2.0 * d ** 2)
         # cot(xi) w_xi written without the axis singularity
-        orb_xi = np.cos(xi) * (1.0 + t ** 2) * (1.0 - lam ** 2) / (2.0 * d)
-        a = m.radius
-        grad = (w_xi / a,)
-        hess = {"xx": w_xixi / a ** 2, "orb": orb_xi / a ** 2}
-        return w, grad, hess
+        orb_xi = np.cos(xi) * (1.0 + t ** 2) * (1.0 - lam2) / (2.0 * d)
+        a = self.manifold.radius
+        return w, (w_xi / a,), {"xx": w_xixi / a ** 2, "orb": orb_xi / a ** 2}
 
 
 # ----------------------------------------------------- curvature transforms

@@ -365,12 +365,22 @@ class GreenField:
 
     def diagonal_value(self):
         """Value at the pole when the kernel is continuous there (P in
-        dimension three), else None."""
+        dimension three), else None; there a factor that stacks trials
+        raises ``ValueError``."""
         if (self.operator, self.manifold.n) != ("P", 3):
             return None
         at = self.manifold.pole_point(self.pole)
+        vals = _one_trial(self, "the diagonal value").values_at(*at)
         # + 0.0 writes a kernel that vanishes at the pole as 0.0, not -0.0
-        return float(self.values_at(*at)[0]) + 0.0
+        return float(vals[0]) + 0.0
+
+
+def _one_trial(gf: GreenField, job: str) -> GreenField:
+    """``gf``, unless its factor stacks trials: ``job`` takes one."""
+    if np.ndim(gf.rho_pole):
+        raise ValueError(f"{job} takes one factor, got a stack of "
+                         f"{np.size(gf.rho_pole)} trials")
+    return gf
 
 
 def blowup_density(gf: GreenField, *points):
@@ -481,8 +491,9 @@ def green_pair(gf: GreenField, f: ScalarField, level: int = 2) -> float:
     ``f`` need not be even about the pole.  A transported kernel need not
     be even either and is evaluated on each side; an untransported one
     is even about its pole, so its values at a block's own points serve
-    every side.
+    every side.  A factor that stacks trials raises ``ValueError``.
     """
+    _one_trial(gf, "the pairing")
     total = 0.0
     for points, w, sides in Q.pole_blocks(gf.manifold, gf.pole, level=level):
         w = w / len(sides)
@@ -501,11 +512,13 @@ def sign_scan(green_fields) -> dict:
 
     For each pole the scan reports min G over the unmasked grid in
     dimensions above four and max G in dimension three (where the kernel
-    is continuous; its diagonal value is reported alongside).
+    is continuous; its diagonal value is reported alongside).  A factor
+    that stacks trials raises ``ValueError``.
     """
     per_pole = []
     signs = []
     for gf in green_fields:
+        _one_trial(gf, "the sign scan")
         n = gf.manifold.n
         vals = gf.values_at(*gf.manifold.grid_points())
         keep = ~gf.manifold.near_pole(gf.pole)
@@ -550,14 +563,6 @@ class ComparisonResult:
     equality: bool
     tolerance: float
     cutoff: int | None
-
-
-def _one_trial(gf: GreenField, job: str) -> GreenField:
-    """``gf``, unless its factor stacks trials: ``job`` takes one."""
-    if np.ndim(gf.rho_pole):
-        raise ValueError(f"{job} takes one factor, got a stack of "
-                         f"{np.size(gf.rho_pole)} trials")
-    return gf
 
 
 def compare_green(m: ManifoldModel, poles,

@@ -117,15 +117,18 @@ def test_identity_factor_returns_base_ricci(sphere5, s1xs2):
 
 class _Stereographic(ConformalFactor):
     """w = -2 log(2 a sin(xi/2)), (2/(n-2)) log G_L of the round sphere up
-    to a constant, with its closed-form frame jets."""
+    to a constant, with its closed-form frame jets on the grid."""
 
-    def jets(self, points=None):
+    def w_at(self, xi):
         a = self.manifold.radius
-        xi = np.asarray((points or self.manifold.grid_points())[0])
+        return -2.0 * np.log(2.0 * a * np.sin(0.5 * np.asarray(xi)))
+
+    def jets(self):
+        a = self.manifold.radius
+        (xi,) = self.manifold.grid_points()
         half = 0.5 * xi
         inv = 0.5 / (a * np.sin(half)) ** 2
-        return (-2.0 * np.log(2.0 * a * np.sin(half)),
-                (-1.0 / (a * np.tan(half)),),
+        return (self.w_at(xi), (-1.0 / (a * np.tan(half)),),
                 {"xx": inv, "orb": -np.cos(xi) * inv})
 
 
@@ -250,6 +253,36 @@ def test_factor_convention_consistency(sphere5, rng):
     target = np.exp(2.0 * factor.w_grid.grid_values)
     assert_allclose(rho_l ** (4.0 / (n - 2)), target, rtol=1e-12)
     assert_allclose(rho_p ** (4.0 / (n - 4)), target, rtol=1e-12)
+
+
+def test_a_factor_is_read_at_points_by_its_values(sphere5, s1xs2, rng,
+                                                  monkeypatch):
+    """``w_at`` tabulates no derivative: a ``FieldFactor`` evaluates w, a
+    ``MoebiusFactor`` takes the closed form its grid jets take too, so
+    neither calls ``polar_jets`` or ``circle_jets`` (a field factor took
+    w as the value of its jets at the points).  At the grid nodes the
+    values are those of the grid jets."""
+    factors = [MoebiusFactor(sphere5, [1.2, 1.3])] + [
+        FieldFactor(m, F.random_bandlimited(
+            m.basis, rng, degree=4, fourier=2 if m.is_product else 0))
+        for m in (sphere5, s1xs2)]
+    for factor in factors:
+        on_grid = factor.w_at(*factor.manifold.grid_points())
+        assert_allclose(on_grid, factor.jets()[0], rtol=0,
+                        atol=1e-13 * np.max(np.abs(on_grid)))
+    calls = []
+    for name in ("polar_jets", "circle_jets"):
+        def counting(self, x, _orig=getattr(basis.ModeBasis, name),
+                     _name=name):
+            calls.append(_name)
+            return _orig(self, x)
+        monkeypatch.setattr(basis.ModeBasis, name, counting)
+    for factor in factors:
+        m = factor.manifold
+        chi = rng.uniform(0.0, math.pi, 9)
+        pts = (rng.uniform(0.0, m.length, 9), chi) if m.is_product else (chi,)
+        assert factor.w_at(*pts).shape[-1] == 9
+    assert calls == []
 
 
 def test_pole_geometry(s1xs2):

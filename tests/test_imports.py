@@ -27,7 +27,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "conformal_lab"
 
 
 # independent routes kept for the tests to compare the package against
-TEST_REFERENCES = {"apply_P_pointwise", "green_pair", "apply_L", "run_suite"}
+TEST_REFERENCES = {"apply_P_pointwise", "green_pair", "apply_L"}
 
 # class members only the tests read: the grouped spectrum a summary is
 # computed from
@@ -152,7 +152,10 @@ def test_an_unused_member_is_caught():
 
 # where each single-place routine may be called, as ``module`` or
 # ``module.top-level definition``: fields prepares every table it
-# contracts in one place and only basis tabulates zonal polynomials;
+# contracts in one place, only basis tabulates zonal polynomials and
+# their derivatives, which it caches at the nodes, and a field is
+# differentiated only on the grid, by fields, the field factor's jets
+# and the pointwise P route;
 # spectrum builds the hypothesis ledger and verify._ledger keeps one per
 # backend, which the suite wrapper reads for every report and assertion
 # rule, and two suite bodies only for the data they check; the catalog
@@ -168,8 +171,10 @@ def test_an_unused_member_is_caught():
 SINGLE_PLACE = {
     "polar_values": {"basis", "fields._prepare"},
     "circle_values": {"basis", "fields._prepare"},
-    "polar_jets": {"basis", "fields._prepare"},
-    "circle_jets": {"basis", "fields._prepare"},
+    "polar_jets": {"basis"},
+    "circle_jets": {"basis"},
+    "frame_jets": {"fields", "geometry.FieldFactor",
+                   "operators.apply_P_pointwise"},
     "polar_tables": {"basis", "fields._prepare"},
     "circle_tables": {"basis", "fields._prepare"},
     "zonal_polynomials": {"basis"},
@@ -231,6 +236,30 @@ def test_a_second_tabulation_is_caught():
         "green.<module>: zonal_polynomials",
         "green._Kernel: zonal_polynomials",
         "green.sign_scan: zonal_polynomials"]
+
+
+def test_an_off_grid_differentiation_is_caught():
+    """Derivative tables at points outside basis, and field jets taken
+    past fields, the field factor and the pointwise P route."""
+    sources = {"fields.py": "def _prepare(b, t): return b.polar_jets(t)\n"
+                            "def frame_jets(f): return f\n"
+                            "def gradient_components(f):\n"
+                            "    return frame_jets(f)[1]\n",
+               "geometry.py": "class FieldFactor:\n"
+                              "    def jets(self):\n"
+                              "        return F.frame_jets(self.w)\n"
+                              "    def w_at(self, *p):\n"
+                              "        return F.frame_jets(self.w, *p)[0]\n"
+                              "class MoebiusFactor:\n"
+                              "    def jets(self): return F.frame_jets(0)\n",
+               "operators.py": "def apply_P_pointwise(m, f):\n"
+                               "    return F.frame_jets(f)\n"
+                               "def apply_P(m, f): return F.frame_jets(f)\n",
+               "green.py": "def values_at(gf, *p):\n"
+                           "    return F.frame_jets(gf.w, *p)[0]\n"}
+    assert stray_calls(sources) == [
+        "fields._prepare: polar_jets", "geometry.MoebiusFactor: frame_jets",
+        "green.values_at: frame_jets", "operators.apply_P: frame_jets"]
 
 
 def test_a_stray_ledger_call_is_caught():

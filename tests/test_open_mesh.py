@@ -76,15 +76,6 @@ def test_evaluate_of_a_stacked_sequence(product, rng):
 
 
 @PRODUCTS
-def test_frame_jets(product, rng):
-    m = product
-    f = F.random_bandlimited(m.basis, rng, degree=6, fourier=4)
-    mesh = _mesh(m)
-    _close_jets(F.frame_jets(f, *mesh),
-                F.frame_jets(f, *np.broadcast_arrays(*mesh)))
-
-
-@PRODUCTS
 def test_image_kernel_value_and_split_jets(product):
     m = product
     kernel = green_field(m, "L").kernel

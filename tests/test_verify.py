@@ -13,8 +13,8 @@ from conformal_lab import geometry, green, operators, verify
 from conformal_lab import quadrature as Q
 from conformal_lab.errors import (HypothesisFailError, KernelError,
                                   UnsupportedDimensionError)
-from conformal_lab.geometry import (ConformalFactor, FieldFactor,
-                                    ManifoldModel, Pole, catalog_build)
+from conformal_lab.geometry import (FieldFactor, ManifoldModel, Pole,
+                                    catalog_build)
 from conformal_lab.spectrum import paneitz_spectrum_check
 from conformal_lab.verify import (SUITES, check_4d_identity, check_covariance,
                                   check_green_compare, check_mass,
@@ -210,7 +210,7 @@ def test_total_q_integrand_takes_no_conformal_weight(sphere4, rng,
     w = F.random_bandlimited(sphere4.basis, rng, degree=3, amplitude=0.1)
     factor = FieldFactor(sphere4, w)
     state = {"inside": False, "blocks": 0, "w_at_inside": 0}
-    orig_w_at = ConformalFactor.w_at
+    orig_w_at = FieldFactor.w_at
     orig_slabs = verify._blowup_slabs
 
     def counting_w_at(self, *points):
@@ -228,7 +228,7 @@ def test_total_q_integrand_takes_no_conformal_weight(sphere4, rng,
             state["blocks"] += 1
             yield block
 
-    monkeypatch.setattr(ConformalFactor, "w_at", counting_w_at)
+    monkeypatch.setattr(FieldFactor, "w_at", counting_w_at)
     monkeypatch.setattr(verify, "_blowup_slabs", marking)
     report = check_total_q(sphere4, factor=factor, tolerance=1e-3)
     assert report.passed
