@@ -129,7 +129,10 @@ def run(config: RunConfig, out_dir=None, verbose: bool = False) -> int:
             raise ConfigError(
                 f"suites: {suite!r} is not compatible with any backend in "
                 f"the catalog (dimension gates)")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot create {out}: {exc}") from exc
 
     results = {}
     for m in backends:

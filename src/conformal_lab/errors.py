@@ -37,7 +37,7 @@ class KernelError(ConformalLabError):
 
 
 class NonpositiveFactorError(ConformalLabError):
-    """A conformal factor must be strictly positive."""
+    """A conformal factor must be strictly positive and finite."""
 
     code = "NONPOSITIVE_FACTOR"
 

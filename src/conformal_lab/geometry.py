@@ -15,9 +15,9 @@ with all components measured in a g-orthonormal frame, so that R~ is
 e^{-2w} times the frame trace of Ric~.  The Q curvature is assembled
 from (R, Ric, Lap R) by one dimension-uniform polynomial formula.  For a
 changed metric ``conformal_curvature`` gives Ric~, R~ and that Q~ in one
-grid pass, and ``conformal_q`` gives Q~ through the covariance law of
-the fourth-order operator instead; the verification suites compare the
-two routes.
+grid pass; ``operators.conformal_q`` gives Q~ through the covariance law
+of the fourth-order operator instead, and the verification suites
+compare the two routes.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "SPHERE_DIMENSIONS",
     "catalog_build",
     "conformal_curvature",
-    "conformal_q",
     "conformal_ricci",
     "q_from_data",
     "ricci_from_jets",
@@ -257,19 +256,18 @@ class ConformalFactor:
     """A positive conformal change of metric, stored via its logarithm.
 
     A subclass gives w = log of the factor of g~ = e^{2w} g by its values
-    at chart points, ``w_at(*points)``, and by its jets on the quadrature
-    grid, ``jets()``: the value, frame gradient and frame Hessian of w,
-    which only ``conformal_ricci`` reads.  ``bandwidth`` is the mode
-    content of w, ``None`` when w is not band-limited.  The same metric
-    is described in two weight conventions, rho^{4/(n-2)} (second-order
-    covariance) and rho^{4/(n-4)} (fourth-order covariance, n != 4);
-    ``rho`` converts w to either, so the conventions agree by
-    construction.  A factor may stack one w per trial; its values, jets,
-    weights and curvature then lead with the trial axis.  A factor is
-    built as ``FieldFactor(m, w)`` or ``MoebiusFactor(m, lam)``.
+    at chart points, ``w_at(*points)``; ``w_grid`` samples them on the
+    quadrature grid and projects them, unless the subclass holds w as a
+    field.  ``jets()`` is the one route to the value, frame gradient and
+    frame Hessian of w on the grid, ``fields.frame_jets`` of ``w_grid``,
+    which only ``conformal_ricci`` reads.  The same metric is described
+    in two weight conventions, rho^{4/(n-2)} (second-order covariance)
+    and rho^{4/(n-4)} (fourth-order covariance, n != 4); ``rho`` converts
+    w to either, so the conventions agree by construction.  A factor may
+    stack one w per trial; its values, jets, weights and curvature then
+    lead with the trial axis.  A factor is built as ``FieldFactor(m, w)``
+    or ``MoebiusFactor(m, lam)``.
     """
-
-    bandwidth = None
 
     def __init__(self, manifold: ManifoldModel):
         self.manifold = manifold
@@ -281,6 +279,9 @@ class ConformalFactor:
         m = self.manifold
         return F.analyze(F.field_from_grid(m.basis,
                                            self.w_at(*m.grid_points())))
+
+    def jets(self):
+        return F.frame_jets(self.w_grid)
 
     def rho(self, convention: str = "metric") -> ScalarField:
         e = _CONVENTION_EXPONENTS[convention](self.manifold.n)
@@ -294,18 +295,18 @@ class ConformalFactor:
 
 class FieldFactor(ConformalFactor):
     """Conformal logarithm given as a band-limited mode field, or a stack
-    of them; a grid-only field raises ``ValueError``.  Its values at
-    points are ``fields.evaluate`` of w and its jets ``fields.frame_jets``
-    of w; nothing is kept between calls."""
+    of them, with finite coefficients; a grid-only field raises
+    ``ValueError``, a non-finite one ``NonpositiveFactorError``.  Its
+    values at points are ``fields.evaluate`` of w, and its grid field is
+    w itself; nothing is kept between calls."""
 
     def __init__(self, manifold: ManifoldModel, w: ScalarField):
         super().__init__(manifold)
-        F.coefficients_of(w)  # a grid-only w raises here, not when read
+        # a grid-only w raises here, not when read
+        if not np.all(np.isfinite(F.coefficients_of(w))):
+            raise NonpositiveFactorError(
+                "conformal logarithm has a non-finite coefficient")
         self.w = w
-
-    @property
-    def bandwidth(self):
-        return self.w.bandwidth
 
     @property
     def w_grid(self) -> ScalarField:
@@ -314,26 +315,23 @@ class FieldFactor(ConformalFactor):
     def w_at(self, *points):
         return F.evaluate(self.w, *points)
 
-    def jets(self):
-        return F.frame_jets(self.w)
-
 
 class MoebiusFactor(ConformalFactor):
     """Logarithm of the round-to-round dilation factor on a sphere.
 
     In the stereographic coordinate t = tan(theta/2) the dilation by
     ``lam`` sends t to lam * t; the pulled-back round metric is
-    e^{2w} g with e^w = lam (1 + t^2) / (1 + lam^2 t^2), one closed form
-    for the values at points and the jets on the grid.  ``lam`` is a
-    number, or one number per trial.
+    e^{2w} g with e^w = lam (1 + t^2) / (1 + lam^2 t^2), in closed form
+    at points.  ``lam`` is a positive finite number, or one per trial.
     """
 
     def __init__(self, manifold: ManifoldModel, lam):
         if manifold.is_product:
             raise UnsupportedBackendError("Moebius factors live on spheres")
         lam = np.asarray(lam, dtype=float)
-        if np.any(lam <= 0):
-            raise NonpositiveFactorError("dilation parameter must be positive")
+        if not np.all((lam > 0) & np.isfinite(lam)):
+            raise NonpositiveFactorError(
+                "dilation parameter must be positive and finite")
         super().__init__(manifold)
         self.lam = lam
         # math.log per value: numpy's log may differ from it in the last bit
@@ -346,29 +344,12 @@ class MoebiusFactor(ConformalFactor):
         mapped = 2.0 * np.arctan(lam * np.tan(0.5 * xi))
         return np.where(np.isclose(xi, math.pi), math.pi, mapped)
 
-    def _closed_form(self, theta):
-        """(w, t, lam^2, 1 + lam^2 t^2) at polar angles ``theta``, with
-        t = tan(theta/2) and lam broadcast against it."""
+    def w_at(self, theta):
         xi = np.asarray(theta, dtype=float)
         t = np.tan(0.5 * xi)
-        lam2 = F.trial_axes(self.lam, xi.ndim) ** 2
-        d = 1.0 + lam2 * t ** 2
-        w = F.trial_axes(self._log_lam, xi.ndim) + np.log1p(t ** 2) - np.log(d)
-        return w, t, lam2, d
-
-    def w_at(self, theta):
-        return self._closed_form(theta)[0]
-
-    def jets(self):
-        (xi,) = self.manifold.grid_points()
-        w, t, lam2, d = self._closed_form(xi)
-        w_xi = (1.0 - lam2) * t / d
-        w_xixi = (1.0 - lam2) * (1.0 - lam2 * t ** 2) * (1.0 + t ** 2) \
-            / (2.0 * d ** 2)
-        # cot(xi) w_xi written without the axis singularity
-        orb_xi = np.cos(xi) * (1.0 + t ** 2) * (1.0 - lam2) / (2.0 * d)
-        a = self.manifold.radius
-        return w, (w_xi / a,), {"xx": w_xixi / a ** 2, "orb": orb_xi / a ** 2}
+        d = 1.0 + F.trial_axes(self.lam, xi.ndim) ** 2 * t ** 2
+        return F.trial_axes(self._log_lam, xi.ndim) + np.log1p(t ** 2) \
+            - np.log(d)
 
 
 # ----------------------------------------------------- curvature transforms
@@ -376,7 +357,7 @@ class MoebiusFactor(ConformalFactor):
 def conformal_ricci(m: ManifoldModel, factor: ConformalFactor):
     """Ricci tensor of e^{2w} g on the grid, components in the base
     orthonormal frame."""
-    bw = factor.bandwidth
+    bw = factor.w_grid.bandwidth
     if bw is not None and bw != (0, 0):
         need = 4 * (bw[1] + 2)
         if need > m.basis.polar_exactness:
@@ -428,28 +409,6 @@ def q_from_data(n: int, lap_R, rc_norm_sq, R_sq):
             + c2 * R_sq)
 
 
-def conformal_q(m: ManifoldModel, factor: ConformalFactor) -> ScalarField:
-    """Q curvature of the changed metric through the covariance laws.
-
-    Dimension 4 uses Q~ = e^{-4w} (P w + Q); otherwise Q~ is read off
-    from the fourth-order operator acting on the weight
-    rho = e^{(n-4) w / 2}.
-    """
-    from . import operators  # deferred to keep module layering acyclic
-
-    n = m.n
-    w = factor.w_grid
-    if n == 4:
-        pw = operators.apply_P(m, w)
-        vals = np.exp(-4.0 * w.grid_values) * (pw.grid_values + m.q_value)
-        return F.field_from_grid(m.basis, vals)
-    rho = F.analyze(factor.rho("paneitz"))
-    p_rho = operators.apply_P(m, rho)
-    expo = -(n + 4.0) / (n - 4.0)
-    vals = (2.0 / (n - 4.0)) * rho.grid_values ** expo * p_rho.grid_values
-    return F.field_from_grid(m.basis, vals)
-
-
 def conformal_curvature(m: ManifoldModel, factor: ConformalFactor):
     """(Ric~, R~, Q~) of the changed metric e^{2w} g on the grid.
 
@@ -457,7 +416,7 @@ def conformal_curvature(m: ManifoldModel, factor: ConformalFactor):
     e^{-2w} times their frame trace, and Q~ is ``q_from_data`` of
     |Ric~|^2 = e^{-4w} |Ric~|_g^2, R~^2 and the changed-metric Laplacian
     of R~, so it shares no code with the covariance route of
-    ``conformal_q``.
+    ``operators.conformal_q``.
     """
     w = factor.w_grid
     inv_e2w = np.exp(-2.0 * w.grid_values)

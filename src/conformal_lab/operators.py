@@ -10,7 +10,9 @@ mode table, and ``smallest_abs_eigenvalue`` keeps its smallest modulus;
 independent pointwise route (spectral derivatives, frame contraction
 with the Ricci grid values) serves as the cross-check.  Every route
 takes mode fields: a grid-only field raises ``ValueError`` and must be
-projected by ``fields.analyze`` first.
+projected by ``fields.analyze`` first.  ``conformal_q`` reads the Q
+curvature of a changed metric off the covariance law of P, the route
+that ``geometry.conformal_curvature`` is checked against.
 
 With Lam = eigenvalue of -Laplace per mode and lam_sph its sphere-factor
 part, the tables are
@@ -39,6 +41,7 @@ __all__ = [
     "apply_P",
     "apply_P_pointwise",
     "build_symbol",
+    "conformal_q",
     "conformal_quadratic_form_E",
     "laplacian_coefficient",
     "quadratic_form_E",
@@ -165,3 +168,23 @@ def conformal_quadratic_form_E(m: ManifoldModel, factor: ConformalFactor,
             + 0.5 * (n - 4) * q_tilde * u.grid_values * v.grid_values)
     weights = m.basis.quadrature_weights() * np.exp(n * w_vals)
     return F.grid_sum(m.basis, vals * weights)
+
+
+def conformal_q(m: ManifoldModel, factor: ConformalFactor) -> ScalarField:
+    """Q curvature of the changed metric through the covariance laws.
+
+    Dimension 4 uses Q~ = e^{-4w} (P w + Q); otherwise Q~ is read off
+    from the fourth-order operator acting on the weight
+    rho = e^{(n-4) w / 2}.
+    """
+    n = m.n
+    w = factor.w_grid
+    if n == 4:
+        pw = apply_P(m, w)
+        vals = np.exp(-4.0 * w.grid_values) * (pw.grid_values + m.q_value)
+        return F.field_from_grid(m.basis, vals)
+    rho = F.analyze(factor.rho("paneitz"))
+    p_rho = apply_P(m, rho)
+    expo = -(n + 4.0) / (n - 4.0)
+    vals = (2.0 / (n - 4.0)) * rho.grid_values ** expo * p_rho.grid_values
+    return F.field_from_grid(m.basis, vals)

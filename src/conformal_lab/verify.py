@@ -35,10 +35,10 @@ from . import spectrum
 from .errors import (HypothesisFailError, KernelError,
                      UnsupportedDimensionError)
 from .geometry import (ConformalFactor, FieldFactor, ManifoldModel,
-                       MoebiusFactor, Pole, conformal_curvature, conformal_q)
+                       MoebiusFactor, Pole, conformal_curvature)
 from .green import (blowup_density, comparison_constant, compare_green,
                     extract_mass, green_field, sign_scan)
-from .operators import (apply_P, conformal_quadratic_form_E,
+from .operators import (apply_P, conformal_q, conformal_quadratic_form_E,
                         quadratic_form_E)
 
 __all__ = [

@@ -219,6 +219,17 @@ def test_main_missing_config(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+@pytest.mark.parametrize("under", [(), ("reports",)],
+                         ids=["a-file", "under-a-file"])
+def test_an_unusable_out_directory_exits_2(tmp_path, capsys, under):
+    path = _write(tmp_path, BASE_CONFIG)
+    out = tmp_path.joinpath("taken", *under)
+    (tmp_path / "taken").write_text("not a directory")
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "CONFIG_INVALID: --out: cannot create" in err and str(out) in err
+
+
 def test_exit_one_on_assertion_failure(tmp_path, monkeypatch):
     from conformal_lab import cli as cli_mod
     from conformal_lab.verify import CheckRecord, VerificationReport

@@ -9,11 +9,13 @@ from numpy.testing import assert_allclose
 from conformal_lab import basis
 from conformal_lab import fields as F
 from conformal_lab.cli import list_catalog
-from conformal_lab.errors import AliasingError, UnsupportedBackendError
+from conformal_lab.errors import (AliasingError, NonpositiveFactorError,
+                                  UnsupportedBackendError)
 from conformal_lab.geometry import (ConformalFactor, FieldFactor,
                                     ManifoldModel, MoebiusFactor, Pole,
-                                    catalog_build, conformal_curvature,
-                                    conformal_q, conformal_ricci)
+                                    SPHERE_DIMENSIONS, catalog_build,
+                                    conformal_curvature, conformal_ricci)
+from conformal_lab.operators import conformal_q
 from conformal_lab.spectrum import lambda1_L
 
 
@@ -200,12 +202,19 @@ def test_conformal_ricci_against_finite_differences(sphere5, rng):
                     atol=2e-6 * max(1, np.max(np.abs(orb))))
 
 
-def test_moebius_factor_keeps_the_sphere_round(sphere5):
-    factor = MoebiusFactor(sphere5, 1.3)
-    assert_allclose(conformal_curvature(sphere5, factor)[1], 20.0,
-                    rtol=1e-10)
-    q = conformal_q(sphere5, factor)
-    assert_allclose(q.grid_values, 105.0 / 8.0, rtol=1e-6)
+@pytest.mark.parametrize("lam", [1.3, [1.2, 1.3]], ids=["1.3", "stack"])
+@pytest.mark.parametrize("n", SPHERE_DIMENSIONS)
+def test_moebius_factor_keeps_the_sphere_round(n, lam):
+    """Through the spectral jets of its sampled w: R~ = n(n-1) to within
+    ten times the rounding read at degree 24, and Q~ of either route is
+    the round sphere's."""
+    m = catalog_build("sphere", n, {}, {"degree_max": 24})
+    factor = MoebiusFactor(m, lam)
+    _, r_tilde, q_tilde = conformal_curvature(m, factor)
+    assert r_tilde.shape == np.shape(lam) + m.basis.grid_shape
+    assert_allclose(r_tilde, n * (n - 1), rtol=1e-11)
+    assert_allclose(q_tilde, m.q_value, rtol=1e-8)
+    assert_allclose(conformal_q(m, factor).grid_values, m.q_value, rtol=1e-6)
 
 
 def test_conformal_ricci_aliasing_guard():
@@ -255,13 +264,57 @@ def test_factor_convention_consistency(sphere5, rng):
     assert_allclose(rho_p ** (4.0 / (n - 4)), target, rtol=1e-12)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, [1.2, math.nan], -1.3],
+                         ids=["nan", "inf", "nan-trial", "negative"])
+def test_a_dilation_must_be_positive_and_finite(sphere5, lam):
+    with pytest.raises(NonpositiveFactorError, match="positive and finite"):
+        MoebiusFactor(sphere5, lam)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_a_non_finite_field_factor_is_refused(sphere5, value):
+    with pytest.raises(NonpositiveFactorError, match="non-finite coefficient"):
+        FieldFactor(sphere5, sphere5.constant(value))
+
+
+class _Zonal(ConformalFactor):
+    """w = c ((n+1) cos^2 theta - 1), a degree-2 zonal harmonic, given by
+    its values only."""
+
+    c = 0.1
+
+    def w_at(self, theta):
+        return self.c * ((self.manifold.n + 1) * np.cos(theta) ** 2 - 1.0)
+
+
+def test_a_factor_given_by_its_values_has_the_spectral_jets(sphere5):
+    """The base class differentiates the sampled w: its jets are those of
+    ``w_grid``, and R~ is the closed form of the degree-2 harmonic, with
+    Lap w = -2(n+1) w and |dw|^2 = 4 c^2 (n+1)^2 cos^2 (1 - cos^2)."""
+    factor = _Zonal(sphere5)
+    value, grad, hess = factor.jets()
+    value0, grad0, hess0 = F.frame_jets(factor.w_grid)
+    assert np.array_equal(value, value0) and hess.keys() == hess0.keys()
+    assert all(map(np.array_equal, grad + tuple(hess.values()),
+                   grad0 + tuple(hess0.values())))
+    n, c = sphere5.n, _Zonal.c
+    (theta,) = sphere5.grid_points()
+    x, w = np.cos(theta), factor.w_at(theta)
+    want = np.exp(-2.0 * w) * (
+        n * (n - 1) + 4.0 * (n - 1) * (n + 1) * w
+        - 4.0 * (n - 1) * (n - 2) * (c * (n + 1) * x) ** 2 * (1 - x ** 2))
+    # ten times the rounding read at degree 24
+    assert_allclose(conformal_curvature(sphere5, factor)[1], want,
+                    rtol=4e-12)
+
+
 def test_a_factor_is_read_at_points_by_its_values(sphere5, s1xs2, rng,
                                                   monkeypatch):
     """``w_at`` tabulates no derivative: a ``FieldFactor`` evaluates w, a
-    ``MoebiusFactor`` takes the closed form its grid jets take too, so
-    neither calls ``polar_jets`` or ``circle_jets`` (a field factor took
-    w as the value of its jets at the points).  At the grid nodes the
-    values are those of the grid jets."""
+    ``MoebiusFactor`` takes its closed form, so neither calls
+    ``polar_jets`` or ``circle_jets`` (a field factor took w as the value
+    of its jets at the points).  At the grid nodes the values are those
+    of the grid jets."""
     factors = [MoebiusFactor(sphere5, [1.2, 1.3])] + [
         FieldFactor(m, F.random_bandlimited(
             m.basis, rng, degree=4, fourier=2 if m.is_product else 0))

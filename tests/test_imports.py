@@ -17,7 +17,8 @@ module and from the few callers listed in ``SINGLE_PLACE``, the flat
 kernel coefficients of ``green`` only from ``green.green_field``, and
 the pole rule of ``quadrature`` only from its three readers.  The
 routines that serve both backends in one code path, listed in
-``BACKEND_FREE``, do not ask which backend they run on.
+``BACKEND_FREE``, do not ask which backend they run on, and the modules'
+relative imports, at module level or inside a function, form no cycle.
 """
 
 import ast
@@ -154,8 +155,8 @@ def test_an_unused_member_is_caught():
 # ``module.top-level definition``: fields prepares every table it
 # contracts in one place, only basis tabulates zonal polynomials and
 # their derivatives, which it caches at the nodes, and a field is
-# differentiated only on the grid, by fields, the field factor's jets
-# and the pointwise P route;
+# differentiated only on the grid, by fields, the one ``jets`` of the
+# conformal factor base class and the pointwise P route;
 # spectrum builds the hypothesis ledger and verify._ledger keeps one per
 # backend, which the suite wrapper reads for every report and assertion
 # rule, and two suite bodies only for the data they check; the catalog
@@ -173,7 +174,7 @@ SINGLE_PLACE = {
     "circle_values": {"basis", "fields._prepare"},
     "polar_jets": {"basis"},
     "circle_jets": {"basis"},
-    "frame_jets": {"fields", "geometry.FieldFactor",
+    "frame_jets": {"fields", "geometry.ConformalFactor",
                    "operators.apply_P_pointwise"},
     "polar_tables": {"basis", "fields._prepare"},
     "circle_tables": {"basis", "fields._prepare"},
@@ -240,17 +241,20 @@ def test_a_second_tabulation_is_caught():
 
 def test_an_off_grid_differentiation_is_caught():
     """Derivative tables at points outside basis, and field jets taken
-    past fields, the field factor and the pointwise P route."""
+    past fields, the factor base class and the pointwise P route."""
     sources = {"fields.py": "def _prepare(b, t): return b.polar_jets(t)\n"
                             "def frame_jets(f): return f\n"
                             "def gradient_components(f):\n"
                             "    return frame_jets(f)[1]\n",
-               "geometry.py": "class FieldFactor:\n"
+               "geometry.py": "class ConformalFactor:\n"
                               "    def jets(self):\n"
-                              "        return F.frame_jets(self.w)\n"
+                              "        return F.frame_jets(self.w_grid)\n"
                               "    def w_at(self, *p):\n"
                               "        return F.frame_jets(self.w, *p)[0]\n"
-                              "class MoebiusFactor:\n"
+                              "class FieldFactor(ConformalFactor):\n"
+                              "    def jets(self):\n"
+                              "        return F.frame_jets(self.w)\n"
+                              "class MoebiusFactor(ConformalFactor):\n"
                               "    def jets(self): return F.frame_jets(0)\n",
                "operators.py": "def apply_P_pointwise(m, f):\n"
                                "    return F.frame_jets(f)\n"
@@ -258,8 +262,9 @@ def test_an_off_grid_differentiation_is_caught():
                "green.py": "def values_at(gf, *p):\n"
                            "    return F.frame_jets(gf.w, *p)[0]\n"}
     assert stray_calls(sources) == [
-        "fields._prepare: polar_jets", "geometry.MoebiusFactor: frame_jets",
-        "green.values_at: frame_jets", "operators.apply_P: frame_jets"]
+        "fields._prepare: polar_jets", "geometry.FieldFactor: frame_jets",
+        "geometry.MoebiusFactor: frame_jets", "green.values_at: frame_jets",
+        "operators.apply_P: frame_jets"]
 
 
 def test_a_stray_ledger_call_is_caught():
@@ -393,3 +398,48 @@ def test_a_backend_branch_is_caught():
                             "def _random_w(m): return 2 * m.is_product\n"}
     assert backend_branches(sources) == ["basis.ModeBasis.circle_mode_count",
                                          "verify._random_w"]
+
+
+def import_cycles(sources: dict) -> list[list[str]]:
+    """The groups of modules whose relative imports, at module level or
+    inside a function, lead from each back to itself."""
+    graph = {name.removesuffix(".py"): set() for name in sources}
+    for name, src in sources.items():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = ([node.module.split(".")[0]] if node.module
+                           else [a.name for a in node.names])
+                graph[name.removesuffix(".py")] |= set(targets) & set(graph)
+
+    def reachable(start):
+        seen, todo = set(), list(graph[start])
+        while todo:
+            module = todo.pop()
+            if module not in seen:
+                seen.add(module)
+                todo += graph[module]
+        return seen
+
+    reach = {module: reachable(module) for module in graph}
+    groups = {frozenset(b for b in reach[a] if a in reach[b]) for a in graph}
+    return sorted(sorted(g) for g in groups if g)
+
+
+def test_the_package_imports_form_no_cycle():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert import_cycles(sources) == []
+
+
+def test_an_import_cycle_is_caught():
+    # a deferred import closes a cycle too; an absolute import is no edge
+    sources = {"geometry.py": "from . import fields as F\n"
+                              "def conformal_q(m):\n"
+                              "    from . import operators\n"
+                              "    return operators.apply_P(m)\n",
+               "operators.py": "from .geometry import ConformalFactor\n",
+               "fields.py": "import verify\nfrom .basis import ModeBasis\n",
+               "basis.py": "from math import pi\n",
+               "cli.py": "from .verify import run_suite\n",
+               "verify.py": "from . import basis, cli\n"}
+    assert import_cycles(sources) == [["cli", "verify"],
+                                      ["geometry", "operators"]]
