@@ -1,13 +1,15 @@
 """Zonal spectral bases and quadrature on the manifold catalog.
 
 The catalog holds round spheres S^n (n = 3..7) and the products
-S^1(l) x S^2(b), S^1(l) x S^3(b).  Every field in the laboratory is
-rotationally invariant about a fixed axis of the sphere (factor), so a
-scalar field reduces to a function of the polar angle alone, and on a
-product to a function of (circle arclength, polar angle).  The basis
-functions are the zonal harmonics about that axis, orthonormalized with
-respect to the manifold volume measure, paired with a real Fourier basis
-on the circle factor.
+S^1(l) x S^2(b), S^1(l) x S^3(b), one row of ``BACKENDS`` per kind.
+Every field in the laboratory is rotationally invariant about a fixed
+axis of the sphere (factor), so a scalar field reduces to a function of
+(circle arclength, polar angle).  The basis functions are the zonal
+harmonics about that axis, orthonormalized with respect to the manifold
+volume measure, paired with a real Fourier basis on the circle, which
+on a sphere is a unit circle of one node, weight 1 and one mode of
+value 1: bookkeeping only, with no dimension, chart coordinate or frame
+direction, so every table is (circle, polar) shaped, a sphere's one row.
 
 Quadrature is Gauss-Jacobi in the polar cosine (the Jacobi weight
 absorbs the sin^(d-1) surface factor exactly, which plain Gauss-Legendre
@@ -33,16 +35,50 @@ quadrature nodes, where alone fields are differentiated.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import UnsupportedBackendError
 
-KIND_SPHERE = "sphere"
-# the circle products S^1(l) x S^d: kind -> sphere-factor dimension d
-PRODUCT_KINDS = {"product-S1xS2": 2, "product-S1xS3": 3}
+
+@dataclass(frozen=True)
+class Backend:
+    """The facts about one kind of catalog backend that code reads."""
+
+    dims: dict           # n -> the dimension d of the sphere (factor) S^d
+    scales: dict         # parameter -> (descriptor symbol, default)
+    tolerance: int       # index of Suite.tolerance: 0 closed form, 1 series
+    test_modes: tuple    # (circle row, degree) of the unit test functions
+    test_degree: int     # and the degree of the random one
+    sign_poles: tuple    # (axis, p, q), a pole at s = l p / q: sign scan
+    compare_poles: tuple  # and of the comparison
+    moebius: bool        # whether a Moebius dilation family exists
+
+    @property
+    def circle(self) -> bool:
+        """Whether a circle S^1(l), of length a scale, multiplies S^d."""
+        return "length" in self.scales
+
+
+_AXIS_POLES = ((1, 0, 1), (-1, 0, 1))
+_S1XS2 = Backend(
+    dims={3: 2}, scales={"length": ("l", 2.0 * math.pi),
+                         "radius": ("b", 1.0)},
+    tolerance=1, test_modes=((0, 1), (1, 0), (1, 1), (0, 2)), test_degree=4,
+    sign_poles=((1, 0, 1), (1, 1, 3)), compare_poles=((1, 0, 1),),
+    moebius=False)
+# kind -> row; a kind is added by its row alone
+BACKENDS = {
+    "sphere": Backend(
+        dims={n: n for n in range(3, 8)}, scales={"radius": ("a", 1.0)},
+        tolerance=0, test_modes=tuple((0, l) for l in range(1, 5)),
+        test_degree=6, sign_poles=_AXIS_POLES, compare_poles=_AXIS_POLES,
+        moebius=True),
+    "product-S1xS2": _S1XS2,
+    "product-S1xS3": replace(_S1XS2, dims={4: 3}),
+}
 
 
 def sphere_area(d: int) -> float:
@@ -129,8 +165,9 @@ class ModeBasis:
 
     Fields are stored as coefficients against the orthonormal zonal/Fourier
     modes and as values on the tensor quadrature grid.  ``sphere_dim`` is
-    the dimension of the sphere (factor); products add a circle of length
-    ``length``.  ``radius`` scales the sphere (factor).
+    the dimension of the sphere (factor) and ``radius`` scales it; the
+    circle has length ``length``, the unit circle of one node on a
+    sphere.
     """
 
     kind: str
@@ -157,17 +194,19 @@ class ModeBasis:
                    nodes: int | None = None) -> "ModeBasis":
         if nodes is None:
             nodes = max(degree_max + 1, (3 * (degree_max + 1)) // 2)
-        return ModeBasis(KIND_SPHERE, n, degree_max, 0, float(radius), 0.0,
-                         int(nodes), 0)
+        return ModeBasis("sphere", n, degree_max, 0, float(radius), 1.0,
+                         int(nodes), 1)
 
     @staticmethod
     def for_product(kind: str, degree_max: int, fourier_max: int,
                     length: float, radius: float = 1.0,
                     sphere_nodes: int | None = None,
                     circle_nodes: int | None = None) -> "ModeBasis":
-        if kind not in PRODUCT_KINDS:
-            raise UnsupportedBackendError(f"unknown product kind {kind!r}")
-        d = PRODUCT_KINDS[kind]
+        try:  # a circle product has one dimension
+            (d,) = BACKENDS[kind].dims.values()
+        except (KeyError, ValueError):
+            raise UnsupportedBackendError(
+                f"unknown product kind {kind!r}") from None
         if sphere_nodes is None:
             sphere_nodes = max(degree_max + 1, (3 * (degree_max + 1)) // 2)
         if circle_nodes is None:
@@ -176,10 +215,6 @@ class ModeBasis:
                          float(length), int(sphere_nodes), int(circle_nodes))
 
     # ------------------------------------------------------------ structure
-    @property
-    def is_product(self) -> bool:
-        return self.kind in PRODUCT_KINDS
-
     @property
     def orbit_area(self) -> float:
         """Area of the unit orbit sphere of the zonal reduction."""
@@ -192,10 +227,8 @@ class ModeBasis:
 
     @property
     def volume(self) -> float:
-        v_sph = sphere_area(self.sphere_dim) * self.radius ** self.sphere_dim
-        if self.is_product:
-            return self.length * v_sph
-        return v_sph
+        return self.length * (sphere_area(self.sphere_dim)
+                              * self.radius ** self.sphere_dim)
 
     @property
     def circle_mode_count(self) -> int:
@@ -207,17 +240,12 @@ class ModeBasis:
 
     @property
     def mode_shape(self) -> tuple:
-        """Shape of a coefficient table: (circle modes, degrees) on a
-        product, (degrees,) on a sphere."""
-        if self.is_product:
-            return (self.circle_mode_count, self.sphere_mode_count)
-        return (self.sphere_mode_count,)
+        """Shape of a coefficient table: (circle modes, degrees)."""
+        return (self.circle_mode_count, self.sphere_mode_count)
 
     @property
     def grid_shape(self) -> tuple:
-        if self.is_product:
-            return (self.circle_nodes, self.sphere_nodes)
-        return (self.sphere_nodes,)
+        return (self.circle_nodes, self.sphere_nodes)
 
     def circle_wavenumber(self, j: int) -> int:
         return (j + 1) // 2
@@ -243,11 +271,8 @@ class ModeBasis:
     def quadrature_weights(self) -> np.ndarray:
         """Manifold measure weights on the grid (same shape as the grid)."""
         _, w = self.polar_rule()
-        w_sph = self.polar_norm * w
-        if not self.is_product:
-            return w_sph
         w_circ = np.full(self.circle_nodes, self.length / self.circle_nodes)
-        return np.outer(w_circ, w_sph)
+        return np.outer(w_circ, self.polar_norm * w)
 
     @property
     def polar_exactness(self) -> int:
@@ -257,7 +282,7 @@ class ModeBasis:
     @property
     def circle_exactness(self) -> int:
         """Largest Fourier wavenumber integrated exactly."""
-        return self.circle_nodes - 1 if self.is_product else 0
+        return self.circle_nodes - 1
 
     # --------------------------------------------------------- value tables
     def polar_tables(self):
@@ -303,29 +328,20 @@ class ModeBasis:
 
     def circle_factor_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of -d^2/ds^2 on the circle, per real mode."""
-        if not self.is_product:
-            return np.zeros(1)
-        j = np.arange(self.circle_mode_count)
-        k = (j + 1) // 2
+        k = (np.arange(self.circle_mode_count) + 1) // 2
         return (2.0 * math.pi * k / self.length) ** 2
 
     def neg_laplacian_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of -Laplace per mode, shaped like the mode table."""
-        lam_s = self.sphere_factor_eigenvalues()
-        if not self.is_product:
-            return lam_s
         lam_c = self.circle_factor_eigenvalues()
-        return lam_c[:, None] + lam_s[None, :]
+        return lam_c[:, None] + self.sphere_factor_eigenvalues()[None, :]
 
     def multiplicities(self) -> np.ndarray:
         """True eigenspace dimensions carried by each reduced mode."""
         mult_s = np.array(
             [harmonic_dimension(self.sphere_dim, m)
              for m in range(self.sphere_mode_count)], dtype=int)
-        if not self.is_product:
-            return mult_s
-        ones = np.ones(self.circle_mode_count, dtype=int)
-        return np.outer(ones, mult_s)
+        return np.outer(np.ones(self.circle_mode_count, dtype=int), mult_s)
 
 
 @lru_cache(maxsize=64)

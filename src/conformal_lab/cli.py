@@ -19,10 +19,10 @@ import sys
 import time
 from pathlib import Path
 
-from .basis import KIND_SPHERE, PRODUCT_KINDS
+from .basis import BACKENDS
 from .errors import (BackendBuildError, ConfigError, ConformalLabError,
                      checked_integer)
-from .geometry import SPHERE_DIMENSIONS, catalog_build
+from .geometry import catalog_build
 from .spectrum import lambda1_L
 from .verify import DECLARATIONS, SUITES, run_suite
 
@@ -192,23 +192,19 @@ def _margin_text(report) -> str:
 def list_catalog() -> str:
     """Text table of supported backends with their derived constants.
 
-    The rows are the sphere dimensions and the product kinds of
-    ``basis.PRODUCT_KINDS`` (S^1 x S^d has n = d + 1), read when printed.
+    One line per dimension of each row of ``basis.BACKENDS``, at the
+    row's default scales, read when printed.
     """
-    lines = [f"{'kind':<16}{'n':>3}  {'params':<22}{'R':>10}{'Q':>12}"
+    lines = [f"{'kind':<16}{'n':>3}  {'params':<26}{'R':>10}{'Q':>12}"
              f"{'lambda1(L)':>14}"]
-    rows = ([(KIND_SPHERE, n) for n in SPHERE_DIMENSIONS]
-            + [(kind, d + 1) for kind, d in PRODUCT_KINDS.items()])
-    for kind, n in rows:
-        basis = {"degree_max": 4}
-        if kind != KIND_SPHERE:
-            basis["fourier_max"] = 2
-        m = catalog_build(kind, n, {}, basis)
-        params = f"radius=1" if kind == KIND_SPHERE \
-            else "length=2pi, radius=1"
-        lines.append(f"{kind:<16}{n:>3}  {params:<22}"
-                     f"{m.scalar_curvature:>10.6g}{m.q_value:>12.6g}"
-                     f"{lambda1_L(m):>14.6g}")
+    for kind, row in BACKENDS.items():
+        params = ", ".join(f"{name}={default:.6g}"
+                           for name, (_, default) in row.scales.items())
+        for n in row.dims:
+            m = catalog_build(kind, n, {}, {"degree_max": 4})
+            lines.append(f"{kind:<16}{n:>3}  {params:<26}"
+                         f"{m.scalar_curvature:>10.6g}{m.q_value:>12.6g}"
+                         f"{lambda1_L(m):>14.6g}")
     return "\n".join(lines)
 
 

@@ -14,12 +14,12 @@ jet or integral gaining the same leading axis.  A single field is a
 field with no leading axis.
 
 A symmetric 2-tensor is a dict of its components in the adapted
-orthonormal frame of the backend: on a product ``ss`` and ``sx`` in the
-(e_s, e_chi) block, and on every backend ``xx`` along the polar
-direction and ``orb`` along each of the (d-1) orbit directions of the
-sphere (factor) S^d; a sphere is the circle-free case.  Zonal symmetry
-makes every tensor we need diagonal except for ``sx``.  A component is
-an array of values, or a number where it is constant.
+orthonormal frame of the backend: ``xx`` along the polar direction,
+``orb`` along each of the (d-1) orbit directions of the sphere (factor)
+S^d, and ``ss`` and ``sx`` in the (e_s, e_chi) block where a circle
+S^1(l) multiplies it, which only ``frame_weights`` asks here.  Zonal
+symmetry makes every tensor we need diagonal except for ``sx``.  A
+component is an array of values, or a number where it is constant.
 
 Synthesis on the grid, values at points, pairings at points and frame
 jets share one table preparation: the coefficients of one or more fields
@@ -34,10 +34,11 @@ the coefficients carry.  The tables come normalized; one contraction
 combines them with the coefficients.  A pairing ``sum_p v_p f(p)`` is
 the adjoint of evaluation: the density meets the tables first, in mode
 moments, and no value of a field at a point is formed.
-Points on a product come either pointwise, broadcast to one shape and
-tabulated per point, or as an open mesh, an s column of shape (Ns, 1)
-and a chi row of shape (1, Nx): then each axis is tabulated once per
-distinct coordinate and the tables meet in the mesh product of the grid.
+Tables and grids are (circle, polar) shaped, a sphere's the one-row
+case of its unit circle.  Points on a product come pointwise, broadcast
+and tabulated per point, or as an open mesh, an s column (Ns, 1) and a
+chi row (1, Nx), each axis tabulated once per distinct coordinate, as
+on the grid; a sphere's polar angles are a mesh against its one node.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import ModeBasis
+from .basis import BACKENDS, ModeBasis
 from .errors import AliasingError, ZeroFunctionError
 
 __all__ = [
@@ -174,14 +175,13 @@ def constant_field(basis: ModeBasis, value: float) -> ScalarField:
 
 def even_part(f: ScalarField) -> ScalarField:
     """The part of a mode field even under the circle reflection s -> -s:
-    on a product the field of its coefficients with the sine rows
-    zeroed, on a sphere ``f`` itself."""
-    b = f.basis
-    if not b.is_product:
-        return f
+    the field of its coefficients with the sine rows zeroed, ``f`` itself
+    where they are zero already (a sphere's one circle row has none)."""
     c = np.array(coefficients_of(f))
+    if not np.any(c[..., 2::2, :]):
+        return f
     c[..., 2::2, :] = 0.0  # row 2k carries sin(2 pi k s / l)
-    return synthesize(b, c)
+    return synthesize(f.basis, c)
 
 
 def random_modes(basis: ModeBasis, rng, degree: int,
@@ -196,9 +196,7 @@ def random_modes(basis: ModeBasis, rng, degree: int,
     rows = [basis.circle_wavenumber(j) for j in range(2 * fourier + 1)]
     decay = np.array([[math.exp(-(k + m)) for m in range(degree + 1)]
                       for k in rows])
-    # a sphere table is one row: write it through a (1, degrees) view
-    np.atleast_2d(c)[:len(rows), :degree + 1] = \
-        rng.normal(size=decay.shape) * decay
+    c[:len(rows), :degree + 1] = rng.normal(size=decay.shape) * decay
     return c
 
 
@@ -256,22 +254,20 @@ def analyze(f: ScalarField) -> ScalarField:
     b = f.basis
     _, (U, P, *_) = _prepare(b)
     w_pol = b.polar_rule()[1] * b.polar_norm
-    if b.is_product:
-        w_circ = np.full(b.circle_nodes, b.length / b.circle_nodes)
-        coeffs = ((U[0] * w_circ[:, None]).T @ f.grid_values
-                  @ (P[0] * w_pol[:, None]))
-    else:  # a matrix-vector product per trial, as for a single field
-        coeffs = ((P[0] * w_pol[:, None]).T @ f.grid_values[..., None])[..., 0]
+    w_circ = np.full(b.circle_nodes, b.length / b.circle_nodes)
+    coeffs = ((U[0] * w_circ[:, None]).T @ f.grid_values
+              @ (P[0] * w_pol[:, None]))
     return ScalarField(b, coeffs, f.grid_values, f.bandwidth)
 
 
 def evaluate(f, *points) -> np.ndarray:
     """Evaluate a mode-represented field at arbitrary points.
 
-    Spheres take ``evaluate(f, theta)``; products take ``evaluate(f, s, chi)``
-    with broadcastable arrays, the values having their broadcast shape; an
-    open mesh, an s column (Ns, 1) against a chi row (1, Nx), is tabulated
-    once per distinct s and chi, any other points once per point.  ``f``
+    The points are chart coordinates, ``(s, chi)`` on a product and
+    ``(chi,)`` on a sphere, broadcastable arrays, the values having their
+    broadcast shape; an open mesh, an s column (Ns, 1) against a chi row
+    (1, Nx), is tabulated once per distinct s and chi, any other product
+    points once per point, and sphere points once per angle.  ``f``
     may also be a sequence of fields on one basis: the basis is tabulated
     once, up to the highest mode any of them carries, and the values gain
     a trailing axis, one column per field.  A trial axis of the fields
@@ -290,8 +286,8 @@ def pair(f, density, *points) -> np.ndarray:
     ``f`` and the points follow the ``evaluate`` convention, and
     ``density`` has the points' broadcast shape, or one trailing axis
     more, one density per column.  Per column the density meets the
-    value tables in mode moments, U^T diag(v) P at points on a product,
-    U^T V P on an open mesh and P^T v on a sphere, and the moments meet
+    value tables in mode moments, U^T diag(v) P at points on a product
+    and U^T V P on an open mesh, a sphere's included, and the moments meet
     the coefficients, so no value of a field at a point is formed.  At
     points on a product the columns are taken one at a time, so only one
     (points, degrees) product of a column with the polar table is alive.
@@ -308,18 +304,15 @@ def pair(f, density, *points) -> np.ndarray:
     if v.shape[:len(shape)] != shape or v.ndim > len(shape) + 1:
         raise ValueError(f"density shape {v.shape} does not match the "
                          f"points' shape {shape}")
-    v = v.reshape(shape + (-1,))
     # the moments M, one (circle mode, degree) table per column
     if mesh:
-        M = U[0].T @ np.moveaxis(v, -1, 0) @ P[0]
-    elif U is None:
-        M = (P[0].T @ v).T[:, None, :]
-        C = C[..., None, :, :]  # one circle mode, so both read (k, 1, sm)
+        v = v.reshape(len(U[0]), len(P[0]), -1)
+        M = U[0].T @ v.transpose(2, 0, 1) @ P[0]
     else:  # per point, one column at a time weighs the polar rows first
-        v = v.reshape(-1, v.shape[-1])
+        v = v.reshape(len(P[0]), -1)
         M = np.stack([U[0].T @ (v[:, c, None] * P[0])
                       for c in range(v.shape[-1])])
-    out = np.moveaxis(np.tensordot(C, M, axes=([-3, -2], [1, 2])), -1, -2)
+    out = np.tensordot(C, M, axes=([-3, -2], [1, 2])).swapaxes(-1, -2)
     if not columns:
         out = out[..., 0, :]
     return out[..., 0] if isinstance(f, ScalarField) else out
@@ -384,9 +377,10 @@ def frame_trace(basis: ModeBasis, comps: dict) -> np.ndarray:
 def frame_weights(basis: ModeBasis) -> dict:
     """The frame components on ``basis`` in the order ss, sx, xx, orb, each
     with the matrix entries it stands for: orb the sphere_dim - 1 equal
-    diagonal ones, sx the two (s, chi) and (chi, s)."""
-    circle = {"ss": 1, "sx": 2} if basis.is_product else {}
-    return {**circle, "xx": 1, "orb": basis.sphere_dim - 1}
+    diagonal ones, sx the two (s, chi) and (chi, s); ss and sx where a
+    circle multiplies the sphere."""
+    ss_sx = {"ss": 1, "sx": 2} if BACKENDS[basis.kind].circle else {}
+    return {**ss_sx, "xx": 1, "orb": basis.sphere_dim - 1}
 
 
 # --------------------------------------------------------------- tabulation
@@ -403,8 +397,7 @@ def _support(b: ModeBasis, nz: np.ndarray) -> tuple:
     """(wavenumber, degree) of the last circle row and degree column of the
     mode-shaped mask ``nz``, or of any trial of a stack of them, holding a
     true entry, 0 where there is none."""
-    # a sphere table is one row: read it through a (1, degrees) view
-    nz = np.atleast_2d(nz.reshape((-1,) + b.mode_shape).any(axis=0))
+    nz = nz.reshape((-1,) + b.mode_shape).any(axis=0)
     rows = np.nonzero(nz.any(axis=1))[0]
     cols = np.nonzero(nz.any(axis=0))[0]
     return ((b.circle_wavenumber(int(rows[-1])) if rows.size else 0),
@@ -431,32 +424,31 @@ def _prepare(b: ModeBasis, coeffs=(), points=()):
     ``C`` stacks the coefficient tables ``coeffs``, all on ``b`` and with
     one trial shape, along a trailing field axis (``None`` with none); a
     trial axis stays in front.  With no ``points`` the tables are the
-    cached ones at the quadrature nodes, combined as a mesh product on a
-    product grid.  Otherwise ``points`` are broadcastable chart
-    coordinates, ``(theta,)`` on spheres and ``(s, chi)`` on products,
-    and the basis is cut to the band of ``C`` (``_band``) and tabulated
-    there, values only: on an open mesh, an s column of shape (Ns, 1) and
-    a chi row of shape (1, Nx), once per distinct coordinate and combined
-    as a mesh product like the grid, otherwise once per broadcast point.
-    Returns ``(C, (U, P, shape, mesh))``: the circle tables (``None`` on
-    spheres) and the polar tables, each a tuple of (coordinate, mode)
-    arrays, the value table first and then, on the grid, the first and
-    second derivative tables; the point shape and whether the tables
-    combine as a mesh product.
+    cached ones at the quadrature nodes, combined as a mesh product.
+    Otherwise the basis is cut to the band of ``C`` (``_band``) and
+    tabulated, values only, at the chart coordinates ``points``: once per
+    distinct coordinate on an open mesh, an s column (Ns, 1) and a chi
+    row (1, Nx), or a sphere's polar angles against its one circle node,
+    otherwise once per broadcast point.  Returns ``(C, (U, P, shape,
+    mesh))``: the circle and the polar tables, each a tuple of
+    (coordinate, mode) arrays, the value table first and then, on the
+    grid, the first and second derivative tables; the point shape and
+    whether the tables combine as a mesh product.
     """
     C = np.concatenate([c[..., None] for c in coeffs],
                        axis=-1) if coeffs else None
     if not points:
-        U = b.circle_tables() if b.is_product else None
-        return C, (U, b.polar_tables(), b.grid_shape, U is not None)
+        return C, (b.circle_tables(), b.polar_tables(), b.grid_shape, True)
     b, C = _band(b, C)
     pts = [np.asarray(p, dtype=float) for p in points]
-    mesh = (len(pts) == 2 and all(p.ndim == 2 for p in pts)
-            and pts[0].shape[1] == 1 and pts[1].shape[0] == 1)
+    shape = np.broadcast_shapes(*(p.shape for p in pts))
+    if len(pts) == 1:
+        pts = [b.circle_points()[:, None], pts[0].reshape(1, -1)]
+    mesh = all(p.ndim == 2 for p in pts) and pts[0].shape[1] == 1 \
+        and pts[1].shape[0] == 1
     if not mesh:
         pts = np.broadcast_arrays(*pts)
-    shape = np.broadcast_shapes(*(p.shape for p in pts))
-    U = (b.circle_values(pts[0].ravel()),) if b.is_product else None
+    U = (b.circle_values(pts[0].ravel()),)
     return C, (U, (b.polar_values(np.cos(pts[-1].ravel())),), shape, mesh)
 
 
@@ -465,16 +457,15 @@ def _mix(tabs, C: np.ndarray, i: int, j: int) -> np.ndarray:
     the trial axis of ``C`` leading and its field axis trailing the
     result; each trial is one batch of the same products."""
     U, P, shape, mesh = tabs
-    if mesh:  # on a product grid, a mesh product batched over the fields
-        return np.moveaxis(U[i] @ np.moveaxis(C, -1, -3) @ P[j].T, -3, -1)
-    if U is None:
-        out = P[j] @ C
-    else:
-        # per point, the polar row against (circle row @ C)
-        lead, (cm, sm, nf) = C.shape[:-3], C.shape[-3:]
-        rows = U[i] @ C.reshape(lead + (cm, sm * nf))
-        out = np.matmul(P[j][:, None, :],
-                        rows.reshape(lead + (-1, sm, nf)))[..., 0, :]
+    if mesh:  # a mesh product batched over the fields, C as (f, k, l)
+        out = U[i] @ C.swapaxes(-1, -2).swapaxes(-2, -3) @ P[j].T
+        out = out.swapaxes(-3, -2).swapaxes(-2, -1)
+        return out.reshape(out.shape[:-3] + shape + out.shape[-1:])
+    # per point, the polar row against (circle row @ C)
+    lead, (cm, sm, nf) = C.shape[:-3], C.shape[-3:]
+    rows = U[i] @ C.reshape(lead + (cm, sm * nf))
+    out = np.matmul(P[j][:, None, :],
+                    rows.reshape(lead + (-1, sm, nf)))[..., 0, :]
     return out.reshape(out.shape[:-2] + shape + out.shape[-1:])
 
 
@@ -482,19 +473,16 @@ def _mixer(f: ScalarField):
     """The cosines t and sines of the polar nodes, broadcast against the
     grid values, and ``mix(i, j)``, the grid values of ``f`` against
     circle table i and polar table j."""
-    b = f.basis
-    C, tabs = _prepare(b, [coefficients_of(f)])
-    t, sin_t = b.polar_nodes()
-    if b.is_product:  # the polar nodes run along the second grid axis
-        t, sin_t = t[None, :], sin_t[None, :]
-    return t, sin_t, lambda i, j: _mix(tabs, C, i, j)[..., 0]
+    C, tabs = _prepare(f.basis, [coefficients_of(f)])
+    t, sin_t = f.basis.polar_nodes()  # along the second grid axis
+    return t[None, :], sin_t[None, :], lambda i, j: _mix(tabs, C, i, j)[..., 0]
 
 
 def _frame_gradient(b: ModeBasis, mix, ft, sin_t) -> tuple:
     """The frame gradient from ``mix`` and the t = cos(chi) partial
-    ``ft``: (e_s f, e_chi f) on a product, (e_theta f,) on a sphere."""
+    ``ft``: (e_chi f,), behind e_s f where the frame has a circle."""
     grad = (-sin_t * ft / b.radius,)
-    return (mix(1, 0),) + grad if b.is_product else grad
+    return (mix(1, 0),) + grad if "ss" in frame_weights(b) else grad
 
 
 def frame_jets(f: ScalarField):

@@ -1,9 +1,11 @@
 """Manifold catalog, conformal factors, and curvature transformation.
 
-The catalog manifolds carry constant-coefficient curvature in closed
-form: the round sphere S^n(a) has Ricci tensor (n-1)/a^2 times the
-metric, and the product S^1(l) x S^d(b) has Ricci eigenvalues
-(0, (d-1)/b^2, ...).  Conformal changes of metric are represented by
+The catalog manifolds, each built from its row of ``basis.BACKENDS``,
+carry constant-coefficient curvature in closed form: the round sphere
+S^n(a) has Ricci tensor (n-1)/a^2 times the metric, and the product
+S^1(l) x S^d(b) has Ricci eigenvalues (0, (d-1)/b^2, ...).  Their chart
+coordinates are (s, chi) on a product and (chi,) on a sphere, whose
+grid is the one-row case of a product's.  Conformal changes of metric are represented by
 their logarithm w (the metric picks up a factor e^{2w}); all curvature
 of the changed metric is produced from the base curvature and the first
 two derivatives of w:
@@ -29,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fields as F
-from .basis import KIND_SPHERE, ModeBasis, PRODUCT_KINDS
+from .basis import BACKENDS, Backend, ModeBasis
 from .errors import (AliasingError, NonpositiveFactorError,
                      UnsupportedBackendError, checked_integer)
 from .fields import ScalarField
@@ -40,16 +42,12 @@ __all__ = [
     "ManifoldModel",
     "MoebiusFactor",
     "Pole",
-    "SPHERE_DIMENSIONS",
     "catalog_build",
     "conformal_curvature",
     "conformal_ricci",
     "q_from_data",
     "ricci_from_jets",
 ]
-
-SPHERE_DIMENSIONS = (3, 4, 5, 6, 7)
-
 
 @dataclass(frozen=True)
 class Pole:
@@ -79,8 +77,9 @@ class ManifoldModel:
 
     # ------------------------------------------------------------- geometry
     @property
-    def is_product(self) -> bool:
-        return self.basis.is_product
+    def backend(self) -> Backend:
+        """The row of ``basis.BACKENDS`` this manifold is built from."""
+        return BACKENDS[self.kind]
 
     @property
     def sphere_dim(self) -> int:
@@ -115,28 +114,28 @@ class ManifoldModel:
 
     # ------------------------------------------------------------- sampling
     def grid_points(self):
-        """Chart coordinates of the quadrature grid: (theta,) on spheres,
-        and on products an open mesh, an s column and a chi row that
-        broadcast to the grid shape."""
-        if self.is_product:
-            return (self.basis.circle_points()[:, None],
-                    self.basis.polar_angles()[None, :])
-        return (self.basis.polar_angles(),)
+        """The grid's chart coordinates, an open mesh: an s column where a
+        circle multiplies the sphere (the chart's one such question), then
+        a chi row."""
+        chi = self.basis.polar_angles()[None, :]
+        if self.backend.circle:
+            return self.basis.circle_points()[:, None], chi
+        return (chi,)
 
     def pole_point(self, pole: Pole) -> tuple:
         """Chart coordinates of the pole, as one-point arrays."""
-        zeros = (np.zeros(1),) * (2 if self.is_product else 1)
-        return self.chart_from_pole(pole, *zeros)
+        return self.chart_from_pole(
+            pole, *(np.zeros(1) for _ in self.grid_points()))
 
     def pole_separation(self, pole: Pole, *points) -> tuple:
-        """Pole coordinates of chart points: (xi,) on spheres, (ds, xi) on
-        products, with xi the polar angle from the pole's end of the axis
-        and ds the circle offset, reduced to [-l/2, l/2); an offset
+        """Pole coordinates of chart points: (ds, xi) for (s, chi), (xi,)
+        for (chi,), with xi the polar angle from the pole's end of the
+        axis and ds the circle offset, reduced to [-l/2, l/2); an offset
         already in (-l/2, l/2) comes back exactly."""
         xi = np.asarray(points[-1], dtype=float)
         if pole.axis < 0:
             xi = math.pi - xi
-        if not self.is_product:
+        if len(points) == 1:
             return (xi,)
         ds = np.asarray(points[0], dtype=float) - pole.s0
         return ds - self.length * np.floor(ds / self.length + 0.5), xi
@@ -146,22 +145,19 @@ class ManifoldModel:
         the inverse of ``pole_separation``."""
         xi = np.asarray(sep[-1], dtype=float)
         polar = xi if pole.axis > 0 else math.pi - xi
-        if not self.is_product:
+        if len(sep) == 1:
             return (polar,)
         return pole.s0 + np.asarray(sep[0], dtype=float), polar
 
     def near_pole(self, pole: Pole) -> np.ndarray:
         """Grid mask: True within three coarse grid spacings (geodesic
-        distance) of the pole, where a kernel's singular part dominates.
-        A grid so coarse that the mask leaves no node raises
-        ``UnsupportedBackendError``."""
-        sep = self.pole_separation(pole, *self.grid_points())
-        spacing = self.radius * math.pi / self.basis.sphere_nodes
-        if self.is_product:
-            r = np.hypot(sep[0], self.radius * sep[1])
-            spacing = max(self.length / self.basis.circle_nodes, spacing)
-        else:
-            r = self.radius * sep[0]
+        distance) of the pole, where a kernel's singular part dominates;
+        a sphere's circle has length 0.  A grid so coarse that the mask
+        leaves no node raises ``UnsupportedBackendError``."""
+        *ds, xi = self.pole_separation(pole, *self.grid_points())
+        r = np.hypot(*ds, self.radius * xi) if ds else self.radius * xi
+        spacing = max(self.length / self.basis.circle_nodes,
+                      self.radius * math.pi / self.basis.sphere_nodes)
         near = r < 3.0 * spacing
         if near.all():
             raise UnsupportedBackendError(
@@ -170,54 +166,51 @@ class ManifoldModel:
         return near
 
     def descriptor(self) -> str:
-        if self.is_product:
-            return (f"{self.kind}:n={self.n}:l={self.length:.6g}"
-                    f":b={self.radius:.6g}")
-        return f"{self.kind}:n={self.n}:a={self.radius:.6g}"
+        """``kind:n=..`` and each scale of the row by its symbol."""
+        return ":".join([self.kind, f"n={self.n}"] + [
+            f"{symbol}={getattr(self, name):.6g}"
+            for name, (symbol, _) in self.backend.scales.items()])
 
 
 def catalog_build(kind: str, n: int | None = None, params: dict | None = None,
                   basis: dict | None = None) -> ManifoldModel:
     """Construct a catalog backend from a manifest-style record.
 
-    Supported: ``sphere`` with n in 3..7 and the circle products of
-    ``basis.PRODUCT_KINDS``, S^1 x S^d with n = d + 1 (``product-S1xS2``,
-    ``product-S1xS3``).  ``params`` carries the geometric scales, finite
+    ``kind`` names a row of ``basis.BACKENDS``: ``sphere`` with n in 3..7,
+    ``product-S1xS2`` and ``product-S1xS3`` (S^1 x S^d, n = d + 1, which
+    may be left out).  ``params`` carries the row's scales, finite
     positive numbers, ``basis`` the cutoffs and node counts, integers:
-    ``degree_max`` at least 4 and ``fourier_max`` at least 1, the modes
-    the default test functions use, and node counts at least 1.
+    ``degree_max`` at least 4 and, with a circle length, ``fourier_max``
+    at least 1, the modes the default test functions use, and node
+    counts at least 1.
     """
     params = dict(params or {})
     basis = dict(basis or {})
     if n is not None:
         n = checked_integer("n", n, 1, UnsupportedBackendError)
     degree_max = _count(basis, "degree_max", 16, 4)
-    if kind == KIND_SPHERE:
-        if n is None:
-            raise UnsupportedBackendError("sphere requires a dimension n")
-        if n not in SPHERE_DIMENSIONS:
-            raise UnsupportedBackendError(
-                f"sphere dimension n={n} is outside the catalog (3..7)")
-        radius = _scale(params, "radius", 1.0)
-        mb = ModeBasis.for_sphere(n, degree_max, radius,
-                                  _count(basis, "sphere_nodes", None, 1))
-        _reject_unknown(params, basis)
-        return ManifoldModel(kind, n, radius, 0.0, mb)
-    if kind in PRODUCT_KINDS:
-        want_n = PRODUCT_KINDS[kind] + 1
-        if n is not None and n != want_n:
-            raise UnsupportedBackendError(
-                f"{kind} has dimension {want_n}, got n={n}")
-        length = _scale(params, "length", 2.0 * math.pi)
-        radius = _scale(params, "radius", 1.0)
-        fourier_max = _count(basis, "fourier_max", max(8, degree_max // 2), 1)
+    row = BACKENDS.get(kind)
+    if row is None:
+        raise UnsupportedBackendError(f"unknown backend kind {kind!r}")
+    if n is None and len(row.dims) == 1:
+        (n,) = row.dims
+    if n not in row.dims:
+        raise UnsupportedBackendError(
+            f"{kind} has dimension n in {sorted(row.dims)}, got n={n}")
+    scale = {name: _scale(params, name, default)
+             for name, (_, default) in row.scales.items()}
+    radius, length = scale["radius"], scale.get("length")
+    sphere_nodes = _count(basis, "sphere_nodes", None, 1)
+    if length is None:  # no circle length, no Fourier modes
+        mb = ModeBasis.for_sphere(n, degree_max, radius, sphere_nodes)
+    else:
         mb = ModeBasis.for_product(
-            kind, degree_max, fourier_max, length, radius,
-            _count(basis, "sphere_nodes", None, 1),
+            kind, degree_max,
+            _count(basis, "fourier_max", max(8, degree_max // 2), 1),
+            length, radius, sphere_nodes,
             _count(basis, "circle_nodes", None, 1))
-        _reject_unknown(params, basis)
-        return ManifoldModel(kind, want_n, radius, length, mb)
-    raise UnsupportedBackendError(f"unknown backend kind {kind!r}")
+    _reject_unknown(params, basis)
+    return ManifoldModel(kind, n, radius, length or 0.0, mb)
 
 
 def _count(basis: dict, key: str, default, least: int):
@@ -326,8 +319,9 @@ class MoebiusFactor(ConformalFactor):
     """
 
     def __init__(self, manifold: ManifoldModel, lam):
-        if manifold.is_product:
-            raise UnsupportedBackendError("Moebius factors live on spheres")
+        if not manifold.backend.moebius:
+            raise UnsupportedBackendError(
+                f"{manifold.descriptor()} has no Moebius dilation family")
         lam = np.asarray(lam, dtype=float)
         if not np.all((lam > 0) & np.isfinite(lam)):
             raise NonpositiveFactorError(

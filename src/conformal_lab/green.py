@@ -468,7 +468,7 @@ def green_field(m: ManifoldModel, operator: str, pole: Pole | None = None,
             f"(|eigenvalue| {lam_min:.3e} < threshold {thr:.3e})")
     c, q = ((flat_L_coefficient(n), 0.5 * (n - 2)) if operator == "L"
             else (flat_P_coefficient(n), 0.5 * (n - 4)))
-    if not m.is_product:
+    if not m.backend.circle:
         kernel = _SphereKernel(c, m.radius, -2.0 * q)
     elif q > 0:
         kernel = _ProductImageKernel(m, _image_count(m, q), c, q)

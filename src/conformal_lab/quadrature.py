@@ -106,7 +106,7 @@ def pole_blocks(m, pole, level: int = 1, resolution: dict | None = None):
     polar patch is the same at every level.  A ``resolution`` dict
     receives the node counts and the graded depth.
     """
-    if m.is_product:
+    if m.backend.circle:
         return _product_blocks(m, pole, level, resolution)
     n = m.n
     a = m.radius

@@ -10,9 +10,10 @@ exploratory and never counted as a failure.
 All identities are tested in weak form, paired against smooth test
 functions; singular integrands are handled by the graded quadrature of
 :mod:`conformal_lab.quadrature`.  Each suite's gate, hypotheses,
-assertion rule and default tolerances (relative to the check scale, on
-closed-form sphere and on eigen-expansion product backends) are stated
-once, in its ``@Suite`` declaration.
+assertion rule and default tolerances (relative to the check scale, per
+tolerance class: closed form, series) are stated once, in its ``@Suite``
+declaration; what a suite asks of a backend it reads off the backend's
+row of ``basis.BACKENDS``.
 """
 
 from __future__ import annotations
@@ -134,11 +135,12 @@ SUITES = {}
 class Suite:
     """The declaration of one suite, written as the decorator of its body.
 
-    ``applies(m)`` is the dimension gate, ``positive_yamabe`` whether
-    the suite needs lambda1(L) > 0, ``tolerance`` the default tolerance
-    on (sphere, product) backends, None for a suite that takes none, and
-    ``theorems`` whether the records state the sign and comparison
-    theorems, asserted only where the ledger's ``theorems_hold``.
+    ``applies(m)`` is the gate, ``positive_yamabe`` whether the suite
+    needs lambda1(L) > 0, ``tolerance`` the default tolerance per
+    tolerance class (closed form, series), None for a suite that takes
+    none, and ``theorems`` whether the records state the sign and
+    comparison theorems, asserted only where the ledger's
+    ``theorems_hold``.
 
     The body takes the backend and keyword options, and returns (checks,
     resolution).  The decorated name is the suite's check: outside the
@@ -173,7 +175,8 @@ class Suite:
                     f"lambda1(L) = {ledger.lambda1:.3g} <= 0 on "
                     f"{m.descriptor()}")
             if self.tolerance:
-                opts.setdefault("tolerance", self.tolerance[m.is_product])
+                opts.setdefault("tolerance",
+                                self.tolerance[m.backend.tolerance])
             try:
                 checks, resolution = body(m, **opts)
             except KernelError as exc:
@@ -207,17 +210,16 @@ def run_suite(name: str, m: ManifoldModel, cfg: dict | None = None):
 # ----------------------------------------------------- pole identities
 
 def default_test_functions(m: ManifoldModel, seed: int = 0):
-    """Constants, the first low modes, and one seeded random field."""
+    """Constants, the row's unit modes, and one seeded random field."""
     b = m.basis
-    picks, degree = (([(0, 1), (1, 0), (1, 1), (0, 2)], 4) if b.is_product
-                     else ([(0, l) for l in range(1, 5)], 6))
     fns = [m.constant(1.0)]
-    for j, l in picks:
+    for j, l in m.backend.test_modes:
         c = np.zeros(b.mode_shape)
-        np.atleast_2d(c)[j, l] = 1.0  # a sphere table is one circle row
+        c[j, l] = 1.0
         fns.append(F.synthesize(b, c))
     rng = np.random.default_rng(seed)
-    fns.append(F.random_bandlimited(b, rng, degree=degree, fourier=3))
+    fns.append(F.random_bandlimited(b, rng, degree=m.backend.test_degree,
+                                    fourier=3))
     return fns
 
 
@@ -473,7 +475,7 @@ def _law_green_transport(m, rng, fixed=None, trials=1):
     # pullback there, giving an independent expression for the kernel
     factor = MoebiusFactor(
         m, [math.exp(rng.uniform(-0.35, 0.35)) for _ in range(trials)])
-    theta = m.basis.polar_angles()
+    (theta,) = m.grid_points()
     keep = ~m.near_pole(Pole())
     worst = 0.0
     for op in ["L"] if m.n == 4 else ["L", "P"]:
@@ -533,13 +535,13 @@ def _law_difference_transport(m, rng, fixed=None, trials=1):
 
 _COVARIANCE_LAWS = {
     "bilinear-covariance": (_law_bilinear, lambda m: m.n != 4),
-    "green-transport": (_law_green_transport, lambda m: not m.is_product),
+    "green-transport": (_law_green_transport, lambda m: m.backend.moebius),
     "blowup-measure": (_law_blowup_measure, lambda m: m.n != 4),
     "pointwise-covariance-4d": (_law_pointwise_4d, lambda m: m.n == 4),
     "q-transform-4d": (_law_q_transform_4d, lambda m: m.n == 4),
     "defect-measure-4d": (_law_defect_measure_4d, lambda m: m.n == 4),
     "difference-transport": (_law_difference_transport,
-                             lambda m: m.n != 4 and not m.is_product),
+                             lambda m: m.n != 4 and m.backend.moebius),
 }
 
 
@@ -575,19 +577,19 @@ def check_sign_theorems(m: ManifoldModel, seed: int = 0):
     """
     ledger = _ledger(m)
     expected = ledger.g_p_sign
-    poles = [Pole(1), Pole(-1)] if not m.is_product else \
-        [Pole(1, 0.0), Pole(1, m.length / 3.0)]
+    poles = [Pole(axis, m.length * p / q)
+             for axis, p, q in m.backend.sign_poles]
     checks = []
     resolution = {"poles": [p.label() for p in poles]}
     variants = [("base", None)]
-    if not m.is_product:
+    if m.backend.moebius:
         rng = np.random.default_rng(seed)
         variants.append(("moebius", MoebiusFactor(
             m, math.exp(rng.uniform(0.15, 0.4)))))
         variants.append(("random", _factor(m, _random_w(m, rng))))
     for tag, factor in variants:
         gfs = [green_field(m, "P", pole, factor) for pole in poles]
-        if m.is_product:
+        if gfs[0].cutoff is not None:
             resolution["images"] = [gf.cutoff for gf in gfs]
         scan = sign_scan(gfs)
         checks.append(_verdict(
@@ -638,7 +640,8 @@ def check_spectrum_claims(m: ManifoldModel):
        theorems=True)
 def check_green_compare(m: ManifoldModel, tolerance: float):
     """Kernel comparison margins and the equality-case verdict."""
-    poles = [Pole(1), Pole(-1)] if not m.is_product else [Pole(1, 0.0)]
+    poles = [Pole(axis, m.length * p / q)
+             for axis, p, q in m.backend.compare_poles]
     results = compare_green(m, poles, tolerance=tolerance)
     checks = []
     for res in results:
@@ -648,21 +651,22 @@ def check_green_compare(m: ManifoldModel, tolerance: float):
             detail=f"min {res.margin_min:.3e}, max {res.margin_max:.3e}, "
                    f"equality={res.equality}"))
     resolution = {"poles": [p.label() for p in poles]}
-    if m.is_product:
+    if results[0].cutoff is not None:
         resolution["images"] = [res.cutoff for res in results]
     return checks, resolution
 
 
-@Suite("mass", lambda m: not m.is_product and m.n in (5, 6, 7),
+@Suite("mass", lambda m: m.backend.moebius and m.n in (5, 6, 7),
        tolerance=(1e-6, 1e-6))
 def check_mass(m: ManifoldModel, tolerance: float, level: int = 2,
                seed: int = 0):
     """Vanishing of the kernel-difference mass on round-conformal backends,
     at the north pole of the base metric and of a Moebius change of it.
 
-    ``extract_mass`` runs on products too, but the gate stays on spheres:
-    the law asserted here, a vanishing mass, holds only in the round
-    class, and a product's mass is the nonzero A(l) the tests check."""
+    ``extract_mass`` runs on products too, but the gate stays on
+    backends with a Moebius family: the law asserted here, a vanishing
+    mass, holds only in the round class, and a product's mass is the
+    nonzero A(l) the tests check."""
     pole = Pole(1)
     rng = np.random.default_rng(seed)
     moebius = MoebiusFactor(m, math.exp(rng.uniform(0.15, 0.4)))

@@ -27,8 +27,8 @@ seeds = st.integers(0, 2 ** 32 - 1)
 
 
 def drawn_factor(m, coefficients, amplitude) -> FieldFactor:
-    c = np.zeros(m.basis.sphere_mode_count)
-    c[:len(coefficients)] = coefficients
+    c = np.zeros(m.basis.mode_shape)
+    c[0, :len(coefficients)] = coefficients
     w = F.synthesize(m.basis, c)
     top = float(np.max(np.abs(w.grid_values)))
     assume(top > 1e-6)

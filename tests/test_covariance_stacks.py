@@ -53,7 +53,7 @@ def _rolled_weight(monkeypatch):
 def test_a_slipped_trial_axis_fails_the_bilinear_law(request, monkeypatch,
                                                      backend):
     m = request.getfixturevalue(backend)
-    tol = verify.DECLARATIONS["covariance"].tolerance[m.is_product]
+    tol = verify.DECLARATIONS["covariance"].tolerance[m.backend.tolerance]
     assert np.max(np.abs(verify._law_bilinear(m, _rng("x"), None, 10))) \
         <= tol
     _rolled_weight(monkeypatch)

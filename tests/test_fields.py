@@ -14,8 +14,7 @@ from conformal_lab.errors import AliasingError
 def _random_mode_field(basis, rng, degree=None, fourier=None):
     return F.random_bandlimited(basis, rng,
                                 degree=degree or basis.degree_max // 2,
-                                fourier=(fourier or basis.fourier_max // 2)
-                                if basis.is_product else 0)
+                                fourier=fourier or basis.fourier_max // 2)
 
 
 # ----------------------------------------------------------- constructions
@@ -66,8 +65,8 @@ def test_analyze_single_basis_function_orthonormality(s1xs3):
 
 def test_aliasing_error_on_products_of_top_modes():
     b = ModeBasis.for_sphere(4, 12, nodes=13)
-    c = np.zeros(13)
-    c[12] = 1.0
+    c = np.zeros((1, 13))
+    c[0, 12] = 1.0
     f = F.synthesize(b, c)
     with pytest.raises(AliasingError):
         F.analyze(f * f)
@@ -88,8 +87,8 @@ def test_volume_product(s1xs2):
 
 def test_nonconstant_mode_integrates_to_zero(sphere5):
     b = sphere5.basis
-    c = np.zeros(b.sphere_mode_count)
-    c[3] = 1.0
+    c = np.zeros(b.mode_shape)
+    c[0, 3] = 1.0
     f = F.synthesize(b, c)
     assert abs(F.integrate(f)) < 1e-12
 
@@ -214,7 +213,7 @@ def test_gradient_components_are_the_frame_jets_gradient(sphere5, s1xs2,
     for f in (_random_mode_field(sphere5.basis, rng), stack):
         got = F.gradient_components(f)
         want = F.frame_jets(f)[1]
-        assert len(got) == len(want) == (2 if f.basis.is_product else 1)
+        assert len(got) == len(want) == (2 if f is stack else 1)
         for g, w in zip(got, want):
             assert g.shape == f.grid_values.shape
             np.testing.assert_array_equal(g, w)
@@ -239,24 +238,21 @@ def test_evaluate_sequence_stacks_columns(sphere5, s1xs2, rng):
 
 
 def _mode_field(basis, j, m):
-    c = np.zeros((basis.circle_mode_count, basis.sphere_mode_count)
-                 if basis.is_product else basis.sphere_mode_count)
-    c[(j, m) if basis.is_product else m] = 1.0
+    c = np.zeros(basis.mode_shape)
+    c[j, m] = 1.0
     return F.synthesize(basis, c)
 
 
 def _band_mix(m, rng):
     """Fields of mixed bands, one of full band, and the zero field."""
     b = m.basis
-    zero = F.synthesize(b, np.zeros(
-        (b.circle_mode_count, b.sphere_mode_count) if b.is_product
-        else b.sphere_mode_count))
+    zero = F.synthesize(b, np.zeros(b.mode_shape))
     fields = [_mode_field(b, 0, 2),
               _random_mode_field(b, rng, degree=4, fourier=3),
               F.random_bandlimited(b, rng, degree=b.degree_max,
                                    fourier=b.fourier_max),
               zero]
-    if b.is_product:
+    if b.fourier_max:
         # a top row of a cosine mode (wavenumber 3) and of a sine mode
         fields += [_mode_field(b, 5, 3), _mode_field(b, 2 * b.fourier_max, 1)]
     return fields
@@ -264,7 +260,7 @@ def _band_mix(m, rng):
 
 def _off_grid_points(m, rng):
     chi = np.concatenate([[0.0, math.pi], rng.uniform(0, math.pi, 40)])
-    if not m.is_product:
+    if not m.backend.circle:
         return (chi,)
     return rng.uniform(-m.length, 2 * m.length, chi.size), chi
 
@@ -302,8 +298,8 @@ def test_band_follows_the_nonzero_coefficients(s1xs2, sphere5):
     assert (band.fourier_max, band.degree_max) == (3, 4)
     assert C.shape == (7, 5, 1)
     band, C = F._band(sphere5.basis,
-                      np.zeros((sphere5.basis.sphere_mode_count, 2)))
-    assert band.degree_max == 0 and C.shape == (1, 2)
+                      np.zeros(sphere5.basis.mode_shape + (2,)))
+    assert band.degree_max == 0 and C.shape == (1, 1, 2)
 
 
 @pytest.mark.parametrize("name", ["sphere5", "s1xs2"])
@@ -312,7 +308,7 @@ def test_nan_coefficient_poisons_band_limited_evaluation(name, request, rng):
     b = m.basis
     low = _mode_field(b, 0, 1)
     c = np.array(low.coefficients)
-    c[(-1, -1) if b.is_product else -1] = np.nan  # beyond the band of low
+    c[-1, -1] = np.nan  # beyond the band of low
     bad = F.synthesize(b, c)
     pts = _off_grid_points(m, rng)
     assert np.all(np.isnan(F.evaluate(bad, *pts)))
@@ -326,7 +322,7 @@ def test_nan_coefficient_poisons_band_limited_evaluation(name, request, rng):
 def _pairing_points(m, rng):
     """Points off the grid, pointwise, and on a product an open mesh too."""
     cases = [_off_grid_points(m, rng)]
-    if m.is_product:
+    if m.backend.circle:
         cases.append((rng.uniform(-m.length, 2 * m.length, 23)[:, None],
                       rng.uniform(0, math.pi, 19)[None, :]))
     return cases
@@ -402,7 +398,7 @@ def test_every_transform_maps_over_the_trial_axis(name, request, rng):
     singles = [_random_mode_field(b, rng) for _ in range(3)]
     stacked = _stack(singles)
     pts = ((np.array([0.1, 1.3, 2.9]), np.array([0.2, 1.0, 3.0]))
-           if b.is_product else (np.array([0.2, 1.0, 3.0]),))
+           if name == "s1xs2" else (np.array([0.2, 1.0, 3.0]),))
 
     def grid(f):
         return F.field_from_grid(b, f.grid_values)
@@ -472,16 +468,13 @@ def test_sup_normalized_scales_each_trial(s1xs2, rng):
 def _random_modes_by_draw(basis, rng, degree, fourier=0):
     """``random_modes`` written as one scalar draw per coefficient."""
     degree = min(degree, basis.degree_max)
-    if basis.is_product:
-        fourier = min(fourier, basis.fourier_max)
-        c = np.zeros((basis.circle_mode_count, basis.sphere_mode_count))
-        for j in range(2 * fourier + 1):
-            k = basis.circle_wavenumber(j)
-            for m in range(degree + 1):
-                c[j, m] = rng.normal() * math.exp(-(k + m))
-        return c
-    return np.array([rng.normal() * math.exp(-l) if l <= degree else 0.0
-                     for l in range(basis.sphere_mode_count)])
+    fourier = min(fourier, basis.fourier_max)
+    c = np.zeros(basis.mode_shape)
+    for j in range(2 * fourier + 1):
+        k = basis.circle_wavenumber(j)
+        for m in range(degree + 1):
+            c[j, m] = rng.normal() * math.exp(-(k + m))
+    return c
 
 
 @pytest.mark.parametrize("name, degree, fourier", [

@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -338,7 +339,8 @@ def _s1xsd(d, length, monkeypatch):
     """S1(length) x S^d on a small basis, its kind registered for the
     test where the catalog has no row for it."""
     kind = f"product-S1xS{d}"
-    monkeypatch.setitem(basis.PRODUCT_KINDS, kind, d)
+    monkeypatch.setitem(basis.BACKENDS, kind, replace(
+        basis.BACKENDS["product-S1xS2"], dims={d + 1: d}))
     return catalog_build(kind, None, {"length": length},
                          {"degree_max": 4, "fourier_max": 2})
 

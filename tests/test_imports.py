@@ -15,10 +15,10 @@ ledger routines of ``spectrum``, the ``ScalarField`` constructor and the
 Ricci-from-jets routine of ``geometry`` are called only from their own
 module and from the few callers listed in ``SINGLE_PLACE``, the flat
 kernel coefficients of ``green`` only from ``green.green_field``, and
-the pole rule of ``quadrature`` only from its three readers.  The
-routines that serve both backends in one code path, listed in
-``BACKEND_FREE``, do not ask which backend they run on, and the modules'
-relative imports, at module level or inside a function, form no cycle.
+the pole rule of ``quadrature`` only from its three readers.  Whether a
+circle multiplies a backend's sphere is asked only by the four
+definitions of ``BACKEND_READERS``, and the modules' relative imports,
+at module level or inside a function, form no cycle.
 """
 
 import ast
@@ -355,19 +355,24 @@ def test_a_second_pole_rule_reader_is_caught():
                                     "verify._paired_integrals: pole_blocks"]
 
 
-# definitions that serve spheres and products alike, as ``module.name``
-# or ``module.Class.name``: a sphere is the one-side case of the pole rule
-# and the one-row case of a mode table, so none asks for the backend
-BACKEND_FREE = {"green.green_pair", "green.blowup_density",
-                "green.extract_mass", "green.compare_green",
-                "verify._blowup_slabs", "fields.random_modes",
-                "verify._random_w", "verify._draw",
-                "fields._check_projection_exactness",
-                "basis.ModeBasis.circle_mode_count"}
+# the definitions that may ask whether a circle S^1(l) multiplies a
+# backend's sphere, the ``circle`` of its row of ``basis.BACKENDS``, as
+# ``module.name`` or ``module.Class.name``: the frame, the chart, the
+# kernel choice and the pole rule.  Everything else reads the row's facts
+# (its test functions, poles, tolerance class, Moebius family), or none:
+# a sphere is the one-row case of every mode table and the one-side case
+# of the pole rule.
+BACKEND_READERS = {"fields.frame_weights",
+                   "geometry.ManifoldModel.grid_points",
+                   "green.green_field", "quadrature.pole_blocks"}
+# the question, and the name it had before the row answered it
+BACKEND_QUESTIONS = {"circle", "is_product"}
 
 
-def backend_branches(sources: dict) -> list[str]:
-    """The ``BACKEND_FREE`` definitions that read ``is_product``."""
+def backend_readers(sources: dict) -> list[str]:
+    """The top-level statements and class members, by ``module.name`` or
+    ``module.Class.name`` (the first target of an assignment), that read
+    a name of ``BACKEND_QUESTIONS``, decorators and lambdas included."""
     out = []
     for name, src in sources.items():
         module = name.removesuffix(".py")
@@ -376,16 +381,19 @@ def backend_branches(sources: dict) -> list[str]:
                 prefix, defs = f"{module}.{top.name}", top.body
             else:
                 prefix, defs = module, [top]
-            out += [f"{prefix}.{node.name}" for node in defs
-                    if isinstance(node, ast.FunctionDef)
-                    and f"{prefix}.{node.name}" in BACKEND_FREE
-                    and "is_product" in referenced(node)]
+            for node in defs:
+                label = getattr(node, "name", None) or next(
+                    (t.id for t in getattr(node, "targets", ())
+                     if isinstance(t, ast.Name)), node.lineno)
+                if BACKEND_QUESTIONS & referenced(node):
+                    out.append(f"{prefix}.{label}")
     return sorted(out)
 
 
 def test_spheres_take_the_product_code_path():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert backend_branches(sources) == []
+    assert len(BACKEND_READERS) <= 4
+    assert backend_readers(sources) == sorted(BACKEND_READERS)
 
 
 def test_a_backend_branch_is_caught():
@@ -393,11 +401,16 @@ def test_a_backend_branch_is_caught():
                            "    @property\n"
                            "    def circle_mode_count(self):\n"
                            "        return 1 if self.is_product else 0\n"
-                           "    def volume(self): return self.is_product\n",
-               "verify.py": "def _draw(m): return m.basis.fourier_max\n"
-                            "def _random_w(m): return 2 * m.is_product\n"}
-    assert backend_branches(sources) == ["basis.ModeBasis.circle_mode_count",
-                                         "verify._random_w"]
+                           "    def volume(self): return self.length\n",
+               "verify.py": "LAWS = {'t': lambda m: m.backend.circle}\n"
+                            "@Suite('mass', lambda m: not m.backend.circle)\n"
+                            "def check_mass(m): return m.backend.moebius\n"
+                            "def _draw(m): return m.basis.fourier_max\n",
+               "green.py": "def green_field(m):\n"
+                           "    return 1 if m.backend.circle else 0\n"}
+    assert backend_readers(sources) == ["basis.ModeBasis.circle_mode_count",
+                                        "green.green_field", "verify.LAWS",
+                                        "verify.check_mass"]
 
 
 def import_cycles(sources: dict) -> list[list[str]]:

@@ -36,7 +36,9 @@ def product(request):
 
 
 # every circle product of the kind table, so a row added to it is checked
-PRODUCTS = pytest.mark.parametrize("product", list(basis.PRODUCT_KINDS),
+PRODUCT_KINDS = [kind for kind, row in basis.BACKENDS.items()
+                 if row.circle]
+PRODUCTS = pytest.mark.parametrize("product", PRODUCT_KINDS,
                                    ids=_short, indirect=True)
 
 
@@ -98,8 +100,8 @@ def test_paneitz_image_kernel_value(s1xs2):
 
 
 @pytest.mark.parametrize("product, suite", [
-    (kind, "4d-identity" if d == 3 else "weak-identity")
-    for kind, d in basis.PRODUCT_KINDS.items()], ids=_short,
+    (kind, "4d-identity" if 4 in basis.BACKENDS[kind].dims
+     else "weak-identity") for kind in PRODUCT_KINDS], ids=_short,
     indirect=["product"])
 def test_identity_integrals(product, suite, monkeypatch):
     """The weak (n != 4) and log-kernel (n = 4) identity integrals of the

@@ -13,10 +13,7 @@ from conformal_lab.operators import (apply_L, apply_P, apply_P_pointwise,
 
 
 def _single_mode(basis, *index):
-    if basis.is_product:
-        c = np.zeros((basis.circle_mode_count, basis.sphere_mode_count))
-    else:
-        c = np.zeros(basis.sphere_mode_count)
+    c = np.zeros(basis.mode_shape)
     c[index] = 1.0
     return F.synthesize(basis, c)
 
@@ -31,7 +28,7 @@ def test_L_on_constants_is_scalar_curvature(sphere5, s1xs2):
 
 def test_L_eigenvalue_degree_one_sphere3(sphere3):
     # -8 * (-3) + 6 = 30 on the unit 3-sphere
-    phi = _single_mode(sphere3.basis, 1)
+    phi = _single_mode(sphere3.basis, 0, 1)
     out = apply_L(sphere3, phi)
     assert_allclose(out.grid_values, 30.0 * phi.grid_values, atol=1e-10)
 
@@ -80,13 +77,13 @@ def test_P_symbol_factorizes_on_spheres(n):
     m = catalog_build("sphere", n, {}, {"degree_max": 12})
     lam = np.arange(13.0) * (np.arange(13.0) + n - 1)
     want = (lam + n * (n - 2) / 4.0) * (lam + (n + 2) * (n - 4) / 4.0)
-    assert_allclose(build_symbol(m, "P"), want, rtol=1e-12)
+    assert_allclose(build_symbol(m, "P"), want[None, :], rtol=1e-12)
 
 
 def test_P_constant_mode_value_formula():
     for n in (3, 5, 6, 7):
         m = catalog_build("sphere", n, {}, {"degree_max": 4})
-        got = build_symbol(m, "P")[0]
+        got = build_symbol(m, "P")[0, 0]
         assert_allclose(got, n * (n ** 2 - 4) * (n - 4) / 16.0, rtol=1e-12)
 
 
@@ -96,11 +93,8 @@ def test_symbol_vs_pointwise_on_random_modes(s1xs2, s1xs3, sphere5, rng):
         b = m.basis
         table = build_symbol(m, "P")
         for _ in range(20):
-            if b.is_product:
-                idx = (rng.integers(0, b.circle_mode_count),
-                       rng.integers(0, b.sphere_mode_count))
-            else:
-                idx = (rng.integers(0, b.sphere_mode_count),)
+            idx = (rng.integers(0, b.circle_mode_count),
+                   rng.integers(0, b.sphere_mode_count))
             phi = _single_mode(b, *idx)
             direct = apply_P_pointwise(m, phi).grid_values
             tabled = table[idx] * phi.grid_values
@@ -119,10 +113,8 @@ def test_E_constants_on_sphere5(sphere5):
 def test_E_matches_operator_pairing(sphere5, s1xs2, s1xs3, rng):
     for m in (sphere5, s1xs2, s1xs3):
         for _ in range(10):
-            u = F.random_bandlimited(m.basis, rng, degree=6,
-                                     fourier=4 if m.is_product else 0)
-            v = F.random_bandlimited(m.basis, rng, degree=6,
-                                     fourier=4 if m.is_product else 0)
+            u = F.random_bandlimited(m.basis, rng, degree=6, fourier=4)
+            v = F.random_bandlimited(m.basis, rng, degree=6, fourier=4)
             e = quadratic_form_E(m, u, v)
             pairing = F.integrate(apply_P(m, u) * v)
             assert abs(e - pairing) < 1e-8 * max(1.0, abs(e))
@@ -150,14 +142,11 @@ def test_bilinear_covariance_sphere(sphere5, rng):
 
 def test_dimension4_form_invariance(sphere4, s1xs3, rng):
     for m in (sphere4, s1xs3):
-        w = F.random_bandlimited(m.basis, rng, degree=3,
-                                 fourier=2 if m.is_product else 0,
+        w = F.random_bandlimited(m.basis, rng, degree=3, fourier=2,
                                  amplitude=0.1)
         factor = FieldFactor(m, w)
-        phi = F.random_bandlimited(m.basis, rng, degree=5,
-                                   fourier=3 if m.is_product else 0)
-        psi = F.random_bandlimited(m.basis, rng, degree=5,
-                                   fourier=3 if m.is_product else 0)
+        phi = F.random_bandlimited(m.basis, rng, degree=5, fourier=3)
+        psi = F.random_bandlimited(m.basis, rng, degree=5, fourier=3)
         lhs = conformal_quadratic_form_E(m, factor, phi, psi)
         rhs = quadratic_form_E(m, phi, psi)
         assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))

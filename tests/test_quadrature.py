@@ -69,8 +69,8 @@ def test_weights_sum_to_the_volume(fixture, rtol, request):
     assert math.isclose(shares, m.volume, rel_tol=rtol)
     for points, _, sides in blocks:
         assert sides[0] is points
-        assert len(sides) == (2 if m.is_product else 1)
-        if m.is_product:
+        assert len(sides) == (2 if m.backend.circle else 1)
+        if m.backend.circle:
             (s, chi), (mirror_s, mirror_chi) = points, sides[1]
             assert np.array_equal(mirror_s, 2.0 * pole.s0 - s)
             assert mirror_chi is chi

@@ -37,7 +37,7 @@ def test_a_suite_takes_a_tolerance_exactly_when_it_declares_one():
 
 def test_the_declared_tolerance_is_the_default(sphere5, s1xs2):
     for m in (sphere5, s1xs2):
-        want = DECLARATIONS["green-compare"].tolerance[m.is_product]
+        want = DECLARATIONS["green-compare"].tolerance[m.backend.tolerance]
         default = check_green_compare(m).checks
         assert default == check_green_compare(m, tolerance=want).checks
         assert default != check_green_compare(m, tolerance=2 * want).checks

@@ -392,18 +392,18 @@ def test_resolution_records_the_nodes_the_integrand_received(
     of the suite is built on: on a sphere its one block, on a product the
     near patch and the far rectangle, each the sum of its slabs."""
     m = request.getfixturevalue(fixture)
-    assert m.is_product == (blocks == "product_blocks")
+    assert m.backend.circle == (blocks == "product_blocks")
     calls = _count_blocks(monkeypatch, "pole_blocks")
     report = run_suite(suite, m, {"level": 1})
     assert len(calls) == 1
     res = report.resolution
-    if m.is_product:
+    if m.backend.circle:
         assert res["nodes"] == [sum(size for size, mesh in calls[0]
                                     if mesh == far) for far in (False, True)]
     else:
         assert res["nodes"] == [size for size, _ in calls[0]]
     assert res["graded_depth"] == 14
-    if m.is_product:
+    if m.backend.circle:
         assert res["images"] == green.green_field(m, "L").cutoff > 0
         assert res["mirror"] == "s"  # the nodes of the ds > 0 half
     else:
