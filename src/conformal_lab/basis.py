@@ -51,7 +51,7 @@ class Backend:
     scales: dict         # parameter -> (descriptor symbol, default)
     tolerance: int       # index of Suite.tolerance: 0 closed form, 1 series
     test_modes: tuple    # (circle row, degree) of the unit test functions
-    test_degree: int     # and the degree of the random one
+    test_degree: int     # and the degree of the band field
     sign_poles: tuple    # (axis, p, q), a pole at s = l p / q: sign scan
     compare_poles: tuple  # and of the comparison
     moebius: bool        # whether a Moebius dilation family exists
@@ -332,9 +332,9 @@ class ModeBasis:
         return (2.0 * math.pi * k / self.length) ** 2
 
     def neg_laplacian_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of -Laplace per mode, shaped like the mode table."""
-        lam_c = self.circle_factor_eigenvalues()
-        return lam_c[:, None] + self.sphere_factor_eigenvalues()[None, :]
+        """Eigenvalues of -Laplace per mode, shaped like the mode table,
+        read-only and built once per basis."""
+        return _neg_laplacian(self)
 
     def multiplicities(self) -> np.ndarray:
         """True eigenspace dimensions carried by each reduced mode."""
@@ -399,6 +399,14 @@ def _frozen(arrays: tuple) -> tuple:
 def _polar_tables(basis: ModeBasis):
     t, _ = basis.polar_rule()
     return _frozen(basis.polar_jets(t))
+
+
+@lru_cache(maxsize=64)
+def _neg_laplacian(basis: ModeBasis) -> np.ndarray:
+    lam_c = basis.circle_factor_eigenvalues()
+    (lam,) = _frozen((lam_c[:, None]
+                      + basis.sphere_factor_eigenvalues()[None, :],))
+    return lam
 
 
 def _circle_values(fourier_max: int, length: float, s: np.ndarray,

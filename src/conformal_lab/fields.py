@@ -68,8 +68,8 @@ __all__ = [
     "grid_sum",
     "integrate",
     "laplacian",
+    "mode_envelope",
     "pair",
-    "random_bandlimited",
     "random_modes",
     "sup_normalized",
     "synthesize",
@@ -184,19 +184,28 @@ def even_part(f: ScalarField) -> ScalarField:
     return synthesize(f.basis, c)
 
 
-def random_modes(basis: ModeBasis, rng, degree: int,
-                 fourier: int = 0) -> np.ndarray:
-    """A reproducible random coefficient table supported on low modes,
-    decaying like exp(-(wavenumber + degree)): one normal draw per
-    supported mode, in row-major order, taken in one call, in circle
-    rows up to wavenumber ``fourier``: one row on a sphere."""
+def mode_envelope(basis: ModeBasis, degree: int,
+                  fourier: int = 0) -> np.ndarray:
+    """The coefficient table exp(-(wavenumber + degree)) on the modes up to
+    ``degree`` and wavenumber ``fourier`` (one circle row on a sphere), cut
+    to the basis, and zero elsewhere."""
     degree = min(degree, basis.degree_max)
     fourier = min(fourier, basis.fourier_max)
     c = np.zeros(basis.mode_shape)
     rows = [basis.circle_wavenumber(j) for j in range(2 * fourier + 1)]
-    decay = np.array([[math.exp(-(k + m)) for m in range(degree + 1)]
-                      for k in rows])
-    c[:len(rows), :degree + 1] = rng.normal(size=decay.shape) * decay
+    c[:len(rows), :degree + 1] = [[math.exp(-(k + m))
+                                   for m in range(degree + 1)] for k in rows]
+    return c
+
+
+def random_modes(basis: ModeBasis, rng, degree: int,
+                 fourier: int = 0) -> np.ndarray:
+    """A reproducible random coefficient table under ``mode_envelope``:
+    one normal draw per supported mode, in row-major order, taken in one
+    call, times the envelope."""
+    c = mode_envelope(basis, degree, fourier)
+    support = c > 0.0
+    c[support] *= rng.normal(size=np.count_nonzero(support))
     return c
 
 
@@ -207,19 +216,11 @@ def sup_normalized(basis: ModeBasis, coefficients,
     f = synthesize(basis, coefficients)
     top = np.max(np.abs(f.grid_values), axis=_grid_axes(basis))
     if np.any(top == 0.0):
-        raise ZeroFunctionError("random draw produced the zero field")
+        raise ZeroFunctionError("the coefficients give the zero field")
     scale = amplitude / top
     return ScalarField(
         basis, f.coefficients * trial_axes(scale, len(basis.mode_shape)),
         f.grid_values * trial_axes(scale, len(basis.grid_shape)), f.bandwidth)
-
-
-def random_bandlimited(basis: ModeBasis, rng, degree: int, fourier: int = 0,
-                       amplitude: float = 1.0) -> ScalarField:
-    """A reproducible random field supported on low modes (``random_modes``)
-    and scaled so its sup norm is ``amplitude``."""
-    return sup_normalized(basis, random_modes(basis, rng, degree, fourier),
-                          amplitude)
 
 
 def trial_axes(a, ndim: int):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -113,14 +113,17 @@ class ManifoldModel:
         return F.constant_field(self.basis, value)
 
     # ------------------------------------------------------------- sampling
+    @lru_cache(maxsize=64)
     def grid_points(self):
         """The grid's chart coordinates, an open mesh: an s column where a
         circle multiplies the sphere (the chart's one such question), then
-        a chi row."""
-        chi = self.basis.polar_angles()[None, :]
+        a chi row; read-only and built once per backend."""
+        chart = (self.basis.polar_angles()[None, :],)
         if self.backend.circle:
-            return self.basis.circle_points()[:, None], chi
-        return (chi,)
+            chart = (self.basis.circle_points()[:, None],) + chart
+        for axis in chart:
+            axis.setflags(write=False)
+        return chart
 
     def pole_point(self, pole: Pole) -> tuple:
         """Chart coordinates of the pole, as one-point arrays."""

@@ -209,17 +209,19 @@ def run_suite(name: str, m: ManifoldModel, cfg: dict | None = None):
 
 # ----------------------------------------------------- pole identities
 
-def default_test_functions(m: ManifoldModel, seed: int = 0):
-    """Constants, the row's unit modes, and one seeded random field."""
+def default_test_functions(m: ManifoldModel):
+    """The constant, the row's unit modes, and one band field: the
+    ``mode_envelope`` up to the row's ``test_degree`` and wavenumber 3,
+    at sup norm 1.  The fields are fixed by the row alone; the identities
+    are linear in the test function, so they draw none."""
     b = m.basis
     fns = [m.constant(1.0)]
     for j, l in m.backend.test_modes:
         c = np.zeros(b.mode_shape)
         c[j, l] = 1.0
         fns.append(F.synthesize(b, c))
-    rng = np.random.default_rng(seed)
-    fns.append(F.random_bandlimited(b, rng, degree=m.backend.test_degree,
-                                    fourier=3))
+    fns.append(F.sup_normalized(b, F.mode_envelope(
+        b, m.backend.test_degree, fourier=3)))
     return fns
 
 
@@ -280,7 +282,7 @@ def _paired_integrals(m, level, fns, densities):
     return totals[0, :k], totals[1, k:], resolution
 
 
-def _pole_identity(m, law, level, tolerance, seed):
+def _pole_identity(m, law, level, tolerance):
     """The identity of ``check_weak_identity`` (n != 4) or of
     ``check_4d_identity`` (n = 4), one residual per default test function,
     each measured against the scale of its largest term."""
@@ -288,7 +290,7 @@ def _pole_identity(m, law, level, tolerance, seed):
     four = n == 4
     s = (n - 4.0) / (n - 2.0)
     target = 16.0 * math.pi ** 2 if four else comparison_constant(n)
-    fns = default_test_functions(m, seed)
+    fns = default_test_functions(m)
 
     def densities(g, ricci_sq):
         if four:
@@ -322,8 +324,7 @@ def _pole_identity(m, law, level, tolerance, seed):
 
 @Suite("weak-identity", lambda m: m.n != 4, positive_yamabe=True,
        tolerance=(1e-8, 1e-2))
-def check_weak_identity(m: ManifoldModel, tolerance: float, level: int = 2,
-                        seed: int = 0):
+def check_weak_identity(m: ManifoldModel, tolerance: float, level: int = 2):
     """Distributional identity for the fourth-order operator, n != 4.
 
     For each test function phi the residual of
@@ -334,13 +335,12 @@ def check_weak_identity(m: ManifoldModel, tolerance: float, level: int = 2,
     with s = (n-4)/(n-2) and the blow-up metric G_L^{4/(n-2)} g, is
     measured against the scale of its largest term.
     """
-    return _pole_identity(m, "weak-identity", level, tolerance, seed)
+    return _pole_identity(m, "weak-identity", level, tolerance)
 
 
 @Suite("4d-identity", lambda m: m.n == 4, positive_yamabe=True,
        tolerance=(1e-6, 2e-2))
-def check_4d_identity(m: ManifoldModel, tolerance: float, level: int = 2,
-                      seed: int = 0):
+def check_4d_identity(m: ManifoldModel, tolerance: float, level: int = 2):
     """Log-kernel identity in dimension four.
 
     Residual per test function of
@@ -348,7 +348,7 @@ def check_4d_identity(m: ManifoldModel, tolerance: float, level: int = 2,
       int log G_L P(phi) dmu = 16 pi^2 phi(p)
           - 1/2 int |Ric_blowup|^2 phi dmu - int Q phi dmu.
     """
-    return _pole_identity(m, "log-identity-4d", level, tolerance, seed)
+    return _pole_identity(m, "log-identity-4d", level, tolerance)
 
 
 # ----------------------------------------------------------------- total Q

@@ -109,3 +109,15 @@ def test_circle_jets_match_cos_and_sin(fourier_max):
         scale = amp * max(1.0, om * fourier_max) ** i
         np.testing.assert_allclose(got, want, rtol=0, atol=4e-14 * scale)
     np.testing.assert_array_equal(b.circle_values(s), b.circle_jets(s)[0])
+
+
+@pytest.mark.parametrize("basis", [
+    ModeBasis.for_sphere(5, 24),
+    ModeBasis.for_product("product-S1xS2", 16, 8, 2.0 * math.pi)])
+def test_laplacian_eigenvalues_are_one_read_only_table(basis):
+    """Built once per basis, as the sum of the factors' eigenvalues."""
+    lam = basis.neg_laplacian_eigenvalues()
+    assert lam is basis.neg_laplacian_eigenvalues()
+    assert not lam.flags.writeable and lam.shape == basis.mode_shape
+    assert np.array_equal(lam, basis.circle_factor_eigenvalues()[:, None]
+                          + basis.sphere_factor_eigenvalues()[None, :])

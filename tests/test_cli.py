@@ -502,14 +502,24 @@ def test_catalog_constants():
 
 # ------------------------------------------------------------ dependencies
 
-_SCIPY_GUARD = """
+_MODULES_GUARD = """
 import json, sys
 from conformal_lab.cli import RunConfig, run
 code = run(RunConfig(json.loads(sys.argv[1])), sys.argv[2])
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.split(".")[0] in ("scipy", "concurrent")
-                               or m.startswith("numpy.polynomial"))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
+
+
+def _fresh_run(guard: str, cfg: dict, tmp_path):
+    """The last output line of ``guard``, run on ``cfg`` in a fresh
+    interpreter, parsed."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", guard, json.dumps(cfg), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def test_run_does_not_import_scipy(tmp_path):
@@ -521,16 +531,28 @@ def test_run_does_not_import_scipy(tmp_path):
     sphere5 = {"kind": "sphere", "n": 5, "basis": {"degree_max": 12}}
     cfg = dict(BASE_CONFIG, suites=["total-q", "mass"],
                catalog=BASE_CONFIG["catalog"] + [sphere5])
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_GUARD, json.dumps(cfg),
-         str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    code, modules = _fresh_run(_MODULES_GUARD, cfg, tmp_path)
     assert code == 0
-    assert modules == []
+    assert [m for m in modules if m.split(".")[0] in ("scipy", "concurrent")
+            or m.startswith("numpy.polynomial")] == []
+
+
+def test_an_identity_run_does_not_import_numpy_random(tmp_path):
+    """The identity and total-Q suites draw nothing, their test functions
+    being fixed by the backend's row, so a run of them over the product
+    rows of ``configs/full.json`` never imports ``numpy.random``, which
+    numpy imports on first use; a covariance run on the same rows
+    does."""
+    full = json.loads((REPO / "configs" / "full.json").read_text())
+    products = [r for r in full["catalog"] if r["kind"] != "sphere"]
+    assert len(products) == 2
+    identities = dict(full, catalog=products,
+                      suites=["weak-identity", "4d-identity", "total-q"])
+    code, modules = _fresh_run(_MODULES_GUARD, identities, tmp_path)
+    assert code == 0 and "numpy.random" not in modules
+    covariance = dict(identities, suites=["covariance"], trials=1)
+    code, modules = _fresh_run(_MODULES_GUARD, covariance, tmp_path)
+    assert code == 0 and "numpy.random" in modules
 
 
 _LAPACK_GUARD = """
@@ -568,13 +590,6 @@ def test_run_calls_no_lapack(tmp_path):
              "basis": {"degree_max": 12, "fourier_max": 6}}
     cfg = dict(BASE_CONFIG, suites=["weak-identity", "4d-identity", "mass"],
                catalog=BASE_CONFIG["catalog"] + [sphere5, s1xs2])
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", _LAPACK_GUARD, json.dumps(cfg),
-         str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    code, calls = json.loads(proc.stdout.strip().splitlines()[-1])
+    code, calls = _fresh_run(_LAPACK_GUARD, cfg, tmp_path)
     assert code == 0
     assert calls == []

@@ -10,11 +10,13 @@ from conformal_lab.basis import (ModeBasis, ball_volume, sphere_area,
                                  zonal_polynomials)
 from conformal_lab.errors import AliasingError
 
+from random_fields import random_bandlimited
+
 
 def _random_mode_field(basis, rng, degree=None, fourier=None):
-    return F.random_bandlimited(basis, rng,
-                                degree=degree or basis.degree_max // 2,
-                                fourier=fourier or basis.fourier_max // 2)
+    return random_bandlimited(basis, rng,
+                              degree=degree or basis.degree_max // 2,
+                              fourier=fourier or basis.fourier_max // 2)
 
 
 # ----------------------------------------------------------- constructions
@@ -249,8 +251,8 @@ def _band_mix(m, rng):
     zero = F.synthesize(b, np.zeros(b.mode_shape))
     fields = [_mode_field(b, 0, 2),
               _random_mode_field(b, rng, degree=4, fourier=3),
-              F.random_bandlimited(b, rng, degree=b.degree_max,
-                                   fourier=b.fourier_max),
+              random_bandlimited(b, rng, degree=b.degree_max,
+                                 fourier=b.fourier_max),
               zero]
     if b.fourier_max:
         # a top row of a cosine mode (wavenumber 3) and of a sine mode

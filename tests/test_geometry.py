@@ -19,6 +19,8 @@ from conformal_lab.geometry import (ConformalFactor, FieldFactor,
 from conformal_lab.operators import conformal_q
 from conformal_lab.spectrum import lambda1_L
 
+from random_fields import random_bandlimited
+
 
 # ----------------------------------------------------------------- catalog
 
@@ -79,7 +81,7 @@ def test_a_product_kind_is_one_table_row(monkeypatch):
     fns = verify.default_test_functions(m)
     units = [tuple(np.argwhere(f.coefficients)[0]) for f in fns[1:-1]]
     assert len(fns) == 6 and units == list(row.test_modes)
-    # the random field asks for wavenumber 3, cut to the basis' 2
+    # the band field asks for wavenumber 3, cut to the basis' 2
     assert fns[-1].bandwidth == (2, row.test_degree)
     report = verify.check_covariance(m, trials=1)
     assert [c.law for c in report.checks] == ["bilinear-covariance",
@@ -200,7 +202,7 @@ def test_warped_oracle_reproduces_round_sphere(sphere5):
 
 def test_conformal_ricci_against_finite_differences(sphere5, rng):
     """Transformed Ricci matches the second-order FD curvature oracle."""
-    w = F.random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.15)
+    w = random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.15)
     factor = FieldFactor(sphere5, w)
     theta = sphere5.basis.polar_angles()
     inner = (theta > 0.4) & (theta < 2.7)
@@ -243,7 +245,7 @@ def test_moebius_factor_keeps_the_sphere_round(n, lam):
 def test_conformal_ricci_aliasing_guard():
     m = catalog_build("sphere", 5, {}, {"degree_max": 16, "sphere_nodes": 17})
     rng = np.random.default_rng(0)
-    w = F.random_bandlimited(m.basis, rng, degree=12, amplitude=0.05)
+    w = random_bandlimited(m.basis, rng, degree=12, amplitude=0.05)
     with pytest.raises(AliasingError):
         conformal_ricci(m, FieldFactor(m, w))
 
@@ -264,8 +266,8 @@ def test_conformal_q_constant_shift_dimension4(sphere4):
 
 def test_conformal_q_two_routes_agree(sphere5, s1xs3, rng):
     for m in (sphere5, s1xs3):
-        w = F.random_bandlimited(m.basis, rng, degree=3, fourier=2,
-                                 amplitude=0.1)
+        w = random_bandlimited(m.basis, rng, degree=3, fourier=2,
+                               amplitude=0.1)
         factor = FieldFactor(m, w)
         q1 = conformal_q(m, factor).grid_values
         q2 = conformal_curvature(m, factor)[2]
@@ -276,7 +278,7 @@ def test_conformal_q_two_routes_agree(sphere5, s1xs3, rng):
 # ----------------------------------------------------------------- factors
 
 def test_factor_convention_consistency(sphere5, rng):
-    w = F.random_bandlimited(sphere5.basis, rng, degree=4, amplitude=0.2)
+    w = random_bandlimited(sphere5.basis, rng, degree=4, amplitude=0.2)
     factor = FieldFactor(sphere5, w)
     n = sphere5.n
     rho_l = factor.rho("metric").grid_values
@@ -338,7 +340,7 @@ def test_a_factor_is_read_at_points_by_its_values(sphere5, s1xs2, rng,
     of its jets at the points).  At the grid nodes the values are those
     of the grid jets."""
     factors = [MoebiusFactor(sphere5, [1.2, 1.3])] + [
-        FieldFactor(m, F.random_bandlimited(
+        FieldFactor(m, random_bandlimited(
             m.basis, rng, degree=4, fourier=2))
         for m in (sphere5, s1xs2)]
     for factor in factors:
@@ -359,6 +361,20 @@ def test_a_factor_is_read_at_points_by_its_values(sphere5, s1xs2, rng,
                else (chi,))
         assert factor.w_at(*pts).shape[-1] == 9
     assert calls == []
+
+
+def test_the_grid_chart_is_built_once(sphere5, s1xs2):
+    """One read-only open mesh per backend, whose coordinate count the
+    pole point reads."""
+    for m in (sphere5, s1xs2):
+        chart = m.grid_points()
+        assert chart is m.grid_points()
+        assert not any(axis.flags.writeable for axis in chart)
+        assert np.array_equal(chart[-1], m.basis.polar_angles()[None, :])
+        pole = m.pole_point(Pole())
+        assert len(pole) == len(chart) and all(p.shape == (1,) for p in pole)
+    assert np.array_equal(s1xs2.grid_points()[0],
+                          s1xs2.basis.circle_points()[:, None])
 
 
 def test_pole_geometry(s1xs2):

@@ -23,6 +23,8 @@ from conformal_lab.green import (ComparisonResult, GreenField, _image_count,
                                  green_field, green_pair, sign_scan)
 from conformal_lab.operators import apply_L, build_symbol
 
+from random_fields import random_bandlimited
+
 
 # ---------------------------------------------------------------- constants
 
@@ -85,7 +87,7 @@ def test_sphere_harmonicity_off_pole(sphere5):
 def test_delta_normalization_sphere(sphere5, rng):
     gf = green_field(sphere5, "L")
     for _ in range(5):
-        phi = F.random_bandlimited(sphere5.basis, rng, degree=9)
+        phi = random_bandlimited(sphere5.basis, rng, degree=9)
         got = green_pair(gf, apply_L(sphere5, phi))
         want = float(F.evaluate(phi, np.array([0.0]))[0])
         assert abs(got - want) < 1e-8 * max(1.0, abs(want))
@@ -118,7 +120,7 @@ def test_product_green_pairs_constants(s1xs2, s1xs3):
 def test_delta_normalization_product(s1xs2, rng):
     gf = green_field(s1xs2, "L")
     for _ in range(5):
-        phi = F.random_bandlimited(s1xs2.basis, rng, degree=6, fourier=4)
+        phi = random_bandlimited(s1xs2.basis, rng, degree=6, fourier=4)
         got = green_pair(gf, apply_L(s1xs2, phi), level=3)
         want = float(F.evaluate(phi, np.array([0.0]), np.array([0.0]))[0])
         assert abs(got - want) < 1e-6 * max(1.0, abs(want))
@@ -695,7 +697,7 @@ def test_transport_constant_factor_scales(sphere5):
 
 
 def test_transport_preserves_sign(sphere5, rng):
-    w = F.random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.3)
+    w = random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.3)
     factor = FieldFactor(sphere5, w)
     gp = green_field(sphere5, "P")
     scan0 = sign_scan([gp])
@@ -756,7 +758,7 @@ def test_compare_green_equality_on_spheres(sphere3, sphere5):
 
 
 def test_compare_green_transported(sphere5, rng):
-    w = F.random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.2)
+    w = random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.2)
     factor = FieldFactor(sphere5, w)
     res = compare_green(sphere5, [Pole(1)], factor=factor)[0]
     assert res.equality
@@ -935,8 +937,8 @@ def test_transported_mass_keeps_nothing_of_the_factor(monkeypatch):
     level 3).  The earlier call, by another factor of the same w, builds
     the ledger and the tables."""
     m = _s1xsd(4, 2 * math.pi, monkeypatch)
-    w = F.random_bandlimited(m.basis, np.random.default_rng(3), 4, 2,
-                             amplitude=0.3)
+    w = random_bandlimited(m.basis, np.random.default_rng(3), 4, 2,
+                           amplitude=0.3)
     pole = Pole(1, 0.4)
     want = extract_mass(m, pole, FieldFactor(m, w), level=2)
     factor = FieldFactor(m, w)
@@ -998,7 +1000,7 @@ def test_blowup_of_the_sphere_is_flat_at_every_rule_node(n):
 def test_blowup_density_refuses_a_transported_kernel(s1xs2, rng):
     """The split is the untransported kernel's: a transported G_L would
     come back as the untransported G_L and density, bit for bit."""
-    w = F.random_bandlimited(s1xs2.basis, rng, degree=2, amplitude=0.1)
+    w = random_bandlimited(s1xs2.basis, rng, degree=2, amplitude=0.1)
     gL = green_field(s1xs2, "L", Pole(), FieldFactor(s1xs2, w))
     with pytest.raises(ValueError, match=r"untransported G_L, got G_L "
                                          r"\(eigen-expansion\+transport\)"):
@@ -1015,7 +1017,7 @@ def test_blowup_density_refuses_the_paneitz_kernel(sphere5):
 
 
 def test_green_field_helper_builds_and_transports(sphere5, rng):
-    w = F.random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.1)
+    w = random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.1)
     factor = FieldFactor(sphere5, w)
     gf = green_field(sphere5, "L", Pole(1), factor)
     assert "transport" in gf.representation

@@ -75,7 +75,7 @@ def test_far_rectangle_halves_exactly(kind, length):
 
 @pytest.mark.parametrize("kind, length", CASES)
 def test_half_rule_pairing_equals_the_full_rule(kind, length):
-    """The six default test functions (the seeded random one carries sine
+    """The six default test functions (the band field carries sine
     modes) and their P images against the blow-up density, on the half
     rule through their even parts and on the completed full rule as
     they are: equal to 1e-13 of the largest integral."""

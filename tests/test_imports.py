@@ -17,8 +17,9 @@ module and from the few callers listed in ``SINGLE_PLACE``, the flat
 kernel coefficients of ``green`` only from ``green.green_field``, and
 the pole rule of ``quadrature`` only from its three readers.  Whether a
 circle multiplies a backend's sphere is asked only by the four
-definitions of ``BACKEND_READERS``, and the modules' relative imports,
-at module level or inside a function, form no cycle.
+definitions of ``BACKEND_READERS``, only the suites of
+``RANDOM_READERS`` read numpy.random, and the modules' relative
+imports, at module level or inside a function, form no cycle.
 """
 
 import ast
@@ -369,11 +370,10 @@ BACKEND_READERS = {"fields.frame_weights",
 BACKEND_QUESTIONS = {"circle", "is_product"}
 
 
-def backend_readers(sources: dict) -> list[str]:
-    """The top-level statements and class members, by ``module.name`` or
-    ``module.Class.name`` (the first target of an assignment), that read
-    a name of ``BACKEND_QUESTIONS``, decorators and lambdas included."""
-    out = []
+def definitions(sources: dict):
+    """``(label, node)`` for every top-level statement and class member,
+    labelled ``module.name`` or ``module.Class.name`` (the first target
+    of an assignment)."""
     for name, src in sources.items():
         module = name.removesuffix(".py")
         for top in ast.parse(src).body:
@@ -385,9 +385,14 @@ def backend_readers(sources: dict) -> list[str]:
                 label = getattr(node, "name", None) or next(
                     (t.id for t in getattr(node, "targets", ())
                      if isinstance(t, ast.Name)), node.lineno)
-                if BACKEND_QUESTIONS & referenced(node):
-                    out.append(f"{prefix}.{label}")
-    return sorted(out)
+                yield f"{prefix}.{label}", node
+
+
+def backend_readers(sources: dict) -> list[str]:
+    """The definitions that read a name of ``BACKEND_QUESTIONS``,
+    decorators and lambdas included."""
+    return sorted(label for label, node in definitions(sources)
+                  if BACKEND_QUESTIONS & referenced(node))
 
 
 def test_spheres_take_the_product_code_path():
@@ -411,6 +416,61 @@ def test_a_backend_branch_is_caught():
     assert backend_readers(sources) == ["basis.ModeBasis.circle_mode_count",
                                         "green.green_field", "verify.LAWS",
                                         "verify.check_mass"]
+
+
+# the suites that draw: numpy.random is imported lazily, on first use, so
+# a run of the identity and total-Q suites, whose test functions are
+# fixed, never pays for its import
+RANDOM_READERS = {"verify.check_covariance", "verify.check_sign_theorems",
+                  "verify.check_mass"}
+
+
+def reads_numpy_random(node) -> bool:
+    """Whether ``node`` reads ``np.random`` or ``numpy.random``, or
+    imports it."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and sub.attr == "random" \
+                and getattr(sub.value, "id", None) in ("np", "numpy"):
+            return True
+        if isinstance(sub, ast.Import) and any(
+                a.name.startswith("numpy.random") for a in sub.names):
+            return True
+        if isinstance(sub, ast.ImportFrom) and (
+                (sub.module or "").startswith("numpy.random")
+                or sub.module == "numpy"
+                and any(a.name == "random" for a in sub.names)):
+            return True
+    return False
+
+
+def random_readers(sources: dict) -> list[str]:
+    """The definitions that read or import numpy.random."""
+    return sorted(label for label, node in definitions(sources)
+                  if reads_numpy_random(node))
+
+
+def test_only_the_drawing_suites_read_numpy_random():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert random_readers(sources) == sorted(RANDOM_READERS)
+
+
+def test_a_stray_numpy_random_read_is_caught():
+    sources = {"verify.py": "import numpy as np\n"
+                            "def check_covariance(m, seed):\n"
+                            "    return np.random.default_rng(seed)\n"
+                            "def default_test_functions(m):\n"
+                            "    return np.random.default_rng(0)\n"
+                            "def check_mass(m): return np.linalg.norm(m)\n",
+               "fields.py": "from numpy import random\n"
+                            "class Draw:\n"
+                            "    def normal(self):\n"
+                            "        import numpy.random\n"
+                            "        return numpy.random.normal()\n",
+               "basis.py": "from numpy.random import default_rng\n"
+                           "RNG = default_rng(0)\n"}
+    assert random_readers(sources) == [
+        "basis.1", "fields.1", "fields.Draw.normal",
+        "verify.check_covariance", "verify.default_test_functions"]
 
 
 def import_cycles(sources: dict) -> list[list[str]]:

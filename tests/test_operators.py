@@ -11,6 +11,8 @@ from conformal_lab.operators import (apply_L, apply_P, apply_P_pointwise,
                                      build_symbol, conformal_quadratic_form_E,
                                      quadratic_form_E)
 
+from random_fields import random_bandlimited
+
 
 def _single_mode(basis, *index):
     c = np.zeros(basis.mode_shape)
@@ -113,16 +115,16 @@ def test_E_constants_on_sphere5(sphere5):
 def test_E_matches_operator_pairing(sphere5, s1xs2, s1xs3, rng):
     for m in (sphere5, s1xs2, s1xs3):
         for _ in range(10):
-            u = F.random_bandlimited(m.basis, rng, degree=6, fourier=4)
-            v = F.random_bandlimited(m.basis, rng, degree=6, fourier=4)
+            u = random_bandlimited(m.basis, rng, degree=6, fourier=4)
+            v = random_bandlimited(m.basis, rng, degree=6, fourier=4)
             e = quadratic_form_E(m, u, v)
             pairing = F.integrate(apply_P(m, u) * v)
             assert abs(e - pairing) < 1e-8 * max(1.0, abs(e))
 
 
 def test_E_symmetry(sphere3, rng):
-    u = F.random_bandlimited(sphere3.basis, rng, degree=7)
-    v = F.random_bandlimited(sphere3.basis, rng, degree=7)
+    u = random_bandlimited(sphere3.basis, rng, degree=7)
+    v = random_bandlimited(sphere3.basis, rng, degree=7)
     assert quadratic_form_E(sphere3, u, v) == \
         pytest.approx(quadratic_form_E(sphere3, v, u), rel=1e-12)
 
@@ -130,10 +132,10 @@ def test_E_symmetry(sphere3, rng):
 # --------------------------------------------------------------- covariance
 
 def test_bilinear_covariance_sphere(sphere5, rng):
-    w = F.random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.1)
+    w = random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.1)
     factor = FieldFactor(sphere5, w)
-    phi = F.random_bandlimited(sphere5.basis, rng, degree=6)
-    psi = F.random_bandlimited(sphere5.basis, rng, degree=6)
+    phi = random_bandlimited(sphere5.basis, rng, degree=6)
+    psi = random_bandlimited(sphere5.basis, rng, degree=6)
     lhs = conformal_quadratic_form_E(sphere5, factor, phi, psi)
     rho = factor.rho("paneitz")
     rhs = F.integrate(apply_P(sphere5, F.analyze(rho * phi)) * (rho * psi))
@@ -142,11 +144,11 @@ def test_bilinear_covariance_sphere(sphere5, rng):
 
 def test_dimension4_form_invariance(sphere4, s1xs3, rng):
     for m in (sphere4, s1xs3):
-        w = F.random_bandlimited(m.basis, rng, degree=3, fourier=2,
-                                 amplitude=0.1)
+        w = random_bandlimited(m.basis, rng, degree=3, fourier=2,
+                               amplitude=0.1)
         factor = FieldFactor(m, w)
-        phi = F.random_bandlimited(m.basis, rng, degree=5, fourier=3)
-        psi = F.random_bandlimited(m.basis, rng, degree=5, fourier=3)
+        phi = random_bandlimited(m.basis, rng, degree=5, fourier=3)
+        psi = random_bandlimited(m.basis, rng, degree=5, fourier=3)
         lhs = conformal_quadratic_form_E(m, factor, phi, psi)
         rhs = quadratic_form_E(m, phi, psi)
         assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
@@ -155,7 +157,7 @@ def test_dimension4_form_invariance(sphere4, s1xs3, rng):
 def test_a_grid_only_field_is_never_projected(sphere5, rng):
     """Every route that needs coefficients refuses a grid-only field and
     accepts the same field once analyzed."""
-    f = F.random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.1)
+    f = random_bandlimited(sphere5.basis, rng, degree=3, amplitude=0.1)
     grid_only = F.field_from_grid(sphere5.basis, f.grid_values)
     factor = FieldFactor(sphere5, f)
     gf = green_field(sphere5, "L")

@@ -22,6 +22,8 @@ from conformal_lab.verify import (SUITES, check_4d_identity, check_covariance,
                                   check_total_q, check_weak_identity,
                                   default_test_functions, run_suite)
 
+from random_fields import random_bandlimited
+
 
 # ------------------------------------------------------------ weak identity
 
@@ -181,7 +183,7 @@ def test_total_q_conformally_perturbed_sphere(sphere4, rng):
     """The total stays 16 pi^2 under random conformal perturbations."""
     target = 16 * math.pi ** 2
     for _ in range(5):
-        w = F.random_bandlimited(sphere4.basis, rng, degree=3, amplitude=0.1)
+        w = random_bandlimited(sphere4.basis, rng, degree=3, amplitude=0.1)
         factor = FieldFactor(sphere4, w)
         report = check_total_q(sphere4, factor=factor, tolerance=1e-3)
         assert report.passed
@@ -207,7 +209,7 @@ def test_total_q_integrand_takes_no_conformal_weight(sphere4, rng,
                                                       monkeypatch):
     """The conformal weights cancel in dimension four, so the defect
     density is built without evaluating the factor."""
-    w = F.random_bandlimited(sphere4.basis, rng, degree=3, amplitude=0.1)
+    w = random_bandlimited(sphere4.basis, rng, degree=3, amplitude=0.1)
     factor = FieldFactor(sphere4, w)
     state = {"inside": False, "blocks": 0, "w_at_inside": 0}
     orig_w_at = FieldFactor.w_at
@@ -259,8 +261,8 @@ def test_covariance_identity_factor_is_exact(sphere5):
     from conformal_lab.operators import (conformal_quadratic_form_E,
                                          quadratic_form_E)
     rng = np.random.default_rng(0)
-    phi = F.random_bandlimited(sphere5.basis, rng, degree=6)
-    psi = F.random_bandlimited(sphere5.basis, rng, degree=6)
+    phi = random_bandlimited(sphere5.basis, rng, degree=6)
+    psi = random_bandlimited(sphere5.basis, rng, degree=6)
     identity = FieldFactor(sphere5, sphere5.constant(0.0))
     lhs = conformal_quadratic_form_E(sphere5, identity, phi, psi)
     rhs = quadratic_form_E(sphere5, phi, psi)
@@ -633,10 +635,36 @@ def test_reports_count_their_asserted_checks(sphere4, s1xs2):
 
 
 def test_default_test_functions(sphere5, s1xs2):
+    """The constant, the row's unit modes, and the band field: one scale
+    of the row's mode envelope, at sup norm 1, the same on every call."""
     for m in (sphere5, s1xs2):
         fns = default_test_functions(m)
         assert len(fns) == 6
         assert float(np.max(np.abs(fns[0].grid_values - 1.0))) < 1e-12
+        band = F.coefficients_of(fns[-1])
+        envelope = F.mode_envelope(m.basis, m.backend.test_degree, 3)
+        support = envelope > 0.0
+        assert np.all(band[~support] == 0.0)
+        ratio = band[support] / envelope[support]
+        np.testing.assert_allclose(ratio, ratio[0], rtol=1e-15)
+        assert math.isclose(np.max(np.abs(fns[-1].grid_values)), 1.0,
+                            rel_tol=1e-15)
+        again = default_test_functions(m)
+        assert all(np.array_equal(f.coefficients, g.coefficients)
+                   for f, g in zip(fns, again))
+
+
+@pytest.mark.parametrize("suite, backend", [("weak-identity", "s1xs2"),
+                                            ("4d-identity", "s1xs3"),
+                                            ("4d-identity", "sphere4")])
+def test_identity_records_do_not_read_the_seed(suite, backend, request):
+    """The identities draw nothing, so a job's records are the same at
+    seeds 0 and 7."""
+    m = request.getfixturevalue(backend)
+    reports = [run_suite(suite, m, {"level": 1, "seed": seed})
+               for seed in (0, 7)]
+    records = [[c.to_dict() for c in r.checks] for r in reports]
+    assert len(records[0]) >= 6 and records[0] == records[1]
 
 
 def test_suite_registry_compatibility(sphere4, sphere5):
