@@ -24,7 +24,9 @@ symmetrized, and its weights are the Christoffel numbers
 
 The zonal polynomials and their t-derivatives are tabulated by the
 orthonormal Jacobi three-term recurrence in one routine,
-``zonal_polynomials``, which nothing outside this module calls.
+``zonal_polynomials``, which outside this module only the product image
+kernel of ``green`` calls, for the Gegenbauer polynomials of its image
+series on open meshes.
 ``ModeBasis.polar_values`` and ``circle_values`` tabulate the normalized
 modes at points, values only, which is all a field is read by there;
 ``polar_jets`` and ``circle_jets`` add the first two derivatives, and

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import fields as F
 from . import quadrature as Q
-from .basis import ball_volume
+from .basis import ball_volume, zonal_polynomials
 from .errors import KernelError, UnsupportedBackendError
 from .fields import ScalarField
 from .geometry import (FRAME_AXES, ConformalFactor, ManifoldModel, Pole,
@@ -123,10 +123,14 @@ class _SphereKernel:
 class _ProductImageKernel:
     """Image sum of the cylinder kernel c b^(-2q) D^-q, q > 0.
 
-    ``value`` and ``split_jets`` share one loop over the images
-    (``_sums``), which keeps running sums over the points instead of a
-    (points x images) table.  ``c`` holds the prefactor c b^(-2q); the
-    image count is the cutoff.
+    ``value`` and ``split_jets`` share ``_sums``, which takes the pole's
+    own image pointwise and the other images by the layout of the points:
+    at points given one by one it adds them one at a time into running
+    sums over the points, with no (points x images) table; on an open
+    mesh, an s column against a chi row, it sums them in closed form,
+    each sum one matrix product of an s-side and a chi-side table
+    (``_mesh_sums``).  ``c`` holds the prefactor c b^(-2q); the image
+    count is the cutoff.
     """
 
     representation = "eigen-expansion"
@@ -144,73 +148,76 @@ class _ProductImageKernel:
         ``sin4`` = 4 sin^2(chi/2).
 
         D = 2 cosh u - 2 cos chi = 4 (sinh^2(u/2) + sin^2(chi/2)) at
-        u = (ds + j l) / b.  The images are added one at a time into
-        running sums over the points: S0 = sum D^-q, and for jets
-        S1 = sum D^(-q-1), S2 = sum D^(-q-2), T1 = 2 sum D^(-q-1) sinh u
-        and T2 = 2 sum D^(-q-2) sinh u.  Every power comes from r = 1/D,
-        with one square root for half-integer q.  Without jets [S0] comes
-        back, the pole's own image first; with jets the pole's own
-        (D^-q, r, 2 D^-1 sinh u), and the sums over the other images apart.
+        u = (ds + j l) / b, summed over j = -K..K, K the cutoff:
+        S0 = sum D^-q, and for jets S1 = sum D^(-q-1), S2 = sum D^(-q-2),
+        T1 = 2 sum D^(-q-1) sinh u and T2 = 2 sum D^(-q-2) sinh u.
+        Without jets [S0] comes back, the pole's own image first; with
+        jets the pole's own (D^-q, r, 2 D^-1 sinh u), r = 1/D, and the
+        sums over the other images apart.
 
-        The j = 0 image takes sinh(u/2), exact at the pole.  An image
-        j != 0 lies at |u| >= l / 2b for ``ds`` in [-l/2, l/2), so it is
-        written in E = exp(-|u|) = exp(-|j| l / b) exp(-+u0), from one
-        exp per point for all images:
-        E D = (1 - E)^2 + 4 E sin^2(chi/2) and
-        2 D^-1 sinh u = +-(1 - E^2) / (E D), so an image beyond double
-        range underflows to 0 instead of overflowing (up to
-        l = 1400 b, beyond which exp(-u0) and sinh(u/2)^2 at the pole's
-        own image overflow, so ``green_field`` refuses them).
-        ``ds`` terms run along ``ds`` and sin^2(chi/2) along ``chi`` as
-        given, so on an open mesh only the quotients and sums take the
-        broadcast shape; those reuse a few work arrays, written in place.
+        The j = 0 image takes sinh(u/2), exact at the pole, and the
+        others are added to the sums in closed form on an open mesh, an
+        s column (Ns, 1) against a chi row (1, Nx) (``_mesh_sums``), and
+        one at a time at points given one by one (``_image_loop``).
         """
         u0 = np.asarray(ds, dtype=float) / self.b
         shape = np.broadcast_shapes(u0.shape, sin4.shape)
-        sums = [np.zeros(shape) for _ in range(5 if jets else 1)]
-        # work arrays: 1/(E D), r = 1/D, 2 D^-1 sinh u, the power, a term
-        inv, r, sinh_r, d, term = (np.empty(shape) for _ in range(5))
-        # D^-q = r^q: a square root for half-integer q, then products
-        root = self.q % 1.0 != 0.0
-        products = int(self.q) - (0 if root else 1)
-
-        def add(accumulate):
-            """Add the image in r and sinh_r to the sums; ``accumulate``
-            adds or, for sinh u < 0, subtracts the sinh terms."""
-            if root:
-                np.sqrt(r, out=d)
-            else:
-                np.copyto(d, r)
-            for _ in range(products):
-                np.multiply(d, r, out=d)             # D^-q
-            sums[0] += d
-            if not jets:
-                return
-            _, S1, S2, T1, T2 = sums
-            accumulate(T1, np.multiply(d, sinh_r, out=term), out=T1)
-            S1 += np.multiply(d, r, out=d)          # D^(-q-1)
-            accumulate(T2, np.multiply(d, sinh_r, out=term), out=T2)
-            S2 += np.multiply(d, r, out=d)          # D^(-q-2)
-
         h = np.sinh(0.5 * u0)
         h2 = h * h
-        np.multiply(4.0, h2, out=r)
+        r = np.multiply(4.0, h2, out=np.empty(shape))
         r += sin4
         np.divide(1.0, r, out=r)
-        if jets:  # the pole's own r and sinh_r, apart from the sums
-            np.multiply(4.0 * h * np.sqrt(1.0 + h2), r, out=sinh_r)
-            own = r, sinh_r
-            r, sinh_r = np.empty(shape), np.empty(shape)
-        else:
-            add(np.add)
+        if jets:  # the pole's own image, apart from the sums
+            own = (np.power(r, self.q), r,
+                   np.multiply(4.0 * h * np.sqrt(1.0 + h2), r))
+            sums = [np.zeros(shape) for _ in range(5)]
+        else:  # the pole's own image first
+            sums = [self._power(r, np.empty(shape))]
         del h, h2
+        if u0.ndim == sin4.ndim == 2 and u0.shape[1] == sin4.shape[0] == 1:
+            self._mesh_sums(u0, 1.0 - 0.5 * sin4, sums)
+        else:
+            self._image_loop(u0, sin4, sums)
+        return (own, sums) if jets else sums
+
+    def _power(self, r, out):
+        """D^-q = r^q into ``out``: a square root for half-integer q, then
+        products."""
+        root = self.q % 1.0 != 0.0
+        if root:
+            np.sqrt(r, out=out)
+        else:
+            np.copyto(out, r)
+        for _ in range(int(self.q) - (0 if root else 1)):
+            np.multiply(out, r, out=out)
+        return out
+
+    def _image_loop(self, u0, sin4, sums):
+        """Add the images j != 0 one at a time into the running ``sums`` of
+        ``_sums``, [S0] or all five, in place.
+
+        An image j != 0 lies at |u| >= l / 2b for ``ds`` in [-l/2, l/2),
+        so it is written in E = exp(-|u|) = exp(-|j| l / b) exp(-+u0), from
+        one exp per point for all images: E D = (1 - E)^2
+        + 4 E sin^2(chi/2) and 2 D^-1 sinh u = +-(1 - E^2) / (E D), so an
+        image beyond double range underflows to 0 instead of overflowing
+        (up to l = 1400 b, beyond which exp(-u0) and sinh(u/2)^2 at the
+        pole's own image overflow, so ``green_field`` refuses them).
+        Every power comes from r = 1/D.  ``u0`` terms run along ``u0`` and
+        sin^2(chi/2) along ``chi`` as given, and the quotients and sums
+        reuse a few work arrays, written in place.
+        """
+        jets = len(sums) > 1
+        shape = sums[0].shape
+        # work arrays: 1/(E D), r = 1/D, 2 D^-1 sinh u, the power, a term
+        inv, r, sinh_r, d, term = (np.empty(shape) for _ in range(5))
         e_plus = np.exp(-u0)             # j > 0: E = exp(-j l / b) e_plus
-        del u0
         e_minus = 1.0 / e_plus
         per = self.ell / self.b
         E, gap = np.empty_like(e_plus), np.empty_like(e_plus)
         for k in range(1, self.cutoff + 1):
             far = math.exp(-k * per)
+            # the sinh terms add for u > 0 and subtract for u < 0
             for accumulate, e_side in ((np.add, e_plus),
                                        (np.subtract, e_minus)):
                 np.multiply(far, e_side, out=E)
@@ -219,13 +226,83 @@ class _ProductImageKernel:
                 inv += np.multiply(gap, gap, out=gap)
                 np.divide(1.0, inv, out=inv)
                 np.multiply(E, inv, out=r)
-                if jets:  # (1 - E^2) / (E D) = 1/(E D) - E r
-                    np.multiply(E, r, out=sinh_r)
-                    np.subtract(inv, sinh_r, out=sinh_r)
-                add(accumulate)
-        if jets:  # the pole's own D^-q into a spent work array
-            return (np.power(own[0], self.q, out=term), *own), sums
-        return sums
+                sums[0] += self._power(r, d)
+                if not jets:
+                    continue
+                _, S1, S2, T1, T2 = sums
+                # (1 - E^2) / (E D) = 1/(E D) - E r
+                np.multiply(E, r, out=sinh_r)
+                np.subtract(inv, sinh_r, out=sinh_r)
+                accumulate(T1, np.multiply(d, sinh_r, out=term), out=T1)
+                S1 += np.multiply(d, r, out=d)      # D^(-q-1)
+                accumulate(T2, np.multiply(d, sinh_r, out=term), out=T2)
+                S2 += np.multiply(d, r, out=d)      # D^(-q-2)
+
+    def _mesh_sums(self, u0, x, sums):
+        """Add the images j != 0 on an open mesh, ``u0`` = ds / b a column
+        and ``x`` = cos chi a row, to the ``sums`` of ``_sums``, [S0] or
+        all five, each sum one matrix product of an s-side table
+        (Ns, degrees) and a chi-side table (degrees, Nx).
+
+        In E = exp(-|u|) an image is D^-p = E^p (1 - 2 E x + E^2)^-p
+        = sum_m C_m^(p)(x) E^(p+m) (DLMF 18.12.4), and
+        2 sinh u = +-(1/E - E).  Over j = 1..K on the side u > 0,
+        E_j = exp(-j l / b - u0), and on the other exp(-j l / b + u0), so
+        sum_j E_j^s = E_1^s (1 - g^(Ks)) / (1 - g^s), g = exp(-l / b):
+        the loop's images, summed per power.  Up to a constant per
+        degree, C_m^(q) is the zonal polynomial of S^(2q+1), and
+        d/dx C_m^(p) = 2 p C_(m-1)^(p+1), so one tabulation gives all
+        three families; the constants, square roots of the norms
+        h_m = pi 2^(1-2q) Gamma(m+2q) / (m! (m+q) Gamma(q)^2), go to the
+        s side.  The series stops at the first degree M with
+        E_max^M C_M^(q+2)(1) < 2^-56, E_max = exp(max |u0| - l / b) the
+        largest E.  An E_max of 1 or more, an image at or past a point,
+        raises ``ValueError``; with no images nothing is added.
+        """
+        q, per, images = self.q, self.ell / self.b, self.cutoff
+        if not images:
+            return
+        reach = float(np.max(np.abs(u0)))
+        if reach >= per:
+            raise ValueError(
+                f"the image series needs |ds| < l, got |ds| up to "
+                f"{reach * self.b:g} on a circle of length {self.ell:g}")
+        e_max = math.exp(reach - per)
+        degree, bound = 0, 1.0  # bound = E_max^M C_M^(q+2)(1) at M = degree
+        while bound >= 2.0 ** -56:
+            degree += 1
+            bound *= e_max * (degree + 2.0 * q + 3.0) / degree
+        terms = degree + 1
+        jets = len(sums) > 1
+        # the chi side: row m of table i is the i-th x-derivative of the
+        # zonal polynomial of degree m, C_(m-i)^(q+i) / h_m^(1/2) times 1,
+        # 2q or 4q(q+1)
+        tables = [t.T for t in zonal_polynomials(
+            round(2.0 * q + 1.0), degree + 2, x, order=2 if jets else 0)]
+        # h_m^(1/2), m = 0..M+2, from h_0 by the ratios of successive norms
+        m = np.arange(1.0, degree + 3)
+        ratios = (m + 2.0 * q - 1.0) * (m + q - 1.0) / (m * (m + q))
+        norm = np.sqrt(math.sqrt(math.pi) * math.gamma(q + 0.5)
+                       / math.gamma(q + 1.0)
+                       * np.cumprod(np.append(1.0, ratios)))
+        # the s side: sum_j E_j^s on either side, s = q + 0..M+3
+        s = q + np.arange(degree + 4)
+        per_power = np.expm1(-images * per * s) / np.expm1(-per * s)
+        plus = per_power * np.exp(-s * (per + u0))
+        minus = per_power * np.exp(-s * (per - u0))
+        even = plus + minus      # sum D^-p: both sides alike
+        sums[0] += (even[:, :terms] * norm[:terms]) @ tables[0][:terms]
+        if not jets:
+            return
+        _, S1, S2, T1, T2 = sums
+        odd = plus - minus       # sum 2 D^-p sinh u: the sides opposed
+        w1 = norm[1:terms + 1] / (2.0 * q)
+        w2 = norm[2:] / (4.0 * q * (q + 1.0))
+        d1, d2 = tables[1][1:terms + 1], tables[2][2:]
+        S1 += (even[:, 1:terms + 1] * w1) @ d1
+        S2 += (even[:, 2:terms + 2] * w2) @ d2
+        T1 += ((odd[:, :terms] - odd[:, 2:terms + 2]) * w1) @ d1
+        T2 += ((odd[:, 1:terms + 1] - odd[:, 3:]) * w2) @ d2
 
     def value(self, ds, chi):
         (S0,) = self._sums(
@@ -286,7 +363,7 @@ class _ProductImageKernelP:
 
     which decays like E^(1/2), has no cancellation and is exact at the
     pole.  It is summed over u = (ds + j l) / b, every image from one exp
-    per point as in ``_ProductImageKernel._sums``, j = 0 included as
+    per point as in ``_ProductImageKernel._image_loop``, j = 0 included as
     exp(-|u0|), so nothing overflows below l = 1400 b.  ``c`` holds the
     prefactor -4 c_P b.
     """
@@ -455,7 +532,7 @@ def green_field(m: ManifoldModel, operator: str, pole: Pole | None = None,
         raise ValueError(f"unknown operator {operator!r}")
     pole = pole or Pole()
     n = m.n
-    # see _ProductImageKernel._sums; a sphere has length 0
+    # see _ProductImageKernel._image_loop; a sphere has length 0
     if m.length > 1400.0 * m.radius:
         raise UnsupportedBackendError(
             f"the image sums overflow on a circle longer than 1400 "

@@ -350,15 +350,17 @@ def _s1xsd(d, length, monkeypatch):
 @pytest.mark.parametrize("kind", [
     "product-S1xS2", "product-S1xS3",
     pytest.param("product-S1xS4", id="product-S1xS4-P")])
-@pytest.mark.parametrize("length", [0.5, 2 * math.pi, 40.0])
+@pytest.mark.parametrize("length", [0.5, 1.0, 2 * math.pi, 40.0])
 def test_image_kernel_matches_the_per_image_sum(kind, length, monkeypatch):
     """On both pieces of the level-2 product rule, the near patch and the
     far rectangle, each handed out in slabs, the kernel's value and every
     component of its split jets agree with ``_per_image_jets`` to 1e-13
     of the component's largest value on the piece: the G_L kernels, and
-    the G_P kernel of S1 x S4 (q = 1/2).  They read at most 8.3e-15,
-    for the sx Hessian of the other images on the near patch of S1xS3 at
-    l = 40."""
+    the G_P kernel of S1 x S4 (q = 1/2).  The far rectangle's slabs are
+    open meshes, whose images are summed as a series, to degree 116 at
+    l = 1 on S1xS3 and 247 at l = 0.5.  They read at most 1.5e-14, for
+    the s gradient of the other images on the far rectangle of S1xS3 at
+    l = 0.5; the near patch, summed image by image, at most 8.0e-15."""
     m = _s1xsd(int(kind[-1]), length, monkeypatch)
     kern = green_field(m, "P" if m.n == 5 else "L").kernel
     pieces = {"near": [], "far": []}
@@ -374,6 +376,33 @@ def test_image_kernel_matches_the_per_image_sum(kind, length, monkeypatch):
             for got, want in slabs:
                 assert_allclose(got[key], want[key], rtol=0,
                                 atol=1e-13 * scale, err_msg=key)
+
+
+@pytest.mark.parametrize("kind", ["product-S1xS2", "product-S1xS3"])
+def test_the_mesh_series_stops_at_one_circle(kind):
+    """On an open mesh the images j != 0 are a series in exp(-|u|), which
+    converges only while every |ds| stays under one circle; at or past it
+    an image meets a point, and value and split jets raise
+    ``ValueError`` instead of summing without end.  With no images
+    (cutoff 0) there is no series: at any offset the mesh gives the
+    pointwise layout's components bit for bit, the other images 0."""
+    m = catalog_build(kind, None, {"length": 2 * math.pi},
+                      {"degree_max": 4, "fourier_max": 2})
+    kern = green_field(m, "L").kernel
+    chi = np.linspace(0.1, 3.0, 5)[None, :]
+    for ds in ([[0.3], [m.length]], [[-1.01 * m.length], [0.2]]):
+        for read in (kern.value, kern.split_jets):
+            with pytest.raises(ValueError, match=r"needs \|ds\| < l"):
+                read(np.array(ds), chi)
+    alone = copy.copy(kern)
+    alone.cutoff = 0
+    ds = np.array([[0.3], [1.5 * m.length], [-2.0], [-3.0 * m.length]])
+    got = _kernel_components(alone, ds, chi)
+    want = _kernel_components(alone, *np.broadcast_arrays(ds, chi))
+    for key, ref in want.items():
+        np.testing.assert_array_equal(got[key], ref, err_msg=key)
+        if key == "ratio" or key.startswith("a_"):
+            assert not np.any(ref), key
 
 
 @pytest.mark.parametrize("kind", ["product-S1xS2", "product-S1xS3"])

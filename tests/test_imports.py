@@ -179,7 +179,7 @@ SINGLE_PLACE = {
                    "operators.apply_P_pointwise"},
     "polar_tables": {"basis", "fields._prepare"},
     "circle_tables": {"basis", "fields._prepare"},
-    "zonal_polynomials": {"basis"},
+    "zonal_polynomials": {"basis", "green._ProductImageKernel"},
     "lambda1_L": {"spectrum", "cli.list_catalog"},
     "zero_threshold": {"spectrum", "green.green_field"},
     "paneitz_spectrum_check": {"verify._ledger"},

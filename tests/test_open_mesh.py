@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conformal_lab import basis, verify
+from conformal_lab import basis, green, verify
 from conformal_lab import fields as F
 from conformal_lab import quadrature as Q
 from conformal_lab.geometry import Pole, catalog_build
@@ -99,15 +99,25 @@ def test_paneitz_image_kernel_value(s1xs2):
     _close(kernel.value(ds, chi), kernel.value(*np.broadcast_arrays(ds, chi)))
 
 
-@pytest.mark.parametrize("product, suite", [
-    (kind, "4d-identity" if 4 in basis.BACKENDS[kind].dims
-     else "weak-identity") for kind in PRODUCT_KINDS], ids=_short,
-    indirect=["product"])
-def test_identity_integrals(product, suite, monkeypatch):
+# the identity suite of each product kind
+IDENTITY_JOBS = [(kind, "4d-identity" if 4 in basis.BACKENDS[kind].dims
+                  else "weak-identity") for kind in PRODUCT_KINDS]
+
+
+@pytest.mark.parametrize("kind, suite, length", [
+    pytest.param(kind, suite, length, id="-".join(
+        [_short(kind), suite] + ([] if length == 2 * math.pi
+                                 else [f"{length:g}"])))
+    for kind, suite in IDENTITY_JOBS for length in (2 * math.pi, 0.5, 40.0)])
+def test_identity_integrals(kind, suite, length, monkeypatch):
     """The weak (n != 4) and log-kernel (n = 4) identity integrals of the
     graded pass, slab by slab, with the far slabs' points as given, open
-    meshes against the full chi row, or materialized."""
-    m = product
+    meshes against the full chi row, or materialized.  The two layouts
+    sum the far images by different algorithms, a series on a mesh (to
+    degree 247 at l = 0.5, 3 at l = 40) and one image at a time per
+    point."""
+    m = catalog_build(kind, None, {"length": length},
+                      {"degree_max": 16, "fourier_max": 8})
     blocks = Q.pole_blocks
     pair = F.pair
     slabs = []
@@ -138,6 +148,39 @@ def test_identity_integrals(product, suite, monkeypatch):
     far = [pts for pts, _, _ in slabs if pts[0].shape[1] == 1]
     assert len(far) > 1
     assert all(pts[1].shape[0] == 1 for pts in far)
+
+
+@pytest.mark.parametrize("product, suite", IDENTITY_JOBS, ids=_short,
+                         indirect=["product"])
+def test_the_far_rectangle_takes_the_closed_form(product, suite,
+                                                 monkeypatch):
+    """In an identity pass the image kernel sums the other images of each
+    far slab, an open mesh, as a series (``_mesh_sums``), once per slab,
+    and runs its per-image loop (``_image_loop``) on the near patch's
+    pointwise slabs only."""
+    m = product
+    kernel = green._ProductImageKernel
+    loop, series = kernel._image_loop, kernel._mesh_sums
+    calls = {"loop": [], "series": []}
+
+    def counted_loop(self, u0, sin4, sums):
+        calls["loop"].append((u0.shape, sums[0].shape))
+        return loop(self, u0, sin4, sums)
+
+    def counted_series(self, u0, x, sums):
+        calls["series"].append((u0.shape, x.shape))
+        return series(self, u0, x, sums)
+
+    monkeypatch.setattr(kernel, "_image_loop", counted_loop)
+    monkeypatch.setattr(kernel, "_mesh_sums", counted_series)
+    monkeypatch.setattr(verify, "_DEFECTS", {})
+    slabs = [pts for pts, _, _ in Q.pole_blocks(m, Pole(), level=2)]
+    run_suite(suite, m)
+    far = [pts for pts in slabs if pts[0].shape[1] == 1]
+    near = [pts for pts in slabs if pts[0].shape[1] > 1]
+    assert far and near
+    assert calls["series"] == [(s.shape, chi.shape) for s, chi in far]
+    assert calls["loop"] == [(s.shape, s.shape) for s, _ in near]
 
 
 def _sizes(monkeypatch, names):
