@@ -30,6 +30,8 @@ and ``blowup_density`` gives G_L with the squared Ricci norm of the
 blow-up metric G_L^{4/(n-2)} g, the density of the identities, the
 covariance laws and the mass, from G_L = P0 (1 + R): P0, the pole's own
 image, has a flat blow-up, and R, the other images over P0, is 0 on S^n.
+``blowup_slabs`` is its one pass over the graded pole rule, block by
+block, read by the identities, the Ricci defect and the mass integral.
 Past ``green_field``'s choice of kernel nothing here asks for the
 backend: the sign scan, the comparison and the mass read either alike.
 """
@@ -55,6 +57,7 @@ __all__ = [
     "ComparisonResult",
     "GreenField",
     "blowup_density",
+    "blowup_slabs",
     "compare_green",
     "comparison_constant",
     "extract_mass",
@@ -410,10 +413,11 @@ class GreenField:
     (ds, xi) on products), and a transported kernel divided by the
     factor's weight at the pole, ``rho_pole``, and at the points; a
     factor that stacks trials gives one ``rho_pole`` and one set of
-    values per trial.  The distributional normalization is the
-    basis-projected point mass: pairing the eigen-expansion against
-    (operator applied to an in-basis field) returns the field value at
-    the pole exactly.
+    values per trial.  The kernels are closed forms and image sums of
+    the flat kernel: ``green_pair`` of one with the operator applied to
+    a field meets the field's value at the pole only up to the error of
+    the pole rule (held to 1e-8 on spheres, and to 1e-6 on S1 x S2 at
+    level 3).
     """
 
     manifold: ManifoldModel
@@ -499,6 +503,26 @@ def blowup_density(gf: GreenField, *points):
     comps = ricci_from_jets(m, grad, hess,
                             dict.fromkeys(m.ricci_eigenvalues, 0.0), b)
     return g, F.frame_dot(m.basis, comps, comps)
+
+
+def blowup_slabs(gf: GreenField, level: int, resolution: dict | None = None):
+    """The blow-up density of an untransported G_L over the graded rule
+    around its pole, one node block of ``quadrature.pole_blocks`` at a
+    time: yields ``(points, weights, G_L, |Ric_blowup|^2)`` from
+    ``blowup_density``, each block, a slab on a product, built only when
+    it is reached, so no density outlives its block.
+
+    The density is even about the pole (on a product the reflection
+    s -> -s fixes it and is an isometry), so it is read at each block's
+    own points with the whole weights, and a field pairs with it through
+    its ``fields.even_part``.  A ``resolution`` dict receives the rule's
+    node counts and, on a product, the kernel's image count."""
+    blocks = Q.pole_blocks(gf.manifold, gf.pole, level=level,
+                           resolution=resolution)
+    if resolution is not None and gf.cutoff is not None:
+        resolution["images"] = gf.cutoff
+    for points, w, _ in blocks:
+        yield (points, w, *blowup_density(gf, *points))
 
 
 # ------------------------------------------------------------ construction
@@ -687,13 +711,15 @@ def extract_mass(m: ManifoldModel, pole: Pole | None = None,
     """Constant term of the kernel difference at the pole, two routes.
 
     The expansion route extrapolates c_n G_P - G_L^{(n-4)/(n-2)} to the
-    pole along its polar ray (the difference is const + O(r)); the
-    integral route sums G_P G_L^{(n-4)/(n-2)} |Ric_blowup|^2 at the own
-    points of every ``quadrature.pole_blocks`` block, full weights.  The
-    integrand is even about the pole: with rho_P = e^{(n-4)w/2} a
-    factor's weights rho_P(q)^-2 e^{-4w} e^{nw} cancel at each node,
-    leaving the base integrand over rho_P(pole)^2.  Both carry the
-    (4 n (n-1) w_n)^{(n-4)/(n-2)} normalization; a factor that stacks
+    pole along its polar ray (the difference is const + O(r)), both
+    kernels transported; the integral route sums
+    G_P G_L^{(n-4)/(n-2)} |Ric_blowup|^2 over ``blowup_slabs``.  There
+    a factor's weights cancel at each node: with rho_P = e^{(n-4)w/2},
+    G~_L^{(n-4)/(n-2)} = G_L^{(n-4)/(n-2)} / (rho_P(p) rho_P(q)) and
+    rho_P(q)^-2 e^{-4w} e^{nw} = 1, so the route sums the untransported
+    kernels, an even integrand, and divides by rho_P(pole)^2.  Both
+    carry the (4 n (n-1) w_n)^{(n-4)/(n-2)} normalization, and the
+    rule's ``resolution`` comes back with them; a factor that stacks
     trials raises ``ValueError``.
     """
     if m.n not in (3, 5, 6, 7):
@@ -716,20 +742,19 @@ def extract_mass(m: ManifoldModel, pole: Pole | None = None,
     diff = cn * gP.values_at(*ray) - gL.values_at(*ray) ** s
     a_exp = Q.extrapolate_to_zero(r, diff) * norm
 
-    # integral route: the blow-up Ricci of the (transported) metric is the
-    # base blow-up Ricci up to a constant factor that Ricci ignores
-    base = green_field(m, "L", pole)
+    # integral route: the base integrand over rho_P(pole)^2
+    base_p = green_field(m, "P", pole)
+    resolution = {}
     integral = 0.0
-    for points, w_q, _ in Q.pole_blocks(m, pole, level=level):
-        _, nsq = blowup_density(base, *points)
-        w = 0.0 if factor is None else factor.w_at(*points)
-        vals = gP.values_at(*points) * gL.values_at(*points) ** s \
-            * (np.exp(-4.0 * w) * nsq) * np.exp(n * w)
+    for points, w_q, g, nsq in blowup_slabs(green_field(m, "L", pole),
+                                            level, resolution):
+        vals = base_p.values_at(*points) * g ** s * nsq
         integral += float(np.tensordot(w_q, vals, w_q.ndim))
-    a_int = norm * (n - 4.0) / (n - 2.0) ** 2 * integral
+    a_int = norm * (n - 4.0) / (n - 2.0) ** 2 * integral / gP.rho_pole ** 2
     return {
         "pole": pole.label(),
         "A_expansion": float(a_exp),
         "A_integral": float(a_int),
         "normalization": norm,
+        "resolution": resolution,
     }

@@ -31,14 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields as F
-from . import quadrature as Q
 from . import spectrum
 from .errors import (HypothesisFailError, KernelError,
                      UnsupportedDimensionError)
 from .geometry import (ConformalFactor, FieldFactor, ManifoldModel,
                        MoebiusFactor, Pole, conformal_curvature)
-from .green import (blowup_density, comparison_constant, compare_green,
-                    extract_mass, green_field, sign_scan)
+from .green import (blowup_density, blowup_slabs, comparison_constant,
+                    compare_green, extract_mass, green_field, sign_scan)
 from .operators import (apply_P, conformal_q, conformal_quadratic_form_E,
                         quadratic_form_E)
 
@@ -226,80 +225,46 @@ def default_test_functions(m: ManifoldModel):
 
 
 # (backend, level) -> (Ricci defect, resolution) of the last blow-up
-# pass over that rule
+# pass over that rule: the identities and the total Q of a backend, run
+# one after the other, take one pass
 _DEFECTS = {}
 
 
-def _blowup_slabs(m: ManifoldModel, level: int):
-    """The blow-up density of ``m`` at ``level``, one node block of
-    ``quadrature.pole_blocks`` around the north pole at a time: yields
-    ``(points, weights, G_L, |Ric_blowup|^2)`` of the blow-up metric
-    G_L^{4/(n-2)} g, each block, a slab on a product, built by the rule
-    only when it is reached, with the kernel summed once for both
-    densities by ``green.blowup_density``.
-
-    The density is even about the pole (on a product the reflection
-    s -> -s fixes it and is an isometry), so it is read at each block's
-    own points with the whole weights, and a field pairs with it through
-    its ``fields.even_part``.
-
-    Once every block has been handed out, the Ricci defect
-    1/2 int |Ric_blowup|^2 dmu, folded block by block, and the resolution
-    of the rule are left in ``_DEFECTS[m, level]``: the identities and
-    the total Q of a backend, run one after the other, take one pass, and
-    no density outlives its block.
-    """
-    gL = green_field(m, "L", Pole())
-    resolution = {}
-    halves = []
-    for points, wq, _ in Q.pole_blocks(m, gL.pole, level=level,
-                                       resolution=resolution):
-        g, ricci_sq = blowup_density(gL, *points)
-        yield points, wq, g, ricci_sq
-        halves.append(0.5 * float(np.tensordot(wq, ricci_sq, wq.ndim)))
-    if gL.cutoff is not None:
-        resolution["images"] = gL.cutoff
-    _DEFECTS[m, level] = sum(halves), resolution
-
-
-def _paired_integrals(m, level, fns, densities):
-    """int a P(phi) dmu and int c phi dmu for every test function phi.
-
-    ``densities(G_L, |Ric_blowup|^2)`` gives (a, c) at the nodes of the
-    blow-up density of ``m``.  Both are paired with all test functions
-    in one call per node block, by mode moments, so no value of a test
-    function at a node is formed.  The density is even about the pole,
-    so only the even part of each test function meets it; P commutes
-    with the reflection, so P of that part is the even part of P(phi).
-    """
-    evens = [F.even_part(phi) for phi in fns]
-    p_evens = [apply_P(m, phi) for phi in evens]
-    k = len(fns)
-    totals = sum(F.pair(p_evens + evens, np.stack(
-        [wq * d for d in densities(g, ricci_sq)], axis=-1), *points)
-        for points, wq, g, ricci_sq in _blowup_slabs(m, level))
-    _, resolution = _DEFECTS[m, level]
-    return totals[0, :k], totals[1, k:], resolution
+def _half_ricci(wq, ricci_sq) -> float:
+    """A node block's share of the Ricci defect 1/2 int |Ric_blowup|^2."""
+    return 0.5 * float(np.tensordot(wq, ricci_sq, wq.ndim))
 
 
 def _pole_identity(m, law, level, tolerance):
     """The identity of ``check_weak_identity`` (n != 4) or of
     ``check_4d_identity`` (n = 4), one residual per default test function,
-    each measured against the scale of its largest term."""
+    each measured against the scale of its largest term.
+
+    One pass of ``green.blowup_slabs`` pairs its two densities, G_L^s
+    and G_L^s |Ric_blowup|^2 (log G_L and |Ric_blowup|^2 for n = 4),
+    with every test function and its P image in one call per node block,
+    by mode moments, and folds the Ricci defect into ``_DEFECTS``.  The
+    density is even about the pole, so only the even part of each test
+    function meets it; P commutes with the reflection, so P of that part
+    is the even part of P(phi)."""
     n = m.n
     four = n == 4
     s = (n - 4.0) / (n - 2.0)
     target = 16.0 * math.pi ** 2 if four else comparison_constant(n)
     fns = default_test_functions(m)
-
-    def densities(g, ricci_sq):
-        if four:
-            return np.log(g), ricci_sq
-        g_s = g ** s
-        return g_s, g_s * ricci_sq
-
-    t_mains, t_riccis, resolution = _paired_integrals(m, level, fns,
-                                                      densities)
+    evens = [F.even_part(phi) for phi in fns]
+    paired = [apply_P(m, phi) for phi in evens] + evens
+    resolution = {}
+    totals, halves = 0.0, []
+    for points, wq, g, ricci_sq in blowup_slabs(green_field(m, "L"), level,
+                                                resolution):
+        main = np.log(g) if four else g ** s
+        densities = (main, ricci_sq if four else main * ricci_sq)
+        totals = totals + F.pair(paired, np.stack(
+            [wq * d for d in densities], axis=-1), *points)
+        halves.append(_half_ricci(wq, ricci_sq))
+    _DEFECTS[m, level] = sum(halves), resolution
+    t_mains, t_riccis = totals[0, :len(fns)], totals[1, len(fns):]
     checks = []
     for i, phi_p in enumerate(F.evaluate(fns, *m.pole_point(Pole()))[0]):
         t_main, t_point, t_ricci = t_mains[i], target * phi_p, t_riccis[i]
@@ -379,8 +344,10 @@ def check_total_q(m: ManifoldModel, tolerance: float,
     # no conformal weight and is the one the identity's pass left behind,
     # or, where no identity ran first, that of a pass of its own
     if (m, level) not in _DEFECTS:
-        for _ in _blowup_slabs(m, level):
-            pass
+        resolution = {}
+        _DEFECTS[m, level] = sum(
+            _half_ricci(wq, ricci_sq) for _, wq, _, ricci_sq in
+            blowup_slabs(green_field(m, "L"), level, resolution)), resolution
     defect, resolution = _DEFECTS[m, level]
     total = total_q + defect
     verdict = "EQUALITY" if abs(defect) <= max(tolerance, 1e-6) * target \
@@ -671,10 +638,12 @@ def check_mass(m: ManifoldModel, tolerance: float, level: int = 2,
     rng = np.random.default_rng(seed)
     moebius = MoebiusFactor(m, math.exp(rng.uniform(0.15, 0.4)))
     checks = []
+    resolution = {"poles": [pole.label()], "level": level}
     for tag, factor in (("base", None), ("moebius", moebius)):
         res = extract_mass(m, pole, factor, level=level)
+        resolution.update(res["resolution"])
         for route in ("expansion", "integral"):
             checks.append(_record(
                 f"mass-{route}-{tag}", res[f"A_{route}"], tolerance,
                 detail=f"pole {res['pole']}"))
-    return checks, {"poles": [pole.label()], "level": level}
+    return checks, resolution

@@ -457,13 +457,13 @@ def test_jobs_run_backend_by_backend_and_take_one_pass_each(tmp_path,
             return fn(m, cfg)
         monkeypatch.setitem(verify.SUITES, name, recorded)
     passes = []
-    slabs = verify._blowup_slabs
+    slabs = verify.blowup_slabs
 
-    def counted(m, level):
-        passes.append((m.descriptor(), level))
-        return slabs(m, level)
+    def counted(gf, level, resolution=None):
+        passes.append((gf.manifold.descriptor(), level))
+        return slabs(gf, level, resolution)
 
-    monkeypatch.setattr(verify, "_blowup_slabs", counted)
+    monkeypatch.setattr(verify, "blowup_slabs", counted)
     products = [{"kind": kind, "params": {},
                  "basis": {"degree_max": 12, "fourier_max": 6}}
                 for kind in ("product-S1xS2", "product-S1xS3")]

@@ -18,9 +18,10 @@ from conformal_lab.geometry import (FieldFactor, MoebiusFactor, Pole,
                                     catalog_build)
 from conformal_lab.green import (ComparisonResult, GreenField, _image_count,
                                  _ProductImageKernel, blowup_density,
-                                 compare_green, comparison_constant,
-                                 extract_mass, flat_L_coefficient,
-                                 green_field, green_pair, sign_scan)
+                                 blowup_slabs, compare_green,
+                                 comparison_constant, extract_mass,
+                                 flat_L_coefficient, green_field, green_pair,
+                                 sign_scan)
 from conformal_lab.operators import apply_L, build_symbol
 
 from random_fields import random_bandlimited
@@ -889,9 +890,8 @@ def _graded_to(depth, monkeypatch):
 def _ricci_defect(m, level=2):
     """The Ricci defect 1/2 int |Ric_blowup|^2 dmu over the pole rule of
     ``m`` at the north pole."""
-    gL = green_field(m, "L")
-    return sum(0.5 * float(np.sum(w * blowup_density(gL, *points)[1]))
-               for points, w, _ in Q.pole_blocks(m, Pole(), level=level))
+    return sum(0.5 * float(np.sum(w * ricci_sq)) for _, w, _, ricci_sq
+               in blowup_slabs(green_field(m, "L"), level))
 
 
 def _normalized_mass(m):
@@ -933,8 +933,11 @@ EXPANSION_BOUNDS = {(5, 2 * math.pi): 1.4e-8, (5, 4 * math.pi): 2.5e-8,
 def test_product_mass_routes_meet_the_closed_form(d, length, monkeypatch):
     """Both routes of ``extract_mass`` on S1(l) x S^d reach A(l) at the
     north pole and, transported by a factor odd in s at a pole off s = 0,
-    A(l) / rho_P(pole)^2 with rho_P = e^{(n-4) w / 2}: the factor's
-    weights cancel at each node, so the half rule is exact for it too.
+    A(l) / rho_P(pole)^2 with rho_P = e^{(n-4) w / 2}.  The transported
+    integral is the base integral over rho_P(pole)^2 by construction,
+    since the factor's weights cancel at each node; the expansion route,
+    which evaluates both transported kernels along its ray, carries the
+    check of the transport.
 
     The integral route reads within 1e-11 (measured at most 1.1e-12 both
     ways), the expansion route within ``EXPANSION_BOUNDS``.  For n = 7 at
@@ -955,6 +958,45 @@ def test_product_mass_routes_meet_the_closed_form(d, length, monkeypatch):
                    (extract_mass(m, pole, factor), want / rho ** 2)):
         assert abs(res["A_integral"] / a - 1.0) < 1e-11, (res, a)
         assert abs(res["A_expansion"] / a - 1.0) < bound, (res, a)
+
+
+def test_mass_sums_each_kernel_once_per_block(monkeypatch):
+    """A transported ``extract_mass`` on S1(2pi) x S4 at level 2 sums the
+    image kernel twice per block of the rule, once for the split jets of
+    G_L and once for the values of G_P, and reads the factor only along
+    its 8-point ray and at the pole: the factor's weights cancel at the
+    rule's nodes.  Summing G_L's values a second time and transporting
+    both kernels there took two value sums and three factor reads per
+    block.  The report states the rule it summed over."""
+    m = _s1xsd(4, 2 * math.pi, monkeypatch)
+    c = F.random_modes(m.basis, np.random.default_rng(3), 3, 2)
+    odd = np.zeros_like(c)
+    odd[2::2] = c[2::2]  # the sine rows
+    factor = FieldFactor(m, F.sup_normalized(m.basis, odd, 0.3))
+    pole = Pole(1, 1.0)
+    blocks = [int(np.broadcast(*points).size)
+              for points, _, _ in Q.pole_blocks(m, pole, level=2)]
+    sums, reads = {True: [], False: []}, []
+    orig_sums, orig_w_at = _ProductImageKernel._sums, FieldFactor.w_at
+
+    def counted_sums(self, ds, sin4, jets):
+        sums[jets].append(int(np.broadcast(ds, sin4).size))
+        return orig_sums(self, ds, sin4, jets)
+
+    def counted_w_at(self, *points):
+        reads.append(int(np.broadcast(*points).size))
+        return orig_w_at(self, *points)
+
+    monkeypatch.setattr(_ProductImageKernel, "_sums", counted_sums)
+    monkeypatch.setattr(FieldFactor, "w_at", counted_w_at)
+    res = extract_mass(m, pole, factor, level=2)
+    assert len(blocks) > 2
+    assert sums[True] == blocks
+    assert sorted(sums[False]) == sorted(blocks + [8, 8])  # G_P; the ray
+    assert sorted(reads) == [1, 1, 8, 8]
+    assert sum(res["resolution"]["nodes"]) == sum(blocks)
+    assert res["resolution"]["images"] == green_field(m, "L").cutoff
+    assert res["resolution"]["mirror"] == "s"
 
 
 def test_transported_mass_keeps_nothing_of_the_factor(monkeypatch):

@@ -74,11 +74,13 @@ def test_far_rectangle_halves_exactly(kind, length):
 
 
 @pytest.mark.parametrize("kind, length", CASES)
-def test_half_rule_pairing_equals_the_full_rule(kind, length):
+def test_half_rule_pairing_equals_the_full_rule(kind, length,
+                                                monkeypatch):
     """The six default test functions (the band field carries sine
     modes) and their P images against the blow-up density, on the half
-    rule through their even parts and on the completed full rule as
-    they are: equal to 1e-13 of the largest integral."""
+    rule through their even parts, as the identity's pass pairs them,
+    and on the completed full rule as they are: equal to 1e-13 of the
+    largest integral."""
     m = _product(kind, length)
     n = m.n
     s = (n - 4.0) / (n - 2.0)
@@ -88,17 +90,27 @@ def test_half_rule_pairing_equals_the_full_rule(kind, length):
 
     fns = verify.default_test_functions(m)
     assert np.any(F.coefficients_of(fns[-1])[2::2] != 0.0)
-    t_main, t_ricci, resolution = verify._paired_integrals(m, 2, fns,
-                                                           densities)
+    pair = F.pair
+    paired = []
+
+    def recorded(*args):
+        paired.append(pair(*args))
+        return paired[-1]
+
+    monkeypatch.setattr(F, "pair", recorded)
+    _, resolution = verify._pole_identity(m, "identity", 2, 1.0)
     assert resolution["mirror"] == "s"
+    k = len(fns)
+    half = sum(paired)
+    t_main, t_ricci = half[0, :k], half[1, k:]
 
     p_fns = [apply_P(m, phi) for phi in fns]
-    k = len(fns)
     totals = 0.0
-    for points, wq, g, ricci_sq in verify._blowup_slabs(m, 2):
+    for points, wq, g, ricci_sq in green.blowup_slabs(green_field(m, "L"),
+                                                      2):
         full, (w2, g2, r2) = _completed(Pole(), points, 0.5 * wq, g,
                                         ricci_sq)
-        totals = totals + F.pair(p_fns + fns, np.stack(
+        totals = totals + pair(p_fns + fns, np.stack(
             [w2 * d for d in densities(g2, r2)], axis=-1), *full)
     for got, want in ((t_main, totals[0, :k]), (t_ricci, totals[1, k:])):
         np.testing.assert_allclose(got, want, rtol=0,

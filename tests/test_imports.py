@@ -169,7 +169,8 @@ def test_an_unused_member_is_caught():
 # Ricci tensor of a changed metric is
 # read only through geometry.conformal_curvature; green_field alone
 # picks the flat kernel c r^(-2q) of an operator, for every kernel; the
-# graded pole rule is read by the pairing, the mass and the blow-up pass
+# graded pole rule is read by the pairing and the one blow-up pass, which
+# the identities, the Ricci defect and the mass read
 SINGLE_PLACE = {
     "polar_values": {"basis", "fields._prepare"},
     "circle_values": {"basis", "fields._prepare"},
@@ -192,8 +193,7 @@ SINGLE_PLACE = {
     "split_jets": {"green.blowup_density"},
     "flat_L_coefficient": {"green.green_field"},
     "flat_P_coefficient": {"green.green_field"},
-    "pole_blocks": {"quadrature", "green.green_pair", "green.extract_mass",
-                    "verify._blowup_slabs"},
+    "pole_blocks": {"quadrature", "green.green_pair", "green.blowup_slabs"},
 }
 
 
@@ -348,12 +348,13 @@ def test_a_second_pole_rule_reader_is_caught():
                                 "def _blocks(m): return pole_blocks(m, 0)\n",
                "green.py": "from . import quadrature as Q\n"
                            "def green_pair(gf, f): return Q.pole_blocks(gf, 0)\n"
-                           "def sign_scan(gf): return Q.pole_blocks(gf, 0)\n",
-               "verify.py": "def _blowup_slabs(m): return Q.pole_blocks(m, 0)\n"
-                            "def _paired_integrals(m):\n"
+                           "def blowup_slabs(gf): return Q.pole_blocks(gf, 0)\n"
+                           "def extract_mass(m):\n"
+                           "    return [b for b in Q.pole_blocks(m, 0)]\n",
+               "verify.py": "def _pole_identity(m):\n"
                             "    return [b for b in Q.pole_blocks(m, 0)]\n"}
-    assert stray_calls(sources) == ["green.sign_scan: pole_blocks",
-                                    "verify._paired_integrals: pole_blocks"]
+    assert stray_calls(sources) == ["green.extract_mass: pole_blocks",
+                                    "verify._pole_identity: pole_blocks"]
 
 
 # the definitions that may ask whether a circle S^1(l) multiplies a

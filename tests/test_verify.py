@@ -213,14 +213,14 @@ def test_total_q_integrand_takes_no_conformal_weight(sphere4, rng,
     factor = FieldFactor(sphere4, w)
     state = {"inside": False, "blocks": 0, "w_at_inside": 0}
     orig_w_at = FieldFactor.w_at
-    orig_slabs = verify._blowup_slabs
+    orig_slabs = verify.blowup_slabs
 
     def counting_w_at(self, *points):
         state["w_at_inside"] += state["inside"]
         return orig_w_at(self, *points)
 
-    def marking(m, level):
-        slabs = orig_slabs(m, level)
+    def marking(gf, level, resolution=None):
+        slabs = orig_slabs(gf, level, resolution)
         while True:
             state["inside"] = True
             block = next(slabs, None)
@@ -231,7 +231,7 @@ def test_total_q_integrand_takes_no_conformal_weight(sphere4, rng,
             yield block
 
     monkeypatch.setattr(FieldFactor, "w_at", counting_w_at)
-    monkeypatch.setattr(verify, "_blowup_slabs", marking)
+    monkeypatch.setattr(verify, "blowup_slabs", marking)
     report = check_total_q(sphere4, factor=factor, tolerance=1e-3)
     assert report.passed
     assert state["blocks"] > 0
@@ -366,13 +366,13 @@ def _count_blocks(monkeypatch, name):
 def test_weak_identity_takes_one_pass_on_product(s1xs2, monkeypatch):
     calls = _count_blocks(monkeypatch, "pole_blocks")
     densities = []
-    orig_density = verify.blowup_density
+    orig_density = green.blowup_density
 
     def counting_density(gf, *points):
         densities.append(int(np.broadcast(*points).size))
         return orig_density(gf, *points)
 
-    monkeypatch.setattr(verify, "blowup_density", counting_density)
+    monkeypatch.setattr(green, "blowup_density", counting_density)
     report = check_weak_identity(s1xs2, level=1)
     assert report.passed
     assert len(calls) == 1
@@ -484,7 +484,8 @@ def test_pairing_takes_a_few_point_vectors(s1xs2):
     rule: one density column at a time, the pairing peaks at 20 point
     vectors; a (points, columns, degrees) product of both columns with
     the polar table took 27."""
-    points, wq, g, ricci_sq = next(verify._blowup_slabs(s1xs2, 2))
+    points, wq, g, ricci_sq = next(green.blowup_slabs(
+        green.green_field(s1xs2, "L"), 2))
     size = np.broadcast(*points).size
     assert size == 4080
     density = np.stack([wq * g, wq * ricci_sq], axis=-1)
@@ -611,6 +612,20 @@ def test_mass_suite(sphere5):
     assert {c.law for c in report.checks} == {
         "mass-expansion-base", "mass-integral-base",
         "mass-expansion-moebius", "mass-integral-moebius"}
+
+
+def test_mass_report_states_its_rule(sphere5, monkeypatch):
+    """The mass report's resolution holds the rule that the integral
+    route of each ``extract_mass`` call summed over: on S^5 its one
+    block, graded 14 times, with no image count and no mirror."""
+    calls = _count_blocks(monkeypatch, "pole_blocks")
+    res = check_mass(sphere5).resolution
+    assert len(calls) == 2  # the base and the Moebius masses
+    assert res["nodes"] == [size for size, _ in calls[0]] \
+        == [size for size, _ in calls[1]]
+    assert res["graded_depth"] == 14
+    assert "images" not in res and "mirror" not in res
+    assert res["poles"] == [Pole(1).label()] and res["level"] == 2
 
 
 # ---------------------------------------------------------------- reporting
