@@ -173,14 +173,20 @@ def constant_field(basis: ModeBasis, value: float) -> ScalarField:
     return synthesize(basis, c)
 
 
-def even_part(f: ScalarField) -> ScalarField:
-    """The part of a mode field even under the circle reflection s -> -s:
-    the field of its coefficients with the sine rows zeroed, ``f`` itself
-    where they are zero already (a sphere's one circle row has none)."""
+def even_part(f: ScalarField, s0: float = 0.0) -> ScalarField:
+    """The part of a mode field even under the circle reflection
+    s -> 2 s0 - s about a pole at ``s0``: each wavenumber's rows, 2k - 1
+    for cos(2 pi k s / l) and 2k for sin, projected on
+    cos(2 pi k (s - s0) / l), which at s0 = 0 zeroes the sine rows; ``f``
+    itself where it is even already (a sphere's one circle row is)."""
     c = np.array(coefficients_of(f))
-    if not np.any(c[..., 2::2, :]):
+    t = 2.0 * math.pi * s0 / f.basis.length * np.arange(
+        1, f.basis.fourier_max + 1)[:, None]
+    cos_t, sin_t = np.cos(t), np.sin(t)
+    along = c[..., 1::2, :] * cos_t + c[..., 2::2, :] * sin_t
+    c[..., 1::2, :], c[..., 2::2, :] = along * cos_t, along * sin_t
+    if np.array_equal(c, coefficients_of(f)):
         return f
-    c[..., 2::2, :] = 0.0  # row 2k carries sin(2 pi k s / l)
     return synthesize(f.basis, c)
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -414,10 +415,10 @@ class GreenField:
     factor's weight at the pole, ``rho_pole``, and at the points; a
     factor that stacks trials gives one ``rho_pole`` and one set of
     values per trial.  The kernels are closed forms and image sums of
-    the flat kernel: ``green_pair`` of one with the operator applied to
-    a field meets the field's value at the pole only up to the error of
-    the pole rule (held to 1e-8 on spheres, and to 1e-6 on S1 x S2 at
-    level 3).
+    the flat kernel: ``green_pair`` of an untransported one with the
+    operator applied to a field meets the field's value at the pole only
+    up to the error of the pole rule (held to 1e-8 on spheres, and to
+    1e-6 on S1 x S2 at level 3).
     """
 
     manifold: ManifoldModel
@@ -512,16 +513,16 @@ def blowup_slabs(gf: GreenField, level: int, resolution: dict | None = None):
     ``blowup_density``, each block, a slab on a product, built only when
     it is reached, so no density outlives its block.
 
-    The density is even about the pole (on a product the reflection
-    s -> -s fixes it and is an isometry), so it is read at each block's
-    own points with the whole weights, and a field pairs with it through
-    its ``fields.even_part``.  A ``resolution`` dict receives the rule's
-    node counts and, on a product, the kernel's image count."""
+    The density is even about the pole, as the rule asks (on a product
+    the reflection s -> -s fixes it and is an isometry), and a field
+    pairs with it through its ``fields.even_part``.  A ``resolution``
+    dict receives the rule's node counts and, on a product, the kernel's
+    image count."""
     blocks = Q.pole_blocks(gf.manifold, gf.pole, level=level,
                            resolution=resolution)
     if resolution is not None and gf.cutoff is not None:
         resolution["images"] = gf.cutoff
-    for points, w, _ in blocks:
+    for points, w in blocks:
         yield (points, w, *blowup_density(gf, *points))
 
 
@@ -585,25 +586,18 @@ def green_field(m: ManifoldModel, operator: str, pole: Pole | None = None,
 # ----------------------------------------------------------------- pairing
 
 def green_pair(gf: GreenField, f: ScalarField, level: int = 2) -> float:
-    """Quadrature of int G(pole, q) f(q) dmu(q) with pole grading, for a
-    mode field ``f``: ``f`` paired by ``fields.pair`` with w G on every
-    side of every block of ``quadrature.pole_blocks`` around the pole,
-    each side with weights w / len(sides), which is the full rule, so
-    ``f`` need not be even about the pole.  A transported kernel need not
-    be even either and is evaluated on each side; an untransported one
-    is even about its pole, so its values at a block's own points serve
-    every side.  A factor that stacks trials raises ``ValueError``.
-    """
-    _one_trial(gf, "the pairing")
-    total = 0.0
-    for points, w, sides in Q.pole_blocks(gf.manifold, gf.pole, level=level):
-        w = w / len(sides)
-        vals = gf.values_at(*points)
-        for i, side in enumerate(sides):
-            if i and gf.factor is not None:
-                vals = gf.values_at(*side)
-            total += F.pair(f, w * vals, *side)
-    return float(total)
+    """Quadrature of int G(pole, q) f(q) dmu(q) with pole grading for an
+    untransported kernel, even about its pole: ``fields.pair`` of the
+    ``fields.even_part`` of ``f`` about the pole with w G at each block of
+    ``quadrature.pole_blocks``, as the identities pair their densities; a
+    transported kernel raises ``ValueError``, as in ``blowup_density``."""
+    if gf.factor is not None:
+        raise ValueError(f"green_pair needs an untransported kernel, got "
+                         f"G_{gf.operator} ({gf.representation})")
+    even = F.even_part(f, gf.pole.s0)
+    return float(sum(F.pair(even, w * gf.values_at(*points), *points)
+                     for points, w in Q.pole_blocks(gf.manifold, gf.pole,
+                                                    level=level)))
 
 
 # --------------------------------------------------------------- sign scan
@@ -667,11 +661,9 @@ class ComparisonResult:
 
 
 def compare_green(m: ManifoldModel, poles,
-                  factor: ConformalFactor | None = None,
                   tolerance: float = 1e-8) -> list[ComparisonResult]:
     """Margins of the kernel comparison for each pole, off the pole and,
-    in dimension three, where G_P is continuous, at the diagonal too; a
-    factor that stacks trials raises ``ValueError``."""
+    in dimension three, where G_P is continuous, at the diagonal too."""
     if m.n == 4:
         raise UnsupportedBackendError("the comparison needs n != 4")
     out = []
@@ -679,8 +671,8 @@ def compare_green(m: ManifoldModel, poles,
     s = (n - 4.0) / (n - 2.0)
     cn = comparison_constant(n)
     for pole in poles:
-        gL = green_field(m, "L", pole, factor)
-        gP = _one_trial(green_field(m, "P", pole, factor), "the comparison")
+        gL = green_field(m, "L", pole)
+        gP = green_field(m, "P", pole)
         pts = m.grid_points()
         keep = ~m.near_pole(pole)
         vL = gL.values_at(*pts)[keep]
@@ -743,6 +735,23 @@ def extract_mass(m: ManifoldModel, pole: Pole | None = None,
     a_exp = Q.extrapolate_to_zero(r, diff) * norm
 
     # integral route: the base integrand over rho_P(pole)^2
+    integral, resolution = _mass_integral(m, pole, level)
+    a_int = norm * (n - 4.0) / (n - 2.0) ** 2 * integral / gP.rho_pole ** 2
+    return {
+        "pole": pole.label(),
+        "A_expansion": float(a_exp),
+        "A_integral": float(a_int),
+        "normalization": norm,
+        "resolution": dict(resolution),
+    }
+
+
+@lru_cache(maxsize=64)
+def _mass_integral(m: ManifoldModel, pole: Pole, level: int):
+    """(int G_P G_L^{(n-4)/(n-2)} |Ric_blowup|^2 dmu, resolution) of the
+    untransported kernels over ``blowup_slabs``, one pass per (backend,
+    pole, level): a transported mass divides it by rho_P(pole)^2."""
+    s = (m.n - 4.0) / (m.n - 2.0)
     base_p = green_field(m, "P", pole)
     resolution = {}
     integral = 0.0
@@ -750,11 +759,4 @@ def extract_mass(m: ManifoldModel, pole: Pole | None = None,
                                             level, resolution):
         vals = base_p.values_at(*points) * g ** s * nsq
         integral += float(np.tensordot(w_q, vals, w_q.ndim))
-    a_int = norm * (n - 4.0) / (n - 2.0) ** 2 * integral / gP.rho_pole ** 2
-    return {
-        "pole": pole.label(),
-        "A_expansion": float(a_exp),
-        "A_integral": float(a_int),
-        "normalization": norm,
-        "resolution": resolution,
-    }
+    return integral, resolution

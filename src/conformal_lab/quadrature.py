@@ -8,23 +8,20 @@ on products a smooth partition of unity that splits the reduced
 (s, chi) rectangle into a polar patch around the pole plus a blended
 far region.
 
-``pole_blocks`` is the one rule: an iterable of node blocks
-``(points, weights, sides)`` in chart coordinates.  A caller computes a
-density at the nodes of each block, weights included, and pairs it with
-fields by ``fields.pair``, or sums it where no field takes part.
-``sides`` lists the point sets the block stands for, its own points
-first, each taking ``weights / len(sides)`` in the full rule; a density
-even about the pole reads a block's own points alone, with all weights.
-A sphere block is its one side.  The product rule is mirror-symmetric
-under ds -> -ds with no node on ds = 0, so its blocks hold the ds > 0
-half with doubled weights, and their second side is the mirror
-2 s0 - s.  It comes in slabs of at most ``SLAB_NODES`` nodes, each built
-only when its iterator reaches it, so what the rule and a caller form
-per node is alive for one slab at a time: runs of whole radial rows of
-the polar patch, pointwise, and runs of whole s rows of the far
-rectangle, each an open mesh, an s column of shape (Ns, 1) and a chi row
-of shape (1, Nx), so the layers below can tabulate along each axis
-before they broadcast.
+``pole_blocks`` is the one rule: an iterable of weighted node blocks
+``(points, weights)`` in chart coordinates, for integrands even about
+the pole.  A caller computes a density at the nodes of each block,
+weights included, and pairs it with the ``fields.even_part`` of fields
+by ``fields.pair``, or sums it where no field takes part.  A sphere's
+rule is one block.  The product rule is mirror-symmetric under
+ds -> -ds with no node on ds = 0, so its blocks hold the ds > 0 half
+with doubled weights.  It comes in slabs of at most ``SLAB_NODES``
+nodes, each built only when its iterator reaches it, so what the rule
+and a caller form per node is alive for one slab at a time: runs of
+whole radial rows of the polar patch, pointwise, and runs of whole s
+rows of the far rectangle, each an open mesh, an s column of shape
+(Ns, 1) and a chi row of shape (1, Nx), so the layers below can
+tabulate along each axis before they broadcast.
 
 What sits next to the pole is resolved once, not per level: both rules
 grade toward the pole ``_GRADED_DEPTH`` = 14 times, and the product's
@@ -51,8 +48,8 @@ from .basis import gauss_jacobi
 __all__ = ["extrapolate_to_zero", "pole_blocks"]
 
 # the most nodes a product block of ``pole_blocks`` holds: whatever the
-# rule or a caller forms per node, weights, kernel jets, a mirror side or
-# a pairing's moments, it holds for one block at a time
+# rule or a caller forms per node, weights, kernel jets or a pairing's
+# moments, it holds for one block at a time
 SLAB_NODES = 4096
 
 # the pole side of the rules, the same at every level (see above)
@@ -97,7 +94,7 @@ def _cuts(rows: int, cols: int) -> list:
 
 def pole_blocks(m, pole, level: int = 1, resolution: dict | None = None):
     """The graded rule of ``m`` around ``pole``, node blocks
-    ``(points, weights, sides)`` as the module describes.
+    ``(points, weights)`` as the module describes.
 
     On a sphere it is one pointwise block: 10-point Gauss panels grade
     toward ``pole`` by halves, ``_GRADED_DEPTH`` times at every level,
@@ -120,14 +117,12 @@ def pole_blocks(m, pole, level: int = 1, resolution: dict | None = None):
     surf = m.basis.orbit_area * a ** n * np.sin(xi) ** (n - 1)
     if resolution is not None:
         resolution.update(nodes=[xi.size], graded_depth=_GRADED_DEPTH)
-    points = m.chart_from_pole(pole, xi)
-    return [(points, surf * w, (points,))]
+    return [(m.chart_from_pole(pole, xi), surf * w)]
 
 
 def _product_blocks(m, pole, level: int, resolution: dict | None) -> Iterator:
     """The ds > 0 half of the graded product rule with doubled weights,
-    as an iterator of node blocks ``((s, chi), weights, sides)``, the
-    sides ``(s, chi)`` and its mirror ``(2 s0 - s, chi)``.
+    as an iterator of node blocks ``((s, chi), weights)``.
 
     A polar patch of radius r1 around the pole is integrated in
     (r, psi) shells graded toward r = 0; the complement is integrated
@@ -181,10 +176,6 @@ def _product_blocks(m, pole, level: int, resolution: dict | None) -> Iterator:
     psi, WP = p_nodes[half], 2.0 * p_w[half]
     cos_psi, sin_psi = np.cos(psi), np.sin(psi)
 
-    def block(sep, weights):
-        s, chi = points = m.chart_from_pole(pole, *sep)
-        return points, weights, (points, (2.0 * pole.s0 - s, chi))
-
     def near(rows, cols):
         r = R[rows]
         ds = r * cos_psi[cols]
@@ -192,7 +183,8 @@ def _product_blocks(m, pole, level: int, resolution: dict | None) -> Iterator:
         cut = 1.0 - smoothstep((r - r0) / (r1 - r0))
         # ds d(b chi) = r dr dpsi, so the jacobian is plain r
         meas = orbit * np.sin(chi_eff) ** (d - 1) * r
-        return block((ds, chi_eff), cut * meas * WR[rows] * WP[cols])
+        return (m.chart_from_pole(pole, ds, chi_eff),
+                cut * meas * WR[rows] * WP[cols])
 
     # far region on the full rectangle, integrand cut off inside the
     # patch; panels no wider than h keep the band resolved at every
@@ -212,8 +204,8 @@ def _product_blocks(m, pole, level: int, resolution: dict | None) -> Iterator:
         ds, chi_eff = DS[rows], CHI_EFF[:, cols]
         rr = np.hypot(ds, b * chi_eff)
         cut_far = smoothstep((rr - r0) / (r1 - r0))
-        return block((ds, chi_eff),
-                     cut_far * meas_far[:, cols] * WS[rows] * WX[:, cols])
+        return (m.chart_from_pole(pole, ds, chi_eff),
+                cut_far * meas_far[:, cols] * WS[rows] * WX[:, cols])
 
     pieces = [(near, R.size, psi.size), (far, DS.size, CHI_EFF.size)]
     if resolution is not None:

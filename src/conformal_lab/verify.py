@@ -22,7 +22,6 @@ import functools
 import inspect
 import json
 import math
-import threading
 import time
 import zlib
 from collections.abc import Callable
@@ -110,15 +109,13 @@ def _verdict(law, ok, detail=""):
 
 
 _LEDGERS = {}
-_LEDGER_LOCK = threading.Lock()
 
 
 def _ledger(m: ManifoldModel) -> spectrum.SpectrumSummary:
     """The hypothesis ledger of ``m``, built on first use and then kept."""
-    with _LEDGER_LOCK:
-        if m not in _LEDGERS:
-            _LEDGERS[m] = spectrum.paneitz_spectrum_check(m)
-        return _LEDGERS[m]
+    if m not in _LEDGERS:
+        _LEDGERS[m] = spectrum.paneitz_spectrum_check(m)
+    return _LEDGERS[m]
 
 
 # ------------------------------------------------------------------ suites

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from conformal_lab import verify
+from conformal_lab import green, verify
 from conformal_lab.geometry import catalog_build
 
 
 @pytest.fixture(autouse=True)
-def fresh_ricci_defects(monkeypatch):
-    """Every test takes the blow-up passes whose Ricci defects it reads:
-    one left by an earlier test would hide a kernel the test mutates."""
+def fresh_blowup_passes(monkeypatch):
+    """Every test takes the blow-up passes whose Ricci defects and mass
+    integrals it reads: one left by an earlier test would hide a kernel
+    the test mutates."""
     monkeypatch.setattr(verify, "_DEFECTS", {})
+    green._mass_integral.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -129,8 +129,7 @@ def test_identity_integrals(kind, suite, length, monkeypatch):
             rule = list(blocks(*args, **kw))
             slabs[:] = rule
             if materialize:
-                rule = [(np.broadcast_arrays(*pts), w, sides)
-                        for pts, w, sides in rule]
+                rule = [(np.broadcast_arrays(*pts), w) for pts, w in rule]
             return rule
 
         def recorded(*args):
@@ -145,7 +144,7 @@ def test_identity_integrals(kind, suite, length, monkeypatch):
         return np.array(got)
 
     _close(run(False), run(True))
-    far = [pts for pts, _, _ in slabs if pts[0].shape[1] == 1]
+    far = [pts for pts, _ in slabs if pts[0].shape[1] == 1]
     assert len(far) > 1
     assert all(pts[1].shape[0] == 1 for pts in far)
 
@@ -174,7 +173,7 @@ def test_the_far_rectangle_takes_the_closed_form(product, suite,
     monkeypatch.setattr(kernel, "_image_loop", counted_loop)
     monkeypatch.setattr(kernel, "_mesh_sums", counted_series)
     monkeypatch.setattr(verify, "_DEFECTS", {})
-    slabs = [pts for pts, _, _ in Q.pole_blocks(m, Pole(), level=2)]
+    slabs = [pts for pts, _ in Q.pole_blocks(m, Pole(), level=2)]
     run_suite(suite, m)
     far = [pts for pts in slabs if pts[0].shape[1] == 1]
     near = [pts for pts in slabs if pts[0].shape[1] > 1]
@@ -210,8 +209,8 @@ def test_the_far_block_is_tabulated_per_axis(s1xs2, monkeypatch):
     sizes = _sizes(monkeypatch, ("polar_values", "circle_values",
                                  "polar_jets", "circle_jets"))
     report = run_suite("weak-identity", s1xs2)
-    far = [pts for pts, _, _ in slabs if pts[0].shape[1] == 1]
-    near = [w.size for pts, w, _ in slabs if pts[0].shape[1] > 1]
+    far = [pts for pts, _ in slabs if pts[0].shape[1] == 1]
+    near = [w.size for pts, w in slabs if pts[0].shape[1] > 1]
     assert report.resolution["nodes"] == [sum(near), 96 * 192]
     assert sum(pts[0].size for pts in far) == 96
     assert sorted(sizes["polar_values"]) == sorted(

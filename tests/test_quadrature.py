@@ -54,26 +54,18 @@ def test_extrapolate_to_zero_matches_least_squares(shape):
     ("s1xs2", 2e-9),  # the blended product rule: level-1 error 6.4e-10
 ])
 def test_weights_sum_to_the_volume(fixture, rtol, request):
-    """The weights of ``pole_blocks``, on a product those of the half
-    rule (doubled weights on ds > 0), sum to the volume, and so do the
-    shares w / len(sides) over every side of every block.  A block's
-    first side is its own points; on a product at s0 = 1 the second is
-    the mirror (2 s0 - s, chi), on a sphere there is none."""
+    """Each block of ``pole_blocks`` at s0 = 1 is ``(points, weights)``,
+    its points in the chart's coordinates, and the weights, on a product
+    those of the half rule (doubled weights on ds > 0), sum to the
+    volume."""
     m = request.getfixturevalue(fixture)
-    pole = Pole(1, 1.0)
-    blocks = list(Q.pole_blocks(m, pole, level=1))
-    total = sum(float(np.sum(w)) for _, w, _ in blocks)
+    blocks = list(Q.pole_blocks(m, Pole(1, 1.0), level=1))
+    for block in blocks:
+        points, w = block
+        assert len(points) == len(m.grid_points())
+        assert np.broadcast(*points).shape == w.shape
+    total = sum(float(np.sum(w)) for _, w in blocks)
     assert math.isclose(total, m.volume, rel_tol=rtol)
-    shares = sum(float(np.sum(w / len(sides)))
-                 for _, w, sides in blocks for _ in sides)
-    assert math.isclose(shares, m.volume, rel_tol=rtol)
-    for points, _, sides in blocks:
-        assert sides[0] is points
-        assert len(sides) == (2 if m.backend.circle else 1)
-        if m.backend.circle:
-            (s, chi), (mirror_s, mirror_chi) = points, sides[1]
-            assert np.array_equal(mirror_s, 2.0 * pole.s0 - s)
-            assert mirror_chi is chi
 
 
 def test_nan_at_a_zero_weight_node_poisons_the_integral(s1xs2, monkeypatch):
@@ -81,7 +73,7 @@ def test_nan_at_a_zero_weight_node_poisons_the_integral(s1xs2, monkeypatch):
     cut-off weight is 0, makes ``green_pair`` NaN: every node takes part.
     The NaN goes into whichever far slab holds that node.  The
     untransported kernel is even about its pole, so each slab of the
-    half rule is evaluated once and its values serve both mirror sides."""
+    half rule is evaluated once, at its own points."""
     m, pole = s1xs2, Pole(1, 0.0)
     r0 = 0.125 * min(0.5 * m.length, m.radius * math.pi)
     gf = green_field(m, "L", pole)
@@ -93,7 +85,7 @@ def test_nan_at_a_zero_weight_node_poisons_the_integral(s1xs2, monkeypatch):
         i = np.unravel_index(np.argmin(rr), rr.shape)
         return rr[i], i
 
-    far = [k for k, (pts, _, _) in enumerate(blocks)
+    far = [k for k, (pts, _) in enumerate(blocks)
            if pts[0].shape[1] == 1]
     target = min(far, key=lambda k: nearest(*blocks[k][0])[0])
     calls = []
@@ -110,7 +102,7 @@ def test_nan_at_a_zero_weight_node_poisons_the_integral(s1xs2, monkeypatch):
 
     monkeypatch.setattr(GreenField, "values_at", poisoned)
     assert math.isnan(green_pair(gf, m.constant(1.0), level=1))
-    assert calls == [w.size for _, w, _ in blocks]  # once per slab, both sides
+    assert calls == [w.size for _, w in blocks]  # once per slab
 
 
 def _meshgrid_pieces(m, pole, level):
@@ -157,7 +149,7 @@ def _laid_out(piece, shape):
     row run of the one before, or starts the next run of rows."""
     out = [np.full(shape, np.nan) for _ in range(3)]
     i = j = 0
-    for (s, chi), w, _ in piece:
+    for (s, chi), w in piece:
         r, c = w.shape
         for table, part in zip(out, (s, chi, w)):
             table[i:i + r, j:j + c] = part
@@ -190,12 +182,12 @@ def test_slabs_tile_the_half_rule(kind, length, level, bound, monkeypatch):
     want = _meshgrid_pieces(m, pole, level)
     assert res["nodes"] == [w.size for _, w in want]
     slabs = list(slabs)
-    assert max(w.size for _, w, _ in slabs) <= Q.SLAB_NODES
+    assert max(w.size for _, w in slabs) <= Q.SLAB_NODES
     near = [slab for slab in slabs if slab[0][0].shape[1] > 1]
     far = [slab for slab in slabs if slab[0][0].shape[1] == 1]
     assert len(near) + len(far) == len(slabs)
-    assert all(s.shape == chi.shape == w.shape for (s, chi), w, _ in near)
-    assert all(chi.shape == (1, w.shape[1]) for (_, chi), w, _ in far)
+    assert all(s.shape == chi.shape == w.shape for (s, chi), w in near)
+    assert all(chi.shape == (1, w.shape[1]) for (_, chi), w in far)
     for piece, (points, w) in zip((near, far), want):
         got = _laid_out(piece, w.shape)
         for table, ref in zip(got, (*points, w)):
@@ -227,7 +219,7 @@ def test_level_2_product_rule_node_counts(s1xs2):
     res = {}
     slabs = list(Q.pole_blocks(s1xs2, Pole(), level=2, resolution=res))
     assert res["nodes"] == [6624, 18432]
-    assert [w.shape for _, w, _ in slabs] == [(85, 48), (53, 48)] \
+    assert [w.shape for _, w in slabs] == [(85, 48), (53, 48)] \
         + [(21, 192)] * 4 + [(12, 192)]
 
 
